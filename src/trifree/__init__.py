@@ -38,7 +38,6 @@ from .independent import (
     split_probe,
 )
 from .uniform import (
-    EpsProbe,
     UniformLevel,
     augment_uniform,
     build_uniform,

@@ -100,9 +100,6 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
-    if args.seed != "none":
-        print("builds are deterministic; only --seed none is supported", file=sys.stderr)
-        return EXIT_USAGE
     if args.painter == "firstfit":
         painter = first_fit
     elif args.painter == "minimax":
@@ -162,22 +159,18 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run the invariant suite on a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; "
-                   "verification is exact either way")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chi", help="exact chromatic number of a family file")
     p.add_argument("--family", required=True)
     p.add_argument("--timeout", type=float, default=_default_timeout())
     p.add_argument("--coloring-out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("game", help="play the on-line interval coloring game")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--painter", choices=["firstfit", "repl", "minimax"],
                    default="firstfit")
-    p.add_argument("--seed", default="none")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_game)
 

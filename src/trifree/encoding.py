@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations
+from typing import Optional, Sequence
 
-from .errors import ConstructionError
+from .errors import ConstructionError, fail_on
 from .game import Interval, _replay, overlaps
-from .geometry import Rat, Rect, XYTransform
+from .geometry import Rat, XYTransform
 from .graphs import ChromaticResult, chromatic_number, intersection_graph, is_triangle_free
 from .shapes import ShapeDef, TransformedCopy, catalog, copies_intersect
 
@@ -117,59 +118,63 @@ class FrameNode:
     parent: Optional[int]
     interval: Interval
     slot: tuple[Rat, Rat]
+    ancestors: frozenset[int]
+
+    @property
+    def transform(self) -> XYTransform:
+        """Carries the unit frame onto the node's interval times its slot."""
+        (lo, hi), iv = self.slot, self.interval
+        return XYTransform(iv.hi - iv.lo, hi - lo, iv.lo, lo)
 
 
 @dataclass(frozen=True)
 class FrameFamily:
-    frames: tuple[Rect, ...]
     copies: tuple[TransformedCopy, ...]
     nodes: tuple[FrameNode, ...]
 
-    def ancestors(self, i: int) -> set[int]:
-        out: set[int] = set()
-        node = self.nodes[i]
-        while node.parent is not None:
-            out.add(node.parent)
-            node = self.nodes[node.parent]
-        return out
+    def ancestors(self, i: int) -> frozenset[int]:
+        return self.nodes[i].ancestors
 
 
-def encode(tree: StrategyTree, shape: Optional[ShapeDef] = None) -> FrameFamily:
-    """One rectangular frame per tree node, with the intersection law
-    verified exhaustively: frames meet iff their intervals overlap and
-    the nodes lie on a common branch."""
-    frame_shape = shape if shape is not None else catalog()["frame"]
+def frame_nodes(root: TreeNode) -> tuple[FrameNode, ...]:
+    """The tree's nodes in preorder, each with its set of ancestors."""
     nodes: list[FrameNode] = []
-    copies: list[TransformedCopy] = []
-    rects: list[Rect] = []
 
     def walk(node: TreeNode, parent: Optional[int]) -> None:
         assert node.slot is not None
         idx = len(nodes)
-        lo, hi = node.slot
-        nodes.append(FrameNode(idx, parent, node.interval, node.slot))
-        box = Rect(node.interval.lo, node.interval.hi, lo, hi)
-        rects.append(box)
-        t = XYTransform(box.width, box.height, box.x_lo, box.y_lo)
-        copies.append(TransformedCopy(frame_shape.name, frame_shape.shape, t,
-                                      f"frame(node{idx})"))
+        ancestors = frozenset() if parent is None else nodes[parent].ancestors | {parent}
+        nodes.append(FrameNode(idx, parent, node.interval, node.slot, ancestors))
         for child in node.children:
             walk(child, idx)
 
-    walk(tree.root, None)
-    family = FrameFamily(tuple(rects), tuple(copies), tuple(nodes))
+    walk(root, None)
+    return tuple(nodes)
 
-    for i in range(len(nodes)):
-        anc_i = family.ancestors(i)
-        for j in range(i + 1, len(nodes)):
-            same_branch = i in family.ancestors(j) or j in anc_i
-            expected = same_branch and overlaps(nodes[i].interval, nodes[j].interval)
-            actual = copies_intersect(copies[i], copies[j])
-            if expected != actual:
-                raise ConstructionError(
-                    f"encoding law violated at nodes {i}, {j}: "
-                    f"expected {'meet' if expected else 'disjoint'}")
-    return family
+
+def frame_law(nodes: Sequence[FrameNode], copies: Sequence[TransformedCopy]) -> list[str]:
+    """The intersection law, checked on every pair: frames meet iff their
+    intervals overlap and the nodes lie on a common branch.  Empty list =
+    it holds."""
+    out: list[str] = []
+    for (i, a), (j, b) in combinations(enumerate(nodes), 2):
+        same_branch = i in b.ancestors or j in a.ancestors
+        expected = same_branch and overlaps(a.interval, b.interval)
+        if copies_intersect(copies[i], copies[j]) != expected:
+            out.append(f"intersection law fails at nodes {i}, {j}: "
+                       f"expected {'meet' if expected else 'disjoint'}")
+    return out
+
+
+def encode(tree: StrategyTree, shape: Optional[ShapeDef] = None) -> FrameFamily:
+    """One rectangular frame per tree node, with the intersection law
+    verified exhaustively."""
+    frame_shape = shape if shape is not None else catalog()["frame"]
+    nodes = frame_nodes(tree.root)
+    copies = tuple(TransformedCopy(frame_shape.name, frame_shape.shape, n.transform,
+                                   f"frame(node{n.index})") for n in nodes)
+    fail_on(frame_law(nodes, copies))
+    return FrameFamily(copies, nodes)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ class ConstructionError(Exception):
     """A verified structural claim failed while building a family."""
 
 
-class VerificationError(Exception):
-    """An invariant of a finished artifact does not hold."""
+def fail_on(messages: list[str]) -> None:
+    """Raise one ConstructionError carrying every message, if there are any."""
+    if messages:
+        raise ConstructionError("; ".join(messages))
 
 
 class IllegalIntervalError(Exception):

@@ -42,9 +42,6 @@ class Interval:
     def contains(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def strictly_contains(self, other: "Interval") -> bool:
-        return self.lo < other.lo and other.hi < self.hi
-
     @property
     def midpoint(self) -> Rat:
         return (self.lo + self.hi) / 2

@@ -145,12 +145,6 @@ class Rect:
         dy = self.height * (1 - fy) / 2
         return Rect(self.x_lo + dx, self.x_hi - dx, self.y_lo + dy, self.y_hi - dy)
 
-    def boundary_segs(self) -> tuple[Seg, Seg, Seg, Seg]:
-        return (h_seg(self.y_lo, self.x_lo, self.x_hi),
-                h_seg(self.y_hi, self.x_lo, self.x_hi),
-                v_seg(self.x_lo, self.y_lo, self.y_hi),
-                v_seg(self.x_hi, self.y_lo, self.y_hi))
-
 
 def rect_union_all(rects: Iterable[Rect]) -> Rect:
     out: Optional[Rect] = None

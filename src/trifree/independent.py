@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations, islice, takewhile
+from typing import Iterator, Optional, Sequence
 
-from .errors import ConstructionError
+from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
 from .shapes import (
     ShapeDef,
@@ -85,17 +86,29 @@ class LevelReport:
     probes: tuple[ProbeLaw, ...]
 
 
+def _sizes() -> Iterator[tuple[int, int]]:
+    """(s_k, p_k) for k = 1, 2, 3, ... by the recurrence."""
+    s, p = 1, 1
+    while True:
+        yield s, p
+        s, p = (p + 1) * s + p * p, 2 * p * p
+
+
 def size_formulas(k: int) -> tuple[int, int]:
     """(s_k, p_k) by the recurrence, cross-checked against the closed bounds."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    s, p = 1, 1
-    for _ in range(k - 1):
-        s, p = (p + 1) * s + p * p, 2 * p * p
+    s, p = next(islice(_sizes(), k - 1, None))
     exponent = 2 ** (k - 1)
     if p != 2 ** (exponent - 1) or not s <= 2 ** exponent - 1:
         raise AssertionError(f"size recurrence left its proven bounds at k={k}")
     return s, p
+
+
+def max_level(copies: int) -> int:
+    """The largest k with s_k <= copies, or 0.  Cheap for any ``copies``:
+    s_k grows doubly exponentially, so the recurrence stops early."""
+    return sum(1 for _ in takewhile(lambda sp: sp[0] <= copies, _sizes()))
 
 
 def split_probe(p: Probe) -> tuple[Rect, Rect]:
@@ -130,14 +143,19 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     return copy
 
 
-def _diagonal_empty_rect(diag: TransformedCopy, shape: ShapeDef) -> Rect:
-    return diag.transform.apply(shape.features.empty_rect)
+def probe_conditions(probe: Probe, copies: Sequence[TransformedCopy], bbox: Rect,
+                     epsilon: Optional[Rat] = None) -> list[str]:
+    """The probe conditions, checked exactly.  Empty list = valid.
 
-
-def _probe_conditions(rect: Rect, root: Rect, cut: Rat, pierced: Sequence[int],
-                      copies: Sequence[TransformedCopy], bbox: Rect) -> list[str]:
-    """The four probe conditions, checked exactly.  Empty list = valid."""
+    The copies the probe rectangle meets must be exactly ``probe.pierced``
+    (the expected contact set while building, the stored set when
+    verifying), pairwise disjoint and vertical stabbers, and the root left
+    of the cut must be empty.  Passing ``epsilon`` makes it an eps-probe
+    check: the root must also be a square and the width/height ratio
+    exactly 1 + eps.
+    """
     out: list[str] = []
+    rect, root, cut = probe.rect, probe.root, probe.root_cut_x
     if rect.is_degenerate:
         out.append("probe rectangle is degenerate")
     if not bbox.contains_rect(rect):
@@ -146,17 +164,20 @@ def _probe_conditions(rect: Rect, root: Rect, cut: Rat, pierced: Sequence[int],
         out.append("probe does not touch the family's right side")
     if not (rect.x_lo < cut < rect.x_hi):
         out.append("root cut line is not interior to the probe")
-    if root != Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi):
+    if (root.x_lo, root.x_hi, root.y_lo, root.y_hi) != (rect.x_lo, cut, rect.y_lo, rect.y_hi):
         out.append("root is not the left part of the probe at the cut line")
-    actual = tuple(sorted(i for i, c in enumerate(copies) if copy_meets_rect(c, rect)))
-    if actual != tuple(sorted(pierced)):
-        out.append(f"pierced set mismatch: stored {sorted(pierced)}, actual {list(actual)}")
-    ids = list(actual)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if copies_intersect(copies[ids[a]], copies[ids[b]]):
-                out.append(f"pierced copies {ids[a]} and {ids[b]} intersect")
-    for i in ids:
+    if epsilon is not None:
+        if root.width != root.height:
+            out.append("root is not a square")
+        if rect.width != (1 + epsilon) * rect.height:
+            out.append("width/height ratio is not exactly 1+eps")
+    actual = [i for i, c in enumerate(copies) if copy_meets_rect(c, rect)]
+    if actual != sorted(probe.pierced):
+        out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
+    for a, b in combinations(actual, 2):
+        if copies_intersect(copies[a], copies[b]):
+            out.append(f"pierced copies {a} and {b} intersect")
+    for i in actual:
         if not stabs_vertically(copies[i], rect):
             out.append(f"pierced copy {i} does not stab the probe vertically")
     for i, c in enumerate(copies):
@@ -165,24 +186,41 @@ def _probe_conditions(rect: Rect, root: Rect, cut: Rat, pierced: Sequence[int],
     return out
 
 
-def _finish_probe(rect: Rect, cut: Rat, expected: frozenset[int],
-                  copies: Sequence[TransformedCopy], bbox: Rect) -> Probe:
-    pierced = tuple(sorted(i for i, c in enumerate(copies) if copy_meets_rect(c, rect)))
-    if frozenset(pierced) != expected:
-        raise ConstructionError(
-            f"probe contact law violated: expected {sorted(expected)}, got {list(pierced)}")
-    root = Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi)
-    bad = _probe_conditions(rect, root, cut, pierced, copies, bbox)
-    if bad:
-        raise ConstructionError("; ".join(bad))
-    return Probe(rect, root, cut, pierced)
+def probe_overlaps(probes: Sequence[Probe]) -> list[str]:
+    """One message per pair of probes whose rectangles meet."""
+    return [f"probes {i} and {j} are not disjoint"
+            for (i, p), (j, q) in combinations(enumerate(probes), 2)
+            if p.rect.intersects(q.rect)]
 
 
-def _assert_pairwise_disjoint_probes(probes: Sequence[Probe]) -> None:
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            if probes[i].rect.intersects(probes[j].rect):
-                raise ConstructionError(f"probes {i} and {j} are not disjoint")
+def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
+                 probes: Sequence[Probe]) -> list[str]:
+    """The closing diagonals' contact law.  Empty list = it holds.
+
+    Diagonal i meets exactly the copies of ``base`` pierced by probe i, and
+    no two diagonals meet.
+    """
+    if len(diagonals) != len(probes):
+        return ["diagonal count differs from probe count"]
+    out: list[str] = []
+    for i, (diag, probe) in enumerate(zip(diagonals, probes)):
+        neighbors = [j for j, c in enumerate(base) if copies_intersect(diag, c)]
+        if frozenset(neighbors) != frozenset(probe.pierced):
+            out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
+    for (i, a), (j, b) in combinations(enumerate(diagonals), 2):
+        if copies_intersect(a, b):
+            out.append(f"diagonals {i} and {j} intersect")
+    return out
+
+
+def finish_probe(rect: Rect, cut: Rat, expected: frozenset[int],
+                 copies: Sequence[TransformedCopy], bbox: Rect,
+                 epsilon: Optional[Rat] = None) -> Probe:
+    """The probe on ``rect`` rooted left of ``cut``, certified to pierce
+    exactly ``expected``."""
+    probe = Probe(rect, Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi), cut, sorted(expected))
+    fail_on(probe_conditions(probe, copies, bbox, epsilon))
+    return probe
 
 
 def base_level(shape: ShapeDef) -> ConstructionLevel:
@@ -192,7 +230,7 @@ def base_level(shape: ShapeDef) -> ConstructionLevel:
     e = feats.empty_rect
     bbox = copy.bbox
     rect = Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi)
-    probe = _finish_probe(rect, e.x_hi, frozenset({0}), [copy], bbox)
+    probe = finish_probe(rect, e.x_hi, frozenset({0}), [copy], bbox)
     return ConstructionLevel(1, shape.name, (copy,), (probe,))
 
 
@@ -223,7 +261,7 @@ def next_level(prev: ConstructionLevel,
         if not stabs_horizontally(diag, upper):
             raise ConstructionError(f"diagonal {i} does not cross its probe's upper part")
         diagonals.append(diag)
-        diag_empties.append(_diagonal_empty_rect(diag, shape))
+        diag_empties.append(diag.transform.apply(shape.features.empty_rect))
         diag_laws.append(DiagonalLaw(i, pierced, neighbors, upper_pierced))
 
     helper = list(prev.family) + diagonals
@@ -265,10 +303,10 @@ def next_level(prev: ConstructionLevel,
     probes: list[Probe] = []
     laws: list[ProbeLaw] = []
     for kind, pi, qi, rect, cut, expected in pending:
-        probe = _finish_probe(rect, cut, expected, copies, bbox)
+        probe = finish_probe(rect, cut, expected, copies, bbox)
         probes.append(probe)
         laws.append(ProbeLaw(kind, pi, qi, expected, frozenset(probe.pierced)))
-    _assert_pairwise_disjoint_probes(probes)
+    fail_on(probe_overlaps(probes))
 
     level = ConstructionLevel(new_k, shape.name, tuple(copies), tuple(probes))
     return level, LevelReport(tuple(diag_laws), tuple(laws))
@@ -291,18 +329,7 @@ def augment(level: ConstructionLevel, shape: ShapeDef) -> tuple[TransformedCopy,
     copies pierced by its probe, and the diagonals are pairwise disjoint.
     """
     bbox = family_bbox(level.family)
-    diagonals: list[TransformedCopy] = []
-    for i, p in enumerate(level.probes):
-        diag = make_diagonal(p, shape, bbox, f"diagonal(P{i})")
-        neighbors = frozenset(j for j, c in enumerate(level.family)
-                              if copies_intersect(diag, c))
-        if neighbors != frozenset(p.pierced):
-            raise ConstructionError(
-                f"augmenting diagonal {i} meets {sorted(neighbors)}, "
-                f"expected {sorted(p.pierced)}")
-        diagonals.append(diag)
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            if copies_intersect(diagonals[i], diagonals[j]):
-                raise ConstructionError(f"augmenting diagonals {i} and {j} intersect")
-    return level.family + tuple(diagonals)
+    diagonals = tuple(make_diagonal(p, shape, bbox, f"diagonal(P{i})")
+                      for i, p in enumerate(level.probes))
+    fail_on(diagonal_law(level.family, diagonals, level.probes))
+    return level.family + diagonals

@@ -60,11 +60,9 @@ def _rect(r: Rect, t: XYTransform, fill: str, opacity: str) -> str:
 
 def render_family(fam: LoadedFamily) -> str:
     """A standalone SVG document; byte-identical across runs on equal input."""
-    probe_rects = [p.rect for p in fam.probes] + [p.rect for p in fam.eps_probes]
-    roots = [p.root for p in fam.probes] + [p.root for p in fam.eps_probes]
     scene = family_bbox(fam.copies)
-    if probe_rects:
-        scene = scene.union(rect_union_all(probe_rects))
+    if fam.probes:
+        scene = scene.union(rect_union_all(p.rect for p in fam.probes))
     t = _scene_transform(scene)
 
     parts = [
@@ -72,10 +70,10 @@ def render_family(fam: LoadedFamily) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(VIEW)} {int(VIEW)}">',
         f'<rect x="0" y="0" width="{int(VIEW)}" height="{int(VIEW)}" fill="#ffffff"/>',
     ]
-    for r in probe_rects:
-        parts.append(_rect(r, t, _PROBE_FILL, "0.15"))
-    for r in roots:
-        parts.append(_rect(r, t, _ROOT_FILL, "0.25"))
+    for p in fam.probes:
+        parts.append(_rect(p.rect, t, _PROBE_FILL, "0.15"))
+    for p in fam.probes:
+        parts.append(_rect(p.root, t, _ROOT_FILL, "0.25"))
     for c in fam.copies:
         diagonal = "diagonal" in c.lineage
         stroke = _DIAGONAL_STROKE if diagonal else _COPY_STROKE

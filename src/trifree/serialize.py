@@ -15,7 +15,7 @@ from .game import GameResult, Interval
 from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
 from .independent import ConstructionLevel, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
-from .uniform import EpsProbe, UniformLevel
+from .uniform import UniformLevel
 
 
 def seg_to_json(s: Seg) -> dict:
@@ -63,9 +63,21 @@ def copy_to_json(c: TransformedCopy) -> dict:
             "tx": rat_str(t.tx), "ty": rat_str(t.ty), "lineage": c.lineage}
 
 
-def _probe_to_json(rect: Rect, root: Rect, cut: Rat, pierced: Sequence[int]) -> dict:
-    return {"rect": rect_to_json(rect), "root": rect_to_json(root),
-            "root_cut_x": rat_str(cut), "pierced": list(pierced)}
+def _probe_to_json(p: Probe) -> dict:
+    return {"rect": rect_to_json(p.rect), "root": rect_to_json(p.root),
+            "root_cut_x": rat_str(p.root_cut_x), "pierced": list(p.pierced)}
+
+
+def _typed(value: Any, kind: type, field: str) -> Any:
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _probe_from_json(d: dict) -> Probe:
+    return Probe(rect_from_json(d["rect"]), rect_from_json(d["root"]),
+                 as_rat(d["root_cut_x"]),
+                 tuple(_typed(i, int, "pierced index") for i in d["pierced"]))
 
 
 def _tree_node_to_json(node: TreeNode) -> dict:
@@ -78,6 +90,8 @@ def _tree_node_to_json(node: TreeNode) -> dict:
 def _tree_node_from_json(d: dict) -> TreeNode:
     node = TreeNode(Interval(as_rat(d["lo"]), as_rat(d["hi"])))
     node.slot = (as_rat(d["slot_lo"]), as_rat(d["slot_hi"]))
+    if not node.slot[0] < node.slot[1]:
+        raise ValueError(f"empty tree slot [{node.slot[0]}, {node.slot[1]}]")
     node.children = [_tree_node_from_json(c) for c in d["children"]]
     return node
 
@@ -92,8 +106,7 @@ def independent_to_doc(level: ConstructionLevel, shape: ShapeDef,
         "augmented": augmented is not None,
         "base_size": len(level.family),
         "copies": [copy_to_json(c) for c in copies],
-        "probes": [_probe_to_json(p.rect, p.root, p.root_cut_x, p.pierced)
-                   for p in level.probes],
+        "probes": [_probe_to_json(p) for p in level.probes],
     }
 
 
@@ -108,15 +121,15 @@ def uniform_to_doc(level: UniformLevel, shape: ShapeDef,
         "augmented": augmented is not None,
         "base_size": len(level.family),
         "copies": [copy_to_json(c) for c in copies],
-        "probes": [_probe_to_json(p.rect, p.root, p.root.x_hi, p.pierced)
-                   for p in level.probes],
+        "probes": [_probe_to_json(p) for p in level.probes],
     }
-    if level.params is not None:
-        p = level.params
+    if level.audit is not None:
+        a = level.audit
+        widths = [r.width for r in a.roots]
         doc["params"] = {
-            "s_min": rat_str(p.s_min), "s_max": rat_str(p.s_max),
-            "m": rat_str(p.m), "eps1": rat_str(p.eps1),
-            "s": rat_str(p.square_side), "t": rat_str(p.min_root),
+            "s_min": rat_str(min(widths)), "s_max": rat_str(max(widths)),
+            "m": rat_str(a.m), "eps1": rat_str(a.eps1),
+            "s": rat_str(a.square_side), "t": rat_str(a.min_root),
         }
     return doc
 
@@ -158,23 +171,30 @@ class LoadedFamily:
     base_size: int
     copies: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
-    eps_probes: tuple[EpsProbe, ...]
     epsilon: Optional[Rat]
     tree_root: Optional[TreeNode]
     color_budget: Optional[int]
 
 
-def doc_to_family(doc: dict) -> LoadedFamily:
+def doc_to_family(doc: Any) -> LoadedFamily:
+    """Parse a family document; any malformed field raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("family document is not a JSON object")
     try:
         return _doc_to_family(doc)
     except KeyError as exc:
         raise ValueError(f"family document is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"family document has a malformed field: {exc}") from None
 
 
 def _doc_to_family(doc: dict) -> LoadedFamily:
     mode = doc["mode"]
     if mode not in ("independent", "uniform", "encoded-frames"):
         raise ValueError(f"unknown mode: {mode!r}")
+    k = _typed(doc["k"], int, "k")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     name = doc["shape"]["name"]
     try:
         shape = catalog()[name]
@@ -189,35 +209,25 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         TransformedCopy(name, base,
                         XYTransform(as_rat(c["sx"]), as_rat(c["sy"]),
                                     as_rat(c["tx"]), as_rat(c["ty"])),
-                        c["lineage"])
+                        _typed(c["lineage"], str, "lineage"))
         for c in doc["copies"])
-    epsilon = as_rat(doc["epsilon"]) if "epsilon" in doc else None
     probes: tuple[Probe, ...] = ()
-    eps_probes: tuple[EpsProbe, ...] = ()
-    if mode == "independent":
-        probes = tuple(Probe(rect_from_json(p["rect"]), rect_from_json(p["root"]),
-                             as_rat(p["root_cut_x"]), tuple(p["pierced"]))
-                       for p in doc["probes"])
-    elif mode == "uniform":
-        assert epsilon is not None
-        eps_probes = tuple(EpsProbe(rect_from_json(p["rect"]), rect_from_json(p["root"]),
-                                    epsilon, tuple(p["pierced"]))
-                           for p in doc["probes"])
     tree_root = None
     color_budget = None
     if mode == "encoded-frames":
         tree_root = _tree_node_from_json(doc["tree"]["root"])
-        color_budget = doc["tree"]["color_budget"]
+        color_budget = _typed(doc["tree"]["color_budget"], int, "color_budget")
+    else:
+        probes = tuple(_probe_from_json(p) for p in doc["probes"])
     return LoadedFamily(
         mode=mode,
-        k=doc["k"],
+        k=k,
         shape=shape,
-        augmented=doc.get("augmented", False),
-        base_size=doc.get("base_size", len(copies)),
+        augmented=_typed(doc.get("augmented", False), bool, "augmented"),
+        base_size=_typed(doc.get("base_size", len(copies)), int, "base_size"),
         copies=copies,
         probes=probes,
-        eps_probes=eps_probes,
-        epsilon=epsilon,
+        epsilon=as_rat(doc["epsilon"]) if mode == "uniform" else None,
         tree_root=tree_root,
         color_budget=color_budget,
     )

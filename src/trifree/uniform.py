@@ -3,7 +3,12 @@
 
 Level (k, eps) mirrors the independent-scaling recursion, but every
 copy is a homothet and every probe is an eps-probe: its root is an
-empty *square* and its width/height ratio is exactly 1 + eps.
+empty *square* and its width/height ratio is exactly 1 + eps.  Probes are
+``independent.Probe`` records (cut line at the root's right side), and the
+claims shared with that recursion are checked by the same code:
+``independent.probe_conditions`` with ``epsilon`` for each probe,
+``independent.probe_overlaps`` for their disjointness, and
+``independent.diagonal_law`` for the closing diagonals.
 
 One recursion step, for the target parameter eps:
 
@@ -28,43 +33,24 @@ All quantitative claims along the way are asserted, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import ConstructionError
+from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
 from .shapes import (
     AnchoredFrame,
     ShapeDef,
     TransformedCopy,
-    copies_intersect,
     copy_meets_rect,
     family_bbox,
-    stabs_vertically,
 )
-from .independent import size_formulas
-
-
-@dataclass(frozen=True)
-class EpsProbe:
-    rect: Rect
-    root: Rect
-    epsilon: Rat
-    pierced: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "pierced", tuple(self.pierced))
-
-
-@dataclass(frozen=True)
-class UniformParams:
-    """Derived quantities of the top recursion step, kept for audit."""
-
-    s_min: Rat
-    s_max: Rat
-    m: Rat
-    eps1: Rat
-    square_side: Rat  # side of the smallest square containing the helper
-    min_root: Rat     # smallest upper/lower root side
+from .independent import (
+    Probe,
+    diagonal_law,
+    finish_probe,
+    probe_overlaps,
+    size_formulas,
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +64,8 @@ class HelperAudit:
     roots: tuple[Rect, ...]
     diagonals: tuple[TransformedCopy, ...]
     empty_squares: tuple[Rect, ...]
+    square_side: Rat    # side of the smallest square containing the helper
+    min_root: Rat       # smallest upper/lower root side
 
 
 @dataclass(frozen=True)
@@ -86,8 +74,7 @@ class UniformLevel:
     epsilon: Rat
     shape_id: str
     family: tuple[TransformedCopy, ...]
-    probes: tuple[EpsProbe, ...]
-    params: Optional[UniformParams] = None
+    probes: tuple[Probe, ...]
     audit: Optional[HelperAudit] = None
 
 
@@ -111,40 +98,7 @@ def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
     return shape.anchor
 
 
-def _eps_probe_conditions(probe: EpsProbe, copies: Sequence[TransformedCopy],
-                          bbox: Rect) -> list[str]:
-    """The five eps-probe conditions, checked exactly."""
-    out: list[str] = []
-    rect, root, eps = probe.rect, probe.root, probe.epsilon
-    if rect.is_degenerate:
-        out.append("probe rectangle is degenerate")
-    if not bbox.contains_rect(rect):
-        out.append("probe leaves the family bounding box")
-    if rect.x_hi != bbox.x_hi:
-        out.append("probe does not touch the family's right side")
-    if root.width != root.height:
-        out.append("root is not a square")
-    if root != Rect(rect.x_lo, rect.x_lo + root.width, rect.y_lo, rect.y_hi):
-        out.append("root is not the left part of the probe at a vertical cut")
-    if rect.width != (1 + eps) * rect.height:
-        out.append("width/height ratio is not exactly 1+eps")
-    actual = tuple(sorted(i for i, c in enumerate(copies) if copy_meets_rect(c, rect)))
-    if actual != tuple(sorted(probe.pierced)):
-        out.append(f"pierced set mismatch: stored {sorted(probe.pierced)}, actual {list(actual)}")
-    for a in range(len(actual)):
-        for b in range(a + 1, len(actual)):
-            if copies_intersect(copies[actual[a]], copies[actual[b]]):
-                out.append(f"pierced copies {actual[a]} and {actual[b]} intersect")
-    for i in actual:
-        if not stabs_vertically(copies[i], rect):
-            out.append(f"pierced copy {i} does not stab the probe vertically")
-    for i, c in enumerate(copies):
-        if copy_meets_rect(c, root):
-            out.append(f"root meets copy {i}")
-    return out
-
-
-def carve_probe(root_sq: Rect, epsilon: Rat, bbox: Rect) -> EpsProbe:
+def carve_probe(root_sq: Rect, epsilon: Rat, bbox: Rect) -> Probe:
     """An exact eps-probe whose root sits flush left and bottom in an
     empty square.
 
@@ -163,7 +117,7 @@ def carve_probe(root_sq: Rect, epsilon: Rat, bbox: Rect) -> EpsProbe:
     h = (side + d) / (1 + epsilon)
     rect = Rect(root_sq.x_lo, bbox.x_hi, root_sq.y_lo, root_sq.y_lo + h)
     root = Rect(root_sq.x_lo, root_sq.x_lo + h, root_sq.y_lo, root_sq.y_lo + h)
-    return EpsProbe(rect, root, epsilon)
+    return Probe(rect, root, root.x_hi, ())
 
 
 def _top_right_quadrant(r: Rect) -> Rect:
@@ -205,23 +159,13 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
     uppers: list[Rect] = []
     lowers: list[Rect] = []
     for i, p in enumerate(inner.probes):
-        s = p.root.width
-        if delta * s + m > (eps / 2) * (s / 2):
-            raise ConstructionError(f"diagonal shift too large at probe {i}")
-        shift = delta * s + m
+        shift = delta * p.root.width + m
         quad = _top_right_quadrant(p.root)
         square = Rect(quad.x_lo + shift, quad.x_hi + shift, quad.y_lo, quad.y_hi)
         diag = _square_homothet(shape, anchor, square, f"diagonal(P{i})")
-        if diag.bbox.x_hi - bbox0.x_hi != m:
-            raise ConstructionError(
-                f"diagonal {i} protrudes by {diag.bbox.x_hi - bbox0.x_hi}, expected {m}")
         e1 = diag.transform.apply(anchor.empty_square(eps1))
-        if not e1.x_lo > bbox0.x_hi:
-            raise ConstructionError(f"eps1-empty square of diagonal {i} is not clear of the box")
         if copy_meets_rect(diag, e1):
             raise ConstructionError(f"eps1-empty square of diagonal {i} meets its own material")
-        if not copy_meets_rect(diag, p.root):
-            raise ConstructionError(f"diagonal {i} does not reach back into its root")
         diagonals.append(diag)
         uppers.append(e1)
         lowers.append(_lower_right_quadrant(p.root))
@@ -233,11 +177,17 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
                 raise ConstructionError(f"{name} root {i} is not a square")
             if any(copy_meets_rect(c, r) for c in helper):
                 raise ConstructionError(f"{name} root {i} is not empty")
-    if family_bbox(helper).x_hi != bbox0.x_hi + m:
+    helper_bbox = family_bbox(helper)
+    if helper_bbox.x_hi != bbox0.x_hi + m:
         raise ConstructionError("helper box does not end exactly m past the template box")
     audit = HelperAudit(delta, m, eps1, bbox0,
                         tuple(p.root for p in inner.probes),
-                        tuple(diagonals), tuple(uppers))
+                        tuple(diagonals), tuple(uppers),
+                        max(helper_bbox.width, helper_bbox.height),
+                        min(r.width for r in uppers + lowers))
+    failed = [c for c in _audit_checks(audit) if not c.ok]
+    if failed:
+        raise ConstructionError(f"diagonal claims fail: {failed}")
     return helper, uppers, lowers, audit
 
 
@@ -253,19 +203,15 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
         copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
         e = anchor.empty_square(epsilon)
         bbox = copy.bbox
-        probe = EpsProbe(Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi), e, epsilon, (0,))
-        bad = _eps_probe_conditions(probe, [copy], bbox)
-        if bad:
-            raise ConstructionError("; ".join(bad))
+        probe = finish_probe(Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi), e.x_hi,
+                             frozenset({0}), [copy], bbox, epsilon)
         return UniformLevel(1, epsilon, shape.name, (copy,), (probe,))
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers, audit = _make_helper(inner, epsilon, shape)
     helper_bbox = family_bbox(helper)
-    square_side = max(helper_bbox.width, helper_bbox.height)
-    min_root = min(r.width for r in uppers + lowers)
-
-    outer = build_uniform(k - 1, epsilon * min_root / (2 * square_side), shape)
+    square_side = audit.square_side
+    outer = build_uniform(k - 1, epsilon * audit.min_root / (2 * square_side), shape)
     bbox = family_bbox(outer.family)
 
     copies: list[TransformedCopy] = list(outer.family)
@@ -298,49 +244,33 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
     if any(not c.transform.is_uniform for c in copies):
         raise ConstructionError("a copy is not a homothet")
 
-    probes: list[EpsProbe] = []
+    probes: list[Probe] = []
     for root_sq, expected in pending:
         carved = carve_probe(root_sq, epsilon, bbox)
-        pierced = tuple(sorted(i for i, c in enumerate(copies)
-                               if copy_meets_rect(c, carved.rect)))
-        if frozenset(pierced) != expected:
-            raise ConstructionError(
-                f"eps-probe contact law violated: expected {sorted(expected)}, "
-                f"got {list(pierced)}")
-        probe = EpsProbe(carved.rect, carved.root, epsilon, pierced)
-        bad = _eps_probe_conditions(probe, copies, bbox)
-        if bad:
-            raise ConstructionError("; ".join(bad))
-        probes.append(probe)
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            if probes[i].rect.intersects(probes[j].rect):
-                raise ConstructionError(f"eps-probes {i} and {j} are not disjoint")
-
-    params = UniformParams(min(r.width for r in audit.roots),
-                           max(r.width for r in audit.roots),
-                           audit.m, audit.eps1, square_side, min_root)
-    return UniformLevel(k, epsilon, shape.name, tuple(copies), tuple(probes),
-                        params, audit)
+        probes.append(finish_probe(carved.rect, carved.root_cut_x, expected,
+                                   copies, bbox, epsilon))
+    fail_on(probe_overlaps(probes))
+    return UniformLevel(k, epsilon, shape.name, tuple(copies), tuple(probes), audit)
 
 
-def diagonal_checks(level: UniformLevel) -> tuple[DiagonalCheck, ...]:
-    """Re-verify the three diagonal claims of the level's top recursion
-    step from the stored audit data.  Vacuously empty for level 1."""
-    if level.audit is None:
-        return ()
-    a = level.audit
-    out: list[DiagonalCheck] = []
-    for i, (root, diag, e1) in enumerate(zip(a.roots, a.diagonals, a.empty_squares)):
-        s = root.width
-        out.append(DiagonalCheck(
+def _audit_checks(a: HelperAudit) -> tuple[DiagonalCheck, ...]:
+    # The shift bound is delta*s + m <= (eps/2)*(s/2) with eps = 8*delta.
+    return tuple(
+        DiagonalCheck(
             probe=i,
             sticks_out_exactly_m=(diag.bbox.x_hi - a.template_bbox.x_hi == a.m),
             empty_square_clear=(e1.x_lo > a.template_bbox.x_hi),
             root_meets_diagonal=copy_meets_rect(diag, root),
-            shift_inequality=(a.delta * s + a.m <= (8 * a.delta / 2) * (s / 2)),
-        ))
-    return tuple(out)
+            shift_inequality=(a.delta * root.width + a.m
+                              <= (8 * a.delta / 2) * (root.width / 2)))
+        for i, (root, diag, e1) in enumerate(zip(a.roots, a.diagonals, a.empty_squares)))
+
+
+def diagonal_checks(level: UniformLevel) -> tuple[DiagonalCheck, ...]:
+    """Re-verify the diagonal claims of the level's top recursion step
+    from the stored audit data; the construction runs the same checks.
+    Vacuously empty for level 1."""
+    return () if level.audit is None else _audit_checks(level.audit)
 
 
 def augment_uniform(level: UniformLevel, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
@@ -362,16 +292,6 @@ def augment_uniform(level: UniformLevel, shape: ShapeDef) -> tuple[TransformedCo
         square = Rect(bbox.x_hi - side, bbox.x_hi, p.root.y_hi - side, p.root.y_hi)
         if not p.rect.contains_rect(square):
             raise ConstructionError(f"augmenting square escapes probe {i}")
-        diag = _square_homothet(shape, anchor, square, f"diagonal(P{i})")
-        neighbors = frozenset(j for j, c in enumerate(level.family)
-                              if copies_intersect(diag, c))
-        if neighbors != frozenset(p.pierced):
-            raise ConstructionError(
-                f"augmenting diagonal {i} meets {sorted(neighbors)}, "
-                f"expected {sorted(p.pierced)}")
-        diagonals.append(diag)
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            if copies_intersect(diagonals[i], diagonals[j]):
-                raise ConstructionError(f"augmenting diagonals {i} and {j} intersect")
+        diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
+    fail_on(diagonal_law(level.family, diagonals, level.probes))
     return level.family + tuple(diagonals)

@@ -1,63 +1,48 @@
 """Invariant suite over persisted families.
 
 Re-checks, from the flat artifact alone, everything that does not need
-the recursion's internal bookkeeping: exact probe conditions with the
-stored pierced sets, pairwise probe disjointness, size recurrences,
-triangle-freeness, homothety and aspect ratios in uniform mode, the
-diagonal contact law in augmented families, and the frame intersection
-law in encoded mode.  The deeper step-by-step contact laws are enforced
-at construction time.
+the recursion's internal bookkeeping, with the same checks the
+constructions run on themselves: ``independent.probe_conditions`` on
+every stored probe (with the eps-probe extras in uniform mode),
+``independent.probe_overlaps``, ``independent.diagonal_law`` in
+augmented families, and ``encoding.frame_law`` over the stored tree's
+nodes as ``encoding.frame_nodes`` walks them, after each stored frame is
+compared with the one its node gives.  On top of those come the
+size recurrences, triangle-freeness, homothety in uniform mode, and the
+slot nesting of an encoded tree.  The deeper step-by-step contact laws
+are enforced at construction time.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from .game import overlaps
-from .geometry import Rect
+from .encoding import frame_law, frame_nodes
+from .geometry import Rat
 from .graphs import intersection_graph, is_triangle_free
-from .independent import size_formulas, _probe_conditions
+from .independent import (
+    diagonal_law,
+    max_level,
+    probe_conditions,
+    probe_overlaps,
+    size_formulas,
+)
 from .serialize import LoadedFamily
-from .shapes import copies_intersect, family_bbox, validate_features
-from .uniform import _eps_probe_conditions
+from .shapes import family_bbox, validate_features
 
 
 def _check_sizes(fam: LoadedFamily, out: list[str]) -> None:
+    # A level k family holds s_k copies at least.  Checking that first keeps
+    # a huge claimed k from growing the recurrence's integers.
+    if fam.k > max_level(len(fam.copies)):
+        out.append(f"size: k={fam.k} needs more than the {len(fam.copies)} copies stored")
+        return
     s_k, p_k = size_formulas(fam.k)
     expected = s_k + p_k if fam.augmented else s_k
     if len(fam.copies) != expected:
         out.append(f"size: {len(fam.copies)} copies, expected {expected}")
     if fam.base_size != s_k:
         out.append(f"size: base size {fam.base_size}, expected s_{fam.k} = {s_k}")
-    n_probes = len(fam.probes) or len(fam.eps_probes)
-    if n_probes != p_k:
-        out.append(f"size: {n_probes} probes, expected p_{fam.k} = {p_k}")
-
-
-def _check_probe_disjointness(rects: Sequence[Rect], out: list[str]) -> None:
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            if rects[i].intersects(rects[j]):
-                out.append(f"probes {i} and {j} are not disjoint")
-
-
-def _check_diagonal_law(fam: LoadedFamily, out: list[str]) -> None:
-    base = fam.copies[:fam.base_size]
-    diagonals = fam.copies[fam.base_size:]
-    all_probes: Sequence = fam.probes or fam.eps_probes
-    if len(diagonals) != len(all_probes):
-        out.append("augmented: diagonal count differs from probe count")
-        return
-    for i, (diag, probe) in enumerate(zip(diagonals, all_probes)):
-        neighbors = frozenset(j for j, c in enumerate(base)
-                              if copies_intersect(diag, c))
-        if neighbors != frozenset(probe.pierced):
-            out.append(f"augmented: diagonal {i} meets {sorted(neighbors)}, "
-                       f"expected {sorted(probe.pierced)}")
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            if copies_intersect(diagonals[i], diagonals[j]):
-                out.append(f"augmented: diagonals {i} and {j} intersect")
+    if len(fam.probes) != p_k:
+        out.append(f"size: {len(fam.probes)} probes, expected p_{fam.k} = {p_k}")
 
 
 def _verify_geometric(fam: LoadedFamily) -> list[str]:
@@ -67,22 +52,18 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
     base = fam.copies[:fam.base_size] if fam.augmented else fam.copies
     bbox = family_bbox(base)
 
-    if fam.mode == "independent":
-        for i, p in enumerate(fam.probes):
-            bad = _probe_conditions(p.rect, p.root, p.root_cut_x, p.pierced, base, bbox)
-            out.extend(f"probe {i}: {msg}" for msg in bad)
-        _check_probe_disjointness([p.rect for p in fam.probes], out)
-    else:
+    if fam.mode == "uniform":
         for c in fam.copies:
             if not c.transform.is_uniform:
                 out.append(f"uniform: copy with lineage {c.lineage!r} is not a homothet")
-        for i, p in enumerate(fam.eps_probes):
-            bad = _eps_probe_conditions(p, base, bbox)
-            out.extend(f"probe {i}: {msg}" for msg in bad)
-        _check_probe_disjointness([p.rect for p in fam.eps_probes], out)
+    for i, p in enumerate(fam.probes):
+        bad = probe_conditions(p, base, bbox, fam.epsilon)
+        out.extend(f"probe {i}: {msg}" for msg in bad)
+    out.extend(probe_overlaps(fam.probes))
 
     if fam.augmented:
-        _check_diagonal_law(fam, out)
+        diagonals = fam.copies[fam.base_size:]
+        out.extend(f"augmented: {msg}" for msg in diagonal_law(base, diagonals, fam.probes))
     g = intersection_graph(fam.copies)
     if not is_triangle_free(g):
         out.append("family is not triangle-free")
@@ -92,53 +73,23 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
 def _verify_encoded(fam: LoadedFamily) -> list[str]:
     out: list[str] = []
     assert fam.tree_root is not None
-    nodes: list[tuple[Optional[int], object]] = []
-
-    def walk(node, parent: Optional[int]) -> None:
-        idx = len(nodes)
-        nodes.append((parent, node))
-        for child in node.children:
-            walk(child, idx)
-
-    walk(fam.tree_root, None)
+    nodes = frame_nodes(fam.tree_root)
     if len(nodes) != len(fam.copies):
         out.append(f"encoded: {len(nodes)} tree nodes but {len(fam.copies)} frames")
         return out
-    for idx, (parent, node) in enumerate(nodes):
-        lo, hi = node.slot
-        t = fam.copies[idx].transform
-        expected = (node.interval.hi - node.interval.lo, hi - lo,
-                    node.interval.lo, lo)
-        if (t.sx, t.sy, t.tx, t.ty) != expected:
-            out.append(f"encoded: frame {idx} does not match its tree node")
-        if parent is not None:
-            plo, phi = nodes[parent][1].slot
-            if not (plo < lo and hi < phi):
-                out.append(f"encoded: slot of node {idx} leaves its parent's slot")
-        last = node.slot[0]
-        for child in node.children:
-            clo, chi = child.slot
-            if not (last < clo < chi):
-                out.append(f"encoded: child slots of node {idx} fail to interleave")
-                break
-            last = chi
-
-    def ancestors(i: int) -> set[int]:
-        seen: set[int] = set()
-        p = nodes[i][0]
-        while p is not None:
-            seen.add(p)
-            p = nodes[p][0]
-        return seen
-
-    for i in range(len(nodes)):
-        anc_i = ancestors(i)
-        for j in range(i + 1, len(nodes)):
-            same_branch = j in anc_i or i in ancestors(j)
-            expected = same_branch and overlaps(nodes[i][1].interval, nodes[j][1].interval)
-            actual = copies_intersect(fam.copies[i], fam.copies[j])
-            if expected != actual:
-                out.append(f"encoded: intersection law fails at nodes {i}, {j}")
+    last_child_hi: dict[int, Rat] = {}
+    for node, stored in zip(nodes, fam.copies):
+        if node.transform != stored.transform:
+            out.append(f"encoded: frame {node.index} does not match its tree node")
+        if node.parent is None:
+            continue
+        (plo, phi), (lo, hi) = nodes[node.parent].slot, node.slot
+        if not (plo < lo and hi < phi):
+            out.append(f"encoded: slot of node {node.index} leaves its parent's slot")
+        if not last_child_hi.get(node.parent, plo) < lo:
+            out.append(f"encoded: child slots of node {node.parent} fail to interleave")
+        last_child_hi[node.parent] = hi
+    out.extend(f"encoded: {msg}" for msg in frame_law(nodes, fam.copies))
     g = intersection_graph(fam.copies)
     if not is_triangle_free(g):
         out.append("encoded: family is not triangle-free")

@@ -14,9 +14,9 @@ from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
 
-def _run_cli(*args, stdin=None):
+def _run_cli(*args, stdin=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "trifree.cli", *args],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,8 @@ def test_uniform_round_trip_bit_exact(frame):
     text = serialize.dumps(doc)
     loaded = serialize.doc_to_family(serialize.loads(text))
     assert loaded.epsilon == Fraction(1, 2)
-    assert [p.rect for p in loaded.eps_probes] == [p.rect for p in level.probes]
+    assert [p.rect for p in loaded.probes] == [p.rect for p in level.probes]
+    assert loaded.probes == level.probes
     assert verify_family(loaded) == []
 
 
@@ -74,6 +75,41 @@ def test_verify_catches_each_kind_of_tamper(frame):
     bad = json.loads(serialize.dumps(doc))
     bad["k"] = 3
     assert verify_family(serialize.doc_to_family(bad)) != []
+
+
+def test_verify_reports_tampered_uniform_root_cut(frame):
+    level = build_uniform(2, Fraction(1, 2), frame)
+    doc = json.loads(serialize.dumps(serialize.uniform_to_doc(level, frame)))
+    assert verify_family(serialize.doc_to_family(doc)) == []
+    probe = doc["probes"][0]
+    probe["root_cut_x"] = str((Fraction(probe["root"]["x_lo"])
+                               + Fraction(probe["root"]["x_hi"])) / 2)
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert any(v.startswith("probe 0: root is not the left part") for v in violations)
+
+
+def test_verify_reports_shifted_encoded_frame(frame):
+    tree = expand_tree(2)
+    doc = json.loads(serialize.dumps(serialize.encoded_to_doc(tree, encode(tree), frame)))
+    # frame 1 crosses its child, frame 2; moved far right, it meets nothing
+    doc["copies"][1]["tx"] = "5"
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert "encoded: frame 1 does not match its tree node" in violations
+    assert "encoded: intersection law fails at nodes 1, 2: expected meet" in violations
+
+
+def test_verify_reports_bad_encoded_slots(frame):
+    tree = expand_tree(2)
+    text = serialize.dumps(serialize.encoded_to_doc(tree, encode(tree), frame))
+    doc = json.loads(text)
+    node = doc["tree"]["root"]["children"][0]
+    node["children"].reverse()
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert "encoded: child slots of node 1 fail to interleave" in violations
+    doc = json.loads(text)
+    doc["tree"]["root"]["children"][0]["children"][1]["slot_hi"] = "7/10"
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert "encoded: slot of node 4 leaves its parent's slot" in violations
 
 
 def test_loader_rejects_unknown_or_mismatched_shape(frame):
@@ -169,6 +205,40 @@ def test_cli_malformed_family_exits_three(tmp_path):
     r = _run_cli("verify", "--family", str(broken))
     assert r.returncode == 3
     assert "missing field" in r.stderr
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def tamper(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, marker", [
+    (_set("copies", 0, "sx", 0.5), "error:"),
+    (_set("k", "2"), "error:"),
+    (_set("k", 40), "VIOLATION: size: k=40"),
+    (lambda doc: [doc], "error:"),
+    (_set("k", True), "error:"),
+    (_set("k", 0), "error:"),
+    (_set("probes", 0, "pierced", ["0"]), "error:"),
+    (_set("base_size", "5"), "error:"),
+    (_set("augmented", "yes"), "error:"),
+    (_set("copies", 0, "lineage", 7), "error:"),
+], ids=["float-coordinate", "string-k", "k40", "list-document", "bool-k", "zero-k",
+        "string-pierced", "string-base-size", "string-augmented", "int-lineage"])
+def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
+    doc = json.loads(family_file.read_text())
+    doc = tamper(doc) or doc
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    r = _run_cli("verify", "--family", str(path), timeout=10)
+    assert r.returncode == 3
+    assert marker in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_game_firstfit_and_minimax(tmp_path):

@@ -83,10 +83,9 @@ def test_probes_pairwise_disjoint(uniform_levels):
 def test_eps1_stays_below_half_eps(uniform_levels):
     for k in (2, 3):
         level = uniform_levels[k]
-        assert level.params is not None
         assert level.audit is not None
-        assert level.params.eps1 <= level.epsilon / 2
-        assert 0 < level.params.eps1 < 1
+        assert level.audit.eps1 <= level.epsilon / 2
+        assert 0 < level.audit.eps1 < 1
 
 
 def test_diagonal_checks_all_pass(uniform_levels):
