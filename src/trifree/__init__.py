@@ -49,6 +49,7 @@ from .game import (
     Interval,
     PresenterSession,
     first_fit,
+    game_tree,
     make_minimax_painter,
     make_repl_painter,
     minimax_verify,

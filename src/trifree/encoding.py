@@ -19,13 +19,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import ConstructionError, fail_on
-from .game import Interval, _replay, overlaps
+from .errors import fail_on
+from .game import Interval, game_tree, overlaps
 from .geometry import Rat, XYTransform
 from .graphs import ChromaticResult, chromatic_number, intersection_graph, is_triangle_free
 from .shapes import ShapeDef, TransformedCopy, catalog, copies_intersect
-
-DEFAULT_TREE_LIMIT = 3
 
 
 @dataclass
@@ -60,44 +58,19 @@ class StrategyTree:
         return out
 
 
-def expand_tree(k: int, color_budget: Optional[int] = None, *,
-                limit: int = DEFAULT_TREE_LIMIT) -> StrategyTree:
-    """The complete tree of the shortest k-strategy over canonical Painter
-    responses within the color budget (default k+1).
-
-    Canonical responses try colors 1..min(max_used+1, budget); a branch
-    where no legal color remains ends at the presented interval.  Every
-    explored history is replayed through full game-rule validation.
-    """
-    if k > limit:
-        raise ValueError(f"tree expansion capped at k <= {limit}; raise limit explicitly")
+def expand_tree(k: int, color_budget: Optional[int] = None) -> StrategyTree:
+    """The tree of the shortest k-strategy against canonical Painter colors
+    within the budget (default k+1), read off ``game.game_tree``: histories
+    that reach an interval become nodes, merged with their siblings by
+    interval; a branch ends at game over or where no legal color remains."""
     budget = color_budget if color_budget is not None else k + 1
-    sequences: list[tuple[tuple[Interval, ...], tuple[int, ...]]] = []
-
-    def explore(colors: tuple[int, ...], path: tuple[Interval, ...]) -> None:
-        transcript, iv = _replay(k, colors, Interval(0, 1))
-        if iv is None:
-            sequences.append((path, colors))
-            return
-        path = path + (iv,)
-        forbidden = transcript.neighbor_colors(iv)
-        top = min(max(colors, default=0) + 1, budget)
-        legal = [c for c in range(1, top + 1) if c not in forbidden]
-        if not legal:
-            sequences.append((path, colors))
-            return
-        for c in legal:
-            explore(colors + (c,), path)
-
-    explore((), ())
-    first = sequences[0][0][0]
-    root = TreeNode(first)
-    for path, _ in sequences:
-        if path[0] != first:
-            raise ConstructionError("strategy produced diverging first intervals")
-        node = root
-        for iv in path[1:]:
-            node = node.child_for(iv)
+    walk = game_tree(k, budget)
+    node_of: dict[tuple[int, ...], TreeNode] = {}
+    for colors, pos in walk.items():
+        if pos.interval is not None:
+            node_of[colors] = (node_of[colors[:-1]].child_for(pos.interval)
+                               if colors else TreeNode(pos.interval))
+    root = node_of[()]
 
     def assign_slots(node: TreeNode, lo: Rat, hi: Rat) -> None:
         node.slot = (lo, hi)
@@ -109,7 +82,8 @@ def expand_tree(k: int, color_budget: Optional[int] = None, *,
             assign_slots(child, lo + (2 * i - 1) * step, lo + 2 * i * step)
 
     assign_slots(root, Fraction(0), Fraction(1))
-    return StrategyTree(k, budget, root, tuple(colors for _, colors in sequences))
+    branches = tuple(colors for colors, pos in walk.items() if not pos.legal)
+    return StrategyTree(k, budget, root, branches)
 
 
 @dataclass(frozen=True)

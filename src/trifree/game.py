@@ -15,12 +15,18 @@ overlapping the whole final chain, forcing color k+1.
 
 All placements are fixed rational rules, so runs are reproducible and
 every claimed containment is asserted during play.
+
+``game_tree`` is the one walk over Painter's side of the game: every
+history of canonical colors, where a move may reuse a color already seen
+or open the next fresh one (colors 1..min(max_used+1, budget)), so every
+Painter strategy appears once up to renaming.  ``minimax_verify``, the
+minimax Painter and ``encoding.expand_tree`` all read that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IllegalColorError, IllegalIntervalError
 from .geometry import Rat, as_rat
@@ -248,14 +254,13 @@ class GameResult:
     certified_chain: Chain
 
 
-def run_game(k: int, painter: Painter,
-             region: Interval = Interval(0, 1)) -> GameResult:
+def run_game(k: int, painter: Painter) -> GameResult:
     """Play the shortest forcing strategy against a Painter policy.
 
     The transcript enforces legality move by move; the result is checked
     to use at least k+1 colors within at most 2**k intervals.
     """
-    session = PresenterSession(k, region)
+    session = PresenterSession(k)
     transcript = GameTranscript()
     while session.current is not None:
         iv = session.current
@@ -272,7 +277,13 @@ def run_game(k: int, painter: Painter,
                       session.point, session.certified)
 
 
-DEFAULT_MINIMAX_LIMIT = 3
+# Histories grow exponentially in k: one k=4 walk takes tens of seconds.
+SEARCH_LIMIT = 3
+
+
+class Position(NamedTuple):
+    interval: Optional[Interval]  # the next presented interval; None = game over
+    legal: tuple[int, ...]        # the canonical colors Painter may give it
 
 
 def _replay(k: int, colors: Sequence[int],
@@ -288,62 +299,50 @@ def _replay(k: int, colors: Sequence[int],
     return transcript, session.current
 
 
-def minimax_verify(k: int, color_budget: Optional[int] = None, *,
-                   limit: int = DEFAULT_MINIMAX_LIMIT,
-                   region: Interval = Interval(0, 1)) -> bool:
-    """True iff no Painter strategy survives the shortest k-strategy within
-    the color budget (default k).
-
-    Painter moves are canonicalized by first use: trying colors
-    1..min(max_used+1, budget) covers all strategies up to renaming.
-    """
-    if k > limit:
-        raise ValueError(f"minimax capped at k <= {limit}; raise limit explicitly")
-    budget = color_budget if color_budget is not None else k
-    cache: dict[tuple[int, ...], bool] = {}
-
-    def survives(colors: tuple[int, ...]) -> bool:
-        if colors in cache:
-            return cache[colors]
-        transcript, iv = _replay(k, colors, region)
-        if iv is None:
-            result = True
-        else:
+def game_tree(k: int, budget: int) -> dict[tuple[int, ...], Position]:
+    """Every canonical Painter history against the shortest k-strategy with
+    its position, in preorder; each is replayed once under the game rules."""
+    if k > SEARCH_LIMIT:
+        raise ValueError(f"game tree search capped at k <= {SEARCH_LIMIT}")
+    if budget < 1:
+        raise ValueError(f"color budget must be at least 1, got {budget}")
+    tree: dict[tuple[int, ...], Position] = {}
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        colors = stack.pop()
+        transcript, iv = _replay(k, colors, Interval(0, 1))
+        legal: tuple[int, ...] = ()
+        if iv is not None:
             forbidden = transcript.neighbor_colors(iv)
             top = min(max(colors, default=0) + 1, budget)
-            result = any(c not in forbidden and survives(colors + (c,))
-                         for c in range(1, top + 1))
-        cache[colors] = result
-        return result
-
-    return not survives(())
+            legal = tuple(c for c in range(1, top + 1) if c not in forbidden)
+        tree[colors] = Position(iv, legal)
+        stack.extend(colors + (c,) for c in reversed(legal))
+    return tree
 
 
-def make_minimax_painter(k: int, *, limit: int = DEFAULT_MINIMAX_LIMIT,
-                         region: Interval = Interval(0, 1)) -> Painter:
+def minimax_verify(k: int, color_budget: Optional[int] = None) -> bool:
+    """True iff no Painter strategy survives the shortest k-strategy within
+    the color budget (default k): no canonical history ends the game."""
+    budget = color_budget if color_budget is not None else k
+    return all(pos.interval is not None for pos in game_tree(k, budget).values())
+
+
+def make_minimax_painter(k: int) -> Painter:
     """A Painter that plays optimally against the shortest k-strategy,
     choosing at each step the smallest color that still achieves the best
-    reachable final color count."""
-    if k > limit:
-        raise ValueError(f"minimax painter capped at k <= {limit}")
+    reachable final color count.
 
-    def best_total(colors: tuple[int, ...]) -> int:
-        _, iv = _replay(k, colors, region)
-        if iv is None:
-            return max(colors, default=0)
-        return min(best_total(colors + (c,)) for c in _options(colors))
-
-    def _options(colors: tuple[int, ...]) -> list[int]:
-        transcript, iv = _replay(k, colors, region)
-        assert iv is not None
-        forbidden = transcript.neighbor_colors(iv)
-        top = max(colors, default=0) + 1
-        return [c for c in range(1, top + 1) if c not in forbidden]
+    A game has at most 2^k moves, so budget 2^k never caps a color.
+    """
+    tree = game_tree(k, 2 ** k)
+    best: dict[tuple[int, ...], int] = {}
+    for colors, pos in reversed(tree.items()):  # children before parents
+        best[colors] = (max(colors, default=0) if pos.interval is None
+                        else min(best[colors + (c,)] for c in pos.legal))
 
     def painter(transcript: GameTranscript, iv: Interval) -> int:
         history = tuple(c for _, c in transcript.moves)
-        choices = _options(history)
-        scored = [(best_total(history + (c,)), c) for c in choices]
-        return min(scored)[1]
+        return min(tree[history].legal, key=lambda c: (best[history + (c,)], c))
 
     return painter

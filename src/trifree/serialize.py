@@ -211,6 +211,11 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
                                     as_rat(c["tx"]), as_rat(c["ty"])),
                         _typed(c["lineage"], str, "lineage"))
         for c in doc["copies"])
+    if not copies:
+        raise ValueError("family document has no copies")
+    base_size = _typed(doc.get("base_size", len(copies)), int, "base_size")
+    if not 1 <= base_size <= len(copies):
+        raise ValueError(f"base_size {base_size} is outside 1..{len(copies)}")
     probes: tuple[Probe, ...] = ()
     tree_root = None
     color_budget = None
@@ -219,12 +224,15 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         color_budget = _typed(doc["tree"]["color_budget"], int, "color_budget")
     else:
         probes = tuple(_probe_from_json(p) for p in doc["probes"])
+        for p in probes:
+            if not all(0 <= i < base_size for i in p.pierced):
+                raise ValueError(f"pierced index outside 0..{base_size - 1}")
     return LoadedFamily(
         mode=mode,
         k=k,
         shape=shape,
         augmented=_typed(doc.get("augmented", False), bool, "augmented"),
-        base_size=_typed(doc.get("base_size", len(copies)), int, "base_size"),
+        base_size=base_size,
         copies=copies,
         probes=probes,
         epsilon=as_rat(doc["epsilon"]) if mode == "uniform" else None,

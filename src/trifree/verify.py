@@ -9,13 +9,15 @@ augmented families, and ``encoding.frame_law`` over the stored tree's
 nodes as ``encoding.frame_nodes`` walks them, after each stored frame is
 compared with the one its node gives.  On top of those come the
 size recurrences, triangle-freeness, homothety in uniform mode, and the
-slot nesting of an encoded tree.  The deeper step-by-step contact laws
+slot nesting of an encoded tree and the bounds its k and color budget
+obey in every ``encode`` run.  The deeper step-by-step contact laws
 are enforced at construction time.
 """
 
 from __future__ import annotations
 
 from .encoding import frame_law, frame_nodes
+from .game import SEARCH_LIMIT
 from .geometry import Rat
 from .graphs import intersection_graph, is_triangle_free
 from .independent import (
@@ -72,8 +74,17 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
 
 def _verify_encoded(fam: LoadedFamily) -> list[str]:
     out: list[str] = []
-    assert fam.tree_root is not None
+    assert fam.tree_root is not None and fam.color_budget is not None
     nodes = frame_nodes(fam.tree_root)
+    # No tree fixes k (at budget 1, k=2 and k=3 give the same tree), but no
+    # encode run writes k above the search cap or a branch longer than 2^k.
+    if fam.k > SEARCH_LIMIT:
+        out.append(f"encoded: k={fam.k} is above the search cap {SEARCH_LIMIT}")
+    depth = max(len(node.ancestors) for node in nodes)
+    if depth.bit_length() > fam.k:  # depth + 1 > 2^k
+        out.append(f"encoded: a branch of {depth + 1} intervals is longer than 2^k")
+    if fam.color_budget < 1:
+        out.append(f"encoded: color budget {fam.color_budget} is below 1")
     if len(nodes) != len(fam.copies):
         out.append(f"encoded: {len(nodes)} tree nodes but {len(fam.copies)} frames")
         return out

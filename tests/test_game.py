@@ -10,6 +10,7 @@ from trifree.game import (
     PresenterSession,
     _replay,
     first_fit,
+    game_tree,
     is_nested_chain,
     make_minimax_painter,
     make_repl_painter,
@@ -123,10 +124,35 @@ def test_minimax_rejects_large_k_by_default():
         minimax_verify(4)
 
 
+def test_game_tree_rejects_an_empty_budget():
+    with pytest.raises(ValueError):
+        game_tree(2, 0)
+
+
 def test_minimax_painter_matches_lower_bound():
     for k in (1, 2, 3):
         res = run_game(k, make_minimax_painter(k))
         assert res.colors_used == k + 1  # optimal play still loses, barely
+
+
+def test_minimax_painter_tie_break_is_pinned():
+    # the smallest color among the best-scoring ones, move by move
+    res = run_game(3, make_minimax_painter(3))
+    assert [c for _, c in res.transcript.moves] == [1, 1, 2, 1, 1, 2, 3, 4]
+
+
+def test_minimax_painter_replays_each_history_once(monkeypatch):
+    histories = len(game_tree(3, 2 ** 3))
+    sessions = []
+    init = PresenterSession.__init__
+
+    def counted_init(session, *args, **kwargs):
+        sessions.append(session)
+        init(session, *args, **kwargs)
+
+    monkeypatch.setattr(PresenterSession, "__init__", counted_init)
+    run_game(3, make_minimax_painter(3))
+    assert len(sessions) <= histories + 1  # one per history, one for the game
 
 
 def test_color_renaming_equivariance():

@@ -1,22 +1,34 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import trifree
 from trifree import serialize
 from trifree.encoding import encode, expand_tree
 from trifree.game import first_fit, run_game
 from trifree.independent import augment, build
 from trifree.render import render_family
+from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
 
+# The CLI child imports trifree from wherever this process found it, so the
+# suite also runs from a checkout where pytest's pythonpath setting is all
+# that puts src/ on the path.
+_SRC = str(Path(trifree.__file__).resolve().parents[1])
+
+
 def _run_cli(*args, stdin=None, timeout=None):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "trifree.cli", *args],
-                          capture_output=True, text=True, input=stdin, timeout=timeout)
+                          capture_output=True, text=True, input=stdin, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +229,12 @@ def _set(*path_and_value):
     return tamper
 
 
+def _encoded_doc():
+    tree = expand_tree(2)
+    return json.loads(serialize.dumps(
+        serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])))
+
+
 @pytest.mark.parametrize("tamper, marker", [
     (_set("copies", 0, "sx", 0.5), "error:"),
     (_set("k", "2"), "error:"),
@@ -228,17 +246,24 @@ def _set(*path_and_value):
     (_set("base_size", "5"), "error:"),
     (_set("augmented", "yes"), "error:"),
     (_set("copies", 0, "lineage", 7), "error:"),
+    (_set("copies", []), "error:"),
+    (_set("base_size", -3), "error:"),
+    (_set("probes", 0, "pierced", [999]), "error:"),
+    (lambda doc: {**_encoded_doc(), "k": 1000000}, "VIOLATION: encoded: k=1000000"),
 ], ids=["float-coordinate", "string-k", "k40", "list-document", "bool-k", "zero-k",
-        "string-pierced", "string-base-size", "string-augmented", "int-lineage"])
+        "string-pierced", "string-base-size", "string-augmented", "int-lineage",
+        "empty-copies", "negative-base-size", "pierced-out-of-range", "encoded-huge-k"])
 def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
     doc = json.loads(family_file.read_text())
     doc = tamper(doc) or doc
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
-    r = _run_cli("verify", "--family", str(path), timeout=10)
-    assert r.returncode == 3
-    assert marker in r.stderr
-    assert "Traceback" not in r.stderr
+    # a document the loader rejects fails every command that reads it
+    for command in ("verify", "chi") if marker == "error:" else ("verify",):
+        r = _run_cli(command, "--family", str(path), timeout=10)
+        assert r.returncode == 3
+        assert marker in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_cli_game_firstfit_and_minimax(tmp_path):
