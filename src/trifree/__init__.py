@@ -8,12 +8,10 @@ from .geometry import (
     Point,
     Rat,
     Rect,
-    RectRelation,
     Seg,
     XYTransform,
     as_rat,
     clip_seg_to_rect,
-    rect_relations,
     seg_intersect,
 )
 from .shapes import (

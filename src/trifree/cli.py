@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad flags (argparse), 3 invariant violation,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -51,9 +52,15 @@ def _load_family(path: str) -> serialize.LoadedFamily:
     return serialize.doc_to_family(serialize.loads(_read(path)))
 
 
-def _default_timeout() -> Optional[float]:
-    raw = os.environ.get(TIMEOUT_ENV)
-    return float(raw) if raw else None
+def _seconds(text: str) -> float:
+    """A time limit: finite seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, like every other bad value
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds >= 0: {text!r}")
+    return value
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -163,7 +170,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number of a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=_seconds, default=None,
+                   help=f"seconds before giving up (default from {TIMEOUT_ENV})")
     p.add_argument("--coloring-out", default=None)
     p.set_defaults(func=_cmd_chi)
 
@@ -204,6 +212,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("uniform mode requires --epsilon")
         if args.mode == "independent" and args.epsilon:
             parser.error("--epsilon only applies to uniform mode")
+    if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):
+        try:
+            args.timeout = _seconds(os.environ[TIMEOUT_ENV])
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{TIMEOUT_ENV}: {exc}")
     try:
         return args.func(args)
     except OSError as exc:

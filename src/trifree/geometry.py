@@ -9,7 +9,6 @@ refused at construction time to keep the arithmetic honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -153,24 +152,6 @@ def rect_union_all(rects: Iterable[Rect]) -> Rect:
     if out is None:
         raise ValueError("empty rectangle union")
     return out
-
-
-class RectRelation(Enum):
-    DISJOINT = "disjoint"
-    OVERLAP = "overlap"
-    A_CONTAINS_B = "a_contains_b"
-    B_CONTAINS_A = "b_contains_a"
-
-
-def rect_relations(a: Rect, b: Rect) -> RectRelation:
-    """Classify two closed rectangles.  Equal rectangles report a_contains_b."""
-    if not a.intersects(b):
-        return RectRelation.DISJOINT
-    if a.contains_rect(b):
-        return RectRelation.A_CONTAINS_B
-    if b.contains_rect(a):
-        return RectRelation.B_CONTAINS_A
-    return RectRelation.OVERLAP
 
 
 def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:

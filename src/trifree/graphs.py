@@ -1,5 +1,9 @@
 """Intersection-graph extraction and exact coloring certification.
 
+``intersection_graph`` runs the exact ``copies_intersect`` only on the
+candidate pairs whose bounding boxes meet, which one y-sweep over the
+boxes (``shapes.meeting_pairs``) finds; any other pair is disjoint.
+
 The chromatic-number solver is a saturation-order branch and bound with
 a clique lower bound and first-use color symmetry pruning.  It either
 proves the exact value by exhausting the search or, on timeout, returns
@@ -12,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .shapes import TransformedCopy, copies_intersect
+from .shapes import TransformedCopy, copies_intersect, meeting_pairs
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,9 @@ class Graph:
 
 def intersection_graph(copies: Sequence[TransformedCopy]) -> Graph:
     """Edges are the exactly-intersecting pairs; vertex order = family order."""
-    n = len(copies)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+    edges = [(i, j) for i, j in meeting_pairs([c.bbox for c in copies])
              if copies_intersect(copies[i], copies[j])]
-    return Graph.from_edges(n, edges, tuple(c.lineage for c in copies))
+    return Graph.from_edges(len(copies), edges, tuple(c.lineage for c in copies))
 
 
 def _masks(g: Graph) -> list[int]:
@@ -253,28 +256,6 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     if exact:
         return ChromaticResult(best_num, best_num, True, witness, clique)
     return ChromaticResult(lb, best_num, False, witness, clique)
-
-
-def proper_colorings(g: Graph, max_colors: int) -> Iterator[tuple[int, ...]]:
-    """All proper colorings with colors drawn from 1..max_colors.
-
-    Plain backtracking in vertex order; intended for exhaustive audits on
-    small instances, not for solving.
-    """
-    colors = [0] * g.n
-
-    def rec(v: int) -> Iterator[tuple[int, ...]]:
-        if v == g.n:
-            yield tuple(colors)
-            return
-        for c in range(1, max_colors + 1):
-            if any(colors[u] == c for u in g.adj[v] if u < v):
-                continue
-            colors[v] = c
-            yield from rec(v + 1)
-            colors[v] = 0
-
-    yield from rec(0)
 
 
 @dataclass(frozen=True)

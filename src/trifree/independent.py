@@ -14,6 +14,10 @@ diagonal per probe then pushes the chromatic number past k.
 Nothing here is trusted: every structural claim used by the recursion
 (diagonal contact sets, probe conditions, disjointness) is re-verified
 exactly after each step, and a violation raises ConstructionError.
+Each check takes its candidates from one y-sweep over bounding boxes
+(``shapes.meeting_pairs``, ``shapes.boxes_meeting``) and runs the exact
+predicates on those alone: a copy whose box misses a probe's rectangle
+and root, a diagonal or another diagonal cannot meet it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from .geometry import Rat, Rect, XYTransform
 from .shapes import (
     ShapeDef,
     TransformedCopy,
+    boxes_meeting,
     copies_intersect,
     copy_meets_rect,
     family_bbox,
+    meeting_pairs,
     stabs_horizontally,
     stabs_vertically,
 )
@@ -143,17 +149,26 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     return copy
 
 
-def probe_conditions(probe: Probe, copies: Sequence[TransformedCopy], bbox: Rect,
-                     epsilon: Optional[Rat] = None) -> list[str]:
-    """The probe conditions, checked exactly.  Empty list = valid.
+def probe_conditions(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,
+                     epsilon: Optional[Rat] = None) -> list[list[str]]:
+    """The probe conditions of each probe, checked exactly: one list of
+    messages per probe, empty when it is valid.
 
-    The copies the probe rectangle meets must be exactly ``probe.pierced``
+    The copies a probe rectangle meets must be exactly ``probe.pierced``
     (the expected contact set while building, the stored set when
     verifying), pairwise disjoint and vertical stabbers, and the root left
-    of the cut must be empty.  Passing ``epsilon`` makes it an eps-probe
-    check: the root must also be a square and the width/height ratio
-    exactly 1 + eps.
+    of the cut must be empty.  Passing ``epsilon`` makes these eps-probe
+    checks: the root must also be a square and the width/height ratio
+    exactly 1 + eps.  One sweep finds, for every probe, the copies whose
+    boxes meet the box around its rectangle and its root, so a root moved
+    off its rectangle is still checked against every copy it could meet.
     """
+    near = boxes_meeting([p.rect.union(p.root) for p in probes], [c.bbox for c in copies])
+    return [_probe_messages(p, copies, ids, bbox, epsilon) for p, ids in zip(probes, near)]
+
+
+def _probe_messages(probe: Probe, copies: Sequence[TransformedCopy], near: Sequence[int],
+                    bbox: Rect, epsilon: Optional[Rat]) -> list[str]:
     out: list[str] = []
     rect, root, cut = probe.rect, probe.root, probe.root_cut_x
     if rect.is_degenerate:
@@ -171,7 +186,7 @@ def probe_conditions(probe: Probe, copies: Sequence[TransformedCopy], bbox: Rect
             out.append("root is not a square")
         if rect.width != (1 + epsilon) * rect.height:
             out.append("width/height ratio is not exactly 1+eps")
-    actual = [i for i, c in enumerate(copies) if copy_meets_rect(c, rect)]
+    actual = [i for i in near if copy_meets_rect(copies[i], rect)]
     if actual != sorted(probe.pierced):
         out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
     for a, b in combinations(actual, 2):
@@ -180,8 +195,8 @@ def probe_conditions(probe: Probe, copies: Sequence[TransformedCopy], bbox: Rect
     for i in actual:
         if not stabs_vertically(copies[i], rect):
             out.append(f"pierced copy {i} does not stab the probe vertically")
-    for i, c in enumerate(copies):
-        if copy_meets_rect(c, root):
+    for i in near:
+        if copy_meets_rect(copies[i], root):
             out.append(f"root meets copy {i}")
     return out
 
@@ -189,8 +204,7 @@ def probe_conditions(probe: Probe, copies: Sequence[TransformedCopy], bbox: Rect
 def probe_overlaps(probes: Sequence[Probe]) -> list[str]:
     """One message per pair of probes whose rectangles meet."""
     return [f"probes {i} and {j} are not disjoint"
-            for (i, p), (j, q) in combinations(enumerate(probes), 2)
-            if p.rect.intersects(q.rect)]
+            for i, j in meeting_pairs([p.rect for p in probes])]
 
 
 def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
@@ -203,24 +217,29 @@ def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[Transforme
     if len(diagonals) != len(probes):
         return ["diagonal count differs from probe count"]
     out: list[str] = []
-    for i, (diag, probe) in enumerate(zip(diagonals, probes)):
-        neighbors = [j for j, c in enumerate(base) if copies_intersect(diag, c)]
+    diag_boxes = [d.bbox for d in diagonals]
+    near = boxes_meeting(diag_boxes, [c.bbox for c in base])
+    for i, (diag, probe, ids) in enumerate(zip(diagonals, probes, near)):
+        neighbors = [j for j in ids if copies_intersect(diag, base[j])]
         if frozenset(neighbors) != frozenset(probe.pierced):
             out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    for (i, a), (j, b) in combinations(enumerate(diagonals), 2):
-        if copies_intersect(a, b):
+    for i, j in meeting_pairs(diag_boxes):
+        if copies_intersect(diagonals[i], diagonals[j]):
             out.append(f"diagonals {i} and {j} intersect")
     return out
 
 
-def finish_probe(rect: Rect, cut: Rat, expected: frozenset[int],
-                 copies: Sequence[TransformedCopy], bbox: Rect,
-                 epsilon: Optional[Rat] = None) -> Probe:
-    """The probe on ``rect`` rooted left of ``cut``, certified to pierce
-    exactly ``expected``."""
-    probe = Probe(rect, Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi), cut, sorted(expected))
-    fail_on(probe_conditions(probe, copies, bbox, epsilon))
-    return probe
+def finish_probes(claims: Sequence[tuple[Rect, Rat, frozenset[int]]],
+                  copies: Sequence[TransformedCopy], bbox: Rect,
+                  epsilon: Optional[Rat] = None) -> list[Probe]:
+    """For each claim (rect, cut, expected), the probe on ``rect`` rooted
+    left of ``cut``, all certified in one batch to pierce exactly their
+    ``expected`` sets; the first probe that fails raises its messages."""
+    probes = [Probe(rect, Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi), cut, sorted(expected))
+              for rect, cut, expected in claims]
+    for messages in probe_conditions(probes, copies, bbox, epsilon):
+        fail_on(messages)
+    return probes
 
 
 def base_level(shape: ShapeDef) -> ConstructionLevel:
@@ -230,24 +249,25 @@ def base_level(shape: ShapeDef) -> ConstructionLevel:
     e = feats.empty_rect
     bbox = copy.bbox
     rect = Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi)
-    probe = finish_probe(rect, e.x_hi, frozenset({0}), [copy], bbox)
-    return ConstructionLevel(1, shape.name, (copy,), (probe,))
+    probes = finish_probes([(rect, e.x_hi, frozenset({0}))], [copy], bbox)
+    return ConstructionLevel(1, shape.name, (copy,), tuple(probes))
 
 
 def next_level(prev: ConstructionLevel,
                shape: ShapeDef) -> tuple[ConstructionLevel, LevelReport]:
     """One recursion step: helper diagonals, inner embeddings, new probes."""
     bbox = family_bbox(prev.family)
-    diagonals: list[TransformedCopy] = []
+    diagonals = [make_diagonal(p, shape, bbox, f"diagonal(P{i})")
+                 for i, p in enumerate(prev.probes)]
+    splits = [split_probe(p) for p in prev.probes]
+    near = boxes_meeting([d.bbox.union(upper) for d, (upper, _) in zip(diagonals, splits)],
+                         [c.bbox for c in prev.family])
     diag_empties: list[Rect] = []
     diag_laws: list[DiagonalLaw] = []
-    for i, p in enumerate(prev.probes):
-        diag = make_diagonal(p, shape, bbox, f"diagonal(P{i})")
-        upper, lower = split_probe(p)
-        neighbors = frozenset(j for j, c in enumerate(prev.family)
-                              if copies_intersect(diag, c))
-        upper_pierced = frozenset(j for j, c in enumerate(prev.family)
-                                  if copy_meets_rect(c, upper))
+    for i, (p, diag, (upper, lower), ids) in enumerate(
+            zip(prev.probes, diagonals, splits, near)):
+        neighbors = frozenset(j for j in ids if copies_intersect(diag, prev.family[j]))
+        upper_pierced = frozenset(j for j in ids if copy_meets_rect(prev.family[j], upper))
         pierced = frozenset(p.pierced)
         if neighbors != pierced or upper_pierced != pierced:
             raise ConstructionError(
@@ -260,7 +280,6 @@ def next_level(prev: ConstructionLevel,
                     f"copy {j} fails to stab a split part of probe {i}")
         if not stabs_horizontally(diag, upper):
             raise ConstructionError(f"diagonal {i} does not cross its probe's upper part")
-        diagonals.append(diag)
         diag_empties.append(diag.transform.apply(shape.features.empty_rect))
         diag_laws.append(DiagonalLaw(i, pierced, neighbors, upper_pierced))
 
@@ -300,12 +319,10 @@ def next_level(prev: ConstructionLevel,
     if len(pending) != p_k:
         raise ConstructionError(f"probe count {len(pending)} != p_{new_k} = {p_k}")
 
-    probes: list[Probe] = []
-    laws: list[ProbeLaw] = []
-    for kind, pi, qi, rect, cut, expected in pending:
-        probe = finish_probe(rect, cut, expected, copies, bbox)
-        probes.append(probe)
-        laws.append(ProbeLaw(kind, pi, qi, expected, frozenset(probe.pierced)))
+    probes = finish_probes([(rect, cut, expected) for *_, rect, cut, expected in pending],
+                           copies, bbox)
+    laws = [ProbeLaw(kind, pi, qi, expected, frozenset(probe.pierced))
+            for (kind, pi, qi, _, _, expected), probe in zip(pending, probes)]
     fail_on(probe_overlaps(probes))
 
     level = ConstructionLevel(new_k, shape.name, tuple(copies), tuple(probes))

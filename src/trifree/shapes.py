@@ -14,6 +14,9 @@ recursive constructions consume:
 ``validate_features`` checks all of that exactly; violations are data,
 not exceptions.  ``stabs_vertically``/``stabs_horizontally`` generalize
 the stabbing notion to transformed copies clipped to a query rectangle.
+``meeting_pairs`` and ``boxes_meeting`` find the closed boxes that meet
+with one exact sweep in y, so callers run the exact predicates on those
+pairs alone.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -23,6 +26,7 @@ rational eps in (0,1), an eps-empty square and matching stabbers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -242,16 +246,63 @@ def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
     return False
 
 
-def copies_intersect_within(a: TransformedCopy, b: TransformedCopy, r: Rect) -> bool:
-    sa = [c for s in a.segments if (c := clip_seg_to_rect(s, r)) is not None]
-    sb = [c for s in b.segments if (c := clip_seg_to_rect(s, r)) is not None]
-    return any(seg_intersect(s, t) is not None for s in sa for t in sb)
-
-
 def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
     if not c.bbox.intersects(r):
         return False
     return any(clip_seg_to_rect(s, r) is not None for s in c.segments)
+
+
+def _by_bottom(boxes: Sequence[Rect]) -> tuple[list[int], list[Rat]]:
+    """Indices of ``boxes`` in order of their bottom edges, and those bottoms."""
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].y_lo)
+    return order, [boxes[i].y_lo for i in order]
+
+
+def _x_ranges_meet(a: Rect, b: Rect) -> bool:
+    return a.x_lo <= b.x_hi and b.x_lo <= a.x_hi
+
+
+def meeting_pairs(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
+
+    One exact sweep in y: each box is paired with the boxes after it in
+    bottom-edge order whose bottom lies in its y range (found by bisection),
+    so each pair that overlaps in y is met once and only those compare x
+    ranges.
+    """
+    order, bottoms = _by_bottom(boxes)
+    out: list[tuple[int, int]] = []
+    for pos, i in enumerate(order):
+        a = boxes[i]
+        for j in order[pos + 1:bisect_right(bottoms, a.y_hi, pos + 1)]:
+            if _x_ranges_meet(a, boxes[j]):
+                out.append((i, j) if i < j else (j, i))
+    out.sort()
+    return out
+
+
+def boxes_meeting(queries: Sequence[Rect], boxes: Sequence[Rect]) -> list[list[int]]:
+    """For each query box, the ascending indices of the ``boxes`` it meets.
+
+    The same sweep across two lists: of two boxes that overlap in y,
+    exactly one has its bottom in the other's y range (a query's when the
+    bottoms tie), so each pair is met once, from one side.
+    """
+    q_order, q_bottoms = _by_bottom(queries)
+    b_order, b_bottoms = _by_bottom(boxes)
+    out: list[list[int]] = [[] for _ in queries]
+    for i, q in enumerate(queries):
+        lo = bisect_left(b_bottoms, q.y_lo)
+        out[i].extend(j for j in b_order[lo:bisect_right(b_bottoms, q.y_hi, lo)]
+                      if _x_ranges_meet(q, boxes[j]))
+    for j, b in enumerate(boxes):
+        lo = bisect_right(q_bottoms, b.y_lo)
+        for i in q_order[lo:bisect_right(q_bottoms, b.y_hi, lo)]:
+            if _x_ranges_meet(queries[i], b):
+                out[i].append(j)
+    for near in out:
+        near.sort()
+    return out
 
 
 def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:

@@ -6,7 +6,7 @@ copy is a homothet and every probe is an eps-probe: its root is an
 empty *square* and its width/height ratio is exactly 1 + eps.  Probes are
 ``independent.Probe`` records (cut line at the root's right side), and the
 claims shared with that recursion are checked by the same code:
-``independent.probe_conditions`` with ``epsilon`` for each probe,
+``independent.probe_conditions`` with ``epsilon`` for the probes,
 ``independent.probe_overlaps`` for their disjointness, and
 ``independent.diagonal_law`` for the closing diagonals.
 
@@ -41,13 +41,14 @@ from .shapes import (
     AnchoredFrame,
     ShapeDef,
     TransformedCopy,
+    boxes_meeting,
     copy_meets_rect,
     family_bbox,
 )
 from .independent import (
     Probe,
     diagonal_law,
-    finish_probe,
+    finish_probes,
     probe_overlaps,
     size_formulas,
 )
@@ -171,11 +172,12 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
         lowers.append(_lower_right_quadrant(p.root))
 
     helper = list(inner.family) + diagonals
+    helper_boxes = [c.bbox for c in helper]
     for name, roots in (("upper", uppers), ("lower", lowers)):
-        for i, r in enumerate(roots):
+        for i, (r, ids) in enumerate(zip(roots, boxes_meeting(roots, helper_boxes))):
             if r.width != r.height:
                 raise ConstructionError(f"{name} root {i} is not a square")
-            if any(copy_meets_rect(c, r) for c in helper):
+            if any(copy_meets_rect(helper[j], r) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
     helper_bbox = family_bbox(helper)
     if helper_bbox.x_hi != bbox0.x_hi + m:
@@ -203,9 +205,9 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
         copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
         e = anchor.empty_square(epsilon)
         bbox = copy.bbox
-        probe = finish_probe(Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi), e.x_hi,
-                             frozenset({0}), [copy], bbox, epsilon)
-        return UniformLevel(1, epsilon, shape.name, (copy,), (probe,))
+        probes = finish_probes([(Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi), e.x_hi,
+                                 frozenset({0}))], [copy], bbox, epsilon)
+        return UniformLevel(1, epsilon, shape.name, (copy,), tuple(probes))
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers, audit = _make_helper(inner, epsilon, shape)
@@ -244,11 +246,9 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
     if any(not c.transform.is_uniform for c in copies):
         raise ConstructionError("a copy is not a homothet")
 
-    probes: list[Probe] = []
-    for root_sq, expected in pending:
-        carved = carve_probe(root_sq, epsilon, bbox)
-        probes.append(finish_probe(carved.rect, carved.root_cut_x, expected,
-                                   copies, bbox, epsilon))
+    carved = [(carve_probe(root_sq, epsilon, bbox), expected) for root_sq, expected in pending]
+    probes = finish_probes([(c.rect, c.root_cut_x, expected) for c, expected in carved],
+                           copies, bbox, epsilon)
     fail_on(probe_overlaps(probes))
     return UniformLevel(k, epsilon, shape.name, tuple(copies), tuple(probes), audit)
 

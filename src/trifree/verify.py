@@ -12,6 +12,13 @@ size recurrences, triangle-freeness, homothety in uniform mode, and the
 slot nesting of an encoded tree and the bounds its k and color budget
 obey in every ``encode`` run.  The deeper step-by-step contact laws
 are enforced at construction time.
+
+No check tests all pairs or all copies: each takes its candidates from
+one y-sweep over bounding boxes (``shapes.meeting_pairs`` within a list,
+``shapes.boxes_meeting`` between two), which the exact predicates then
+decide.  All the stored probes are checked against one sweep, each with
+the box around its rectangle and its root, so a root stored away from its
+rectangle still meets every copy it could.
 """
 
 from __future__ import annotations
@@ -58,8 +65,7 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
         for c in fam.copies:
             if not c.transform.is_uniform:
                 out.append(f"uniform: copy with lineage {c.lineage!r} is not a homothet")
-    for i, p in enumerate(fam.probes):
-        bad = probe_conditions(p, base, bbox, fam.epsilon)
+    for i, bad in enumerate(probe_conditions(fam.probes, base, bbox, fam.epsilon)):
         out.extend(f"probe {i}: {msg}" for msg in bad)
     out.extend(probe_overlaps(fam.probes))
 

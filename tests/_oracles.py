@@ -1,16 +1,22 @@
-"""Independent oracles for cross-validation.
+"""Independent oracles for cross-validation, and helpers only tests use.
 
 These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
-inputs), and the coloring oracle is a static-order backtracking over all
+inputs), the coloring oracle is a static-order backtracking over all
 colorings up to color renaming, with no saturation ordering, no clique
-bounds, and no branch-and-bound pruning.
+bounds, and no branch-and-bound pruning, and the box and graph oracles
+test every pair instead of sweeping.
 """
 
 from __future__ import annotations
 
-from trifree.geometry import HORIZONTAL, Rect, Seg
+from enum import Enum
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
+
+from trifree.geometry import HORIZONTAL, Rect, Seg, clip_seg_to_rect, seg_intersect
 from trifree.graphs import Graph
+from trifree.shapes import TransformedCopy, copies_intersect
 
 
 def grid_points_on_seg(s: Seg) -> set[tuple[int, int]]:
@@ -43,6 +49,72 @@ def rect_relation_grid(a: Rect, b: Rect) -> str:
     if pa <= pb:
         return "b_contains_a"
     return "overlap"
+
+
+class RectRelation(Enum):
+    DISJOINT = "disjoint"
+    OVERLAP = "overlap"
+    A_CONTAINS_B = "a_contains_b"
+    B_CONTAINS_A = "b_contains_a"
+
+
+def rect_relations(a: Rect, b: Rect) -> RectRelation:
+    """Classify two closed rectangles.  Equal rectangles report a_contains_b."""
+    if not a.intersects(b):
+        return RectRelation.DISJOINT
+    if a.contains_rect(b):
+        return RectRelation.A_CONTAINS_B
+    if b.contains_rect(a):
+        return RectRelation.B_CONTAINS_A
+    return RectRelation.OVERLAP
+
+
+def copies_intersect_within(a: TransformedCopy, b: TransformedCopy, r: Rect) -> bool:
+    """True iff the parts of the two copies inside r share a point."""
+    sa = [c for s in a.segments if (c := clip_seg_to_rect(s, r)) is not None]
+    sb = [c for s in b.segments if (c := clip_seg_to_rect(s, r)) is not None]
+    return any(seg_intersect(s, t) is not None for s in sa for t in sb)
+
+
+def meeting_pairs_bruteforce(boxes: Sequence[Rect],
+                             others: Optional[Sequence[Rect]] = None) -> list[tuple[int, int]]:
+    """Every pair of meeting boxes by testing all pairs: (i, j), i < j, within
+    ``boxes``, or (i, j) with boxes[i] meeting others[j]."""
+    if others is None:
+        return [(i, j) for i, j in combinations(range(len(boxes)), 2)
+                if boxes[i].intersects(boxes[j])]
+    return [(i, j) for i, a in enumerate(boxes) for j, b in enumerate(others)
+            if a.intersects(b)]
+
+
+def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:
+    """The intersection graph from ``copies_intersect`` on every pair."""
+    return Graph.from_edges(len(copies),
+                            [(i, j) for i, j in combinations(range(len(copies)), 2)
+                             if copies_intersect(copies[i], copies[j])],
+                            tuple(c.lineage for c in copies))
+
+
+def proper_colorings(g: Graph, max_colors: int) -> Iterator[tuple[int, ...]]:
+    """All proper colorings with colors drawn from 1..max_colors.
+
+    Plain backtracking in vertex order; intended for exhaustive audits on
+    small instances, not for solving.
+    """
+    colors = [0] * g.n
+
+    def rec(v: int) -> Iterator[tuple[int, ...]]:
+        if v == g.n:
+            yield tuple(colors)
+            return
+        for c in range(1, max_colors + 1):
+            if any(colors[u] == c for u in g.adj[v] if u < v):
+                continue
+            colors[v] = c
+            yield from rec(v + 1)
+            colors[v] = 0
+
+    yield from rec(0)
 
 
 def _exists_coloring(g: Graph, colors: int) -> bool:

@@ -11,20 +11,25 @@ import pytest
 
 from trifree.encoding import certify, encode, expand_tree
 from trifree.game import first_fit, minimax_verify, run_game
-from trifree.geometry import HORIZONTAL, VERTICAL, Rect, Seg, rect_relations, seg_intersect
+from trifree.geometry import HORIZONTAL, VERTICAL, Rect, Seg, seg_intersect
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
     probe_coloring_audit,
-    proper_colorings,
     verify_coloring,
 )
 from trifree.independent import augment, base_level, build, next_level, size_formulas
 from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
 
-from _oracles import chromatic_number_bruteforce, rect_relation_grid, segs_intersect_grid
+from _oracles import (
+    chromatic_number_bruteforce,
+    proper_colorings,
+    rect_relation_grid,
+    rect_relations,
+    segs_intersect_grid,
+)
 
 HALF = Fraction(1, 2)
 

@@ -8,19 +8,17 @@ from trifree.geometry import (
     VERTICAL,
     Point,
     Rect,
-    RectRelation,
     Seg,
     XYTransform,
     as_rat,
     clip_seg_to_rect,
     h_seg,
     rat_str,
-    rect_relations,
     seg_intersect,
     v_seg,
 )
 
-from _oracles import rect_relation_grid, segs_intersect_grid
+from _oracles import RectRelation, rect_relation_grid, rect_relations, segs_intersect_grid
 
 
 def test_perpendicular_crossing_gives_point():

@@ -12,12 +12,11 @@ from trifree.graphs import (
     is_triangle_free,
     max_clique,
     parse_dimacs,
-    proper_colorings,
     to_dimacs,
     verify_coloring,
 )
 
-from _oracles import chromatic_number_bruteforce
+from _oracles import chromatic_number_bruteforce, intersection_graph_bruteforce, proper_colorings
 
 
 def cycle(n: int) -> Graph:
@@ -134,6 +133,31 @@ def test_intersection_graph_of_disjoint_copies_is_empty(frame):
 
     g = intersection_graph([copy_at(0), copy_at(5)])
     assert g.n == 2 and g.m == 0
+
+
+def _families():
+    from fractions import Fraction
+
+    from trifree.encoding import encode, expand_tree
+    from trifree.independent import augment, build
+    from trifree.shapes import catalog
+    from trifree.uniform import augment_uniform, build_uniform
+
+    for name in ("frame", "lshape", "cross"):
+        shape = catalog()[name]
+        for k in (1, 2, 3):
+            yield f"independent {name} k={k}", augment(build(k, shape), shape)
+    frame = catalog()["frame"]
+    for eps in (Fraction(1, 2), Fraction(1, 7)):
+        for k in (2, 3):
+            yield f"uniform eps={eps} k={k}", augment_uniform(build_uniform(k, eps, frame), frame)
+    yield "encoded k=3", encode(expand_tree(3)).copies
+
+
+def test_intersection_graph_matches_all_pairs_oracle():
+    for label, copies in _families():
+        g, want = intersection_graph(copies), intersection_graph_bruteforce(copies)
+        assert g == want, label
 
 
 def test_dimacs_round_trip():

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from trifree.errors import ConstructionError
-from trifree.geometry import Rect, RectRelation, rect_relations
+from trifree.geometry import Rect
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
     probe_coloring_audit,
-    proper_colorings,
 )
 from trifree.independent import (
     Probe,
@@ -29,6 +28,8 @@ from trifree.shapes import (
     stabs_horizontally,
     stabs_vertically,
 )
+
+from _oracles import RectRelation, proper_colorings, rect_relations
 
 
 def test_size_formulas_frozen_values():

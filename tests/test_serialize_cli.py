@@ -100,6 +100,19 @@ def test_verify_reports_tampered_uniform_root_cut(frame):
     assert any(v.startswith("probe 0: root is not the left part") for v in violations)
 
 
+def test_verify_reports_root_moved_off_its_probe(frame):
+    level = build(2, frame)
+    doc = json.loads(serialize.dumps(serialize.independent_to_doc(level, frame)))
+    rect = level.probes[0].rect
+    # a copy far from probe 0's rectangle: only a check that also scans
+    # around the root can see the root meet it
+    i, far = next((i, c) for i, c in enumerate(level.family) if not c.bbox.intersects(rect))
+    doc["probes"][0]["root"] = serialize.rect_to_json(far.bbox)
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert "probe 0: root is not the left part of the probe at the cut line" in violations
+    assert f"probe 0: root meets copy {i}" in violations
+
+
 def test_verify_reports_shifted_encoded_frame(frame):
     tree = expand_tree(2)
     doc = json.loads(serialize.dumps(serialize.encoded_to_doc(tree, encode(tree), frame)))
@@ -289,7 +302,7 @@ def test_cli_game_repl_plays_and_rejects_bad_stream(tmp_path):
     assert r.returncode == 5
 
 
-def test_cli_chi_timeout_exits_four(tmp_path):
+def test_cli_chi_timeout_exits_four(tmp_path, monkeypatch):
     fam = tmp_path / "f4.json"
     r = _run_cli("build", "--k", "4", "--out", str(fam))
     assert r.returncode == 0
@@ -297,6 +310,27 @@ def test_cli_chi_timeout_exits_four(tmp_path):
     r = _run_cli("chi", "--family", str(fam), "--timeout", "0.1")
     assert r.returncode == 4
     assert "chi in [" in r.stdout and "timed out" in r.stdout
+    monkeypatch.setenv("TRIFREE_TIMEOUT", "0.1")
+    r = _run_cli("chi", "--family", str(fam), timeout=60)
+    assert r.returncode == 4
+    assert "chi in [" in r.stdout and "timed out" in r.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "1e400"])
+def test_cli_rejects_a_bad_timeout(value, family_file, monkeypatch):
+    # --timeout nan never fired, and a bad TRIFREE_TIMEOUT crashed every command
+    r = _run_cli("chi", "--family", str(family_file), f"--timeout={value}", timeout=10)
+    assert r.returncode == 2
+    assert "usage:" in r.stderr and "--timeout" in r.stderr
+    assert "Traceback" not in r.stderr
+    monkeypatch.setenv("TRIFREE_TIMEOUT", value)
+    r = _run_cli("chi", "--family", str(family_file), timeout=10)
+    assert r.returncode == 2
+    assert "usage:" in r.stderr and "TRIFREE_TIMEOUT" in r.stderr
+    assert "Traceback" not in r.stderr
+    # the flag overrides the variable, and no other command reads it
+    assert _run_cli("chi", "--family", str(family_file), "--timeout", "10").returncode == 0
+    assert _run_cli("verify", "--family", str(family_file)).returncode == 0
 
 
 def test_cli_encode_render_export(tmp_path):

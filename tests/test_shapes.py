@@ -9,12 +9,15 @@ from trifree.shapes import (
     TransformedCopy,
     anchored_violations,
     catalog,
+    boxes_meeting,
     copies_intersect,
-    copies_intersect_within,
+    meeting_pairs,
     stabs_horizontally,
     stabs_vertically,
     validate_features,
 )
+
+from _oracles import copies_intersect_within, meeting_pairs_bruteforce
 
 
 def _frame_copy(x0, x1, y0, y1, lineage="t"):
@@ -167,3 +170,41 @@ def test_anchored_frame_standalone_instance():
     anchor = AnchoredFrame()
     assert anchor.shape.is_connected()
     assert anchor.shape.bbox() == Rect(0, 1, Fraction(1, 4), Fraction(3, 4))
+
+
+def _random_boxes(rng, n):
+    """Small-integer boxes on a 6x6 grid, so shared edges, tied bottoms and
+    zero-width or zero-height boxes all occur often."""
+    out = []
+    for _ in range(n):
+        x0, y0 = rng.randint(0, 6), rng.randint(0, 6)
+        out.append(Rect(x0, x0 + rng.choice((0, 0, 1, 2, 3)),
+                        y0, y0 + rng.choice((0, 0, 1, 2, 3))))
+    return out
+
+
+def test_meeting_pairs_matches_all_pairs_oracle():
+    rng = random.Random(20261018)
+    for n in (0, 1, 2, 3, 8, 40, 120):
+        for _ in range(5):
+            boxes = _random_boxes(rng, n)
+            assert meeting_pairs(boxes) == meeting_pairs_bruteforce(boxes)
+
+
+def test_boxes_meeting_matches_all_pairs_oracle():
+    rng = random.Random(4181)
+    for n, m in ((0, 5), (5, 0), (1, 1), (3, 7), (30, 30), (80, 20)):
+        for _ in range(5):
+            queries, boxes = _random_boxes(rng, n), _random_boxes(rng, m)
+            got = [(i, j) for i, ids in enumerate(boxes_meeting(queries, boxes)) for j in ids]
+            assert got == meeting_pairs_bruteforce(queries, boxes)
+
+
+def test_sweep_counts_touching_and_degenerate_boxes():
+    corner = [Rect(0, 1, 0, 1), Rect(1, 2, 1, 2)]
+    point_on_edge = [Rect(0, 2, 0, 2), Rect(1, 1, 2, 2)]
+    tied_apart = [Rect(0, 1, 0, 1), Rect(3, 4, 0, 1)]
+    assert meeting_pairs(corner) == [(0, 1)]
+    assert meeting_pairs(point_on_edge) == [(0, 1)]
+    assert meeting_pairs(tied_apart) == []
+    assert boxes_meeting([Rect(1, 1, 0, 5)], corner + tied_apart) == [[0, 1, 2]]

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from trifree.geometry import Rect, RectRelation, rect_relations
+from trifree.geometry import Rect
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
     probe_coloring_audit,
-    proper_colorings,
 )
 from trifree.independent import size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
@@ -19,6 +18,8 @@ from trifree.uniform import (
     carve_probe,
     diagonal_checks,
 )
+
+from _oracles import RectRelation, proper_colorings, rect_relations
 
 HALF = Fraction(1, 2)
 
