@@ -30,6 +30,7 @@ from .independent import (
     Probe,
     augment,
     build,
+    grow_probe,
     make_diagonal,
     next_level,
     size_formulas,
@@ -39,8 +40,7 @@ from .uniform import (
     UniformLevel,
     augment_uniform,
     build_uniform,
-    carve_probe,
-    diagonal_checks,
+    helper_law,
 )
 from .game import (
     GameTranscript,

@@ -8,6 +8,7 @@ refused at construction time to keep the arithmetic honest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -20,12 +21,19 @@ VERTICAL = "V"
 RatLike = Union[int, str, Fraction]
 
 
+_RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def as_rat(value: RatLike) -> Rat:
-    """Coerce an int, a 'p/q' string, or a Fraction to an exact rational."""
+    """Coerce an int, a Fraction, or a 'p' or 'p/q' string as ``rat_str``
+    writes it to an exact rational; any other string raises ValueError."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        match = _RAT_TEXT.fullmatch(value)
+        if match is None or match[2] is not None and int(match[2]) == 0:
+            raise ValueError(f"not a rational 'p' or 'p/q' with q > 0: {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"not an exact rational: {value!r} (floats are refused)")
 
 

@@ -11,6 +11,11 @@ copies are pairwise disjoint vertical stabbers, with an empty left part
 least k colors on the pierced set of some probe; attaching one final
 diagonal per probe then pushes the chromatic number past k.
 
+This construction and the homothet one in ``uniform`` share one
+recursion step, ``embed_helpers``: it embeds a helper family in every
+outer probe's root and claims the new probes by one contact law.  The two
+differ only in geometry: where the helper and the new roots go.
+
 Nothing here is trusted: every structural claim used by the recursion
 (diagonal contact sets, probe conditions, disjointness) is re-verified
 exactly after each step, and a violation raises ConstructionError.
@@ -22,7 +27,7 @@ and root, a diagonal or another diagonal cannot meet it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice, takewhile
 from typing import Iterator, Optional, Sequence
@@ -63,33 +68,6 @@ class ConstructionLevel:
     shape_id: str
     family: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
-
-
-@dataclass(frozen=True)
-class ProbeLaw:
-    """Expected-versus-actual contact record for one new probe."""
-
-    kind: str  # "upper" or "lower"
-    outer_probe: int
-    inner_probe: int
-    expected: frozenset[int]
-    actual: frozenset[int]
-
-
-@dataclass(frozen=True)
-class DiagonalLaw:
-    """Contact record for one helper diagonal against the previous family."""
-
-    probe: int
-    pierced: frozenset[int]
-    neighbors: frozenset[int]
-    upper_pierced: frozenset[int]
-
-
-@dataclass(frozen=True)
-class LevelReport:
-    diagonals: tuple[DiagonalLaw, ...]
-    probes: tuple[ProbeLaw, ...]
 
 
 def _sizes() -> Iterator[tuple[int, int]]:
@@ -229,14 +207,41 @@ def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[Transforme
     return out
 
 
-def finish_probes(claims: Sequence[tuple[Rect, Rat, frozenset[int]]],
+def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None) -> Probe:
+    """The probe grown from an empty root to the family's right side, with
+    an empty pierced set.
+
+    Without ``epsilon`` the probe is the root extended to the right side,
+    cut at the root's right side.  With ``epsilon`` the root must be an
+    empty square, and the probe is an exact eps-probe whose root sits flush
+    left and bottom in it: the square's distance d to the right side must
+    be at most eps times its side, and the probe height
+    h = (side + d) / (1 + eps) then makes the ratio exact while keeping the
+    root inside the square.
+    """
+    if epsilon is None:
+        return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_hi), root, root.x_hi, ())
+    if root.width != root.height:
+        raise ValueError("an eps-probe needs a square root")
+    side = root.width
+    d = bbox.x_hi - root.x_hi
+    if d < 0:
+        raise ValueError("square lies beyond the family's right side")
+    if d > epsilon * side:
+        raise ValueError(f"square too far from the right side: {d} > {epsilon * side}")
+    h = (side + d) / (1 + epsilon)
+    carved = Rect(root.x_lo, root.x_lo + h, root.y_lo, root.y_lo + h)
+    return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_lo + h), carved, carved.x_hi, ())
+
+
+def finish_probes(claims: Sequence[tuple[Rect, frozenset[int]]],
                   copies: Sequence[TransformedCopy], bbox: Rect,
                   epsilon: Optional[Rat] = None) -> list[Probe]:
-    """For each claim (rect, cut, expected), the probe on ``rect`` rooted
-    left of ``cut``, all certified in one batch to pierce exactly their
+    """For each claim (root, expected), the probe ``grow_probe`` grows from
+    ``root``, all certified in one batch to pierce exactly their
     ``expected`` sets; the first probe that fails raises its messages."""
-    probes = [Probe(rect, Rect(rect.x_lo, cut, rect.y_lo, rect.y_hi), cut, sorted(expected))
-              for rect, cut, expected in claims]
+    probes = [replace(grow_probe(root, bbox, epsilon), pierced=sorted(expected))
+              for root, expected in claims]
     for messages in probe_conditions(probes, copies, bbox, epsilon):
         fail_on(messages)
     return probes
@@ -245,34 +250,70 @@ def finish_probes(claims: Sequence[tuple[Rect, Rat, frozenset[int]]],
 def base_level(shape: ShapeDef) -> ConstructionLevel:
     """Level 1: the shape itself; the probe extends E to the right edge."""
     copy = TransformedCopy(shape.name, shape.shape, XYTransform.identity(), "outer")
-    feats = shape.features
-    e = feats.empty_rect
-    bbox = copy.bbox
-    rect = Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi)
-    probes = finish_probes([(rect, e.x_hi, frozenset({0}))], [copy], bbox)
+    probes = finish_probes([(shape.features.empty_rect, frozenset({0}))], [copy], copy.bbox)
     return ConstructionLevel(1, shape.name, (copy,), tuple(probes))
 
 
-def next_level(prev: ConstructionLevel,
-               shape: ShapeDef) -> tuple[ConstructionLevel, LevelReport]:
-    """One recursion step: helper diagonals, inner embeddings, new probes."""
-    bbox = family_bbox(prev.family)
-    diagonals = [make_diagonal(p, shape, bbox, f"diagonal(P{i})")
-                 for i, p in enumerate(prev.probes)]
+def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
+                  outer_probes: Sequence[Probe], helper: Sequence[TransformedCopy],
+                  base_probes: Sequence[Probe], embeds: Sequence[XYTransform],
+                  uppers: Sequence[Rect], lowers: Sequence[Rect],
+                  epsilon: Optional[Rat] = None) -> tuple[list[TransformedCopy], list[Probe]]:
+    """The recursion step both constructions share: the copies and probes
+    of level k, sealed.
+
+    The helper is a base family followed by one diagonal per base probe.
+    ``embeds[i]`` places a copy of it in the empty root of outer probe i,
+    and ``uppers[j]``, ``lowers[j]`` are the upper and lower roots of base
+    probe j in helper coordinates.  Each pair (outer P, base Q) claims an
+    upper probe, then a lower probe, by the one contact law: the upper
+    probe pierces P's copies and the embedded diagonal of Q, the lower one
+    P's copies and the embedded copies Q pierces.  The seal checks that the
+    family box is unchanged, the sizes s_k and p_k, every probe condition
+    and that the probes are pairwise disjoint.
+    """
+    bbox = family_bbox(outer_family)
+    n_base = len(helper) - len(base_probes)
+    copies = list(outer_family)
+    claims: list[tuple[Rect, frozenset[int]]] = []
+    for p, embed in zip(outer_probes, embeds):
+        offset = len(copies)
+        copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
+        outer_pierced = frozenset(p.pierced)
+        for qi, q in enumerate(base_probes):
+            claims.append((embed.apply(uppers[qi]), outer_pierced | {offset + n_base + qi}))
+            claims.append((embed.apply(lowers[qi]),
+                           outer_pierced | frozenset(offset + j for j in q.pierced)))
+
+    if family_bbox(copies) != bbox:
+        raise ConstructionError("embedded helpers escaped the outer bounding box")
+    s_k, p_k = size_formulas(k)
+    if len(copies) != s_k:
+        raise ConstructionError(f"family size {len(copies)} != s_{k} = {s_k}")
+    if len(claims) != p_k:
+        raise ConstructionError(f"probe count {len(claims)} != p_{k} = {p_k}")
+    probes = finish_probes(claims, copies, bbox, epsilon)
+    fail_on(probe_overlaps(probes))
+    return copies, probes
+
+
+def next_level(prev: ConstructionLevel, shape: ShapeDef) -> ConstructionLevel:
+    """One recursion step: the augmented previous level is the helper, and
+    a copy shrunk to half size goes in the middle of every probe's root.
+
+    The upper root of a probe is its diagonal's empty rectangle, the lower
+    root the lower split part left of the cut line.
+    """
+    helper = augment(prev, shape)
+    diagonals = helper[len(prev.family):]
     splits = [split_probe(p) for p in prev.probes]
-    near = boxes_meeting([d.bbox.union(upper) for d, (upper, _) in zip(diagonals, splits)],
-                         [c.bbox for c in prev.family])
-    diag_empties: list[Rect] = []
-    diag_laws: list[DiagonalLaw] = []
+    near = boxes_meeting([upper for upper, _ in splits], [c.bbox for c in prev.family])
     for i, (p, diag, (upper, lower), ids) in enumerate(
             zip(prev.probes, diagonals, splits, near)):
-        neighbors = frozenset(j for j in ids if copies_intersect(diag, prev.family[j]))
-        upper_pierced = frozenset(j for j in ids if copy_meets_rect(prev.family[j], upper))
-        pierced = frozenset(p.pierced)
-        if neighbors != pierced or upper_pierced != pierced:
+        upper_pierced = [j for j in ids if copy_meets_rect(prev.family[j], upper)]
+        if upper_pierced != sorted(p.pierced):
             raise ConstructionError(
-                f"diagonal contact law violated at probe {i}: pierced {sorted(pierced)}, "
-                f"neighbors {sorted(neighbors)}, upper {sorted(upper_pierced)}")
+                f"upper part of probe {i} meets {upper_pierced}, expected {sorted(p.pierced)}")
         for j in p.pierced:
             if not (stabs_vertically(prev.family[j], upper)
                     and stabs_vertically(prev.family[j], lower)):
@@ -280,53 +321,17 @@ def next_level(prev: ConstructionLevel,
                     f"copy {j} fails to stab a split part of probe {i}")
         if not stabs_horizontally(diag, upper):
             raise ConstructionError(f"diagonal {i} does not cross its probe's upper part")
-        diag_empties.append(diag.transform.apply(shape.features.empty_rect))
-        diag_laws.append(DiagonalLaw(i, pierced, neighbors, upper_pierced))
 
-    helper = list(prev.family) + diagonals
     helper_bbox = family_bbox(helper)
-    new_k = prev.k + 1
-
-    copies: list[TransformedCopy] = list(prev.family)
-    pending: list[tuple[str, int, int, Rect, Rat, frozenset[int]]] = []
-    for pi, p in enumerate(prev.probes):
-        target = p.root.concentric(Fraction(1, 2), Fraction(1, 2))
-        embed = XYTransform.rect_map(helper_bbox, target)
-        offset = len(copies)
-        copies.extend(c.rebase(embed, f"inner({new_k})/{c.lineage}") for c in helper)
-        base_ids = range(offset, offset + len(prev.family))
-        diag_ids = range(offset + len(prev.family), offset + len(helper))
-        outer_pierced = frozenset(p.pierced)
-        for qi, q in enumerate(prev.probes):
-            q_rect = embed.apply(q.rect)
-            q_cut = embed.x(q.root_cut_x)
-            e_dq = embed.apply(diag_empties[qi])
-            upper_expected = outer_pierced | {diag_ids[qi]}
-            pending.append(("upper", pi, qi,
-                            Rect(e_dq.x_lo, bbox.x_hi, e_dq.y_lo, e_dq.y_hi),
-                            e_dq.x_hi, upper_expected))
-            q_h = q_rect.height * _SPLIT
-            lower_expected = outer_pierced | frozenset(base_ids[j] for j in q.pierced)
-            pending.append(("lower", pi, qi,
-                            Rect(q_rect.x_lo, bbox.x_hi, q_rect.y_lo, q_rect.y_lo + q_h),
-                            q_cut, lower_expected))
-
-    if family_bbox(copies) != bbox:
-        raise ConstructionError("inner families escaped the previous bounding box")
-    s_k, p_k = size_formulas(new_k)
-    if len(copies) != s_k:
-        raise ConstructionError(f"family size {len(copies)} != s_{new_k} = {s_k}")
-    if len(pending) != p_k:
-        raise ConstructionError(f"probe count {len(pending)} != p_{new_k} = {p_k}")
-
-    probes = finish_probes([(rect, cut, expected) for *_, rect, cut, expected in pending],
-                           copies, bbox)
-    laws = [ProbeLaw(kind, pi, qi, expected, frozenset(probe.pierced))
-            for (kind, pi, qi, _, _, expected), probe in zip(pending, probes)]
-    fail_on(probe_overlaps(probes))
-
-    level = ConstructionLevel(new_k, shape.name, tuple(copies), tuple(probes))
-    return level, LevelReport(tuple(diag_laws), tuple(laws))
+    half = Fraction(1, 2)
+    embeds = [XYTransform.rect_map(helper_bbox, p.root.concentric(half, half))
+              for p in prev.probes]
+    uppers = [d.transform.apply(shape.features.empty_rect) for d in diagonals]
+    lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
+              for p, (_, lower) in zip(prev.probes, splits)]
+    copies, probes = embed_helpers(prev.k + 1, prev.family, prev.probes, helper,
+                                   prev.probes, embeds, uppers, lowers)
+    return ConstructionLevel(prev.k + 1, shape.name, tuple(copies), tuple(probes))
 
 
 def build(k: int, shape: ShapeDef) -> ConstructionLevel:
@@ -335,7 +340,7 @@ def build(k: int, shape: ShapeDef) -> ConstructionLevel:
         raise ValueError("k must be at least 1")
     level = base_level(shape)
     for _ in range(k - 1):
-        level, _ = next_level(level, shape)
+        level = next_level(level, shape)
     return level
 
 

@@ -245,5 +245,9 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def loads(text: str) -> dict:
-    return json.loads(text)
+def loads(text: str) -> Any:
+    """Parse JSON text; malformed or too deeply nested text raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None

@@ -5,10 +5,12 @@ Level (k, eps) mirrors the independent-scaling recursion, but every
 copy is a homothet and every probe is an eps-probe: its root is an
 empty *square* and its width/height ratio is exactly 1 + eps.  Probes are
 ``independent.Probe`` records (cut line at the root's right side), and the
-claims shared with that recursion are checked by the same code:
-``independent.probe_conditions`` with ``epsilon`` for the probes,
-``independent.probe_overlaps`` for their disjointness, and
-``independent.diagonal_law`` for the closing diagonals.
+recursion step is the one ``independent.embed_helpers`` shared by both
+constructions: the same embedding of a helper per outer root, the same
+contact law for the upper and lower probes, and the same seal, with
+``epsilon`` making every probe an eps-probe (``independent.grow_probe``
+carves it) checked as one.  ``independent.diagonal_law`` checks the
+closing diagonals.
 
 One recursion step, for the target parameter eps:
 
@@ -45,13 +47,7 @@ from .shapes import (
     copy_meets_rect,
     family_bbox,
 )
-from .independent import (
-    Probe,
-    diagonal_law,
-    finish_probes,
-    probe_overlaps,
-    size_formulas,
-)
+from .independent import Probe, diagonal_law, embed_helpers, finish_probes
 
 
 @dataclass(frozen=True)
@@ -79,46 +75,10 @@ class UniformLevel:
     audit: Optional[HelperAudit] = None
 
 
-@dataclass(frozen=True)
-class DiagonalCheck:
-    probe: int
-    sticks_out_exactly_m: bool
-    empty_square_clear: bool
-    root_meets_diagonal: bool
-    shift_inequality: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.sticks_out_exactly_m and self.empty_square_clear
-                and self.root_meets_diagonal and self.shift_inequality)
-
-
 def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
     if shape.anchor is None:
         raise ValueError(f"shape {shape.name!r} has no anchored representative")
     return shape.anchor
-
-
-def carve_probe(root_sq: Rect, epsilon: Rat, bbox: Rect) -> Probe:
-    """An exact eps-probe whose root sits flush left and bottom in an
-    empty square.
-
-    Requires the square's distance d to the family's right side to be at
-    most eps times its side; the probe height h = (side + d) / (1 + eps)
-    then makes the ratio exact while keeping the root inside the square.
-    """
-    if root_sq.width != root_sq.height:
-        raise ValueError("carve_probe needs a square")
-    side = root_sq.width
-    d = bbox.x_hi - root_sq.x_hi
-    if d < 0:
-        raise ValueError("square lies beyond the family's right side")
-    if d > epsilon * side:
-        raise ValueError(f"square too far from the right side: {d} > {epsilon * side}")
-    h = (side + d) / (1 + epsilon)
-    rect = Rect(root_sq.x_lo, bbox.x_hi, root_sq.y_lo, root_sq.y_lo + h)
-    root = Rect(root_sq.x_lo, root_sq.x_lo + h, root_sq.y_lo, root_sq.y_lo + h)
-    return Probe(rect, root, root.x_hi, ())
 
 
 def _top_right_quadrant(r: Rect) -> Rect:
@@ -164,11 +124,8 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
         quad = _top_right_quadrant(p.root)
         square = Rect(quad.x_lo + shift, quad.x_hi + shift, quad.y_lo, quad.y_hi)
         diag = _square_homothet(shape, anchor, square, f"diagonal(P{i})")
-        e1 = diag.transform.apply(anchor.empty_square(eps1))
-        if copy_meets_rect(diag, e1):
-            raise ConstructionError(f"eps1-empty square of diagonal {i} meets its own material")
         diagonals.append(diag)
-        uppers.append(e1)
+        uppers.append(diag.transform.apply(anchor.empty_square(eps1)))
         lowers.append(_lower_right_quadrant(p.root))
 
     helper = list(inner.family) + diagonals
@@ -180,16 +137,12 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
             if any(copy_meets_rect(helper[j], r) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
     helper_bbox = family_bbox(helper)
-    if helper_bbox.x_hi != bbox0.x_hi + m:
-        raise ConstructionError("helper box does not end exactly m past the template box")
     audit = HelperAudit(delta, m, eps1, bbox0,
                         tuple(p.root for p in inner.probes),
                         tuple(diagonals), tuple(uppers),
                         max(helper_bbox.width, helper_bbox.height),
                         min(r.width for r in uppers + lowers))
-    failed = [c for c in _audit_checks(audit) if not c.ok]
-    if failed:
-        raise ConstructionError(f"diagonal claims fail: {failed}")
+    fail_on(helper_law(audit))
     return helper, uppers, lowers, audit
 
 
@@ -203,74 +156,50 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
 
     if k == 1:
         copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
-        e = anchor.empty_square(epsilon)
-        bbox = copy.bbox
-        probes = finish_probes([(Rect(e.x_lo, bbox.x_hi, e.y_lo, e.y_hi), e.x_hi,
-                                 frozenset({0}))], [copy], bbox, epsilon)
+        probes = finish_probes([(anchor.empty_square(epsilon), frozenset({0}))], [copy],
+                               copy.bbox, epsilon)
         return UniformLevel(1, epsilon, shape.name, (copy,), tuple(probes))
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers, audit = _make_helper(inner, epsilon, shape)
     helper_bbox = family_bbox(helper)
-    square_side = audit.square_side
-    outer = build_uniform(k - 1, epsilon * audit.min_root / (2 * square_side), shape)
-    bbox = family_bbox(outer.family)
-
-    copies: list[TransformedCopy] = list(outer.family)
-    pending: list[tuple[Rect, frozenset[int]]] = []
-    n_inner = len(inner.family)
-    for pi, p in enumerate(outer.probes):
-        factor = p.root.width / square_side
-        embed = XYTransform(
+    side = audit.square_side
+    outer = build_uniform(k - 1, epsilon * audit.min_root / (2 * side), shape)
+    embeds = []
+    for p in outer.probes:
+        factor = p.root.width / side
+        embeds.append(XYTransform(
             factor, factor,
             p.root.x_hi - factor * helper_bbox.x_hi,
             p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
-            - factor * helper_bbox.y_lo)
-        offset = len(copies)
-        copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
-        outer_pierced = frozenset(p.pierced)
-        for qi in range(len(inner.probes)):
-            upper_expected = outer_pierced | {offset + n_inner + qi}
-            pending.append((embed.apply(uppers[qi]), upper_expected))
-            lower_expected = outer_pierced | frozenset(
-                offset + j for j in inner.probes[qi].pierced)
-            pending.append((embed.apply(lowers[qi]), lower_expected))
-
-    if family_bbox(copies) != bbox:
-        raise ConstructionError("embedded helpers escaped the outer bounding box")
-    s_k, p_k = size_formulas(k)
-    if len(copies) != s_k:
-        raise ConstructionError(f"family size {len(copies)} != s_{k} = {s_k}")
-    if len(pending) != p_k:
-        raise ConstructionError(f"probe count {len(pending)} != p_{k} = {p_k}")
+            - factor * helper_bbox.y_lo))
+    copies, probes = embed_helpers(k, outer.family, outer.probes, helper, inner.probes,
+                                   embeds, uppers, lowers, epsilon)
     if any(not c.transform.is_uniform for c in copies):
         raise ConstructionError("a copy is not a homothet")
-
-    carved = [(carve_probe(root_sq, epsilon, bbox), expected) for root_sq, expected in pending]
-    probes = finish_probes([(c.rect, c.root_cut_x, expected) for c, expected in carved],
-                           copies, bbox, epsilon)
-    fail_on(probe_overlaps(probes))
     return UniformLevel(k, epsilon, shape.name, tuple(copies), tuple(probes), audit)
 
 
-def _audit_checks(a: HelperAudit) -> tuple[DiagonalCheck, ...]:
-    # The shift bound is delta*s + m <= (eps/2)*(s/2) with eps = 8*delta.
-    return tuple(
-        DiagonalCheck(
-            probe=i,
-            sticks_out_exactly_m=(diag.bbox.x_hi - a.template_bbox.x_hi == a.m),
-            empty_square_clear=(e1.x_lo > a.template_bbox.x_hi),
-            root_meets_diagonal=copy_meets_rect(diag, root),
-            shift_inequality=(a.delta * root.width + a.m
-                              <= (8 * a.delta / 2) * (root.width / 2)))
-        for i, (root, diag, e1) in enumerate(zip(a.roots, a.diagonals, a.empty_squares)))
+def helper_law(audit: HelperAudit) -> list[str]:
+    """The diagonal claims of one helper, re-checked from its audit data:
+    one message per failed claim per diagonal, empty when all hold.
 
-
-def diagonal_checks(level: UniformLevel) -> tuple[DiagonalCheck, ...]:
-    """Re-verify the diagonal claims of the level's top recursion step
-    from the stored audit data; the construction runs the same checks.
-    Vacuously empty for level 1."""
-    return () if level.audit is None else _audit_checks(level.audit)
+    Each diagonal sticks out of the template box by exactly m, its
+    eps1-empty square clears that box, it meets its root, and its shift
+    obeys delta*s + m <= (eps/2)*(s/2) with eps = 8*delta.
+    """
+    a = audit
+    out: list[str] = []
+    for i, (root, diag, e1) in enumerate(zip(a.roots, a.diagonals, a.empty_squares)):
+        if diag.bbox.x_hi - a.template_bbox.x_hi != a.m:
+            out.append(f"diagonal {i} does not stick out of the template box by exactly m")
+        if not e1.x_lo > a.template_bbox.x_hi:
+            out.append(f"eps1-empty square of diagonal {i} does not clear the template box")
+        if not copy_meets_rect(diag, root):
+            out.append(f"diagonal {i} does not meet its root")
+        if not a.delta * root.width + a.m <= (8 * a.delta / 2) * (root.width / 2):
+            out.append(f"diagonal {i} breaks the shift bound")
+    return out
 
 
 def augment_uniform(level: UniformLevel, shape: ShapeDef) -> tuple[TransformedCopy, ...]:

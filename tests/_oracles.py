@@ -16,7 +16,8 @@ from typing import Iterator, Optional, Sequence
 
 from trifree.geometry import HORIZONTAL, Rect, Seg, clip_seg_to_rect, seg_intersect
 from trifree.graphs import Graph
-from trifree.shapes import TransformedCopy, copies_intersect
+from trifree.independent import ConstructionLevel, make_diagonal, split_probe
+from trifree.shapes import ShapeDef, TransformedCopy, copies_intersect, copy_meets_rect, family_bbox
 
 
 def grid_points_on_seg(s: Seg) -> set[tuple[int, int]]:
@@ -93,6 +94,52 @@ def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:
                             [(i, j) for i, j in combinations(range(len(copies)), 2)
                              if copies_intersect(copies[i], copies[j])],
                             tuple(c.lineage for c in copies))
+
+
+def pierced_bruteforce(copies: Sequence[TransformedCopy], rect: Rect) -> list[int]:
+    """Every copy meeting ``rect``, by testing each one."""
+    return [i for i, c in enumerate(copies) if copy_meets_rect(c, rect)]
+
+
+def step_contact_law_violations(prev: ConstructionLevel, level: ConstructionLevel,
+                                shape: ShapeDef) -> list[str]:
+    """The paper's contact laws for the recursion step ``prev`` -> ``level``,
+    checked with all-pairs scans; empty when they hold.
+
+    Diagonal law: the diagonal of each previous probe meets exactly the
+    copies the probe pierces, and so does the probe's upper part.  Probe
+    law, read from ``level.probes`` in claim order (outer probe P, previous
+    probe Q, upper before lower): the upper probe pierces P's copies and
+    the embedded diagonal of Q; the lower probe pierces P's copies and the
+    embedded copies Q pierces, never the diagonal of Q.
+    """
+    out: list[str] = []
+    bbox = family_bbox(prev.family)
+    for i, p in enumerate(prev.probes):
+        diag = make_diagonal(p, shape, bbox)
+        neighbors = [j for j, c in enumerate(prev.family) if copies_intersect(diag, c)]
+        upper_pierced = pierced_bruteforce(prev.family, split_probe(p)[0])
+        if not neighbors == upper_pierced == sorted(p.pierced):
+            out.append(f"diagonal {i}: pierced {sorted(p.pierced)}, "
+                       f"neighbors {neighbors}, upper part {upper_pierced}")
+    s, n = len(prev.family), len(prev.probes)
+    if len(level.probes) != 2 * n * n:
+        return out + [f"{len(level.probes)} probes, expected {2 * n * n}"]
+    for i, outer in enumerate(prev.probes):
+        offset = s + i * (s + n)
+        for j, inner in enumerate(prev.probes):
+            dq = offset + s + j
+            laws = (("upper", set(outer.pierced) | {dq}),
+                    ("lower", set(outer.pierced) | {offset + t for t in inner.pierced}))
+            for t, (kind, expected) in enumerate(laws):
+                probe = level.probes[2 * (i * n + j) + t]
+                actual = pierced_bruteforce(level.family, probe.rect)
+                if not actual == list(probe.pierced) == sorted(expected):
+                    out.append(f"{kind} probe of ({i}, {j}): law {sorted(expected)}, "
+                               f"claimed {list(probe.pierced)}, actual {actual}")
+                if kind == "lower" and dq in actual:
+                    out.append(f"lower probe of ({i}, {j}) meets the diagonal of {j}")
+    return out
 
 
 def proper_colorings(g: Graph, max_colors: int) -> Iterator[tuple[int, ...]]:

@@ -29,6 +29,7 @@ from _oracles import (
     rect_relation_grid,
     rect_relations,
     segs_intersect_grid,
+    step_contact_law_violations,
 )
 
 HALF = Fraction(1, 2)
@@ -194,24 +195,8 @@ def test_criterion_9_contact_laws():
     frame = catalog()["frame"]
     level = base_level(frame)
     for _ in range(2):  # steps to k = 2 and k = 3
-        prev = level
-        level, report = next_level(prev, frame)
-        s_prev = len(prev.family)
-        helper_size = s_prev + len(prev.probes)
-        for law in report.diagonals:
-            assert law.neighbors == law.pierced, "diagonal neighborhood law"
-            assert law.upper_pierced == law.pierced, "upper-part piercing law"
-        for law in report.probes:
-            offset = s_prev + law.outer_probe * helper_size
-            dq = offset + s_prev + law.inner_probe
-            outer = frozenset(prev.probes[law.outer_probe].pierced)
-            if law.kind == "upper":
-                assert law.actual == outer | {dq}, "upper probe contact law"
-            else:
-                inner = frozenset(offset + j
-                                  for j in prev.probes[law.inner_probe].pierced)
-                assert law.actual == outer | inner, "lower probe contact law"
-                assert dq not in law.actual, "lower probe must avoid the diagonal"
+        prev, level = level, next_level(level, frame)
+        assert step_contact_law_violations(prev, level, frame) == []
     _report(9, t0, "diagonal, upper, and lower contact laws as exact set "
                    "equalities at every step up to k = 3")
 

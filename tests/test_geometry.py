@@ -91,6 +91,13 @@ def test_rat_string_round_trip():
         assert rat_str(as_rat(text)) == text
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1e10000000", "0.0", " 0 ", "+1", "1/-2",
+                                  "", "1/", "/2", "1/2\n", "\u0663", "inf", "nan"])
+def test_rat_strings_outside_the_written_grammar_are_refused(text):
+    with pytest.raises(ValueError):
+        as_rat(text)
+
+
 def _random_seg(rng, span=8):
     o = rng.choice((HORIZONTAL, VERTICAL))
     a, b = sorted(rng.randint(0, span) for _ in range(2))

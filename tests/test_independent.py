@@ -29,7 +29,12 @@ from trifree.shapes import (
     stabs_vertically,
 )
 
-from _oracles import RectRelation, proper_colorings, rect_relations
+from _oracles import (
+    RectRelation,
+    proper_colorings,
+    rect_relations,
+    step_contact_law_violations,
+)
 
 
 def test_size_formulas_frozen_values():
@@ -112,29 +117,24 @@ def test_family_stays_inside_unit_box(independent_levels):
         assert family_bbox(level.family) == Rect(0, 1, 0, 1)
 
 
-def test_contact_laws_reported_per_step(frame):
-    level = base_level(frame)
-    for _ in range(2):
-        level, report = next_level(level, frame)
-        for law in report.diagonals:
-            assert law.neighbors == law.pierced == law.upper_pierced
-        for law in report.probes:
-            assert law.actual == law.expected
-        uppers = [law for law in report.probes if law.kind == "upper"]
-        lowers = [law for law in report.probes if law.kind == "lower"]
-        assert len(uppers) == len(lowers) == len(level.probes) // 2
+def test_contact_laws_reported_per_step():
+    for shape in catalog().values():
+        level = base_level(shape)
+        for _ in range(2):
+            prev, level = level, next_level(level, shape)
+            assert step_contact_law_violations(prev, level, shape) == []
 
 
 def test_lower_probe_is_disjoint_from_its_diagonal(frame):
     # the lower probe of (P, Q) must not meet Q's diagonal, which lives in
     # the upper split of Q; walk one step and check geometrically
-    level1 = base_level(frame)
-    level2, report = next_level(level1, frame)
+    level2 = next_level(base_level(frame), frame)
     diag_ids = [i for i, c in enumerate(level2.family) if "diagonal" in c.lineage]
-    for law, probe in zip(report.probes, level2.probes):
-        if law.kind == "lower":
-            for d in diag_ids:
-                assert d not in probe.pierced
+    assert diag_ids
+    for probe in level2.probes[1::2]:  # claim order: upper, then lower
+        for d in diag_ids:
+            assert d not in probe.pierced
+            assert not copy_meets_rect(level2.family[d], probe.rect)
 
 
 def test_diagonal_neighborhoods_are_independent_sets(independent_levels, frame):

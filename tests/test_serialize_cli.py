@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,90 @@ def test_uniform_round_trip_bit_exact(frame):
     assert [p.rect for p in loaded.probes] == [p.rect for p in level.probes]
     assert loaded.probes == level.probes
     assert verify_family(loaded) == []
+
+
+# SHA-256 of the ``build`` output of each family, as first written; any
+# change to the construction, its order or its JSON shows up here.
+_GOLDEN = [
+    ("independent", "frame", 1, None, True,
+     "f4140301ab07c7041693ec7a8a9c7fda7f7526777b7416537b6af3667e291aff"),
+    ("independent", "frame", 1, None, False,
+     "fa1257981ac19ef0839b59bf64e2a464532ada35908587a663086db7b67895cc"),
+    ("independent", "frame", 2, None, True,
+     "f749c8897045e9232ea181b3aa402ed7051b6033bf855de52c7dcea7198c7318"),
+    ("independent", "frame", 2, None, False,
+     "e4b3511747ab1c719a5297b6bce4b34caf2cbed7f1d74f878a3e3524ff82c7a8"),
+    ("independent", "frame", 3, None, True,
+     "1e34b02b84ab074703e340e5c72c216b4992b5fccf68f042d80d90742fae91a2"),
+    ("independent", "frame", 3, None, False,
+     "617003459f3452ee914a33190bcc2fc8ce91f18c6afcaa17b31783c05abfa127"),
+    ("independent", "lshape", 1, None, True,
+     "6fe8767613dc593595aeef9b1d66b98c5e090283b77d4acf1b6fc17a07979dd6"),
+    ("independent", "lshape", 1, None, False,
+     "65ac5bafe830e25fd3395f18f9a14394ae21207d0dc6f85f0c075789ad76fd08"),
+    ("independent", "lshape", 2, None, True,
+     "79e2fe6c7666767eace4fe1c6acebd8f27126190b7aa9441430ac5465a32cc27"),
+    ("independent", "lshape", 2, None, False,
+     "819d39d9ae29be62dc20286d6ce3ff1ab8f9f95ce8922b81bfaaea9e61b4ac01"),
+    ("independent", "lshape", 3, None, True,
+     "e1c07e90be66008be52e9c3406710f5819184cb7da55751ae7cb18b17f0629a4"),
+    ("independent", "lshape", 3, None, False,
+     "f5c1329c4379a8038902d3c12ba8b49e67aa5a95586a41b96b1a5a647e439ecd"),
+    ("independent", "cross", 1, None, True,
+     "524b8d15499ba7bec35e075919a4bfc2ccb52148df081d0f57de58fd05ffda84"),
+    ("independent", "cross", 1, None, False,
+     "1dfad6d390fc1747b6018435a292ede80dc46668be557910e57aa42a06e521c0"),
+    ("independent", "cross", 2, None, True,
+     "ba9022ad1302d995c7e198ee3a866d8b2af6a70d6044942f61834c2d1982cd7e"),
+    ("independent", "cross", 2, None, False,
+     "2353911e0acd9fbe783d8208cdc2d93ababa1e327788374b94e540226421c08b"),
+    ("independent", "cross", 3, None, True,
+     "7edc9d31020ffac2da1b553f00a8e7bbdbd2141a686ebab6e73ab656c71fd30f"),
+    ("independent", "cross", 3, None, False,
+     "f98412b62744d0d467e0392e2cf033a8d3bd13dca6401c431f8d2a1d30cfe59b"),
+    ("independent", "frame", 4, None, True,
+     "4307d6b07121cbd014fd03617df8b3c386f4b4a6ee01e5d47bf6340fa150696f"),
+    ("independent", "frame", 4, None, False,
+     "1f6dfd6704ed4017ce0349119aa33c0fa345300c716f805327cf01279ce99086"),
+    ("uniform", "frame", 1, "1/2", True,
+     "cb663308948fa42b2acf92feae689aab518cd21c72046a03aea393dd23941596"),
+    ("uniform", "frame", 1, "1/2", False,
+     "d3085c74cf6e332a4c2c7bed63fda17f6f625c5b9f9545e450b7e6da3a4d7344"),
+    ("uniform", "frame", 2, "1/2", True,
+     "9d58bda987e897b3338d323d6da572583b76e0f54e77af83f6496d0e46ddbc92"),
+    ("uniform", "frame", 2, "1/2", False,
+     "07e2302ef016eca59426b0ea402a9d3f744b25971ea540dfc4d2ebf33f8f490c"),
+    ("uniform", "frame", 3, "1/2", True,
+     "764198e354e7e2d70064c5ff8dcc654c5d0a88876a538d490df1c57ce7224f1d"),
+    ("uniform", "frame", 3, "1/2", False,
+     "125349e10a0070caa857d5d936364d9dfb3a69209b4c557a62f34101bcc4d94e"),
+    ("uniform", "frame", 1, "5/8", True,
+     "a08296e6bb3b48143405bc2381acab1faae28abe39484f99608609e0391e2809"),
+    ("uniform", "frame", 1, "5/8", False,
+     "510faeb39484fcb54f8a5860b48e58b697eceff505c614f8f8a1437789cada6b"),
+    ("uniform", "frame", 2, "5/8", True,
+     "0991d2a83ec80a165d8c325c46ed352e5c61aa698d4daeabdf4783216f1cf2ba"),
+    ("uniform", "frame", 2, "5/8", False,
+     "a800676607eed8d5afb08b9e7f5457e9d1a2fba9a83c8998c5b57d09261778ab"),
+    ("uniform", "frame", 3, "5/8", True,
+     "93f213ea12a4d5ec03ce39ed663185147eb2ebb6cf45174fb451eb566b3181d5"),
+    ("uniform", "frame", 3, "5/8", False,
+     "c14752d05b85eb77341a96e08c5584d29fc947706a099ca48c00ffc1f202239a"),
+]
+
+
+@pytest.mark.parametrize("mode, shape_name, k, epsilon, augmented, digest", _GOLDEN)
+def test_build_output_is_byte_identical(mode, shape_name, k, epsilon, augmented, digest):
+    shape = catalog()[shape_name]
+    if mode == "independent":
+        level = build(k, shape)
+        doc = serialize.independent_to_doc(
+            level, shape, augment(level, shape) if augmented else None)
+    else:
+        level = build_uniform(k, Fraction(epsilon), shape)
+        doc = serialize.uniform_to_doc(
+            level, shape, augment_uniform(level, shape) if augmented else None)
+    assert hashlib.sha256(serialize.dumps(doc).encode()).hexdigest() == digest
 
 
 def test_encoded_round_trip_and_verify(frame):
@@ -199,6 +284,9 @@ def test_cli_uniform_build_requires_epsilon(tmp_path):
     assert r.returncode == 2
     r = _run_cli("build", "--mode", "independent", "--k", "1", "--epsilon", "1/2")
     assert r.returncode == 2
+    r = _run_cli("build", "--mode", "uniform", "--k", "1", "--epsilon", "1/0")
+    assert r.returncode == 3
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
     fam = tmp_path / "u.json"
     r = _run_cli("build", "--mode", "uniform", "--k", "2", "--epsilon", "1/2",
                  "--out", str(fam))
@@ -263,14 +351,21 @@ def _encoded_doc():
     (_set("base_size", -3), "error:"),
     (_set("probes", 0, "pierced", [999]), "error:"),
     (lambda doc: {**_encoded_doc(), "k": 1000000}, "VIOLATION: encoded: k=1000000"),
+    (_set("copies", 0, "sx", "1/0"), "error:"),
+    (_set("copies", 0, "ty", "1e10000000"), "error:"),
+    (_set("copies", 0, "tx", "0.0"), "error:"),
+    (_set("copies", 0, "tx", " 0 "), "error:"),
+    (lambda doc: "[" * 200_000, "error:"),
 ], ids=["float-coordinate", "string-k", "k40", "list-document", "bool-k", "zero-k",
         "string-pierced", "string-base-size", "string-augmented", "int-lineage",
-        "empty-copies", "negative-base-size", "pierced-out-of-range", "encoded-huge-k"])
+        "empty-copies", "negative-base-size", "pierced-out-of-range", "encoded-huge-k",
+        "zero-denominator", "exponent", "decimal-point", "padded", "deep-nesting"])
 def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
     doc = json.loads(family_file.read_text())
     doc = tamper(doc) or doc
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    # a tamper that returns a string gives the file's text itself
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     # a document the loader rejects fails every command that reads it
     for command in ("verify", "chi") if marker == "error:" else ("verify",):
         r = _run_cli(command, "--family", str(path), timeout=10)

@@ -1,22 +1,22 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from trifree.geometry import Rect
+from trifree.geometry import Rect, XYTransform
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
     probe_coloring_audit,
 )
-from trifree.independent import size_formulas
+from trifree.independent import grow_probe, size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
 from trifree.uniform import (
     augment_uniform,
     build_uniform,
-    carve_probe,
-    diagonal_checks,
+    helper_law,
 )
 
 from _oracles import RectRelation, proper_colorings, rect_relations
@@ -26,22 +26,22 @@ HALF = Fraction(1, 2)
 
 def test_carve_probe_frozen_examples():
     # side 1, gap 0: height (1+0)/(1+eps) = 2/3
-    probe = carve_probe(Rect(0, 1, 0, 1), HALF, Rect(-5, 1, -5, 5))
+    probe = grow_probe(Rect(0, 1, 0, 1), Rect(-5, 1, -5, 5), HALF)
     assert probe.rect == Rect(0, 1, 0, Fraction(2, 3))
     assert probe.root == Rect(0, Fraction(2, 3), 0, Fraction(2, 3))
     # extreme allowed gap d = eps * side: the root fills the square
-    probe = carve_probe(Rect(0, 1, 0, 1), HALF, Rect(-5, Fraction(3, 2), -5, 5))
+    probe = grow_probe(Rect(0, 1, 0, 1), Rect(-5, Fraction(3, 2), -5, 5), HALF)
     assert probe.root == Rect(0, 1, 0, 1)
     assert probe.rect.width == (1 + HALF) * probe.rect.height
 
 
 def test_carve_probe_rejects_wide_gap():
     with pytest.raises(ValueError):
-        carve_probe(Rect(0, 1, 0, 1), HALF, Rect(-5, 2, -5, 5))
+        grow_probe(Rect(0, 1, 0, 1), Rect(-5, 2, -5, 5), HALF)
     with pytest.raises(ValueError):  # square past the right edge
-        carve_probe(Rect(0, 1, 0, 1), HALF, Rect(-5, Fraction(1, 2), -5, 5))
+        grow_probe(Rect(0, 1, 0, 1), Rect(-5, Fraction(1, 2), -5, 5), HALF)
     with pytest.raises(ValueError):  # not a square
-        carve_probe(Rect(0, 2, 0, 1), HALF, Rect(-5, 2, -5, 5))
+        grow_probe(Rect(0, 2, 0, 1), Rect(-5, 2, -5, 5), HALF)
 
 
 def test_base_uniform_probe_at_half(uniform_levels):
@@ -89,12 +89,23 @@ def test_eps1_stays_below_half_eps(uniform_levels):
         assert 0 < level.audit.eps1 < 1
 
 
-def test_diagonal_checks_all_pass(uniform_levels):
-    assert diagonal_checks(uniform_levels[1]) == ()
+def test_helper_law_holds_on_built_levels(uniform_levels):
+    assert uniform_levels[1].audit is None
     for k in (2, 3):
-        checks = diagonal_checks(uniform_levels[k])
-        assert len(checks) == len(uniform_levels[k].audit.diagonals)
-        assert all(c.ok for c in checks)
+        assert helper_law(uniform_levels[k].audit) == []
+
+
+def test_helper_law_reports_a_tampered_audit(uniform_levels):
+    audit = uniform_levels[3].audit
+    n = len(audit.diagonals)
+    doubled = helper_law(replace(audit, m=2 * audit.m))
+    assert [f"diagonal {i} does not stick out of the template box by exactly m"
+            for i in range(n)] == [msg for msg in doubled if "stick out" in msg]
+    # moved right by a whole root: off its root, and sticking out too far
+    off = audit.diagonals[0].rebase(XYTransform(1, 1, audit.roots[0].width, 0))
+    moved = helper_law(replace(audit, diagonals=(off,) + audit.diagonals[1:]))
+    assert moved == ["diagonal 0 does not stick out of the template box by exactly m",
+                     "diagonal 0 does not meet its root"]
 
 
 def test_diagonal_shift_inequality_holds(uniform_levels):
