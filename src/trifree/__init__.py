@@ -26,7 +26,7 @@ from .shapes import (
     validate_features,
 )
 from .independent import (
-    ConstructionLevel,
+    Level,
     Probe,
     augment,
     build,
@@ -37,7 +37,6 @@ from .independent import (
     split_probe,
 )
 from .uniform import (
-    UniformLevel,
     augment_uniform,
     build_uniform,
     helper_law,
@@ -54,16 +53,13 @@ from .game import (
     overlaps,
     run_game,
 )
-from .encoding import FrameFamily, StrategyTree, certify, encode, expand_tree
+from .encoding import FrameFamily, StrategyTree, encode, expand_tree
 from .graphs import (
     ChromaticResult,
     Graph,
     chromatic_number,
-    clique_number,
-    greedy_coloring,
     intersection_graph,
     is_triangle_free,
-    parse_dimacs,
     to_dimacs,
 )
 from .verify import verify_family

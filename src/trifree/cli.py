@@ -68,13 +68,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.mode == "independent":
         level = build(args.k, shape)
         extra = augment(level, shape) if args.augment else None
-        doc = serialize.independent_to_doc(level, shape, extra)
     else:
-        epsilon = as_rat(args.epsilon)
-        level = build_uniform(args.k, epsilon, shape)
+        level = build_uniform(args.k, as_rat(args.epsilon), shape)
         extra = augment_uniform(level, shape) if args.augment else None
-        doc = serialize.uniform_to_doc(level, shape, extra)
-    _write(args.out, serialize.dumps(doc))
+    _write(args.out, serialize.dumps(serialize.level_to_doc(level, shape, extra)))
     return EXIT_OK
 
 

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from .errors import fail_on
 from .game import Interval, game_tree, overlaps
 from .geometry import Rat, XYTransform
-from .graphs import ChromaticResult, chromatic_number, intersection_graph, is_triangle_free
 from .shapes import ShapeDef, TransformedCopy, catalog, copies_intersect, meeting_pairs
 
 
@@ -151,23 +150,3 @@ def encode(tree: StrategyTree, shape: Optional[ShapeDef] = None) -> FrameFamily:
                                    f"frame(node{n.index})") for n in nodes)
     fail_on(frame_law(nodes, copies))
     return FrameFamily(copies, nodes)
-
-
-@dataclass(frozen=True)
-class CertifyReport:
-    k: int
-    n: int
-    triangle_free: bool
-    chi: ChromaticResult
-
-    @property
-    def ok(self) -> bool:
-        bound = self.chi.upper if self.chi.exact else self.chi.lower
-        return self.triangle_free and bound >= self.k + 1
-
-
-def certify(family: FrameFamily, k: int,
-            timeout: Optional[float] = None) -> CertifyReport:
-    """Triangle-freeness and the exact chromatic number of the encoded family."""
-    g = intersection_graph(family.copies)
-    return CertifyReport(k, g.n, is_triangle_free(g), chromatic_number(g, timeout))

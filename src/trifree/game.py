@@ -99,10 +99,6 @@ class GameTranscript:
             raise IllegalColorError(f"color {color} already used by an overlap neighbor")
         self.moves.append((iv, color))
 
-    def chain_at(self, x: Rat) -> Chain:
-        """The presented intervals meeting [x, infinity), in move order."""
-        return tuple((iv, c) for iv, c in self.moves if iv.hi >= x)
-
     @property
     def colors_used(self) -> int:
         return len({c for _, c in self.moves})
@@ -183,10 +179,6 @@ class PresenterSession:
         self.current: Optional[Interval] = next(self._gen)
         self.certified: Optional[Chain] = None
         self.point: Optional[Rat] = None
-
-    @property
-    def done(self) -> bool:
-        return self.current is None
 
     def respond(self, color: int) -> Optional[Interval]:
         """Feed Painter's color for the current interval; returns the next

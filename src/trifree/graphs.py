@@ -102,34 +102,10 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def clique_number(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    if g.m == 0:
-        return 1
-    if is_triangle_free(g):
-        return 2
-    return len(max_clique(g))
-
-
 def verify_coloring(g: Graph, colors: Sequence[int]) -> bool:
     if len(colors) != g.n or any(c < 1 for c in colors):
         return False
     return all(colors[u] != colors[v] for u, v in g.edges())
-
-
-def greedy_coloring(g: Graph, order: Optional[Sequence[int]] = None) -> list[int]:
-    """First-fit along the given order (default: vertex index order)."""
-    order = list(order) if order is not None else list(range(g.n))
-    colors = [0] * g.n
-    for v in order:
-        used = {colors[u] for u in g.adj[v] if colors[u]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    assert verify_coloring(g, colors)
-    return colors
 
 
 def dsatur_order_coloring(g: Graph) -> list[int]:
@@ -258,26 +234,6 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     return ChromaticResult(lb, best_num, False, witness, clique)
 
 
-@dataclass(frozen=True)
-class ProbeAudit:
-    per_probe: tuple[frozenset[int], ...]  # color set on each probe's pierced copies
-    max_colors: int
-
-
-def probe_coloring_audit(level, coloring: Sequence[int]) -> ProbeAudit:
-    """Color sets seen on each probe's pierced copies under a proper coloring.
-
-    ``level`` is any built level exposing ``family`` and ``probes``; the
-    coloring must be proper for the family's intersection graph or the
-    audit refuses to run.
-    """
-    g = intersection_graph(level.family)
-    if not verify_coloring(g, coloring):
-        raise ValueError("coloring is not a proper coloring of the family")
-    per_probe = tuple(frozenset(coloring[i] for i in p.pierced) for p in level.probes)
-    return ProbeAudit(per_probe, max((len(s) for s in per_probe), default=0))
-
-
 def to_dimacs(g: Graph, comment: str = "") -> str:
     lines = []
     if comment:
@@ -287,24 +243,3 @@ def to_dimacs(g: Graph, comment: str = "") -> str:
     for u, v in sorted(g.edges()):
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dimacs(text: str) -> Graph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"bad problem line: {line!r}")
-            n = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
-        else:
-            raise ValueError(f"unknown dimacs line: {line!r}")
-    if n is None:
-        raise ValueError("missing problem line")
-    return Graph.from_edges(n, edges)

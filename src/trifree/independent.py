@@ -14,7 +14,9 @@ diagonal per probe then pushes the chromatic number past k.
 This construction and the homothet one in ``uniform`` share one
 recursion step, ``embed_helpers``: it embeds a helper family in every
 outer probe's root and claims the new probes by one contact law.  The two
-differ only in geometry: where the helper and the new roots go.
+differ only in geometry: where the helper and the new roots go.  Both
+return the one ``Level`` record, whose ``epsilon`` is set for homothet
+levels alone, and ``serialize.level_to_doc`` writes either.
 
 Nothing here is trusted: every structural claim used by the recursion
 (diagonal contact sets, probe conditions, disjointness) is re-verified
@@ -63,11 +65,16 @@ class Probe:
 
 
 @dataclass(frozen=True)
-class ConstructionLevel:
+class Level:
+    """Level k of either construction: s_k copies and p_k probes.  A level
+    of the homothet construction carries its probe parameter ``epsilon``;
+    one built under independent scaling has None."""
+
     k: int
     shape_id: str
     family: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
+    epsilon: Optional[Rat] = None
 
 
 def _sizes() -> Iterator[tuple[int, int]]:
@@ -247,11 +254,11 @@ def finish_probes(claims: Sequence[tuple[Rect, frozenset[int]]],
     return probes
 
 
-def base_level(shape: ShapeDef) -> ConstructionLevel:
+def base_level(shape: ShapeDef) -> Level:
     """Level 1: the shape itself; the probe extends E to the right edge."""
     copy = TransformedCopy(shape.name, shape.shape, XYTransform.identity(), "outer")
     probes = finish_probes([(shape.features.empty_rect, frozenset({0}))], [copy], copy.bbox)
-    return ConstructionLevel(1, shape.name, (copy,), tuple(probes))
+    return Level(1, shape.name, (copy,), tuple(probes))
 
 
 def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
@@ -297,7 +304,7 @@ def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
     return copies, probes
 
 
-def next_level(prev: ConstructionLevel, shape: ShapeDef) -> ConstructionLevel:
+def next_level(prev: Level, shape: ShapeDef) -> Level:
     """One recursion step: the augmented previous level is the helper, and
     a copy shrunk to half size goes in the middle of every probe's root.
 
@@ -331,10 +338,10 @@ def next_level(prev: ConstructionLevel, shape: ShapeDef) -> ConstructionLevel:
               for p, (_, lower) in zip(prev.probes, splits)]
     copies, probes = embed_helpers(prev.k + 1, prev.family, prev.probes, helper,
                                    prev.probes, embeds, uppers, lowers)
-    return ConstructionLevel(prev.k + 1, shape.name, tuple(copies), tuple(probes))
+    return Level(prev.k + 1, shape.name, tuple(copies), tuple(probes))
 
 
-def build(k: int, shape: ShapeDef) -> ConstructionLevel:
+def build(k: int, shape: ShapeDef) -> Level:
     """Level k of the construction for the given catalog shape."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -344,7 +351,7 @@ def build(k: int, shape: ShapeDef) -> ConstructionLevel:
     return level
 
 
-def augment(level: ConstructionLevel, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
+def augment(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     """Attach one diagonal per probe, raising the forced color count by one.
 
     The result has s_k + p_k members; each new diagonal meets exactly the

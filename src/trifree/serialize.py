@@ -1,7 +1,11 @@
 """JSON persistence for families, strategy trees, and game transcripts.
 
 Rationals travel as 'p/q' strings (integers may omit '/1'), so a parse
-of a serialize reproduces every coordinate bit for bit.
+of a serialize reproduces every coordinate bit for bit.  One writer,
+``level_to_doc``, serves both constructions: a level's ``epsilon`` makes
+its document a uniform one, with the anchored shape and the ``epsilon``
+field.  ``encoded_to_doc`` writes strategy-tree families, and
+``doc_to_family`` reads all three modes back.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ from typing import Any, Optional, Sequence
 from .encoding import FrameFamily, StrategyTree, TreeNode
 from .game import GameResult, Interval
 from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
-from .independent import ConstructionLevel, Probe
+from .independent import Level, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
-from .uniform import UniformLevel
 
 
 def seg_to_json(s: Seg) -> dict:
@@ -96,41 +99,26 @@ def _tree_node_from_json(d: dict) -> TreeNode:
     return node
 
 
-def independent_to_doc(level: ConstructionLevel, shape: ShapeDef,
-                       augmented: Optional[Sequence[TransformedCopy]] = None) -> dict:
-    copies = list(augmented) if augmented is not None else list(level.family)
-    return {
-        "shape": shape_to_json(shape, anchored=False),
-        "mode": "independent",
+def level_to_doc(level: Level, shape: ShapeDef,
+                 augmented: Optional[Sequence[TransformedCopy]] = None) -> dict:
+    """The document of a built level, independent or uniform by whether it
+    carries an ``epsilon``; ``augmented`` (the level plus its diagonals)
+    replaces the level's copies when given."""
+    uniform = level.epsilon is not None
+    doc: dict[str, Any] = {
+        "shape": shape_to_json(shape, anchored=uniform),
+        "mode": "uniform" if uniform else "independent",
         "k": level.k,
+    }
+    if uniform:
+        doc["epsilon"] = rat_str(level.epsilon)
+    copies = augmented if augmented is not None else level.family
+    doc.update({
         "augmented": augmented is not None,
         "base_size": len(level.family),
         "copies": [copy_to_json(c) for c in copies],
         "probes": [_probe_to_json(p) for p in level.probes],
-    }
-
-
-def uniform_to_doc(level: UniformLevel, shape: ShapeDef,
-                   augmented: Optional[Sequence[TransformedCopy]] = None) -> dict:
-    copies = list(augmented) if augmented is not None else list(level.family)
-    doc = {
-        "shape": shape_to_json(shape, anchored=True),
-        "mode": "uniform",
-        "k": level.k,
-        "epsilon": rat_str(level.epsilon),
-        "augmented": augmented is not None,
-        "base_size": len(level.family),
-        "copies": [copy_to_json(c) for c in copies],
-        "probes": [_probe_to_json(p) for p in level.probes],
-    }
-    if level.audit is not None:
-        a = level.audit
-        widths = [r.width for r in a.roots]
-        doc["params"] = {
-            "s_min": rat_str(min(widths)), "s_max": rat_str(max(widths)),
-            "m": rat_str(a.m), "eps1": rat_str(a.eps1),
-            "s": rat_str(a.square_side), "t": rat_str(a.min_root),
-        }
+    })
     return doc
 
 

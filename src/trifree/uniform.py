@@ -3,14 +3,16 @@
 
 Level (k, eps) mirrors the independent-scaling recursion, but every
 copy is a homothet and every probe is an eps-probe: its root is an
-empty *square* and its width/height ratio is exactly 1 + eps.  Probes are
+empty *square* and its width/height ratio is exactly 1 + eps.  A level is
+an ``independent.Level`` that carries its eps, its probes are
 ``independent.Probe`` records (cut line at the root's right side), and the
 recursion step is the one ``independent.embed_helpers`` shared by both
 constructions: the same embedding of a helper per outer root, the same
 contact law for the upper and lower probes, and the same seal, with
 ``epsilon`` making every probe an eps-probe (``independent.grow_probe``
 carves it) checked as one.  ``independent.diagonal_law`` checks the
-closing diagonals.
+closing diagonals.  The helper law is checked on each helper as it is
+built, from the ``HelperAudit`` that ``_make_helper`` returns.
 
 One recursion step, for the target parameter eps:
 
@@ -35,7 +37,6 @@ All quantitative claims along the way are asserted, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
@@ -47,7 +48,7 @@ from .shapes import (
     copy_meets_rect,
     family_bbox,
 )
-from .independent import Probe, diagonal_law, embed_helpers, finish_probes
+from .independent import Level, diagonal_law, embed_helpers, finish_probes
 
 
 @dataclass(frozen=True)
@@ -61,18 +62,6 @@ class HelperAudit:
     roots: tuple[Rect, ...]
     diagonals: tuple[TransformedCopy, ...]
     empty_squares: tuple[Rect, ...]
-    square_side: Rat    # side of the smallest square containing the helper
-    min_root: Rat       # smallest upper/lower root side
-
-
-@dataclass(frozen=True)
-class UniformLevel:
-    k: int
-    epsilon: Rat
-    shape_id: str
-    family: tuple[TransformedCopy, ...]
-    probes: tuple[Probe, ...]
-    audit: Optional[HelperAudit] = None
 
 
 def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
@@ -101,7 +90,7 @@ def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
     return TransformedCopy(shape.name, anchor.shape, t, lineage)
 
 
-def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
+def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         list[TransformedCopy], list[Rect], list[Rect], HelperAudit]:
     """Diagonals plus upper/lower roots for the inner template."""
     anchor = _require_anchor(shape)
@@ -136,17 +125,14 @@ def _make_helper(inner: UniformLevel, eps: Rat, shape: ShapeDef) -> tuple[
                 raise ConstructionError(f"{name} root {i} is not a square")
             if any(copy_meets_rect(helper[j], r) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
-    helper_bbox = family_bbox(helper)
     audit = HelperAudit(delta, m, eps1, bbox0,
                         tuple(p.root for p in inner.probes),
-                        tuple(diagonals), tuple(uppers),
-                        max(helper_bbox.width, helper_bbox.height),
-                        min(r.width for r in uppers + lowers))
+                        tuple(diagonals), tuple(uppers))
     fail_on(helper_law(audit))
     return helper, uppers, lowers, audit
 
 
-def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
+def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
     """Level (k, eps) of the homothet construction."""
     anchor = _require_anchor(shape)
     if not (0 < epsilon < 1):
@@ -158,13 +144,14 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
         copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
         probes = finish_probes([(anchor.empty_square(epsilon), frozenset({0}))], [copy],
                                copy.bbox, epsilon)
-        return UniformLevel(1, epsilon, shape.name, (copy,), tuple(probes))
+        return Level(1, shape.name, (copy,), tuple(probes), epsilon)
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
-    helper, uppers, lowers, audit = _make_helper(inner, epsilon, shape)
+    helper, uppers, lowers, _ = _make_helper(inner, epsilon, shape)
     helper_bbox = family_bbox(helper)
-    side = audit.square_side
-    outer = build_uniform(k - 1, epsilon * audit.min_root / (2 * side), shape)
+    side = max(helper_bbox.width, helper_bbox.height)
+    min_root = min(r.width for r in uppers + lowers)
+    outer = build_uniform(k - 1, epsilon * min_root / (2 * side), shape)
     embeds = []
     for p in outer.probes:
         factor = p.root.width / side
@@ -177,7 +164,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> UniformLevel:
                                    embeds, uppers, lowers, epsilon)
     if any(not c.transform.is_uniform for c in copies):
         raise ConstructionError("a copy is not a homothet")
-    return UniformLevel(k, epsilon, shape.name, tuple(copies), tuple(probes), audit)
+    return Level(k, shape.name, tuple(copies), tuple(probes), epsilon)
 
 
 def helper_law(audit: HelperAudit) -> list[str]:
@@ -202,7 +189,7 @@ def helper_law(audit: HelperAudit) -> list[str]:
     return out
 
 
-def augment_uniform(level: UniformLevel, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
+def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     """Attach one diagonal homothet per probe, forcing one extra color.
 
     Each diagonal's bounding square has side max(s/2, eps*s) for a root

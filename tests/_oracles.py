@@ -5,18 +5,32 @@ oracle rasterizes over the integer grid (exact for integer-coordinate
 inputs), the coloring oracle is a static-order backtracking over all
 colorings up to color renaming, with no saturation ordering, no clique
 bounds, and no branch-and-bound pruning, and the box and graph oracles
-test every pair instead of sweeping.
+test every pair instead of sweeping.  The helpers below them (a
+transcript's chain at a point, clique number, first-fit coloring, DIMACS
+parsing, probe color audits and the encoded family's certificate) have
+no caller in the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from trifree.geometry import HORIZONTAL, Rect, Seg, clip_seg_to_rect, seg_intersect
-from trifree.graphs import Graph
-from trifree.independent import ConstructionLevel, make_diagonal, split_probe
+from trifree.encoding import FrameFamily
+from trifree.game import Chain, GameTranscript
+from trifree.geometry import HORIZONTAL, Rat, Rect, Seg, clip_seg_to_rect, seg_intersect
+from trifree.graphs import (
+    ChromaticResult,
+    Graph,
+    chromatic_number,
+    intersection_graph,
+    is_triangle_free,
+    max_clique,
+    verify_coloring,
+)
+from trifree.independent import Level, make_diagonal, split_probe
 from trifree.shapes import ShapeDef, TransformedCopy, copies_intersect, copy_meets_rect, family_bbox
 
 
@@ -101,7 +115,7 @@ def pierced_bruteforce(copies: Sequence[TransformedCopy], rect: Rect) -> list[in
     return [i for i, c in enumerate(copies) if copy_meets_rect(c, rect)]
 
 
-def step_contact_law_violations(prev: ConstructionLevel, level: ConstructionLevel,
+def step_contact_law_violations(prev: Level, level: Level,
                                 shape: ShapeDef) -> list[str]:
     """The paper's contact laws for the recursion step ``prev`` -> ``level``,
     checked with all-pairs scans; empty when they hold.
@@ -191,3 +205,92 @@ def chromatic_number_bruteforce(g: Graph) -> int:
     while not _exists_coloring(g, c):
         c += 1
     return c
+
+
+def chain_at(transcript: GameTranscript, x: Rat) -> Chain:
+    """The presented intervals meeting [x, infinity), in move order."""
+    return tuple((iv, c) for iv, c in transcript.moves if iv.hi >= x)
+
+
+def clique_number(g: Graph) -> int:
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    if is_triangle_free(g):
+        return 2
+    return len(max_clique(g))
+
+
+def greedy_coloring(g: Graph, order: Optional[Sequence[int]] = None) -> list[int]:
+    """First-fit along the given order (default: vertex index order)."""
+    order = list(order) if order is not None else list(range(g.n))
+    colors = [0] * g.n
+    for v in order:
+        used = {colors[u] for u in g.adj[v] if colors[u]}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    assert verify_coloring(g, colors)
+    return colors
+
+
+def parse_dimacs(text: str) -> Graph:
+    n = None
+    edges: list[tuple[int, int]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"bad problem line: {line!r}")
+            n = int(parts[2])
+        elif parts[0] == "e":
+            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+        else:
+            raise ValueError(f"unknown dimacs line: {line!r}")
+    if n is None:
+        raise ValueError("missing problem line")
+    return Graph.from_edges(n, edges)
+
+
+@dataclass(frozen=True)
+class ProbeAudit:
+    per_probe: tuple[frozenset[int], ...]  # color set on each probe's pierced copies
+    max_colors: int
+
+
+def probe_coloring_audit(level: Level, coloring: Sequence[int]) -> ProbeAudit:
+    """Color sets seen on each probe's pierced copies under a proper coloring.
+
+    The coloring must be proper for the family's intersection graph or the
+    audit refuses to run.
+    """
+    g = intersection_graph(level.family)
+    if not verify_coloring(g, coloring):
+        raise ValueError("coloring is not a proper coloring of the family")
+    per_probe = tuple(frozenset(coloring[i] for i in p.pierced) for p in level.probes)
+    return ProbeAudit(per_probe, max((len(s) for s in per_probe), default=0))
+
+
+@dataclass(frozen=True)
+class CertifyReport:
+    k: int
+    n: int
+    triangle_free: bool
+    chi: ChromaticResult
+
+    @property
+    def ok(self) -> bool:
+        bound = self.chi.upper if self.chi.exact else self.chi.lower
+        return self.triangle_free and bound >= self.k + 1
+
+
+def certify(family: FrameFamily, k: int,
+            timeout: Optional[float] = None) -> CertifyReport:
+    """Triangle-freeness and the exact chromatic number of the encoded family."""
+    g = intersection_graph(family.copies)
+    return CertifyReport(k, g.n, is_triangle_free(g), chromatic_number(g, timeout))

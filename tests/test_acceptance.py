@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from trifree.encoding import certify, encode, expand_tree
+from trifree.encoding import encode, expand_tree
 from trifree.game import first_fit, minimax_verify, run_game
 from trifree.geometry import HORIZONTAL, VERTICAL, Rect, Seg, seg_intersect
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
-    probe_coloring_audit,
     verify_coloring,
 )
 from trifree.independent import augment, base_level, build, next_level, size_formulas
@@ -24,7 +23,9 @@ from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
+    certify,
     chromatic_number_bruteforce,
+    probe_coloring_audit,
     proper_colorings,
     rect_relation_grid,
     rect_relations,

@@ -19,6 +19,8 @@ from trifree.game import (
     run_game,
 )
 
+from _oracles import chain_at
+
 
 def test_overlap_predicate():
     assert overlaps(Interval(0, 2), Interval(1, 3))
@@ -108,7 +110,7 @@ def test_certified_chain_is_nested_with_enough_colors():
         assert all(overlaps(closer[0], iv) for iv, _ in body)
         assert len({c for _, c in res.certified_chain}) >= k + 1
         # the certified family is exactly the transcript's tail at the point
-        tail = res.transcript.chain_at(res.certified_point)
+        tail = chain_at(res.transcript, res.certified_point)
         assert set(tail) == set(res.certified_chain)
 
 

@@ -5,18 +5,22 @@ import pytest
 from trifree.graphs import (
     Graph,
     chromatic_number,
-    clique_number,
     dsatur_order_coloring,
-    greedy_coloring,
     intersection_graph,
     is_triangle_free,
     max_clique,
-    parse_dimacs,
     to_dimacs,
     verify_coloring,
 )
 
-from _oracles import chromatic_number_bruteforce, intersection_graph_bruteforce, proper_colorings
+from _oracles import (
+    chromatic_number_bruteforce,
+    clique_number,
+    greedy_coloring,
+    intersection_graph_bruteforce,
+    parse_dimacs,
+    proper_colorings,
+)
 
 
 def cycle(n: int) -> Graph:

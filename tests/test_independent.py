@@ -9,7 +9,6 @@ from trifree.graphs import (
     chromatic_number,
     intersection_graph,
     is_triangle_free,
-    probe_coloring_audit,
 )
 from trifree.independent import (
     Probe,
@@ -31,6 +30,7 @@ from trifree.shapes import (
 
 from _oracles import (
     RectRelation,
+    probe_coloring_audit,
     proper_colorings,
     rect_relations,
     step_contact_law_violations,

@@ -35,7 +35,7 @@ def _run_cli(*args, stdin=None, timeout=None):
 @pytest.fixture(scope="module")
 def family_file(tmp_path_factory, frame):
     level = build(2, frame)
-    doc = serialize.independent_to_doc(level, frame, augment(level, frame))
+    doc = serialize.level_to_doc(level, frame, augment(level, frame))
     path = tmp_path_factory.mktemp("fam") / "fam2.json"
     path.write_text(serialize.dumps(doc))
     return path
@@ -44,17 +44,17 @@ def family_file(tmp_path_factory, frame):
 def test_independent_round_trip_bit_exact(frame):
     level = build(2, frame)
     aug = augment(level, frame)
-    doc = serialize.independent_to_doc(level, frame, aug)
+    doc = serialize.level_to_doc(level, frame, aug)
     text = serialize.dumps(doc)
     loaded = serialize.doc_to_family(serialize.loads(text))
     assert loaded.copies == aug
     assert loaded.probes == level.probes
-    assert serialize.dumps(serialize.independent_to_doc(level, frame, aug)) == text
+    assert serialize.dumps(serialize.level_to_doc(level, frame, aug)) == text
 
 
 def test_uniform_round_trip_bit_exact(frame):
     level = build_uniform(2, Fraction(1, 2), frame)
-    doc = serialize.uniform_to_doc(level, frame, augment_uniform(level, frame))
+    doc = serialize.level_to_doc(level, frame, augment_uniform(level, frame))
     text = serialize.dumps(doc)
     loaded = serialize.doc_to_family(serialize.loads(text))
     assert loaded.epsilon == Fraction(1, 2)
@@ -63,8 +63,19 @@ def test_uniform_round_trip_bit_exact(frame):
     assert verify_family(loaded) == []
 
 
-# SHA-256 of the ``build`` output of each family, as first written; any
-# change to the construction, its order or its JSON shows up here.
+def test_uniform_params_block_is_neither_read_nor_written(frame):
+    level = build_uniform(2, Fraction(1, 2), frame)
+    doc = serialize.level_to_doc(level, frame, augment_uniform(level, frame))
+    # an old file's "params" block, here with nonsense values, is ignored
+    old = json.loads(serialize.dumps(doc))
+    old["params"] = {"s_min": "1", "s_max": "1", "m": "999", "eps1": "5",
+                     "s": "0", "t": "-1"}
+    assert verify_family(serialize.doc_to_family(old)) == []
+    assert "params" not in doc
+
+
+# SHA-256 of the ``build`` output of each family; any change to the
+# construction, its order or its JSON shows up here.
 _GOLDEN = [
     ("independent", "frame", 1, None, True,
      "f4140301ab07c7041693ec7a8a9c7fda7f7526777b7416537b6af3667e291aff"),
@@ -111,25 +122,25 @@ _GOLDEN = [
     ("uniform", "frame", 1, "1/2", False,
      "d3085c74cf6e332a4c2c7bed63fda17f6f625c5b9f9545e450b7e6da3a4d7344"),
     ("uniform", "frame", 2, "1/2", True,
-     "9d58bda987e897b3338d323d6da572583b76e0f54e77af83f6496d0e46ddbc92"),
+     "f10f3857155a071ab62cee62998b67f02b88959ed39b0e48c14a0bfbdf2d146b"),
     ("uniform", "frame", 2, "1/2", False,
-     "07e2302ef016eca59426b0ea402a9d3f744b25971ea540dfc4d2ebf33f8f490c"),
+     "4d5f99112272d701db868069bb05c3638b64bf204854133df6e221c59844439c"),
     ("uniform", "frame", 3, "1/2", True,
-     "764198e354e7e2d70064c5ff8dcc654c5d0a88876a538d490df1c57ce7224f1d"),
+     "d7268f624575de97ef1e6b24b43ec5724f373d85055f3c8a73b8858f69fc9b84"),
     ("uniform", "frame", 3, "1/2", False,
-     "125349e10a0070caa857d5d936364d9dfb3a69209b4c557a62f34101bcc4d94e"),
+     "60fcd2033e5c968a195973286e4a70e5a8c6cf4cad1d48c6e24aadde97f8070b"),
     ("uniform", "frame", 1, "5/8", True,
      "a08296e6bb3b48143405bc2381acab1faae28abe39484f99608609e0391e2809"),
     ("uniform", "frame", 1, "5/8", False,
      "510faeb39484fcb54f8a5860b48e58b697eceff505c614f8f8a1437789cada6b"),
     ("uniform", "frame", 2, "5/8", True,
-     "0991d2a83ec80a165d8c325c46ed352e5c61aa698d4daeabdf4783216f1cf2ba"),
+     "84f3b8e8da7a2bf906cda41919ddee792b8a524182a8c563a929bb891c66af0a"),
     ("uniform", "frame", 2, "5/8", False,
-     "a800676607eed8d5afb08b9e7f5457e9d1a2fba9a83c8998c5b57d09261778ab"),
+     "f895bdd5fc289e28ecdedd0d221912718db1a237641ab37189ae98a43ceeb65c"),
     ("uniform", "frame", 3, "5/8", True,
-     "93f213ea12a4d5ec03ce39ed663185147eb2ebb6cf45174fb451eb566b3181d5"),
+     "162433e815107be34e726e31fd115cf474f23dda3529b2776043ad148d1ec628"),
     ("uniform", "frame", 3, "5/8", False,
-     "c14752d05b85eb77341a96e08c5584d29fc947706a099ca48c00ffc1f202239a"),
+     "099d4ccb342728fcc464d87c141ff685337f222142ac7ea0907914328e9a37b2"),
 ]
 
 
@@ -138,12 +149,11 @@ def test_build_output_is_byte_identical(mode, shape_name, k, epsilon, augmented,
     shape = catalog()[shape_name]
     if mode == "independent":
         level = build(k, shape)
-        doc = serialize.independent_to_doc(
-            level, shape, augment(level, shape) if augmented else None)
+        extra = augment(level, shape) if augmented else None
     else:
         level = build_uniform(k, Fraction(epsilon), shape)
-        doc = serialize.uniform_to_doc(
-            level, shape, augment_uniform(level, shape) if augmented else None)
+        extra = augment_uniform(level, shape) if augmented else None
+    doc = serialize.level_to_doc(level, shape, extra)
     assert hashlib.sha256(serialize.dumps(doc).encode()).hexdigest() == digest
 
 
@@ -159,7 +169,7 @@ def test_encoded_round_trip_and_verify(frame):
 
 def test_verify_catches_each_kind_of_tamper(frame):
     level = build(2, frame)
-    doc = serialize.independent_to_doc(level, frame, augment(level, frame))
+    doc = serialize.level_to_doc(level, frame, augment(level, frame))
     # shift one copy
     bad = json.loads(serialize.dumps(doc))
     bad["copies"][1]["tx"] = "9/7"
@@ -176,7 +186,7 @@ def test_verify_catches_each_kind_of_tamper(frame):
 
 def test_verify_reports_tampered_uniform_root_cut(frame):
     level = build_uniform(2, Fraction(1, 2), frame)
-    doc = json.loads(serialize.dumps(serialize.uniform_to_doc(level, frame)))
+    doc = json.loads(serialize.dumps(serialize.level_to_doc(level, frame)))
     assert verify_family(serialize.doc_to_family(doc)) == []
     probe = doc["probes"][0]
     probe["root_cut_x"] = str((Fraction(probe["root"]["x_lo"])
@@ -187,7 +197,7 @@ def test_verify_reports_tampered_uniform_root_cut(frame):
 
 def test_verify_reports_root_moved_off_its_probe(frame):
     level = build(2, frame)
-    doc = json.loads(serialize.dumps(serialize.independent_to_doc(level, frame)))
+    doc = json.loads(serialize.dumps(serialize.level_to_doc(level, frame)))
     rect = level.probes[0].rect
     # a copy far from probe 0's rectangle: only a check that also scans
     # around the root can see the root meet it
@@ -224,7 +234,7 @@ def test_verify_reports_bad_encoded_slots(frame):
 
 def test_loader_rejects_unknown_or_mismatched_shape(frame):
     level = build(1, frame)
-    doc = serialize.independent_to_doc(level, frame)
+    doc = serialize.level_to_doc(level, frame)
     bad = json.loads(serialize.dumps(doc))
     bad["shape"]["name"] = "blob"
     with pytest.raises(ValueError):
@@ -247,7 +257,7 @@ def test_transcript_doc_shape():
 def test_render_is_deterministic_and_scales(frame):
     level = build(2, frame)
     loaded = serialize.doc_to_family(
-        serialize.loads(serialize.dumps(serialize.independent_to_doc(level, frame))))
+        serialize.loads(serialize.dumps(serialize.level_to_doc(level, frame))))
     a = render_family(loaded)
     b = render_family(loaded)
     assert a == b

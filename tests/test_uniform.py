@@ -5,23 +5,22 @@ from fractions import Fraction
 import pytest
 
 from trifree.geometry import Rect, XYTransform
-from trifree.graphs import (
-    chromatic_number,
-    intersection_graph,
-    is_triangle_free,
-    probe_coloring_audit,
-)
+from trifree.graphs import chromatic_number, intersection_graph, is_triangle_free
 from trifree.independent import grow_probe, size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
-from trifree.uniform import (
-    augment_uniform,
-    build_uniform,
-    helper_law,
-)
+from trifree.uniform import _make_helper, augment_uniform, build_uniform, helper_law
 
-from _oracles import RectRelation, proper_colorings, rect_relations
+from _oracles import RectRelation, probe_coloring_audit, proper_colorings, rect_relations
 
 HALF = Fraction(1, 2)
+
+
+@pytest.fixture(scope="module")
+def helper_audits(frame):
+    """The audit of the helper that level k = 2, 3 at eps 1/2 embeds, built
+    as ``build_uniform`` builds it: from the inner template at eps/8."""
+    return {k: _make_helper(build_uniform(k - 1, HALF / 8, frame), HALF, frame)[3]
+            for k in (2, 3)}
 
 
 def test_carve_probe_frozen_examples():
@@ -81,22 +80,19 @@ def test_probes_pairwise_disjoint(uniform_levels):
             assert rect_relations(a.rect, b.rect) is RectRelation.DISJOINT
 
 
-def test_eps1_stays_below_half_eps(uniform_levels):
-    for k in (2, 3):
-        level = uniform_levels[k]
-        assert level.audit is not None
-        assert level.audit.eps1 <= level.epsilon / 2
-        assert 0 < level.audit.eps1 < 1
+def test_eps1_stays_below_half_eps(helper_audits):
+    for audit in helper_audits.values():
+        assert audit.eps1 <= HALF / 2
+        assert 0 < audit.eps1 < 1
 
 
-def test_helper_law_holds_on_built_levels(uniform_levels):
-    assert uniform_levels[1].audit is None
-    for k in (2, 3):
-        assert helper_law(uniform_levels[k].audit) == []
+def test_helper_law_holds_on_built_levels(helper_audits):
+    for audit in helper_audits.values():
+        assert helper_law(audit) == []
 
 
-def test_helper_law_reports_a_tampered_audit(uniform_levels):
-    audit = uniform_levels[3].audit
+def test_helper_law_reports_a_tampered_audit(helper_audits):
+    audit = helper_audits[3]
     n = len(audit.diagonals)
     doubled = helper_law(replace(audit, m=2 * audit.m))
     assert [f"diagonal {i} does not stick out of the template box by exactly m"
@@ -108,9 +104,8 @@ def test_helper_law_reports_a_tampered_audit(uniform_levels):
                      "diagonal 0 does not meet its root"]
 
 
-def test_diagonal_shift_inequality_holds(uniform_levels):
-    for k in (2, 3):
-        audit = uniform_levels[k].audit
+def test_diagonal_shift_inequality_holds(helper_audits):
+    for audit in helper_audits.values():
         for root in audit.roots:
             s = root.width
             assert audit.delta * s + audit.m <= (8 * audit.delta / 2) * (s / 2)
