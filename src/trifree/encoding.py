@@ -133,7 +133,7 @@ def frame_law(nodes: Sequence[FrameNode], copies: Sequence[TransformedCopy]) -> 
     expected_meet = {(a, node.index) for node in nodes for a in node.ancestors
                      if overlaps(nodes[a].interval, node.interval)}
     out: list[str] = []
-    for i, j in sorted(expected_meet.union(meeting_pairs([c.bbox for c in copies]))):
+    for i, j in sorted(expected_meet.union(meeting_pairs(copies))):
         expected = (i, j) in expected_meet
         if copies_intersect(copies[i], copies[j]) != expected:
             out.append(f"intersection law fails at nodes {i}, {j}: "

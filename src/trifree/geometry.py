@@ -4,6 +4,11 @@ Coordinates are arbitrary-precision rationals (fractions.Fraction), so
 every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
+
+These are the types that constructions, files and tests speak in.  The
+hot predicates on placed copies do not run here: ``shapes`` lifts each
+copy once onto the integer grid of its least common denominator and
+decides contacts on Python ints there.
 """
 
 from __future__ import annotations

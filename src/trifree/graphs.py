@@ -59,7 +59,7 @@ class Graph:
 
 def intersection_graph(copies: Sequence[TransformedCopy]) -> Graph:
     """Edges are the exactly-intersecting pairs; vertex order = family order."""
-    edges = [(i, j) for i, j in meeting_pairs([c.bbox for c in copies])
+    edges = [(i, j) for i, j in meeting_pairs(copies)
              if copies_intersect(copies[i], copies[j])]
     return Graph.from_edges(len(copies), edges, tuple(c.lineage for c in copies))
 

@@ -148,7 +148,7 @@ def probe_conditions(probes: Sequence[Probe], copies: Sequence[TransformedCopy],
     boxes meet the box around its rectangle and its root, so a root moved
     off its rectangle is still checked against every copy it could meet.
     """
-    near = boxes_meeting([p.rect.union(p.root) for p in probes], [c.bbox for c in copies])
+    near = boxes_meeting([p.rect.union(p.root) for p in probes], copies)
     return [_probe_messages(p, copies, ids, bbox, epsilon) for p, ids in zip(probes, near)]
 
 
@@ -202,13 +202,12 @@ def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[Transforme
     if len(diagonals) != len(probes):
         return ["diagonal count differs from probe count"]
     out: list[str] = []
-    diag_boxes = [d.bbox for d in diagonals]
-    near = boxes_meeting(diag_boxes, [c.bbox for c in base])
+    near = boxes_meeting(diagonals, base)
     for i, (diag, probe, ids) in enumerate(zip(diagonals, probes, near)):
         neighbors = [j for j in ids if copies_intersect(diag, base[j])]
         if frozenset(neighbors) != frozenset(probe.pierced):
             out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    for i, j in meeting_pairs(diag_boxes):
+    for i, j in meeting_pairs(diagonals):
         if copies_intersect(diagonals[i], diagonals[j]):
             out.append(f"diagonals {i} and {j} intersect")
     return out
@@ -314,7 +313,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     helper = augment(prev, shape)
     diagonals = helper[len(prev.family):]
     splits = [split_probe(p) for p in prev.probes]
-    near = boxes_meeting([upper for upper, _ in splits], [c.bbox for c in prev.family])
+    near = boxes_meeting([upper for upper, _ in splits], prev.family)
     for i, (p, diag, (upper, lower), ids) in enumerate(
             zip(prev.probes, diagonals, splits, near)):
         upper_pierced = [j for j in ids if copy_meets_rect(prev.family[j], upper)]

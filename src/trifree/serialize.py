@@ -5,13 +5,16 @@ of a serialize reproduces every coordinate bit for bit.  One writer,
 ``level_to_doc``, serves both constructions: a level's ``epsilon`` makes
 its document a uniform one, with the anchored shape and the ``epsilon``
 field.  ``encoded_to_doc`` writes strategy-tree families, and
-``doc_to_family`` reads all three modes back.
+``doc_to_family`` reads all three modes back.  It refuses a family whose
+copies and probes share no grid near their finest denominator, because
+the predicates and sweeps decide everything on one common grid.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 from typing import Any, Optional, Sequence
 
 from .encoding import FrameFamily, StrategyTree, TreeNode
@@ -81,6 +84,31 @@ def _probe_from_json(d: dict) -> Probe:
     return Probe(rect_from_json(d["rect"]), rect_from_json(d["root"]),
                  as_rat(d["root_cut_x"]),
                  tuple(_typed(i, int, "pierced index") for i in d["pierced"]))
+
+
+# Families that trifree builds lie on a grid at most a few bits finer than
+# their finest copy's; see _check_grid.
+GRID_SLACK_BITS = 64
+
+
+def _check_grid(copies: Sequence[TransformedCopy], probes: Sequence[Probe]) -> None:
+    """Refuse copies and probe rectangles that share no grid within
+    GRID_SLACK_BITS bits of the finest denominator among them.
+
+    The sweeps lift a family onto the least common multiple of its
+    denominators.  Unrelated denominators would make that multiple, and
+    all work on it, grow with the square of the file's size.
+    """
+    dens = {c.den for c in copies}
+    dens.update(v.denominator for p in probes for r in (p.rect, p.root)
+                for v in (r.x_lo, r.x_hi, r.y_lo, r.y_hi))
+    limit = max(dens).bit_length() + GRID_SLACK_BITS
+    grid = 1
+    for d in dens:
+        grid = lcm(grid, d)
+        if grid.bit_length() > limit:
+            raise ValueError(f"copies and probes share no grid within {GRID_SLACK_BITS} "
+                             f"bits of the finest denominator ({limit - GRID_SLACK_BITS} bits)")
 
 
 def _tree_node_to_json(node: TreeNode) -> dict:
@@ -215,6 +243,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         for p in probes:
             if not all(0 <= i < base_size for i in p.pierced):
                 raise ValueError(f"pierced index outside 0..{base_size - 1}")
+    _check_grid(copies, probes)
     return LoadedFamily(
         mode=mode,
         k=k,

@@ -1,4 +1,4 @@
-"""Shape catalog and exact stabbing predicates.
+"""Shape catalog and exact stabbing predicates on integer grids.
 
 A base shape is a connected union of closed axis-aligned segments.  Each
 catalog entry declares, rather than derives, the structure that the
@@ -14,9 +14,16 @@ recursive constructions consume:
 ``validate_features`` checks all of that exactly; violations are data,
 not exceptions.  ``stabs_vertically``/``stabs_horizontally`` generalize
 the stabbing notion to transformed copies clipped to a query rectangle.
-``meeting_pairs`` and ``boxes_meeting`` find the closed boxes that meet
-with one exact sweep in y, so callers run the exact predicates on those
-pairs alone.
+
+Every shape and copy is lifted once, when it is made, onto the grid of
+multiples of 1/den, den the least common denominator of its coordinates:
+its segments are stored as integer tuples ``(orientation, fixed, lo,
+hi)`` and its bounding box as ``(x_lo, x_hi, y_lo, y_hi)``, both in units
+of 1/den.  The predicates scale two grids onto a common one and compare
+Python ints, so they stay exact without a Fraction in the loop.
+``meeting_pairs`` and ``boxes_meeting`` lift all their boxes onto one
+common grid and find the closed boxes that meet with one sweep in y, so
+callers run the exact predicates on those pairs alone.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -30,7 +37,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Optional, Sequence, Union
 
 from .geometry import (
     HORIZONTAL,
@@ -42,28 +50,135 @@ from .geometry import (
     XYTransform,
     clip_seg_to_rect,
     h_seg,
-    rect_union_all,
-    seg_intersect,
     v_seg,
 )
+
+IntSeg = tuple[str, int, int, int]  # (orientation, fixed, lo, hi) in units of 1/den
+IntBox = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi) in units of 1/den
+
+
+def _lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """The least common denominator of ``values`` and each value in its units."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _lift_segs(segs: Sequence[Seg]) -> tuple[int, tuple[IntSeg, ...]]:
+    """``segs`` on the grid of their least common denominator: (den, segments)."""
+    den, ints = _lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
+    return den, tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segs))
+
+
+def _lift_rect(r: Rect) -> tuple[int, IntBox]:
+    den, ints = _lift((r.x_lo, r.x_hi, r.y_lo, r.y_hi))
+    return den, tuple(ints)
+
+
+def _segs_meet(s: IntSeg, t: IntSeg) -> bool:
+    """True iff two closed segments on one grid share a point."""
+    o, f, lo, hi = s
+    o2, f2, lo2, hi2 = t
+    if o == o2:
+        return f == f2 and lo <= hi2 and lo2 <= hi
+    return lo <= f2 <= hi and lo2 <= f <= hi2
+
+
+def _scaled(segs: Sequence[IntSeg], m: int) -> Sequence[IntSeg]:
+    if m == 1:
+        return segs
+    return [(o, f * m, lo * m, hi * m) for o, f, lo, hi in segs]
+
+
+def _components(segs: Sequence[IntSeg]) -> list[list[int]]:
+    """Connected components of segments on one grid under pairwise meeting."""
+    n = len(segs)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _segs_meet(segs[i], segs[j]):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _clip(den: int, segs: Sequence[IntSeg], r: Rect) -> tuple[IntBox, list[IntSeg]]:
+    """``r`` and the closed parts of ``segs`` (in units of 1/den) inside it,
+    both on the grid of the least common multiple of den and r's denominator."""
+    r_den, box = _lift_rect(r)
+    g = gcd(den, r_den)
+    m, m_r = r_den // g, den // g
+    x0, x1, y0, y1 = box = tuple(v * m_r for v in box)
+    out: list[IntSeg] = []
+    for o, f, lo, hi in _scaled(segs, m):
+        if o == HORIZONTAL:
+            inside, lo, hi = y0 <= f <= y1, max(lo, x0), min(hi, x1)
+        else:
+            inside, lo, hi = x0 <= f <= x1, max(lo, y0), min(hi, y1)
+        if inside and lo <= hi:
+            out.append((o, f, lo, hi))
+    return box, out
+
+
+def _stabs(den: int, segs: Sequence[IntSeg], r: Rect, *, vertical: bool) -> bool:
+    """True iff some connected component of segs clipped to r joins the two
+    opposite sides of r: top/bottom when vertical, left/right otherwise."""
+    (x0, x1, y0, y1), clipped = _clip(den, segs, r)
+    lo_line, hi_line, axis = (y0, y1, VERTICAL) if vertical else (x0, x1, HORIZONTAL)
+
+    def touches(s: IntSeg, line: int) -> bool:
+        o, f, lo, hi = s
+        return lo <= line <= hi if o == axis else f == line
+
+    return any(any(touches(clipped[i], lo_line) for i in comp)
+               and any(touches(clipped[i], hi_line) for i in comp)
+               for comp in _components(clipped))
 
 
 @dataclass(frozen=True)
 class RectilinearShape:
-    """A nonempty, connected union of closed axis-aligned segments."""
+    """A nonempty, connected union of closed axis-aligned segments, with
+    its segments and bounding box also kept on the grid of 1/den."""
 
     segments: tuple[Seg, ...]
+    den: int = field(init=False, compare=False, repr=False)
+    int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
+    int_box: IntBox = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a shape needs at least one segment")
+        den, segs = _lift_segs(self.segments)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_segs", segs)
+        object.__setattr__(self, "int_box", _segs_box(segs))
 
     def bbox(self) -> Rect:
-        return rect_union_all(s.bbox() for s in self.segments)
+        return _rect_of(self.den, self.int_box)
 
     def is_connected(self) -> bool:
-        return len(_components(self.segments)) == 1
+        return len(_components(self.int_segs)) == 1
+
+
+def _segs_box(segs: Sequence[IntSeg]) -> IntBox:
+    xs = [v for o, f, lo, hi in segs for v in ((lo, hi) if o == HORIZONTAL else (f,))]
+    ys = [v for o, f, lo, hi in segs for v in ((f,) if o == HORIZONTAL else (lo, hi))]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _rect_of(den: int, box: IntBox) -> Rect:
+    return Rect(*(Fraction(v, den) for v in box))
 
 
 @dataclass(frozen=True)
@@ -89,29 +204,6 @@ class ShapeFeatures:
                     self.empty_rect.y_lo, self.empty_rect.y_hi)
 
 
-def _components(segs: Sequence[Seg]) -> list[set[int]]:
-    """Connected components of segments under nonempty pairwise intersection."""
-    n = len(segs)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seg_intersect(segs[i], segs[j]) is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, set[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), set()).add(i)
-    return list(groups.values())
-
-
 def _merge_ranges(ranges: list[tuple[Rat, Rat]]) -> list[tuple[Rat, Rat]]:
     out: list[tuple[Rat, Rat]] = []
     for lo, hi in sorted(ranges):
@@ -135,30 +227,6 @@ def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
     return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
 
 
-def curve_stabs(segs: Iterable[Seg], rect: Rect, *, vertical: bool) -> bool:
-    """True iff some connected component of segs clipped to rect joins the
-    two opposite sides of rect: top/bottom when vertical, left/right otherwise."""
-    clipped = [c for s in segs if (c := clip_seg_to_rect(s, rect)) is not None]
-    if not clipped:
-        return False
-    if vertical:
-        lo_line, hi_line = rect.y_lo, rect.y_hi
-        touch_axis = VERTICAL
-    else:
-        lo_line, hi_line = rect.x_lo, rect.x_hi
-        touch_axis = HORIZONTAL
-
-    def touches(s: Seg, line: Rat) -> bool:
-        if s.orientation == touch_axis:
-            return s.lo <= line <= s.hi
-        return s.fixed == line
-
-    for comp in _components(clipped):
-        if any(touches(clipped[i], lo_line) for i in comp) and \
-           any(touches(clipped[i], hi_line) for i in comp):
-            return True
-    return False
-
 
 def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str]:
     """Check the declared features exactly; an empty list means valid.
@@ -180,7 +248,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     e = feats.empty_rect
     if not u.interior_contains_rect(e):
         out.append("ii: empty rectangle is not in the interior of the bounding box")
-    if any(clip_seg_to_rect(s, e) is not None for s in shape.segments):
+    if _clip(shape.den, shape.int_segs, e)[1]:
         out.append("ii: empty rectangle meets the shape")
 
     vl = feats.left_strip()
@@ -191,7 +259,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
             out.append("iii: left stabber leaves the left strip")
         if not all(segment_covered(shape.segments, s) for s in feats.left_stabber):
             out.append("iii: left stabber is not part of the shape")
-        if not curve_stabs(feats.left_stabber, vl, vertical=False):
+        if not _stabs(*_lift_segs(feats.left_stabber), vl, vertical=False):
             out.append("iii: left stabber does not cross the left strip")
 
     vr = feats.right_band()
@@ -202,7 +270,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
             out.append("iv: right stabber leaves the right band")
         if not all(segment_covered(shape.segments, s) for s in feats.right_stabber):
             out.append("iv: right stabber is not part of the shape")
-        if not curve_stabs(feats.right_stabber, vr, vertical=True):
+        if not _stabs(*_lift_segs(feats.right_stabber), vr, vertical=True):
             out.append("iv: right stabber does not cross the right band")
 
     if feats.w1 != e.x_lo - u.x_lo:
@@ -212,21 +280,59 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     return out
 
 
+def _axis_map(scale: Rat, shift: Rat, den: int) -> tuple[int, int, int]:
+    """(a, b, q) with scale * (v / den) + shift == (a * v + b) / q for every int v."""
+    p, q = scale.numerator, scale.denominator
+    r, s = shift.numerator, shift.denominator
+    return p * s, r * q * den, q * s * den
+
+
 @dataclass(frozen=True)
 class TransformedCopy:
-    """A placed copy of a base shape: transform plus provenance tag."""
+    """A placed copy of a base shape: transform plus provenance tag.
+
+    The copy's segments and bounding box are kept on its own grid: ``den``
+    is the least common denominator of its coordinates, ``int_segs`` and
+    ``int_box`` are in units of 1/den.  The box is the base shape's box
+    pushed through the transform, whose scale factors are positive.
+    """
 
     shape_id: str
     base: RectilinearShape = field(compare=False)
     transform: XYTransform = XYTransform.identity()
     lineage: str = "outer"
-    segments: tuple[Seg, ...] = field(init=False, compare=False, repr=False)
-    bbox: Rect = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
+    int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
+    int_box: IntBox = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        segs = tuple(self.transform.apply(s) for s in self.base.segments)
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "bbox", rect_union_all(s.bbox() for s in segs))
+        t, base = self.transform, self.base
+        ax, bx, qx = _axis_map(t.sx, t.tx, base.den)
+        ay, by, qy = _axis_map(t.sy, t.ty, base.den)
+        g = gcd(qx, qy)  # both axes over one denominator, lcm(qx, qy)
+        ux, uy = qy // g, qx // g
+        ax, bx, ay, by = ax * ux, bx * ux, ay * uy, by * uy
+        segs = [(o, ay * f + by, ax * lo + bx, ax * hi + bx) if o == HORIZONTAL
+                else (o, ax * f + bx, ay * lo + by, ay * hi + by)
+                for o, f, lo, hi in base.int_segs]
+        x0, x1, y0, y1 = base.int_box
+        box = (ax * x0 + bx, ax * x1 + bx, ay * y0 + by, ay * y1 + by)
+        den = qx * ux
+        # what den shares with every coordinate leaves the least common denominator
+        g = gcd(den, *(v for s in segs for v in s[1:]))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "int_segs",
+                           tuple((o, f // g, lo // g, hi // g) for o, f, lo, hi in segs))
+        object.__setattr__(self, "int_box", tuple(v // g for v in box))
+
+    @property
+    def segments(self) -> tuple[Seg, ...]:
+        """The copy's segments as exact rationals, made on each call."""
+        return tuple(self.transform.apply(s) for s in self.base.segments)
+
+    @property
+    def bbox(self) -> Rect:
+        return _rect_of(self.den, self.int_box)
 
     def rebase(self, after: XYTransform, lineage: Optional[str] = None) -> "TransformedCopy":
         """The same copy pushed through one more transform."""
@@ -236,69 +342,91 @@ class TransformedCopy:
 
 
 def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
-    """True iff the two closed copies share a point (exact)."""
-    if not a.bbox.intersects(b.bbox):
+    """True iff the two closed copies share a point (exact): both grids
+    are scaled onto the least common multiple of their denominators."""
+    g = gcd(a.den, b.den)
+    m_a, m_b = b.den // g, a.den // g
+    ax0, ax1, ay0, ay1 = a.int_box
+    bx0, bx1, by0, by1 = b.int_box
+    if (ax1 * m_a < bx0 * m_b or bx1 * m_b < ax0 * m_a
+            or ay1 * m_a < by0 * m_b or by1 * m_b < ay0 * m_a):
         return False
-    for s in a.segments:
-        for t in b.segments:
-            if seg_intersect(s, t) is not None:
+    segs_b = _scaled(b.int_segs, m_b)
+    for s in _scaled(a.int_segs, m_a):
+        for t in segs_b:
+            if _segs_meet(s, t):
                 return True
     return False
 
 
 def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
-    if not c.bbox.intersects(r):
-        return False
-    return any(clip_seg_to_rect(s, r) is not None for s in c.segments)
+    return bool(_clip(c.den, c.int_segs, r)[1])
 
 
-def _by_bottom(boxes: Sequence[Rect]) -> tuple[list[int], list[Rat]]:
+Boxed = Union[Rect, TransformedCopy]
+
+
+def _on_one_grid(*groups: Sequence[Boxed]) -> tuple[int, list[list[IntBox]]]:
+    """The boxes of each group (a copy stands for its bounding box) in
+    units of 1/den, den the least common denominator of all of them."""
+    lifted = [[(b.den, b.int_box) if isinstance(b, TransformedCopy) else _lift_rect(b)
+               for b in group] for group in groups]
+    den = lcm(*{d for group in lifted for d, _ in group})
+    return den, [[(x0 * m, x1 * m, y0 * m, y1 * m)
+                  for d, (x0, x1, y0, y1) in group for m in (den // d,)]
+                 for group in lifted]
+
+
+def _by_bottom(boxes: Sequence[IntBox]) -> tuple[list[int], list[int]]:
     """Indices of ``boxes`` in order of their bottom edges, and those bottoms."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i].y_lo)
-    return order, [boxes[i].y_lo for i in order]
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
+    return order, [boxes[i][2] for i in order]
 
 
-def _x_ranges_meet(a: Rect, b: Rect) -> bool:
-    return a.x_lo <= b.x_hi and b.x_lo <= a.x_hi
+def _x_ranges_meet(a: IntBox, b: IntBox) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1]
 
 
-def meeting_pairs(boxes: Sequence[Rect]) -> list[tuple[int, int]]:
+def meeting_pairs(boxes: Sequence[Boxed]) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
 
-    One exact sweep in y: each box is paired with the boxes after it in
-    bottom-edge order whose bottom lies in its y range (found by bisection),
-    so each pair that overlaps in y is met once and only those compare x
-    ranges.
+    A copy stands for its bounding box.  One sweep in y over the boxes on
+    one integer grid: each box is paired with the boxes after it in
+    bottom-edge order whose bottom lies in its y range (found by
+    bisection), so each pair that overlaps in y is met once and only those
+    compare x ranges.
     """
-    order, bottoms = _by_bottom(boxes)
+    _, (grid,) = _on_one_grid(boxes)
+    order, bottoms = _by_bottom(grid)
     out: list[tuple[int, int]] = []
     for pos, i in enumerate(order):
-        a = boxes[i]
-        for j in order[pos + 1:bisect_right(bottoms, a.y_hi, pos + 1)]:
-            if _x_ranges_meet(a, boxes[j]):
+        a = grid[i]
+        for j in order[pos + 1:bisect_right(bottoms, a[3], pos + 1)]:
+            if _x_ranges_meet(a, grid[j]):
                 out.append((i, j) if i < j else (j, i))
     out.sort()
     return out
 
 
-def boxes_meeting(queries: Sequence[Rect], boxes: Sequence[Rect]) -> list[list[int]]:
+def boxes_meeting(queries: Sequence[Boxed], boxes: Sequence[Boxed]) -> list[list[int]]:
     """For each query box, the ascending indices of the ``boxes`` it meets.
 
-    The same sweep across two lists: of two boxes that overlap in y,
-    exactly one has its bottom in the other's y range (a query's when the
-    bottoms tie), so each pair is met once, from one side.
+    The same sweep across two lists on one grid: of two boxes that overlap
+    in y, exactly one has its bottom in the other's y range (a query's when
+    the bottoms tie), so each pair is met once, from one side.
     """
-    q_order, q_bottoms = _by_bottom(queries)
-    b_order, b_bottoms = _by_bottom(boxes)
+    _, (q_grid, b_grid) = _on_one_grid(queries, boxes)
+    q_order, q_bottoms = _by_bottom(q_grid)
+    b_order, b_bottoms = _by_bottom(b_grid)
     out: list[list[int]] = [[] for _ in queries]
-    for i, q in enumerate(queries):
-        lo = bisect_left(b_bottoms, q.y_lo)
-        out[i].extend(j for j in b_order[lo:bisect_right(b_bottoms, q.y_hi, lo)]
-                      if _x_ranges_meet(q, boxes[j]))
-    for j, b in enumerate(boxes):
-        lo = bisect_right(q_bottoms, b.y_lo)
-        for i in q_order[lo:bisect_right(q_bottoms, b.y_hi, lo)]:
-            if _x_ranges_meet(queries[i], b):
+    for i, q in enumerate(q_grid):
+        lo = bisect_left(b_bottoms, q[2])
+        out[i].extend(j for j in b_order[lo:bisect_right(b_bottoms, q[3], lo)]
+                      if _x_ranges_meet(q, b_grid[j]))
+    for j, b in enumerate(b_grid):
+        lo = bisect_right(q_bottoms, b[2])
+        for i in q_order[lo:bisect_right(q_bottoms, b[3], lo)]:
+            if _x_ranges_meet(q_grid[i], b):
                 out[i].append(j)
     for near in out:
         near.sort()
@@ -306,15 +434,17 @@ def boxes_meeting(queries: Sequence[Rect], boxes: Sequence[Rect]) -> list[list[i
 
 
 def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:
-    return curve_stabs(c.segments, r, vertical=True)
+    return _stabs(c.den, c.int_segs, r, vertical=True)
 
 
 def stabs_horizontally(c: TransformedCopy, r: Rect) -> bool:
-    return curve_stabs(c.segments, r, vertical=False)
+    return _stabs(c.den, c.int_segs, r, vertical=False)
 
 
 def family_bbox(copies: Sequence[TransformedCopy]) -> Rect:
-    return rect_union_all(c.bbox for c in copies)
+    den, (grid,) = _on_one_grid(copies)
+    return _rect_of(den, (min(b[0] for b in grid), max(b[1] for b in grid),
+                          min(b[2] for b in grid), max(b[3] for b in grid)))
 
 
 class AnchoredFrame:
@@ -379,21 +509,21 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
         out.append("ii: (1+eps)*xi(eps) is not below eps")
     if u.x_hi - e.x_hi != eps * xi:
         out.append("ii: right-side gap is not eps*xi(eps)")
-    if any(clip_seg_to_rect(s, e) is not None for s in anchor.shape.segments):
+    if _clip(anchor.shape.den, anchor.shape.int_segs, e)[1]:
         out.append("ii: empty square meets the shape")
 
     vl = Rect(u.x_lo, e.x_lo, u.y_lo, u.y_hi)
     ls = anchor.left_stabber(eps)
     if any(clip_seg_to_rect(s, vl) != s for s in ls) or \
        not all(segment_covered(anchor.shape.segments, s) for s in ls) or \
-       not curve_stabs(ls, vl, vertical=False):
+       not _stabs(*_lift_segs(ls), vl, vertical=False):
         out.append("iii: left eps-stabber invalid")
 
     vr = Rect(e.x_hi, u.x_hi, e.y_lo, e.y_hi)
     rs = anchor.right_stabber(eps)
     if any(clip_seg_to_rect(s, vr) != s for s in rs) or \
        not all(segment_covered(anchor.shape.segments, s) for s in rs) or \
-       not curve_stabs(rs, vr, vertical=True):
+       not _stabs(*_lift_segs(rs), vr, vertical=True):
         out.append("iv: right eps-stabber invalid")
     return out
 

@@ -118,9 +118,8 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         lowers.append(_lower_right_quadrant(p.root))
 
     helper = list(inner.family) + diagonals
-    helper_boxes = [c.bbox for c in helper]
     for name, roots in (("upper", uppers), ("lower", lowers)):
-        for i, (r, ids) in enumerate(zip(roots, boxes_meeting(roots, helper_boxes))):
+        for i, (r, ids) in enumerate(zip(roots, boxes_meeting(roots, helper))):
             if r.width != r.height:
                 raise ConstructionError(f"{name} root {i} is not a square")
             if any(copy_meets_rect(helper[j], r) for j in ids):

@@ -2,10 +2,11 @@
 
 These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
-inputs), the coloring oracle is a static-order backtracking over all
-colorings up to color renaming, with no saturation ordering, no clique
-bounds, and no branch-and-bound pruning, and the box and graph oracles
-test every pair instead of sweeping.  The helpers below them (a
+inputs), the references of the integer predicates test every segment on
+exact rationals, the coloring oracle is a static-order backtracking over
+all colorings up to color renaming, with no saturation ordering, no
+clique bounds, and no branch-and-bound pruning, and the box and graph
+oracles test every pair instead of sweeping.  The helpers below them (a
 transcript's chain at a point, clique number, first-fit coloring, DIMACS
 parsing, probe color audits and the encoded family's certificate) have
 no caller in the package.
@@ -20,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript
-from trifree.geometry import HORIZONTAL, Rat, Rect, Seg, clip_seg_to_rect, seg_intersect
+from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, clip_seg_to_rect, seg_intersect
 from trifree.graphs import (
     ChromaticResult,
     Graph,
@@ -82,6 +83,64 @@ def rect_relations(a: Rect, b: Rect) -> RectRelation:
     if b.contains_rect(a):
         return RectRelation.B_CONTAINS_A
     return RectRelation.OVERLAP
+
+
+def copies_intersect_ref(a: TransformedCopy, b: TransformedCopy) -> bool:
+    """``shapes.copies_intersect`` on exact rationals: every pair of the
+    copies' segments through ``seg_intersect``."""
+    if not a.bbox.intersects(b.bbox):
+        return False
+    return any(seg_intersect(s, t) is not None for s in a.segments for t in b.segments)
+
+
+def copy_meets_rect_ref(c: TransformedCopy, r: Rect) -> bool:
+    """``shapes.copy_meets_rect`` on exact rationals, through ``clip_seg_to_rect``."""
+    if not c.bbox.intersects(r):
+        return False
+    return any(clip_seg_to_rect(s, r) is not None for s in c.segments)
+
+
+def _components_ref(segs: Sequence[Seg]) -> list[set[int]]:
+    """Connected components of segments under nonempty pairwise intersection."""
+    n = len(segs)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if seg_intersect(segs[i], segs[j]) is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, set[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), set()).add(i)
+    return list(groups.values())
+
+
+def curve_stabs_ref(segs: Sequence[Seg], rect: Rect, *, vertical: bool) -> bool:
+    """The stabbing test of ``shapes.stabs_vertically``/``stabs_horizontally``
+    on exact rationals: some connected component of ``segs`` clipped to
+    ``rect`` joins its top and bottom (vertical) or left and right sides."""
+    clipped = [c for s in segs if (c := clip_seg_to_rect(s, rect)) is not None]
+    if vertical:
+        lo_line, hi_line, touch_axis = rect.y_lo, rect.y_hi, VERTICAL
+    else:
+        lo_line, hi_line, touch_axis = rect.x_lo, rect.x_hi, HORIZONTAL
+
+    def touches(s: Seg, line: Rat) -> bool:
+        if s.orientation == touch_axis:
+            return s.lo <= line <= s.hi
+        return s.fixed == line
+
+    return any(any(touches(clipped[i], lo_line) for i in comp)
+               and any(touches(clipped[i], hi_line) for i in comp)
+               for comp in _components_ref(clipped))
 
 
 def copies_intersect_within(a: TransformedCopy, b: TransformedCopy, r: Rect) -> bool:

@@ -346,6 +346,12 @@ def _encoded_doc():
         serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])))
 
 
+def _unrelated_grids(doc):
+    # each copy on a grid of its own, about 133 bits, that no other shares
+    for i, c in enumerate(doc["copies"]):
+        c["tx"] = f"1/{10 ** 40 + 2 * i + 1}"
+
+
 @pytest.mark.parametrize("tamper, marker", [
     (_set("copies", 0, "sx", 0.5), "error:"),
     (_set("k", "2"), "error:"),
@@ -366,10 +372,12 @@ def _encoded_doc():
     (_set("copies", 0, "tx", "0.0"), "error:"),
     (_set("copies", 0, "tx", " 0 "), "error:"),
     (lambda doc: "[" * 200_000, "error:"),
+    (_unrelated_grids, "error: copies and probes share no grid"),
 ], ids=["float-coordinate", "string-k", "k40", "list-document", "bool-k", "zero-k",
         "string-pierced", "string-base-size", "string-augmented", "int-lineage",
         "empty-copies", "negative-base-size", "pierced-out-of-range", "encoded-huge-k",
-        "zero-denominator", "exponent", "decimal-point", "padded", "deep-nesting"])
+        "zero-denominator", "exponent", "decimal-point", "padded", "deep-nesting",
+        "unrelated-grids"])
 def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
     doc = json.loads(family_file.read_text())
     doc = tamper(doc) or doc

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
-from trifree.geometry import Rect, XYTransform, h_seg, v_seg
+from trifree.geometry import Rect, XYTransform, h_seg, rect_union_all, v_seg
+from trifree.independent import build
 from trifree.shapes import (
     AnchoredFrame,
     RectilinearShape,
@@ -11,13 +13,22 @@ from trifree.shapes import (
     catalog,
     boxes_meeting,
     copies_intersect,
+    copy_meets_rect,
+    family_bbox,
     meeting_pairs,
     stabs_horizontally,
     stabs_vertically,
     validate_features,
 )
+from trifree.uniform import augment_uniform, build_uniform
 
-from _oracles import copies_intersect_within, meeting_pairs_bruteforce
+from _oracles import (
+    copies_intersect_ref,
+    copies_intersect_within,
+    copy_meets_rect_ref,
+    curve_stabs_ref,
+    meeting_pairs_bruteforce,
+)
 
 
 def _frame_copy(x0, x1, y0, y1, lineage="t"):
@@ -208,3 +219,135 @@ def test_sweep_counts_touching_and_degenerate_boxes():
     assert meeting_pairs(point_on_edge) == [(0, 1)]
     assert meeting_pairs(tied_apart) == []
     assert boxes_meeting([Rect(1, 1, 0, 5)], corner + tied_apart) == [[0, 1, 2]]
+
+
+# A Mersenne prime: copies scaled by 1/_BIG_PRIME have denominators of
+# more than 600 bits, as deep uniform families do.
+_BIG_PRIME = 2 ** 607 - 1
+_SCALES = tuple(Fraction(p, q) for p, q in ((1, 1), (1, 2), (2, 3), (3, 2), (1, 3), (2, 1), (5, 6)))
+
+
+def _random_shape(rng):
+    """One to four segments on the sixths of the unit square, a third of
+    them of zero length; connectedness does not matter to the predicates."""
+    segs = []
+    for _ in range(rng.randint(1, 4)):
+        fixed, lo = Fraction(rng.randint(0, 6), 6), Fraction(rng.randint(0, 6), 6)
+        hi = lo + Fraction(rng.choice((0, 1, 2, 3, 6, 0)), 6)
+        segs.append((h_seg if rng.random() < 0.5 else v_seg)(fixed, lo, hi))
+    return RectilinearShape(tuple(segs))
+
+
+def _random_copy(rng, unit=1):
+    """A random shape under a transform whose scales and shifts mix the
+    denominators 1 to 6, so shared edges and touching corners are common."""
+    def shift():
+        return Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))) * unit
+
+    t = XYTransform(rng.choice(_SCALES) * unit, rng.choice(_SCALES) * unit, shift(), shift())
+    return TransformedCopy("random", _random_shape(rng), t, "t")
+
+
+def _random_rect(rng, unit=1):
+    x0, y0 = Fraction(rng.randint(0, 18), 6), Fraction(rng.randint(0, 18), 6)
+    w, h = (Fraction(rng.choice((0, 1, 3, 6, 9)), rng.choice((2, 3, 6))) for _ in range(2))
+    return Rect(x0 * unit, (x0 + w) * unit, y0 * unit, (y0 + h) * unit)
+
+
+def _kernel_vs_references(a, b, r, seen):
+    """Assert that each integer predicate agrees with its Fraction reference
+    on the copies a, b and the rectangle r; tally the answers in ``seen``."""
+    meet = copies_intersect_ref(a, b)
+    assert copies_intersect(a, b) == copies_intersect(b, a) == meet
+    seen.add(("meet", meet))
+    for c in (a, b):
+        hit = copy_meets_rect_ref(c, r)
+        assert copy_meets_rect(c, r) == hit
+        seen.add(("rect", hit))
+        for vertical, stabs in ((True, stabs_vertically), (False, stabs_horizontally)):
+            crossed = curve_stabs_ref(c.segments, r, vertical=vertical)
+            assert stabs(c, r) == crossed
+            seen.add(("stab", crossed))
+
+
+def test_integer_kernel_matches_fraction_references():
+    rng = random.Random(20261019)
+    seen: set = set()
+    for _ in range(1500):
+        _kernel_vs_references(_random_copy(rng), _random_copy(rng), _random_rect(rng), seen)
+    assert seen == {(name, v) for name in ("meet", "rect", "stab") for v in (True, False)}
+
+
+def test_integer_kernel_matches_fraction_references_above_600_bits():
+    rng = random.Random(607)
+    seen: set = set()
+    unit = Fraction(1, _BIG_PRIME)
+    for _ in range(300):
+        a, b = _random_copy(rng, unit), _random_copy(rng, unit)
+        assert a.den.bit_length() > 600
+        _kernel_vs_references(a, b, _random_rect(rng, unit), seen)
+    assert seen == {(name, v) for name in ("meet", "rect", "stab") for v in (True, False)}
+    frame = catalog()["frame"]
+    level = build_uniform(3, Fraction(1, 100), frame)
+    family = augment_uniform(level, frame)
+    assert max(c.den.bit_length() for c in family) > 800
+    for i, a in enumerate(family):
+        for b in family[i + 1:]:
+            assert copies_intersect(a, b) == copies_intersect_ref(a, b)
+        for p in level.probes:
+            for r in (p.rect, p.root):
+                assert copy_meets_rect(a, r) == copy_meets_rect_ref(a, r)
+                assert stabs_vertically(a, r) == curve_stabs_ref(a.segments, r, vertical=True)
+
+
+def test_integer_kernel_on_shared_edges_corners_and_points():
+    tiny = Fraction(1, 2 ** 200)
+    square = _frame_copy(0, 1, 0, 1)
+    point = RectilinearShape((h_seg(1, 1, 1),))
+    inner_point = RectilinearShape((v_seg(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),))
+    cases = [
+        (_frame_copy(1, 2, 0, 1), True),               # shared edge
+        (_frame_copy(1, 2, 1, 2), True),               # touching corner
+        (_frame_copy(Fraction(1, 3), Fraction(2, 3), 1, 2), True),  # edge inside an edge
+        (_frame_copy(1 + tiny, 2, 0, 1), False),       # apart by 2^-200
+        (_frame_copy(tiny, 1 - tiny, tiny, 1 - tiny), False),  # nested, not touching
+        (TransformedCopy("point", point), True),       # a point on a corner
+        (TransformedCopy("point", inner_point), False),  # a point inside the frame
+    ]
+    for other, expected in cases:
+        assert copies_intersect(square, other) == copies_intersect_ref(square, other) == expected
+    left, right = (TransformedCopy("bar", RectilinearShape((h_seg(0, lo, hi),)))
+                   for lo, hi in ((0, 1), (1, 2)))
+    assert copies_intersect(left, right) and copies_intersect(right, left)  # end to end
+    for r, expected in ((Rect(1, 2, 1, 2), True), (Rect(1 + tiny, 2, 0, 1), False),
+                        (Rect(Fraction(1, 2), Fraction(1, 2), 0, 0), True),
+                        (Rect(tiny, 1 - tiny, tiny, 1 - tiny), False)):
+        assert copy_meets_rect(square, r) == copy_meets_rect_ref(square, r) == expected
+    for r, expected in ((Rect(1, 1, 0, 1), True), (Rect(1, 1, 0, 1 + tiny), False)):
+        assert stabs_vertically(square, r) == curve_stabs_ref(square.segments, r,
+                                                              vertical=True) == expected
+
+
+def test_copies_are_lifted_onto_their_least_common_denominator():
+    rng = random.Random(66)
+    frame = catalog()["frame"]
+    copies = [_random_copy(rng, unit) for unit in (1, Fraction(1, _BIG_PRIME)) for _ in range(50)]
+    copies += list(build(3, frame).family) + list(build_uniform(3, Fraction(5, 8), frame).family)
+    for c in copies:
+        coords = [v for s in c.segments for v in (s.fixed, s.lo, s.hi)]
+        assert c.den == lcm(*(v.denominator for v in coords))
+        assert c.int_segs == tuple((s.orientation, *(v * c.den for v in (s.fixed, s.lo, s.hi)))
+                                   for s in c.segments)
+        assert c.bbox == rect_union_all(s.bbox() for s in c.segments)
+    assert family_bbox(copies) == rect_union_all(c.bbox for c in copies)
+
+
+def test_sweeps_take_copies_for_their_bounding_boxes():
+    rng = random.Random(1019)
+    for unit in (1, Fraction(1, _BIG_PRIME)):
+        copies = [_random_copy(rng, unit) for _ in range(60)]
+        rects = [_random_rect(rng, unit) for _ in range(20)]
+        boxes = [c.bbox for c in copies]
+        assert meeting_pairs(copies) == meeting_pairs_bruteforce(boxes)
+        got = [(i, j) for i, ids in enumerate(boxes_meeting(rects, copies)) for j in ids]
+        assert got == meeting_pairs_bruteforce(rects, boxes)
