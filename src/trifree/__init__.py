@@ -11,7 +11,6 @@ from .geometry import (
     Seg,
     XYTransform,
     as_rat,
-    clip_seg_to_rect,
     seg_intersect,
 )
 from .shapes import (

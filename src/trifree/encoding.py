@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .errors import fail_on
 from .game import Interval, game_tree, overlaps
 from .geometry import Rat, XYTransform
-from .shapes import ShapeDef, TransformedCopy, catalog, copies_intersect, meeting_pairs
+from .shapes import TransformedCopy, catalog, copies_intersect, meeting_pairs
 
 
 @dataclass
@@ -141,12 +141,12 @@ def frame_law(nodes: Sequence[FrameNode], copies: Sequence[TransformedCopy]) -> 
     return out
 
 
-def encode(tree: StrategyTree, shape: Optional[ShapeDef] = None) -> FrameFamily:
+def encode(tree: StrategyTree) -> FrameFamily:
     """One rectangular frame per tree node, with the intersection law
     verified exhaustively."""
-    frame_shape = shape if shape is not None else catalog()["frame"]
+    frame = catalog()["frame"]
     nodes = frame_nodes(tree.root)
-    copies = tuple(TransformedCopy(frame_shape.name, frame_shape.shape, n.transform,
+    copies = tuple(TransformedCopy(frame.name, frame.shape, n.transform,
                                    f"frame(node{n.index})") for n in nodes)
     fail_on(frame_law(nodes, copies))
     return FrameFamily(copies, nodes)

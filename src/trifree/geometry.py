@@ -5,10 +5,10 @@ every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
 
-These are the types that constructions, files and tests speak in.  The
-hot predicates on placed copies do not run here: ``shapes`` lifts each
-copy once onto the integer grid of its least common denominator and
-decides contacts on Python ints there.
+These are the types that constructions, files and tests speak in.
+``shapes`` decides every contact on integer grids: ``lift`` puts
+rationals on the grid of their least common denominator, and a ``Rect``
+keeps its own lift, so a rectangle queried many times is lifted once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 
@@ -24,6 +26,8 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 
 RatLike = Union[int, str, Fraction]
+
+IntBox = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi) in units of 1/den
 
 
 _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -45,6 +49,12 @@ def as_rat(value: RatLike) -> Rat:
 def rat_str(value: Rat) -> str:
     """Serialize a rational as 'p/q', with '/1' omitted for integers."""
     return str(value)
+
+
+def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """The least common denominator of ``values`` and each value in its units."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -81,19 +91,10 @@ class Seg:
         if self.lo > self.hi:
             raise ValueError(f"segment range reversed: {self.lo} > {self.hi}")
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def bbox(self) -> "Rect":
         if self.orientation == HORIZONTAL:
             return Rect(self.lo, self.hi, self.fixed, self.fixed)
         return Rect(self.fixed, self.fixed, self.lo, self.hi)
-
-    def contains_point(self, p: Point) -> bool:
-        if self.orientation == HORIZONTAL:
-            return p.y == self.fixed and self.lo <= p.x <= self.hi
-        return p.x == self.fixed and self.lo <= p.y <= self.hi
 
 
 def h_seg(y: RatLike, x0: RatLike, x1: RatLike) -> Seg:
@@ -106,7 +107,8 @@ def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
 
 @dataclass(frozen=True)
 class Rect:
-    """A closed axis-aligned rectangle, possibly degenerate."""
+    """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
+    ``int_box`` are its sides' ``lift``, made on first use and kept."""
 
     x_lo: Rat
     x_hi: Rat
@@ -131,8 +133,18 @@ class Rect:
     def is_degenerate(self) -> bool:
         return self.width == 0 or self.height == 0
 
-    def contains_point(self, p: Point) -> bool:
-        return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
+    @cached_property
+    def _lifted(self) -> tuple[int, IntBox]:
+        den, box = lift((self.x_lo, self.x_hi, self.y_lo, self.y_hi))
+        return den, tuple(box)
+
+    @cached_property
+    def den(self) -> int:
+        return self._lifted[0]
+
+    @cached_property
+    def int_box(self) -> IntBox:
+        return self._lifted[1]
 
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x_lo <= other.x_lo and other.x_hi <= self.x_hi
@@ -189,23 +201,6 @@ def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     if h.lo <= v.fixed <= h.hi and v.lo <= h.fixed <= v.hi:
         return Point(v.fixed, h.fixed)
     return None
-
-
-def clip_seg_to_rect(s: Seg, r: Rect) -> Optional[Seg]:
-    """The exact closed portion of s inside r, or None if empty."""
-    if s.orientation == HORIZONTAL:
-        if not (r.y_lo <= s.fixed <= r.y_hi):
-            return None
-        lo = max(s.lo, r.x_lo)
-        hi = min(s.hi, r.x_hi)
-    else:
-        if not (r.x_lo <= s.fixed <= r.x_hi):
-            return None
-        lo = max(s.lo, r.y_lo)
-        hi = min(s.hi, r.y_hi)
-    if lo > hi:
-        return None
-    return Seg(s.orientation, s.fixed, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ of a serialize reproduces every coordinate bit for bit.  One writer,
 ``level_to_doc``, serves both constructions: a level's ``epsilon`` makes
 its document a uniform one, with the anchored shape and the ``epsilon``
 field.  ``encoded_to_doc`` writes strategy-tree families, and
-``doc_to_family`` reads all three modes back.  It refuses a family whose
-copies and probes share no grid near their finest denominator, because
-the predicates and sweeps decide everything on one common grid.
+``doc_to_family`` reads all three modes back.  It refuses a shape block
+that is not its catalog entry's, as ``shape_to_json`` writes it, and a
+family whose copies and probes share no grid near their finest
+denominator, because the predicates and sweeps decide everything on one
+common grid.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .shapes import ShapeDef, TransformedCopy, catalog
 def seg_to_json(s: Seg) -> dict:
     return {"o": s.orientation, "fixed": rat_str(s.fixed),
             "lo": rat_str(s.lo), "hi": rat_str(s.hi)}
-
-
-def seg_from_json(d: dict) -> Seg:
-    return Seg(d["o"], as_rat(d["fixed"]), as_rat(d["lo"]), as_rat(d["hi"]))
 
 
 def rect_to_json(r: Rect) -> dict:
@@ -100,8 +98,7 @@ def _check_grid(copies: Sequence[TransformedCopy], probes: Sequence[Probe]) -> N
     all work on it, grow with the square of the file's size.
     """
     dens = {c.den for c in copies}
-    dens.update(v.denominator for p in probes for r in (p.rect, p.root)
-                for v in (r.x_lo, r.x_hi, r.y_lo, r.y_hi))
+    dens.update(r.den for p in probes for r in (p.rect, p.root))
     limit = max(dens).bit_length() + GRID_SLACK_BITS
     grid = 1
     for d in dens:
@@ -217,10 +214,10 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     except KeyError:
         raise ValueError(f"unknown catalog shape: {name!r}") from None
     anchored = mode == "uniform"
+    # the whole block, features and anchor included, is the catalog entry's
+    if doc["shape"] != shape_to_json(shape, anchored=anchored):
+        raise ValueError(f"shape does not match catalog entry {name!r}")
     base = shape.anchor.shape if anchored else shape.shape
-    stored = tuple(seg_from_json(s) for s in doc["shape"]["segments"])
-    if stored != base.segments:
-        raise ValueError(f"shape segments do not match catalog entry {name!r}")
     copies = tuple(
         TransformedCopy(name, base,
                         XYTransform(as_rat(c["sx"]), as_rat(c["sy"]),

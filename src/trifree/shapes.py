@@ -18,12 +18,13 @@ the stabbing notion to transformed copies clipped to a query rectangle.
 Every shape and copy is lifted once, when it is made, onto the grid of
 multiples of 1/den, den the least common denominator of its coordinates:
 its segments are stored as integer tuples ``(orientation, fixed, lo,
-hi)`` and its bounding box as ``(x_lo, x_hi, y_lo, y_hi)``, both in units
-of 1/den.  The predicates scale two grids onto a common one and compare
-Python ints, so they stay exact without a Fraction in the loop.
-``meeting_pairs`` and ``boxes_meeting`` lift all their boxes onto one
-common grid and find the closed boxes that meet with one sweep in y, so
-callers run the exact predicates on those pairs alone.
+hi)`` and its bounding box as ``int_box``, ``(x_lo, x_hi, y_lo, y_hi)``,
+both in units of 1/den; a ``Rect`` carries its own ``den`` and
+``int_box``.  Every contact, clip and stabbing decision, the feature
+checks' included, scales two grids onto a common one and compares Python
+ints.  ``meeting_pairs`` and ``boxes_meeting`` put all their boxes onto
+one common grid and find the closed boxes that meet with one sweep in y,
+so callers run the exact predicates on those pairs alone.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -38,40 +39,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .geometry import (
     HORIZONTAL,
     VERTICAL,
-    Point,
+    IntBox,
     Rat,
     Rect,
     Seg,
     XYTransform,
-    clip_seg_to_rect,
     h_seg,
+    lift,
     v_seg,
 )
 
 IntSeg = tuple[str, int, int, int]  # (orientation, fixed, lo, hi) in units of 1/den
-IntBox = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi) in units of 1/den
-
-
-def _lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
-    """The least common denominator of ``values`` and each value in its units."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _lift_segs(segs: Sequence[Seg]) -> tuple[int, tuple[IntSeg, ...]]:
     """``segs`` on the grid of their least common denominator: (den, segments)."""
-    den, ints = _lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
+    den, ints = lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
     return den, tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segs))
-
-
-def _lift_rect(r: Rect) -> tuple[int, IntBox]:
-    den, ints = _lift((r.x_lo, r.x_hi, r.y_lo, r.y_hi))
-    return den, tuple(ints)
 
 
 def _segs_meet(s: IntSeg, t: IntSeg) -> bool:
@@ -115,10 +104,9 @@ def _components(segs: Sequence[IntSeg]) -> list[list[int]]:
 def _clip(den: int, segs: Sequence[IntSeg], r: Rect) -> tuple[IntBox, list[IntSeg]]:
     """``r`` and the closed parts of ``segs`` (in units of 1/den) inside it,
     both on the grid of the least common multiple of den and r's denominator."""
-    r_den, box = _lift_rect(r)
-    g = gcd(den, r_den)
-    m, m_r = r_den // g, den // g
-    x0, x1, y0, y1 = box = tuple(v * m_r for v in box)
+    g = gcd(den, r.den)
+    m, m_r = r.den // g, den // g
+    x0, x1, y0, y1 = box = tuple(v * m_r for v in r.int_box)
     out: list[IntSeg] = []
     for o, f, lo, hi in _scaled(segs, m):
         if o == HORIZONTAL:
@@ -204,28 +192,35 @@ class ShapeFeatures:
                     self.empty_rect.y_lo, self.empty_rect.y_hi)
 
 
-def _merge_ranges(ranges: list[tuple[Rat, Rat]]) -> list[tuple[Rat, Rat]]:
-    out: list[tuple[Rat, Rat]] = []
-    for lo, hi in sorted(ranges):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
+def _covers(shape: RectilinearShape, s: Seg) -> bool:
+    """True iff the closed segment ``s`` lies in the shape: the shape's
+    pieces inside s, projected onto s's axis, leave no gap in it."""
+    (x0, x1, y0, y1), pieces = _clip(shape.den, shape.int_segs, s.bbox())
+    reach, end = (x0, x1) if s.orientation == HORIZONTAL else (y0, y1)
+    for lo, hi in sorted((lo, hi) if o == s.orientation else (f, f)
+                         for o, f, lo, hi in pieces):
+        if lo > reach:
+            return False
+        reach = max(reach, hi)
+    return bool(pieces) and reach == end
+
+
+def _stabber_faults(shape: RectilinearShape, stabber: Sequence[Seg], region: Rect,
+                    *, vertical: bool) -> list[str]:
+    """Why ``stabber`` fails condition iv (vertical, across the right band
+    ``region``) or iii (horizontal, across the left strip); empty if valid."""
+    cond, side, where = (("iv", "right", "right band") if vertical
+                         else ("iii", "left", "left strip"))
+    if not stabber:
+        return [f"{cond}: no {side} stabber declared"]
+    out: list[str] = []
+    if not all(region.contains_rect(s.bbox()) for s in stabber):
+        out.append(f"{cond}: {side} stabber leaves the {where}")
+    if not all(_covers(shape, s) for s in stabber):
+        out.append(f"{cond}: {side} stabber is not part of the shape")
+    if not _stabs(*_lift_segs(stabber), region, vertical=vertical):
+        out.append(f"{cond}: {side} stabber does not cross the {where}")
     return out
-
-
-def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
-    """True iff the closed segment s lies inside the union of shape segments."""
-    if s.is_point:
-        p = Point(s.fixed, s.lo) if s.orientation == VERTICAL else Point(s.lo, s.fixed)
-        return any(t.contains_point(p) for t in shape_segments)
-    collinear = [(max(t.lo, s.lo), min(t.hi, s.hi))
-                 for t in shape_segments
-                 if t.orientation == s.orientation and t.fixed == s.fixed
-                 and max(t.lo, s.lo) <= min(t.hi, s.hi)]
-    merged = _merge_ranges(collinear)
-    return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
-
 
 
 def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str]:
@@ -251,27 +246,8 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     if _clip(shape.den, shape.int_segs, e)[1]:
         out.append("ii: empty rectangle meets the shape")
 
-    vl = feats.left_strip()
-    if not feats.left_stabber:
-        out.append("iii: no left stabber declared")
-    else:
-        if any(clip_seg_to_rect(s, vl) != s for s in feats.left_stabber):
-            out.append("iii: left stabber leaves the left strip")
-        if not all(segment_covered(shape.segments, s) for s in feats.left_stabber):
-            out.append("iii: left stabber is not part of the shape")
-        if not _stabs(*_lift_segs(feats.left_stabber), vl, vertical=False):
-            out.append("iii: left stabber does not cross the left strip")
-
-    vr = feats.right_band()
-    if not feats.right_stabber:
-        out.append("iv: no right stabber declared")
-    else:
-        if any(clip_seg_to_rect(s, vr) != s for s in feats.right_stabber):
-            out.append("iv: right stabber leaves the right band")
-        if not all(segment_covered(shape.segments, s) for s in feats.right_stabber):
-            out.append("iv: right stabber is not part of the shape")
-        if not _stabs(*_lift_segs(feats.right_stabber), vr, vertical=True):
-            out.append("iv: right stabber does not cross the right band")
+    out.extend(_stabber_faults(shape, feats.left_stabber, feats.left_strip(), vertical=False))
+    out.extend(_stabber_faults(shape, feats.right_stabber, feats.right_band(), vertical=True))
 
     if feats.w1 != e.x_lo - u.x_lo:
         out.append("w1: does not equal the E-to-U left gap")
@@ -363,18 +339,13 @@ def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
     return bool(_clip(c.den, c.int_segs, r)[1])
 
 
-Boxed = Union[Rect, TransformedCopy]
-
-
-def _on_one_grid(*groups: Sequence[Boxed]) -> tuple[int, list[list[IntBox]]]:
+def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:
     """The boxes of each group (a copy stands for its bounding box) in
     units of 1/den, den the least common denominator of all of them."""
-    lifted = [[(b.den, b.int_box) if isinstance(b, TransformedCopy) else _lift_rect(b)
-               for b in group] for group in groups]
-    den = lcm(*{d for group in lifted for d, _ in group})
+    den = lcm(*{b.den for group in groups for b in group})
     return den, [[(x0 * m, x1 * m, y0 * m, y1 * m)
-                  for d, (x0, x1, y0, y1) in group for m in (den // d,)]
-                 for group in lifted]
+                  for (x0, x1, y0, y1), m in ((b.int_box, den // b.den) for b in group)]
+                 for group in groups]
 
 
 def _by_bottom(boxes: Sequence[IntBox]) -> tuple[list[int], list[int]]:
@@ -387,7 +358,7 @@ def _x_ranges_meet(a: IntBox, b: IntBox) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
-def meeting_pairs(boxes: Sequence[Boxed]) -> list[tuple[int, int]]:
+def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
 
     A copy stands for its bounding box.  One sweep in y over the boxes on
@@ -408,7 +379,8 @@ def meeting_pairs(boxes: Sequence[Boxed]) -> list[tuple[int, int]]:
     return out
 
 
-def boxes_meeting(queries: Sequence[Boxed], boxes: Sequence[Boxed]) -> list[list[int]]:
+def boxes_meeting(queries: Sequence[Rect | TransformedCopy],
+                  boxes: Sequence[Rect | TransformedCopy]) -> list[list[int]]:
     """For each query box, the ascending indices of the ``boxes`` it meets.
 
     The same sweep across two lists on one grid: of two boxes that overlap
@@ -512,18 +484,11 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
     if _clip(anchor.shape.den, anchor.shape.int_segs, e)[1]:
         out.append("ii: empty square meets the shape")
 
-    vl = Rect(u.x_lo, e.x_lo, u.y_lo, u.y_hi)
-    ls = anchor.left_stabber(eps)
-    if any(clip_seg_to_rect(s, vl) != s for s in ls) or \
-       not all(segment_covered(anchor.shape.segments, s) for s in ls) or \
-       not _stabs(*_lift_segs(ls), vl, vertical=False):
+    if _stabber_faults(anchor.shape, anchor.left_stabber(eps),
+                       Rect(u.x_lo, e.x_lo, u.y_lo, u.y_hi), vertical=False):
         out.append("iii: left eps-stabber invalid")
-
-    vr = Rect(e.x_hi, u.x_hi, e.y_lo, e.y_hi)
-    rs = anchor.right_stabber(eps)
-    if any(clip_seg_to_rect(s, vr) != s for s in rs) or \
-       not all(segment_covered(anchor.shape.segments, s) for s in rs) or \
-       not _stabs(*_lift_segs(rs), vr, vertical=True):
+    if _stabber_faults(anchor.shape, anchor.right_stabber(eps),
+                       Rect(e.x_hi, u.x_hi, e.y_lo, e.y_hi), vertical=True):
         out.append("iv: right eps-stabber invalid")
     return out
 

@@ -35,7 +35,7 @@ from .independent import (
     size_formulas,
 )
 from .serialize import LoadedFamily
-from .shapes import family_bbox, validate_features
+from .shapes import family_bbox
 
 
 def _check_sizes(fam: LoadedFamily, out: list[str]) -> None:
@@ -56,7 +56,6 @@ def _check_sizes(fam: LoadedFamily, out: list[str]) -> None:
 
 def _verify_geometric(fam: LoadedFamily) -> list[str]:
     out: list[str] = []
-    out.extend(validate_features(fam.shape.shape, fam.shape.features))
     _check_sizes(fam, out)
     base = fam.copies[:fam.base_size] if fam.augmented else fam.copies
     bbox = family_bbox(base)

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript
-from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, clip_seg_to_rect, seg_intersect
+from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, seg_intersect
 from trifree.graphs import (
     ChromaticResult,
     Graph,
@@ -83,6 +83,41 @@ def rect_relations(a: Rect, b: Rect) -> RectRelation:
     if b.contains_rect(a):
         return RectRelation.B_CONTAINS_A
     return RectRelation.OVERLAP
+
+
+def clip_seg_to_rect(s: Seg, r: Rect) -> Optional[Seg]:
+    """The exact closed portion of s inside r, or None if empty."""
+    if s.orientation == HORIZONTAL:
+        if not (r.y_lo <= s.fixed <= r.y_hi):
+            return None
+        lo = max(s.lo, r.x_lo)
+        hi = min(s.hi, r.x_hi)
+    else:
+        if not (r.x_lo <= s.fixed <= r.x_hi):
+            return None
+        lo = max(s.lo, r.y_lo)
+        hi = min(s.hi, r.y_hi)
+    if lo > hi:
+        return None
+    return Seg(s.orientation, s.fixed, lo, hi)
+
+
+def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
+    """The cover test of ``shapes.validate_features`` on exact rationals:
+    True iff the closed segment s lies inside the union of shape segments.
+    A point needs one segment through it; a longer segment needs its
+    collinear pieces to merge into one range around it."""
+    if s.lo == s.hi:
+        return any(seg_intersect(t, s) is not None for t in shape_segments)
+    merged: list[tuple[Rat, Rat]] = []
+    for lo, hi in sorted((max(t.lo, s.lo), min(t.hi, s.hi)) for t in shape_segments
+                         if t.orientation == s.orientation and t.fixed == s.fixed
+                         and max(t.lo, s.lo) <= min(t.hi, s.hi)):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
 
 
 def copies_intersect_ref(a: TransformedCopy, b: TransformedCopy) -> bool:

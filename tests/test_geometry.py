@@ -11,14 +11,19 @@ from trifree.geometry import (
     Seg,
     XYTransform,
     as_rat,
-    clip_seg_to_rect,
     h_seg,
     rat_str,
     seg_intersect,
     v_seg,
 )
 
-from _oracles import RectRelation, rect_relation_grid, rect_relations, segs_intersect_grid
+from _oracles import (
+    RectRelation,
+    clip_seg_to_rect,
+    rect_relation_grid,
+    rect_relations,
+    segs_intersect_grid,
+)
 
 
 def test_perpendicular_crossing_gives_point():
@@ -52,7 +57,7 @@ def test_clip_outside_fixed_range_is_empty():
 
 def test_clip_can_degenerate_to_point_segment():
     got = clip_seg_to_rect(h_seg(0, 0, 5), Rect(5, 9, 0, 1))
-    assert got == h_seg(0, 5, 5) and got.is_point
+    assert got == h_seg(0, 5, 5) and got.lo == got.hi
 
 
 def test_rect_relations_basic():

@@ -392,6 +392,45 @@ def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
         assert "Traceback" not in r.stderr
 
 
+@pytest.fixture(scope="module")
+def uniform_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fam") / "uniform2.json"
+    r = _run_cli("build", "--mode", "uniform", "--k", "2", "--epsilon", "1/2",
+                 "--out", str(path))
+    assert r.returncode == 0
+    return path
+
+
+@pytest.mark.parametrize("mode, tamper", [
+    ("independent", _set("shape", "features", "w1", "999")),
+    ("independent", _set("shape", "features", "empty_rect", "x_lo", "-5")),
+    ("independent", _set("shape", "features", "left_stabber", 0, "hi", "1/2")),
+    ("independent", _set("shape", "features", "right_stabber", [])),
+    ("independent", _set("shape", "anchor", {"name": "frame"})),
+    ("independent", _set("shape", "segments", 0, "hi", "2")),
+    ("independent", lambda doc: doc["shape"].pop("features")),
+    ("uniform", _set("shape", "anchor", None)),
+    ("uniform", _set("shape", "features", {})),
+    ("uniform", _set("shape", "segments", 0, "fixed", "1/3")),
+], ids=["w1", "empty-rect", "left-stabber", "no-right-stabber", "anchor-added",
+        "segment", "features-dropped", "uniform-anchor-dropped", "uniform-features-added",
+        "uniform-segment"])
+def test_cli_refuses_a_shape_block_that_is_not_the_catalog_entry(
+        tmp_path, family_file, uniform_file, mode, tamper):
+    source = family_file if mode == "independent" else uniform_file
+    # the untouched file, as ``build`` writes it, verifies
+    r = _run_cli("verify", "--family", str(source), timeout=30)
+    assert r.returncode == 0 and r.stdout.startswith("ok")
+    doc = json.loads(source.read_text())
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    r = _run_cli("verify", "--family", str(path), timeout=30)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: shape does not match catalog entry 'frame'"]
+
+
 def test_cli_game_firstfit_and_minimax(tmp_path):
     out = tmp_path / "t.json"
     r = _run_cli("game", "--k", "2", "--painter", "firstfit", "--out", str(out))

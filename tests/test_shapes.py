@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from trifree.geometry import Rect, XYTransform, h_seg, rect_union_all, v_seg
+import pytest
+
+from trifree.geometry import Rect, Seg, XYTransform, h_seg, rect_union_all, seg_intersect, v_seg
 from trifree.independent import build
 from trifree.shapes import (
     AnchoredFrame,
     RectilinearShape,
     ShapeFeatures,
     TransformedCopy,
+    _covers,
     anchored_violations,
     catalog,
     boxes_meeting,
@@ -28,6 +31,7 @@ from _oracles import (
     copy_meets_rect_ref,
     curve_stabs_ref,
     meeting_pairs_bruteforce,
+    segment_covered,
 )
 
 
@@ -82,6 +86,128 @@ def test_unmirrored_lshape_fails_iv_and_mirror_passes():
 
     mirrored = catalog()["lshape"]
     assert validate_features(mirrored.shape, mirrored.features) == []
+
+
+_Q, _E = Fraction(1, 4), Fraction(1, 8)
+_FRAME = (h_seg(0, 0, 1), h_seg(1, 0, 1), v_seg(0, 0, 1), v_seg(1, 0, 1))
+# bottom edge cut open over (1/8, 3/16), right edge over (3/8, 1/2)
+_FRAME_GAP_LEFT = (h_seg(0, 0, _E), h_seg(0, 3 * _E / 2, 1)) + _FRAME[1:]
+_FRAME_GAP_RIGHT = _FRAME[:3] + (v_seg(1, 0, 3 * _E), v_seg(1, 4 * _E, 1))
+
+_III, _IV = "iii: left stabber", "iv: right stabber"
+
+
+@pytest.mark.parametrize("vertical, segments, stabber, faults", [
+    (False, _FRAME, (), ["iii: no left stabber declared"]),
+    (False, _FRAME, (h_seg(0, 0, 2 * _Q),), [f"{_III} leaves the left strip"]),
+    (False, _FRAME_GAP_LEFT, (h_seg(0, 0, _Q),), [f"{_III} is not part of the shape"]),
+    (False, _FRAME, (h_seg(_E, _E, _E),), [f"{_III} is not part of the shape",
+                                           f"{_III} does not cross the left strip"]),
+    (False, _FRAME, (h_seg(0, 0, _E),), [f"{_III} does not cross the left strip"]),
+    (True, _FRAME, (), ["iv: no right stabber declared"]),
+    (True, _FRAME, (v_seg(1, 0, 3 * _Q),), [f"{_IV} leaves the right band"]),
+    (True, _FRAME_GAP_RIGHT, (v_seg(1, _Q, 3 * _Q),), [f"{_IV} is not part of the shape"]),
+    (True, _FRAME, (v_seg(7 * _E, 4 * _E, 4 * _E),), [f"{_IV} is not part of the shape",
+                                                      f"{_IV} does not cross the right band"]),
+    (True, _FRAME, (v_seg(1, _Q, 2 * _Q),), [f"{_IV} does not cross the right band"]),
+], ids=[f"{side}-{fault}" for side in ("iii", "iv") for fault in (
+    "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")])
+def test_validate_features_reports_each_stabber_fault(vertical, segments, stabber, faults):
+    frame = catalog()["frame"].features
+    feats = ShapeFeatures(frame.bbox, frame.empty_rect,
+                          frame.left_stabber if vertical else stabber,
+                          stabber if vertical else frame.right_stabber,
+                          frame.w1, frame.w2)
+    assert validate_features(RectilinearShape(segments), feats) == faults
+
+
+class _AnchoredWith(AnchoredFrame):
+    """The anchored frame with other material, or another stabber on a side."""
+
+    def __init__(self, segments, left=None, right=None):
+        super().__init__()
+        self.shape = RectilinearShape(segments)
+        self.left, self.right = left, right
+
+    def left_stabber(self, eps):
+        return super().left_stabber(eps) if self.left is None else self.left
+
+    def right_stabber(self, eps):
+        return super().right_stabber(eps) if self.right is None else self.right
+
+
+# At eps = 1/2 the empty square is [3/4, 11/12] x [5/12, 7/12]: the left
+# region is [0, 3/4] x [0, 1], the right one [11/12, 1] x [5/12, 7/12].
+_ANCHORED = (h_seg(_Q, 0, 1), h_seg(3 * _Q, 0, 1), v_seg(0, _Q, 3 * _Q), v_seg(1, _Q, 3 * _Q))
+_ANCHORED_GAP_LEFT = (h_seg(_Q, 0, _E), h_seg(_Q, 3 * _E / 2, 1)) + _ANCHORED[1:]
+_ANCHORED_GAP_RIGHT = _ANCHORED[:3] + (v_seg(1, _Q, 2 * _Q), v_seg(1, 9 * _Q / 4, 3 * _Q))
+
+
+@pytest.mark.parametrize("vertical, segments, stabber", [
+    (False, _ANCHORED, ()),
+    (False, _ANCHORED, (h_seg(_Q, 0, 1),)),
+    (False, _ANCHORED_GAP_LEFT, None),
+    (False, _ANCHORED, (h_seg(2 * _Q, 2 * _Q, 2 * _Q),)),
+    (False, _ANCHORED, (h_seg(_Q, 0, 2 * _Q),)),
+    (True, _ANCHORED, ()),
+    (True, _ANCHORED, (v_seg(1, _Q, Fraction(7, 12)),)),
+    (True, _ANCHORED_GAP_RIGHT, None),
+    (True, _ANCHORED, (v_seg(Fraction(23, 24), 2 * _Q, 2 * _Q),)),
+    (True, _ANCHORED, (v_seg(1, Fraction(5, 12), 2 * _Q),)),
+], ids=[f"{side}-{fault}" for side in ("iii", "iv") for fault in (
+    "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")])
+def test_anchored_violations_reports_each_stabber_fault(vertical, segments, stabber):
+    half = Fraction(1, 2)
+    assert anchored_violations(_AnchoredWith(_ANCHORED), half) == []
+    anchor = (_AnchoredWith(segments, right=stabber) if vertical
+              else _AnchoredWith(segments, left=stabber))
+    expected = "iv: right eps-stabber invalid" if vertical else "iii: left eps-stabber invalid"
+    assert anchored_violations(anchor, half) == [expected]
+
+
+def test_cover_test_matches_the_fraction_reference():
+    # Segments on few lines and short ranges, so zero-length segments,
+    # pieces touching end to end and perpendicular-only contacts are common.
+    rng = random.Random(20261018)
+    values = [Fraction(n, d) for d in (1, 2, 3) for n in range(0, 2 * d + 1)]
+    lengths = (0, 0, Fraction(1, 3), Fraction(1, 2), 1)
+
+    def seg():
+        fixed, lo = rng.choice((0, Fraction(1, 2), 1)), rng.choice(values)
+        return (h_seg if rng.random() < 0.5 else v_seg)(fixed, lo, lo + rng.choice(lengths))
+
+    def chain():
+        # pieces on one line, each starting where the last ends or just after
+        make, fixed = rng.choice((h_seg, v_seg)), rng.choice((0, Fraction(1, 2), 1))
+        at, out = rng.choice(values), []
+        for _ in range(rng.randint(2, 3)):
+            out.append(make(fixed, at, at + rng.choice(lengths)))
+            at = out[-1].hi + rng.choice((0, 0, 0, Fraction(1, 6)))
+        return out
+
+    seen = dict.fromkeys(("covered", "not", "point covered", "joined end to end",
+                          "perpendicular contacts only"), 0)
+    for _ in range(5000):
+        pieces = chain()
+        segs = [seg() for _ in range(rng.randint(0, 4))] + pieces
+        if rng.random() < 0.5:
+            s = seg()
+        else:  # along the chain, between two of its ends
+            lo, hi = sorted(rng.choice([v for t in pieces for v in (t.lo, t.hi)])
+                            for _ in range(2))
+            s = Seg(pieces[0].orientation, pieces[0].fixed, lo, hi)
+        covered = segment_covered(segs, s)
+        assert _covers(RectilinearShape(tuple(segs)), s) == covered, (segs, s)
+        seen["covered" if covered else "not"] += 1
+        meeting = [t for t in segs if seg_intersect(s, t) is not None]
+        if s.lo == s.hi:
+            seen["point covered"] += covered
+        elif covered and not any(t.orientation == s.orientation and t.lo <= s.lo
+                                 and s.hi <= t.hi for t in meeting):
+            seen["joined end to end"] += 1
+        elif meeting and all(t.orientation != s.orientation for t in meeting):
+            seen["perpendicular contacts only"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_nested_frames_do_not_intersect():
