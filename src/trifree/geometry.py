@@ -9,6 +9,8 @@ These are the types that constructions, files and tests speak in.
 ``shapes`` decides every contact on integer grids: ``lift`` puts
 rationals on the grid of their least common denominator, and a ``Rect``
 keeps its own lift, so a rectangle queried many times is lifted once.
+``shapes.FamilyGrid`` then puts a whole family and its query rectangles
+on one grid, once per check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -35,7 +36,10 @@ _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def as_rat(value: RatLike) -> Rat:
     """Coerce an int, a Fraction, or a 'p' or 'p/q' string as ``rat_str``
-    writes it to an exact rational; any other string raises ValueError."""
+    writes it to an exact rational; any other string raises ValueError.
+    A value whose type is exactly Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -108,7 +112,8 @@ def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
 @dataclass(frozen=True)
 class Rect:
     """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
-    ``int_box`` are its sides' ``lift``, made on first use and kept."""
+    ``int_box`` are its sides' ``lift``, made on first use and kept in the
+    plain attribute ``_lift``."""
 
     x_lo: Rat
     x_hi: Rat
@@ -133,18 +138,23 @@ class Rect:
     def is_degenerate(self) -> bool:
         return self.width == 0 or self.height == 0
 
-    @cached_property
+    _lift = None  # (den, int_box) once _lifted makes it; unannotated, so not a field
+
     def _lifted(self) -> tuple[int, IntBox]:
-        den, box = lift((self.x_lo, self.x_hi, self.y_lo, self.y_hi))
-        return den, tuple(box)
+        lifted = self._lift
+        if lifted is None:
+            den, box = lift((self.x_lo, self.x_hi, self.y_lo, self.y_hi))
+            lifted = den, tuple(box)
+            object.__setattr__(self, "_lift", lifted)
+        return lifted
 
-    @cached_property
+    @property
     def den(self) -> int:
-        return self._lifted[0]
+        return self._lifted()[0]
 
-    @cached_property
+    @property
     def int_box(self) -> IntBox:
-        return self._lifted[1]
+        return self._lifted()[1]
 
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x_lo <= other.x_lo and other.x_hi <= self.x_hi

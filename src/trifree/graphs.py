@@ -1,8 +1,9 @@
 """Intersection-graph extraction and exact coloring certification.
 
-``intersection_graph`` runs the exact ``copies_intersect`` only on the
+``intersection_graph`` lifts the family onto one integer grid
+(``shapes.FamilyGrid``) and runs the exact contact test only on the
 candidate pairs whose bounding boxes meet, which one y-sweep over the
-boxes (``shapes.meeting_pairs``) finds; any other pair is disjoint.
+boxes on that grid finds; any other pair is disjoint.
 
 The chromatic-number solver is a saturation-order branch and bound with
 a clique lower bound and first-use color symmetry pruning.  It either
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .shapes import TransformedCopy, copies_intersect, meeting_pairs
+from .shapes import FamilyGrid, TransformedCopy
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,10 @@ class Graph:
 
 
 def intersection_graph(copies: Sequence[TransformedCopy]) -> Graph:
-    """Edges are the exactly-intersecting pairs; vertex order = family order."""
-    edges = [(i, j) for i, j in meeting_pairs(copies)
-             if copies_intersect(copies[i], copies[j])]
-    return Graph.from_edges(len(copies), edges, tuple(c.lineage for c in copies))
+    """Edges are the exactly-intersecting pairs; vertex order = family order.
+    The family is lifted onto one grid once, and every pair decided on it."""
+    return Graph.from_edges(len(copies), FamilyGrid(copies).contacts(),
+                            tuple(c.lineage for c in copies))
 
 
 def _masks(g: Graph) -> list[int]:

@@ -21,10 +21,11 @@ levels alone, and ``serialize.level_to_doc`` writes either.
 Nothing here is trusted: every structural claim used by the recursion
 (diagonal contact sets, probe conditions, disjointness) is re-verified
 exactly after each step, and a violation raises ConstructionError.
-Each check takes its candidates from one y-sweep over bounding boxes
-(``shapes.meeting_pairs``, ``shapes.boxes_meeting``) and runs the exact
-predicates on those alone: a copy whose box misses a probe's rectangle
-and root, a diagonal or another diagonal cannot meet it.
+Each check lifts its copies and rectangles onto one integer grid
+(``shapes.FamilyGrid``), takes its candidates from one y-sweep over
+bounding boxes on it and runs the exact tests on those alone: a copy
+whose box misses a probe's rectangle and root, a diagonal or another
+diagonal cannot meet it.
 """
 
 from __future__ import annotations
@@ -35,18 +36,8 @@ from itertools import combinations, islice, takewhile
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
-from .geometry import Rat, Rect, XYTransform
-from .shapes import (
-    ShapeDef,
-    TransformedCopy,
-    boxes_meeting,
-    copies_intersect,
-    copy_meets_rect,
-    family_bbox,
-    meeting_pairs,
-    stabs_horizontally,
-    stabs_vertically,
-)
+from .geometry import IntBox, Rat, Rect, XYTransform
+from .shapes import FamilyGrid, ShapeDef, TransformedCopy, family_bbox, meeting_pairs
 
 # P-up takes the top 2/5 of a probe, P-down the bottom 2/5; the middle
 # fifth is the separating margin.
@@ -147,13 +138,26 @@ def probe_conditions(probes: Sequence[Probe], copies: Sequence[TransformedCopy],
     exactly 1 + eps.  One sweep finds, for every probe, the copies whose
     boxes meet the box around its rectangle and its root, so a root moved
     off its rectangle is still checked against every copy it could meet.
+
+    The copies and every probe's rectangle and root are lifted onto one
+    ``FamilyGrid`` once per call.  Each near copy is clipped to the probe
+    rectangle once, and that clip decides both whether the copy is pierced
+    and whether it stabs.  Nested probes share their outer pierced copies,
+    so each distinct pierced pair is tested once per call and its answer
+    kept for every probe that pierces both copies.
     """
-    near = boxes_meeting([p.rect.union(p.root) for p in probes], copies)
-    return [_probe_messages(p, copies, ids, bbox, epsilon) for p, ids in zip(probes, near)]
+    grid = FamilyGrid(copies, [r for p in probes for r in (p.rect, p.root)])
+    rects, roots = grid.rect_boxes[0::2], grid.rect_boxes[1::2]
+    hulls = [(min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+             for a, b in zip(rects, roots)]
+    met: dict[int, bool] = {}  # a * len(copies) + b -> whether copies a < b meet
+    return [_probe_messages(p, grid, rect, root, ids, bbox, epsilon, met)
+            for p, rect, root, ids in zip(probes, rects, roots, grid.near(hulls))]
 
 
-def _probe_messages(probe: Probe, copies: Sequence[TransformedCopy], near: Sequence[int],
-                    bbox: Rect, epsilon: Optional[Rat]) -> list[str]:
+def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
+                    near: Sequence[int], bbox: Rect, epsilon: Optional[Rat],
+                    met: dict[int, bool]) -> list[str]:
     out: list[str] = []
     rect, root, cut = probe.rect, probe.root, probe.root_cut_x
     if rect.is_degenerate:
@@ -171,17 +175,22 @@ def _probe_messages(probe: Probe, copies: Sequence[TransformedCopy], near: Seque
             out.append("root is not a square")
         if rect.width != (1 + epsilon) * rect.height:
             out.append("width/height ratio is not exactly 1+eps")
-    actual = [i for i in near if copy_meets_rect(copies[i], rect)]
+    clips = [(i, pieces) for i in near if (pieces := grid.clip(i, rect_box))]
+    actual = [i for i, _ in clips]
     if actual != sorted(probe.pierced):
         out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
+    n = len(grid.segs)
     for a, b in combinations(actual, 2):
-        if copies_intersect(copies[a], copies[b]):
+        hit = met.get(a * n + b)
+        if hit is None:
+            hit = met[a * n + b] = grid.meet(a, b)
+        if hit:
             out.append(f"pierced copies {a} and {b} intersect")
-    for i in actual:
-        if not stabs_vertically(copies[i], rect):
+    for i, pieces in clips:
+        if not grid.crosses(rect_box, pieces, vertical=True):
             out.append(f"pierced copy {i} does not stab the probe vertically")
     for i in near:
-        if copy_meets_rect(copies[i], root):
+        if grid.clip(i, root_box):
             out.append(f"root meets copy {i}")
     return out
 
@@ -197,19 +206,19 @@ def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[Transforme
     """The closing diagonals' contact law.  Empty list = it holds.
 
     Diagonal i meets exactly the copies of ``base`` pierced by probe i, and
-    no two diagonals meet.
+    no two diagonals meet.  Base and diagonals are lifted onto one
+    ``FamilyGrid``.
     """
     if len(diagonals) != len(probes):
         return ["diagonal count differs from probe count"]
     out: list[str] = []
-    near = boxes_meeting(diagonals, base)
-    for i, (diag, probe, ids) in enumerate(zip(diagonals, probes, near)):
-        neighbors = [j for j in ids if copies_intersect(diag, base[j])]
+    n = len(base)
+    grid = FamilyGrid([*base, *diagonals])
+    for i, (probe, ids) in enumerate(zip(probes, grid.near(grid.boxes[n:], n))):
+        neighbors = [j for j in ids if grid.meet(n + i, j)]
         if frozenset(neighbors) != frozenset(probe.pierced):
             out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    for i, j in meeting_pairs(diagonals):
-        if copies_intersect(diagonals[i], diagonals[j]):
-            out.append(f"diagonals {i} and {j} intersect")
+    out.extend(f"diagonals {i - n} and {j - n} intersect" for i, j in grid.contacts(n))
     return out
 
 
@@ -311,28 +320,28 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     root the lower split part left of the cut line.
     """
     helper = augment(prev, shape)
-    diagonals = helper[len(prev.family):]
+    n = len(prev.family)
     splits = [split_probe(p) for p in prev.probes]
-    near = boxes_meeting([upper for upper, _ in splits], prev.family)
-    for i, (p, diag, (upper, lower), ids) in enumerate(
-            zip(prev.probes, diagonals, splits, near)):
-        upper_pierced = [j for j in ids if copy_meets_rect(prev.family[j], upper)]
+    grid = FamilyGrid(helper, [r for parts in splits for r in parts])
+    up_boxes, low_boxes = grid.rect_boxes[0::2], grid.rect_boxes[1::2]
+    for i, (p, upper, lower, ids) in enumerate(
+            zip(prev.probes, up_boxes, low_boxes, grid.near(up_boxes, n))):
+        upper_pierced = [j for j in ids if grid.clip(j, upper)]
         if upper_pierced != sorted(p.pierced):
             raise ConstructionError(
                 f"upper part of probe {i} meets {upper_pierced}, expected {sorted(p.pierced)}")
         for j in p.pierced:
-            if not (stabs_vertically(prev.family[j], upper)
-                    and stabs_vertically(prev.family[j], lower)):
+            if not (grid.stabs(j, upper, vertical=True) and grid.stabs(j, lower, vertical=True)):
                 raise ConstructionError(
                     f"copy {j} fails to stab a split part of probe {i}")
-        if not stabs_horizontally(diag, upper):
+        if not grid.stabs(n + i, upper, vertical=False):
             raise ConstructionError(f"diagonal {i} does not cross its probe's upper part")
 
     helper_bbox = family_bbox(helper)
     half = Fraction(1, 2)
     embeds = [XYTransform.rect_map(helper_bbox, p.root.concentric(half, half))
               for p in prev.probes]
-    uppers = [d.transform.apply(shape.features.empty_rect) for d in diagonals]
+    uppers = [d.transform.apply(shape.features.empty_rect) for d in helper[n:]]
     lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
               for p, (_, lower) in zip(prev.probes, splits)]
     copies, probes = embed_helpers(prev.k + 1, prev.family, prev.probes, helper,

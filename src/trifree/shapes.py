@@ -20,11 +20,20 @@ multiples of 1/den, den the least common denominator of its coordinates:
 its segments are stored as integer tuples ``(orientation, fixed, lo,
 hi)`` and its bounding box as ``int_box``, ``(x_lo, x_hi, y_lo, y_hi)``,
 both in units of 1/den; a ``Rect`` carries its own ``den`` and
-``int_box``.  Every contact, clip and stabbing decision, the feature
-checks' included, scales two grids onto a common one and compares Python
-ints.  ``meeting_pairs`` and ``boxes_meeting`` put all their boxes onto
-one common grid and find the closed boxes that meet with one sweep in y,
-so callers run the exact predicates on those pairs alone.
+``int_box``.  Every contact, clip and stabbing decision compares Python
+ints, in one set of kernels that take boxes and segments already on one
+grid: ``_clip``, the component walk ``_crosses``, and ``_boxes_meet``
+with the segment-pair test ``_curves_meet`` for contacts.
+
+A family check lifts its family once: ``FamilyGrid`` puts the copies and
+the rectangles to be checked against them on the grid of their least
+common denominator, with each copy's box and segments scaled onto it
+once, and runs the kernels there.  ``copies_intersect``,
+``copy_meets_rect`` and ``stabs_vertically``/``stabs_horizontally`` put
+just their two arguments on a common grid and call the same kernels, as
+the feature checks do.  ``meeting_pairs``, ``boxes_meeting`` and a
+grid's ``near`` and ``contacts`` find the closed boxes that meet with
+one sweep in y, so callers run the exact tests on those pairs alone.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -39,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     HORIZONTAL,
@@ -78,6 +87,13 @@ def _scaled(segs: Sequence[IntSeg], m: int) -> Sequence[IntSeg]:
     return [(o, f * m, lo * m, hi * m) for o, f, lo, hi in segs]
 
 
+def _scaled_box(box: IntBox, m: int) -> IntBox:
+    if m == 1:
+        return box
+    x0, x1, y0, y1 = box
+    return x0 * m, x1 * m, y0 * m, y1 * m
+
+
 def _components(segs: Sequence[IntSeg]) -> list[list[int]]:
     """Connected components of segments on one grid under pairwise meeting."""
     n = len(segs)
@@ -101,36 +117,62 @@ def _components(segs: Sequence[IntSeg]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _clip(den: int, segs: Sequence[IntSeg], r: Rect) -> tuple[IntBox, list[IntSeg]]:
-    """``r`` and the closed parts of ``segs`` (in units of 1/den) inside it,
-    both on the grid of the least common multiple of den and r's denominator."""
+def _with_rect(den: int, segs: Sequence[IntSeg], r: Rect) -> tuple[IntBox, Sequence[IntSeg]]:
+    """``r``'s box and ``segs`` (in units of 1/den) on their common grid,
+    the least common multiple of den and r's denominator."""
     g = gcd(den, r.den)
-    m, m_r = r.den // g, den // g
-    x0, x1, y0, y1 = box = tuple(v * m_r for v in r.int_box)
+    return _scaled_box(r.int_box, den // g), _scaled(segs, r.den // g)
+
+
+def _clip(box: IntBox, segs: Sequence[IntSeg]) -> list[IntSeg]:
+    """The closed parts of ``segs`` inside ``box``, both on one grid."""
+    x0, x1, y0, y1 = box
     out: list[IntSeg] = []
-    for o, f, lo, hi in _scaled(segs, m):
+    for o, f, lo, hi in segs:
         if o == HORIZONTAL:
             inside, lo, hi = y0 <= f <= y1, max(lo, x0), min(hi, x1)
         else:
             inside, lo, hi = x0 <= f <= x1, max(lo, y0), min(hi, y1)
         if inside and lo <= hi:
             out.append((o, f, lo, hi))
-    return box, out
+    return out
 
 
-def _stabs(den: int, segs: Sequence[IntSeg], r: Rect, *, vertical: bool) -> bool:
-    """True iff some connected component of segs clipped to r joins the two
-    opposite sides of r: top/bottom when vertical, left/right otherwise."""
-    (x0, x1, y0, y1), clipped = _clip(den, segs, r)
+def _crosses(box: IntBox, pieces: Sequence[IntSeg], *, vertical: bool) -> bool:
+    """True iff some connected component of ``pieces``, segments already
+    clipped to ``box`` on its grid, joins the two opposite sides of the
+    box: top/bottom when vertical, left/right otherwise."""
+    x0, x1, y0, y1 = box
     lo_line, hi_line, axis = (y0, y1, VERTICAL) if vertical else (x0, x1, HORIZONTAL)
 
     def touches(s: IntSeg, line: int) -> bool:
         o, f, lo, hi = s
         return lo <= line <= hi if o == axis else f == line
 
-    return any(any(touches(clipped[i], lo_line) for i in comp)
-               and any(touches(clipped[i], hi_line) for i in comp)
-               for comp in _components(clipped))
+    return any(any(touches(pieces[i], lo_line) for i in comp)
+               and any(touches(pieces[i], hi_line) for i in comp)
+               for comp in _components(pieces))
+
+
+def _stabs(den: int, segs: Sequence[IntSeg], r: Rect, *, vertical: bool) -> bool:
+    """``_crosses`` for ``segs`` (in units of 1/den) clipped to ``r``."""
+    box, segs = _with_rect(den, segs, r)
+    return _crosses(box, _clip(box, segs), vertical=vertical)
+
+
+def _boxes_meet(a: IntBox, b: IntBox) -> bool:
+    """True iff two closed boxes on one grid meet."""
+    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
+
+
+def _curves_meet(segs_a: Sequence[IntSeg], segs_b: Sequence[IntSeg]) -> bool:
+    """True iff some segment of ``segs_a`` meets some segment of ``segs_b``,
+    all on one grid: the contact test of two copies whose boxes meet."""
+    for s in segs_a:
+        for t in segs_b:
+            if _segs_meet(s, t):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -195,7 +237,9 @@ class ShapeFeatures:
 def _covers(shape: RectilinearShape, s: Seg) -> bool:
     """True iff the closed segment ``s`` lies in the shape: the shape's
     pieces inside s, projected onto s's axis, leave no gap in it."""
-    (x0, x1, y0, y1), pieces = _clip(shape.den, shape.int_segs, s.bbox())
+    box, segs = _with_rect(shape.den, shape.int_segs, s.bbox())
+    x0, x1, y0, y1 = box
+    pieces = _clip(box, segs)
     reach, end = (x0, x1) if s.orientation == HORIZONTAL else (y0, y1)
     for lo, hi in sorted((lo, hi) if o == s.orientation else (f, f)
                          for o, f, lo, hi in pieces):
@@ -243,7 +287,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     e = feats.empty_rect
     if not u.interior_contains_rect(e):
         out.append("ii: empty rectangle is not in the interior of the bounding box")
-    if _clip(shape.den, shape.int_segs, e)[1]:
+    if _clip(*_with_rect(shape.den, shape.int_segs, e)):
         out.append("ii: empty rectangle meets the shape")
 
     out.extend(_stabber_faults(shape, feats.left_stabber, feats.left_strip(), vertical=False))
@@ -318,39 +362,37 @@ class TransformedCopy:
 
 
 def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
-    """True iff the two closed copies share a point (exact): both grids
-    are scaled onto the least common multiple of their denominators."""
+    """True iff the two closed copies share a point (exact): both are
+    scaled onto the least common multiple of their denominators."""
     g = gcd(a.den, b.den)
     m_a, m_b = b.den // g, a.den // g
-    ax0, ax1, ay0, ay1 = a.int_box
-    bx0, bx1, by0, by1 = b.int_box
-    if (ax1 * m_a < bx0 * m_b or bx1 * m_b < ax0 * m_a
-            or ay1 * m_a < by0 * m_b or by1 * m_b < ay0 * m_a):
-        return False
-    segs_b = _scaled(b.int_segs, m_b)
-    for s in _scaled(a.int_segs, m_a):
-        for t in segs_b:
-            if _segs_meet(s, t):
-                return True
-    return False
+    return (_boxes_meet(_scaled_box(a.int_box, m_a), _scaled_box(b.int_box, m_b))
+            and _curves_meet(_scaled(a.int_segs, m_a), _scaled(b.int_segs, m_b)))
 
 
 def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
-    return bool(_clip(c.den, c.int_segs, r)[1])
+    return bool(_clip(*_with_rect(c.den, c.int_segs, r)))
+
+
+def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:
+    return _stabs(c.den, c.int_segs, r, vertical=True)
+
+
+def stabs_horizontally(c: TransformedCopy, r: Rect) -> bool:
+    return _stabs(c.den, c.int_segs, r, vertical=False)
 
 
 def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:
     """The boxes of each group (a copy stands for its bounding box) in
     units of 1/den, den the least common denominator of all of them."""
     den = lcm(*{b.den for group in groups for b in group})
-    return den, [[(x0 * m, x1 * m, y0 * m, y1 * m)
-                  for (x0, x1, y0, y1), m in ((b.int_box, den // b.den) for b in group)]
-                 for group in groups]
+    return den, [[_scaled_box(b.int_box, den // b.den) for b in group] for group in groups]
 
 
-def _by_bottom(boxes: Sequence[IntBox]) -> tuple[list[int], list[int]]:
-    """Indices of ``boxes`` in order of their bottom edges, and those bottoms."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
+def _by_bottom(boxes: Sequence[IntBox], start: int = 0) -> tuple[list[int], list[int]]:
+    """Indices from ``start`` on of ``boxes`` in order of their bottom
+    edges, and those bottoms."""
+    order = sorted(range(start, len(boxes)), key=lambda i: boxes[i][2])
     return order, [boxes[i][2] for i in order]
 
 
@@ -358,39 +400,22 @@ def _x_ranges_meet(a: IntBox, b: IntBox) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
-def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, int]]:
-    """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
-
-    A copy stands for its bounding box.  One sweep in y over the boxes on
-    one integer grid: each box is paired with the boxes after it in
-    bottom-edge order whose bottom lies in its y range (found by
-    bisection), so each pair that overlaps in y is met once and only those
-    compare x ranges.
-    """
-    _, (grid,) = _on_one_grid(boxes)
-    order, bottoms = _by_bottom(grid)
-    out: list[tuple[int, int]] = []
+def _sweep_pairs(boxes: Sequence[IntBox], start: int = 0) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), start <= i < j, of boxes on one grid that meet, in
+    the sweep's order (see ``meeting_pairs``)."""
+    order, bottoms = _by_bottom(boxes, start)
     for pos, i in enumerate(order):
-        a = grid[i]
+        a = boxes[i]
         for j in order[pos + 1:bisect_right(bottoms, a[3], pos + 1)]:
-            if _x_ranges_meet(a, grid[j]):
-                out.append((i, j) if i < j else (j, i))
-    out.sort()
-    return out
+            if _x_ranges_meet(a, boxes[j]):
+                yield (i, j) if i < j else (j, i)
 
 
-def boxes_meeting(queries: Sequence[Rect | TransformedCopy],
-                  boxes: Sequence[Rect | TransformedCopy]) -> list[list[int]]:
-    """For each query box, the ascending indices of the ``boxes`` it meets.
-
-    The same sweep across two lists on one grid: of two boxes that overlap
-    in y, exactly one has its bottom in the other's y range (a query's when
-    the bottoms tie), so each pair is met once, from one side.
-    """
-    _, (q_grid, b_grid) = _on_one_grid(queries, boxes)
+def _boxes_meeting(q_grid: Sequence[IntBox], b_grid: Sequence[IntBox]) -> list[list[int]]:
+    """``boxes_meeting`` on boxes already on one grid."""
     q_order, q_bottoms = _by_bottom(q_grid)
     b_order, b_bottoms = _by_bottom(b_grid)
-    out: list[list[int]] = [[] for _ in queries]
+    out: list[list[int]] = [[] for _ in q_grid]
     for i, q in enumerate(q_grid):
         lo = bisect_left(b_bottoms, q[2])
         out[i].extend(j for j in b_order[lo:bisect_right(b_bottoms, q[3], lo)]
@@ -405,18 +430,88 @@ def boxes_meeting(queries: Sequence[Rect | TransformedCopy],
     return out
 
 
-def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:
-    return _stabs(c.den, c.int_segs, r, vertical=True)
+def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
+
+    A copy stands for its bounding box.  One sweep in y over the boxes on
+    one integer grid: each box is paired with the boxes after it in
+    bottom-edge order whose bottom lies in its y range (found by
+    bisection), so each pair that overlaps in y is met once and only those
+    compare x ranges.
+    """
+    return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
 
 
-def stabs_horizontally(c: TransformedCopy, r: Rect) -> bool:
-    return _stabs(c.den, c.int_segs, r, vertical=False)
+def boxes_meeting(queries: Sequence[Rect | TransformedCopy],
+                  boxes: Sequence[Rect | TransformedCopy]) -> list[list[int]]:
+    """For each query box, the ascending indices of the ``boxes`` it meets.
+
+    The same sweep across two lists on one grid: of two boxes that overlap
+    in y, exactly one has its bottom in the other's y range (a query's when
+    the bottoms tie), so each pair is met once, from one side.
+    """
+    return _boxes_meeting(*_on_one_grid(queries, boxes)[1])
 
 
 def family_bbox(copies: Sequence[TransformedCopy]) -> Rect:
     den, (grid,) = _on_one_grid(copies)
     return _rect_of(den, (min(b[0] for b in grid), max(b[1] for b in grid),
                           min(b[2] for b in grid), max(b[3] for b in grid)))
+
+
+def _scaled_segs(c: TransformedCopy, box: IntBox, m: int) -> Sequence[IntSeg]:
+    """``c``'s segments scaled by m, given ``box``, c's box scaled by m.  A
+    coordinate on a side of the box reuses the box's int, which keeps a grid
+    of many copies small: a frame's segments hold no int of their own."""
+    if m == 1:
+        return c.int_segs
+    same = dict(zip(c.int_box, box))
+    return tuple([(o, same.get(f) or f * m, same.get(lo) or lo * m, same.get(hi) or hi * m)
+                  for o, f, lo, hi in c.int_segs])
+
+
+class FamilyGrid:
+    """A family's copies and the rectangles checked against them, on one
+    integer grid: multiples of 1/den, den the least common denominator of
+    all of them.  Each copy's box and segments are scaled onto it once, when
+    the grid is made (``boxes[i]``, ``segs[i]``; a copy whose own grid is
+    this one keeps its tuples), and so is each rectangle's box
+    (``rect_boxes``, in the order given).  Every decision below compares
+    ints on this grid.
+    """
+
+    crosses = staticmethod(_crosses)
+
+    def __init__(self, copies: Sequence[TransformedCopy], rects: Sequence[Rect] = ()):
+        self.den, (self.boxes, self.rect_boxes) = _on_one_grid(copies, rects)
+        self.segs = [_scaled_segs(c, box, self.den // c.den)
+                     for c, box in zip(copies, self.boxes)]
+
+    def meet(self, i: int, j: int) -> bool:
+        """True iff copies i and j share a point."""
+        return (_boxes_meet(self.boxes[i], self.boxes[j])
+                and _curves_meet(self.segs[i], self.segs[j]))
+
+    def clip(self, i: int, box: IntBox) -> list[IntSeg]:
+        """The closed parts of copy i inside ``box``, a box on this grid."""
+        return _clip(box, self.segs[i])
+
+    def stabs(self, i: int, box: IntBox, *, vertical: bool) -> bool:
+        """True iff copy i clipped to ``box``, a box on this grid, crosses it."""
+        return _crosses(box, self.clip(i, box), vertical=vertical)
+
+    def near(self, queries: Sequence[IntBox], stop: Optional[int] = None) -> list[list[int]]:
+        """For each query box on this grid, the ascending indices of the
+        copies before ``stop`` (all by default) whose boxes meet it."""
+        return _boxes_meeting(queries, self.boxes[:stop])
+
+    def contacts(self, start: int = 0) -> list[tuple[int, int]]:
+        """The sorted pairs (i, j), start <= i < j, of copies that share a
+        point.  The sweep hands over the pairs whose boxes meet one at a
+        time, so only the pairs that do share a point are kept."""
+        segs = self.segs
+        return sorted((i, j) for i, j in _sweep_pairs(self.boxes, start)
+                      if _curves_meet(segs[i], segs[j]))
 
 
 class AnchoredFrame:
@@ -481,7 +576,7 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
         out.append("ii: (1+eps)*xi(eps) is not below eps")
     if u.x_hi - e.x_hi != eps * xi:
         out.append("ii: right-side gap is not eps*xi(eps)")
-    if _clip(anchor.shape.den, anchor.shape.int_segs, e)[1]:
+    if _clip(*_with_rect(anchor.shape.den, anchor.shape.int_segs, e)):
         out.append("ii: empty square meets the shape")
 
     if _stabber_faults(anchor.shape, anchor.left_stabber(eps),

@@ -3,7 +3,8 @@
 These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
 inputs), the references of the integer predicates test every segment on
-exact rationals, the coloring oracle is a static-order backtracking over
+exact rationals, the probe-condition and diagonal-law references test
+every copy through those, on no shared grid, the coloring oracle is a static-order backtracking over
 all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping.  The helpers below them (a
@@ -31,7 +32,7 @@ from trifree.graphs import (
     max_clique,
     verify_coloring,
 )
-from trifree.independent import Level, make_diagonal, split_probe
+from trifree.independent import Level, Probe, make_diagonal, split_probe
 from trifree.shapes import ShapeDef, TransformedCopy, copies_intersect, copy_meets_rect, family_bbox
 
 
@@ -176,6 +177,57 @@ def curve_stabs_ref(segs: Sequence[Seg], rect: Rect, *, vertical: bool) -> bool:
     return any(any(touches(clipped[i], lo_line) for i in comp)
                and any(touches(clipped[i], hi_line) for i in comp)
                for comp in _components_ref(clipped))
+
+
+def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,
+                         epsilon: Optional[Rat] = None) -> list[list[str]]:
+    """``independent.probe_conditions`` on exact rationals: every probe
+    against every copy through ``copy_meets_rect_ref``,
+    ``copies_intersect_ref`` and ``curve_stabs_ref``, with no sweep, no
+    grid and no memo, giving the same messages in the same order."""
+    out: list[list[str]] = []
+    for probe in probes:
+        msgs: list[str] = []
+        rect, root, cut = probe.rect, probe.root, probe.root_cut_x
+        if rect.is_degenerate:
+            msgs.append("probe rectangle is degenerate")
+        if not bbox.contains_rect(rect):
+            msgs.append("probe leaves the family bounding box")
+        if rect.x_hi != bbox.x_hi:
+            msgs.append("probe does not touch the family's right side")
+        if not (rect.x_lo < cut < rect.x_hi):
+            msgs.append("root cut line is not interior to the probe")
+        if (root.x_lo, root.x_hi, root.y_lo, root.y_hi) != (rect.x_lo, cut, rect.y_lo, rect.y_hi):
+            msgs.append("root is not the left part of the probe at the cut line")
+        if epsilon is not None:
+            if root.width != root.height:
+                msgs.append("root is not a square")
+            if rect.width != (1 + epsilon) * rect.height:
+                msgs.append("width/height ratio is not exactly 1+eps")
+        actual = [i for i, c in enumerate(copies) if copy_meets_rect_ref(c, rect)]
+        if actual != sorted(probe.pierced):
+            msgs.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
+        msgs.extend(f"pierced copies {a} and {b} intersect" for a, b in combinations(actual, 2)
+                    if copies_intersect_ref(copies[a], copies[b]))
+        msgs.extend(f"pierced copy {i} does not stab the probe vertically" for i in actual
+                    if not curve_stabs_ref(copies[i].segments, rect, vertical=True))
+        msgs.extend(f"root meets copy {i}" for i, c in enumerate(copies)
+                    if copy_meets_rect_ref(c, root))
+        out.append(msgs)
+    return out
+
+
+def diagonal_law_ref(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
+                     probes: Sequence[Probe]) -> list[str]:
+    """``independent.diagonal_law`` through ``copies_intersect_ref`` on every pair."""
+    out = []
+    for i, (diag, probe) in enumerate(zip(diagonals, probes, strict=True)):
+        neighbors = [j for j, c in enumerate(base) if copies_intersect_ref(diag, c)]
+        if set(neighbors) != set(probe.pierced):
+            out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
+    return out + [f"diagonals {i} and {j} intersect"
+                  for i, j in combinations(range(len(diagonals)), 2)
+                  if copies_intersect_ref(diagonals[i], diagonals[j])]
 
 
 def copies_intersect_within(a: TransformedCopy, b: TransformedCopy, r: Rect) -> bool:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,47 @@ def test_floats_are_refused():
         as_rat(0.5)
     with pytest.raises(TypeError):
         Rect(0.0, 1, 0, 1)
+
+
+def test_an_exact_fraction_is_returned_as_it_is():
+    value = Fraction(22, 7)
+    assert as_rat(value) is value
+    assert Rect(value, 4, 0, 1).x_lo is value
+
+
+def test_ints_and_strings_become_fractions():
+    for value, expected in ((3, Fraction(3)), (-2, Fraction(-2)), ("5/6", Fraction(5, 6)),
+                            ("-4", Fraction(-4))):
+        got = as_rat(value)
+        assert type(got) is Fraction and got == expected
+
+
+def test_a_fraction_subclass_becomes_an_exact_fraction():
+    class Tagged(Fraction):
+        pass
+
+    value = Tagged(3, 4)
+    got = as_rat(value)
+    assert type(got) is Fraction and got == Fraction(3, 4) and got is not value
+
+
+def test_floats_are_refused_also_next_to_fractions():
+    for value in (0.5, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            as_rat(value)
+    with pytest.raises(TypeError):
+        Rect(Fraction(0), 1.0, 0, 1)
+
+
+def test_rect_keeps_its_lift_in_one_plain_attribute():
+    r = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
+    assert [f.name for f in fields(r)] == ["x_lo", "x_hi", "y_lo", "y_hi"]
+    assert "_lift" not in vars(r)
+    assert (r.den, r.int_box) == (12, (2, 6, 0, 9))
+    assert vars(r)["_lift"] == (12, (2, 6, 0, 9))
+    assert r.int_box is r.int_box
+    twin = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
+    assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
 
 
 def test_rat_string_round_trip():

@@ -1,10 +1,13 @@
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from trifree import shapes
 from trifree.errors import ConstructionError
-from trifree.geometry import Rect
+from trifree.geometry import Rect, XYTransform
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
@@ -15,8 +18,10 @@ from trifree.independent import (
     augment,
     base_level,
     build,
+    diagonal_law,
     make_diagonal,
     next_level,
+    probe_conditions,
     size_formulas,
     split_probe,
 )
@@ -27,10 +32,15 @@ from trifree.shapes import (
     stabs_horizontally,
     stabs_vertically,
 )
+from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
     RectRelation,
+    copies_intersect_ref,
+    diagonal_law_ref,
+    intersection_graph_bruteforce,
     probe_coloring_audit,
+    probe_conditions_ref,
     proper_colorings,
     rect_relations,
     step_contact_law_violations,
@@ -240,3 +250,115 @@ def test_build_is_deterministic(frame):
     b = build(3, frame)
     assert a.family == b.family
     assert a.probes == b.probes
+
+
+# Denominators that no construction uses, so that a rebased family and its
+# probes sit on grids that share little.
+_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _random_transform(rng):
+    def rat():
+        return Fraction(rng.randint(1, 9), rng.choice(_PRIMES))
+
+    return XYTransform(rat(), rat(), rat() - 1, rat() - 1)
+
+
+def _nudged(rng, rect):
+    """A transform that leaves ``rect`` near where it is: about its lower
+    left corner, a scale within 1/p of 1 and a shift of a few p-ths of its
+    size, p a random prime."""
+    scale = [1 + Fraction(rng.randint(-1, 1), rng.choice(_PRIMES)) for _ in range(2)]
+    shift = [size * Fraction(rng.randint(-2, 2), rng.choice(_PRIMES))
+             for size in (rect.width, rect.height)]
+    return XYTransform(scale[0], scale[1], (1 - scale[0]) * rect.x_lo + shift[0],
+                       (1 - scale[1]) * rect.y_lo + shift[1])
+
+
+def _rebased(rng, level, diagonals):
+    """The level's copies, probes and diagonals pushed through one random
+    rational transform, then about half of the copies and diagonals and a
+    third of the probes nudged each by a transform of its own."""
+    outer = _random_transform(rng)
+
+    def copy(c):
+        c = c.rebase(outer)
+        return c.rebase(_nudged(rng, c.bbox)) if rng.random() < 0.5 else c
+
+    def probe(p):
+        rect, root, cut = (outer.apply(p.rect), outer.apply(p.root), outer.x(p.root_cut_x))
+        if rng.random() < 1 / 3:
+            rect = _nudged(rng, rect).apply(rect)
+        return Probe(rect, root, cut, p.pierced)
+
+    copies = [copy(c) for c in level.family]
+    return copies, [probe(p) for p in level.probes], [copy(d) for d in diagonals]
+
+
+def _seeded_levels():
+    for name in ("frame", "lshape", "cross"):
+        shape = catalog()[name]
+        level = build(3, shape)
+        yield level, augment(level, shape)[len(level.family):]
+    frame = catalog()["frame"]
+    for eps in (Fraction(1, 2), Fraction(2, 7)):
+        level = build_uniform(3, eps, frame)
+        yield level, augment_uniform(level, frame)[len(level.family):]
+
+
+def test_grid_checks_match_fraction_references_on_unrelated_grids():
+    rng = random.Random(909)
+    seen: set[str] = set()
+    for level, diagonals in _seeded_levels():
+        for _ in range(6):
+            copies, probes, diags = _rebased(rng, level, diagonals)
+            bbox = family_bbox(copies)
+            assert len({c.den for c in copies} | {p.rect.den for p in probes}) > 4
+            got = probe_conditions(probes, copies, bbox, level.epsilon)
+            assert got == probe_conditions_ref(probes, copies, bbox, level.epsilon)
+            seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
+            seen.add("valid" if [] in got else "all invalid")
+            law = diagonal_law(copies, diags, probes)
+            assert law == diagonal_law_ref(copies, diags, probes)
+            seen.add("diagonal law " + ("holds" if not law else "fails"))
+            family = copies + diags
+            g = intersection_graph(family)
+            assert set(g.edges()) == set(intersection_graph_bruteforce(family).edges()) == {
+                (i, j) for i, j in itertools.combinations(range(len(family)), 2)
+                if copies_intersect_ref(family[i], family[j])}
+    assert {"valid", "pierced set", "pierced copies", "pierced copy", "root meets",
+            "diagonal law holds", "diagonal law fails"} <= seen
+
+
+def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_levels):
+    level = independent_levels[3]
+    occurrences: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(level.probes):
+        for pair in itertools.combinations(sorted(p.pierced), 2):
+            occurrences.setdefault(pair, []).append(i)
+    (a, b), sharing = max(occurrences.items(), key=lambda item: len(item[1]))
+    assert len(sharing) >= 2
+    # copy b made a second copy of a: the two meet wherever a is pierced
+    copies = list(level.family)
+    copies[b] = replace(copies[a], lineage="tampered")
+    bbox = family_bbox(copies)
+    got = probe_conditions(level.probes, copies, bbox)
+    assert got == probe_conditions_ref(level.probes, copies, bbox)
+    message = f"pierced copies {a} and {b} intersect"
+    assert all(message in got[i] for i in sharing)
+
+
+def test_probe_conditions_tests_each_distinct_pierced_pair_once(frame, monkeypatch):
+    level = build(4, frame)
+    calls = [0]
+    kernel = shapes._curves_meet
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(shapes, "_curves_meet", counted)
+    assert probe_conditions(level.probes, level.family, family_bbox(level.family)) \
+        == [[]] * len(level.probes)
+    pairs = [pair for p in level.probes for pair in itertools.combinations(sorted(p.pierced), 2)]
+    assert (len(pairs), len(set(pairs)), calls[0]) == (1872, 822, 822)
