@@ -8,7 +8,14 @@ boxes on that grid finds; any other pair is disjoint.
 The chromatic-number solver is a saturation-order branch and bound with
 a clique lower bound and first-use color symmetry pruning.  It either
 proves the exact value by exhausting the search or, on timeout, returns
-the honest interval it has established so far.
+the honest interval it has established so far.  The search and the
+greedy DSATUR coloring that starts it pick each vertex from one
+saturation structure (``_Saturation``): the uncolored vertices sit in one
+bucket per saturation level, each an int bitmask over a static
+(degree, -vertex) rank, so a pick reads the top bit of the top non-empty
+bucket and a color move touches only the neighbours it changes.  The
+clique bound walks the set bits of its candidate masks, and the triangle
+test intersects the two neighbourhoods of each edge.
 """
 
 from __future__ import annotations
@@ -70,15 +77,14 @@ def _masks(g: Graph) -> list[int]:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    masks = _masks(g)
-    for u, v in g.edges():
-        if masks[u] & masks[v]:
-            return False
-    return True
+    adj = g.adj
+    return all(adj[u].isdisjoint(adj[v]) for u, v in g.edges())
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique, found by pivoted Bron-Kerbosch.  Deterministic."""
+    """A maximum clique, found by pivoted Bron-Kerbosch.  Deterministic:
+    the pivot maximizes (candidates it covers, -vertex), and the
+    candidates are expanded in increasing vertex order."""
     if g.n == 0:
         return ()
     masks = _masks(g)
@@ -89,15 +95,22 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if len(r) > len(best):
                 best[:] = r
             return
-        pivot_pool = p | x
-        pivot = max((u for u in range(g.n) if pivot_pool >> u & 1),
-                    key=lambda u: (bin(p & masks[u]).count("1"), -u))
+        pool, pivot, covered = p | x, -1, -1
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            count = (p & masks[u]).bit_count()
+            if count > covered:
+                pivot, covered = u, count
+            pool ^= low
         cand = p & ~masks[pivot]
-        for u in range(g.n):
-            if cand >> u & 1:
-                expand(r + [u], p & masks[u], x & masks[u])
-                p &= ~(1 << u)
-                x |= 1 << u
+        while cand:
+            low = cand & -cand
+            u = low.bit_length() - 1
+            expand(r + [u], p & masks[u], x & masks[u])
+            p ^= low
+            x |= low
+            cand ^= low
 
     expand([], (1 << g.n) - 1, 0)
     return tuple(sorted(best))
@@ -109,21 +122,77 @@ def verify_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
+class _Saturation:
+    """A partial coloring whose uncolored vertices are bucketed by saturation.
+
+    A vertex's saturation is the number of distinct colors on its colored
+    neighbours.  The vertices are ranked once by (degree, -vertex), and each
+    saturation level keeps its uncolored vertices as one int bitmask over
+    rank, so the top bit of the highest non-empty bucket is the DSATUR
+    choice: the uncolored vertex of highest (saturation, degree, -vertex).
+    ``assign`` moves only the neighbours whose saturation it raises and
+    returns them; ``unassign`` undoes the last ``assign`` still in force.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.adj = g.adj
+        self.order = sorted(range(g.n), key=lambda u: (len(g.adj[u]), -u))
+        self.rank = [0] * g.n
+        for r, u in enumerate(self.order):
+            self.rank[u] = r
+        self.colors = [0] * g.n
+        self.neigh_colors: list[set[int]] = [set() for _ in range(g.n)]
+        self.buckets = [(1 << g.n) - 1]
+
+    def select(self) -> int:
+        buckets = self.buckets
+        s = len(buckets) - 1
+        while not buckets[s]:
+            s -= 1
+        return self.order[buckets[s].bit_length() - 1]
+
+    def assign(self, v: int, c: int) -> list[int]:
+        colors, neigh_colors, buckets, rank = self.colors, self.neigh_colors, self.buckets, self.rank
+        buckets[len(neigh_colors[v])] ^= 1 << rank[v]
+        colors[v] = c
+        touched = []
+        for u in self.adj[v]:
+            seen = neigh_colors[u]
+            if colors[u] == 0 and c not in seen:
+                s = len(seen)
+                if s + 1 == len(buckets):
+                    buckets.append(0)
+                bit = 1 << rank[u]
+                buckets[s] ^= bit
+                buckets[s + 1] |= bit
+                seen.add(c)
+                touched.append(u)
+        return touched
+
+    def unassign(self, v: int, c: int, touched: list[int]) -> None:
+        neigh_colors, buckets, rank = self.neigh_colors, self.buckets, self.rank
+        for u in touched:
+            seen = neigh_colors[u]
+            seen.discard(c)
+            s = len(seen)
+            bit = 1 << rank[u]
+            buckets[s + 1] ^= bit
+            buckets[s] |= bit
+        self.colors[v] = 0
+        buckets[len(neigh_colors[v])] |= 1 << rank[v]
+
+
 def dsatur_order_coloring(g: Graph) -> list[int]:
     """Greedy coloring choosing the most saturated vertex each step."""
-    colors = [0] * g.n
-    neigh_colors: list[set[int]] = [set() for _ in range(g.n)]
+    sat = _Saturation(g)
     for _ in range(g.n):
-        v = max((u for u in range(g.n) if colors[u] == 0),
-                key=lambda u: (len(neigh_colors[u]), len(g.adj[u]), -u))
+        v = sat.select()
         c = 1
-        while c in neigh_colors[v]:
+        while c in sat.neigh_colors[v]:
             c += 1
-        colors[v] = c
-        for u in g.adj[v]:
-            neigh_colors[u].add(c)
-    assert verify_coloring(g, colors)
-    return colors
+        sat.assign(v, c)
+    assert verify_coloring(g, sat.colors)
+    return sat.colors
 
 
 class _Deadline(Exception):
@@ -173,34 +242,14 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
         return ChromaticResult(lb, best_num, True, tuple(best), clique)
 
     deadline = time.monotonic() + timeout if timeout is not None else None
-    colors = [0] * g.n
-    neigh_colors: list[set[int]] = [set() for _ in range(g.n)]
+    sat = _Saturation(g)
+    colors, neigh_colors = sat.colors, sat.neigh_colors
     # Seed the clique: its vertices must all receive distinct colors, and
     # fixing them breaks a factorial amount of symmetry.
     for i, v in enumerate(clique):
-        colors[v] = i + 1
-        for u in g.adj[v]:
-            neigh_colors[u].add(i + 1)
+        sat.assign(v, i + 1)
     ticks = 0
     state = {"best": best_num, "coloring": list(best)}
-
-    def select() -> int:
-        return max((u for u in range(g.n) if colors[u] == 0),
-                   key=lambda u: (len(neigh_colors[u]), len(g.adj[u]), -u))
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        for u in g.adj[v]:
-            if colors[u] == 0 and c not in neigh_colors[u]:
-                neigh_colors[u].add(c)
-                touched.append(u)
-        return touched
-
-    def unassign(v: int, c: int, touched: list[int]) -> None:
-        for u in touched:
-            neigh_colors[u].discard(c)
-        colors[v] = 0
 
     def search(colored: int, used: int) -> None:
         nonlocal ticks
@@ -213,14 +262,14 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
             state["best"] = used
             state["coloring"] = list(colors)
             return
-        v = select()
+        v = sat.select()
         limit = min(used + 1, state["best"] - 1)
         for c in range(1, limit + 1):
             if c in neigh_colors[v]:
                 continue
-            touched = assign(v, c)
+            touched = sat.assign(v, c)
             search(colored + 1, max(used, c))
-            unassign(v, c, touched)
+            sat.unassign(v, c, touched)
 
     try:
         search(len(clique), lb)

@@ -7,7 +7,9 @@ exact rationals, the probe-condition and diagonal-law references test
 every copy through those, on no shared grid, the coloring oracle is a static-order backtracking over
 all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
-oracles test every pair instead of sweeping.  The helpers below them (a
+oracles test every pair instead of sweeping; the triangle oracle tests
+every triple, and the solver's references are the bodies that scanned
+every vertex at each selection step.  The helpers below them (a
 transcript's chain at a point, clique number, first-fit coloring, DIMACS
 parsing, probe color audits and the encoded family's certificate) have
 no caller in the package.
@@ -15,6 +17,7 @@ no caller in the package.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -351,6 +354,137 @@ def chromatic_number_bruteforce(g: Graph) -> int:
     while not _exists_coloring(g, c):
         c += 1
     return c
+
+
+def is_triangle_free_bruteforce(g: Graph) -> bool:
+    """No three vertices pairwise adjacent, by testing every triple."""
+    return not any(b in g.adj[a] and c in g.adj[a] and c in g.adj[b]
+                   for a, b, c in combinations(range(g.n), 3))
+
+
+# The vertex-selection bodies that ``graphs`` replaced with its saturation
+# buckets: every step scans all vertices for the maximum of
+# (saturation, degree, -vertex), and the clique search scans range(n).
+# The solver must return exactly what these return.
+
+def _masks_ref(g: Graph) -> list[int]:
+    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
+
+
+def max_clique_ref(g: Graph) -> tuple[int, ...]:
+    if g.n == 0:
+        return ()
+    masks = _masks_ref(g)
+    best: list[int] = [0]
+
+    def expand(r: list[int], p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            if len(r) > len(best):
+                best[:] = r
+            return
+        pivot_pool = p | x
+        pivot = max((u for u in range(g.n) if pivot_pool >> u & 1),
+                    key=lambda u: (bin(p & masks[u]).count("1"), -u))
+        cand = p & ~masks[pivot]
+        for u in range(g.n):
+            if cand >> u & 1:
+                expand(r + [u], p & masks[u], x & masks[u])
+                p &= ~(1 << u)
+                x |= 1 << u
+
+    expand([], (1 << g.n) - 1, 0)
+    return tuple(sorted(best))
+
+
+def dsatur_order_coloring_ref(g: Graph) -> list[int]:
+    colors = [0] * g.n
+    neigh_colors: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        v = max((u for u in range(g.n) if colors[u] == 0),
+                key=lambda u: (len(neigh_colors[u]), len(g.adj[u]), -u))
+        c = 1
+        while c in neigh_colors[v]:
+            c += 1
+        colors[v] = c
+        for u in g.adj[v]:
+            neigh_colors[u].add(c)
+    assert verify_coloring(g, colors)
+    return colors
+
+
+class _DeadlineRef(Exception):
+    pass
+
+
+def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> ChromaticResult:
+    if g.n == 0:
+        return ChromaticResult(0, 0, True, (), ())
+    clique = max_clique_ref(g)
+    lb = len(clique)
+    best = dsatur_order_coloring_ref(g)
+    best_num = max(best)
+    if best_num == lb:
+        return ChromaticResult(lb, best_num, True, tuple(best), clique)
+
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    colors = [0] * g.n
+    neigh_colors: list[set[int]] = [set() for _ in range(g.n)]
+    for i, v in enumerate(clique):
+        colors[v] = i + 1
+        for u in g.adj[v]:
+            neigh_colors[u].add(i + 1)
+    ticks = 0
+    state = {"best": best_num, "coloring": list(best)}
+
+    def select() -> int:
+        return max((u for u in range(g.n) if colors[u] == 0),
+                   key=lambda u: (len(neigh_colors[u]), len(g.adj[u]), -u))
+
+    def assign(v: int, c: int) -> list[int]:
+        colors[v] = c
+        touched = []
+        for u in g.adj[v]:
+            if colors[u] == 0 and c not in neigh_colors[u]:
+                neigh_colors[u].add(c)
+                touched.append(u)
+        return touched
+
+    def unassign(v: int, c: int, touched: list[int]) -> None:
+        for u in touched:
+            neigh_colors[u].discard(c)
+        colors[v] = 0
+
+    def search(colored: int, used: int) -> None:
+        nonlocal ticks
+        ticks += 1
+        if deadline is not None and ticks % 256 == 0 and time.monotonic() > deadline:
+            raise _DeadlineRef
+        if used >= state["best"]:
+            return
+        if colored == g.n:
+            state["best"] = used
+            state["coloring"] = list(colors)
+            return
+        v = select()
+        limit = min(used + 1, state["best"] - 1)
+        for c in range(1, limit + 1):
+            if c in neigh_colors[v]:
+                continue
+            touched = assign(v, c)
+            search(colored + 1, max(used, c))
+            unassign(v, c, touched)
+
+    try:
+        search(len(clique), lb)
+        exact = True
+    except _DeadlineRef:
+        exact = False
+    best_num = state["best"]
+    witness = tuple(state["coloring"])
+    assert verify_coloring(g, witness)
+    if exact:
+        return ChromaticResult(best_num, best_num, True, witness, clique)
+    return ChromaticResult(lb, best_num, False, witness, clique)
 
 
 def chain_at(transcript: GameTranscript, x: Rat) -> Chain:

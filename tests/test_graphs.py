@@ -15,9 +15,13 @@ from trifree.graphs import (
 
 from _oracles import (
     chromatic_number_bruteforce,
+    chromatic_number_ref,
     clique_number,
+    dsatur_order_coloring_ref,
     greedy_coloring,
     intersection_graph_bruteforce,
+    is_triangle_free_bruteforce,
+    max_clique_ref,
     parse_dimacs,
     proper_colorings,
 )
@@ -118,6 +122,68 @@ def test_solver_timeout_yields_interval():
     if not res.exact:
         assert res.chi is None
         assert "interval" in res.certificate()
+
+
+def _seeded_graphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_graph(rng, rng.randint(0, 26), rng.choice((0.1, 0.25, 0.4, 0.6, 0.85)))
+
+
+def test_solver_matches_reference_bodies_on_random_graphs():
+    searched = 0
+    for g in _seeded_graphs(20261018, 400):
+        res = chromatic_number(g)
+        assert res == chromatic_number_ref(g)
+        searched += res.coloring != tuple(dsatur_order_coloring(g))
+    # the search, not only its DSATUR start, decided some of the witnesses
+    assert searched >= 10
+
+
+def test_selection_layers_match_references_on_random_graphs():
+    for g in _seeded_graphs(77, 400):
+        assert max_clique(g) == max_clique_ref(g)
+        assert dsatur_order_coloring(g) == dsatur_order_coloring_ref(g)
+
+
+def test_solver_matches_reference_bodies_on_families():
+    from trifree.independent import augment, build
+    from trifree.shapes import catalog
+
+    for name in ("frame", "lshape", "cross"):
+        shape = catalog()[name]
+        g = intersection_graph(build(4, shape).family)
+        assert chromatic_number(g) == chromatic_number_ref(g), f"bare {name} k=4"
+        assert max_clique(g) == max_clique_ref(g), f"bare {name} k=4"
+        assert dsatur_order_coloring(g) == dsatur_order_coloring_ref(g), f"bare {name} k=4"
+        for k in (1, 2, 3):
+            g = intersection_graph(augment(build(k, shape), shape))
+            assert chromatic_number(g) == chromatic_number_ref(g), f"augmented {name} k={k}"
+
+
+def test_solver_timeout_stops_at_the_first_deadline_check(frame):
+    from trifree.independent import augment, build
+
+    # the augmented k=4 search needs far more than the 256 nodes between two
+    # deadline checks, so a zero budget always stops it at the 256th node
+    g = intersection_graph(augment(build(4, frame), frame))
+    res = chromatic_number(g, timeout=0)
+    assert not res.exact and res.chi is None
+    assert res.lower == len(res.clique) == len(max_clique(g))
+    assert res.upper == max(res.coloring)
+    assert verify_coloring(g, res.coloring)
+    assert res == chromatic_number_ref(g, timeout=0)
+
+
+def test_triangle_test_matches_all_triples():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.choice((0.1, 0.2, 0.35, 0.6)))
+        want = is_triangle_free_bruteforce(g)
+        assert is_triangle_free(g) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_proper_colorings_enumeration_count():

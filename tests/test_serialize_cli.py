@@ -10,6 +10,7 @@ import pytest
 
 import trifree
 from trifree import serialize
+from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import first_fit, run_game
 from trifree.independent import augment, build
@@ -312,6 +313,18 @@ def test_cli_verify_flags_mutation(tmp_path, family_file):
     r = _run_cli("verify", "--family", str(mutated))
     assert r.returncode == 3
     assert "VIOLATION" in r.stderr
+
+
+def test_cli_verify_reports_a_triangle(tmp_path, family_file):
+    doc = json.loads(family_file.read_text())
+    # three copies on one spot pairwise meet
+    for i in (1, 2):
+        doc["copies"][i].update({key: doc["copies"][0][key] for key in ("sx", "sy", "tx", "ty")})
+    tampered = tmp_path / "triangle.json"
+    tampered.write_text(json.dumps(doc))
+    r = _run_cli("verify", "--family", str(tampered))
+    assert r.returncode == EXIT_VIOLATION
+    assert "VIOLATION: family is not triangle-free" in r.stderr.splitlines()
 
 
 def test_cli_invalid_flags_exit_two():
