@@ -20,8 +20,6 @@ from .shapes import (
     TransformedCopy,
     catalog,
     copies_intersect,
-    stabs_horizontally,
-    stabs_vertically,
     validate_features,
 )
 from .independent import (

@@ -10,7 +10,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import serialize
 from .encoding import encode, expand_tree
@@ -32,6 +32,8 @@ EXIT_BAD_STREAM = 5
 
 TIMEOUT_ENV = "TRIFREE_TIMEOUT"
 
+T = TypeVar("T")
+
 
 def _write(path: str, text: str) -> None:
     if path == "-":
@@ -52,15 +54,24 @@ def _load_family(path: str) -> serialize.LoadedFamily:
     return serialize.doc_to_family(serialize.loads(_read(path)))
 
 
-def _seconds(text: str) -> float:
-    """A time limit: finite seconds, at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # refused below, like every other bad value
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"not a finite number of seconds >= 0: {text!r}")
-    return value
+def _flag_type(parse: Callable[[str], T], ok: Callable[[T], bool],
+               what: str) -> Callable[[str], T]:
+    """An argparse type: the value ``parse`` reads from the text, refused
+    (exit 2) unless ``ok`` holds for it."""
+    def convert(text: str) -> T:
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+    return convert
+
+
+_seconds = _flag_type(float, lambda v: math.isfinite(v) and v >= 0,
+                      "a finite number of seconds >= 0")
+_epsilon = _flag_type(as_rat, lambda v: 0 < v < 1, "a rational 'p/q' in (0,1)")
+_positive = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -69,7 +80,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         level = build(args.k, shape)
         extra = augment(level, shape) if args.augment else None
     else:
-        level = build_uniform(args.k, as_rat(args.epsilon), shape)
+        level = build_uniform(args.k, args.epsilon, shape)
         extra = augment_uniform(level, shape) if args.augment else None
     _write(args.out, serialize.dumps(serialize.level_to_doc(level, shape, extra)))
     return EXIT_OK
@@ -154,8 +165,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a family and write its JSON")
     p.add_argument("--mode", choices=["independent", "uniform"], default="independent")
     p.add_argument("--shape", choices=sorted(catalog()), default="frame")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--epsilon", help="rational in (0,1); uniform mode only")
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--epsilon", type=_epsilon, help="rational in (0,1); uniform mode only")
     p.add_argument("--no-augment", dest="augment", action="store_false",
                    help="emit the bare level without the closing diagonals")
     p.add_argument("--out", default="-")
@@ -173,15 +184,15 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("game", help="play the on-line interval coloring game")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--painter", choices=["firstfit", "repl", "minimax"],
                    default="firstfit")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("encode", help="encode the strategy tree as rectangular frames")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--budget", type=_positive, default=None,
                    help="painter color budget (default k+1)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_encode)
@@ -202,12 +213,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "k", 1) < 1:
-        parser.error("--k must be at least 1")
     if args.command == "build":
-        if args.mode == "uniform" and not args.epsilon:
+        if args.mode == "uniform" and args.epsilon is None:
             parser.error("uniform mode requires --epsilon")
-        if args.mode == "independent" and args.epsilon:
+        if args.mode == "independent" and args.epsilon is not None:
             parser.error("--epsilon only applies to uniform mode")
     if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):
         try:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .errors import fail_on
 from .game import Interval, game_tree, overlaps
 from .geometry import Rat, XYTransform
-from .shapes import TransformedCopy, catalog, copies_intersect, meeting_pairs
+from .shapes import FamilyGrid, TransformedCopy, catalog
 
 
 @dataclass
@@ -104,9 +104,6 @@ class FrameFamily:
     copies: tuple[TransformedCopy, ...]
     nodes: tuple[FrameNode, ...]
 
-    def ancestors(self, i: int) -> frozenset[int]:
-        return self.nodes[i].ancestors
-
 
 def frame_nodes(root: TreeNode) -> tuple[FrameNode, ...]:
     """The tree's nodes in preorder, each with its set of ancestors."""
@@ -127,18 +124,15 @@ def frame_nodes(root: TreeNode) -> tuple[FrameNode, ...]:
 def frame_law(nodes: Sequence[FrameNode], copies: Sequence[TransformedCopy]) -> list[str]:
     """The intersection law, checked on every pair: frames meet iff their
     intervals overlap and the nodes lie on a common branch.  Empty list =
-    it holds.  Only the pairs expected to meet and the pairs whose boxes
-    meet (``shapes.meeting_pairs``) are tested; any other pair is expected
-    disjoint and is."""
+    it holds.  The pairs that break it are the symmetric difference of the
+    pairs expected to meet and the pairs that do (``FamilyGrid.contacts``),
+    one message each in sorted order."""
     expected_meet = {(a, node.index) for node in nodes for a in node.ancestors
                      if overlaps(nodes[a].interval, node.interval)}
-    out: list[str] = []
-    for i, j in sorted(expected_meet.union(meeting_pairs(copies))):
-        expected = (i, j) in expected_meet
-        if copies_intersect(copies[i], copies[j]) != expected:
-            out.append(f"intersection law fails at nodes {i}, {j}: "
-                       f"expected {'meet' if expected else 'disjoint'}")
-    return out
+    broken = expected_meet.symmetric_difference(FamilyGrid(copies).contacts())
+    return [f"intersection law fails at nodes {i}, {j}: "
+            f"expected {'meet' if (i, j) in expected_meet else 'disjoint'}"
+            for i, j in sorted(broken)]
 
 
 def encode(tree: StrategyTree) -> FrameFamily:

@@ -31,7 +31,6 @@ from .shapes import FamilyGrid, TransformedCopy
 class Graph:
     n: int
     adj: tuple[frozenset[int], ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.adj) != self.n:
@@ -44,15 +43,14 @@ class Graph:
                     raise ValueError(f"asymmetric edge {u}-{v}")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]],
-                   labels: Sequence[str] = ()) -> "Graph":
+    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         adj = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(n, tuple(frozenset(a) for a in adj), tuple(labels))
+        return cls(n, tuple(frozenset(a) for a in adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -68,8 +66,7 @@ class Graph:
 def intersection_graph(copies: Sequence[TransformedCopy]) -> Graph:
     """Edges are the exactly-intersecting pairs; vertex order = family order.
     The family is lifted onto one grid once, and every pair decided on it."""
-    return Graph.from_edges(len(copies), FamilyGrid(copies).contacts(),
-                            tuple(c.lineage for c in copies))
+    return Graph.from_edges(len(copies), FamilyGrid(copies).contacts())
 
 
 def _masks(g: Graph) -> list[int]:

@@ -12,8 +12,7 @@ recursive constructions consume:
   through E's top edge to the line through its bottom edge.
 
 ``validate_features`` checks all of that exactly; violations are data,
-not exceptions.  ``stabs_vertically``/``stabs_horizontally`` generalize
-the stabbing notion to transformed copies clipped to a query rectangle.
+not exceptions.
 
 Every shape and copy is lifted once, when it is made, onto the grid of
 multiples of 1/den, den the least common denominator of its coordinates:
@@ -25,13 +24,12 @@ ints, in one set of kernels that take boxes and segments already on one
 grid: ``_clip``, the component walk ``_crosses``, and ``_boxes_meet``
 with the segment-pair test ``_curves_meet`` for contacts.
 
-A family check lifts its family once: ``FamilyGrid`` puts the copies and
-the rectangles to be checked against them on the grid of their least
-common denominator, with each copy's box and segments scaled onto it
-once, and runs the kernels there.  ``copies_intersect``,
-``copy_meets_rect`` and ``stabs_vertically``/``stabs_horizontally`` put
-just their two arguments on a common grid and call the same kernels, as
-the feature checks do.  ``meeting_pairs``, ``boxes_meeting`` and a
+``FamilyGrid`` is the one way segments reach a shared grid: it puts
+copies (or shapes) and the rectangles checked against them on the grid
+of their least common denominator, with each box and segment list scaled
+onto it once, and runs the kernels there.  A family check lifts its
+family once; ``copies_intersect``, ``copy_meets_rect`` and the feature
+checks each make a grid of one or two objects.  ``meeting_pairs`` and a
 grid's ``near`` and ``contacts`` find the closed boxes that meet with
 one sweep in y, so callers run the exact tests on those pairs alone.
 
@@ -66,12 +64,6 @@ from .geometry import (
 IntSeg = tuple[str, int, int, int]  # (orientation, fixed, lo, hi) in units of 1/den
 
 
-def _lift_segs(segs: Sequence[Seg]) -> tuple[int, tuple[IntSeg, ...]]:
-    """``segs`` on the grid of their least common denominator: (den, segments)."""
-    den, ints = lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
-    return den, tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segs))
-
-
 def _segs_meet(s: IntSeg, t: IntSeg) -> bool:
     """True iff two closed segments on one grid share a point."""
     o, f, lo, hi = s
@@ -79,12 +71,6 @@ def _segs_meet(s: IntSeg, t: IntSeg) -> bool:
     if o == o2:
         return f == f2 and lo <= hi2 and lo2 <= hi
     return lo <= f2 <= hi and lo2 <= f <= hi2
-
-
-def _scaled(segs: Sequence[IntSeg], m: int) -> Sequence[IntSeg]:
-    if m == 1:
-        return segs
-    return [(o, f * m, lo * m, hi * m) for o, f, lo, hi in segs]
 
 
 def _scaled_box(box: IntBox, m: int) -> IntBox:
@@ -117,13 +103,6 @@ def _components(segs: Sequence[IntSeg]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _with_rect(den: int, segs: Sequence[IntSeg], r: Rect) -> tuple[IntBox, Sequence[IntSeg]]:
-    """``r``'s box and ``segs`` (in units of 1/den) on their common grid,
-    the least common multiple of den and r's denominator."""
-    g = gcd(den, r.den)
-    return _scaled_box(r.int_box, den // g), _scaled(segs, r.den // g)
-
-
 def _clip(box: IntBox, segs: Sequence[IntSeg]) -> list[IntSeg]:
     """The closed parts of ``segs`` inside ``box``, both on one grid."""
     x0, x1, y0, y1 = box
@@ -152,12 +131,6 @@ def _crosses(box: IntBox, pieces: Sequence[IntSeg], *, vertical: bool) -> bool:
     return any(any(touches(pieces[i], lo_line) for i in comp)
                and any(touches(pieces[i], hi_line) for i in comp)
                for comp in _components(pieces))
-
-
-def _stabs(den: int, segs: Sequence[IntSeg], r: Rect, *, vertical: bool) -> bool:
-    """``_crosses`` for ``segs`` (in units of 1/den) clipped to ``r``."""
-    box, segs = _with_rect(den, segs, r)
-    return _crosses(box, _clip(box, segs), vertical=vertical)
 
 
 def _boxes_meet(a: IntBox, b: IntBox) -> bool:
@@ -189,7 +162,8 @@ class RectilinearShape:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("a shape needs at least one segment")
-        den, segs = _lift_segs(self.segments)
+        den, ints = lift([v for s in self.segments for v in (s.fixed, s.lo, s.hi)])
+        segs = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(self.segments))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_segs", segs)
         object.__setattr__(self, "int_box", _segs_box(segs))
@@ -237,9 +211,7 @@ class ShapeFeatures:
 def _covers(shape: RectilinearShape, s: Seg) -> bool:
     """True iff the closed segment ``s`` lies in the shape: the shape's
     pieces inside s, projected onto s's axis, leave no gap in it."""
-    box, segs = _with_rect(shape.den, shape.int_segs, s.bbox())
-    x0, x1, y0, y1 = box
-    pieces = _clip(box, segs)
+    (x0, x1, y0, y1), pieces = _inside(shape, s.bbox())
     reach, end = (x0, x1) if s.orientation == HORIZONTAL else (y0, y1)
     for lo, hi in sorted((lo, hi) if o == s.orientation else (f, f)
                          for o, f, lo, hi in pieces):
@@ -262,7 +234,7 @@ def _stabber_faults(shape: RectilinearShape, stabber: Sequence[Seg], region: Rec
         out.append(f"{cond}: {side} stabber leaves the {where}")
     if not all(_covers(shape, s) for s in stabber):
         out.append(f"{cond}: {side} stabber is not part of the shape")
-    if not _stabs(*_lift_segs(stabber), region, vertical=vertical):
+    if not _crosses(*_inside(RectilinearShape(stabber), region), vertical=vertical):
         out.append(f"{cond}: {side} stabber does not cross the {where}")
     return out
 
@@ -287,7 +259,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     e = feats.empty_rect
     if not u.interior_contains_rect(e):
         out.append("ii: empty rectangle is not in the interior of the bounding box")
-    if _clip(*_with_rect(shape.den, shape.int_segs, e)):
+    if _inside(shape, e)[1]:
         out.append("ii: empty rectangle meets the shape")
 
     out.extend(_stabber_faults(shape, feats.left_stabber, feats.left_strip(), vertical=False))
@@ -361,27 +333,6 @@ class TransformedCopy:
                                lineage if lineage is not None else self.lineage)
 
 
-def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
-    """True iff the two closed copies share a point (exact): both are
-    scaled onto the least common multiple of their denominators."""
-    g = gcd(a.den, b.den)
-    m_a, m_b = b.den // g, a.den // g
-    return (_boxes_meet(_scaled_box(a.int_box, m_a), _scaled_box(b.int_box, m_b))
-            and _curves_meet(_scaled(a.int_segs, m_a), _scaled(b.int_segs, m_b)))
-
-
-def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
-    return bool(_clip(*_with_rect(c.den, c.int_segs, r)))
-
-
-def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:
-    return _stabs(c.den, c.int_segs, r, vertical=True)
-
-
-def stabs_horizontally(c: TransformedCopy, r: Rect) -> bool:
-    return _stabs(c.den, c.int_segs, r, vertical=False)
-
-
 def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:
     """The boxes of each group (a copy stands for its bounding box) in
     units of 1/den, den the least common denominator of all of them."""
@@ -412,7 +363,13 @@ def _sweep_pairs(boxes: Sequence[IntBox], start: int = 0) -> Iterator[tuple[int,
 
 
 def _boxes_meeting(q_grid: Sequence[IntBox], b_grid: Sequence[IntBox]) -> list[list[int]]:
-    """``boxes_meeting`` on boxes already on one grid."""
+    """For each query box, the ascending indices of the boxes of ``b_grid``
+    it meets, all on one grid.
+
+    The sweep of ``meeting_pairs`` across two lists: of two boxes that
+    overlap in y, exactly one has its bottom in the other's y range (a
+    query's when the bottoms tie), so each pair is met once, from one side.
+    """
     q_order, q_bottoms = _by_bottom(q_grid)
     b_order, b_bottoms = _by_bottom(b_grid)
     out: list[list[int]] = [[] for _ in q_grid]
@@ -442,17 +399,6 @@ def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, in
     return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
 
 
-def boxes_meeting(queries: Sequence[Rect | TransformedCopy],
-                  boxes: Sequence[Rect | TransformedCopy]) -> list[list[int]]:
-    """For each query box, the ascending indices of the ``boxes`` it meets.
-
-    The same sweep across two lists on one grid: of two boxes that overlap
-    in y, exactly one has its bottom in the other's y range (a query's when
-    the bottoms tie), so each pair is met once, from one side.
-    """
-    return _boxes_meeting(*_on_one_grid(queries, boxes)[1])
-
-
 def family_bbox(copies: Sequence[TransformedCopy]) -> Rect:
     den, (grid,) = _on_one_grid(copies)
     return _rect_of(den, (min(b[0] for b in grid), max(b[1] for b in grid),
@@ -477,12 +423,13 @@ class FamilyGrid:
     the grid is made (``boxes[i]``, ``segs[i]``; a copy whose own grid is
     this one keeps its tuples), and so is each rectangle's box
     (``rect_boxes``, in the order given).  Every decision below compares
-    ints on this grid.
+    ints on this grid.  A ``RectilinearShape`` goes on it as a copy does.
     """
 
     crosses = staticmethod(_crosses)
 
-    def __init__(self, copies: Sequence[TransformedCopy], rects: Sequence[Rect] = ()):
+    def __init__(self, copies: Sequence[TransformedCopy | RectilinearShape],
+                 rects: Sequence[Rect] = ()):
         self.den, (self.boxes, self.rect_boxes) = _on_one_grid(copies, rects)
         self.segs = [_scaled_segs(c, box, self.den // c.den)
                      for c, box in zip(copies, self.boxes)]
@@ -512,6 +459,23 @@ class FamilyGrid:
         segs = self.segs
         return sorted((i, j) for i, j in _sweep_pairs(self.boxes, start)
                       if _curves_meet(segs[i], segs[j]))
+
+
+def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, list[IntSeg]]:
+    """``r``'s box on the grid of ``c`` and ``r``, and the closed parts of
+    ``c`` inside it."""
+    grid = FamilyGrid([c], [r])
+    box = grid.rect_boxes[0]
+    return box, grid.clip(0, box)
+
+
+def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
+    """True iff the two closed copies share a point (exact)."""
+    return FamilyGrid([a, b]).meet(0, 1)
+
+
+def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
+    return bool(_inside(c, r)[1])
 
 
 class AnchoredFrame:
@@ -576,7 +540,7 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
         out.append("ii: (1+eps)*xi(eps) is not below eps")
     if u.x_hi - e.x_hi != eps * xi:
         out.append("ii: right-side gap is not eps*xi(eps)")
-    if _clip(*_with_rect(anchor.shape.den, anchor.shape.int_segs, e)):
+    if _inside(anchor.shape, e)[1]:
         out.append("ii: empty square meets the shape")
 
     if _stabber_faults(anchor.shape, anchor.left_stabber(eps),

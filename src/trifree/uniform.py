@@ -42,9 +42,9 @@ from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
 from .shapes import (
     AnchoredFrame,
+    FamilyGrid,
     ShapeDef,
     TransformedCopy,
-    boxes_meeting,
     copy_meets_rect,
     family_bbox,
 )
@@ -118,11 +118,13 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         lowers.append(_lower_right_quadrant(p.root))
 
     helper = list(inner.family) + diagonals
-    for name, roots in (("upper", uppers), ("lower", lowers)):
-        for i, (r, ids) in enumerate(zip(roots, boxes_meeting(roots, helper))):
+    grid = FamilyGrid(helper, uppers + lowers)
+    for name, roots, boxes in (("upper", uppers, grid.rect_boxes[:len(uppers)]),
+                               ("lower", lowers, grid.rect_boxes[len(uppers):])):
+        for i, (r, box, ids) in enumerate(zip(roots, boxes, grid.near(boxes))):
             if r.width != r.height:
                 raise ConstructionError(f"{name} root {i} is not a square")
-            if any(copy_meets_rect(helper[j], r) for j in ids):
+            if any(grid.clip(j, box) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
     audit = HelperAudit(delta, m, eps1, bbox0,
                         tuple(p.root for p in inner.probes),

@@ -15,9 +15,10 @@ are enforced at construction time.
 
 No check tests all pairs or all copies: each takes its candidates from
 one y-sweep over bounding boxes, which the exact predicates then decide.
-The probe conditions, the diagonal law and the intersection graph each
-lift the family, with the rectangles they query, onto one integer grid
-(``shapes.FamilyGrid``) once, and sweep and decide on it.  All the
+The probe conditions, the diagonal law, the frame law and the
+intersection graph each lift the family, with the rectangles they query,
+onto one integer grid (``shapes.FamilyGrid``) once, and sweep and decide
+on it.  All the
 stored probes are checked against one sweep, each with the box around
 its rectangle and its root, so a root stored away from its rectangle
 still meets every copy it could.

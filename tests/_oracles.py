@@ -9,10 +9,11 @@ all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
 every triple, and the solver's references are the bodies that scanned
-every vertex at each selection step.  The helpers below them (a
-transcript's chain at a point, clique number, first-fit coloring, DIMACS
-parsing, probe color audits and the encoded family's certificate) have
-no caller in the package.
+every vertex at each selection step.  The helpers below them (whether a
+copy stabs a rectangle, on the two's ``FamilyGrid``, a transcript's chain
+at a point, clique number, first-fit coloring, DIMACS parsing, probe
+color audits and the encoded family's certificate) have no caller in the
+package.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from trifree.graphs import (
     verify_coloring,
 )
 from trifree.independent import Level, Probe, make_diagonal, split_probe
-from trifree.shapes import ShapeDef, TransformedCopy, copies_intersect, copy_meets_rect, family_bbox
+from trifree.shapes import (
+    FamilyGrid,
+    ShapeDef,
+    TransformedCopy,
+    copies_intersect,
+    copy_meets_rect,
+    family_bbox,
+)
 
 
 def grid_points_on_seg(s: Seg) -> set[tuple[int, int]]:
@@ -163,7 +171,7 @@ def _components_ref(segs: Sequence[Seg]) -> list[set[int]]:
 
 
 def curve_stabs_ref(segs: Sequence[Seg], rect: Rect, *, vertical: bool) -> bool:
-    """The stabbing test of ``shapes.stabs_vertically``/``stabs_horizontally``
+    """The stabbing test of ``stabs_vertically``/``stabs_horizontally``
     on exact rationals: some connected component of ``segs`` clipped to
     ``rect`` joins its top and bottom (vertical) or left and right sides."""
     clipped = [c for s in segs if (c := clip_seg_to_rect(s, rect)) is not None]
@@ -255,8 +263,24 @@ def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:
     """The intersection graph from ``copies_intersect`` on every pair."""
     return Graph.from_edges(len(copies),
                             [(i, j) for i, j in combinations(range(len(copies)), 2)
-                             if copies_intersect(copies[i], copies[j])],
-                            tuple(c.lineage for c in copies))
+                             if copies_intersect(copies[i], copies[j])])
+
+
+def _stabs(c: TransformedCopy, r: Rect, *, vertical: bool) -> bool:
+    grid = FamilyGrid([c], [r])
+    return grid.stabs(0, grid.rect_boxes[0], vertical=vertical)
+
+
+def stabs_vertically(c: TransformedCopy, r: Rect) -> bool:
+    """True iff some connected part of ``c`` clipped to ``r`` joins r's
+    bottom and top sides, decided on the grid of the two."""
+    return _stabs(c, r, vertical=True)
+
+
+def stabs_horizontally(c: TransformedCopy, r: Rect) -> bool:
+    """True iff some connected part of ``c`` clipped to ``r`` joins r's
+    left and right sides, decided on the grid of the two."""
+    return _stabs(c, r, vertical=False)
 
 
 def pierced_bruteforce(copies: Sequence[TransformedCopy], rect: Rect) -> list[int]:

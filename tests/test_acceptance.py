@@ -180,7 +180,7 @@ def test_criterion_8_encoding_law():
     for k in (1, 2, 3):
         fam = encode(expand_tree(k))
         for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-            same_branch = j in fam.ancestors(i) or i in fam.ancestors(j)
+            same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
             expected = same_branch and overlaps(fam.nodes[i].interval,
                                                 fam.nodes[j].interval)
             assert copies_intersect(fam.copies[i], fam.copies[j]) == expected

@@ -77,7 +77,7 @@ def test_intersection_law_exhaustive():
     for k in (1, 2, 3):
         fam = encode(expand_tree(k))
         for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-            same_branch = j in fam.ancestors(i) or i in fam.ancestors(j)
+            same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
             expected = same_branch and overlaps(fam.nodes[i].interval,
                                                 fam.nodes[j].interval)
             assert copies_intersect(fam.copies[i], fam.copies[j]) == expected
@@ -87,7 +87,7 @@ def test_nested_same_branch_frames_do_not_meet():
     fam = encode(expand_tree(2))
     found = False
     for i in range(len(fam.nodes)):
-        for j in fam.ancestors(i):
+        for j in fam.nodes[i].ancestors:
             a, b = fam.nodes[i].interval, fam.nodes[j].interval
             if not overlaps(a, b):
                 found = True
@@ -99,7 +99,7 @@ def test_overlapping_same_branch_frames_cross():
     fam = encode(expand_tree(2))
     found = False
     for i in range(len(fam.nodes)):
-        for j in fam.ancestors(i):
+        for j in fam.nodes[i].ancestors:
             if overlaps(fam.nodes[i].interval, fam.nodes[j].interval):
                 found = True
                 assert copies_intersect(fam.copies[i], fam.copies[j])
@@ -110,7 +110,7 @@ def test_divergent_branches_stay_disjoint_even_when_intervals_overlap():
     fam = encode(expand_tree(3))
     checked = 0
     for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-        same_branch = j in fam.ancestors(i) or i in fam.ancestors(j)
+        same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
         if not same_branch and overlaps(fam.nodes[i].interval, fam.nodes[j].interval):
             checked += 1
             assert not copies_intersect(fam.copies[i], fam.copies[j])
@@ -132,7 +132,7 @@ def test_clique_transfer():
     g = intersection_graph(fam.copies)
     assert is_triangle_free(g)
     for u, v in g.edges():
-        assert u in fam.ancestors(v) or v in fam.ancestors(u)
+        assert u in fam.nodes[v].ancestors or v in fam.nodes[u].ancestors
 
 
 def test_encoding_matches_recursive_frame_construction():

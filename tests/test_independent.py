@@ -29,8 +29,6 @@ from trifree.shapes import (
     catalog,
     copy_meets_rect,
     family_bbox,
-    stabs_horizontally,
-    stabs_vertically,
 )
 from trifree.uniform import augment_uniform, build_uniform
 
@@ -43,6 +41,8 @@ from _oracles import (
     probe_conditions_ref,
     proper_colorings,
     rect_relations,
+    stabs_horizontally,
+    stabs_vertically,
     step_contact_law_violations,
 )
 

@@ -219,6 +219,20 @@ def test_verify_reports_shifted_encoded_frame(frame):
     assert "encoded: intersection law fails at nodes 1, 2: expected meet" in violations
 
 
+def test_verify_reports_encoded_frames_meeting_off_branch(frame):
+    tree = expand_tree(2)
+    doc = json.loads(serialize.dumps(serialize.encoded_to_doc(tree, encode(tree), frame)))
+    # frames 2 and 4 are siblings; laid on frame 2, frame 4 meets it and its
+    # child, frame 3, and no longer crosses the root, frame 0
+    doc["copies"][4].update({key: doc["copies"][2][key] for key in ("sx", "sy", "tx", "ty")})
+    violations = verify_family(serialize.doc_to_family(doc))
+    assert "encoded: frame 4 does not match its tree node" in violations
+    assert [v for v in violations if "intersection law" in v] == [
+        "encoded: intersection law fails at nodes 0, 4: expected meet",
+        "encoded: intersection law fails at nodes 2, 4: expected disjoint",
+        "encoded: intersection law fails at nodes 3, 4: expected disjoint"]
+
+
 def test_verify_reports_bad_encoded_slots(frame):
     tree = expand_tree(2)
     text = serialize.dumps(serialize.encoded_to_doc(tree, encode(tree), frame))
@@ -296,7 +310,7 @@ def test_cli_uniform_build_requires_epsilon(tmp_path):
     r = _run_cli("build", "--mode", "independent", "--k", "1", "--epsilon", "1/2")
     assert r.returncode == 2
     r = _run_cli("build", "--mode", "uniform", "--k", "1", "--epsilon", "1/0")
-    assert r.returncode == 3
+    assert r.returncode == 2
     assert "error:" in r.stderr and "Traceback" not in r.stderr
     fam = tmp_path / "u.json"
     r = _run_cli("build", "--mode", "uniform", "--k", "2", "--epsilon", "1/2",
@@ -333,6 +347,9 @@ def test_cli_invalid_flags_exit_two():
     assert _run_cli("game", "--k", "2", "--seed", "7").returncode == 2
     assert _run_cli("build", "--k", "0").returncode == 2
     assert _run_cli("verify", "--family", "/no/such/file").returncode == 2
+    assert _run_cli("build", "--mode", "uniform", "--k", "1", "--epsilon", "2").returncode == 2
+    assert _run_cli("build", "--mode", "uniform", "--k", "1", "--epsilon", "abc").returncode == 2
+    assert _run_cli("encode", "--k", "2", "--budget", "0").returncode == 2
 
 
 def test_cli_malformed_family_exits_three(tmp_path):

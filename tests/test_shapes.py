@@ -11,16 +11,15 @@ from trifree.shapes import (
     RectilinearShape,
     ShapeFeatures,
     TransformedCopy,
+    _boxes_meeting,
     _covers,
+    _on_one_grid,
     anchored_violations,
     catalog,
-    boxes_meeting,
     copies_intersect,
     copy_meets_rect,
     family_bbox,
     meeting_pairs,
-    stabs_horizontally,
-    stabs_vertically,
     validate_features,
 )
 from trifree.uniform import augment_uniform, build_uniform
@@ -32,6 +31,8 @@ from _oracles import (
     curve_stabs_ref,
     meeting_pairs_bruteforce,
     segment_covered,
+    stabs_horizontally,
+    stabs_vertically,
 )
 
 
@@ -328,12 +329,17 @@ def test_meeting_pairs_matches_all_pairs_oracle():
             assert meeting_pairs(boxes) == meeting_pairs_bruteforce(boxes)
 
 
+def _meeting(queries, boxes):
+    """``_boxes_meeting`` on the queries and boxes lifted onto one grid."""
+    return _boxes_meeting(*_on_one_grid(queries, boxes)[1])
+
+
 def test_boxes_meeting_matches_all_pairs_oracle():
     rng = random.Random(4181)
     for n, m in ((0, 5), (5, 0), (1, 1), (3, 7), (30, 30), (80, 20)):
         for _ in range(5):
             queries, boxes = _random_boxes(rng, n), _random_boxes(rng, m)
-            got = [(i, j) for i, ids in enumerate(boxes_meeting(queries, boxes)) for j in ids]
+            got = [(i, j) for i, ids in enumerate(_meeting(queries, boxes)) for j in ids]
             assert got == meeting_pairs_bruteforce(queries, boxes)
 
 
@@ -344,7 +350,7 @@ def test_sweep_counts_touching_and_degenerate_boxes():
     assert meeting_pairs(corner) == [(0, 1)]
     assert meeting_pairs(point_on_edge) == [(0, 1)]
     assert meeting_pairs(tied_apart) == []
-    assert boxes_meeting([Rect(1, 1, 0, 5)], corner + tied_apart) == [[0, 1, 2]]
+    assert _meeting([Rect(1, 1, 0, 5)], corner + tied_apart) == [[0, 1, 2]]
 
 
 # A Mersenne prime: copies scaled by 1/_BIG_PRIME have denominators of
@@ -475,5 +481,5 @@ def test_sweeps_take_copies_for_their_bounding_boxes():
         rects = [_random_rect(rng, unit) for _ in range(20)]
         boxes = [c.bbox for c in copies]
         assert meeting_pairs(copies) == meeting_pairs_bruteforce(boxes)
-        got = [(i, j) for i, ids in enumerate(boxes_meeting(rects, copies)) for j in ids]
+        got = [(i, j) for i, ids in enumerate(_meeting(rects, copies)) for j in ids]
         assert got == meeting_pairs_bruteforce(rects, boxes)
