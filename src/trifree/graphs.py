@@ -6,16 +6,17 @@ candidate pairs whose bounding boxes meet, which one y-sweep over the
 boxes on that grid finds; any other pair is disjoint.
 
 The chromatic-number solver is a saturation-order branch and bound with
-a clique lower bound and first-use color symmetry pruning.  It either
-proves the exact value by exhausting the search or, on timeout, returns
-the honest interval it has established so far.  The search and the
-greedy DSATUR coloring that starts it pick each vertex from one
-saturation structure (``_Saturation``): the uncolored vertices sit in one
-bucket per saturation level, each an int bitmask over a static
-(degree, -vertex) rank, so a pick reads the top bit of the top non-empty
-bucket and a color move touches only the neighbours it changes.  The
-clique bound walks the set bits of its candidate masks, and the triangle
-test intersects the two neighbourhoods of each edge.
+a clique lower bound and first-use color symmetry pruning, run on an
+explicit stack so that no search depth meets Python's recursion limit.
+It either proves the exact value by exhausting the search or, on
+timeout, returns the honest interval it has established so far.  The
+search and the greedy DSATUR coloring that starts it pick each vertex
+from one saturation structure (``_Saturation``): the uncolored vertices
+sit in one bucket per saturation level, each an int bitmask over a
+static (degree, -vertex) rank, so a pick reads the top bit of the top
+non-empty bucket and a color move touches only the neighbours it
+changes.  The clique bound walks the set bits of its candidate masks,
+and the triangle test intersects the two neighbourhoods of each edge.
 """
 
 from __future__ import annotations
@@ -192,10 +193,6 @@ def dsatur_order_coloring(g: Graph) -> list[int]:
     return sat.colors
 
 
-class _Deadline(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ChromaticResult:
     """Outcome of the exact solver.
@@ -245,36 +242,36 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     # fixing them breaks a factorial amount of symmetry.
     for i, v in enumerate(clique):
         sat.assign(v, i + 1)
-    ticks = 0
-    state = {"best": best_num, "coloring": list(best)}
-
-    def search(colored: int, used: int) -> None:
-        nonlocal ticks
+    # Depth first, one frame per vertex colored beyond the clique: [vertex,
+    # colors used before it, the color limit fixed on entry, its color (0
+    # before the first), the neighbours that color touched].
+    stack: list[list] = []
+    used, ticks, exact, witness = lb, 0, True, tuple(best)
+    while True:
         ticks += 1
         if deadline is not None and ticks % 256 == 0 and time.monotonic() > deadline:
-            raise _Deadline
-        if used >= state["best"]:
-            return
-        if colored == g.n:
-            state["best"] = used
-            state["coloring"] = list(colors)
-            return
-        v = sat.select()
-        limit = min(used + 1, state["best"] - 1)
-        for c in range(1, limit + 1):
-            if c in neigh_colors[v]:
-                continue
-            touched = sat.assign(v, c)
-            search(colored + 1, max(used, c))
-            sat.unassign(v, c, touched)
-
-    try:
-        search(len(clique), lb)
-        exact = True
-    except _Deadline:
-        exact = False
-    best_num = state["best"]
-    witness = tuple(state["coloring"])
+            exact = False
+            break
+        if used < best_num:
+            if len(clique) + len(stack) == g.n:
+                best_num, witness = used, tuple(colors)
+            else:
+                stack.append([sat.select(), used, min(used + 1, best_num - 1), 0, []])
+        while stack:  # move to the next color of the deepest open frame
+            frame = stack[-1]
+            v, before, limit, c, touched = frame
+            if c:
+                sat.unassign(v, c, touched)
+            c += 1
+            while c in neigh_colors[v]:
+                c += 1
+            if c <= limit:
+                frame[3:] = c, sat.assign(v, c)
+                used = max(before, c)
+                break
+            stack.pop()
+        if not stack:
+            break
     assert verify_coloring(g, witness)
     if exact:
         return ChromaticResult(best_num, best_num, True, witness, clique)

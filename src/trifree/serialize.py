@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Any, Optional, Sequence
 
-from .encoding import FrameFamily, StrategyTree, TreeNode
+from .encoding import FrameFamily, StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
 from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
 from .independent import Level, Probe
@@ -109,19 +109,17 @@ def _check_grid(copies: Sequence[TransformedCopy], probes: Sequence[Probe]) -> N
 
 
 def _tree_node_to_json(node: TreeNode) -> dict:
-    assert node.slot is not None
     return {"lo": rat_str(node.interval.lo), "hi": rat_str(node.interval.hi),
             "slot_lo": rat_str(node.slot[0]), "slot_hi": rat_str(node.slot[1]),
             "children": [_tree_node_to_json(c) for c in node.children]}
 
 
-def _tree_node_from_json(d: dict) -> TreeNode:
-    node = TreeNode(Interval(as_rat(d["lo"]), as_rat(d["hi"])))
-    node.slot = (as_rat(d["slot_lo"]), as_rat(d["slot_hi"]))
-    if not node.slot[0] < node.slot[1]:
-        raise ValueError(f"empty tree slot [{node.slot[0]}, {node.slot[1]}]")
-    node.children = [_tree_node_from_json(c) for c in d["children"]]
-    return node
+def _tree_node_from_json(d: dict) -> tuple[Interval, tuple[Rat, Rat], list]:
+    interval = Interval(as_rat(d["lo"]), as_rat(d["hi"]))
+    slot = (as_rat(d["slot_lo"]), as_rat(d["slot_hi"]))
+    if not slot[0] < slot[1]:
+        raise ValueError(f"empty tree slot [{slot[0]}, {slot[1]}]")
+    return interval, slot, d["children"]
 
 
 def level_to_doc(level: Level, shape: ShapeDef,
@@ -185,7 +183,7 @@ class LoadedFamily:
     copies: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
     epsilon: Optional[Rat]
-    tree_root: Optional[TreeNode]
+    tree_nodes: Optional[tuple[TreeNode, ...]]  # preorder
     color_budget: Optional[int]
 
 
@@ -230,10 +228,9 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     if not 1 <= base_size <= len(copies):
         raise ValueError(f"base_size {base_size} is outside 1..{len(copies)}")
     probes: tuple[Probe, ...] = ()
-    tree_root = None
-    color_budget = None
+    tree_nodes = color_budget = None
     if mode == "encoded-frames":
-        tree_root = _tree_node_from_json(doc["tree"]["root"])
+        tree_nodes = _preorder(doc["tree"]["root"], _tree_node_from_json)
         color_budget = _typed(doc["tree"]["color_budget"], int, "color_budget")
     else:
         probes = tuple(_probe_from_json(p) for p in doc["probes"])
@@ -250,7 +247,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         copies=copies,
         probes=probes,
         epsilon=as_rat(doc["epsilon"]) if mode == "uniform" else None,
-        tree_root=tree_root,
+        tree_nodes=tree_nodes,
         color_budget=color_budget,
     )
 

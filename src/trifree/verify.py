@@ -6,7 +6,7 @@ constructions run on themselves: ``independent.probe_conditions`` on
 every stored probe (with the eps-probe extras in uniform mode),
 ``independent.probe_overlaps``, ``independent.diagonal_law`` in
 augmented families, and ``encoding.frame_law`` over the stored tree's
-nodes as ``encoding.frame_nodes`` walks them, after each stored frame is
+nodes, which the loader reads in preorder, after each stored frame is
 compared with the one its node gives.  On top of those come the
 size recurrences, triangle-freeness, homothety in uniform mode, and the
 slot nesting of an encoded tree and the bounds its k and color budget
@@ -15,18 +15,18 @@ are enforced at construction time.
 
 No check tests all pairs or all copies: each takes its candidates from
 one y-sweep over bounding boxes, which the exact predicates then decide.
-The probe conditions, the diagonal law, the frame law and the
-intersection graph each lift the family, with the rectangles they query,
-onto one integer grid (``shapes.FamilyGrid``) once, and sweep and decide
-on it.  All the
-stored probes are checked against one sweep, each with the box around
-its rectangle and its root, so a root stored away from its rectangle
-still meets every copy it could.
+The probe conditions, the diagonal law and the intersection graph each
+lift the family, with the rectangles they query, onto one integer grid
+(``shapes.FamilyGrid``) once, and sweep and decide on it; an encoded
+family's frame law and triangle test read one intersection graph.  All
+the stored probes are checked against one sweep, each with the box
+around its rectangle and its root, so a root stored away from its
+rectangle still meets every copy it could.
 """
 
 from __future__ import annotations
 
-from .encoding import frame_law, frame_nodes
+from .encoding import frame_law
 from .game import SEARCH_LIMIT
 from .geometry import Rat
 from .graphs import intersection_graph, is_triangle_free
@@ -82,8 +82,8 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
 
 def _verify_encoded(fam: LoadedFamily) -> list[str]:
     out: list[str] = []
-    assert fam.tree_root is not None and fam.color_budget is not None
-    nodes = frame_nodes(fam.tree_root)
+    nodes = fam.tree_nodes
+    assert nodes is not None and fam.color_budget is not None
     # No tree fixes k (at budget 1, k=2 and k=3 give the same tree), but no
     # encode run writes k above the search cap or a branch longer than 2^k.
     if fam.k > SEARCH_LIMIT:
@@ -108,8 +108,8 @@ def _verify_encoded(fam: LoadedFamily) -> list[str]:
         if not last_child_hi.get(node.parent, plo) < lo:
             out.append(f"encoded: child slots of node {node.parent} fail to interleave")
         last_child_hi[node.parent] = hi
-    out.extend(f"encoded: {msg}" for msg in frame_law(nodes, fam.copies))
     g = intersection_graph(fam.copies)
+    out.extend(f"encoded: {msg}" for msg in frame_law(nodes, g))
     if not is_triangle_free(g):
         out.append("encoded: family is not triangle-free")
     return out

@@ -32,3 +32,10 @@ def test_presenter_session_respond_exists():
     from trifree.game import PresenterSession
 
     assert callable(PresenterSession.respond)
+
+
+def test_strategy_tree_nodes_exists():
+    from trifree.encoding import expand_tree
+
+    # the encoding.tree_nodes observer takes the length of what it returns
+    assert len(expand_tree(1).nodes()) == 2

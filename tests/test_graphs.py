@@ -175,6 +175,16 @@ def test_solver_timeout_stops_at_the_first_deadline_check(frame):
     assert res == chromatic_number_ref(g, timeout=0)
 
 
+def test_solver_searches_deeper_than_the_recursion_limit():
+    # a 3,000-vertex path that ends in a 5-cycle: the search that proves no
+    # 2-coloring exists colors the path one vertex per level
+    n = 3000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(n - 5, n - 1)])
+    res = chromatic_number(g)
+    assert res.exact and res.chi == 3
+    assert verify_coloring(g, res.coloring)
+
+
 def test_triangle_test_matches_all_triples():
     rng = random.Random(31)
     seen = set()

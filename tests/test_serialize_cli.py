@@ -159,13 +159,15 @@ def test_build_output_is_byte_identical(mode, shape_name, k, epsilon, augmented,
 
 
 def test_encoded_round_trip_and_verify(frame):
-    tree = expand_tree(2)
-    fam = encode(tree)
-    doc = serialize.encoded_to_doc(tree, fam, frame)
-    loaded = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
-    assert loaded.mode == "encoded-frames"
-    assert loaded.copies == fam.copies
-    assert verify_family(loaded) == []
+    for k, budget in ((1, None), (2, None), (3, None), (2, 2)):
+        tree = expand_tree(k, budget)
+        fam = encode(tree)
+        doc = serialize.encoded_to_doc(tree, fam, frame)
+        loaded = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+        assert loaded.mode == "encoded-frames"
+        assert loaded.copies == fam.copies
+        assert loaded.tree_nodes == tree.nodes()
+        assert verify_family(loaded) == []
 
 
 def test_verify_catches_each_kind_of_tamper(frame):
