@@ -72,6 +72,8 @@ _seconds = _flag_type(float, lambda v: math.isfinite(v) and v >= 0,
                       "a finite number of seconds >= 0")
 _epsilon = _flag_type(as_rat, lambda v: 0 < v < 1, "a rational 'p/q' in (0,1)")
 _positive = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+# a first-fit game takes about 45 s at k=12 (4,096 moves), and each k more about 4x as long
+_game_k = _flag_type(int, lambda v: 1 <= v <= 12, "an integer in 1..12")
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -184,7 +186,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("game", help="play the on-line interval coloring game")
-    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k", type=_game_k, required=True)
     p.add_argument("--painter", choices=["firstfit", "repl", "minimax"],
                    default="firstfit")
     p.add_argument("--out", default="-")

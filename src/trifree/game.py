@@ -16,22 +16,30 @@ overlapping the whole final chain, forcing color k+1.
 All placements are fixed rational rules, so runs are reproducible and
 every claimed containment is asserted during play.
 
+The strategy is written once, as immutable steps: a ``Step`` holds
+the interval shown and ``respond(color)``, which returns the next step
+or, after the last move, the certified point and chain.
+
 ``game_tree`` is the one walk over Painter's side of the game: every
 history of canonical colors, where a move may reuse a color already seen
 or open the next fresh one (colors 1..min(max_used+1, budget)), so every
-Painter strategy appears once up to renaming.  ``minimax_verify``, the
-minimax Painter and ``encoding.expand_tree`` all read that walk.
+Painter strategy appears once up to renaming.  It forks a position by
+answering its step once per legal color, so an edge costs one step and
+one checked ``GameTranscript.add``.  ``minimax_verify``, the minimax
+Painter and ``encoding.expand_tree`` all read that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import combinations
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import IllegalColorError, IllegalIntervalError
 from .geometry import Rat, as_rat
 
 Chain = tuple[tuple["Interval", int], ...]
+Outcome = tuple[Rat, Chain]  # a finished strategy's certified point and chain
 
 
 @dataclass(frozen=True)
@@ -82,20 +90,17 @@ class GameTranscript:
             raise IllegalIntervalError(
                 f"left endpoint {iv.lo} does not increase past {self.moves[-1][0].lo}")
         nbrs = self.neighbors(iv)
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                if overlaps(self.moves[nbrs[a]][0], self.moves[nbrs[b]][0]):
-                    raise IllegalIntervalError(
-                        f"interval would close a triangle with moves "
-                        f"{nbrs[a]} and {nbrs[b]}")
+        for a, b in combinations(nbrs, 2):
+            if overlaps(self.moves[a][0], self.moves[b][0]):
+                raise IllegalIntervalError(
+                    f"interval would close a triangle with moves {a} and {b}")
         return nbrs
 
     def add(self, iv: Interval, color: int) -> None:
         nbrs = self.check_interval(iv)
-        if not isinstance(color, int) or color < 1:
+        if isinstance(color, bool) or not isinstance(color, int) or color < 1:
             raise IllegalColorError(f"colors are positive integers, got {color!r}")
-        clash = {self.moves[i][1] for i in nbrs}
-        if color in clash:
+        if color in {self.moves[i][1] for i in nbrs}:
             raise IllegalColorError(f"color {color} already used by an overlap neighbor")
         self.moves.append((iv, color))
 
@@ -121,75 +126,76 @@ def _assert_certificate(chain: Chain, k: int, region: Interval) -> None:
             raise AssertionError("chain interval leaves the interior of its region")
 
 
-def _strategy(k: int, region: Interval) -> Iterator[Interval]:
-    """Generator protocol: yields each interval, receives its color via
-    send(); returns (certified point, certified chain)."""
+@dataclass(frozen=True)
+class Step:
+    """One Presenter move, shared by every history that reaches it: the
+    interval shown, and ``respond(color)`` giving the next step or the Outcome."""
+    interval: Interval
+    respond: Callable[[int], Step | Outcome]
+
+
+def _steps(k: int, region: Interval, then: Callable[[Rat, Chain], Step | Outcome]) -> Step:
+    """The first step of the k-strategy inside ``region``; play goes on with
+    ``then(point, chain)`` once the strategy has certified them."""
+    def certified(point: Rat, chain: Chain) -> Step | Outcome:
+        _assert_certificate(chain, k, region)
+        return then(point, chain)
+
     if k == 1:
         third = (region.hi - region.lo) / 3
         iv = Interval(region.lo + third, region.hi - third)
-        color = yield iv
-        chain: Chain = ((iv, color),)
-        _assert_certificate(chain, 1, region)
-        return iv.midpoint, chain
+        return Step(iv, lambda color: certified(iv.midpoint, ((iv, color),)))
 
-    x, chain = yield from _strategy(k - 1, region)
-    min_hi = min(iv.hi for iv, _ in chain)
-    span = min_hi - x
-    inner_region = Interval(x + span / 4, x + 3 * span / 4)
-    x2, chain2 = yield from _strategy(k - 1, inner_region)
+    def inner(x: Rat, chain: Chain) -> Step | Outcome:
+        min_hi = min(iv.hi for iv, _ in chain)
 
-    colors1 = {c for _, c in chain}
-    colors2 = {c for _, c in chain2}
-    if colors1 != colors2:
-        combined = chain + chain2
-        _assert_certificate(combined, k, region)
-        return x2, combined
-
-    min_hi2 = min(iv.hi for iv, _ in chain2)
-    max_hi2 = max(iv.hi for iv, _ in chain2)
-    bridge = Interval((x2 + min_hi2) / 2, (max_hi2 + min_hi) / 2)
-    color = yield bridge
-    y = (max_hi2 + bridge.hi) / 2
-    combined = chain + ((bridge, color),)
-    _assert_certificate(combined, k, region)
-    return y, combined
+        def joined(x2: Rat, chain2: Chain) -> Step | Outcome:
+            if {c for _, c in chain} != {c for _, c in chain2}:
+                return certified(x2, chain + chain2)
+            min_hi2 = min(iv.hi for iv, _ in chain2)
+            max_hi2 = max(iv.hi for iv, _ in chain2)
+            bridge = Interval((x2 + min_hi2) / 2, (max_hi2 + min_hi) / 2)
+            y = (max_hi2 + bridge.hi) / 2
+            return Step(bridge, lambda color: certified(y, chain + ((bridge, color),)))
+        span = min_hi - x
+        return _steps(k - 1, Interval(x + span / 4, x + 3 * span / 4), joined)
+    return _steps(k - 1, region, inner)
 
 
-def shortest_strategy(k: int, region: Interval = Interval(0, 1)) -> Iterator[Interval]:
-    """The forcing strategy plus one final interval overlapping the whole
-    certified chain, pushing Painter to k+1 colors."""
-    y, chain = yield from _strategy(k, region)
-    min_hi = min(iv.hi for iv, _ in chain)
-    max_hi = max(iv.hi for iv, _ in chain)
-    lo = (y + min_hi) / 2
-    closer = Interval(lo, max_hi + (lo - y))
-    color = yield closer
-    final = chain + ((closer, color),)
-    if len({c for _, c in final}) < k + 1:
-        raise AssertionError("closing interval failed to force a fresh color")
-    return y, final
+def first_step(k: int, region: Interval = Interval(0, 1)) -> Step:
+    """The shortest k-strategy: the forcing strategy plus one final interval
+    overlapping the whole certified chain, pushing Painter to k+1 colors."""
+    def close(y: Rat, chain: Chain) -> Step:
+        lo = (y + min(iv.hi for iv, _ in chain)) / 2
+        closer = Interval(lo, max(iv.hi for iv, _ in chain) + (lo - y))
+
+        def respond(color: int) -> Outcome:
+            final = chain + ((closer, color),)
+            if len({c for _, c in final}) < k + 1:
+                raise AssertionError("closing interval failed to force a fresh color")
+            return y, final
+        return Step(closer, respond)
+    return _steps(k, region, close)
 
 
 class PresenterSession:
-    """Step interface over the shortest strategy for one game."""
+    """A cursor over the shortest strategy's steps for one game."""
 
     def __init__(self, k: int, region: Interval = Interval(0, 1)):
-        self.k = k
-        self._gen = shortest_strategy(k, region)
-        self.current: Optional[Interval] = next(self._gen)
+        self._at: Step | Outcome = first_step(k, region)
+        self.current: Optional[Interval] = self._at.interval
         self.certified: Optional[Chain] = None
         self.point: Optional[Rat] = None
 
     def respond(self, color: int) -> Optional[Interval]:
         """Feed Painter's color for the current interval; returns the next
         interval, or None when the game is over."""
-        if self.current is None:
+        if not isinstance(self._at, Step):
             raise RuntimeError("game is already over")
-        try:
-            self.current = self._gen.send(color)
-        except StopIteration as stop:
-            self.current = None
-            self.point, self.certified = stop.value
+        self._at = self._at.respond(color)
+        self.current = self._at.interval if isinstance(self._at, Step) else None
+        if self.current is None:
+            self.point, self.certified = self._at
         return self.current
 
 
@@ -269,7 +275,7 @@ def run_game(k: int, painter: Painter) -> GameResult:
                       session.point, session.certified)
 
 
-# Histories grow exponentially in k: one k=4 walk takes tens of seconds.
+# Histories grow exponentially in k: the k=4 walk (31,285 of them) takes 5-6 s.
 SEARCH_LIMIT = 3
 
 
@@ -278,38 +284,30 @@ class Position(NamedTuple):
     legal: tuple[int, ...]        # the canonical colors Painter may give it
 
 
-def _replay(k: int, colors: Sequence[int],
-            region: Interval) -> tuple[GameTranscript, Optional[Interval]]:
-    """Rebuild the state after the given Painter responses; returns the
-    transcript so far and the next presented interval (None = game over)."""
-    session = PresenterSession(k, region)
-    transcript = GameTranscript()
-    for color in colors:
-        assert session.current is not None
-        transcript.add(session.current, color)
-        session.respond(color)
-    return transcript, session.current
-
-
 def game_tree(k: int, budget: int) -> dict[tuple[int, ...], Position]:
     """Every canonical Painter history against the shortest k-strategy with
-    its position, in preorder; each is replayed once under the game rules."""
+    its position, in preorder, on one transcript cut back at each fork."""
     if k > SEARCH_LIMIT:
         raise ValueError(f"game tree search capped at k <= {SEARCH_LIMIT}")
     if budget < 1:
         raise ValueError(f"color budget must be at least 1, got {budget}")
     tree: dict[tuple[int, ...], Position] = {}
-    stack: list[tuple[int, ...]] = [()]
+    transcript = GameTranscript()
+    stack: list[tuple[tuple[int, ...], Step | Outcome]] = [((), first_step(k))]
     while stack:
-        colors = stack.pop()
-        transcript, iv = _replay(k, colors, Interval(0, 1))
+        colors, step = stack.pop()
+        if colors:  # ``step`` is the parent's: play its interval in color colors[-1]
+            del transcript.moves[len(colors) - 1:]
+            transcript.add(step.interval, colors[-1])
+            step = step.respond(colors[-1])
+        iv = step.interval if isinstance(step, Step) else None
         legal: tuple[int, ...] = ()
         if iv is not None:
             forbidden = transcript.neighbor_colors(iv)
             top = min(max(colors, default=0) + 1, budget)
             legal = tuple(c for c in range(1, top + 1) if c not in forbidden)
         tree[colors] = Position(iv, legal)
-        stack.extend(colors + (c,) for c in reversed(legal))
+        stack.extend((colors + (c,), step) for c in reversed(legal))
     return tree
 
 

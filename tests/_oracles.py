@@ -8,12 +8,13 @@ every copy through those, on no shared grid, the coloring oracle is a static-ord
 all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
-every triple, and the solver's references are the bodies that scanned
-every vertex at each selection step.  The helpers below them (whether a
-copy stabs a rectangle, on the two's ``FamilyGrid``, a transcript's chain
-at a point, clique number, first-fit coloring, DIMACS parsing, probe
-color audits and the encoded family's certificate) have no caller in the
-package.
+every triple, the solver's references are the bodies that scanned
+every vertex at each selection step, and the game-tree reference replays
+every history from the root through a fresh ``PresenterSession``.  The
+helpers below them (whether a copy stabs a rectangle, on the two's
+``FamilyGrid``, a transcript's chain at a point, clique number,
+first-fit coloring, DIMACS parsing, probe color audits and the encoded
+family's certificate) have no caller in the package.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from trifree.encoding import FrameFamily
-from trifree.game import Chain, GameTranscript
+from trifree.game import Chain, GameTranscript, Interval, Position, PresenterSession
 from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, seg_intersect
 from trifree.graphs import (
     ChromaticResult,
@@ -509,6 +510,37 @@ def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> Chromatic
     if exact:
         return ChromaticResult(best_num, best_num, True, witness, clique)
     return ChromaticResult(lb, best_num, False, witness, clique)
+
+
+def replay(k: int, colors: Sequence[int],
+           region: Interval = Interval(0, 1)) -> tuple[GameTranscript, Optional[Interval]]:
+    """Rebuild the state after the given Painter responses; returns the
+    transcript so far and the next presented interval (None = game over)."""
+    session = PresenterSession(k, region)
+    transcript = GameTranscript()
+    for color in colors:
+        assert session.current is not None
+        transcript.add(session.current, color)
+        session.respond(color)
+    return transcript, session.current
+
+
+def game_tree_ref(k: int, budget: int) -> dict[tuple[int, ...], Position]:
+    """``game.game_tree`` by replay: each history, in preorder, is played
+    again from the root instead of forked from its parent's position."""
+    tree: dict[tuple[int, ...], Position] = {}
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        colors = stack.pop()
+        transcript, iv = replay(k, colors)
+        legal: tuple[int, ...] = ()
+        if iv is not None:
+            forbidden = transcript.neighbor_colors(iv)
+            top = min(max(colors, default=0) + 1, budget)
+            legal = tuple(c for c in range(1, top + 1) if c not in forbidden)
+        tree[colors] = Position(iv, legal)
+        stack.extend(colors + (c,) for c in reversed(legal))
+    return tree
 
 
 def chain_at(transcript: GameTranscript, x: Rat) -> Chain:

@@ -8,7 +8,6 @@ from trifree.game import (
     GameTranscript,
     Interval,
     PresenterSession,
-    _replay,
     first_fit,
     game_tree,
     is_nested_chain,
@@ -19,7 +18,7 @@ from trifree.game import (
     run_game,
 )
 
-from _oracles import chain_at
+from _oracles import chain_at, game_tree_ref, replay
 
 
 def test_overlap_predicate():
@@ -93,6 +92,14 @@ def test_run_game_rejects_cheating_painter():
         run_game(2, stubborn)
 
 
+def test_bool_is_not_a_color():
+    # True == 1, but a transcript holding it would serialize as "color": true
+    with pytest.raises(IllegalColorError):
+        run_game(1, lambda transcript, iv: 2 if transcript.moves else True)
+    with pytest.raises(IllegalColorError):
+        GameTranscript().add(Interval(0, 1), True)
+
+
 def test_legality_checked_after_every_presenter_move():
     for k in (1, 2, 3, 4):
         res = run_game(k, first_fit)
@@ -157,23 +164,43 @@ def test_minimax_painter_replays_each_history_once(monkeypatch):
     assert len(sessions) <= histories + 1  # one per history, one for the game
 
 
+def test_game_tree_equals_the_replay_walk():
+    # positions and preorder both: make_minimax_painter reads the order
+    for k in (1, 2, 3):
+        for budget in range(1, 2 ** k + 1):
+            assert list(game_tree(k, budget).items()) == \
+                list(game_tree_ref(k, budget).items()), (k, budget)
+
+
+def test_game_tree_plays_each_edge_once(monkeypatch):
+    adds, sessions = [], []
+    add = GameTranscript.add
+    monkeypatch.setattr(GameTranscript, "add",
+                        lambda tr, iv, c: adds.append(c) or add(tr, iv, c))
+    monkeypatch.setattr(PresenterSession, "__init__",
+                        lambda *args, **kwargs: sessions.append(args))
+    tree = game_tree(3, 8)
+    assert len(adds) == len(tree) - 1
+    assert sessions == []
+
+
 def test_color_renaming_equivariance():
     # the presenter's next move depends only on the color partition
     rng = random.Random(73)
     for _ in range(40):
         colors: list[int] = []
         while True:
-            _, iv = _replay(2, tuple(colors), Interval(0, 1))
+            _, iv = replay(2, tuple(colors), Interval(0, 1))
             if iv is None or len(colors) >= 3:
                 break
-            tr, _ = _replay(2, tuple(colors), Interval(0, 1))
+            tr, _ = replay(2, tuple(colors), Interval(0, 1))
             forbidden = tr.neighbor_colors(iv)
             choices = [c for c in range(1, 5) if c not in forbidden]
             colors.append(rng.choice(choices))
         perm = {c: p for c, p in zip((1, 2, 3, 4), rng.sample((5, 6, 7, 8), 4))}
         renamed = tuple(perm[c] for c in colors)
-        _, iv_a = _replay(2, tuple(colors), Interval(0, 1))
-        _, iv_b = _replay(2, renamed, Interval(0, 1))
+        _, iv_a = replay(2, tuple(colors), Interval(0, 1))
+        _, iv_b = replay(2, renamed, Interval(0, 1))
         assert iv_a == iv_b
 
 

@@ -354,6 +354,14 @@ def test_cli_invalid_flags_exit_two():
     assert _run_cli("encode", "--k", "2", "--budget", "0").returncode == 2
 
 
+def test_cli_game_k_is_capped():
+    # k=13 would play for minutes; k=3000 used to end in a RecursionError
+    for k in ("13", "3000"):
+        r = _run_cli("game", "--k", k, timeout=10)
+        assert r.returncode == 2
+        assert "--k" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_malformed_family_exits_three(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"mode": "independent"}')
