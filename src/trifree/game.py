@@ -162,9 +162,11 @@ def _steps(k: int, region: Interval, then: Callable[[Rat, Chain], Step | Outcome
     return _steps(k - 1, region, inner)
 
 
-def first_step(k: int, region: Interval = Interval(0, 1)) -> Step:
+def first_step(k: int) -> Step:
     """The shortest k-strategy: the forcing strategy plus one final interval
     overlapping the whole certified chain, pushing Painter to k+1 colors."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     def close(y: Rat, chain: Chain) -> Step:
         lo = (y + min(iv.hi for iv, _ in chain)) / 2
         closer = Interval(lo, max(iv.hi for iv, _ in chain) + (lo - y))
@@ -175,14 +177,14 @@ def first_step(k: int, region: Interval = Interval(0, 1)) -> Step:
                 raise AssertionError("closing interval failed to force a fresh color")
             return y, final
         return Step(closer, respond)
-    return _steps(k, region, close)
+    return _steps(k, Interval(0, 1), close)
 
 
 class PresenterSession:
     """A cursor over the shortest strategy's steps for one game."""
 
-    def __init__(self, k: int, region: Interval = Interval(0, 1)):
-        self._at: Step | Outcome = first_step(k, region)
+    def __init__(self, k: int):
+        self._at: Step | Outcome = first_step(k)
         self.current: Optional[Interval] = self._at.interval
         self.certified: Optional[Chain] = None
         self.point: Optional[Rat] = None
@@ -289,11 +291,12 @@ def game_tree(k: int, budget: int) -> dict[tuple[int, ...], Position]:
     its position, in preorder, on one transcript cut back at each fork."""
     if k > SEARCH_LIMIT:
         raise ValueError(f"game tree search capped at k <= {SEARCH_LIMIT}")
+    root = first_step(k)  # refuses k < 1 before the budget is read
     if budget < 1:
         raise ValueError(f"color budget must be at least 1, got {budget}")
     tree: dict[tuple[int, ...], Position] = {}
     transcript = GameTranscript()
-    stack: list[tuple[tuple[int, ...], Step | Outcome]] = [((), first_step(k))]
+    stack: list[tuple[tuple[int, ...], Step | Outcome]] = [((), root)]
     while stack:
         colors, step = stack.pop()
         if colors:  # ``step`` is the parent's: play its interval in color colors[-1]

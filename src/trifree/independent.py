@@ -18,20 +18,21 @@ differ only in geometry: where the helper and the new roots go.  Both
 return the one ``Level`` record, whose ``epsilon`` is set for homothet
 levels alone, and ``serialize.level_to_doc`` writes either.
 
-Nothing here is trusted: every structural claim used by the recursion
-(diagonal contact sets, probe conditions, disjointness) is re-verified
-exactly after each step, and a violation raises ConstructionError.
-Each check lifts its copies and rectangles onto one integer grid
-(``shapes.FamilyGrid``), takes its candidates from one y-sweep over
-bounding boxes on it and runs the exact tests on those alone: a copy
-whose box misses a probe's rectangle and root, a diagonal or another
-diagonal cannot meet it.
+Nothing here is trusted.  ``seal`` ends every level: it grows the
+probes from their claimed roots and raises ConstructionError unless
+``level_law``, the one statement of what a level claims, holds; ``verify``
+runs the same law on a stored family.  Each check lifts its copies and
+rectangles onto one integer grid (``shapes.FamilyGrid``), takes its
+candidates from one y-sweep over bounding boxes on it and runs the exact
+tests on those alone: a copy whose box misses a probe's rectangle and
+root, a diagonal or another diagonal cannot meet it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice, takewhile
 from typing import Iterator, Optional, Sequence
 
@@ -62,10 +63,13 @@ class Level:
     one built under independent scaling has None."""
 
     k: int
-    shape_id: str
     family: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
     epsilon: Optional[Rat] = None
+
+    @cached_property
+    def bbox(self) -> Rect:
+        return family_bbox(self.family)
 
 
 def _sizes() -> Iterator[tuple[int, int]]:
@@ -195,12 +199,6 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     return out
 
 
-def probe_overlaps(probes: Sequence[Probe]) -> list[str]:
-    """One message per pair of probes whose rectangles meet."""
-    return [f"probes {i} and {j} are not disjoint"
-            for i, j in meeting_pairs([p.rect for p in probes])]
-
-
 def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
                  probes: Sequence[Probe]) -> list[str]:
     """The closing diagonals' contact law.  Empty list = it holds.
@@ -249,33 +247,64 @@ def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None) -> Probe:
     return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_lo + h), carved, carved.x_hi, ())
 
 
-def finish_probes(claims: Sequence[tuple[Rect, frozenset[int]]],
-                  copies: Sequence[TransformedCopy], bbox: Rect,
-                  epsilon: Optional[Rat] = None) -> list[Probe]:
-    """For each claim (root, expected), the probe ``grow_probe`` grows from
-    ``root``, all certified in one batch to pierce exactly their
-    ``expected`` sets; the first probe that fails raises its messages."""
-    probes = [replace(grow_probe(root, bbox, epsilon), pierced=sorted(expected))
-              for root, expected in claims]
-    for messages in probe_conditions(probes, copies, bbox, epsilon):
-        fail_on(messages)
-    return probes
+def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = None) -> list[str]:
+    """Everything ``level`` claims, checked exactly.  Empty list = it holds.
+
+    s_k copies and p_k probes; every copy, ``diagonals`` included, a
+    homothet when the level carries an epsilon; the probe conditions of
+    each probe; pairwise disjoint probes; and the diagonal law of
+    ``diagonals`` when given.
+    """
+    out: list[str] = []
+    k, n = level.k, len(level.family)
+    # Level k holds s_k copies at least: checking that first keeps a huge
+    # claimed k from growing the recurrence's integers.
+    if k > max_level(n):
+        out.append(f"size: k={k} needs more than {n} base copies")
+    else:
+        s_k, p_k = size_formulas(k)
+        if n != s_k:
+            out.append(f"size: {n} copies, expected s_{k} = {s_k}")
+        if len(level.probes) != p_k:
+            out.append(f"size: {len(level.probes)} probes, expected p_{k} = {p_k}")
+    if level.epsilon is not None:
+        out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
+                   for c in (*level.family, *(diagonals or ())) if not c.transform.is_uniform)
+    for i, bad in enumerate(probe_conditions(level.probes, level.family, level.bbox,
+                                             level.epsilon)):
+        out.extend(f"probe {i}: {msg}" for msg in bad)
+    out.extend(f"probes {i} and {j} are not disjoint"
+               for i, j in meeting_pairs([p.rect for p in level.probes]))
+    if diagonals is not None:
+        out.extend(f"augmented: {msg}"
+                   for msg in diagonal_law(level.family, diagonals, level.probes))
+    return out
+
+
+def seal(k: int, copies: Sequence[TransformedCopy],
+         claims: Sequence[tuple[Rect, frozenset[int]]], epsilon: Optional[Rat] = None) -> Level:
+    """Level k of ``copies``, with one probe per claim (root, expected):
+    the probe ``grow_probe`` grows from ``root``, claimed to pierce exactly
+    ``expected``.  Raises ConstructionError unless ``level_law`` holds."""
+    bbox = family_bbox(copies)
+    probes = tuple(replace(grow_probe(root, bbox, epsilon), pierced=sorted(expected))
+                   for root, expected in claims)
+    level = Level(k, tuple(copies), probes, epsilon)
+    fail_on(level_law(level))
+    return level
 
 
 def base_level(shape: ShapeDef) -> Level:
     """Level 1: the shape itself; the probe extends E to the right edge."""
     copy = TransformedCopy(shape.name, shape.shape, XYTransform.identity(), "outer")
-    probes = finish_probes([(shape.features.empty_rect, frozenset({0}))], [copy], copy.bbox)
-    return Level(1, shape.name, (copy,), tuple(probes))
+    return seal(1, [copy], [(shape.features.empty_rect, frozenset({0}))])
 
 
-def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
-                  outer_probes: Sequence[Probe], helper: Sequence[TransformedCopy],
+def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
                   base_probes: Sequence[Probe], embeds: Sequence[XYTransform],
                   uppers: Sequence[Rect], lowers: Sequence[Rect],
-                  epsilon: Optional[Rat] = None) -> tuple[list[TransformedCopy], list[Probe]]:
-    """The recursion step both constructions share: the copies and probes
-    of level k, sealed.
+                  epsilon: Optional[Rat] = None) -> Level:
+    """The recursion step both constructions share: level k, sealed.
 
     The helper is a base family followed by one diagonal per base probe.
     ``embeds[i]`` places a copy of it in the empty root of outer probe i,
@@ -283,15 +312,13 @@ def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
     probe j in helper coordinates.  Each pair (outer P, base Q) claims an
     upper probe, then a lower probe, by the one contact law: the upper
     probe pierces P's copies and the embedded diagonal of Q, the lower one
-    P's copies and the embedded copies Q pierces.  The seal checks that the
-    family box is unchanged, the sizes s_k and p_k, every probe condition
-    and that the probes are pairwise disjoint.
+    P's copies and the embedded copies Q pierces.  ``seal`` checks the
+    level, and its box must be the outer level's.
     """
-    bbox = family_bbox(outer_family)
     n_base = len(helper) - len(base_probes)
-    copies = list(outer_family)
+    copies = list(outer.family)
     claims: list[tuple[Rect, frozenset[int]]] = []
-    for p, embed in zip(outer_probes, embeds):
+    for p, embed in zip(outer.probes, embeds):
         offset = len(copies)
         copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
         outer_pierced = frozenset(p.pierced)
@@ -300,16 +327,10 @@ def embed_helpers(k: int, outer_family: Sequence[TransformedCopy],
             claims.append((embed.apply(lowers[qi]),
                            outer_pierced | frozenset(offset + j for j in q.pierced)))
 
-    if family_bbox(copies) != bbox:
+    level = seal(k, copies, claims, epsilon)
+    if level.bbox != outer.bbox:
         raise ConstructionError("embedded helpers escaped the outer bounding box")
-    s_k, p_k = size_formulas(k)
-    if len(copies) != s_k:
-        raise ConstructionError(f"family size {len(copies)} != s_{k} = {s_k}")
-    if len(claims) != p_k:
-        raise ConstructionError(f"probe count {len(claims)} != p_{k} = {p_k}")
-    probes = finish_probes(claims, copies, bbox, epsilon)
-    fail_on(probe_overlaps(probes))
-    return copies, probes
+    return level
 
 
 def next_level(prev: Level, shape: ShapeDef) -> Level:
@@ -344,9 +365,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     uppers = [d.transform.apply(shape.features.empty_rect) for d in helper[n:]]
     lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
               for p, (_, lower) in zip(prev.probes, splits)]
-    copies, probes = embed_helpers(prev.k + 1, prev.family, prev.probes, helper,
-                                   prev.probes, embeds, uppers, lowers)
-    return Level(prev.k + 1, shape.name, tuple(copies), tuple(probes))
+    return embed_helpers(prev.k + 1, prev, helper, prev.probes, embeds, uppers, lowers)
 
 
 def build(k: int, shape: ShapeDef) -> Level:
@@ -365,8 +384,7 @@ def augment(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     The result has s_k + p_k members; each new diagonal meets exactly the
     copies pierced by its probe, and the diagonals are pairwise disjoint.
     """
-    bbox = family_bbox(level.family)
-    diagonals = tuple(make_diagonal(p, shape, bbox, f"diagonal(P{i})")
+    diagonals = tuple(make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
                       for i, p in enumerate(level.probes))
     fail_on(diagonal_law(level.family, diagonals, level.probes))
     return level.family + diagonals

@@ -4,15 +4,15 @@
 Level (k, eps) mirrors the independent-scaling recursion, but every
 copy is a homothet and every probe is an eps-probe: its root is an
 empty *square* and its width/height ratio is exactly 1 + eps.  A level is
-an ``independent.Level`` that carries its eps, its probes are
-``independent.Probe`` records (cut line at the root's right side), and the
-recursion step is the one ``independent.embed_helpers`` shared by both
-constructions: the same embedding of a helper per outer root, the same
-contact law for the upper and lower probes, and the same seal, with
-``epsilon`` making every probe an eps-probe (``independent.grow_probe``
-carves it) checked as one.  ``independent.diagonal_law`` checks the
-closing diagonals.  The helper law is checked on each helper as it is
-built, from the ``HelperAudit`` that ``_make_helper`` returns.
+an ``independent.Level`` that carries its eps, and the recursion step is
+the one ``independent.embed_helpers`` that both constructions share.
+Every level, the first included, is sealed by ``independent.seal``: with
+``epsilon`` set, ``grow_probe`` carves each probe as an eps-probe and
+``level_law`` checks that every copy is a homothet and every probe an
+eps-probe, as ``verify`` does on the stored family.
+``independent.diagonal_law`` checks the closing diagonals.  The helper
+law is checked on each helper as it is built, from the ``HelperAudit``
+that ``_make_helper`` returns.
 
 One recursion step, for the target parameter eps:
 
@@ -48,7 +48,7 @@ from .shapes import (
     copy_meets_rect,
     family_bbox,
 )
-from .independent import Level, diagonal_law, embed_helpers, finish_probes
+from .independent import Level, diagonal_law, embed_helpers, seal
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         raise ConstructionError(f"eps1 = {eps1} escaped (0,1)")
     if eps1 > eps / 2:
         raise ConstructionError(f"eps1 = {eps1} exceeds eps/2 = {eps / 2}")
-    bbox0 = family_bbox(inner.family)
+    bbox0 = inner.bbox
 
     diagonals: list[TransformedCopy] = []
     uppers: list[Rect] = []
@@ -143,9 +143,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
 
     if k == 1:
         copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
-        probes = finish_probes([(anchor.empty_square(epsilon), frozenset({0}))], [copy],
-                               copy.bbox, epsilon)
-        return Level(1, shape.name, (copy,), tuple(probes), epsilon)
+        return seal(1, [copy], [(anchor.empty_square(epsilon), frozenset({0}))], epsilon)
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers, _ = _make_helper(inner, epsilon, shape)
@@ -161,11 +159,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
             p.root.x_hi - factor * helper_bbox.x_hi,
             p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
             - factor * helper_bbox.y_lo))
-    copies, probes = embed_helpers(k, outer.family, outer.probes, helper, inner.probes,
-                                   embeds, uppers, lowers, epsilon)
-    if any(not c.transform.is_uniform for c in copies):
-        raise ConstructionError("a copy is not a homothet")
-    return Level(k, shape.name, tuple(copies), tuple(probes), epsilon)
+    return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
 
 
 def helper_law(audit: HelperAudit) -> list[str]:
@@ -201,7 +195,7 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
     """
     anchor = _require_anchor(shape)
     eps = level.epsilon
-    bbox = family_bbox(level.family)
+    bbox = level.bbox
     diagonals: list[TransformedCopy] = []
     for i, p in enumerate(level.probes):
         s = p.root.width

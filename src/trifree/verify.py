@@ -1,17 +1,18 @@
 """Invariant suite over persisted families.
 
 Re-checks, from the flat artifact alone, everything that does not need
-the recursion's internal bookkeeping, with the same checks the
-constructions run on themselves: ``independent.probe_conditions`` on
-every stored probe (with the eps-probe extras in uniform mode),
-``independent.probe_overlaps``, ``independent.diagonal_law`` in
-augmented families, and ``encoding.frame_law`` over the stored tree's
-nodes, which the loader reads in preorder, after each stored frame is
-compared with the one its node gives.  On top of those come the
-size recurrences, triangle-freeness, homothety in uniform mode, and the
-slot nesting of an encoded tree and the bounds its k and color budget
-obey in every ``encode`` run.  The deeper step-by-step contact laws
-are enforced at construction time.
+the recursion's internal bookkeeping.  A family of either construction
+is checked by ``independent.level_law``, the law every level is sealed
+with as it is built: s_k copies and p_k probes, the probe conditions of
+every stored probe (with the eps-probe extras and homothety in uniform
+mode), pairwise disjoint probes and, in an augmented family, the
+diagonal law.  On top of it come the base size of a bare family and
+triangle-freeness.  An encoded family is checked by
+``encoding.frame_law`` over the stored tree's nodes, which the loader
+reads in preorder, after each stored frame is compared with the one its
+node gives, and by the slot nesting of the tree and the bounds its k and
+color budget obey in every ``encode`` run.  The deeper step-by-step
+contact laws are enforced at construction time.
 
 No check tests all pairs or all copies: each takes its candidates from
 one y-sweep over bounding boxes, which the exact predicates then decide.
@@ -30,52 +31,18 @@ from .encoding import frame_law
 from .game import SEARCH_LIMIT
 from .geometry import Rat
 from .graphs import intersection_graph, is_triangle_free
-from .independent import (
-    diagonal_law,
-    max_level,
-    probe_conditions,
-    probe_overlaps,
-    size_formulas,
-)
+from .independent import Level, level_law
 from .serialize import LoadedFamily
-from .shapes import family_bbox
-
-
-def _check_sizes(fam: LoadedFamily, out: list[str]) -> None:
-    # A level k family holds s_k copies at least.  Checking that first keeps
-    # a huge claimed k from growing the recurrence's integers.
-    if fam.k > max_level(len(fam.copies)):
-        out.append(f"size: k={fam.k} needs more than the {len(fam.copies)} copies stored")
-        return
-    s_k, p_k = size_formulas(fam.k)
-    expected = s_k + p_k if fam.augmented else s_k
-    if len(fam.copies) != expected:
-        out.append(f"size: {len(fam.copies)} copies, expected {expected}")
-    if fam.base_size != s_k:
-        out.append(f"size: base size {fam.base_size}, expected s_{fam.k} = {s_k}")
-    if len(fam.probes) != p_k:
-        out.append(f"size: {len(fam.probes)} probes, expected p_{fam.k} = {p_k}")
 
 
 def _verify_geometric(fam: LoadedFamily) -> list[str]:
     out: list[str] = []
-    _check_sizes(fam, out)
-    base = fam.copies[:fam.base_size] if fam.augmented else fam.copies
-    bbox = family_bbox(base)
-
-    if fam.mode == "uniform":
-        for c in fam.copies:
-            if not c.transform.is_uniform:
-                out.append(f"uniform: copy with lineage {c.lineage!r} is not a homothet")
-    for i, bad in enumerate(probe_conditions(fam.probes, base, bbox, fam.epsilon)):
-        out.extend(f"probe {i}: {msg}" for msg in bad)
-    out.extend(probe_overlaps(fam.probes))
-
-    if fam.augmented:
-        diagonals = fam.copies[fam.base_size:]
-        out.extend(f"augmented: {msg}" for msg in diagonal_law(base, diagonals, fam.probes))
-    g = intersection_graph(fam.copies)
-    if not is_triangle_free(g):
+    if not fam.augmented and fam.base_size != len(fam.copies):
+        out.append(f"size: base size {fam.base_size}, expected {len(fam.copies)} in a bare family")
+    cut = fam.base_size if fam.augmented else len(fam.copies)
+    level = Level(fam.k, fam.copies[:cut], fam.probes, fam.epsilon)
+    out.extend(level_law(level, fam.copies[cut:] if fam.augmented else None))
+    if not is_triangle_free(intersection_graph(fam.copies)):
         out.append("family is not triangle-free")
     return out
 

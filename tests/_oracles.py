@@ -512,11 +512,10 @@ def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> Chromatic
     return ChromaticResult(lb, best_num, False, witness, clique)
 
 
-def replay(k: int, colors: Sequence[int],
-           region: Interval = Interval(0, 1)) -> tuple[GameTranscript, Optional[Interval]]:
+def replay(k: int, colors: Sequence[int]) -> tuple[GameTranscript, Optional[Interval]]:
     """Rebuild the state after the given Painter responses; returns the
     transcript so far and the next presented interval (None = game over)."""
-    session = PresenterSession(k, region)
+    session = PresenterSession(k)
     transcript = GameTranscript()
     for color in colors:
         assert session.current is not None

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from trifree.encoding import encode, expand_tree
-from trifree.game import GameTranscript, Interval, overlaps
+from trifree.game import GameTranscript, overlaps
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.shapes import copies_intersect
 
@@ -16,7 +16,7 @@ def _enumerate_branch_count(k: int, budget: int) -> int:
     prefixes: set[tuple] = set()
 
     def explore(colors: tuple, path: tuple) -> None:
-        transcript, iv = replay(k, colors, Interval(0, 1))
+        transcript, iv = replay(k, colors)
         if iv is None:
             return
         path = path + ((iv.lo, iv.hi),)
@@ -51,7 +51,7 @@ def test_every_branch_is_a_legal_transcript():
         replayed = GameTranscript()
         session_colors = []
         for c in colors:
-            _, iv = replay(2, tuple(session_colors), Interval(0, 1))
+            _, iv = replay(2, tuple(session_colors))
             assert iv is not None
             replayed.add(iv, c)  # raises on any illegal move
             session_colors.append(c)

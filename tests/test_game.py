@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from trifree.encoding import expand_tree
 from trifree.errors import IllegalColorError, IllegalIntervalError
 from trifree.game import (
     GameTranscript,
@@ -29,7 +30,7 @@ def test_overlap_predicate():
 
 
 def test_first_interval_is_the_middle_third():
-    session = PresenterSession(1, Interval(0, 1))
+    session = PresenterSession(1)
     assert session.current == Interval(Fraction(1, 3), Fraction(2, 3))
     res = run_game(1, first_fit)
     assert res.certified_point == Fraction(1, 2)
@@ -138,6 +139,19 @@ def test_game_tree_rejects_an_empty_budget():
         game_tree(2, 0)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda: PresenterSession(0),
+    lambda: run_game(0, first_fit),
+    lambda: game_tree(0, 1),
+    lambda: game_tree(-1, 0),
+    lambda: minimax_verify(0),
+    lambda: expand_tree(0),
+], ids=["session", "run-game", "game-tree", "game-tree-no-budget", "minimax", "expand-tree"])
+def test_k_below_one_is_refused(entry):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        entry()
+
+
 def test_minimax_painter_matches_lower_bound():
     for k in (1, 2, 3):
         res = run_game(k, make_minimax_painter(k))
@@ -190,17 +204,17 @@ def test_color_renaming_equivariance():
     for _ in range(40):
         colors: list[int] = []
         while True:
-            _, iv = replay(2, tuple(colors), Interval(0, 1))
+            _, iv = replay(2, tuple(colors))
             if iv is None or len(colors) >= 3:
                 break
-            tr, _ = replay(2, tuple(colors), Interval(0, 1))
+            tr, _ = replay(2, tuple(colors))
             forbidden = tr.neighbor_colors(iv)
             choices = [c for c in range(1, 5) if c not in forbidden]
             colors.append(rng.choice(choices))
         perm = {c: p for c, p in zip((1, 2, 3, 4), rng.sample((5, 6, 7, 8), 4))}
         renamed = tuple(perm[c] for c in colors)
-        _, iv_a = replay(2, tuple(colors), Interval(0, 1))
-        _, iv_b = replay(2, renamed, Interval(0, 1))
+        _, iv_a = replay(2, tuple(colors))
+        _, iv_b = replay(2, renamed)
         assert iv_a == iv_b
 
 

@@ -22,6 +22,7 @@ from trifree.independent import (
     make_diagonal,
     next_level,
     probe_conditions,
+    seal,
     size_formulas,
     split_probe,
 )
@@ -239,10 +240,20 @@ def test_augment_rejects_tampered_probe(independent_levels, frame):
     level = independent_levels[2]
     bad_probe = Probe(level.probes[0].rect, level.probes[0].root,
                       level.probes[0].root_cut_x, (0,))  # wrong pierced set
-    tampered = type(level)(level.k, level.shape_id, level.family,
-                           (bad_probe,) + level.probes[1:])
+    tampered = type(level)(level.k, level.family, (bad_probe,) + level.probes[1:])
     with pytest.raises(ConstructionError):
         augment(tampered, frame)
+
+
+@pytest.mark.parametrize("k, pierced, message", [
+    (1, frozenset(), "probe 0: pierced set mismatch: claimed [], actual [0]"),
+    (2, frozenset({0}), "size: k=2 needs more than 1 base copies"),
+], ids=["wrong-pierced-set", "wrong-k"])
+def test_seal_refuses_a_level_that_breaks_its_law(frame, k, pierced, message):
+    copy = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    with pytest.raises(ConstructionError) as err:
+        seal(k, [copy], [(frame.features.empty_rect, pierced)])
+    assert str(err.value) == message
 
 
 def test_build_is_deterministic(frame):

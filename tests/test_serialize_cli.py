@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from trifree import serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import first_fit, run_game
-from trifree.independent import augment, build
+from trifree.independent import augment, build, level_law
 from trifree.render import render_family
 from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
@@ -430,6 +431,69 @@ def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
         assert r.returncode == 3
         assert marker in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.fixture(scope="module")
+def bare_file(tmp_path_factory, frame):
+    path = tmp_path_factory.mktemp("fam") / "bare2.json"
+    path.write_text(serialize.dumps(serialize.level_to_doc(build(2, frame), frame)))
+    return path
+
+
+def _shrink_base(doc):
+    # the pierced sets must stay inside the base, or the loader refuses the file
+    doc["base_size"] -= 1
+    for p in doc["probes"]:
+        p["pierced"] = [i for i in p["pierced"] if i < doc["base_size"]]
+
+
+def _drop_last_copy(doc):
+    doc["copies"].pop()
+    _shrink_base(doc)
+
+
+def _cut_diagonals(doc):
+    del doc["copies"][doc["base_size"]:]
+
+
+# A base_size one less is refused by the loader, since the last base copy
+# is pierced; one more puts the first diagonal in the base.
+@pytest.mark.parametrize("source, tamper, marker", [
+    ("bare", _drop_last_copy, "size: k=2 needs more than 2 base copies"),
+    ("bare", _shrink_base, "size: base size 2, expected 3 in a bare family"),
+    ("augmented", lambda doc: doc["probes"].pop(), "size: 1 probes, expected p_2 = 2"),
+    ("augmented", lambda doc: doc["probes"].append(doc["probes"][0]),
+     "probes 0 and 2 are not disjoint"),
+    ("augmented", _set("base_size", 4), "size: 4 copies, expected s_2 = 3"),
+    ("augmented", _cut_diagonals, "augmented: diagonal count differs from probe count"),
+    ("uniform", _set("copies", 0, "sy", "2"),
+     "uniform: copy with lineage 'outer' is not a homothet"),
+], ids=["copy-dropped", "bare-base-size", "probe-dropped", "probe-repeated", "base-size-up",
+        "diagonals-cut", "uniform-sy"])
+def test_cli_verify_reports_a_broken_level(tmp_path, bare_file, family_file, uniform_file,
+                                           source, tamper, marker):
+    built = {"bare": bare_file, "augmented": family_file, "uniform": uniform_file}[source]
+    doc = json.loads(built.read_text())
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    r = _run_cli("verify", "--family", str(path), timeout=10)
+    assert r.returncode == 3
+    assert f"VIOLATION: {marker}" in r.stderr.splitlines()
+
+
+def test_verify_prints_the_level_law_of_the_written_level(tmp_path, frame):
+    level = build(2, frame)
+    # probe 0 pierces copies 0 and 2; claim copy 0 alone
+    bad = replace(level.probes[0], pierced=(0,))
+    tampered = replace(level, probes=(bad,) + level.probes[1:])
+    messages = level_law(tampered)
+    assert messages
+    path = tmp_path / "tampered.json"
+    path.write_text(serialize.dumps(serialize.level_to_doc(tampered, frame)))
+    r = _run_cli("verify", "--family", str(path), timeout=10)
+    assert r.returncode == 3
+    assert r.stderr.splitlines() == [f"VIOLATION: {m}" for m in messages]
 
 
 @pytest.fixture(scope="module")
