@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import serialize
 from .encoding import encode, expand_tree
 from .errors import ConstructionError
-from .game import first_fit, make_minimax_painter, make_repl_painter, run_game
+from .game import MAX_K, first_fit, make_minimax_painter, make_repl_painter, run_game
 from .geometry import as_rat
 from .graphs import intersection_graph, to_dimacs
 from .independent import augment, build
@@ -72,8 +72,7 @@ _seconds = _flag_type(float, lambda v: math.isfinite(v) and v >= 0,
                       "a finite number of seconds >= 0")
 _epsilon = _flag_type(as_rat, lambda v: 0 < v < 1, "a rational 'p/q' in (0,1)")
 _positive = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
-# a first-fit game takes about 45 s at k=12 (4,096 moves), and each k more about 4x as long
-_game_k = _flag_type(int, lambda v: 1 <= v <= 12, "an integer in 1..12")
+_game_k = _flag_type(int, lambda v: 1 <= v <= MAX_K, f"an integer in 1..{MAX_K}")
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

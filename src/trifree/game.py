@@ -162,11 +162,20 @@ def _steps(k: int, region: Interval, then: Callable[[Rat, Chain], Step | Outcome
     return _steps(k - 1, region, inner)
 
 
+# The largest k the game is played at: the strategy shows up to 2^k
+# intervals, and a first-fit game takes about 45 s at k = 12 (4,096 moves),
+# each k more about 4x as long.  Building the first step also nests one
+# call per level, so an unbounded k would end in a RecursionError.
+MAX_K = 12
+
+
 def first_step(k: int) -> Step:
     """The shortest k-strategy: the forcing strategy plus one final interval
     overlapping the whole certified chain, pushing Painter to k+1 colors."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     def close(y: Rat, chain: Chain) -> Step:
         lo = (y + min(iv.hi for iv, _ in chain)) / 2
         closer = Interval(lo, max(iv.hi for iv, _ in chain) + (lo - y))

@@ -5,12 +5,21 @@ every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
 
-These are the types that constructions, files and tests speak in.
+These are the types that constructions, files and tests speak in: every
+stored value, a Rect's sides and an XYTransform's fields, is a Fraction.
 ``shapes`` decides every contact on integer grids: ``lift`` puts
 rationals on the grid of their least common denominator, and a ``Rect``
 keeps its own lift, so a rectangle queried many times is lifted once.
 ``shapes.FamilyGrid`` then puts a whole family and its query rectangles
 on one grid, once per check.
+
+Fractions are made, not computed with, where ints can do the work:
+``XYTransform.apply`` maps a Rect from its lift through ``axis_map``, so
+each new side is one ratio of ints normalised once, and ``Rect`` and
+``XYTransform`` check reversed sides and positive scales on numerators
+and cross-multiplied ints, skipping ``as_rat`` when every field is a
+Fraction already.  ``then``, ``rect_map`` and a Point's or Seg's image
+still use Fraction operators.
 """
 
 from __future__ import annotations
@@ -59,6 +68,14 @@ def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
     """The least common denominator of ``values`` and each value in its units."""
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _coerce(obj, names: tuple[str, ...]) -> tuple[Rat, ...]:
+    """The fields ``names`` of the frozen dataclass ``obj``, each coerced
+    by ``as_rat`` and stored back."""
+    for name in names:
+        object.__setattr__(obj, name, as_rat(getattr(obj, name)))
+    return tuple(getattr(obj, name) for name in names)
 
 
 @dataclass(frozen=True)
@@ -121,9 +138,13 @@ class Rect:
     y_hi: Rat
 
     def __post_init__(self):
-        for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
-            object.__setattr__(self, name, as_rat(getattr(self, name)))
-        if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
+        x_lo, x_hi, y_lo, y_hi = self.x_lo, self.x_hi, self.y_lo, self.y_hi
+        if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
+            x_lo, x_hi, y_lo, y_hi = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
+        # reversed sides, on cross-multiplied ints: a generic Fraction
+        # comparison costs more than this whole check
+        if (x_lo.numerator * x_hi.denominator > x_hi.numerator * x_lo.denominator
+                or y_lo.numerator * y_hi.denominator > y_hi.numerator * y_lo.denominator):
             raise ValueError(f"rectangle sides reversed: {self}")
 
     @property
@@ -213,6 +234,13 @@ def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     return None
 
 
+def axis_map(scale: Rat, shift: Rat, den: int) -> tuple[int, int, int]:
+    """(a, b, q) with scale * (v / den) + shift == (a * v + b) / q for every int v."""
+    p, q = scale.numerator, scale.denominator
+    r, s = shift.numerator, shift.denominator
+    return p * s, r * q * den, q * s * den
+
+
 @dataclass(frozen=True)
 class XYTransform:
     """Axis-independent positive scaling followed by translation.
@@ -228,9 +256,10 @@ class XYTransform:
     ty: Rat
 
     def __post_init__(self):
-        for name in ("sx", "sy", "tx", "ty"):
-            object.__setattr__(self, name, as_rat(getattr(self, name)))
-        if self.sx <= 0 or self.sy <= 0:
+        sx, sy, tx, ty = self.sx, self.sy, self.tx, self.ty
+        if not type(sx) is type(sy) is type(tx) is type(ty) is Fraction:
+            sx, sy, tx, ty = _coerce(self, ("sx", "sy", "tx", "ty"))
+        if sx.numerator <= 0 or sy.numerator <= 0:
             raise ValueError(f"scale factors must be positive: sx={self.sx}, sy={self.sy}")
 
     @classmethod
@@ -263,13 +292,18 @@ class XYTransform:
         return self.sx == self.sy
 
     def apply(self, obj):
-        """Apply to a Point, Seg, or Rect."""
+        """Apply to a Point, Seg, or Rect.  A Rect is mapped on its lift:
+        each side is (a*v + b) / q for its int v, one normalisation each."""
+        if isinstance(obj, Rect):
+            den, (x0, x1, y0, y1) = obj._lifted()
+            ax, bx, qx = axis_map(self.sx, self.tx, den)
+            ay, by, qy = axis_map(self.sy, self.ty, den)
+            return Rect(Fraction(ax * x0 + bx, qx), Fraction(ax * x1 + bx, qx),
+                        Fraction(ay * y0 + by, qy), Fraction(ay * y1 + by, qy))
         if isinstance(obj, Point):
             return Point(self.x(obj.x), self.y(obj.y))
         if isinstance(obj, Seg):
             if obj.orientation == HORIZONTAL:
                 return Seg(HORIZONTAL, self.y(obj.fixed), self.x(obj.lo), self.x(obj.hi))
             return Seg(VERTICAL, self.x(obj.fixed), self.y(obj.lo), self.y(obj.hi))
-        if isinstance(obj, Rect):
-            return Rect(self.x(obj.x_lo), self.x(obj.x_hi), self.y(obj.y_lo), self.y(obj.y_hi))
         raise TypeError(f"cannot transform {type(obj).__name__}")

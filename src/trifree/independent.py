@@ -26,11 +26,21 @@ rectangles onto one integer grid (``shapes.FamilyGrid``), takes its
 candidates from one y-sweep over bounding boxes on it and runs the exact
 tests on those alone: a copy whose box misses a probe's rectangle and
 root, a diagonal or another diagonal cannot meet it.
+
+The per-probe work runs on ints that are already lifted.  ``make_diagonal``
+computes each diagonal's transform in closed form from the probe
+rectangle's lift and decides its clearance on cross-multiplied ints; the
+claimed roots are mapped by ``XYTransform.apply`` on their lifts; and
+``_probe_messages`` decides every side condition of a probe on its grid
+boxes, the cut by cross-multiplication.  Fractions are still made for
+what a level stores (transforms, probe rectangles, roots and cuts), and
+``grow_probe``, ``split_probe`` and ``next_level``'s embeddings still
+compute with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, takewhile
@@ -66,6 +76,11 @@ class Level:
     family: tuple[TransformedCopy, ...]
     probes: tuple[Probe, ...]
     epsilon: Optional[Rat] = None
+    box: InitVar[Optional[Rect]] = None  # the family's box, when the caller has it
+
+    def __post_init__(self, box: Optional[Rect]):
+        if box is not None:
+            object.__setattr__(self, "bbox", box)  # fills bbox's cache
 
     @cached_property
     def bbox(self) -> Rect:
@@ -109,23 +124,50 @@ def split_probe(p: Probe) -> tuple[Rect, Rect]:
 def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
                   lineage: str = "diagonal") -> TransformedCopy:
     """The diagonal copy of a probe: bounding box equal to the probe's
-    upper part, then stretched horizontally by 2*w2/w1 about its left edge.
+    upper part, then stretched horizontally by f = 2*w2/w1 about its left edge.
 
-    The stretch factor guarantees the copy's empty rectangle clears the
-    family's bounding box on the right; that is re-verified here and a
-    failure signals a feature or placement bug.
+    The transform comes in closed form from the probe rectangle's lift.
+    For the rectangle [x_lo, x_hi] x [y_lo, y_hi] the upper part (see
+    ``split_probe``) has height h = (2/5)*height and top y_hi.  Carrying the
+    shape's box U onto it takes sx0 = width/U.width, sy = h/U.height,
+    tx0 = x_lo - sx0*U.x_lo and ty = y_hi - h - sy*U.y_lo; the stretch
+    x -> f*x + (1 - f)*x_lo after it leaves y alone and gives
+
+        sx = f*sx0,  tx = f*tx0 + (1 - f)*x_lo = x_lo - sx*U.x_lo.
+
+    With the rectangle lifted to ints (a, b, c, d) over den, U to (u0, u1,
+    u2, u3) over ud, f = fn/fd and 2/5 = m/n, every field is one ratio of
+    ints, normalised once: sx = fn*(b-a)*ud / q and
+    tx = (a*fd*(u1-u0) - fn*(b-a)*u0) / q with q = fd*den*(u1-u0);
+    sy = m*(d-c)*ud / r and ty = (((n-m)*d + m*c)*(u3-u2) - m*(d-c)*u2) / r
+    with r = n*den*(u3-u2).
+
+    The stretch factor guarantees the copy's empty rectangle E clears the
+    family's bounding box on the right.  That is re-verified here on the
+    one coordinate it needs, sx*E.x_lo + tx > bbox.x_hi, by
+    cross-multiplied ints, and a failure signals a feature or placement bug.
     """
     feats = shape.features
-    upper, _ = split_probe(probe)
-    onto_upper = XYTransform.rect_map(feats.bbox, upper)
-    factor = 2 * feats.w2 / feats.w1
-    stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
-    copy = TransformedCopy(shape.name, shape.shape, onto_upper.then(stretch), lineage)
-    empty = copy.transform.apply(feats.empty_rect)
-    if not empty.x_lo > bbox.x_hi:
+    ud, (u0, u1, u2, u3) = feats.bbox.den, feats.bbox.int_box
+    if u0 == u1 or u2 == u3:
+        raise ValueError("source rectangle is degenerate")
+    den, (a, b, c, d) = probe.rect.den, probe.rect.int_box
+    fn = 2 * feats.w2.numerator * feats.w1.denominator
+    fd = feats.w2.denominator * feats.w1.numerator
+    m, n = _SPLIT.numerator, _SPLIT.denominator
+    q, r = fd * den * (u1 - u0), n * den * (u3 - u2)
+    sx_num, tx_num = fn * (b - a) * ud, a * fd * (u1 - u0) - fn * (b - a) * u0
+    transform = XYTransform(
+        Fraction(sx_num, q), Fraction(m * (d - c) * ud, r), Fraction(tx_num, q),
+        Fraction(((n - m) * d + m * c) * (u3 - u2) - m * (d - c) * u2, r))
+    copy = TransformedCopy(shape.name, shape.shape, transform, lineage)
+    # E.x_lo = e/ed maps to (sx_num*e + tx_num*ed) / (q*ed)
+    ed, e = feats.empty_rect.den, feats.empty_rect.int_box[0]
+    empty_num, empty_den = sx_num * e + tx_num * ed, q * ed
+    if not empty_num * bbox.x_hi.denominator > bbox.x_hi.numerator * empty_den:
         raise ConstructionError(
             f"diagonal empty rectangle does not clear the family box: "
-            f"{empty.x_lo} <= {bbox.x_hi}")
+            f"{Fraction(empty_num, empty_den)} <= {bbox.x_hi}")
     return copy
 
 
@@ -143,41 +185,49 @@ def probe_conditions(probes: Sequence[Probe], copies: Sequence[TransformedCopy],
     boxes meet the box around its rectangle and its root, so a root moved
     off its rectangle is still checked against every copy it could meet.
 
-    The copies and every probe's rectangle and root are lifted onto one
-    ``FamilyGrid`` once per call.  Each near copy is clipped to the probe
-    rectangle once, and that clip decides both whether the copy is pierced
-    and whether it stabs.  Nested probes share their outer pierced copies,
+    The copies, ``bbox`` and every probe's rectangle and root are lifted
+    onto one ``FamilyGrid`` once per call.  Each near copy is clipped to
+    the probe rectangle once, and that clip decides both whether the copy
+    is pierced and whether it stabs.  Nested probes share their outer pierced copies,
     so each distinct pierced pair is tested once per call and its answer
     kept for every probe that pierces both copies.
     """
-    grid = FamilyGrid(copies, [r for p in probes for r in (p.rect, p.root)])
-    rects, roots = grid.rect_boxes[0::2], grid.rect_boxes[1::2]
+    grid = FamilyGrid(copies, [bbox, *(r for p in probes for r in (p.rect, p.root))])
+    box, rects, roots = grid.rect_boxes[0], grid.rect_boxes[1::2], grid.rect_boxes[2::2]
     hulls = [(min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
              for a, b in zip(rects, roots)]
     met: dict[int, bool] = {}  # a * len(copies) + b -> whether copies a < b meet
-    return [_probe_messages(p, grid, rect, root, ids, bbox, epsilon, met)
+    return [_probe_messages(p, grid, rect, root, ids, box, epsilon, met)
             for p, rect, root, ids in zip(probes, rects, roots, grid.near(hulls))]
 
 
 def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
-                    near: Sequence[int], bbox: Rect, epsilon: Optional[Rat],
+                    near: Sequence[int], box: IntBox, epsilon: Optional[Rat],
                     met: dict[int, bool]) -> list[str]:
+    """One probe's messages, every side condition decided on grid ints:
+    ``rect_box``, ``root_box`` and the family box ``box``.  The cut n/d
+    need not lie on the grid, so it is compared by cross-multiplication:
+    v/den < n/d iff v*d < n*den."""
     out: list[str] = []
-    rect, root, cut = probe.rect, probe.root, probe.root_cut_x
-    if rect.is_degenerate:
+    x0, x1, y0, y1 = rect_box
+    r0, r1, r2, r3 = root_box
+    cut_d = probe.root_cut_x.denominator
+    cut = probe.root_cut_x.numerator * grid.den  # the cut times den*cut_d
+    if x0 == x1 or y0 == y1:
         out.append("probe rectangle is degenerate")
-    if not bbox.contains_rect(rect):
+    if not (box[0] <= x0 and x1 <= box[1] and box[2] <= y0 and y1 <= box[3]):
         out.append("probe leaves the family bounding box")
-    if rect.x_hi != bbox.x_hi:
+    if x1 != box[1]:
         out.append("probe does not touch the family's right side")
-    if not (rect.x_lo < cut < rect.x_hi):
+    if not (x0 * cut_d < cut < x1 * cut_d):
         out.append("root cut line is not interior to the probe")
-    if (root.x_lo, root.x_hi, root.y_lo, root.y_hi) != (rect.x_lo, cut, rect.y_lo, rect.y_hi):
+    if (r0, r1 * cut_d, r2, r3) != (x0, cut, y0, y1):
         out.append("root is not the left part of the probe at the cut line")
     if epsilon is not None:
-        if root.width != root.height:
+        if r1 - r0 != r3 - r2:
             out.append("root is not a square")
-        if rect.width != (1 + epsilon) * rect.height:
+        p, q = epsilon.numerator, epsilon.denominator
+        if (x1 - x0) * q != (p + q) * (y1 - y0):
             out.append("width/height ratio is not exactly 1+eps")
     clips = [(i, pieces) for i in near if (pieces := grid.clip(i, rect_box))]
     actual = [i for i, _ in clips]
@@ -220,9 +270,10 @@ def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[Transforme
     return out
 
 
-def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None) -> Probe:
-    """The probe grown from an empty root to the family's right side, with
-    an empty pierced set.
+def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
+               pierced: Sequence[int] = ()) -> Probe:
+    """The probe grown from an empty root to the family's right side,
+    claimed to pierce ``pierced``.
 
     Without ``epsilon`` the probe is the root extended to the right side,
     cut at the root's right side.  With ``epsilon`` the root must be an
@@ -233,7 +284,7 @@ def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None) -> Probe:
     root inside the square.
     """
     if epsilon is None:
-        return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_hi), root, root.x_hi, ())
+        return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_hi), root, root.x_hi, pierced)
     if root.width != root.height:
         raise ValueError("an eps-probe needs a square root")
     side = root.width
@@ -244,7 +295,8 @@ def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None) -> Probe:
         raise ValueError(f"square too far from the right side: {d} > {epsilon * side}")
     h = (side + d) / (1 + epsilon)
     carved = Rect(root.x_lo, root.x_lo + h, root.y_lo, root.y_lo + h)
-    return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_lo + h), carved, carved.x_hi, ())
+    return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_lo + h), carved, carved.x_hi,
+                 pierced)
 
 
 def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = None) -> list[str]:
@@ -285,11 +337,12 @@ def seal(k: int, copies: Sequence[TransformedCopy],
          claims: Sequence[tuple[Rect, frozenset[int]]], epsilon: Optional[Rat] = None) -> Level:
     """Level k of ``copies``, with one probe per claim (root, expected):
     the probe ``grow_probe`` grows from ``root``, claimed to pierce exactly
-    ``expected``.  Raises ConstructionError unless ``level_law`` holds."""
+    ``expected``.  The family box the probes grow to is the level's
+    ``bbox``.  Raises ConstructionError unless ``level_law`` holds."""
     bbox = family_bbox(copies)
-    probes = tuple(replace(grow_probe(root, bbox, epsilon), pierced=sorted(expected))
+    probes = tuple(grow_probe(root, bbox, epsilon, sorted(expected))
                    for root, expected in claims)
-    level = Level(k, tuple(copies), probes, epsilon)
+    level = Level(k, tuple(copies), probes, epsilon, bbox)
     fail_on(level_law(level))
     return level
 

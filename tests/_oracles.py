@@ -4,7 +4,9 @@ These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
 inputs), the references of the integer predicates test every segment on
 exact rationals, the probe-condition and diagonal-law references test
-every copy through those, on no shared grid, the coloring oracle is a static-order backtracking over
+every copy through those, on no shared grid, the diagonal and
+rectangle-map references are the chains of Fraction operators that the
+closed-form, lifted paths replaced, the coloring oracle is a static-order backtracking over
 all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
@@ -22,12 +24,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript, Interval, Position, PresenterSession
-from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, seg_intersect
+from trifree.errors import ConstructionError
+from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, XYTransform, seg_intersect
 from trifree.graphs import (
     ChromaticResult,
     Graph,
@@ -37,7 +41,7 @@ from trifree.graphs import (
     max_clique,
     verify_coloring,
 )
-from trifree.independent import Level, Probe, make_diagonal, split_probe
+from trifree.independent import Level, Probe, split_probe
 from trifree.shapes import (
     FamilyGrid,
     ShapeDef,
@@ -131,6 +135,32 @@ def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
         else:
             merged.append((lo, hi))
     return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
+
+
+def apply_ref(t: XYTransform, r: Rect) -> Rect:
+    """``XYTransform.apply`` on a Rect as Fraction operators: each side
+    through ``t.x`` or ``t.y``, with no lift."""
+    return Rect(t.x(r.x_lo), t.x(r.x_hi), t.y(r.y_lo), t.y(r.y_hi))
+
+
+def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
+                      lineage: str = "diagonal") -> TransformedCopy:
+    """``independent.make_diagonal`` as a chain of Fraction operators: the
+    map of the shape's box onto the probe's upper part (``split_probe``),
+    then the horizontal stretch by 2*w2/w1 about the part's left edge, and
+    the whole empty rectangle mapped to check that it clears ``bbox``."""
+    feats = shape.features
+    upper, _ = split_probe(probe)
+    onto_upper = XYTransform.rect_map(feats.bbox, upper)
+    factor = 2 * feats.w2 / feats.w1
+    stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
+    copy = TransformedCopy(shape.name, shape.shape, onto_upper.then(stretch), lineage)
+    empty = apply_ref(copy.transform, feats.empty_rect)
+    if not empty.x_lo > bbox.x_hi:
+        raise ConstructionError(
+            f"diagonal empty rectangle does not clear the family box: "
+            f"{empty.x_lo} <= {bbox.x_hi}")
+    return copy
 
 
 def copies_intersect_ref(a: TransformedCopy, b: TransformedCopy) -> bool:
@@ -304,7 +334,7 @@ def step_contact_law_violations(prev: Level, level: Level,
     out: list[str] = []
     bbox = family_bbox(prev.family)
     for i, p in enumerate(prev.probes):
-        diag = make_diagonal(p, shape, bbox)
+        diag = make_diagonal_ref(p, shape, bbox)
         neighbors = [j for j, c in enumerate(prev.family) if copies_intersect(diag, c)]
         upper_pierced = pierced_bruteforce(prev.family, split_probe(p)[0])
         if not neighbors == upper_pierced == sorted(p.pierced):

@@ -6,6 +6,7 @@ import pytest
 from trifree.encoding import expand_tree
 from trifree.errors import IllegalColorError, IllegalIntervalError
 from trifree.game import (
+    MAX_K,
     GameTranscript,
     Interval,
     PresenterSession,
@@ -149,6 +150,18 @@ def test_game_tree_rejects_an_empty_budget():
 ], ids=["session", "run-game", "game-tree", "game-tree-no-budget", "minimax", "expand-tree"])
 def test_k_below_one_is_refused(entry):
     with pytest.raises(ValueError, match="k must be at least 1"):
+        entry()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: PresenterSession(MAX_K + 1),
+    lambda: PresenterSession(3000),
+    lambda: run_game(MAX_K + 1, first_fit),
+    lambda: run_game(3000, first_fit),
+], ids=["session", "session-3000", "run-game", "run-game-3000"])
+def test_k_above_the_cap_is_refused(entry):
+    # the first step nests one call per level: k=3000 must be refused before it
+    with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
         entry()
 
 

@@ -20,6 +20,7 @@ from trifree.geometry import (
 
 from _oracles import (
     RectRelation,
+    apply_ref,
     clip_seg_to_rect,
     rect_relation_grid,
     rect_relations,
@@ -83,6 +84,35 @@ def test_transform_rejects_nonpositive_scale():
         XYTransform(0, 1, 0, 0)
     with pytest.raises(ValueError):
         XYTransform(1, Fraction(-1, 2), 0, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Rect(Fraction(1, 3), Fraction(2, 7), Fraction(0), Fraction(1)),
+     "rectangle sides reversed"),
+    (lambda: Rect(Fraction(0), Fraction(1), Fraction(-1, 5), Fraction(-2, 9)),
+     "rectangle sides reversed"),
+    (lambda: XYTransform(Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+     "scale factors must be positive: sx=0, sy=1"),
+    (lambda: XYTransform(Fraction(3, 4), Fraction(-1, 3), Fraction(0), Fraction(0)),
+     "scale factors must be positive: sx=3/4, sy=-1/3"),
+], ids=["x-reversed", "y-reversed", "zero-scale", "negative-scale"])
+def test_all_fraction_fields_are_still_checked(make, message):
+    # four Fraction fields skip the coercion, not the checks
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_rect_apply_on_the_lift_matches_fraction_sides():
+    rng = random.Random(77)
+
+    def rat():
+        return Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 6, 7, 12, 35, 1024)))
+
+    for _ in range(300):
+        t = XYTransform(abs(rat()) + Fraction(1, 9), abs(rat()) + Fraction(1, 11), rat(), rat())
+        x, y = sorted((rat(), rat())), sorted((rat(), rat()))
+        r = Rect(x[0], x[1], y[0], y[1])
+        assert t.apply(r) == apply_ref(t, r)
 
 
 def test_floats_are_refused():

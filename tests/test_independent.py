@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from trifree import shapes
+from trifree import independent, shapes
 from trifree.errors import ConstructionError
-from trifree.geometry import Rect, XYTransform
+from trifree.geometry import Rect, XYTransform, h_seg, v_seg
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
@@ -35,9 +35,11 @@ from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
     RectRelation,
+    apply_ref,
     copies_intersect_ref,
     diagonal_law_ref,
     intersection_graph_bruteforce,
+    make_diagonal_ref,
     probe_coloring_audit,
     probe_conditions_ref,
     proper_colorings,
@@ -373,3 +375,196 @@ def test_probe_conditions_tests_each_distinct_pierced_pair_once(frame, monkeypat
         == [[]] * len(level.probes)
     pairs = [pair for p in level.probes for pair in itertools.combinations(sorted(p.pierced), 2)]
     assert (len(pairs), len(set(pairs)), calls[0]) == (1872, 822, 822)
+
+
+def _levels_up_to(k, shape):
+    level = base_level(shape)
+    yield level
+    for _ in range(k - 1):
+        level = next_level(level, shape)
+        yield level
+
+
+@pytest.mark.parametrize("shape_name", ["frame", "lshape", "cross"])
+def test_closed_form_diagonal_equals_the_fraction_chain(shape_name):
+    shape = catalog()[shape_name]
+    count = 0
+    for level in _levels_up_to(4, shape):
+        for i, p in enumerate(level.probes):
+            got = make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
+            want = make_diagonal_ref(p, shape, level.bbox, f"diagonal(P{i})")
+            assert got.transform == want.transform and got == want
+            count += 1
+    assert count == 1 + 2 + 8 + 128
+
+
+@pytest.mark.parametrize("x_hi", [Fraction(7, 4), Fraction(7, 4) - Fraction(1, 10**9), 100],
+                         ids=["at-the-empty-side", "just-left-of-it", "far-right"])
+def test_diagonal_clearance_is_decided_as_the_fraction_chain_decides_it(frame, x_hi):
+    # the base frame's diagonal maps E's left side to 7/4: only a box
+    # ending strictly left of it is cleared
+    probe = base_level(frame).probes[0]
+    box = Rect(0, x_hi, 0, 1)
+    outcomes = []
+    for make in (make_diagonal, make_diagonal_ref):
+        try:
+            outcomes.append(make(probe, frame, box))
+        except ConstructionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (x_hi >= Fraction(7, 4))
+
+
+def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
+    mapped = []
+    apply = XYTransform.apply
+
+    def recorded(t, obj):
+        out = apply(t, obj)
+        if isinstance(obj, Rect):
+            mapped.append((out, apply_ref(t, obj)))
+        return out
+
+    monkeypatch.setattr(XYTransform, "apply", recorded)
+    for k in (1, 2, 3):
+        for eps in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 7)):
+            build_uniform(k, eps, frame)
+    uniform = len(mapped)
+    for shape in catalog().values():
+        build(3, shape)
+    assert 0 < uniform < len(mapped)
+    assert all(got == want for got, want in mapped)
+
+
+def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
+    boxes = []
+    family_box = independent.family_bbox
+
+    def counted(copies):
+        boxes.append(family_box(copies))
+        return boxes[-1]
+
+    monkeypatch.setattr(independent, "family_bbox", counted)
+    copy = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    level = seal(1, [copy], [(frame.features.empty_rect, frozenset({0}))])
+    # one box per seal: the one the probe grew to, which the level law read
+    assert len(boxes) == 1 and level.bbox is boxes[0]
+    level = next_level(level, frame)
+    assert level.bbox is boxes[-1]
+    # a level made from another one by replace() boxes its own family
+    inner = replace(level, family=level.family[1:])
+    assert inner.bbox == family_box(level.family[1:]) != level.bbox
+
+
+def _grid_unit(level):
+    """One unit of the grid that ``probe_conditions`` puts the level on."""
+    rects = [level.bbox, *(r for p in level.probes for r in (p.rect, p.root))]
+    return Fraction(1, shapes.FamilyGrid(level.family, rects).den)
+
+
+def _moved(rect, unit, side):
+    sides = dict(x_lo=rect.x_lo, x_hi=rect.x_hi, y_lo=rect.y_lo, y_hi=rect.y_hi)
+    sides[side] += unit
+    return Rect(**sides)
+
+
+# each tamper of one probe, given the grid unit, and a message it must raise
+_TAMPERS = {
+    "cut-off-the-grid": (lambda p, u: replace(p, root_cut_x=p.root_cut_x + u / 7919),
+                         "root is not the left part of the probe at the cut line"),
+    "cut-at-x-lo": (lambda p, u: replace(p, root_cut_x=p.rect.x_lo),
+                    "root cut line is not interior to the probe"),
+    "cut-at-x-hi": (lambda p, u: replace(p, root_cut_x=p.rect.x_hi),
+                    "root cut line is not interior to the probe"),
+    "flat-rectangle": (lambda p, u: replace(p, rect=Rect(p.rect.x_lo, p.rect.x_hi,
+                                                          p.rect.y_lo, p.rect.y_lo)),
+                       "probe rectangle is degenerate"),
+    "thin-rectangle": (lambda p, u: replace(p, rect=Rect(p.rect.x_hi, p.rect.x_hi,
+                                                          p.rect.y_lo, p.rect.y_hi)),
+                       "probe rectangle is degenerate"),
+    "rectangle-past-the-right-side": (lambda p, u: replace(p, rect=_moved(p.rect, u, "x_hi")),
+                                      "probe leaves the family bounding box"),
+    "rectangle-short-of-the-right-side": (
+        lambda p, u: replace(p, rect=_moved(p.rect, -u, "x_hi")),
+        "probe does not touch the family's right side"),
+    **{f"root-{side}-off-by-one-unit": (
+        lambda p, u, side=side: replace(p, root=_moved(p.root, u, side)),
+        "root is not the left part of the probe at the cut line")
+       for side in ("x_lo", "x_hi", "y_lo", "y_hi")},
+}
+_EPS_TAMPERS = {
+    "height-off-by-one-unit": (lambda p, u: replace(p, rect=_moved(p.rect, u, "y_lo"),
+                                                    root=_moved(p.root, u, "y_lo")),
+                               "width/height ratio is not exactly 1+eps"),
+    "width-off-by-one-unit": (lambda p, u: replace(p, rect=_moved(p.rect, u, "x_lo"),
+                                                   root=_moved(p.root, u, "x_lo")),
+                              "width/height ratio is not exactly 1+eps"),
+    # on the first probe of uniform level 2 at eps 1/2 this leaves
+    # width*q and (p+q)*height one apart, 62 against 63 grid units
+    "width-two-and-height-one-unit-off": (
+        lambda p, u: replace(p, rect=_moved(_moved(p.rect, 2 * u, "x_lo"), u, "y_lo"),
+                             root=_moved(_moved(p.root, 2 * u, "x_lo"), u, "y_lo")),
+        "width/height ratio is not exactly 1+eps"),
+    "root-not-square": (lambda p, u: replace(p, root=_moved(p.root, -u, "y_hi"),
+                                             rect=_moved(p.rect, -u, "y_hi")),
+                        "root is not a square"),
+}
+
+
+@pytest.mark.parametrize("name", [*_TAMPERS, *_EPS_TAMPERS])
+def test_tampered_probe_sides_are_judged_as_the_reference_judges_them(
+        name, independent_levels, uniform_levels):
+    cases = [(independent_levels[3], _TAMPERS), (uniform_levels[2], {**_TAMPERS, **_EPS_TAMPERS})]
+    checked = 0
+    for level, tampers in cases:
+        if name not in tampers:
+            continue
+        tamper, message = tampers[name]
+        unit = _grid_unit(level)
+        assert (1 / unit) % 7919 != 0
+        for i in range(0, len(level.probes), 3):
+            probes = list(level.probes)
+            probes[i] = tamper(probes[i], unit)
+            got = probe_conditions(probes, level.family, level.bbox, level.epsilon)
+            assert got == probe_conditions_ref(probes, level.family, level.bbox, level.epsilon)
+            assert message in got[i]
+            assert all(got[j] == [] for j in range(len(probes)) if j != i)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: augment(build(3, catalog()[name]), catalog()[name])
+      for name in ("frame", "lshape", "cross")),
+    lambda: augment_uniform(build_uniform(3, Fraction(1, 2), catalog()["frame"]),
+                            catalog()["frame"]),
+], ids=["frame", "lshape", "cross", "uniform"])
+def test_box_filtered_meet_matches_the_fraction_reference_on_every_pair(make):
+    family = make()
+    grid = shapes.FamilyGrid(family)
+    want = {(i, j) for i, j in itertools.combinations(range(len(family)), 2)
+            if copies_intersect_ref(family[i], family[j])}
+    assert want
+    for i, j in itertools.permutations(range(len(family)), 2):
+        assert grid.meet(i, j) == ((min(i, j), max(i, j)) in want)
+    assert set(grid.contacts()) == want
+
+
+@pytest.mark.parametrize("seg, dx, dy", [
+    (h_seg(0, Fraction(1, 2), 2), 0, -1), (h_seg(1, Fraction(1, 2), 2), 0, 1),
+    (v_seg(0, Fraction(1, 2), 2), -1, 0), (v_seg(1, Fraction(1, 2), 2), 1, 0),
+    (h_seg(Fraction(1, 2), 1, 2), 1, 0), (h_seg(Fraction(1, 2), -1, 0), -1, 0),
+    (v_seg(Fraction(1, 2), 1, 2), 0, 1), (v_seg(Fraction(1, 2), -1, 0), 0, -1),
+], ids=["on-bottom", "on-top", "on-left", "on-right",
+        "from-right", "from-left", "from-above", "from-below"])
+def test_meet_counts_a_touch_on_each_side_of_the_box(frame, seg, dx, dy):
+    # the unit frame is its box's boundary, so every contact lies on a side
+    # of that box, where the box filter must keep the segment; moved out
+    # by (dx, dy)/7, the segment meets nothing
+    unit = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    for step, touches in ((0, True), (Fraction(1, 7), False)):
+        moved = XYTransform(Fraction(1), Fraction(1), dx * step, dy * step)
+        stick = shapes.TransformedCopy("stick", shapes.RectilinearShape((seg,)), moved, "stick")
+        grid = shapes.FamilyGrid([unit, stick])
+        assert grid.meet(0, 1) == grid.meet(1, 0) == touches
+        assert copies_intersect_ref(unit, stick) == touches

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import trifree
-from trifree import serialize
+from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
-from trifree.game import first_fit, run_game
+from trifree.game import MAX_K, first_fit, run_game
 from trifree.independent import augment, build, level_law
 from trifree.render import render_family
 from trifree.shapes import catalog
@@ -119,6 +120,14 @@ _GOLDEN = [
      "4307d6b07121cbd014fd03617df8b3c386f4b4a6ee01e5d47bf6340fa150696f"),
     ("independent", "frame", 4, None, False,
      "1f6dfd6704ed4017ce0349119aa33c0fa345300c716f805327cf01279ce99086"),
+    ("independent", "lshape", 4, None, True,
+     "fe7f8fc00d70565178609d0d49d7ea36b7323fd55a418495736dec227a93c21d"),
+    ("independent", "lshape", 4, None, False,
+     "611eff249a5e1d19b10d64040212fcdfa941173d75f53c04d70a69f1daec1484"),
+    ("independent", "cross", 4, None, True,
+     "19753b39f1ee5251030a632f6575cf44f2f9f64fb87700bfce226a6404a096a1"),
+    ("independent", "cross", 4, None, False,
+     "6d077fb245d2b634a941f3bfb6a2f4b8ad679ae984484729e1904a9e8e55a91c"),
     ("uniform", "frame", 1, "1/2", True,
      "cb663308948fa42b2acf92feae689aab518cd21c72046a03aea393dd23941596"),
     ("uniform", "frame", 1, "1/2", False,
@@ -361,6 +370,12 @@ def test_cli_game_k_is_capped():
         r = _run_cli("game", "--k", k, timeout=10)
         assert r.returncode == 2
         assert "--k" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_game_k_flag_reads_the_game_cap():
+    assert cli._game_k(str(MAX_K)) == MAX_K
+    with pytest.raises(argparse.ArgumentTypeError, match=rf"an integer in 1\.\.{MAX_K}"):
+        cli._game_k(str(MAX_K + 1))
 
 
 def test_cli_malformed_family_exits_three(tmp_path):
