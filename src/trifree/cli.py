@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import serialize
 from .encoding import encode, expand_tree
 from .errors import ConstructionError
-from .game import MAX_K, first_fit, make_minimax_painter, make_repl_painter, run_game
+from .game import MAX_K, SEARCH_LIMIT, first_fit, make_minimax_painter, make_repl_painter, run_game
 from .geometry import as_rat
 from .graphs import intersection_graph, to_dimacs
 from .independent import augment, build
@@ -73,6 +73,7 @@ _seconds = _flag_type(float, lambda v: math.isfinite(v) and v >= 0,
 _epsilon = _flag_type(as_rat, lambda v: 0 < v < 1, "a rational 'p/q' in (0,1)")
 _positive = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _game_k = _flag_type(int, lambda v: 1 <= v <= MAX_K, f"an integer in 1..{MAX_K}")
+_search_k = _flag_type(int, lambda v: 1 <= v <= SEARCH_LIMIT, f"an integer in 1..{SEARCH_LIMIT}")
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -192,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("encode", help="encode the strategy tree as rectangular frames")
-    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k", type=_search_k, required=True)
     p.add_argument("--budget", type=_positive, default=None,
                    help="painter color budget (default k+1)")
     p.add_argument("--out", default="-")
@@ -219,6 +220,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("uniform mode requires --epsilon")
         if args.mode == "independent" and args.epsilon is not None:
             parser.error("--epsilon only applies to uniform mode")
+    if args.command == "game" and args.painter == "minimax" and args.k > SEARCH_LIMIT:
+        parser.error(f"--k must be at most {SEARCH_LIMIT} with --painter minimax")
     if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):
         try:
             args.timeout = _seconds(os.environ[TIMEOUT_ENV])

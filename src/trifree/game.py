@@ -13,8 +13,14 @@ together or one bridging interval overlapping exactly the inner chain
 forces a fresh color.  The shortest variant appends one last interval
 overlapping the whole final chain, forcing color k+1.
 
-All placements are fixed rational rules, so runs are reproducible and
-every claimed containment is asserted during play.
+The game is played on integers: an ``Interval`` holds its lift, ints
+``ilo < ihi`` on the grid of multiples of 1/den.  The shortest
+k-strategy plays in [0, den], den = ``grid(k)``, on which each of its
+placements divides exactly; overlap, containment, the left-endpoint
+rule, nested chains and the certificate are decided on the ints, across
+denominators for intervals from elsewhere (a loaded file).  Fractions
+are made only where values leave the game: ``Interval.lo``/``hi`` and
+the certified point of a finished game.
 
 The strategy is written once, as immutable steps: a ``Step`` holds
 the interval shown and ``respond(color)``, which returns the next step
@@ -24,48 +30,98 @@ or, after the last move, the certified point and chain.
 history of canonical colors, where a move may reuse a color already seen
 or open the next fresh one (colors 1..min(max_used+1, budget)), so every
 Painter strategy appears once up to renaming.  It forks a position by
-answering its step once per legal color, so an edge costs one step and
-one checked ``GameTranscript.add``.  ``minimax_verify``, the minimax
-Painter and ``encoding.expand_tree`` all read that walk.
+answering its step once per legal color.  Each position scans the
+transcript once, in ``check_interval`` (left endpoint, no triangle,
+overlap neighbors), and its child edges reuse those neighbors for the
+color rule, so an edge costs one step and one ``GameTranscript.add``
+that scans nothing.  ``minimax_verify``, the minimax Painter and
+``encoding.expand_tree`` all read that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import IllegalColorError, IllegalIntervalError
 from .geometry import Rat, as_rat
 
 Chain = tuple[tuple["Interval", int], ...]
-Outcome = tuple[Rat, Chain]  # a finished strategy's certified point and chain
+Outcome = tuple[int, Chain]  # a finished strategy's certified point (grid units) and chain
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: Rat
-    hi: Rat
+    """A closed interval [lo, hi], lo < hi, held as its lift onto the grid
+    of multiples of 1/den: lo = ilo/den and hi = ihi/den.  ``Interval(lo,
+    hi)`` takes any two rationals and lifts them onto their own least
+    common denominator; ``on_grid`` places one on a given grid."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_rat(self.lo))
-        object.__setattr__(self, "hi", as_rat(self.hi))
-        if self.lo >= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("ilo", "ihi", "den")
 
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+    def __init__(self, lo: Rat, hi: Rat) -> None:
+        lo, hi = as_rat(lo), as_rat(hi)
+        den = lcm(lo.denominator, hi.denominator)
+        self._set(lo.numerator * (den // lo.denominator),
+                  hi.numerator * (den // hi.denominator), den)
+
+    @classmethod
+    def on_grid(cls, ilo: int, ihi: int, den: int) -> "Interval":
+        iv = object.__new__(cls)
+        iv._set(ilo, ihi, den)
+        return iv
+
+    def _set(self, ilo: int, ihi: int, den: int) -> None:
+        if ilo >= ihi:
+            raise ValueError(f"empty interval [{Fraction(ilo, den)}, {Fraction(ihi, den)}]")
+        object.__setattr__(self, "ilo", ilo)
+        object.__setattr__(self, "ihi", ihi)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Interval is immutable: cannot set {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Interval.on_grid, (self.ilo, self.ihi, self.den)
 
     @property
-    def midpoint(self) -> Rat:
-        return (self.lo + self.hi) / 2
+    def lo(self) -> Rat:
+        return Fraction(self.ilo, self.den)
+
+    @property
+    def hi(self) -> Rat:
+        return Fraction(self.ihi, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        alo, ahi, blo, bhi = _ends(self, other)
+        return alo == blo and ahi == bhi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def contains(self, other: "Interval") -> bool:
+        alo, ahi, blo, bhi = _ends(self, other)
+        return alo <= blo and bhi <= ahi
+
+
+def _ends(a: Interval, b: Interval) -> tuple[int, int, int, int]:
+    """The ends of ``a`` and then of ``b``, as ints on one grid."""
+    if a.den == b.den:
+        return a.ilo, a.ihi, b.ilo, b.ihi
+    return a.ilo * b.den, a.ihi * b.den, b.ilo * a.den, b.ihi * a.den
 
 
 def overlaps(a: Interval, b: Interval) -> bool:
-    """Intersecting but not nested."""
-    if a.hi < b.lo or b.hi < a.lo:
-        return False
-    return not (a.contains(b) or b.contains(a))
+    """Intersecting but not nested: one starts strictly first and ends
+    strictly first, no earlier than the other starts."""
+    alo, ahi, blo, bhi = _ends(a, b)
+    return alo < blo <= ahi < bhi or blo < alo <= bhi < ahi
 
 
 class GameTranscript:
@@ -86,21 +142,30 @@ class GameTranscript:
 
     def check_interval(self, iv: Interval) -> list[int]:
         """Validate a presenter move; returns the overlap neighbors."""
-        if self.moves and iv.lo <= self.moves[-1][0].lo:
-            raise IllegalIntervalError(
-                f"left endpoint {iv.lo} does not increase past {self.moves[-1][0].lo}")
+        if self.moves:
+            last = self.moves[-1][0]
+            lo, _, last_lo, _ = _ends(iv, last)
+            if lo <= last_lo:
+                raise IllegalIntervalError(
+                    f"left endpoint {iv.lo} does not increase past {last.lo}")
         nbrs = self.neighbors(iv)
-        for a, b in combinations(nbrs, 2):
+        # Every earlier move starts before iv, so each neighbor holds iv's
+        # left end: two of them overlap iff two consecutive ones do.
+        for a, b in zip(nbrs, nbrs[1:]):
             if overlaps(self.moves[a][0], self.moves[b][0]):
                 raise IllegalIntervalError(
                     f"interval would close a triangle with moves {a} and {b}")
         return nbrs
 
-    def add(self, iv: Interval, color: int) -> None:
-        nbrs = self.check_interval(iv)
+    def add(self, iv: Interval, color: int, nbrs: Optional[list[int]] = None) -> None:
+        """Play ``iv`` in ``color``.  ``nbrs``, when given, must be what
+        ``check_interval(iv)`` returned on this transcript as it stands;
+        the color is checked against them instead of a fresh scan."""
+        if nbrs is None:
+            nbrs = self.check_interval(iv)
         if isinstance(color, bool) or not isinstance(color, int) or color < 1:
             raise IllegalColorError(f"colors are positive integers, got {color!r}")
-        if color in {self.moves[i][1] for i in nbrs}:
+        if any(self.moves[i][1] == color for i in nbrs):
             raise IllegalColorError(f"color {color} already used by an overlap neighbor")
         self.moves.append((iv, color))
 
@@ -110,11 +175,15 @@ class GameTranscript:
 
 
 def is_nested_chain(chain: Sequence[tuple[Interval, int]]) -> bool:
-    ivs = sorted((iv for iv, _ in chain), key=lambda v: (v.lo, -v.hi))
-    return all(ivs[i].contains(ivs[i + 1]) for i in range(len(ivs) - 1))
+    """Whether every two intervals of ``chain`` are nested: sorted by left
+    end, and by right end downwards on ties, each contains the next."""
+    den = lcm(*{iv.den for iv, _ in chain})
+    ends = sorted((iv.ilo * (den // iv.den), -iv.ihi * (den // iv.den)) for iv, _ in chain)
+    return all(p[1] <= q[1] for p, q in zip(ends, ends[1:]))
 
 
-def _assert_certificate(chain: Chain, k: int, region: Interval) -> None:
+def _assert_certificate(chain: Chain, k: int, lo: int, hi: int) -> None:
+    """The certificate of a strategy run in the region [lo, hi] (grid units)."""
     if not chain:
         raise AssertionError("empty certified chain")
     if not is_nested_chain(chain):
@@ -122,7 +191,7 @@ def _assert_certificate(chain: Chain, k: int, region: Interval) -> None:
     if len({c for _, c in chain}) < k:
         raise AssertionError(f"certified chain carries fewer than {k} colors")
     for iv, _ in chain:
-        if not (region.lo < iv.lo and iv.hi < region.hi):
+        if not (lo < iv.ilo and iv.ihi < hi):
             raise AssertionError("chain interval leaves the interior of its region")
 
 
@@ -134,36 +203,55 @@ class Step:
     respond: Callable[[int], Step | Outcome]
 
 
-def _steps(k: int, region: Interval, then: Callable[[Rat, Chain], Step | Outcome]) -> Step:
-    """The first step of the k-strategy inside ``region``; play goes on with
-    ``then(point, chain)`` once the strategy has certified them."""
-    def certified(point: Rat, chain: Chain) -> Step | Outcome:
-        _assert_certificate(chain, k, region)
+def grid(k: int) -> int:
+    """The denominator of the shortest k-strategy's grid: 2*D(k), with
+    D(1) = 6 and D(k) = 8*D(k-1)^2 (12, 576, 1,327,104, 2^26*3^8, ...).
+
+    In [0, 1] the k-strategy computes only multiples of 1/D(k): thirds
+    and a midpoint for k = 1.  For k > 1, D = D(k-1) even, the first run
+    gives multiples of 1/D; the second runs in [x + s/4, x + 3s/4] (left
+    end on 1/(4D), width on 1/(2D)), so gives multiples of 1/(2D^2); the
+    bridge's ends and point are means of those, on 1/(8D^2).  The closing
+    move halves once more.  So every division in ``_steps`` is exact.
+    """
+    d = 6
+    for _ in range(k - 1):
+        d = 8 * d * d
+    return 2 * d
+
+
+def _steps(k: int, den: int, lo: int, hi: int,
+           then: Callable[[int, Chain], Step | Outcome]) -> Step:
+    """The first step of the k-strategy inside the region [lo, hi] (units
+    of 1/den); play goes on with ``then(point, chain)`` once the strategy
+    has certified them."""
+    def certified(point: int, chain: Chain) -> Step | Outcome:
+        _assert_certificate(chain, k, lo, hi)
         return then(point, chain)
 
     if k == 1:
-        third = (region.hi - region.lo) / 3
-        iv = Interval(region.lo + third, region.hi - third)
-        return Step(iv, lambda color: certified(iv.midpoint, ((iv, color),)))
+        third, mid = (hi - lo) // 3, (lo + hi) // 2
+        iv = Interval.on_grid(lo + third, hi - third, den)
+        return Step(iv, lambda color: certified(mid, ((iv, color),)))
 
-    def inner(x: Rat, chain: Chain) -> Step | Outcome:
-        min_hi = min(iv.hi for iv, _ in chain)
+    def inner(x: int, chain: Chain) -> Step | Outcome:
+        min_hi = min(iv.ihi for iv, _ in chain)
 
-        def joined(x2: Rat, chain2: Chain) -> Step | Outcome:
+        def joined(x2: int, chain2: Chain) -> Step | Outcome:
             if {c for _, c in chain} != {c for _, c in chain2}:
                 return certified(x2, chain + chain2)
-            min_hi2 = min(iv.hi for iv, _ in chain2)
-            max_hi2 = max(iv.hi for iv, _ in chain2)
-            bridge = Interval((x2 + min_hi2) / 2, (max_hi2 + min_hi) / 2)
-            y = (max_hi2 + bridge.hi) / 2
+            min_hi2 = min(iv.ihi for iv, _ in chain2)
+            max_hi2 = max(iv.ihi for iv, _ in chain2)
+            bridge = Interval.on_grid((x2 + min_hi2) // 2, (max_hi2 + min_hi) // 2, den)
+            y = (max_hi2 + bridge.ihi) // 2
             return Step(bridge, lambda color: certified(y, chain + ((bridge, color),)))
-        span = min_hi - x
-        return _steps(k - 1, Interval(x + span / 4, x + 3 * span / 4), joined)
-    return _steps(k - 1, region, inner)
+        quarter = (min_hi - x) // 4
+        return _steps(k - 1, den, x + quarter, min_hi - quarter, joined)
+    return _steps(k - 1, den, lo, hi, inner)
 
 
 # The largest k the game is played at: the strategy shows up to 2^k
-# intervals, and a first-fit game takes about 45 s at k = 12 (4,096 moves),
+# intervals, and a first-fit game takes about 6 s at k = 12 (4,096 moves),
 # each k more about 4x as long.  Building the first step also nests one
 # call per level, so an unbounded k would end in a RecursionError.
 MAX_K = 12
@@ -176,9 +264,11 @@ def first_step(k: int) -> Step:
         raise ValueError("k must be at least 1")
     if k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}")
-    def close(y: Rat, chain: Chain) -> Step:
-        lo = (y + min(iv.hi for iv, _ in chain)) / 2
-        closer = Interval(lo, max(iv.hi for iv, _ in chain) + (lo - y))
+    den = grid(k)
+
+    def close(y: int, chain: Chain) -> Step:
+        lo = (y + min(iv.ihi for iv, _ in chain)) // 2
+        closer = Interval.on_grid(lo, max(iv.ihi for iv, _ in chain) + (lo - y), den)
 
         def respond(color: int) -> Outcome:
             final = chain + ((closer, color),)
@@ -186,7 +276,7 @@ def first_step(k: int) -> Step:
                 raise AssertionError("closing interval failed to force a fresh color")
             return y, final
         return Step(closer, respond)
-    return _steps(k, Interval(0, 1), close)
+    return _steps(k, den, 0, den, close)
 
 
 class PresenterSession:
@@ -203,10 +293,12 @@ class PresenterSession:
         interval, or None when the game is over."""
         if not isinstance(self._at, Step):
             raise RuntimeError("game is already over")
+        den = self._at.interval.den
         self._at = self._at.respond(color)
         self.current = self._at.interval if isinstance(self._at, Step) else None
         if self.current is None:
-            self.point, self.certified = self._at
+            point, self.certified = self._at
+            self.point = Fraction(point, den)
         return self.current
 
 
@@ -286,8 +378,10 @@ def run_game(k: int, painter: Painter) -> GameResult:
                       session.point, session.certified)
 
 
-# Histories grow exponentially in k: the k=4 walk (31,285 of them) takes 5-6 s.
-SEARCH_LIMIT = 3
+# Histories grow exponentially in k.  On a 2-vCPU host (Python 3.11) the
+# k=4 walk takes about 2 s at budget 5 (66,189 histories, ``encode --k 4``)
+# and 2-2.7 s at budget 16 (89,573, the minimax Painter).
+SEARCH_LIMIT = 4
 
 
 class Position(NamedTuple):
@@ -305,21 +399,23 @@ def game_tree(k: int, budget: int) -> dict[tuple[int, ...], Position]:
         raise ValueError(f"color budget must be at least 1, got {budget}")
     tree: dict[tuple[int, ...], Position] = {}
     transcript = GameTranscript()
-    stack: list[tuple[tuple[int, ...], Step | Outcome]] = [((), root)]
+    # each entry: a history, the parent's step and the neighbors of its interval
+    stack: list[tuple[tuple[int, ...], Step | Outcome, list[int]]] = [((), root, [])]
     while stack:
-        colors, step = stack.pop()
-        if colors:  # ``step`` is the parent's: play its interval in color colors[-1]
+        colors, step, nbrs = stack.pop()
+        if colors:  # play the parent's interval in color colors[-1]
             del transcript.moves[len(colors) - 1:]
-            transcript.add(step.interval, colors[-1])
+            transcript.add(step.interval, colors[-1], nbrs)
             step = step.respond(colors[-1])
         iv = step.interval if isinstance(step, Step) else None
         legal: tuple[int, ...] = ()
         if iv is not None:
-            forbidden = transcript.neighbor_colors(iv)
+            nbrs = transcript.check_interval(iv)
+            forbidden = {transcript.moves[i][1] for i in nbrs}
             top = min(max(colors, default=0) + 1, budget)
             legal = tuple(c for c in range(1, top + 1) if c not in forbidden)
         tree[colors] = Position(iv, legal)
-        stack.extend((colors + (c,), step) for c in reversed(legal))
+        stack.extend((colors + (c,), step, nbrs) for c in reversed(legal))
     return tree
 
 

@@ -11,8 +11,9 @@ all colorings up to color renaming, with no saturation ordering, no
 clique bounds, and no branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
 every triple, the solver's references are the bodies that scanned
-every vertex at each selection step, and the game-tree reference replays
-every history from the root through a fresh ``PresenterSession``.  The
+every vertex at each selection step, the interval predicates' references
+compare the Fraction ends, and the game-tree reference replays every
+history from the root through a fresh ``PresenterSession``.  The
 helpers below them (whether a copy stabs a rectangle, on the two's
 ``FamilyGrid``, a transcript's chain at a point, clique number,
 first-fit coloring, DIMACS parsing, probe color audits and the encoded
@@ -540,6 +541,18 @@ def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> Chromatic
     if exact:
         return ChromaticResult(best_num, best_num, True, witness, clique)
     return ChromaticResult(lb, best_num, False, witness, clique)
+
+
+def contains_ref(a: Interval, b: Interval) -> bool:
+    """``Interval.contains`` on the Fraction ends."""
+    return a.lo <= b.lo and b.hi <= a.hi
+
+
+def overlaps_ref(a: Interval, b: Interval) -> bool:
+    """``game.overlaps`` on the Fraction ends: intersecting but not nested."""
+    if a.hi < b.lo or b.hi < a.lo:
+        return False
+    return not (contains_ref(a, b) or contains_ref(b, a))
 
 
 def replay(k: int, colors: Sequence[int]) -> tuple[GameTranscript, Optional[Interval]]:

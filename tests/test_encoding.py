@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from trifree.encoding import encode, expand_tree
-from trifree.game import GameTranscript, overlaps
+from trifree.game import SEARCH_LIMIT, GameTranscript, overlaps
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.shapes import copies_intersect
 
@@ -152,4 +152,4 @@ def test_encoding_matches_recursive_frame_construction():
 
 def test_expand_tree_rejects_large_k_by_default():
     with pytest.raises(ValueError):
-        expand_tree(4)
+        expand_tree(SEARCH_LIMIT + 1)

@@ -1,15 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from trifree.encoding import expand_tree
+from trifree import game, serialize
+from trifree.encoding import encode, expand_tree
 from trifree.errors import IllegalColorError, IllegalIntervalError
 from trifree.game import (
     MAX_K,
+    SEARCH_LIMIT,
     GameTranscript,
     Interval,
     PresenterSession,
+    Step,
     first_fit,
     game_tree,
     is_nested_chain,
@@ -19,8 +24,9 @@ from trifree.game import (
     overlaps,
     run_game,
 )
+from trifree.shapes import catalog
 
-from _oracles import chain_at, game_tree_ref, replay
+from _oracles import chain_at, contains_ref, game_tree_ref, overlaps_ref, replay
 
 
 def test_overlap_predicate():
@@ -28,6 +34,48 @@ def test_overlap_predicate():
     assert not overlaps(Interval(0, 4), Interval(1, 2))  # nested
     assert not overlaps(Interval(0, 1), Interval(2, 3))  # disjoint
     assert overlaps(Interval(0, 2), Interval(2, 3))      # closed: touching counts
+
+
+def _off_grid_tree_intervals(rng: random.Random) -> list[Interval]:
+    """The intervals of an encoded k=2 file whose tree ends were edited to
+    denominators off the game grid, some made to touch or equal others."""
+    tree = expand_tree(2)
+    doc = json.loads(serialize.dumps(
+        serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])))
+    nodes, stack = [], [doc["tree"]["root"]]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1]["children"])
+    for node in nodes:
+        lo = Fraction(rng.randrange(0, 60), rng.choice((7, 11, 13, 1_000_003)))
+        node["lo"], node["hi"] = str(lo), str(lo + Fraction(rng.randrange(1, 40), 17))
+    nodes[1]["lo"], nodes[1]["hi"] = nodes[0]["hi"], "999/7"         # touching
+    nodes[2]["lo"], nodes[2]["hi"] = nodes[0]["lo"], nodes[0]["hi"]  # equal
+    loaded = serialize.doc_to_family(doc)
+    return [node.interval for node in loaded.tree_nodes]
+
+
+def test_interval_predicates_match_the_fraction_oracle():
+    rng = random.Random(16)
+    small = sorted({Fraction(p, q) for q in (1, 2, 3, 4, 6) for p in range(0, 2 * q + 1)})
+    ivs = [Interval(*sorted(rng.sample(small, 2))) for _ in range(60)]
+    ivs += [Interval(0, 1), Interval(1, 2), Interval(0, 2), Interval(0, 1),
+            Interval(Fraction(1, 3), Fraction(2, 3)), Interval.on_grid(4, 8, 12)]
+    ivs += [iv for iv, _ in run_game(4, first_fit).transcript.moves]  # the k=4 grid
+    ivs += _off_grid_tree_intervals(rng)
+    seen = {"overlap": 0, "touch": 0, "equal": 0, "nested": 0, "cross-grid": 0}
+    for a in ivs:
+        for b in ivs:
+            assert overlaps(a, b) == overlaps_ref(a, b), (a, b)
+            assert a.contains(b) == contains_ref(a, b), (a, b)
+            assert (a == b) == ((a.lo, a.hi) == (b.lo, b.hi)), (a, b)
+            assert a != b or hash(a) == hash(b)
+            seen["overlap"] += overlaps_ref(a, b)
+            seen["touch"] += a.hi == b.lo
+            seen["equal"] += a is not b and a == b
+            seen["nested"] += a != b and contains_ref(a, b)
+            seen["cross-grid"] += a.den != b.den and a == b
+    assert all(seen.values()), seen
 
 
 def test_first_interval_is_the_middle_third():
@@ -132,7 +180,7 @@ def test_minimax_small_cases():
 
 def test_minimax_rejects_large_k_by_default():
     with pytest.raises(ValueError):
-        minimax_verify(4)
+        minimax_verify(SEARCH_LIMIT + 1)
 
 
 def test_game_tree_rejects_an_empty_budget():
@@ -200,15 +248,54 @@ def test_game_tree_equals_the_replay_walk():
 
 
 def test_game_tree_plays_each_edge_once(monkeypatch):
-    adds, sessions = [], []
-    add = GameTranscript.add
+    adds, scans, sessions = [], [], []
+    add, check = GameTranscript.add, GameTranscript.check_interval
     monkeypatch.setattr(GameTranscript, "add",
-                        lambda tr, iv, c: adds.append(c) or add(tr, iv, c))
+                        lambda tr, iv, c, nbrs: adds.append(nbrs) or add(tr, iv, c, nbrs))
+    monkeypatch.setattr(GameTranscript, "check_interval",
+                        lambda tr, iv: scans.append(iv) or check(tr, iv))
     monkeypatch.setattr(PresenterSession, "__init__",
                         lambda *args, **kwargs: sessions.append(args))
     tree = game_tree(3, 8)
     assert len(adds) == len(tree) - 1
+    # one neighbor scan per position with a next interval; each edge reuses it
+    assert len(scans) == sum(pos.interval is not None for pos in tree.values())
+    assert all(nbrs is not None for nbrs in adds)
     assert sessions == []
+
+
+def _scripted(*intervals: Interval) -> Step:
+    """A Presenter that shows ``intervals`` in order whatever the colors."""
+    def step(i: int):
+        return Step(intervals[i], lambda color: step(i + 1)) if i < len(intervals) else (0, ())
+    return step(0)
+
+
+@pytest.mark.parametrize("intervals, message", [
+    ((Interval(0, 4), Interval(0, 2)), "left endpoint"),
+    ((Interval(0, 4), Interval(1, 6), Interval(2, 8)), "triangle"),
+], ids=["left-endpoint", "triangle"])
+def test_game_tree_checks_every_presented_interval(monkeypatch, intervals, message):
+    monkeypatch.setattr(game, "first_step", lambda k: _scripted(*intervals))
+    with pytest.raises(IllegalIntervalError, match=message):
+        game_tree(2, 2)
+
+
+def test_game_tree_checks_every_color(monkeypatch):
+    add = GameTranscript.add
+
+    def recolor(tr, iv, color, nbrs):  # a walk that gives an interval its neighbor's color
+        return add(tr, iv, tr.moves[nbrs[0]][1] if nbrs else color, nbrs)
+
+    monkeypatch.setattr(GameTranscript, "add", recolor)
+    with pytest.raises(IllegalColorError, match="already used by an overlap neighbor"):
+        game_tree(2, 3)
+
+
+def test_game_tree_checks_every_certificate(monkeypatch):
+    monkeypatch.setattr(game, "is_nested_chain", lambda chain: False)
+    with pytest.raises(AssertionError, match="not a nested chain"):
+        game_tree(2, 2)
 
 
 def test_color_renaming_equivariance():
@@ -250,3 +337,62 @@ def test_repl_replay_equals_batch_replay():
     scripted = iter([1, 1, 2, 3])
     res_b = run_game(2, lambda tr, iv: next(scripted))
     assert res_a.transcript.moves == res_b.transcript.moves
+
+
+# SHA-256 of each output, pinned on the Fraction implementation of the game.
+_ENCODED_GOLDEN = [
+    (1, None, "167f7b99755a18550642406654ec10585bc126a54c259b221caa5e0bdcaf2109"),
+    (2, None, "870987e00bea23ce5b56336ecf747e42a94331f43e6ebec7d92d6b6b06eff678"),
+    (3, None, "05495cccefc8f2178e504153cb5c9cd2bb48ca1d46a33508266bfccfb7c16c8b"),
+    (2, 2, "77bfe672339badee88f08736c25d79d1104aeb33b8343dc7428d9a1d413c1466"),
+]
+_TRANSCRIPT_GOLDEN = [
+    ("minimax", 1, "957e821c415c10f9d28187f9a41b43947b2232abf60e9d9dd54613f89f5b3936"),
+    ("minimax", 2, "d25a4ccf810d1d3028f5d9ecc8511114692493cc8aa18a000fc1277f5437aae2"),
+    ("minimax", 3, "d18ad99056710ab6b26372e265e5baa4e7f572a9eb4bf6c19b8f2b50446c4b06"),
+    ("firstfit", 1, "05738f4b5a9c9d9d6fb759c0f80f342166d5f2bca75d5ebdb0e42196e2024aa5"),
+    ("firstfit", 2, "dbc1ca1862ea53f5d84f91e38e6f0e29903f1d1f7c67766bed10679276c4aae6"),
+    ("firstfit", 3, "06ff626c5bfb54484c76eb0b0c06b6e3499097e6c16b0d60704c658791472b11"),
+    ("firstfit", 4, "b536614a52e35a37efb2d8cc8c46a0eb9c380e0b8e655c604ed8484c9299e5e4"),
+    ("firstfit", 5, "2fc37c765402ea9e9d68c6b831ec062a3840436eb7480717058c33464efd19a3"),
+    ("firstfit", 6, "25e97e08b37b307451344c92dadd82a4cd5104687d2e70856879a04abc3a0861"),
+]
+_TREE_GOLDEN = [
+    (1, 1, "16bf77a18a34e2b1f4ca4e0e31c04c88f85c3093cf0f1edae832830b5e364567"),
+    (1, 2, "b9c2007aad4c9755e856716a6117283d47f045436497b66826efc8b31a1b4abe"),
+    (2, 1, "152cefef4f1434b6b267ad73656cc7a52e538b9463ce0e79e9aadc027d24b64b"),
+    (2, 2, "33f92ec76477d6b70bf54c8955fc779d9371a596877ca6a885f20cd47d6da1e8"),
+    (2, 3, "823b16770cc763b772cb7b43e8b6154c728c6fa5d3b571da5d18cbaeab22fb0f"),
+    (2, 4, "823b16770cc763b772cb7b43e8b6154c728c6fa5d3b571da5d18cbaeab22fb0f"),
+    (3, 1, "152cefef4f1434b6b267ad73656cc7a52e538b9463ce0e79e9aadc027d24b64b"),
+    (3, 2, "ab060a5808cce9a47d6d4266792d1eb0870443755d11a490ec9295b75c682030"),
+    (3, 3, "5f65b417e6c4764df179abf7c9752c3665a0d06993b6696a0431f4a7e77a9c41"),
+    (3, 4, "24cb3a936158e5f25410ee380b3c29a173c9bab7563d3793c73b4aa6efb4177c"),
+    (3, 8, "916685641b61116ad2b03e648514508a30f7209b272dba7e71488a9ef0850ff6"),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k, budget, digest", _ENCODED_GOLDEN,
+                         ids=[f"k{k}-budget-{b or 'default'}" for k, b, _ in _ENCODED_GOLDEN])
+def test_encoded_output_is_byte_identical(k, budget, digest):
+    tree = expand_tree(k, budget)
+    doc = serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])
+    assert _sha256(serialize.dumps(doc)) == digest
+
+
+@pytest.mark.parametrize("painter, k, digest", _TRANSCRIPT_GOLDEN,
+                         ids=[f"{p}-k{k}" for p, k, _ in _TRANSCRIPT_GOLDEN])
+def test_game_transcript_is_byte_identical(painter, k, digest):
+    policy = make_minimax_painter(k) if painter == "minimax" else first_fit
+    doc = serialize.transcript_to_doc(run_game(k, policy), painter)
+    assert _sha256(serialize.dumps(doc)) == digest
+
+
+@pytest.mark.parametrize("k, budget, digest", _TREE_GOLDEN,
+                         ids=[f"k{k}-budget{b}" for k, b, _ in _TREE_GOLDEN])
+def test_game_tree_is_pinned(k, budget, digest):
+    assert _sha256(repr(sorted(game_tree(k, budget).items()))) == digest

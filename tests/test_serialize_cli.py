@@ -14,7 +14,8 @@ import trifree
 from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
-from trifree.game import MAX_K, first_fit, run_game
+from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, run_game
+from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law
 from trifree.render import render_family
 from trifree.shapes import catalog
@@ -370,6 +371,36 @@ def test_cli_game_k_is_capped():
         r = _run_cli("game", "--k", k, timeout=10)
         assert r.returncode == 2
         assert "--k" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("encode", "--k", str(SEARCH_LIMIT + 1)),
+    ("game", "--painter", "minimax", "--k", str(SEARCH_LIMIT + 1)),
+], ids=["encode", "game-minimax"])
+def test_cli_k_above_the_search_cap_is_a_usage_error(args):
+    # both walk the game tree, which stops at SEARCH_LIMIT; they exited 3 before
+    r = _run_cli(*args, timeout=10)
+    assert r.returncode == 2
+    assert "usage:" in r.stderr and "--k" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_encode_k4_is_b4_and_verifies(tmp_path):
+    # B_4 of ROADMAP: 309 vertices, 1,059 edges, no triangle
+    path = tmp_path / "enc4.json"
+    r = _run_cli("encode", "--k", "4", "--out", str(path), timeout=120)
+    assert r.returncode == 0, r.stderr
+    # pinned on the Fraction implementation of the game, its search cap raised to 4
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "eee352465e2d2de5c5179a7461d270e3b80a066a457121a59b6721d51c4069bd"
+    fam = serialize.doc_to_family(serialize.loads(path.read_text()))
+    g = intersection_graph(fam.copies)
+    assert len(fam.copies) == 309
+    assert g.m == 1059
+    assert is_triangle_free(g)
+    r = _run_cli("verify", "--family", str(path), timeout=120)
+    assert r.returncode == 0
+    assert r.stdout.startswith("ok: encoded-frames family, k=4, 309 copies")
 
 
 def test_cli_game_k_flag_reads_the_game_cap():
