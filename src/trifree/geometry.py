@@ -18,14 +18,15 @@ Fractions are made, not computed with, where ints can do the work:
 each new side is one ratio of ints normalised once, and ``Rect`` and
 ``XYTransform`` check reversed sides and positive scales on numerators
 and cross-multiplied ints, skipping ``as_rat`` when every field is a
-Fraction already.  ``then``, ``rect_map`` and a Point's or Seg's image
-still use Fraction operators.
+Fraction already.  A Rect made with its lift, as the shapes' boxes and
+the rectangles a family file stores are, checks its sides on those ints.
+``rect_map`` and a Point's or Seg's image still use Fraction operators.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -38,6 +39,7 @@ VERTICAL = "V"
 RatLike = Union[int, str, Fraction]
 
 IntBox = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi) in units of 1/den
+AxisMap = tuple[int, int, int]  # (a, b, q): the int v in units of 1/den goes to (a*v + b)/q
 
 
 _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -129,22 +131,31 @@ def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
 @dataclass(frozen=True)
 class Rect:
     """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
-    ``int_box`` are its sides' ``lift``, made on first use and kept in the
-    plain attribute ``_lift``."""
+    ``int_box`` are its sides' ``lift``, kept in the plain attribute
+    ``_lift``: made on first use, or given as ``lifted`` by a caller that
+    has it, with Fraction sides, and then checked on its ints."""
 
     x_lo: Rat
     x_hi: Rat
     y_lo: Rat
     y_hi: Rat
+    lifted: InitVar[Optional[tuple[int, IntBox]]] = None
 
-    def __post_init__(self):
-        x_lo, x_hi, y_lo, y_hi = self.x_lo, self.x_hi, self.y_lo, self.y_hi
-        if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
-            x_lo, x_hi, y_lo, y_hi = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
-        # reversed sides, on cross-multiplied ints: a generic Fraction
-        # comparison costs more than this whole check
-        if (x_lo.numerator * x_hi.denominator > x_hi.numerator * x_lo.denominator
-                or y_lo.numerator * y_hi.denominator > y_hi.numerator * y_lo.denominator):
+    def __post_init__(self, lifted: Optional[tuple[int, IntBox]]):
+        if lifted is not None:
+            object.__setattr__(self, "_lift", lifted)
+            x_lo, x_hi, y_lo, y_hi = lifted[1]
+            reversed_sides = x_lo > x_hi or y_lo > y_hi
+        else:
+            x_lo, x_hi, y_lo, y_hi = self.x_lo, self.x_hi, self.y_lo, self.y_hi
+            if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
+                x_lo, x_hi, y_lo, y_hi = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
+            # on cross-multiplied ints: a generic Fraction comparison costs
+            # more than this whole check
+            reversed_sides = (
+                x_lo.numerator * x_hi.denominator > x_hi.numerator * x_lo.denominator
+                or y_lo.numerator * y_hi.denominator > y_hi.numerator * y_lo.denominator)
+        if reversed_sides:
             raise ValueError(f"rectangle sides reversed: {self}")
 
     @property
@@ -234,7 +245,7 @@ def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     return None
 
 
-def axis_map(scale: Rat, shift: Rat, den: int) -> tuple[int, int, int]:
+def axis_map(scale: Rat, shift: Rat, den: int) -> AxisMap:
     """(a, b, q) with scale * (v / den) + shift == (a * v + b) / q for every int v."""
     p, q = scale.numerator, scale.denominator
     r, s = shift.numerator, shift.denominator
@@ -280,12 +291,6 @@ class XYTransform:
 
     def y(self, v: Rat) -> Rat:
         return self.sy * v + self.ty
-
-    def then(self, after: "XYTransform") -> "XYTransform":
-        """The composite transform: self first, then ``after``."""
-        return XYTransform(after.sx * self.sx, after.sy * self.sy,
-                           after.sx * self.tx + after.tx,
-                           after.sy * self.ty + after.ty)
 
     @property
     def is_uniform(self) -> bool:

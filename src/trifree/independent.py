@@ -32,10 +32,11 @@ computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
 claimed roots are mapped by ``XYTransform.apply`` on their lifts; and
 ``_probe_messages`` decides every side condition of a probe on its grid
-boxes, the cut by cross-multiplication.  Fractions are still made for
-what a level stores (transforms, probe rectangles, roots and cuts), and
-``grow_probe``, ``split_probe`` and ``next_level``'s embeddings still
-compute with them.
+boxes, the cut by cross-multiplication.  Each helper copy is embedded by
+``TransformedCopy.rebase``, which composes its axis maps on ints.
+Fractions are still made for what a level stores (transforms, probe
+rectangles, roots and cuts), and ``grow_probe``, ``split_probe`` and
+``next_level``'s embeddings still compute with them.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     ints, normalised once: sx = fn*(b-a)*ud / q and
     tx = (a*fd*(u1-u0) - fn*(b-a)*u0) / q with q = fd*den*(u1-u0);
     sy = m*(d-c)*ud / r and ty = (((n-m)*d + m*c)*(u3-u2) - m*(d-c)*u2) / r
-    with r = n*den*(u3-u2).
+    with r = n*den*(u3-u2).  The copy is made from those ints as its axis
+    maps (``TransformedCopy.from_axis_maps``).
 
     The stretch factor guarantees the copy's empty rectangle E clears the
     family's bounding box on the right.  That is re-verified here on the
@@ -157,10 +159,11 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     m, n = _SPLIT.numerator, _SPLIT.denominator
     q, r = fd * den * (u1 - u0), n * den * (u3 - u2)
     sx_num, tx_num = fn * (b - a) * ud, a * fd * (u1 - u0) - fn * (b - a) * u0
-    transform = XYTransform(
-        Fraction(sx_num, q), Fraction(m * (d - c) * ud, r), Fraction(tx_num, q),
-        Fraction(((n - m) * d + m * c) * (u3 - u2) - m * (d - c) * u2, r))
-    copy = TransformedCopy(shape.name, shape.shape, transform, lineage)
+    sd = shape.shape.den  # the axis maps run over the shape's grid
+    copy = TransformedCopy.from_axis_maps(
+        shape.name, shape.shape, (sx_num, tx_num * sd, q * sd),
+        (m * (d - c) * ud, (((n - m) * d + m * c) * (u3 - u2) - m * (d - c) * u2) * sd, r * sd),
+        lineage)
     # E.x_lo = e/ed maps to (sx_num*e + tx_num*ed) / (q*ed)
     ed, e = feats.empty_rect.den, feats.empty_rect.int_box[0]
     empty_num, empty_den = sx_num * e + tx_num * ed, q * ed

@@ -10,6 +10,13 @@ that is not its catalog entry's, as ``shape_to_json`` writes it, and a
 family whose copies and probes share no grid near their finest
 denominator, because the predicates and sweeps decide everything on one
 common grid.
+
+A file repeats most of its rationals (every probe ends at the family's
+right side, sibling copies share scales), so the loader parses each
+distinct text once per file, by the strict grammar of ``as_rat``, and
+makes one Fraction for it.  Copies are lifted from those Fractions'
+ints, and each probe rectangle is made with its lift
+(``rect_from_json``), so no check lifts a stored value again.
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import lcm
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .encoding import FrameFamily, StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
-from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
+from .geometry import Rat, Rect, Seg, XYTransform, as_rat, lift, rat_str
 from .independent import Level, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
 
@@ -36,9 +43,26 @@ def rect_to_json(r: Rect) -> dict:
             "y_lo": rat_str(r.y_lo), "y_hi": rat_str(r.y_hi)}
 
 
-def rect_from_json(d: dict) -> Rect:
-    return Rect(as_rat(d["x_lo"]), as_rat(d["x_hi"]),
-                as_rat(d["y_lo"]), as_rat(d["y_hi"]))
+def rect_from_json(d: dict, rat: Callable[[Any], Rat]) -> Rect:
+    """The rectangle of ``d``, each side read by ``rat``, made with its lift."""
+    sides = [rat(d["x_lo"]), rat(d["x_hi"]), rat(d["y_lo"]), rat(d["y_hi"])]
+    den, box = lift(sides)
+    return Rect(*sides, (den, tuple(box)))
+
+
+def _rat_reader() -> Callable[[Any], Rat]:
+    """``as_rat`` with a memo of the texts it has read; any other value
+    goes to ``as_rat`` every time."""
+    memo: dict[str, Rat] = {}
+
+    def rat(value: Any) -> Rat:
+        if type(value) is not str:
+            return as_rat(value)
+        r = memo.get(value)
+        if r is None:
+            r = memo[value] = as_rat(value)
+        return r
+    return rat
 
 
 def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
@@ -78,9 +102,9 @@ def _typed(value: Any, kind: type, field: str) -> Any:
     return value
 
 
-def _probe_from_json(d: dict) -> Probe:
-    return Probe(rect_from_json(d["rect"]), rect_from_json(d["root"]),
-                 as_rat(d["root_cut_x"]),
+def _probe_from_json(d: dict, rat: Callable[[Any], Rat]) -> Probe:
+    return Probe(rect_from_json(d["rect"], rat), rect_from_json(d["root"], rat),
+                 rat(d["root_cut_x"]),
                  tuple(_typed(i, int, "pierced index") for i in d["pierced"]))
 
 
@@ -114,9 +138,10 @@ def _tree_node_to_json(node: TreeNode) -> dict:
             "children": [_tree_node_to_json(c) for c in node.children]}
 
 
-def _tree_node_from_json(d: dict) -> tuple[Interval, tuple[Rat, Rat], list]:
-    interval = Interval(as_rat(d["lo"]), as_rat(d["hi"]))
-    slot = (as_rat(d["slot_lo"]), as_rat(d["slot_hi"]))
+def _tree_node_from_json(d: dict, rat: Callable[[Any], Rat]
+                         ) -> tuple[Interval, tuple[Rat, Rat], list]:
+    interval = Interval(rat(d["lo"]), rat(d["hi"]))
+    slot = (rat(d["slot_lo"]), rat(d["slot_hi"]))
     if not slot[0] < slot[1]:
         raise ValueError(f"empty tree slot [{slot[0]}, {slot[1]}]")
     return interval, slot, d["children"]
@@ -216,10 +241,10 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     if doc["shape"] != shape_to_json(shape, anchored=anchored):
         raise ValueError(f"shape does not match catalog entry {name!r}")
     base = shape.anchor.shape if anchored else shape.shape
+    rat = _rat_reader()
     copies = tuple(
-        TransformedCopy(name, base,
-                        XYTransform(as_rat(c["sx"]), as_rat(c["sy"]),
-                                    as_rat(c["tx"]), as_rat(c["ty"])),
+        TransformedCopy(name, base, XYTransform(rat(c["sx"]), rat(c["sy"]), rat(c["tx"]),
+                                                rat(c["ty"])),
                         _typed(c["lineage"], str, "lineage"))
         for c in doc["copies"])
     if not copies:
@@ -230,10 +255,10 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     probes: tuple[Probe, ...] = ()
     tree_nodes = color_budget = None
     if mode == "encoded-frames":
-        tree_nodes = _preorder(doc["tree"]["root"], _tree_node_from_json)
+        tree_nodes = _preorder(doc["tree"]["root"], lambda d: _tree_node_from_json(d, rat))
         color_budget = _typed(doc["tree"]["color_budget"], int, "color_budget")
     else:
-        probes = tuple(_probe_from_json(p) for p in doc["probes"])
+        probes = tuple(_probe_from_json(p, rat) for p in doc["probes"])
         for p in probes:
             if not all(0 <= i < base_size for i in p.pierced):
                 raise ValueError(f"pierced index outside 0..{base_size - 1}")
@@ -246,7 +271,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         base_size=base_size,
         copies=copies,
         probes=probes,
-        epsilon=as_rat(doc["epsilon"]) if mode == "uniform" else None,
+        epsilon=rat(doc["epsilon"]) if mode == "uniform" else None,
         tree_nodes=tree_nodes,
         color_budget=color_budget,
     )

@@ -19,7 +19,12 @@ multiples of 1/den, den the least common denominator of its coordinates:
 its segments are stored as integer tuples ``(orientation, fixed, lo,
 hi)`` and its bounding box as ``int_box``, ``(x_lo, x_hi, y_lo, y_hi)``,
 both in units of 1/den; a ``Rect`` carries its own ``den`` and
-``int_box``.  Every contact, clip and stabbing decision compares Python
+``int_box``.  A copy is lifted from ints alone, its two integer axis maps
+over its base shape's grid (``geometry.axis_map``): each distinct x and
+y int of the base is mapped once, so the copy's segments hold its box's
+ints.  The maps come from the transform, from ``rebase``, which composes
+them with the next transform's on ints, or from ``make_diagonal``'s
+closed form.  Every contact, clip and stabbing decision compares Python
 ints, in one set of kernels that take boxes and segments already on one
 grid: ``_clip``, the component walk ``_crosses``, and ``_boxes_meet``
 with the segment-pair test ``_curves_meet`` for contacts, which skips
@@ -43,7 +48,7 @@ rational eps in (0,1), an eps-empty square and matching stabbers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -51,6 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 from .geometry import (
     HORIZONTAL,
+    AxisMap,
     VERTICAL,
     IntBox,
     Rat,
@@ -161,12 +167,16 @@ def _curves_meet(segs_a: Sequence[IntSeg], segs_b: Sequence[IntSeg], box_b: IntB
 @dataclass(frozen=True)
 class RectilinearShape:
     """A nonempty, connected union of closed axis-aligned segments, with
-    its segments and bounding box also kept on the grid of 1/den."""
+    its segments and bounding box also kept on the grid of 1/den: ``axes``
+    are its distinct x and y ints, ascending, and ``slots`` its segments
+    as positions in them."""
 
     segments: tuple[Seg, ...]
     den: int = field(init=False, compare=False, repr=False)
     int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
     int_box: IntBox = field(init=False, compare=False, repr=False)
+    axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    slots: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -174,9 +184,14 @@ class RectilinearShape:
             raise ValueError("a shape needs at least one segment")
         den, ints = lift([v for s in self.segments for v in (s.fixed, s.lo, s.hi)])
         segs = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(self.segments))
+        xs = sorted({v for o, f, lo, hi in segs for v in ((lo, hi) if o == HORIZONTAL else (f,))})
+        ys = sorted({v for o, f, lo, hi in segs for v in ((f,) if o == HORIZONTAL else (lo, hi))})
+        x, y = ({v: i for i, v in enumerate(vs)} for vs in (xs, ys))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_segs", segs)
-        object.__setattr__(self, "int_box", _segs_box(segs))
+        object.__setattr__(self, "int_box", (xs[0], xs[-1], ys[0], ys[-1]))
+        object.__setattr__(self, "axes", (tuple(xs), tuple(ys)))
+        object.__setattr__(self, "slots", tuple(_on_axes(s, x, y) for s in segs))
 
     def bbox(self) -> Rect:
         return _rect_of(self.den, self.int_box)
@@ -185,14 +200,17 @@ class RectilinearShape:
         return len(_components(self.int_segs)) == 1
 
 
-def _segs_box(segs: Sequence[IntSeg]) -> IntBox:
-    xs = [v for o, f, lo, hi in segs for v in ((lo, hi) if o == HORIZONTAL else (f,))]
-    ys = [v for o, f, lo, hi in segs for v in ((f,) if o == HORIZONTAL else (lo, hi))]
-    return min(xs), max(xs), min(ys), max(ys)
+def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> IntSeg:
+    """``s`` with each x int v read as x[v] and each y int as y[v]."""
+    o, f, lo, hi = s
+    return (o, y[f], x[lo], x[hi]) if o == HORIZONTAL else (o, x[f], y[lo], y[hi])
 
 
 def _rect_of(den: int, box: IntBox) -> Rect:
-    return Rect(*(Fraction(v, den) for v in box))
+    g = gcd(den, *box)  # den over what it shares with every side is the least one
+    if g > 1:
+        den, box = den // g, tuple(v // g for v in box)
+    return Rect(*(Fraction(v, den) for v in box), (den, box))
 
 
 @dataclass(frozen=True)
@@ -288,8 +306,10 @@ class TransformedCopy:
 
     The copy's segments and bounding box are kept on its own grid: ``den``
     is the least common denominator of its coordinates, ``int_segs`` and
-    ``int_box`` are in units of 1/den.  The box is the base shape's box
-    pushed through the transform, whose scale factors are positive.
+    ``int_box`` are in units of 1/den.  They are lifted from the copy's
+    two ``axis_map``s over the base grid, ``maps`` when the caller has
+    them, else the transform's: each of the base's ``axes`` is mapped
+    once, so the segments hold the box's ints.
     """
 
     shape_id: str
@@ -299,26 +319,24 @@ class TransformedCopy:
     den: int = field(init=False, compare=False, repr=False)
     int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
     int_box: IntBox = field(init=False, compare=False, repr=False)
+    maps: InitVar[Optional[tuple[AxisMap, AxisMap]]] = None  # (x, y) over base.den
 
-    def __post_init__(self):
+    def __post_init__(self, maps: Optional[tuple[AxisMap, AxisMap]]):
         t, base = self.transform, self.base
-        ax, bx, qx = axis_map(t.sx, t.tx, base.den)
-        ay, by, qy = axis_map(t.sy, t.ty, base.den)
+        if maps is None:
+            maps = axis_map(t.sx, t.tx, base.den), axis_map(t.sy, t.ty, base.den)
+        (ax, bx, qx), (ay, by, qy) = maps
         g = gcd(qx, qy)  # both axes over one denominator, lcm(qx, qy)
         ux, uy = qy // g, qx // g
         ax, bx, ay, by = ax * ux, bx * ux, ay * uy, by * uy
-        segs = [(o, ay * f + by, ax * lo + bx, ax * hi + bx) if o == HORIZONTAL
-                else (o, ax * f + bx, ay * lo + by, ay * hi + by)
-                for o, f, lo, hi in base.int_segs]
-        x0, x1, y0, y1 = base.int_box
-        box = (ax * x0 + bx, ax * x1 + bx, ay * y0 + by, ay * y1 + by)
+        xs, ys = [ax * v + bx for v in base.axes[0]], [ay * v + by for v in base.axes[1]]
         den = qx * ux
-        # what den shares with every coordinate leaves the least common denominator
-        g = gcd(den, *(v for s in segs for v in s[1:]))
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "int_segs",
-                           tuple((o, f // g, lo // g, hi // g) for o, f, lo, hi in segs))
-        object.__setattr__(self, "int_box", tuple(v // g for v in box))
+        g = gcd(den, *xs, *ys)  # den over what it shares with every int is the least one
+        if g > 1:
+            den, xs, ys = den // g, [v // g for v in xs], [v // g for v in ys]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_segs", tuple(_on_axes(s, xs, ys) for s in base.slots))
+        object.__setattr__(self, "int_box", (xs[0], xs[-1], ys[0], ys[-1]))
 
     @property
     def segments(self) -> tuple[Seg, ...]:
@@ -329,11 +347,29 @@ class TransformedCopy:
     def bbox(self) -> Rect:
         return _rect_of(self.den, self.int_box)
 
+    @classmethod
+    def from_axis_maps(cls, shape_id: str, base: RectilinearShape, x_map: AxisMap,
+                       y_map: AxisMap, lineage: str) -> "TransformedCopy":
+        """The copy of ``base`` with these axis maps: its transform's fields
+        are made from them, one Fraction each, and it is lifted from them."""
+        (ax, bx, qx), (ay, by, qy), d = x_map, y_map, base.den
+        return cls(shape_id, base, XYTransform(Fraction(ax * d, qx), Fraction(ay * d, qy),
+                                               Fraction(bx, qx), Fraction(by, qy)),
+                   lineage, (x_map, y_map))
+
     def rebase(self, after: XYTransform, lineage: Optional[str] = None) -> "TransformedCopy":
-        """The same copy pushed through one more transform."""
-        return TransformedCopy(self.shape_id, self.base,
-                               self.transform.then(after),
-                               lineage if lineage is not None else self.lineage)
+        """The same copy pushed through one more transform, on its axis maps."""
+        t, den = self.transform, self.base.den
+        return TransformedCopy.from_axis_maps(
+            self.shape_id, self.base, _then(axis_map(t.sx, t.tx, den), after.sx, after.tx),
+            _then(axis_map(t.sy, t.ty, den), after.sy, after.ty),
+            lineage if lineage is not None else self.lineage)
+
+
+def _then(m: AxisMap, scale: Rat, shift: Rat) -> AxisMap:
+    """(a*v + b)/q followed by u -> scale*u + shift = (A*u + B)/Q."""
+    (a, b, q), (A, B, Q) = m, axis_map(scale, shift, 1)
+    return A * a, A * b + B * q, Q * q
 
 
 def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:

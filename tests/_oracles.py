@@ -4,11 +4,12 @@ These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
 inputs), the references of the integer predicates test every segment on
 exact rationals, the probe-condition and diagonal-law references test
-every copy through those, on no shared grid, the diagonal and
-rectangle-map references are the chains of Fraction operators that the
-closed-form, lifted paths replaced, the coloring oracle is a static-order backtracking over
-all colorings up to color renaming, with no saturation ordering, no
-clique bounds, and no branch-and-bound pruning, and the box and graph
+every copy through those, on no shared grid, the diagonal,
+rectangle-map and composition references are the chains of Fraction
+operators that the closed-form, lifted paths replaced, the coloring
+oracle is a static-order backtracking over all colorings up to color
+renaming, with no saturation ordering, no clique bounds, and no
+branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
 every triple, the solver's references are the bodies that scanned
 every vertex at each selection step, the interval predicates' references
@@ -138,6 +139,14 @@ def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
     return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
 
 
+def then(first: XYTransform, after: XYTransform) -> XYTransform:
+    """The composite transform, ``first`` then ``after``, by Fraction
+    operators: the reference for ``TransformedCopy.rebase``, which composes
+    on integer axis maps."""
+    return XYTransform(after.sx * first.sx, after.sy * first.sy,
+                       after.sx * first.tx + after.tx, after.sy * first.ty + after.ty)
+
+
 def apply_ref(t: XYTransform, r: Rect) -> Rect:
     """``XYTransform.apply`` on a Rect as Fraction operators: each side
     through ``t.x`` or ``t.y``, with no lift."""
@@ -155,7 +164,7 @@ def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
     onto_upper = XYTransform.rect_map(feats.bbox, upper)
     factor = 2 * feats.w2 / feats.w1
     stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
-    copy = TransformedCopy(shape.name, shape.shape, onto_upper.then(stretch), lineage)
+    copy = TransformedCopy(shape.name, shape.shape, then(onto_upper, stretch), lineage)
     empty = apply_ref(copy.transform, feats.empty_rect)
     if not empty.x_lo > bbox.x_hi:
         raise ConstructionError(

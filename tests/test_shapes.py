@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from trifree.geometry import Rect, Seg, XYTransform, h_seg, rect_union_all, seg_intersect, v_seg
-from trifree.independent import build
+from trifree.independent import augment, build
 from trifree.shapes import (
     AnchoredFrame,
     RectilinearShape,
@@ -33,6 +33,7 @@ from _oracles import (
     segment_covered,
     stabs_horizontally,
     stabs_vertically,
+    then,
 )
 
 
@@ -242,6 +243,40 @@ def test_copies_intersect_symmetric_and_transform_invariant():
         base = copies_intersect(a, b)
         assert base == copies_intersect(b, a)
         assert base == copies_intersect(a.rebase(t), b.rebase(t))
+
+
+def _lifted(c):
+    return c.transform, c.den, c.int_box, c.int_segs
+
+
+def test_rebase_is_then_followed_by_a_fresh_copy():
+    """``rebase`` composes the axis maps on ints; the reference composes the
+    transforms with Fraction operators and lifts a new copy from them.
+    Placed copies of every catalog shape and of the anchored frame are
+    pushed through embeds whose denominators share nothing with theirs
+    (primes from 7 on), through embeds on their own grid, and through
+    random transforms, repeatedly."""
+    rng = random.Random(20261019)
+    cat = catalog()
+    families = [(name, augment(build(2, d), d)) for name, d in cat.items()]
+    uniform = build_uniform(2, Fraction(5, 8), cat["frame"])
+    families.append(("anchored", augment_uniform(uniform, cat["frame"])))
+    primes = (7, 11, 13, 101, 2 ** 61 - 1)
+
+    def rat(lo, den):
+        return Fraction(rng.randint(lo, 60), den)
+
+    for name, family in families:
+        for c in family:
+            for _ in range(3):
+                den = rng.choice([*primes, c.den, 2 * c.den, 1])
+                after = XYTransform(rat(1, den), rat(1, rng.choice(primes)),
+                                    rat(-60, den), rat(-60, rng.choice(primes) * c.den))
+                got = c.rebase(after, f"{name}/r")
+                want = TransformedCopy(c.shape_id, c.base, then(c.transform, after), f"{name}/r")
+                assert _lifted(got) == _lifted(want) and got == want
+                assert c.rebase(after).lineage == c.lineage
+                c = got
 
 
 def _rect_args(r):
