@@ -220,6 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("uniform mode requires --epsilon")
         if args.mode == "independent" and args.epsilon is not None:
             parser.error("--epsilon only applies to uniform mode")
+        anchored = sorted(name for name, d in catalog().items() if d.anchor is not None)
+        if args.mode == "uniform" and args.shape not in anchored:
+            parser.error(f"uniform mode needs a shape with an anchor: {', '.join(anchored)}")
     if args.command == "game" and args.painter == "minimax" and args.k > SEARCH_LIMIT:
         parser.error(f"--k must be at most {SEARCH_LIMIT} with --painter minimax")
     if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):

@@ -105,10 +105,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
-    def contains(self, other: "Interval") -> bool:
-        alo, ahi, blo, bhi = _ends(self, other)
-        return alo <= blo and bhi <= ahi
-
 
 def _ends(a: Interval, b: Interval) -> tuple[int, int, int, int]:
     """The ends of ``a`` and then of ``b``, as ints on one grid."""
@@ -326,7 +322,7 @@ def make_repl_painter(input_fn=input, output_fn=print) -> Painter:
                 output_fn(f"  overlaps #{i} [{other.lo}, {other.hi}] color {c}")
         else:
             output_fn("  no overlap neighbors")
-        forbidden = transcript.neighbor_colors(iv)
+        forbidden = {transcript.moves[i][1] for i in nbrs}
         while True:
             raw = input_fn("color> ")
             try:

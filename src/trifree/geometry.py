@@ -29,7 +29,7 @@ import re
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rat = Fraction
 
@@ -196,29 +196,12 @@ class Rect:
         return (self.x_lo < other.x_lo and other.x_hi < self.x_hi
                 and self.y_lo < other.y_lo and other.y_hi < self.y_hi)
 
-    def intersects(self, other: "Rect") -> bool:
-        return not (self.x_hi < other.x_lo or other.x_hi < self.x_lo
-                    or self.y_hi < other.y_lo or other.y_hi < self.y_lo)
-
-    def union(self, other: "Rect") -> "Rect":
-        return Rect(min(self.x_lo, other.x_lo), max(self.x_hi, other.x_hi),
-                    min(self.y_lo, other.y_lo), max(self.y_hi, other.y_hi))
-
     def concentric(self, fx: RatLike, fy: RatLike) -> "Rect":
         """The rectangle with the same center and side fractions fx, fy."""
         fx, fy = as_rat(fx), as_rat(fy)
         dx = self.width * (1 - fx) / 2
         dy = self.height * (1 - fy) / 2
         return Rect(self.x_lo + dx, self.x_hi - dx, self.y_lo + dy, self.y_hi - dy)
-
-
-def rect_union_all(rects: Iterable[Rect]) -> Rect:
-    out: Optional[Rect] = None
-    for r in rects:
-        out = r if out is None else out.union(r)
-    if out is None:
-        raise ValueError("empty rectangle union")
-    return out
 
 
 def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:

@@ -9,7 +9,7 @@ into any geometric check.
 from __future__ import annotations
 
 from fractions import Fraction
-from .geometry import HORIZONTAL, Rect, Seg, XYTransform, rect_union_all
+from .geometry import HORIZONTAL, Rect, Seg, XYTransform
 from .serialize import LoadedFamily
 from .shapes import family_bbox
 
@@ -60,9 +60,7 @@ def _rect(r: Rect, t: XYTransform, fill: str, opacity: str) -> str:
 
 def render_family(fam: LoadedFamily) -> str:
     """A standalone SVG document; byte-identical across runs on equal input."""
-    scene = family_bbox(fam.copies)
-    if fam.probes:
-        scene = scene.union(rect_union_all(p.rect for p in fam.probes))
+    scene = family_bbox([*fam.copies, *(p.rect for p in fam.probes)])
     t = _scene_transform(scene)
 
     parts = [

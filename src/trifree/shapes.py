@@ -34,8 +34,9 @@ the segments of one copy that miss the other's box.
 copies (or shapes) and the rectangles checked against them on the grid
 of their least common denominator, with each box and segment list scaled
 onto it once, and runs the kernels there.  A family check lifts its
-family once; ``copies_intersect``, ``copy_meets_rect`` and the feature
-checks each make a grid of one or two objects.  ``meeting_pairs`` and a
+family once; the feature checks, and ``copies_intersect`` and
+``copy_meets_rect``, which only the benchmark and the tests call, each
+make a grid of one or two objects.  ``meeting_pairs`` and a
 grid's ``near`` and ``contacts`` find the closed boxes that meet with
 one sweep in y, so callers run the exact tests on those pairs alone.
 
@@ -438,7 +439,8 @@ def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, in
     return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
 
 
-def family_bbox(copies: Sequence[TransformedCopy]) -> Rect:
+def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
+    """The smallest box holding every copy (and rectangle) given."""
     den, (grid,) = _on_one_grid(copies)
     return _rect_of(den, (min(b[0] for b in grid), max(b[1] for b in grid),
                           min(b[2] for b in grid), max(b[3] for b in grid)))

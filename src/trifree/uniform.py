@@ -10,9 +10,8 @@ Every level, the first included, is sealed by ``independent.seal``: with
 ``epsilon`` set, ``grow_probe`` carves each probe as an eps-probe and
 ``level_law`` checks that every copy is a homothet and every probe an
 eps-probe, as ``verify`` does on the stored family.
-``independent.diagonal_law`` checks the closing diagonals.  The helper
-law is checked on each helper as it is built, from the ``HelperAudit``
-that ``_make_helper`` returns.
+``independent.diagonal_law`` checks the closing diagonals, and
+``_make_helper`` checks each helper's diagonals on the grid it builds.
 
 One recursion step, for the target parameter eps:
 
@@ -36,8 +35,6 @@ All quantitative claims along the way are asserted, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
 from .shapes import (
@@ -45,23 +42,9 @@ from .shapes import (
     FamilyGrid,
     ShapeDef,
     TransformedCopy,
-    copy_meets_rect,
     family_bbox,
 )
 from .independent import Level, diagonal_law, embed_helpers, seal
-
-
-@dataclass(frozen=True)
-class HelperAudit:
-    """Template-frame data needed to re-verify the diagonal claims."""
-
-    delta: Rat          # the inner template's probe parameter (eps/8)
-    m: Rat
-    eps1: Rat
-    template_bbox: Rect
-    roots: tuple[Rect, ...]
-    diagonals: tuple[TransformedCopy, ...]
-    empty_squares: tuple[Rect, ...]
 
 
 def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
@@ -91,12 +74,18 @@ def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
 
 
 def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
-        list[TransformedCopy], list[Rect], list[Rect], HelperAudit]:
-    """Diagonals plus upper/lower roots for the inner template."""
+        list[TransformedCopy], list[Rect], list[Rect]]:
+    """Diagonals plus upper/lower roots for the inner template.
+
+    Each diagonal's claims are checked on the helper's grid, one message
+    per failed claim per diagonal: it sticks out of the template box by
+    exactly m, its eps1-empty square clears that box, it meets its root,
+    and its shift obeys delta*s + m <= (eps/2)*(s/2).
+    """
     anchor = _require_anchor(shape)
     delta = inner.epsilon
-    root_widths = [p.root.width for p in inner.probes]
-    s_min, s_max = min(root_widths), max(root_widths)
+    roots = [p.root for p in inner.probes]
+    s_min, s_max = min(r.width for r in roots), max(r.width for r in roots)
     m = delta * s_min
     eps1 = 2 * m / s_max
     if not (0 < eps1 < 1):
@@ -108,29 +97,38 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     diagonals: list[TransformedCopy] = []
     uppers: list[Rect] = []
     lowers: list[Rect] = []
-    for i, p in enumerate(inner.probes):
-        shift = delta * p.root.width + m
-        quad = _top_right_quadrant(p.root)
+    for i, root in enumerate(roots):
+        shift = delta * root.width + m
+        quad = _top_right_quadrant(root)
         square = Rect(quad.x_lo + shift, quad.x_hi + shift, quad.y_lo, quad.y_hi)
         diag = _square_homothet(shape, anchor, square, f"diagonal(P{i})")
         diagonals.append(diag)
         uppers.append(diag.transform.apply(anchor.empty_square(eps1)))
-        lowers.append(_lower_right_quadrant(p.root))
+        lowers.append(_lower_right_quadrant(root))
 
     helper = list(inner.family) + diagonals
-    grid = FamilyGrid(helper, uppers + lowers)
-    for name, roots, boxes in (("upper", uppers, grid.rect_boxes[:len(uppers)]),
-                               ("lower", lowers, grid.rect_boxes[len(uppers):])):
-        for i, (r, box, ids) in enumerate(zip(roots, boxes, grid.near(boxes))):
+    n, n_base = len(roots), len(inner.family)
+    grid = FamilyGrid(helper, uppers + lowers + roots)
+    faults: list[str] = []
+    for i, (root, box, diag, e1) in enumerate(
+            zip(roots, grid.rect_boxes[2 * n:], diagonals, uppers)):
+        if diag.bbox.x_hi - bbox0.x_hi != m:
+            faults.append(f"diagonal {i} does not stick out of the template box by exactly m")
+        if not e1.x_lo > bbox0.x_hi:
+            faults.append(f"eps1-empty square of diagonal {i} does not clear the template box")
+        if not grid.clip(n_base + i, box):
+            faults.append(f"diagonal {i} does not meet its root")
+        if not delta * root.width + m <= (eps / 2) * (root.width / 2):
+            faults.append(f"diagonal {i} breaks the shift bound")
+    fail_on(faults)
+    for name, rects, boxes in (("upper", uppers, grid.rect_boxes[:n]),
+                               ("lower", lowers, grid.rect_boxes[n:2 * n])):
+        for i, (r, box, ids) in enumerate(zip(rects, boxes, grid.near(boxes))):
             if r.width != r.height:
                 raise ConstructionError(f"{name} root {i} is not a square")
             if any(grid.clip(j, box) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
-    audit = HelperAudit(delta, m, eps1, bbox0,
-                        tuple(p.root for p in inner.probes),
-                        tuple(diagonals), tuple(uppers))
-    fail_on(helper_law(audit))
-    return helper, uppers, lowers, audit
+    return helper, uppers, lowers
 
 
 def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
@@ -146,7 +144,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
         return seal(1, [copy], [(anchor.empty_square(epsilon), frozenset({0}))], epsilon)
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
-    helper, uppers, lowers, _ = _make_helper(inner, epsilon, shape)
+    helper, uppers, lowers = _make_helper(inner, epsilon, shape)
     helper_bbox = family_bbox(helper)
     side = max(helper_bbox.width, helper_bbox.height)
     min_root = min(r.width for r in uppers + lowers)
@@ -160,28 +158,6 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
             p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
             - factor * helper_bbox.y_lo))
     return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
-
-
-def helper_law(audit: HelperAudit) -> list[str]:
-    """The diagonal claims of one helper, re-checked from its audit data:
-    one message per failed claim per diagonal, empty when all hold.
-
-    Each diagonal sticks out of the template box by exactly m, its
-    eps1-empty square clears that box, it meets its root, and its shift
-    obeys delta*s + m <= (eps/2)*(s/2) with eps = 8*delta.
-    """
-    a = audit
-    out: list[str] = []
-    for i, (root, diag, e1) in enumerate(zip(a.roots, a.diagonals, a.empty_squares)):
-        if diag.bbox.x_hi - a.template_bbox.x_hi != a.m:
-            out.append(f"diagonal {i} does not stick out of the template box by exactly m")
-        if not e1.x_lo > a.template_bbox.x_hi:
-            out.append(f"eps1-empty square of diagonal {i} does not clear the template box")
-        if not copy_meets_rect(diag, root):
-            out.append(f"diagonal {i} does not meet its root")
-        if not a.delta * root.width + a.m <= (8 * a.delta / 2) * (root.width / 2):
-            out.append(f"diagonal {i} breaks the shift bound")
-    return out
 
 
 def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:

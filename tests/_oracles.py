@@ -15,10 +15,12 @@ every triple, the solver's references are the bodies that scanned
 every vertex at each selection step, the interval predicates' references
 compare the Fraction ends, and the game-tree reference replays every
 history from the root through a fresh ``PresenterSession``.  The
-helpers below them (whether a copy stabs a rectangle, on the two's
-``FamilyGrid``, a transcript's chain at a point, clique number,
-first-fit coloring, DIMACS parsing, probe color audits and the encoded
-family's certificate) have no caller in the package.
+helpers below them (whether two rectangles meet and the box of many,
+whether an interval holds another, on their ints, whether a copy stabs
+a rectangle, on the two's ``FamilyGrid``, a transcript's chain at a
+point, clique number, first-fit coloring, DIMACS parsing, probe color
+audits and the encoded family's certificate) have no caller in the
+package.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript, Interval, Position, PresenterSession
@@ -86,6 +88,20 @@ def rect_relation_grid(a: Rect, b: Rect) -> str:
     return "overlap"
 
 
+def rects_meet(a: Rect, b: Rect) -> bool:
+    """True iff the two closed rectangles share a point."""
+    return not (a.x_hi < b.x_lo or b.x_hi < a.x_lo or a.y_hi < b.y_lo or b.y_hi < a.y_lo)
+
+
+def rect_union_all(rects: Iterable[Rect]) -> Rect:
+    """The smallest rectangle holding every one given, by Fraction min/max."""
+    rects = list(rects)
+    if not rects:
+        raise ValueError("empty rectangle union")
+    return Rect(min(r.x_lo for r in rects), max(r.x_hi for r in rects),
+                min(r.y_lo for r in rects), max(r.y_hi for r in rects))
+
+
 class RectRelation(Enum):
     DISJOINT = "disjoint"
     OVERLAP = "overlap"
@@ -95,7 +111,7 @@ class RectRelation(Enum):
 
 def rect_relations(a: Rect, b: Rect) -> RectRelation:
     """Classify two closed rectangles.  Equal rectangles report a_contains_b."""
-    if not a.intersects(b):
+    if not rects_meet(a, b):
         return RectRelation.DISJOINT
     if a.contains_rect(b):
         return RectRelation.A_CONTAINS_B
@@ -176,14 +192,14 @@ def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
 def copies_intersect_ref(a: TransformedCopy, b: TransformedCopy) -> bool:
     """``shapes.copies_intersect`` on exact rationals: every pair of the
     copies' segments through ``seg_intersect``."""
-    if not a.bbox.intersects(b.bbox):
+    if not rects_meet(a.bbox, b.bbox):
         return False
     return any(seg_intersect(s, t) is not None for s in a.segments for t in b.segments)
 
 
 def copy_meets_rect_ref(c: TransformedCopy, r: Rect) -> bool:
     """``shapes.copy_meets_rect`` on exact rationals, through ``clip_seg_to_rect``."""
-    if not c.bbox.intersects(r):
+    if not rects_meet(c.bbox, r):
         return False
     return any(clip_seg_to_rect(s, r) is not None for s in c.segments)
 
@@ -295,9 +311,9 @@ def meeting_pairs_bruteforce(boxes: Sequence[Rect],
     ``boxes``, or (i, j) with boxes[i] meeting others[j]."""
     if others is None:
         return [(i, j) for i, j in combinations(range(len(boxes)), 2)
-                if boxes[i].intersects(boxes[j])]
+                if rects_meet(boxes[i], boxes[j])]
     return [(i, j) for i, a in enumerate(boxes) for j, b in enumerate(others)
-            if a.intersects(b)]
+            if rects_meet(a, b)]
 
 
 def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:
@@ -552,8 +568,13 @@ def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> Chromatic
     return ChromaticResult(lb, best_num, False, witness, clique)
 
 
+def contains(a: Interval, b: Interval) -> bool:
+    """True iff ``a`` holds ``b``, decided on the two intervals' ints."""
+    return a.ilo * b.den <= b.ilo * a.den and b.ihi * a.den <= a.ihi * b.den
+
+
 def contains_ref(a: Interval, b: Interval) -> bool:
-    """``Interval.contains`` on the Fraction ends."""
+    """``contains`` on the Fraction ends."""
     return a.lo <= b.lo and b.hi <= a.hi
 
 

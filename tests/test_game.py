@@ -26,7 +26,7 @@ from trifree.game import (
 )
 from trifree.shapes import catalog
 
-from _oracles import chain_at, contains_ref, game_tree_ref, overlaps_ref, replay
+from _oracles import chain_at, contains, contains_ref, game_tree_ref, overlaps_ref, replay
 
 
 def test_overlap_predicate():
@@ -67,7 +67,7 @@ def test_interval_predicates_match_the_fraction_oracle():
     for a in ivs:
         for b in ivs:
             assert overlaps(a, b) == overlaps_ref(a, b), (a, b)
-            assert a.contains(b) == contains_ref(a, b), (a, b)
+            assert contains(a, b) == contains_ref(a, b), (a, b)
             assert (a == b) == ((a.lo, a.hi) == (b.lo, b.hi)), (a, b)
             assert a != b or hash(a) == hash(b)
             seen["overlap"] += overlaps_ref(a, b)
@@ -327,6 +327,23 @@ def test_repl_painter_reprompts_then_plays():
     assert res.colors_used == 2
     assert any("not a number" in line for line in lines)
     assert any("overlaps" in line for line in lines)
+
+
+def test_repl_painter_scans_the_transcript_once_per_prompt(monkeypatch):
+    scans = []
+    neighbors = GameTranscript.neighbors
+
+    def counted(transcript, iv):
+        scans.append(iv)
+        return neighbors(transcript, iv)
+
+    painter = make_repl_painter(input_fn=lambda _: "3", output_fn=lambda _: None)
+    transcript = run_game(2, first_fit).transcript
+    iv = transcript.moves[-1][0]
+    transcript.moves.pop()
+    monkeypatch.setattr(GameTranscript, "neighbors", counted)
+    assert painter(transcript, iv) == 3
+    assert scans == [iv]
 
 
 def test_repl_replay_equals_batch_replay():

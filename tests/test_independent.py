@@ -44,6 +44,7 @@ from _oracles import (
     probe_conditions_ref,
     proper_colorings,
     rect_relations,
+    rects_meet,
     stabs_horizontally,
     stabs_vertically,
     step_contact_law_violations,
@@ -70,7 +71,7 @@ def test_split_probe_two_fifths_rule():
     upper, lower = split_probe(probe)
     assert upper == Rect(0, 10, 3, 5)
     assert lower == Rect(0, 10, 0, 2)
-    assert not upper.intersects(lower)
+    assert not rects_meet(upper, lower)
     assert probe.rect.contains_rect(upper) and probe.rect.contains_rect(lower)
 
 

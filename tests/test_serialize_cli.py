@@ -23,6 +23,8 @@ from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
+from _oracles import rects_meet
+
 
 # The CLI child imports trifree from wherever this process found it, so the
 # suite also runs from a checkout where pytest's pythonpath setting is all
@@ -271,7 +273,7 @@ def test_verify_reports_root_moved_off_its_probe(frame):
     rect = level.probes[0].rect
     # a copy far from probe 0's rectangle: only a check that also scans
     # around the root can see the root meet it
-    i, far = next((i, c) for i, c in enumerate(level.family) if not c.bbox.intersects(rect))
+    i, far = next((i, c) for i, c in enumerate(level.family) if not rects_meet(c.bbox, rect))
     doc["probes"][0]["root"] = serialize.rect_to_json(far.bbox)
     violations = verify_family(serialize.doc_to_family(doc))
     assert "probe 0: root is not the left part of the probe at the cut line" in violations
@@ -386,6 +388,20 @@ def test_cli_uniform_build_requires_epsilon(tmp_path):
                  "--out", str(fam))
     assert r.returncode == 0
     assert json.loads(fam.read_text())["epsilon"] == "1/2"
+
+
+@pytest.mark.parametrize("shape", ["lshape", "cross"])
+def test_cli_uniform_build_refuses_a_shape_without_anchor(shape, tmp_path, capsys):
+    # uniform mode can never build these; it exited 3 from inside the build before
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["build", "--mode", "uniform", "--shape", shape, "--k", "1",
+                  "--epsilon", "1/2"])
+    assert exit_info.value.code == 2
+    assert "uniform mode needs a shape with an anchor: frame" in capsys.readouterr().err
+    fam = tmp_path / "frame.json"
+    assert cli.main(["build", "--mode", "uniform", "--shape", "frame", "--k", "1",
+                     "--epsilon", "1/2", "--out", str(fam)]) == 0
+    assert json.loads(fam.read_text())["shape"]["name"] == "frame"
 
 
 def test_cli_verify_flags_mutation(tmp_path, family_file):

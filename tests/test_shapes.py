@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from trifree.geometry import Rect, Seg, XYTransform, h_seg, rect_union_all, seg_intersect, v_seg
+from trifree.geometry import Rect, Seg, XYTransform, h_seg, seg_intersect, v_seg
 from trifree.independent import augment, build
 from trifree.shapes import (
     AnchoredFrame,
@@ -30,6 +30,7 @@ from _oracles import (
     copy_meets_rect_ref,
     curve_stabs_ref,
     meeting_pairs_bruteforce,
+    rect_union_all,
     segment_covered,
     stabs_horizontally,
     stabs_vertically,

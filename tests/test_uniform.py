@@ -1,14 +1,15 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from trifree.geometry import Rect, XYTransform
+from trifree import uniform
+from trifree.errors import ConstructionError
+from trifree.geometry import Rect
 from trifree.graphs import chromatic_number, intersection_graph, is_triangle_free
 from trifree.independent import grow_probe, size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
-from trifree.uniform import _make_helper, augment_uniform, build_uniform, helper_law
+from trifree.uniform import _make_helper, augment_uniform, build_uniform
 
 from _oracles import RectRelation, probe_coloring_audit, proper_colorings, rect_relations
 
@@ -16,11 +17,18 @@ HALF = Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
-def helper_audits(frame):
-    """The audit of the helper that level k = 2, 3 at eps 1/2 embeds, built
-    as ``build_uniform`` builds it: from the inner template at eps/8."""
-    return {k: _make_helper(build_uniform(k - 1, HALF / 8, frame), HALF, frame)[3]
-            for k in (2, 3)}
+def templates(frame):
+    """The inner template of the helper that level k = 2, 3 at eps 1/2
+    embeds, built as ``build_uniform`` builds it: at eps/8."""
+    return {k: build_uniform(k - 1, HALF / 8, frame) for k in (2, 3)}
+
+
+def _helper_params(template):
+    """delta, m and eps1 of the helper on ``template``, from its root widths."""
+    widths = [p.root.width for p in template.probes]
+    delta = HALF / 8
+    m = delta * min(widths)
+    return delta, m, 2 * m / max(widths)
 
 
 def test_carve_probe_frozen_examples():
@@ -80,35 +88,60 @@ def test_probes_pairwise_disjoint(uniform_levels):
             assert rect_relations(a.rect, b.rect) is RectRelation.DISJOINT
 
 
-def test_eps1_stays_below_half_eps(helper_audits):
-    for audit in helper_audits.values():
-        assert audit.eps1 <= HALF / 2
-        assert 0 < audit.eps1 < 1
+def test_eps1_stays_below_half_eps(templates):
+    for template in templates.values():
+        _, _, eps1 = _helper_params(template)
+        assert eps1 <= HALF / 2
+        assert 0 < eps1 < 1
 
 
-def test_helper_law_holds_on_built_levels(helper_audits):
-    for audit in helper_audits.values():
-        assert helper_law(audit) == []
+def test_helper_claims_hold_on_built_levels(templates, frame):
+    for template in templates.values():
+        helper, uppers, lowers = _make_helper(template, HALF, frame)
+        n = len(template.probes)
+        assert len(helper) == len(template.family) + n
+        assert len(uppers) == len(lowers) == n
 
 
-def test_helper_law_reports_a_tampered_audit(helper_audits):
-    audit = helper_audits[3]
-    n = len(audit.diagonals)
-    doubled = helper_law(replace(audit, m=2 * audit.m))
-    assert [f"diagonal {i} does not stick out of the template box by exactly m"
-            for i in range(n)] == [msg for msg in doubled if "stick out" in msg]
-    # moved right by a whole root: off its root, and sticking out too far
-    off = audit.diagonals[0].rebase(XYTransform(1, 1, audit.roots[0].width, 0))
-    moved = helper_law(replace(audit, diagonals=(off,) + audit.diagonals[1:]))
-    assert moved == ["diagonal 0 does not stick out of the template box by exactly m",
-                     "diagonal 0 does not meet its root"]
+def _shifted_diagonals(monkeypatch, shift):
+    """Make ``_make_helper`` move diagonal i right by ``shift(i)``."""
+    real = uniform._square_homothet
+    index = itertools.count()
+
+    def moved(shape, anchor, square, lineage):
+        dx = shift(next(index))
+        return real(shape, anchor,
+                    Rect(square.x_lo + dx, square.x_hi + dx, square.y_lo, square.y_hi), lineage)
+
+    monkeypatch.setattr(uniform, "_square_homothet", moved)
 
 
-def test_diagonal_shift_inequality_holds(helper_audits):
-    for audit in helper_audits.values():
-        for root in audit.roots:
-            s = root.width
-            assert audit.delta * s + audit.m <= (8 * audit.delta / 2) * (s / 2)
+def test_helper_reports_tampered_diagonals(templates, frame, monkeypatch):
+    template = templates[3]
+    n = len(template.probes)
+    _, m, _ = _helper_params(template)
+    # every diagonal moved right by m: each sticks out by 2m
+    _shifted_diagonals(monkeypatch, lambda i: m)
+    with pytest.raises(ConstructionError) as err:
+        _make_helper(template, HALF, frame)
+    assert str(err.value) == "; ".join(
+        f"diagonal {i} does not stick out of the template box by exactly m" for i in range(n))
+    # diagonal 0 moved right by a whole root: off its root, and sticking out too far
+    width = template.probes[0].root.width
+    monkeypatch.undo()
+    _shifted_diagonals(monkeypatch, lambda i: width if i == 0 else 0)
+    with pytest.raises(ConstructionError) as err:
+        _make_helper(template, HALF, frame)
+    assert str(err.value) == ("diagonal 0 does not stick out of the template box by exactly m; "
+                              "diagonal 0 does not meet its root")
+
+
+def test_diagonal_shift_inequality_holds(templates):
+    for template in templates.values():
+        delta, m, _ = _helper_params(template)
+        for p in template.probes:
+            s = p.root.width
+            assert delta * s + m <= (HALF / 2) * (s / 2)
 
 
 def test_triangle_freeness_level_and_augmented(uniform_levels, frame):
