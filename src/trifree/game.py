@@ -133,9 +133,6 @@ class GameTranscript:
     def neighbors(self, iv: Interval) -> list[int]:
         return [i for i, (other, _) in enumerate(self.moves) if overlaps(iv, other)]
 
-    def neighbor_colors(self, iv: Interval) -> set[int]:
-        return {self.moves[i][1] for i in self.neighbors(iv)}
-
     def check_interval(self, iv: Interval) -> list[int]:
         """Validate a presenter move; returns the overlap neighbors."""
         if self.moves:
@@ -298,11 +295,11 @@ class PresenterSession:
         return self.current
 
 
-Painter = Callable[[GameTranscript, Interval], int]
+Painter = Callable[[GameTranscript, Interval, list[int]], int]
 
 
-def first_fit(transcript: GameTranscript, iv: Interval) -> int:
-    used = transcript.neighbor_colors(iv)
+def first_fit(transcript: GameTranscript, iv: Interval, nbrs: list[int]) -> int:
+    used = {transcript.moves[i][1] for i in nbrs}
     c = 1
     while c in used:
         c += 1
@@ -313,8 +310,7 @@ def make_repl_painter(input_fn=input, output_fn=print) -> Painter:
     """Interactive Painter: shows the new interval, its overlap neighbors
     and their colors, and re-prompts until it reads a legal color."""
 
-    def painter(transcript: GameTranscript, iv: Interval) -> int:
-        nbrs = transcript.neighbors(iv)
+    def painter(transcript: GameTranscript, iv: Interval, nbrs: list[int]) -> int:
         output_fn(f"interval #{len(transcript)}: [{iv.lo}, {iv.hi}]")
         if nbrs:
             for i in nbrs:
@@ -354,15 +350,17 @@ class GameResult:
 def run_game(k: int, painter: Painter) -> GameResult:
     """Play the shortest forcing strategy against a Painter policy.
 
-    The transcript enforces legality move by move; the result is checked
-    to use at least k+1 colors within at most 2**k intervals.
+    The transcript enforces legality move by move, and is scanned once per
+    move: ``check_interval``'s neighbors go to the Painter and to ``add``.
+    The result is checked to use at least k+1 colors within 2**k intervals.
     """
     session = PresenterSession(k)
     transcript = GameTranscript()
     while session.current is not None:
         iv = session.current
-        color = painter(transcript, iv)
-        transcript.add(iv, color)
+        nbrs = transcript.check_interval(iv)
+        color = painter(transcript, iv, nbrs)
+        transcript.add(iv, color, nbrs)
         session.respond(color)
     if transcript.colors_used < k + 1:
         raise AssertionError(
@@ -435,7 +433,7 @@ def make_minimax_painter(k: int) -> Painter:
         best[colors] = (max(colors, default=0) if pos.interval is None
                         else min(best[colors + (c,)] for c in pos.legal))
 
-    def painter(transcript: GameTranscript, iv: Interval) -> int:
+    def painter(transcript: GameTranscript, iv: Interval, nbrs: list[int]) -> int:
         history = tuple(c for _, c in transcript.moves)
         return min(tree[history].legal, key=lambda c: (best[history + (c,)], c))
 

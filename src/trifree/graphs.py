@@ -1,9 +1,10 @@
 """Intersection-graph extraction and exact coloring certification.
 
 ``intersection_graph`` lifts the family onto one integer grid
-(``shapes.FamilyGrid``) and runs the exact contact test only on the
-candidate pairs whose bounding boxes meet, which one y-sweep over the
-boxes on that grid finds; any other pair is disjoint.
+(``shapes.FamilyGrid``) and takes its edges from the grid's ``contacts()``:
+the exact test on the pairs whose bounding boxes meet, found by one
+y-sweep.  ``independent.level_law`` makes its ``Graph`` from the
+contacts of the grid it already has.
 
 The chromatic-number solver is a saturation-order branch and bound with
 a clique lower bound and first-use color symmetry pruning, run on an
@@ -51,7 +52,8 @@ class Graph:
                 raise ValueError(f"self loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return cls(n, tuple(frozenset(a) for a in adj))
+        adj.reverse()  # each set is freed once frozen, so the two copies never coexist in full
+        return cls(n, tuple([frozenset(adj.pop()) for _ in range(n)]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

@@ -21,11 +21,11 @@ levels alone, and ``serialize.level_to_doc`` writes either.
 Nothing here is trusted.  ``seal`` ends every level: it grows the
 probes from their claimed roots and raises ConstructionError unless
 ``level_law``, the one statement of what a level claims, holds; ``verify``
-runs the same law on a stored family.  Each check lifts its copies and
-rectangles onto one integer grid (``shapes.FamilyGrid``), takes its
-candidates from one y-sweep over bounding boxes on it and runs the exact
-tests on those alone: a copy whose box misses a probe's rectangle and
-root, a diagonal or another diagonal cannot meet it.
+runs the same law on a stored family.  The law lifts the copies, the
+diagonals and the probes' rectangles onto one integer grid
+(``shapes.FamilyGrid``), takes its candidates from one y-sweep over
+bounding boxes on it and decides each contact once: the probe conditions
+read the contacts, the diagonal law and the triangle test one graph.
 
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
@@ -49,6 +49,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
 from .geometry import IntBox, Rat, Rect, XYTransform
+from .graphs import Graph, intersection_graph, is_triangle_free
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, family_bbox, meeting_pairs
 
 # P-up takes the top 2/5 of a probe, P-down the bottom 2/5; the middle
@@ -174,39 +175,39 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     return copy
 
 
-def probe_conditions(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,
+def probe_conditions(probes: Sequence[Probe], grid: FamilyGrid, n: int,
+                     contacts: set[tuple[int, int]],
                      epsilon: Optional[Rat] = None) -> list[list[str]]:
     """The probe conditions of each probe, checked exactly: one list of
     messages per probe, empty when it is valid.
 
-    The copies a probe rectangle meets must be exactly ``probe.pierced``
-    (the expected contact set while building, the stored set when
-    verifying), pairwise disjoint and vertical stabbers, and the root left
-    of the cut must be empty.  Passing ``epsilon`` makes these eps-probe
-    checks: the root must also be a square and the width/height ratio
-    exactly 1 + eps.  One sweep finds, for every probe, the copies whose
-    boxes meet the box around its rectangle and its root, so a root moved
-    off its rectangle is still checked against every copy it could meet.
+    ``grid`` holds the family, whose first ``n`` copies are the ones the
+    probes may pierce, and as rectangles the family box, then each probe's
+    rectangle and root in turn; ``contacts`` holds the pairs (i, j), i < j,
+    of its copies that share a point.  The copies a probe rectangle meets
+    must be exactly ``probe.pierced`` (the expected contact set while
+    building, the stored set when verifying), pairwise disjoint and
+    vertical stabbers, and the root left of the cut must be empty.  Passing
+    ``epsilon`` makes these eps-probe checks: the root must also be a
+    square and the width/height ratio exactly 1 + eps.  One sweep finds,
+    for every probe, the first ``n`` copies whose boxes meet the box around
+    its rectangle and its root, so a root moved off its rectangle is still
+    checked against every copy it could meet.
 
-    The copies, ``bbox`` and every probe's rectangle and root are lifted
-    onto one ``FamilyGrid`` once per call.  Each near copy is clipped to
-    the probe rectangle once, and that clip decides both whether the copy
-    is pierced and whether it stabs.  Nested probes share their outer pierced copies,
-    so each distinct pierced pair is tested once per call and its answer
-    kept for every probe that pierces both copies.
+    Each near copy is clipped to the probe rectangle once, and that clip
+    decides whether the copy is pierced and whether it stabs; whether two
+    pierced copies meet is read from ``contacts``, not decided here.
     """
-    grid = FamilyGrid(copies, [bbox, *(r for p in probes for r in (p.rect, p.root))])
     box, rects, roots = grid.rect_boxes[0], grid.rect_boxes[1::2], grid.rect_boxes[2::2]
     hulls = [(min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
              for a, b in zip(rects, roots)]
-    met: dict[int, bool] = {}  # a * len(copies) + b -> whether copies a < b meet
-    return [_probe_messages(p, grid, rect, root, ids, box, epsilon, met)
-            for p, rect, root, ids in zip(probes, rects, roots, grid.near(hulls))]
+    return [_probe_messages(p, grid, rect, root, ids, box, epsilon, contacts)
+            for p, rect, root, ids in zip(probes, rects, roots, grid.near(hulls, n))]
 
 
 def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
                     near: Sequence[int], box: IntBox, epsilon: Optional[Rat],
-                    met: dict[int, bool]) -> list[str]:
+                    contacts: set[tuple[int, int]]) -> list[str]:
     """One probe's messages, every side condition decided on grid ints:
     ``rect_box``, ``root_box`` and the family box ``box``.  The cut n/d
     need not lie on the grid, so it is compared by cross-multiplication:
@@ -236,13 +237,8 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     actual = [i for i, _ in clips]
     if actual != sorted(probe.pierced):
         out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
-    n = len(grid.segs)
-    for a, b in combinations(actual, 2):
-        hit = met.get(a * n + b)
-        if hit is None:
-            hit = met[a * n + b] = grid.meet(a, b)
-        if hit:
-            out.append(f"pierced copies {a} and {b} intersect")
+    out.extend(f"pierced copies {a} and {b} intersect"
+               for a, b in combinations(actual, 2) if (a, b) in contacts)
     for i, pieces in clips:
         if not grid.crosses(rect_box, pieces, vertical=True):
             out.append(f"pierced copy {i} does not stab the probe vertically")
@@ -252,24 +248,23 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     return out
 
 
-def diagonal_law(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
-                 probes: Sequence[Probe]) -> list[str]:
-    """The closing diagonals' contact law.  Empty list = it holds.
+def diagonal_law(g: Graph, n: int, probes: Sequence[Probe]) -> list[str]:
+    """The closing diagonals' contact law, read from ``g``, the intersection
+    graph of n base copies followed by one diagonal per probe.  Empty list =
+    it holds.
 
-    Diagonal i meets exactly the copies of ``base`` pierced by probe i, and
-    no two diagonals meet.  Base and diagonals are lifted onto one
-    ``FamilyGrid``.
+    Diagonal i, vertex n + i, meets exactly the base copies pierced by
+    probe i, and no two diagonals meet.
     """
-    if len(diagonals) != len(probes):
+    if g.n - n != len(probes):
         return ["diagonal count differs from probe count"]
     out: list[str] = []
-    n = len(base)
-    grid = FamilyGrid([*base, *diagonals])
-    for i, (probe, ids) in enumerate(zip(probes, grid.near(grid.boxes[n:], n))):
-        neighbors = [j for j in ids if grid.meet(n + i, j)]
+    for i, probe in enumerate(probes):
+        neighbors = sorted(j for j in g.adj[n + i] if j < n)
         if frozenset(neighbors) != frozenset(probe.pierced):
             out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    out.extend(f"diagonals {i - n} and {j - n} intersect" for i, j in grid.contacts(n))
+    out.extend(f"diagonals {u - n} and {v - n} intersect"
+               for u in range(n, g.n) for v in sorted(g.adj[u]) if v > u)
     return out
 
 
@@ -307,11 +302,15 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
 
     s_k copies and p_k probes; every copy, ``diagonals`` included, a
     homothet when the level carries an epsilon; the probe conditions of
-    each probe; pairwise disjoint probes; and the diagonal law of
-    ``diagonals`` when given.
+    each probe; pairwise disjoint probes; the diagonal law of
+    ``diagonals`` when given; and no triangle, ``diagonals`` included.
+    Every contact is decided by one ``contacts()`` pass on one
+    ``FamilyGrid``, which the probe conditions read; one graph of those
+    contacts, made once the grid is released, serves the other two laws.
     """
     out: list[str] = []
     k, n = level.k, len(level.family)
+    family = (*level.family, *(diagonals or ()))
     # Level k holds s_k copies at least: checking that first keeps a huge
     # claimed k from growing the recurrence's integers.
     if k > max_level(n):
@@ -324,15 +323,20 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
             out.append(f"size: {len(level.probes)} probes, expected p_{k} = {p_k}")
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
-                   for c in (*level.family, *(diagonals or ())) if not c.transform.is_uniform)
-    for i, bad in enumerate(probe_conditions(level.probes, level.family, level.bbox,
+                   for c in family if not c.transform.is_uniform)
+    grid = FamilyGrid(family, [level.bbox, *(r for p in level.probes for r in (p.rect, p.root))])
+    contacts = grid.contacts()
+    for i, bad in enumerate(probe_conditions(level.probes, grid, n, set(contacts),
                                              level.epsilon)):
         out.extend(f"probe {i}: {msg}" for msg in bad)
+    del grid  # freed before the graph is made, so the two never coexist
+    g = Graph.from_edges(len(family), contacts)
     out.extend(f"probes {i} and {j} are not disjoint"
                for i, j in meeting_pairs([p.rect for p in level.probes]))
     if diagonals is not None:
-        out.extend(f"augmented: {msg}"
-                   for msg in diagonal_law(level.family, diagonals, level.probes))
+        out.extend(f"augmented: {msg}" for msg in diagonal_law(g, n, level.probes))
+    if not is_triangle_free(g):
+        out.append("family is not triangle-free")
     return out
 
 
@@ -442,5 +446,6 @@ def augment(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     """
     diagonals = tuple(make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
                       for i, p in enumerate(level.probes))
-    fail_on(diagonal_law(level.family, diagonals, level.probes))
-    return level.family + diagonals
+    family = level.family + diagonals
+    fail_on(diagonal_law(intersection_graph(family), len(level.family), level.probes))
+    return family

@@ -26,9 +26,9 @@ ints.  The maps come from the transform, from ``rebase``, which composes
 them with the next transform's on ints, or from ``make_diagonal``'s
 closed form.  Every contact, clip and stabbing decision compares Python
 ints, in one set of kernels that take boxes and segments already on one
-grid: ``_clip``, the component walk ``_crosses``, and ``_boxes_meet``
-with the segment-pair test ``_curves_meet`` for contacts, which skips
-the segments of one copy that miss the other's box.
+grid: ``_clip``, the component walk ``_crosses``, and the segment-pair
+test ``_curves_meet`` for contacts, which skips the segments of one copy
+that miss the other's box.
 
 ``FamilyGrid`` is the one way segments reach a shared grid: it puts
 copies (or shapes) and the rectangles checked against them on the grid
@@ -140,11 +140,6 @@ def _crosses(box: IntBox, pieces: Sequence[IntSeg], *, vertical: bool) -> bool:
     return any(any(touches(pieces[i], lo_line) for i in comp)
                and any(touches(pieces[i], hi_line) for i in comp)
                for comp in _components(pieces))
-
-
-def _boxes_meet(a: IntBox, b: IntBox) -> bool:
-    """True iff two closed boxes on one grid meet."""
-    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 def _curves_meet(segs_a: Sequence[IntSeg], segs_b: Sequence[IntSeg], box_b: IntBox) -> bool:
@@ -380,10 +375,10 @@ def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[l
     return den, [[_scaled_box(b.int_box, den // b.den) for b in group] for group in groups]
 
 
-def _by_bottom(boxes: Sequence[IntBox], start: int = 0) -> tuple[list[int], list[int]]:
-    """Indices from ``start`` on of ``boxes`` in order of their bottom
-    edges, and those bottoms."""
-    order = sorted(range(start, len(boxes)), key=lambda i: boxes[i][2])
+def _by_bottom(boxes: Sequence[IntBox]) -> tuple[list[int], list[int]]:
+    """The indices of ``boxes`` in order of their bottom edges, and those
+    bottoms."""
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
     return order, [boxes[i][2] for i in order]
 
 
@@ -391,10 +386,10 @@ def _x_ranges_meet(a: IntBox, b: IntBox) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
-def _sweep_pairs(boxes: Sequence[IntBox], start: int = 0) -> Iterator[tuple[int, int]]:
-    """The pairs (i, j), start <= i < j, of boxes on one grid that meet, in
-    the sweep's order (see ``meeting_pairs``)."""
-    order, bottoms = _by_bottom(boxes, start)
+def _sweep_pairs(boxes: Sequence[IntBox]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), i < j, of boxes on one grid that meet, in the
+    sweep's order (see ``meeting_pairs``)."""
+    order, bottoms = _by_bottom(boxes)
     for pos, i in enumerate(order):
         a = boxes[i]
         for j in order[pos + 1:bisect_right(bottoms, a[3], pos + 1)]:
@@ -475,11 +470,6 @@ class FamilyGrid:
         self.segs = [_scaled_segs(c, box, self.den // c.den)
                      for c, box in zip(copies, self.boxes)]
 
-    def meet(self, i: int, j: int) -> bool:
-        """True iff copies i and j share a point."""
-        b = self.boxes[j]
-        return _boxes_meet(self.boxes[i], b) and _curves_meet(self.segs[i], self.segs[j], b)
-
     def clip(self, i: int, box: IntBox) -> list[IntSeg]:
         """The closed parts of copy i inside ``box``, a box on this grid."""
         return _clip(box, self.segs[i])
@@ -493,12 +483,13 @@ class FamilyGrid:
         copies before ``stop`` (all by default) whose boxes meet it."""
         return _boxes_meeting(queries, self.boxes[:stop])
 
-    def contacts(self, start: int = 0) -> list[tuple[int, int]]:
-        """The sorted pairs (i, j), start <= i < j, of copies that share a
-        point.  The sweep hands over the pairs whose boxes meet one at a
-        time, so only the pairs that do share a point are kept."""
+    def contacts(self) -> list[tuple[int, int]]:
+        """The sorted pairs (i, j), i < j, of copies that share a point: the
+        one place two copies are decided to meet.  The sweep hands over the
+        pairs whose boxes meet one at a time, so only the pairs that do share
+        a point are kept."""
         boxes, segs = self.boxes, self.segs
-        return sorted((i, j) for i, j in _sweep_pairs(boxes, start)
+        return sorted((i, j) for i, j in _sweep_pairs(boxes)
                       if _curves_meet(segs[i], segs[j], boxes[j]))
 
 
@@ -512,7 +503,7 @@ def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, lis
 
 def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
     """True iff the two closed copies share a point (exact)."""
-    return FamilyGrid([a, b]).meet(0, 1)
+    return bool(FamilyGrid([a, b]).contacts())
 
 
 def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:

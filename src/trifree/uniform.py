@@ -10,8 +10,8 @@ Every level, the first included, is sealed by ``independent.seal``: with
 ``epsilon`` set, ``grow_probe`` carves each probe as an eps-probe and
 ``level_law`` checks that every copy is a homothet and every probe an
 eps-probe, as ``verify`` does on the stored family.
-``independent.diagonal_law`` checks the closing diagonals, and
-``_make_helper`` checks each helper's diagonals on the grid it builds.
+``independent.diagonal_law`` checks the closing diagonals on their
+graph, and ``_make_helper`` each helper's diagonals on the grid it builds.
 
 One recursion step, for the target parameter eps:
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
+from .graphs import intersection_graph
 from .shapes import (
     AnchoredFrame,
     FamilyGrid,
@@ -66,11 +67,8 @@ def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
     """A homothet whose bounding square fills the given square."""
     if square.width != square.height:
         raise ConstructionError("homothet target is not a square")
-    scale = square.width / anchor.bounding_square.width
-    t = XYTransform(scale, scale,
-                    square.x_lo - scale * anchor.bounding_square.x_lo,
-                    square.y_lo - scale * anchor.bounding_square.y_lo)
-    return TransformedCopy(shape.name, anchor.shape, t, lineage)
+    return TransformedCopy(shape.name, anchor.shape,
+                           XYTransform.rect_map(anchor.bounding_square, square), lineage)
 
 
 def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
@@ -180,5 +178,6 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
         if not p.rect.contains_rect(square):
             raise ConstructionError(f"augmenting square escapes probe {i}")
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
-    fail_on(diagonal_law(level.family, diagonals, level.probes))
-    return level.family + tuple(diagonals)
+    family = level.family + tuple(diagonals)
+    fail_on(diagonal_law(intersection_graph(family), len(level.family), level.probes))
+    return family

@@ -5,9 +5,9 @@ the recursion's internal bookkeeping.  A family of either construction
 is checked by ``independent.level_law``, the law every level is sealed
 with as it is built: s_k copies and p_k probes, the probe conditions of
 every stored probe (with the eps-probe extras and homothety in uniform
-mode), pairwise disjoint probes and, in an augmented family, the
-diagonal law.  On top of it come the base size of a bare family and
-triangle-freeness.  An encoded family is checked by
+mode), pairwise disjoint probes, in an augmented family the diagonal
+law, and triangle-freeness.  On top of it comes the base size of a bare
+family.  An encoded family is checked by
 ``encoding.frame_law`` over the stored tree's nodes, which the loader
 reads in preorder, after each stored frame is compared with the one its
 node gives, and by the slot nesting of the tree and the bounds its k and
@@ -16,13 +16,14 @@ contact laws are enforced at construction time.
 
 No check tests all pairs or all copies: each takes its candidates from
 one y-sweep over bounding boxes, which the exact predicates then decide.
-The probe conditions, the diagonal law and the intersection graph each
-lift the family, with the rectangles they query, onto one integer grid
-(``shapes.FamilyGrid``) once, and sweep and decide on it; an encoded
-family's frame law and triangle test read one intersection graph.  All
-the stored probes are checked against one sweep, each with the box
-around its rectangle and its root, so a root stored away from its
-rectangle still meets every copy it could.
+``level_law`` lifts the family, its diagonals and the rectangles it
+queries onto one integer grid (``shapes.FamilyGrid``) and decides every
+contact in one pass on it: the probe conditions read those contacts,
+and the diagonal law and the triangle test one graph built from them.
+An encoded family's frame law and triangle test read one intersection
+graph.  All the stored probes are checked against one sweep, each with
+the box around its rectangle and its root, so a root stored away from
+its rectangle still meets every copy it could.
 """
 
 from __future__ import annotations
@@ -41,10 +42,7 @@ def _verify_geometric(fam: LoadedFamily) -> list[str]:
         out.append(f"size: base size {fam.base_size}, expected {len(fam.copies)} in a bare family")
     cut = fam.base_size if fam.augmented else len(fam.copies)
     level = Level(fam.k, fam.copies[:cut], fam.probes, fam.epsilon)
-    out.extend(level_law(level, fam.copies[cut:] if fam.augmented else None))
-    if not is_triangle_free(intersection_graph(fam.copies)):
-        out.append("family is not triangle-free")
-    return out
+    return out + level_law(level, fam.copies[cut:] if fam.augmented else None)
 
 
 def _verify_encoded(fam: LoadedFamily) -> list[str]:

@@ -17,8 +17,8 @@ compare the Fraction ends, and the game-tree reference replays every
 history from the root through a fresh ``PresenterSession``.  The
 helpers below them (whether two rectangles meet and the box of many,
 whether an interval holds another, on their ints, whether a copy stabs
-a rectangle, on the two's ``FamilyGrid``, a transcript's chain at a
-point, clique number, first-fit coloring, DIMACS parsing, probe color
+a rectangle, on the two's ``FamilyGrid``, the colors of an interval's
+overlap neighbors and a transcript's chain at a point, clique number, first-fit coloring, DIMACS parsing, probe color
 audits and the encoded family's certificate) have no caller in the
 package.
 """
@@ -585,6 +585,11 @@ def overlaps_ref(a: Interval, b: Interval) -> bool:
     return not (contains_ref(a, b) or contains_ref(b, a))
 
 
+def neighbor_colors(transcript: GameTranscript, iv: Interval) -> set[int]:
+    """The colors of ``iv``'s overlap neighbors in ``transcript``."""
+    return {transcript.moves[i][1] for i in transcript.neighbors(iv)}
+
+
 def replay(k: int, colors: Sequence[int]) -> tuple[GameTranscript, Optional[Interval]]:
     """Rebuild the state after the given Painter responses; returns the
     transcript so far and the next presented interval (None = game over)."""
@@ -607,7 +612,7 @@ def game_tree_ref(k: int, budget: int) -> dict[tuple[int, ...], Position]:
         transcript, iv = replay(k, colors)
         legal: tuple[int, ...] = ()
         if iv is not None:
-            forbidden = transcript.neighbor_colors(iv)
+            forbidden = neighbor_colors(transcript, iv)
             top = min(max(colors, default=0) + 1, budget)
             legal = tuple(c for c in range(1, top + 1) if c not in forbidden)
         tree[colors] = Position(iv, legal)

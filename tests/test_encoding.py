@@ -7,7 +7,7 @@ from trifree.game import SEARCH_LIMIT, GameTranscript, overlaps
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.shapes import copies_intersect
 
-from _oracles import certify, replay
+from _oracles import certify, neighbor_colors, replay
 
 
 def _enumerate_branch_count(k: int, budget: int) -> int:
@@ -21,7 +21,7 @@ def _enumerate_branch_count(k: int, budget: int) -> int:
             return
         path = path + ((iv.lo, iv.hi),)
         prefixes.add(path)
-        forbidden = transcript.neighbor_colors(iv)
+        forbidden = neighbor_colors(transcript, iv)
         top = min(max(colors, default=0) + 1, budget)
         for c in range(1, top + 1):
             if c not in forbidden:

@@ -26,7 +26,15 @@ from trifree.game import (
 )
 from trifree.shapes import catalog
 
-from _oracles import chain_at, contains, contains_ref, game_tree_ref, overlaps_ref, replay
+from _oracles import (
+    chain_at,
+    contains,
+    contains_ref,
+    game_tree_ref,
+    neighbor_colors,
+    overlaps_ref,
+    replay,
+)
 
 
 def test_overlap_predicate():
@@ -92,8 +100,9 @@ def test_sigma_two_versus_first_fit_transcript():
     count = 0
     while session.current is not None:
         iv = session.current
-        color = first_fit(transcript, iv)
-        transcript.add(iv, color)
+        nbrs = transcript.check_interval(iv)
+        color = first_fit(transcript, iv, nbrs)
+        transcript.add(iv, color, nbrs)
         session.respond(color)
         count += 1
         if count == 3:
@@ -135,7 +144,7 @@ def test_transcript_rules_enforced():
 
 
 def test_run_game_rejects_cheating_painter():
-    def stubborn(transcript, iv):
+    def stubborn(transcript, iv, nbrs):
         return 1
 
     with pytest.raises(IllegalColorError):
@@ -145,7 +154,7 @@ def test_run_game_rejects_cheating_painter():
 def test_bool_is_not_a_color():
     # True == 1, but a transcript holding it would serialize as "color": true
     with pytest.raises(IllegalColorError):
-        run_game(1, lambda transcript, iv: 2 if transcript.moves else True)
+        run_game(1, lambda transcript, iv, nbrs: 2 if transcript.moves else True)
     with pytest.raises(IllegalColorError):
         GameTranscript().add(Interval(0, 1), True)
 
@@ -308,7 +317,7 @@ def test_color_renaming_equivariance():
             if iv is None or len(colors) >= 3:
                 break
             tr, _ = replay(2, tuple(colors))
-            forbidden = tr.neighbor_colors(iv)
+            forbidden = neighbor_colors(tr, iv)
             choices = [c for c in range(1, 5) if c not in forbidden]
             colors.append(rng.choice(choices))
         perm = {c: p for c, p in zip((1, 2, 3, 4), rng.sample((5, 6, 7, 8), 4))}
@@ -329,21 +338,31 @@ def test_repl_painter_reprompts_then_plays():
     assert any("overlaps" in line for line in lines)
 
 
-def test_repl_painter_scans_the_transcript_once_per_prompt(monkeypatch):
-    scans = []
+def _count_scans(monkeypatch) -> list[Interval]:
+    """The intervals ``GameTranscript.neighbors`` is called with from now on."""
+    scans: list[Interval] = []
     neighbors = GameTranscript.neighbors
 
     def counted(transcript, iv):
         scans.append(iv)
         return neighbors(transcript, iv)
 
-    painter = make_repl_painter(input_fn=lambda _: "3", output_fn=lambda _: None)
-    transcript = run_game(2, first_fit).transcript
-    iv = transcript.moves[-1][0]
-    transcript.moves.pop()
     monkeypatch.setattr(GameTranscript, "neighbors", counted)
-    assert painter(transcript, iv) == 3
-    assert scans == [iv]
+    return scans
+
+
+def test_repl_painter_scans_the_transcript_once_per_prompt(monkeypatch):
+    feed = iter(["1", "1", "2", "3"])
+    painter = make_repl_painter(input_fn=lambda _: next(feed), output_fn=lambda _: None)
+    scans = _count_scans(monkeypatch)
+    res = run_game(2, painter)
+    assert scans == [iv for iv, _ in res.transcript.moves]
+
+
+def test_run_game_scans_the_transcript_once_per_move(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    res = run_game(10, first_fit)
+    assert res.intervals == len(scans) == 1024
 
 
 def test_repl_replay_equals_batch_replay():
@@ -352,7 +371,7 @@ def test_repl_replay_equals_batch_replay():
                                 output_fn=lambda _: None)
     res_a = run_game(2, painter)
     scripted = iter([1, 1, 2, 3])
-    res_b = run_game(2, lambda tr, iv: next(scripted))
+    res_b = run_game(2, lambda tr, iv, nbrs: next(scripted))
     assert res_a.transcript.moves == res_b.transcript.moves
 
 

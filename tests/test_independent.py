@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifree import independent, shapes
+from trifree import independent, serialize, shapes
 from trifree.errors import ConstructionError
 from trifree.geometry import Rect, XYTransform, h_seg, v_seg
 from trifree.graphs import (
@@ -28,10 +28,13 @@ from trifree.independent import (
 )
 from trifree.shapes import (
     catalog,
+    copies_intersect,
     copy_meets_rect,
     family_bbox,
+    meeting_pairs,
 )
 from trifree.uniform import augment_uniform, build_uniform
+from trifree.verify import verify_family
 
 from _oracles import (
     RectRelation,
@@ -328,15 +331,15 @@ def test_grid_checks_match_fraction_references_on_unrelated_grids():
             copies, probes, diags = _rebased(rng, level, diagonals)
             bbox = family_bbox(copies)
             assert len({c.den for c in copies} | {p.rect.den for p in probes}) > 4
-            got = probe_conditions(probes, copies, bbox, level.epsilon)
+            got = _probe_conditions(probes, copies, bbox, level.epsilon, diags)
             assert got == probe_conditions_ref(probes, copies, bbox, level.epsilon)
             seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
             seen.add("valid" if [] in got else "all invalid")
-            law = diagonal_law(copies, diags, probes)
-            assert law == diagonal_law_ref(copies, diags, probes)
-            seen.add("diagonal law " + ("holds" if not law else "fails"))
             family = copies + diags
             g = intersection_graph(family)
+            law = diagonal_law(g, len(copies), probes)
+            assert law == diagonal_law_ref(copies, diags, probes)
+            seen.add("diagonal law " + ("holds" if not law else "fails"))
             assert set(g.edges()) == set(intersection_graph_bruteforce(family).edges()) == {
                 (i, j) for i, j in itertools.combinations(range(len(family)), 2)
                 if copies_intersect_ref(family[i], family[j])}
@@ -356,26 +359,66 @@ def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_l
     copies = list(level.family)
     copies[b] = replace(copies[a], lineage="tampered")
     bbox = family_bbox(copies)
-    got = probe_conditions(level.probes, copies, bbox)
+    got = _probe_conditions(level.probes, copies, bbox)
     assert got == probe_conditions_ref(level.probes, copies, bbox)
     message = f"pierced copies {a} and {b} intersect"
     assert all(message in got[i] for i in sharing)
 
 
-def test_probe_conditions_tests_each_distinct_pierced_pair_once(frame, monkeypatch):
-    level = build(4, frame)
-    calls = [0]
+def _count_contact_work(monkeypatch) -> dict[str, list]:
+    """From now on: each ``FamilyGrid`` made, each ``contacts()`` pass and
+    each pair of segment lists the contact kernel decides."""
+    seen: dict[str, list] = {"grids": [], "passes": [], "kernel": []}
+    init, contacts = shapes.FamilyGrid.__init__, shapes.FamilyGrid.contacts
     kernel = shapes._curves_meet
 
-    def counted(*args):
-        calls[0] += 1
-        return kernel(*args)
+    def counted_init(grid, *args, **kwargs):
+        seen["grids"].append(grid)
+        init(grid, *args, **kwargs)
 
-    monkeypatch.setattr(shapes, "_curves_meet", counted)
-    assert probe_conditions(level.probes, level.family, family_bbox(level.family)) \
-        == [[]] * len(level.probes)
-    pairs = [pair for p in level.probes for pair in itertools.combinations(sorted(p.pierced), 2)]
-    assert (len(pairs), len(set(pairs)), calls[0]) == (1872, 822, 822)
+    def counted_contacts(grid):
+        seen["passes"].append(grid)
+        return contacts(grid)
+
+    def counted_kernel(segs_a, segs_b, box_b):
+        seen["kernel"].append((id(segs_a), id(segs_b)))
+        return kernel(segs_a, segs_b, box_b)
+
+    monkeypatch.setattr(shapes.FamilyGrid, "__init__", counted_init)
+    monkeypatch.setattr(shapes.FamilyGrid, "contacts", counted_contacts)
+    monkeypatch.setattr(shapes, "_curves_meet", counted_kernel)
+    return seen
+
+
+def test_level_law_decides_each_box_meeting_pair_once_on_one_grid(frame, monkeypatch):
+    level = build(4, frame)
+    pairs = len(meeting_pairs(level.family))
+    seen = _count_contact_work(monkeypatch)
+    assert independent.level_law(level) == []
+    assert len(seen["grids"]) == len(seen["passes"]) == 1
+    assert seen["grids"] == seen["passes"]
+    assert len(seen["kernel"]) == len(set(seen["kernel"])) == pairs == 1145
+
+
+def test_verify_decides_an_augmented_family_on_one_grid(frame, monkeypatch):
+    level = build(4, frame)
+    doc = serialize.level_to_doc(level, frame, augment(level, frame))
+    fam = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+    seen = _count_contact_work(monkeypatch)
+    assert verify_family(fam) == []
+    assert len(seen["grids"]) == len(seen["passes"]) == 1
+    assert len(seen["kernel"]) == len(set(seen["kernel"])) == 1881
+
+
+def test_seal_refuses_a_level_whose_copies_form_a_triangle(frame):
+    level = build(2, frame)
+    claims = [(p.root, frozenset(p.pierced)) for p in level.probes]
+    assert seal(2, level.family, claims).family == level.family
+    # copies 1 and 2 moved onto copy 0: the three pairwise meet
+    copies = [replace(level.family[0], lineage=f"moved({i})") for i in range(3)]
+    with pytest.raises(ConstructionError) as exc:
+        seal(2, copies, claims)
+    assert "family is not triangle-free" in str(exc.value).split("; ")
 
 
 def _levels_up_to(k, shape):
@@ -457,8 +500,17 @@ def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
     assert inner.bbox == family_box(level.family[1:]) != level.bbox
 
 
+def _probe_conditions(probes, copies, bbox, epsilon=None, diagonals=()):
+    """``probe_conditions`` as ``level_law`` runs it: the copies, then the
+    diagonals, on one grid with the family box and every probe's rectangle
+    and root, and that grid's contacts."""
+    grid = shapes.FamilyGrid([*copies, *diagonals],
+                             [bbox, *(r for p in probes for r in (p.rect, p.root))])
+    return probe_conditions(probes, grid, len(copies), set(grid.contacts()), epsilon)
+
+
 def _grid_unit(level):
-    """One unit of the grid that ``probe_conditions`` puts the level on."""
+    """One unit of the grid that ``level_law`` puts the level on."""
     rects = [level.bbox, *(r for p in level.probes for r in (p.rect, p.root))]
     return Fraction(1, shapes.FamilyGrid(level.family, rects).den)
 
@@ -526,7 +578,7 @@ def test_tampered_probe_sides_are_judged_as_the_reference_judges_them(
         for i in range(0, len(level.probes), 3):
             probes = list(level.probes)
             probes[i] = tamper(probes[i], unit)
-            got = probe_conditions(probes, level.family, level.bbox, level.epsilon)
+            got = _probe_conditions(probes, level.family, level.bbox, level.epsilon)
             assert got == probe_conditions_ref(probes, level.family, level.bbox, level.epsilon)
             assert message in got[i]
             assert all(got[j] == [] for j in range(len(probes)) if j != i)
@@ -542,13 +594,12 @@ def test_tampered_probe_sides_are_judged_as_the_reference_judges_them(
 ], ids=["frame", "lshape", "cross", "uniform"])
 def test_box_filtered_meet_matches_the_fraction_reference_on_every_pair(make):
     family = make()
-    grid = shapes.FamilyGrid(family)
     want = {(i, j) for i, j in itertools.combinations(range(len(family)), 2)
             if copies_intersect_ref(family[i], family[j])}
     assert want
     for i, j in itertools.permutations(range(len(family)), 2):
-        assert grid.meet(i, j) == ((min(i, j), max(i, j)) in want)
-    assert set(grid.contacts()) == want
+        assert copies_intersect(family[i], family[j]) == ((min(i, j), max(i, j)) in want)
+    assert set(shapes.FamilyGrid(family).contacts()) == want
 
 
 @pytest.mark.parametrize("seg, dx, dy", [
@@ -566,6 +617,6 @@ def test_meet_counts_a_touch_on_each_side_of_the_box(frame, seg, dx, dy):
     for step, touches in ((0, True), (Fraction(1, 7), False)):
         moved = XYTransform(Fraction(1), Fraction(1), dx * step, dy * step)
         stick = shapes.TransformedCopy("stick", shapes.RectilinearShape((seg,)), moved, "stick")
-        grid = shapes.FamilyGrid([unit, stick])
-        assert grid.meet(0, 1) == grid.meet(1, 0) == touches
+        assert copies_intersect(unit, stick) == copies_intersect(stick, unit) == touches
+        assert shapes.FamilyGrid([unit, stick]).contacts() == ([(0, 1)] if touches else [])
         assert copies_intersect_ref(unit, stick) == touches
