@@ -82,19 +82,17 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique, found by pivoted Bron-Kerbosch.  Deterministic:
-    the pivot maximizes (candidates it covers, -vertex), and the
-    candidates are expanded in increasing vertex order."""
+    """A maximum clique, found by pivoted Bron-Kerbosch on an explicit
+    stack, so a clique of any size stays clear of the recursion limit.
+    Deterministic: the pivot maximizes (candidates it covers, -vertex), and
+    the candidates are expanded in increasing vertex order."""
     if g.n == 0:
         return ()
     masks = _masks(g)
-    best: list[int] = [0]
 
-    def expand(r: list[int], p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            if len(r) > len(best):
-                best[:] = r
-            return
+    def frame(p: int, x: int) -> list[int]:
+        """[candidates, excluded, the candidates left to expand] of one
+        call: those of p outside the pivot's neighbourhood."""
         pool, pivot, covered = p | x, -1, -1
         while pool:
             low = pool & -pool
@@ -103,16 +101,28 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if count > covered:
                 pivot, covered = u, count
             pool ^= low
-        cand = p & ~masks[pivot]
-        while cand:
-            low = cand & -cand
-            u = low.bit_length() - 1
-            expand(r + [u], p & masks[u], x & masks[u])
-            p ^= low
-            x |= low
-            cand ^= low
+        return [p, x, p & ~masks[pivot]]
 
-    expand([], (1 << g.n) - 1, 0)
+    best: list[int] = []
+    clique: list[int] = []  # one vertex per frame above the first
+    stack = [frame((1 << g.n) - 1, 0)]
+    while stack:
+        top = stack[-1]
+        p, x, cand = top
+        if not cand:
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        low = cand & -cand
+        u = low.bit_length() - 1
+        top[:] = p ^ low, x | low, cand ^ low
+        p, x = p & masks[u], x & masks[u]
+        if p:
+            clique.append(u)
+            stack.append(frame(p, x))
+        elif not x and len(clique) + 1 > len(best):
+            best = clique + [u]
     return tuple(sorted(best))
 
 

@@ -32,7 +32,12 @@ computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
 claimed roots are mapped by ``XYTransform.apply`` on their lifts; and
 ``_probe_messages`` decides every side condition of a probe on its grid
-boxes, the cut by cross-multiplication.  Each helper copy is embedded by
+boxes, the cut by cross-multiplication.  It scans each copy near a probe
+once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
+of its segments spans the probe from bottom to top and whether it meets
+the root; only a pierced copy with no spanning segment is clipped and
+walked into components, and on every level the constructions build each
+pierced copy has one.  Each helper copy is embedded by
 ``TransformedCopy.rebase``, which composes its axis maps on ints.
 Fractions are still made for what a level stores (transforms, probe
 rectangles, roots and cuts), and ``grow_probe``, ``split_probe`` and
@@ -194,9 +199,11 @@ def probe_conditions(probes: Sequence[Probe], grid: FamilyGrid, n: int,
     its rectangle and its root, so a root moved off its rectangle is still
     checked against every copy it could meet.
 
-    Each near copy is clipped to the probe rectangle once, and that clip
-    decides whether the copy is pierced and whether it stabs; whether two
-    pierced copies meet is read from ``contacts``, not decided here.
+    One scan of each near copy's segments decides whether the copy is
+    pierced, whether it meets the root and, through a segment spanning the
+    rectangle, most stabs; a pierced copy without one is clipped and walked
+    into components.  Whether two pierced copies meet is read from
+    ``contacts``, not decided here.
     """
     box, rects, roots = grid.rect_boxes[0], grid.rect_boxes[1::2], grid.rect_boxes[2::2]
     hulls = [(min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
@@ -233,18 +240,23 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
         p, q = epsilon.numerator, epsilon.denominator
         if (x1 - x0) * q != (p + q) * (y1 - y0):
             out.append("width/height ratio is not exactly 1+eps")
-    clips = [(i, pieces) for i in near if (pieces := grid.clip(i, rect_box))]
-    actual = [i for i, _ in clips]
+    actual: list[int] = []
+    unstabbed: list[int] = []
+    rooted: list[int] = []
+    for i in near:
+        meets, spans, in_root = grid.pierce(i, rect_box, root_box)
+        if meets:
+            actual.append(i)
+            if not (spans or grid.stabs(i, rect_box, vertical=True)):
+                unstabbed.append(i)
+        if in_root:
+            rooted.append(i)
     if actual != sorted(probe.pierced):
         out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
     out.extend(f"pierced copies {a} and {b} intersect"
                for a, b in combinations(actual, 2) if (a, b) in contacts)
-    for i, pieces in clips:
-        if not grid.crosses(rect_box, pieces, vertical=True):
-            out.append(f"pierced copy {i} does not stab the probe vertically")
-    for i in near:
-        if grid.clip(i, root_box):
-            out.append(f"root meets copy {i}")
+    out.extend(f"pierced copy {i} does not stab the probe vertically" for i in unstabbed)
+    out.extend(f"root meets copy {i}" for i in rooted)
     return out
 
 
@@ -407,7 +419,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     up_boxes, low_boxes = grid.rect_boxes[0::2], grid.rect_boxes[1::2]
     for i, (p, upper, lower, ids) in enumerate(
             zip(prev.probes, up_boxes, low_boxes, grid.near(up_boxes, n))):
-        upper_pierced = [j for j in ids if grid.clip(j, upper)]
+        upper_pierced = [j for j in ids if grid.meets(j, upper)]
         if upper_pierced != sorted(p.pierced):
             raise ConstructionError(
                 f"upper part of probe {i} meets {upper_pierced}, expected {sorted(p.pierced)}")

@@ -26,17 +26,23 @@ ints.  The maps come from the transform, from ``rebase``, which composes
 them with the next transform's on ints, or from ``make_diagonal``'s
 closed form.  Every contact, clip and stabbing decision compares Python
 ints, in one set of kernels that take boxes and segments already on one
-grid: ``_clip``, the component walk ``_crosses``, and the segment-pair
-test ``_curves_meet`` for contacts, which skips the segments of one copy
-that miss the other's box.
+grid.  Whether a copy meets a box is one scan that allocates nothing
+(``_meets``), and a probe check scans each copy near it once
+(``_pierce``): does the copy meet the probe rectangle, does one of its
+segments span the rectangle, does it meet the root.  A spanning segment
+(``_spans``) is a connected piece that touches both sides, so it decides a
+stab alone; only a copy with no such segment is clipped (``_clip``) and
+its pieces walked into components (``_crosses``, which tries ``_spans``
+first too).  The segment-pair test ``_curves_meet`` decides contacts, and
+skips the segments of one copy that miss the other's box.
 
 ``FamilyGrid`` is the one way segments reach a shared grid: it puts
 copies (or shapes) and the rectangles checked against them on the grid
 of their least common denominator, with each box and segment list scaled
 onto it once, and runs the kernels there.  A family check lifts its
 family once; the feature checks, and ``copies_intersect`` and
-``copy_meets_rect``, which only the benchmark and the tests call, each
-make a grid of one or two objects.  ``meeting_pairs`` and a
+``copy_meets_rect``, which only the feature checks, the benchmark and the
+tests call, each make a grid of one or two objects.  ``meeting_pairs`` and a
 grid's ``near`` and ``contacts`` find the closed boxes that meet with
 one sweep in y, so callers run the exact tests on those pairs alone.
 
@@ -126,10 +132,65 @@ def _clip(box: IntBox, segs: Sequence[IntSeg]) -> list[IntSeg]:
     return out
 
 
+def _meets(box: IntBox, segs: Sequence[IntSeg]) -> bool:
+    """True iff some segment of ``segs`` meets ``box``, both on one grid."""
+    x0, x1, y0, y1 = box
+    for o, f, lo, hi in segs:
+        if (y0 <= f <= y1 and lo <= x1 and x0 <= hi if o == HORIZONTAL
+                else x0 <= f <= x1 and lo <= y1 and y0 <= hi):
+            return True
+    return False
+
+
+def _spans(box: IntBox, segs: Sequence[IntSeg], *, vertical: bool) -> bool:
+    """True iff one segment of ``segs`` alone joins two opposite sides of
+    ``box``, both on one grid: a vertical segment in the box's x range
+    covering [y0, y1] when vertical, a horizontal one in its y range
+    covering [x0, x1] otherwise.  Such a segment is a connected piece that
+    touches both sides, so it stabs the box; clipping to the box keeps it
+    spanning, so the test reads clipped and unclipped segments alike."""
+    x0, x1, y0, y1 = box
+    if vertical:
+        for o, f, lo, hi in segs:
+            if o == VERTICAL and x0 <= f <= x1 and lo <= y0 and y1 <= hi:
+                return True
+    else:
+        for o, f, lo, hi in segs:
+            if o == HORIZONTAL and y0 <= f <= y1 and lo <= x0 and x1 <= hi:
+                return True
+    return False
+
+
+def _pierce(rect: IntBox, root: IntBox, segs: Sequence[IntSeg]) -> tuple[bool, bool, bool]:
+    """One pass over ``segs`` against a probe's rectangle and root, all on
+    one grid: (the segments meet ``rect``, one of them spans it vertically
+    as in ``_spans``, they meet ``root``)."""
+    x0, x1, y0, y1 = rect
+    r0, r1, r2, r3 = root
+    meets = spans = rooted = False
+    for o, f, lo, hi in segs:
+        if o == HORIZONTAL:
+            if y0 <= f <= y1 and lo <= x1 and x0 <= hi:
+                meets = True
+            if r2 <= f <= r3 and lo <= r1 and r0 <= hi:
+                rooted = True
+        else:
+            if x0 <= f <= x1 and lo <= y1 and y0 <= hi:
+                meets = True
+                if lo <= y0 and y1 <= hi:
+                    spans = True
+            if r0 <= f <= r1 and lo <= r3 and r2 <= hi:
+                rooted = True
+    return meets, spans, rooted
+
+
 def _crosses(box: IntBox, pieces: Sequence[IntSeg], *, vertical: bool) -> bool:
     """True iff some connected component of ``pieces``, segments already
     clipped to ``box`` on its grid, joins the two opposite sides of the
-    box: top/bottom when vertical, left/right otherwise."""
+    box: top/bottom when vertical, left/right otherwise.  A single piece
+    that spans the box (``_spans``) decides it before the component walk."""
+    if _spans(box, pieces, vertical=vertical):
+        return True
     x0, x1, y0, y1 = box
     lo_line, hi_line, axis = (y0, y1, VERTICAL) if vertical else (x0, x1, HORIZONTAL)
 
@@ -283,7 +344,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     e = feats.empty_rect
     if not u.interior_contains_rect(e):
         out.append("ii: empty rectangle is not in the interior of the bounding box")
-    if _inside(shape, e)[1]:
+    if copy_meets_rect(shape, e):
         out.append("ii: empty rectangle meets the shape")
 
     out.extend(_stabber_faults(shape, feats.left_stabber, feats.left_strip(), vertical=False))
@@ -462,21 +523,28 @@ class FamilyGrid:
     ints on this grid.  A ``RectilinearShape`` goes on it as a copy does.
     """
 
-    crosses = staticmethod(_crosses)
-
     def __init__(self, copies: Sequence[TransformedCopy | RectilinearShape],
                  rects: Sequence[Rect] = ()):
         self.den, (self.boxes, self.rect_boxes) = _on_one_grid(copies, rects)
         self.segs = [_scaled_segs(c, box, self.den // c.den)
                      for c, box in zip(copies, self.boxes)]
 
-    def clip(self, i: int, box: IntBox) -> list[IntSeg]:
-        """The closed parts of copy i inside ``box``, a box on this grid."""
-        return _clip(box, self.segs[i])
+    def meets(self, i: int, box: IntBox) -> bool:
+        """True iff copy i meets ``box``, a box on this grid."""
+        return _meets(box, self.segs[i])
 
     def stabs(self, i: int, box: IntBox, *, vertical: bool) -> bool:
-        """True iff copy i clipped to ``box``, a box on this grid, crosses it."""
-        return _crosses(box, self.clip(i, box), vertical=vertical)
+        """True iff copy i clipped to ``box``, a box on this grid, crosses it.
+        Only a copy with no one segment spanning the box is clipped."""
+        segs = self.segs[i]
+        return (_spans(box, segs, vertical=vertical)
+                or _crosses(box, _clip(box, segs), vertical=vertical))
+
+    def pierce(self, i: int, rect: IntBox, root: IntBox) -> tuple[bool, bool, bool]:
+        """Copy i against a probe's rectangle and root, boxes on this grid,
+        in one pass: whether it meets the rectangle, whether one of its
+        segments spans the rectangle vertically, whether it meets the root."""
+        return _pierce(rect, root, self.segs[i])
 
     def near(self, queries: Sequence[IntBox], stop: Optional[int] = None) -> list[list[int]]:
         """For each query box on this grid, the ascending indices of the
@@ -498,7 +566,7 @@ def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, lis
     ``c`` inside it."""
     grid = FamilyGrid([c], [r])
     box = grid.rect_boxes[0]
-    return box, grid.clip(0, box)
+    return box, _clip(box, grid.segs[0])
 
 
 def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
@@ -506,8 +574,10 @@ def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
     return bool(FamilyGrid([a, b]).contacts())
 
 
-def copy_meets_rect(c: TransformedCopy, r: Rect) -> bool:
-    return bool(_inside(c, r)[1])
+def copy_meets_rect(c: TransformedCopy | RectilinearShape, r: Rect) -> bool:
+    """True iff the closed copy (or shape) meets the closed rectangle (exact)."""
+    grid = FamilyGrid([c], [r])
+    return grid.meets(0, grid.rect_boxes[0])
 
 
 class AnchoredFrame:
@@ -572,7 +642,7 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
         out.append("ii: (1+eps)*xi(eps) is not below eps")
     if u.x_hi - e.x_hi != eps * xi:
         out.append("ii: right-side gap is not eps*xi(eps)")
-    if _inside(anchor.shape, e)[1]:
+    if copy_meets_rect(anchor.shape, e):
         out.append("ii: empty square meets the shape")
 
     if _stabber_faults(anchor.shape, anchor.left_stabber(eps),

@@ -114,7 +114,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
             faults.append(f"diagonal {i} does not stick out of the template box by exactly m")
         if not e1.x_lo > bbox0.x_hi:
             faults.append(f"eps1-empty square of diagonal {i} does not clear the template box")
-        if not grid.clip(n_base + i, box):
+        if not grid.meets(n_base + i, box):
             faults.append(f"diagonal {i} does not meet its root")
         if not delta * root.width + m <= (eps / 2) * (root.width / 2):
             faults.append(f"diagonal {i} breaks the shift bound")
@@ -124,7 +124,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         for i, (r, box, ids) in enumerate(zip(rects, boxes, grid.near(boxes))):
             if r.width != r.height:
                 raise ConstructionError(f"{name} root {i} is not a square")
-            if any(grid.clip(j, box) for j in ids):
+            if any(grid.meets(j, box) for j in ids):
                 raise ConstructionError(f"{name} root {i} is not empty")
     return helper, uppers, lowers
 

@@ -12,19 +12,24 @@ renaming, with no saturation ordering, no clique bounds, and no
 branch-and-bound pruning, and the box and graph
 oracles test every pair instead of sweeping; the triangle oracle tests
 every triple, the solver's references are the bodies that scanned
-every vertex at each selection step, the interval predicates' references
-compare the Fraction ends, and the game-tree reference replays every
-history from the root through a fresh ``PresenterSession``.  The
-helpers below them (whether two rectangles meet and the box of many,
-whether an interval holds another, on their ints, whether a copy stabs
-a rectangle, on the two's ``FamilyGrid``, the colors of an interval's
-overlap neighbors and a transcript's chain at a point, clique number, first-fit coloring, DIMACS parsing, probe color
-audits and the encoded family's certificate) have no caller in the
+every vertex at each selection step, and the clique search's second
+one its body with one recursive call per clique vertex, the interval
+predicates' references compare the Fraction ends, and the game-tree
+reference replays every history from the root through a fresh
+``PresenterSession``.  The helpers below them (whether two rectangles
+meet and the box of many, whether an interval holds another, on their
+ints, whether a copy stabs a rectangle, on the two's ``FamilyGrid``, or
+one segment alone spans it, on exact rationals, random shapes drawn
+against a rectangle for the stabbing test's slow paths, the colors of
+an interval's overlap neighbors and a transcript's chain at a point,
+clique number, first-fit coloring, DIMACS parsing, probe color audits
+and the encoded family's certificate) have no caller in the
 package.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +40,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript, Interval, Position, PresenterSession
 from trifree.errors import ConstructionError
-from trifree.geometry import HORIZONTAL, VERTICAL, Rat, Rect, Seg, XYTransform, seg_intersect
+from trifree.geometry import (
+    HORIZONTAL,
+    VERTICAL,
+    Rat,
+    Rect,
+    Seg,
+    XYTransform,
+    h_seg,
+    seg_intersect,
+    v_seg,
+)
 from trifree.graphs import (
     ChromaticResult,
     Graph,
@@ -48,6 +63,7 @@ from trifree.graphs import (
 from trifree.independent import Level, Probe, split_probe
 from trifree.shapes import (
     FamilyGrid,
+    RectilinearShape,
     ShapeDef,
     TransformedCopy,
     copies_intersect,
@@ -245,6 +261,78 @@ def curve_stabs_ref(segs: Sequence[Seg], rect: Rect, *, vertical: bool) -> bool:
     return any(any(touches(clipped[i], lo_line) for i in comp)
                and any(touches(clipped[i], hi_line) for i in comp)
                for comp in _components_ref(clipped))
+
+
+def spans_ref(segs: Sequence[Seg], rect: Rect, *, vertical: bool) -> bool:
+    """True iff one of ``segs`` alone joins two opposite sides of ``rect``,
+    on exact rationals: its bottom and top when vertical, else its left and
+    right.  Where this holds, ``curve_stabs_ref`` needs no component walk."""
+    if vertical:
+        return any(s.orientation == VERTICAL and rect.x_lo <= s.fixed <= rect.x_hi
+                   and s.lo <= rect.y_lo and rect.y_hi <= s.hi for s in segs)
+    return any(s.orientation == HORIZONTAL and rect.y_lo <= s.fixed <= rect.y_hi
+               and s.lo <= rect.x_lo and rect.x_hi <= s.hi for s in segs)
+
+
+def stab_case(rng: random.Random, rect: Rect, *, vertical: bool) -> RectilinearShape:
+    """A random rectilinear shape drawn against ``rect``, a rectangle of
+    positive width and height, on the sixths of its sides, for the paths of
+    the stabbing test that no single spanning segment decides.  A piece
+    *along* runs in the stabbing direction (vertical when ``vertical``), a
+    piece *across* at right angles to it.  One of three kinds:
+
+    * a staircase: two to four pieces along, end to end in that direction,
+      from beyond the near side of ``rect`` to beyond the far side, joined
+      by pieces across; sometimes a joint is dropped, one piece moved out of
+      the rectangle, or the last piece ends short of the far side;
+    * two halves: one piece along from the near side to a middle line, one
+      from that line or a sixth past it to the far side, at two positions
+      across that may coincide;
+    * touches: one to three pieces that end on a side of ``rect`` from
+      outside, or a sixth short of it.
+
+    The shape need not be connected."""
+    (a0, a1, b0, b1) = ((rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi) if vertical
+                        else (rect.y_lo, rect.y_hi, rect.x_lo, rect.x_hi))
+
+    def across_at(j: int) -> Rat:
+        return a0 + (a1 - a0) * Fraction(j, 6)
+
+    def along_at(j: int) -> Rat:
+        return b0 + (b1 - b0) * Fraction(j, 6)
+
+    def along(col: int, lo: int, hi: int) -> Seg:
+        return (v_seg if vertical else h_seg)(across_at(col), along_at(lo), along_at(hi))
+
+    def across(row: int, lo: int, hi: int) -> Seg:
+        return (h_seg if vertical else v_seg)(along_at(row), across_at(lo), across_at(hi))
+
+    kind = rng.choice(("staircase", "halves", "touches"))
+    if kind == "staircase":
+        m = rng.randint(2, 4)
+        cols = [rng.randint(0, 6) for _ in range(m)]
+        ends = [-rng.randint(0, 2), *sorted(rng.sample(range(1, 6), m - 1)), 6 + rng.randint(0, 2)]
+        fault = rng.choice((None, "joint", "out", "short"))
+        if fault == "out":
+            cols[rng.randrange(m)] = rng.choice((-1, 7))
+        if fault == "short":
+            ends[-1] = rng.randint(ends[-2], 5)
+        joints = [across(ends[i + 1], min(cols[i], cols[i + 1]), max(cols[i], cols[i + 1]))
+                  for i in range(m - 1)]
+        if fault == "joint":
+            del joints[rng.randrange(m - 1)]
+        segs = [along(cols[i], ends[i], ends[i + 1]) for i in range(m)] + joints
+    elif kind == "halves":
+        mid, gap = rng.randint(1, 5), rng.choice((0, 0, 1))
+        segs = [along(rng.randint(0, 6), -rng.randint(0, 2), mid),
+                along(rng.randint(0, 6), mid + gap, 6 + rng.randint(0, 2))]
+    else:
+        segs = []
+        for _ in range(rng.randint(1, 3)):
+            at, short = rng.randint(0, 6), rng.randint(0, 1)
+            segs.append(rng.choice((along(at, -3, -short), along(at, 6 + short, 9),
+                                    across(at, -3, -short), across(at, 6 + short, 9))))
+    return RectilinearShape(tuple(segs))
 
 
 def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,
@@ -472,6 +560,41 @@ def max_clique_ref(g: Graph) -> tuple[int, ...]:
                 expand(r + [u], p & masks[u], x & masks[u])
                 p &= ~(1 << u)
                 x |= 1 << u
+
+    expand([], (1 << g.n) - 1, 0)
+    return tuple(sorted(best))
+
+
+def max_clique_recursive_ref(g: Graph) -> tuple[int, ...]:
+    """``graphs.max_clique`` as one recursive call per clique vertex, with
+    the same pivot rule and expansion order: exact, but a clique deeper than
+    the recursion limit raises ``RecursionError``."""
+    if g.n == 0:
+        return ()
+    masks = _masks_ref(g)
+    best: list[int] = [0]
+
+    def expand(r: list[int], p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            if len(r) > len(best):
+                best[:] = r
+            return
+        pool, pivot, covered = p | x, -1, -1
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            count = (p & masks[u]).bit_count()
+            if count > covered:
+                pivot, covered = u, count
+            pool ^= low
+        cand = p & ~masks[pivot]
+        while cand:
+            low = cand & -cand
+            u = low.bit_length() - 1
+            expand(r + [u], p & masks[u], x & masks[u])
+            p ^= low
+            x |= low
+            cand ^= low
 
     expand([], (1 << g.n) - 1, 0)
     return tuple(sorted(best))

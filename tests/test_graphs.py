@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from _oracles import (
     greedy_coloring,
     intersection_graph_bruteforce,
     is_triangle_free_bruteforce,
+    max_clique_recursive_ref,
     max_clique_ref,
     parse_dimacs,
     proper_colorings,
@@ -142,7 +144,7 @@ def test_solver_matches_reference_bodies_on_random_graphs():
 
 def test_selection_layers_match_references_on_random_graphs():
     for g in _seeded_graphs(77, 400):
-        assert max_clique(g) == max_clique_ref(g)
+        assert max_clique(g) == max_clique_ref(g) == max_clique_recursive_ref(g)
         assert dsatur_order_coloring(g) == dsatur_order_coloring_ref(g)
 
 
@@ -154,7 +156,8 @@ def test_solver_matches_reference_bodies_on_families():
         shape = catalog()[name]
         g = intersection_graph(build(4, shape).family)
         assert chromatic_number(g) == chromatic_number_ref(g), f"bare {name} k=4"
-        assert max_clique(g) == max_clique_ref(g), f"bare {name} k=4"
+        assert max_clique(g) == max_clique_ref(g) == max_clique_recursive_ref(g), \
+            f"bare {name} k=4"
         assert dsatur_order_coloring(g) == dsatur_order_coloring_ref(g), f"bare {name} k=4"
         for k in (1, 2, 3):
             g = intersection_graph(augment(build(k, shape), shape))
@@ -183,6 +186,16 @@ def test_solver_searches_deeper_than_the_recursion_limit():
     res = chromatic_number(g)
     assert res.exact and res.chi == 3
     assert verify_coloring(g, res.coloring)
+
+
+def test_solver_finds_a_clique_deeper_than_the_recursion_limit():
+    # the clique search goes one level deeper per clique vertex
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    res = chromatic_number(complete(n))
+    assert res.exact and res.chi == n
+    assert res.clique == tuple(range(n))
+    assert res.certificate().startswith("clique [0, 1, 2")
 
 
 def test_triangle_test_matches_all_triples():

@@ -14,6 +14,7 @@ from trifree.graphs import (
     is_triangle_free,
 )
 from trifree.independent import (
+    Level,
     Probe,
     augment,
     base_level,
@@ -40,6 +41,8 @@ from _oracles import (
     RectRelation,
     apply_ref,
     copies_intersect_ref,
+    copy_meets_rect_ref,
+    curve_stabs_ref,
     diagonal_law_ref,
     intersection_graph_bruteforce,
     make_diagonal_ref,
@@ -47,7 +50,10 @@ from _oracles import (
     probe_conditions_ref,
     proper_colorings,
     rect_relations,
+    rect_union_all,
     rects_meet,
+    spans_ref,
+    stab_case,
     stabs_horizontally,
     stabs_vertically,
     step_contact_law_violations,
@@ -363,6 +369,94 @@ def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_l
     assert got == probe_conditions_ref(level.probes, copies, bbox)
     message = f"pierced copies {a} and {b} intersect"
     assert all(message in got[i] for i in sharing)
+
+
+def _drawn_level(rng):
+    """Three probes, bands of a 12-wide box reaching its right side, with two
+    to four copies drawn against each (``stab_case``): most against the probe
+    rectangle, the others against its root.  Each probe claims the copies
+    its rectangle meets, or one of them fewer or more now and then."""
+    copies, bands = [], []
+    for row in range(3):
+        x_lo, y_lo = rng.randint(0, 4), 4 * row + Fraction(rng.randint(0, 2), 3)
+        cut, y_hi = x_lo + rng.randint(1, 3), y_lo + rng.randint(2, 3)
+        rect, root = Rect(x_lo, 12, y_lo, y_hi), Rect(x_lo, cut, y_lo, y_hi)
+        for _ in range(rng.randint(2, 4)):
+            target = rect if rng.random() < 0.7 else root
+            copies.append(shapes.TransformedCopy(
+                "drawn", stab_case(rng, target, vertical=rng.random() < 0.8)))
+        bands.append((x_lo, y_lo, y_hi, cut))
+    x_hi = family_bbox(copies).x_hi
+    probes = []
+    for x_lo, y_lo, y_hi, cut in bands:
+        rect = Rect(x_lo, x_hi, y_lo, y_hi)
+        pierced = {i for i, c in enumerate(copies) if copy_meets_rect_ref(c, rect)}
+        if rng.random() < 0.2:
+            pierced ^= {rng.randrange(len(copies))}
+        probes.append(Probe(rect, Rect(x_lo, cut, y_lo, y_hi), cut, sorted(pierced)))
+    return Level(1, tuple(copies), tuple(probes))
+
+
+def test_probe_scan_falls_back_as_the_fraction_reference_decides():
+    rng = random.Random(5150)
+    seen: set[str] = set()
+    for _ in range(60):
+        copies, probes, _ = _rebased(rng, _drawn_level(rng), ())
+        bbox = family_bbox(copies)
+        got = _probe_conditions(probes, copies, bbox)
+        assert got == probe_conditions_ref(probes, copies, bbox)
+        seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
+        for p in probes:
+            for c in copies:
+                if copy_meets_rect_ref(c, p.rect) and not spans_ref(c.segments, p.rect,
+                                                                     vertical=True):
+                    stabs = curve_stabs_ref(c.segments, p.rect, vertical=True)
+                    seen.add(f"walk {stabs}")
+    assert {"pierced set", "pierced copies", "pierced copy", "root meets", "walk True",
+            "walk False"} <= seen
+
+
+def _count_probe_scans(monkeypatch) -> dict[str, list]:
+    """From now on: each scan of a copy against a probe (its rectangle, its
+    root and the copy's segments), each clip and each component walk."""
+    seen: dict[str, list] = {"scans": [], "clips": [], "walks": []}
+    pierce, clip, components = shapes._pierce, shapes._clip, shapes._components
+
+    def counted_pierce(rect, root, segs):
+        seen["scans"].append((rect, root, id(segs)))
+        return pierce(rect, root, segs)
+
+    def counted_clip(box, segs):
+        seen["clips"].append(box)
+        return clip(box, segs)
+
+    def counted_components(segs):
+        seen["walks"].append(segs)
+        return components(segs)
+
+    monkeypatch.setattr(shapes, "_pierce", counted_pierce)
+    monkeypatch.setattr(shapes, "_clip", counted_clip)
+    monkeypatch.setattr(shapes, "_components", counted_components)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["frame", "lshape", "cross"])
+def test_level_law_scans_each_probe_and_near_copy_once(name, monkeypatch):
+    # every pierced copy of a built level has one segment spanning its
+    # probe, so no probe check clips a copy or walks its components
+    shape = catalog()[name]
+    level = build(4, shape)
+    diagonals = augment(level, shape)[len(level.family):]
+    near = sum(rects_meet(c.bbox, rect_union_all([p.rect, p.root]))
+               for p in level.probes for c in level.family)
+    seen = _count_probe_scans(monkeypatch)
+    assert independent.level_law(level, diagonals) == []
+    assert len(seen["scans"]) == len(set(seen["scans"])) == near
+    assert seen["clips"] == seen["walks"] == []
+    # copies drawn to be pierced without a spanning segment are clipped
+    drawn = _drawn_level(random.Random(5150))
+    _probe_conditions(drawn.probes, drawn.family, drawn.bbox)
+    assert seen["clips"] and seen["walks"]
 
 
 def _count_contact_work(monkeypatch) -> dict[str, list]:

@@ -32,6 +32,8 @@ from _oracles import (
     meeting_pairs_bruteforce,
     rect_union_all,
     segment_covered,
+    spans_ref,
+    stab_case,
     stabs_horizontally,
     stabs_vertically,
     then,
@@ -444,6 +446,28 @@ def test_integer_kernel_matches_fraction_references():
     for _ in range(1500):
         _kernel_vs_references(_random_copy(rng), _random_copy(rng), _random_rect(rng), seen)
     assert seen == {(name, v) for name in ("meet", "rect", "stab") for v in (True, False)}
+
+
+def test_integer_kernel_matches_fraction_references_on_drawn_stab_cases():
+    # shapes drawn against the rectangle (``stab_case``), all under one
+    # random transform, so that no single segment decides most stabs
+    rng = random.Random(4242)
+    seen: set = set()
+    for _ in range(600):
+        x0, y0 = Fraction(rng.randint(0, 18), 6), Fraction(rng.randint(0, 18), 6)
+        w, h = (Fraction(rng.choice((1, 3, 6, 9)), rng.choice((2, 3, 6))) for _ in range(2))
+        r = Rect(x0, x0 + w, y0, y0 + h)
+        t = XYTransform(rng.choice(_SCALES), rng.choice(_SCALES),
+                        Fraction(rng.randint(-6, 6), rng.choice((5, 7))), Fraction(1, 3))
+        a, b = (TransformedCopy("drawn", stab_case(rng, r, vertical=vertical), t, "t")
+                for vertical in (True, rng.random() < 0.5))
+        r = t.apply(r)
+        _kernel_vs_references(a, b, r, seen)
+        for c in (a, b):
+            for vertical in (True, False):
+                if not spans_ref(c.segments, r, vertical=vertical):
+                    seen.add(("walk", curve_stabs_ref(c.segments, r, vertical=vertical)))
+    assert seen == {(name, v) for name in ("meet", "rect", "stab", "walk") for v in (True, False)}
 
 
 def test_integer_kernel_matches_fraction_references_above_600_bits():
