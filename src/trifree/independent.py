@@ -25,7 +25,9 @@ runs the same law on a stored family.  The law lifts the copies, the
 diagonals and the probes' rectangles onto one integer grid
 (``shapes.FamilyGrid``), takes its candidates from one y-sweep over
 bounding boxes on it and decides each contact once: the probe conditions
-read the contacts, the diagonal law and the triangle test one graph.
+and the diagonal law read the contacts, the triangle test one graph of
+them.  ``augment`` adds to a sealed level only what the diagonals claim,
+so ``check_diagonals`` decides only the pairs that hold a diagonal.
 
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
@@ -54,7 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
 from .geometry import IntBox, Rat, Rect, XYTransform
-from .graphs import Graph, intersection_graph, is_triangle_free
+from .graphs import Graph, is_triangle_free
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, family_bbox, meeting_pairs
 
 # P-up takes the top 2/5 of a probe, P-down the bottom 2/5; the middle
@@ -260,24 +262,30 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     return out
 
 
-def diagonal_law(g: Graph, n: int, probes: Sequence[Probe]) -> list[str]:
-    """The closing diagonals' contact law, read from ``g``, the intersection
-    graph of n base copies followed by one diagonal per probe.  Empty list =
-    it holds.
+def diagonal_law(pairs: Sequence[tuple[int, int]], n: int, probes: Sequence[Probe]) -> list[str]:
+    """The closing diagonals' contact law, read from ``pairs``, the sorted
+    contact pairs (``FamilyGrid.contacts``) of n base copies followed by
+    one diagonal per probe.  Empty list = it holds.
 
-    Diagonal i, vertex n + i, meets exactly the base copies pierced by
-    probe i, and no two diagonals meet.
+    Diagonal i, copy n + i, meets exactly the base copies pierced by
+    probe i, and no two diagonals meet.  Only pairs that hold a diagonal
+    are read, so ``contacts(n)`` is enough.
     """
-    if g.n - n != len(probes):
-        return ["diagonal count differs from probe count"]
-    out: list[str] = []
-    for i, probe in enumerate(probes):
-        neighbors = sorted(j for j in g.adj[n + i] if j < n)
-        if frozenset(neighbors) != frozenset(probe.pierced):
-            out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    out.extend(f"diagonals {u - n} and {v - n} intersect"
-               for u in range(n, g.n) for v in sorted(g.adj[u]) if v > u)
-    return out
+    met: list[list[int]] = [[] for _ in probes]
+    for a, b in pairs:
+        if a < n <= b:
+            met[b - n].append(a)
+    out = [f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}"
+           for i, (neighbors, probe) in enumerate(zip(met, probes))
+           if frozenset(neighbors) != frozenset(probe.pierced)]
+    return out + [f"diagonals {a - n} and {b - n} intersect" for a, b in pairs if a >= n]
+
+
+def check_diagonals(grid: FamilyGrid, n: int, probes: Sequence[Probe]) -> None:
+    """Raise ConstructionError unless the diagonal law holds on ``grid``, n
+    base copies and then one diagonal per probe.  Only the pairs that hold
+    a diagonal are decided: the base's were decided when it was sealed."""
+    fail_on(diagonal_law(grid.contacts(n), n, probes))
 
 
 def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
@@ -317,8 +325,9 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     each probe; pairwise disjoint probes; the diagonal law of
     ``diagonals`` when given; and no triangle, ``diagonals`` included.
     Every contact is decided by one ``contacts()`` pass on one
-    ``FamilyGrid``, which the probe conditions read; one graph of those
-    contacts, made once the grid is released, serves the other two laws.
+    ``FamilyGrid``, which the probe conditions and the diagonal law read;
+    one graph of those contacts, made once the grid is released, serves the
+    triangle test.
     """
     out: list[str] = []
     k, n = level.k, len(level.family)
@@ -346,7 +355,9 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     out.extend(f"probes {i} and {j} are not disjoint"
                for i, j in meeting_pairs([p.rect for p in level.probes]))
     if diagonals is not None:
-        out.extend(f"augmented: {msg}" for msg in diagonal_law(g, n, level.probes))
+        law = (diagonal_law(contacts, n, level.probes) if len(diagonals) == len(level.probes)
+               else ["diagonal count differs from probe count"])
+        out.extend(f"augmented: {msg}" for msg in law)
     if not is_triangle_free(g):
         out.append("family is not triangle-free")
     return out
@@ -459,5 +470,5 @@ def augment(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     diagonals = tuple(make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
                       for i, p in enumerate(level.probes))
     family = level.family + diagonals
-    fail_on(diagonal_law(intersection_graph(family), len(level.family), level.probes))
+    check_diagonals(FamilyGrid(family), len(level.family), level.probes)
     return family

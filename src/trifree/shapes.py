@@ -551,14 +551,16 @@ class FamilyGrid:
         copies before ``stop`` (all by default) whose boxes meet it."""
         return _boxes_meeting(queries, self.boxes[:stop])
 
-    def contacts(self) -> list[tuple[int, int]]:
+    def contacts(self, start: int = 0) -> list[tuple[int, int]]:
         """The sorted pairs (i, j), i < j, of copies that share a point: the
         one place two copies are decided to meet.  The sweep hands over the
         pairs whose boxes meet one at a time, so only the pairs that do share
-        a point are kept."""
+        a point are kept.  With ``start``, only the pairs with j >= start are
+        decided and returned: those that hold a copy from index ``start`` on,
+        such as the diagonals that follow a checked base family."""
         boxes, segs = self.boxes, self.segs
         return sorted((i, j) for i, j in _sweep_pairs(boxes)
-                      if _curves_meet(segs[i], segs[j], boxes[j]))
+                      if j >= start and _curves_meet(segs[i], segs[j], boxes[j]))
 
 
 def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, list[IntSeg]]:

@@ -10,8 +10,9 @@ Every level, the first included, is sealed by ``independent.seal``: with
 ``epsilon`` set, ``grow_probe`` carves each probe as an eps-probe and
 ``level_law`` checks that every copy is a homothet and every probe an
 eps-probe, as ``verify`` does on the stored family.
-``independent.diagonal_law`` checks the closing diagonals on their
-graph, and ``_make_helper`` each helper's diagonals on the grid it builds.
+``independent.check_diagonals`` checks the closing diagonals on the
+pairs that hold one, and ``_make_helper`` each helper's diagonals on the
+grid it builds.
 
 One recursion step, for the target parameter eps:
 
@@ -37,29 +38,14 @@ from __future__ import annotations
 
 from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, XYTransform
-from .graphs import intersection_graph
-from .shapes import (
-    AnchoredFrame,
-    FamilyGrid,
-    ShapeDef,
-    TransformedCopy,
-    family_bbox,
-)
-from .independent import Level, diagonal_law, embed_helpers, seal
+from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
+from .independent import Level, check_diagonals, embed_helpers, seal
 
 
 def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
     if shape.anchor is None:
         raise ValueError(f"shape {shape.name!r} has no anchored representative")
     return shape.anchor
-
-
-def _top_right_quadrant(r: Rect) -> Rect:
-    return Rect(r.x_lo + r.width / 2, r.x_hi, r.y_lo + r.height / 2, r.y_hi)
-
-
-def _lower_right_quadrant(r: Rect) -> Rect:
-    return Rect(r.x_lo + r.width / 2, r.x_hi, r.y_lo, r.y_lo + r.height / 2)
 
 
 def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
@@ -78,7 +64,8 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     Each diagonal's claims are checked on the helper's grid, one message
     per failed claim per diagonal: it sticks out of the template box by
     exactly m, its eps1-empty square clears that box, it meets its root,
-    and its shift obeys delta*s + m <= (eps/2)*(s/2).
+    and its shift obeys delta*s + m <= (eps/2)*(s/2).  The diagonal law
+    (``check_diagonals``) follows on the same grid.
     """
     anchor = _require_anchor(shape)
     delta = inner.epsilon
@@ -95,14 +82,14 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     diagonals: list[TransformedCopy] = []
     uppers: list[Rect] = []
     lowers: list[Rect] = []
-    for i, root in enumerate(roots):
-        shift = delta * root.width + m
-        quad = _top_right_quadrant(root)
-        square = Rect(quad.x_lo + shift, quad.x_hi + shift, quad.y_lo, quad.y_hi)
-        diag = _square_homothet(shape, anchor, square, f"diagonal(P{i})")
-        diagonals.append(diag)
-        uppers.append(diag.transform.apply(anchor.empty_square(eps1)))
-        lowers.append(_lower_right_quadrant(root))
+    for i, r in enumerate(roots):
+        # the diagonal fills the root's top-right quadrant, shifted right;
+        # the lower root is the root's lower-right quadrant
+        x_mid, y_mid, shift = r.x_lo + r.width / 2, r.y_lo + r.height / 2, delta * r.width + m
+        square = Rect(x_mid + shift, r.x_hi + shift, y_mid, r.y_hi)
+        diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
+        uppers.append(diagonals[-1].transform.apply(anchor.empty_square(eps1)))
+        lowers.append(Rect(x_mid, r.x_hi, r.y_lo, y_mid))
 
     helper = list(inner.family) + diagonals
     n, n_base = len(roots), len(inner.family)
@@ -119,6 +106,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         if not delta * root.width + m <= (eps / 2) * (root.width / 2):
             faults.append(f"diagonal {i} breaks the shift bound")
     fail_on(faults)
+    check_diagonals(grid, n_base, inner.probes)
     for name, rects, boxes in (("upper", uppers, grid.rect_boxes[:n]),
                                ("lower", lowers, grid.rect_boxes[n:2 * n])):
         for i, (r, box, ids) in enumerate(zip(rects, boxes, grid.near(boxes))):
@@ -168,8 +156,7 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
     by the probe and nothing else; both facts are verified exactly.
     """
     anchor = _require_anchor(shape)
-    eps = level.epsilon
-    bbox = level.bbox
+    eps, bbox = level.epsilon, level.bbox
     diagonals: list[TransformedCopy] = []
     for i, p in enumerate(level.probes):
         s = p.root.width
@@ -179,5 +166,5 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
             raise ConstructionError(f"augmenting square escapes probe {i}")
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
     family = level.family + tuple(diagonals)
-    fail_on(diagonal_law(intersection_graph(family), len(level.family), level.probes))
+    check_diagonals(FamilyGrid(family), len(level.family), level.probes)
     return family

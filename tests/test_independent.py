@@ -341,12 +341,14 @@ def test_grid_checks_match_fraction_references_on_unrelated_grids():
             assert got == probe_conditions_ref(probes, copies, bbox, level.epsilon)
             seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
             seen.add("valid" if [] in got else "all invalid")
-            family = copies + diags
-            g = intersection_graph(family)
-            law = diagonal_law(g, len(copies), probes)
+            family, n = copies + diags, len(copies)
+            grid = shapes.FamilyGrid(family)
+            contacts, diagonal_pairs = grid.contacts(), grid.contacts(n)
+            assert diagonal_pairs == [(i, j) for i, j in contacts if j >= n]
+            law = diagonal_law(diagonal_pairs, n, probes)
             assert law == diagonal_law_ref(copies, diags, probes)
             seen.add("diagonal law " + ("holds" if not law else "fails"))
-            assert set(g.edges()) == set(intersection_graph_bruteforce(family).edges()) == {
+            assert set(contacts) == set(intersection_graph_bruteforce(family).edges()) == {
                 (i, j) for i, j in itertools.combinations(range(len(family)), 2)
                 if copies_intersect_ref(family[i], family[j])}
     assert {"valid", "pierced set", "pierced copies", "pierced copy", "root meets",
@@ -470,9 +472,9 @@ def _count_contact_work(monkeypatch) -> dict[str, list]:
         seen["grids"].append(grid)
         init(grid, *args, **kwargs)
 
-    def counted_contacts(grid):
+    def counted_contacts(grid, start=0):
         seen["passes"].append(grid)
-        return contacts(grid)
+        return contacts(grid, start)
 
     def counted_kernel(segs_a, segs_b, box_b):
         seen["kernel"].append((id(segs_a), id(segs_b)))
@@ -492,6 +494,22 @@ def test_level_law_decides_each_box_meeting_pair_once_on_one_grid(frame, monkeyp
     assert len(seen["grids"]) == len(seen["passes"]) == 1
     assert seen["grids"] == seen["passes"]
     assert len(seen["kernel"]) == len(set(seen["kernel"])) == pairs == 1145
+
+
+@pytest.mark.parametrize("build_level, close, want", [
+    (lambda shape: build(4, shape), augment, 736),
+    (lambda shape: build_uniform(3, Fraction(1, 2), shape), augment_uniform, 28),
+], ids=["independent-k4", "uniform-k3"])
+def test_augment_decides_only_the_pairs_that_hold_a_diagonal(frame, monkeypatch,
+                                                             build_level, close, want):
+    # the base contacts were decided when the level was sealed
+    level = build_level(frame)
+    n = len(level.family)
+    seen = _count_contact_work(monkeypatch)
+    family = close(level, frame)
+    diagonal_pairs = [(i, j) for i, j in meeting_pairs(family) if j >= n]
+    assert len(seen["grids"]) == len(seen["passes"]) == 1
+    assert len(seen["kernel"]) == len(set(seen["kernel"])) == len(diagonal_pairs) == want
 
 
 def test_verify_decides_an_augmented_family_on_one_grid(frame, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from trifree import uniform
 from trifree.errors import ConstructionError
 from trifree.geometry import Rect
 from trifree.graphs import chromatic_number, intersection_graph, is_triangle_free
-from trifree.independent import grow_probe, size_formulas
+from trifree.independent import Level, grow_probe, size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
 from trifree.uniform import _make_helper, augment_uniform, build_uniform
 
@@ -134,6 +135,16 @@ def test_helper_reports_tampered_diagonals(templates, frame, monkeypatch):
         _make_helper(template, HALF, frame)
     assert str(err.value) == ("diagonal 0 does not stick out of the template box by exactly m; "
                               "diagonal 0 does not meet its root")
+
+
+def test_helper_checks_its_diagonals_against_the_pierced_sets(templates, frame):
+    template = templates[3]
+    probe = template.probes[0]
+    tampered = Level(template.k, template.family,
+                     (replace(probe, pierced=()), *template.probes[1:]), template.epsilon)
+    with pytest.raises(ConstructionError) as err:
+        _make_helper(tampered, HALF, frame)
+    assert str(err.value) == f"diagonal 0 meets {sorted(probe.pierced)}, expected []"
 
 
 def test_diagonal_shift_inequality_holds(templates):
