@@ -27,7 +27,9 @@ diagonals and the probes' rectangles onto one integer grid
 bounding boxes on it and decides each contact once: the probe conditions
 and the diagonal law read the contacts, the triangle test one graph of
 them.  ``augment`` adds to a sealed level only what the diagonals claim,
-so ``check_diagonals`` decides only the pairs that hold a diagonal.
+so ``check_diagonals`` decides only the pairs that hold a diagonal.  A
+recursion step's claims are decided by those two checks alone:
+``next_level`` and ``uniform._make_helper`` re-check none of them.
 
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
@@ -422,25 +424,14 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
 
     The upper root of a probe is its diagonal's empty rectangle, the lower
     root the lower split part left of the cut line.
+
+    Each pierced copy stabs both split parts, as it stabs the sealed
+    probe: a split part is a band of the probe over its full x range.
+    ``augment`` checks the diagonals, and ``seal`` every new probe.
     """
     helper = augment(prev, shape)
     n = len(prev.family)
     splits = [split_probe(p) for p in prev.probes]
-    grid = FamilyGrid(helper, [r for parts in splits for r in parts])
-    up_boxes, low_boxes = grid.rect_boxes[0::2], grid.rect_boxes[1::2]
-    for i, (p, upper, lower, ids) in enumerate(
-            zip(prev.probes, up_boxes, low_boxes, grid.near(up_boxes, n))):
-        upper_pierced = [j for j in ids if grid.meets(j, upper)]
-        if upper_pierced != sorted(p.pierced):
-            raise ConstructionError(
-                f"upper part of probe {i} meets {upper_pierced}, expected {sorted(p.pierced)}")
-        for j in p.pierced:
-            if not (grid.stabs(j, upper, vertical=True) and grid.stabs(j, lower, vertical=True)):
-                raise ConstructionError(
-                    f"copy {j} fails to stab a split part of probe {i}")
-        if not grid.stabs(n + i, upper, vertical=False):
-            raise ConstructionError(f"diagonal {i} does not cross its probe's upper part")
-
     helper_bbox = family_bbox(helper)
     half = Fraction(1, 2)
     embeds = [XYTransform.rect_map(helper_bbox, p.root.concentric(half, half))

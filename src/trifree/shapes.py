@@ -33,8 +33,8 @@ segments span the rectangle, does it meet the root.  A spanning segment
 (``_spans``) is a connected piece that touches both sides, so it decides a
 stab alone; only a copy with no such segment is clipped (``_clip``) and
 its pieces walked into components (``_crosses``, which tries ``_spans``
-first too).  The segment-pair test ``_curves_meet`` decides contacts, and
-skips the segments of one copy that miss the other's box.
+on the pieces first).  The segment-pair test ``_curves_meet`` decides
+contacts, and skips the segments of one copy that miss the other's box.
 
 ``FamilyGrid`` is the one way segments reach a shared grid: it puts
 copies (or shapes) and the rectangles checked against them on the grid
@@ -43,8 +43,9 @@ onto it once, and runs the kernels there.  A family check lifts its
 family once; the feature checks, and ``copies_intersect`` and
 ``copy_meets_rect``, which only the feature checks, the benchmark and the
 tests call, each make a grid of one or two objects.  ``meeting_pairs`` and a
-grid's ``near`` and ``contacts`` find the closed boxes that meet with
-one sweep in y, so callers run the exact tests on those pairs alone.
+grid's ``near`` and ``contacts`` find the closed boxes that meet with one
+sweep in y (``_sweep_pairs``; ``near`` keeps its pairs of one query box
+and one copy), so callers run the exact tests on those pairs alone.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -54,7 +55,7 @@ rational eps in (0,1), an eps-empty square and matching stabbers.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -436,48 +437,28 @@ def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[l
     return den, [[_scaled_box(b.int_box, den // b.den) for b in group] for group in groups]
 
 
-def _by_bottom(boxes: Sequence[IntBox]) -> tuple[list[int], list[int]]:
-    """The indices of ``boxes`` in order of their bottom edges, and those
-    bottoms."""
-    order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
-    return order, [boxes[i][2] for i in order]
-
-
-def _x_ranges_meet(a: IntBox, b: IntBox) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
-
-
 def _sweep_pairs(boxes: Sequence[IntBox]) -> Iterator[tuple[int, int]]:
     """The pairs (i, j), i < j, of boxes on one grid that meet, in the
     sweep's order (see ``meeting_pairs``)."""
-    order, bottoms = _by_bottom(boxes)
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
+    bottoms = [boxes[i][2] for i in order]
     for pos, i in enumerate(order):
         a = boxes[i]
         for j in order[pos + 1:bisect_right(bottoms, a[3], pos + 1)]:
-            if _x_ranges_meet(a, boxes[j]):
+            b = boxes[j]
+            if a[0] <= b[1] and b[0] <= a[1]:
                 yield (i, j) if i < j else (j, i)
 
 
 def _boxes_meeting(q_grid: Sequence[IntBox], b_grid: Sequence[IntBox]) -> list[list[int]]:
     """For each query box, the ascending indices of the boxes of ``b_grid``
-    it meets, all on one grid.
-
-    The sweep of ``meeting_pairs`` across two lists: of two boxes that
-    overlap in y, exactly one has its bottom in the other's y range (a
-    query's when the bottoms tie), so each pair is met once, from one side.
-    """
-    q_order, q_bottoms = _by_bottom(q_grid)
-    b_order, b_bottoms = _by_bottom(b_grid)
+    it meets, all on one grid: the pairs of one sweep over both lists
+    (``_sweep_pairs``) that hold one query and one box."""
+    n = len(q_grid)
     out: list[list[int]] = [[] for _ in q_grid]
-    for i, q in enumerate(q_grid):
-        lo = bisect_left(b_bottoms, q[2])
-        out[i].extend(j for j in b_order[lo:bisect_right(b_bottoms, q[3], lo)]
-                      if _x_ranges_meet(q, b_grid[j]))
-    for j, b in enumerate(b_grid):
-        lo = bisect_right(q_bottoms, b[2])
-        for i in q_order[lo:bisect_right(q_bottoms, b[3], lo)]:
-            if _x_ranges_meet(q_grid[i], b):
-                out[i].append(j)
+    for i, j in _sweep_pairs([*q_grid, *b_grid]):
+        if i < n <= j:
+            out[i].append(j - n)
     for near in out:
         near.sort()
     return out
@@ -535,10 +516,9 @@ class FamilyGrid:
 
     def stabs(self, i: int, box: IntBox, *, vertical: bool) -> bool:
         """True iff copy i clipped to ``box``, a box on this grid, crosses it.
-        Only a copy with no one segment spanning the box is clipped."""
-        segs = self.segs[i]
-        return (_spans(box, segs, vertical=vertical)
-                or _crosses(box, _clip(box, segs), vertical=vertical))
+        A probe check asks only after ``pierce`` found no spanning segment,
+        so the copy is clipped at once."""
+        return _crosses(box, _clip(box, self.segs[i]), vertical=vertical)
 
     def pierce(self, i: int, rect: IntBox, root: IntBox) -> tuple[bool, bool, bool]:
         """Copy i against a probe's rectangle and root, boxes on this grid,
@@ -546,9 +526,9 @@ class FamilyGrid:
         segments spans the rectangle vertically, whether it meets the root."""
         return _pierce(rect, root, self.segs[i])
 
-    def near(self, queries: Sequence[IntBox], stop: Optional[int] = None) -> list[list[int]]:
+    def near(self, queries: Sequence[IntBox], stop: int) -> list[list[int]]:
         """For each query box on this grid, the ascending indices of the
-        copies before ``stop`` (all by default) whose boxes meet it."""
+        copies before ``stop`` whose boxes meet it."""
         return _boxes_meeting(queries, self.boxes[:stop])
 
     def contacts(self, start: int = 0) -> list[tuple[int, int]]:

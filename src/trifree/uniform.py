@@ -11,8 +11,9 @@ Every level, the first included, is sealed by ``independent.seal``: with
 ``level_law`` checks that every copy is a homothet and every probe an
 eps-probe, as ``verify`` does on the stored family.
 ``independent.check_diagonals`` checks the closing diagonals on the
-pairs that hold one, and ``_make_helper`` each helper's diagonals on the
-grid it builds.
+pairs that hold one, and ``_make_helper`` each helper's diagonals on a
+grid of the helper and its roots; the helper's upper and lower roots
+are left to the ``seal`` of the level that embeds them.
 
 One recursion step, for the target parameter eps:
 
@@ -65,7 +66,9 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     per failed claim per diagonal: it sticks out of the template box by
     exactly m, its eps1-empty square clears that box, it meets its root,
     and its shift obeys delta*s + m <= (eps/2)*(s/2).  The diagonal law
-    (``check_diagonals``) follows on the same grid.
+    (``check_diagonals``) follows on the same grid.  The upper and lower
+    roots are squares by construction (``grow_probe`` refuses others), and
+    ``seal`` checks the root carved from each for emptiness.
     """
     anchor = _require_anchor(shape)
     delta = inner.epsilon
@@ -92,11 +95,11 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         lowers.append(Rect(x_mid, r.x_hi, r.y_lo, y_mid))
 
     helper = list(inner.family) + diagonals
-    n, n_base = len(roots), len(inner.family)
-    grid = FamilyGrid(helper, uppers + lowers + roots)
+    n_base = len(inner.family)
+    grid = FamilyGrid(helper, roots)
     faults: list[str] = []
     for i, (root, box, diag, e1) in enumerate(
-            zip(roots, grid.rect_boxes[2 * n:], diagonals, uppers)):
+            zip(roots, grid.rect_boxes, diagonals, uppers)):
         if diag.bbox.x_hi - bbox0.x_hi != m:
             faults.append(f"diagonal {i} does not stick out of the template box by exactly m")
         if not e1.x_lo > bbox0.x_hi:
@@ -107,13 +110,6 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
             faults.append(f"diagonal {i} breaks the shift bound")
     fail_on(faults)
     check_diagonals(grid, n_base, inner.probes)
-    for name, rects, boxes in (("upper", uppers, grid.rect_boxes[:n]),
-                               ("lower", lowers, grid.rect_boxes[n:2 * n])):
-        for i, (r, box, ids) in enumerate(zip(rects, boxes, grid.near(boxes))):
-            if r.width != r.height:
-                raise ConstructionError(f"{name} root {i} is not a square")
-            if any(grid.meets(j, box) for j in ids):
-                raise ConstructionError(f"{name} root {i} is not empty")
     return helper, uppers, lowers
 
 

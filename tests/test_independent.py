@@ -84,13 +84,22 @@ def test_split_probe_two_fifths_rule():
     assert probe.rect.contains_rect(upper) and probe.rect.contains_rect(lower)
 
 
-def test_every_stabber_of_probe_stabs_both_parts(independent_levels):
-    level = independent_levels[2]
-    for p in level.probes:
-        upper, lower = split_probe(p)
-        for i in p.pierced:
-            assert stabs_vertically(level.family[i], upper)
-            assert stabs_vertically(level.family[i], lower)
+def test_every_stabber_of_probe_stabs_both_parts():
+    # what next_level relies on without checking it: on every built level,
+    # each pierced copy stabs both split parts of its probe, and the
+    # probe's diagonal crosses the upper part
+    for shape in catalog().values():
+        level = base_level(shape)
+        for k in (1, 2, 3):
+            diagonals = augment(level, shape)[len(level.family):]
+            for p, diagonal in zip(level.probes, diagonals):
+                upper, lower = split_probe(p)
+                for i in p.pierced:
+                    assert stabs_vertically(level.family[i], upper)
+                    assert stabs_vertically(level.family[i], lower)
+                assert stabs_horizontally(diagonal, upper)
+            if k < 3:
+                level = next_level(level, shape)
 
 
 def test_diagonal_frame_scale_factor_is_eight(frame):
@@ -510,6 +519,51 @@ def test_augment_decides_only_the_pairs_that_hold_a_diagonal(frame, monkeypatch,
     diagonal_pairs = [(i, j) for i, j in meeting_pairs(family) if j >= n]
     assert len(seen["grids"]) == len(seen["passes"]) == 1
     assert len(seen["kernel"]) == len(set(seen["kernel"])) == len(diagonal_pairs) == want
+
+
+@pytest.mark.parametrize("name", ["frame", "lshape", "cross"])
+def test_build_lifts_one_grid_per_seal_and_per_augment(name, monkeypatch):
+    # seal of level 1, then per step the helper's augment and the seal,
+    # then the closing augment: next_level lifts no grid of its own
+    shape = catalog()[name]
+    seen = _count_contact_work(monkeypatch)
+    augment(build(4, shape), shape)
+    assert len(seen["grids"]) == 1 + 2 * 3 + 1 == 8
+
+
+def test_next_level_refuses_a_diagonal_moved_off_a_pierced_copy(independent_levels, frame,
+                                                                 monkeypatch):
+    prev = independent_levels[2]
+    make = independent.make_diagonal
+
+    def moved(probe, shape, bbox, lineage="diagonal"):
+        diagonal = make(probe, shape, bbox, lineage)
+        if probe == prev.probes[0]:  # lifted clear above the family
+            diagonal = diagonal.rebase(XYTransform(1, 1, 0, 2 * bbox.height), lineage)
+        return diagonal
+
+    monkeypatch.setattr(independent, "make_diagonal", moved)
+    with pytest.raises(ConstructionError) as err:
+        next_level(prev, frame)
+    assert str(err.value) == "diagonal 0 meets [], expected [0, 2]"
+
+
+def test_next_level_refuses_a_lower_part_grown_into_its_diagonal(frame, monkeypatch):
+    split = independent.split_probe
+
+    def grown(p):
+        upper, lower = split(p)  # the lower part grown up to the diagonal's bottom side
+        return upper, Rect(lower.x_lo, lower.x_hi, lower.y_lo, upper.y_lo)
+
+    monkeypatch.setattr(independent, "split_probe", grown)
+    with pytest.raises(ConstructionError) as err:
+        next_level(base_level(frame), frame)
+    # copy 2 is the embedded diagonal, and probe 1 the lower probe
+    assert str(err.value) == (
+        "probe 1: pierced set mismatch: claimed [0, 1], actual [0, 1, 2]; "
+        "probe 1: pierced copies 1 and 2 intersect; "
+        "probe 1: pierced copy 2 does not stab the probe vertically; "
+        "probe 1: root meets copy 2")
 
 
 def test_verify_decides_an_augmented_family_on_one_grid(frame, monkeypatch):

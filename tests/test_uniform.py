@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifree import uniform
+from trifree import shapes, uniform
 from trifree.errors import ConstructionError
 from trifree.geometry import Rect
 from trifree.graphs import chromatic_number, intersection_graph, is_triangle_free
@@ -145,6 +145,41 @@ def test_helper_checks_its_diagonals_against_the_pierced_sets(templates, frame):
     with pytest.raises(ConstructionError) as err:
         _make_helper(tampered, HALF, frame)
     assert str(err.value) == f"diagonal 0 meets {sorted(probe.pierced)}, expected []"
+
+
+def test_helper_lifts_one_grid_of_its_roots(templates, frame, monkeypatch):
+    grids = []
+    init = shapes.FamilyGrid.__init__
+
+    def counted(grid, *args, **kwargs):
+        init(grid, *args, **kwargs)
+        grids.append(grid)
+
+    monkeypatch.setattr(shapes.FamilyGrid, "__init__", counted)
+    for template in templates.values():
+        grids.clear()
+        _make_helper(template, HALF, frame)
+        assert [len(grid.rect_boxes) for grid in grids] == [len(template.probes)]
+
+
+def test_seal_refuses_a_lower_root_that_meets_a_copy(frame, monkeypatch):
+    make_helper = uniform._make_helper
+
+    def tampered(inner, eps, shape):
+        helper, uppers, lowers = make_helper(inner, eps, shape)
+        # lower root 0 moved onto its diagonal's bounding square
+        square = helper[len(inner.family)].transform.apply(shape.anchor.bounding_square)
+        return helper, uppers, [square, *lowers[1:]]
+
+    monkeypatch.setattr(uniform, "_make_helper", tampered)
+    with pytest.raises(ConstructionError) as err:
+        build_uniform(2, HALF, frame)
+    # copy 2 is the embedded diagonal, and probe 1 the lower probe
+    assert str(err.value) == (
+        "probe 1: pierced set mismatch: claimed [0, 1], actual [0, 1, 2]; "
+        "probe 1: pierced copies 1 and 2 intersect; "
+        "probe 1: pierced copy 2 does not stab the probe vertically; "
+        "probe 1: root meets copy 2; probes 0 and 1 are not disjoint")
 
 
 def test_diagonal_shift_inequality_holds(templates):
