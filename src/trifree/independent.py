@@ -22,12 +22,12 @@ Nothing here is trusted.  ``seal`` ends every level: it grows the
 probes from their claimed roots and raises ConstructionError unless
 ``level_law``, the one statement of what a level claims, holds; ``verify``
 runs the same law on a stored family.  The law lifts the copies, the
-diagonals and the probes' rectangles onto one integer grid
-(``shapes.FamilyGrid``), takes its candidates from one y-sweep over
-bounding boxes on it and decides each contact once: the probe conditions
-and the diagonal law read the contacts, the triangle test one graph of
-them.  ``augment`` adds to a sealed level only what the diagonals claim,
-so ``check_diagonals`` decides only the pairs that hold a diagonal.  A
+diagonals and the probes onto one integer grid (``shapes.FamilyGrid``)
+and reads all it needs from one y-sweep over bounding boxes on it: each
+contact, decided once, for the probe conditions, the diagonal law and
+the triangle test, each probe's candidates and the probes that may meet.
+``augment`` adds to a sealed level only what the diagonals claim, so
+``check_diagonals`` decides only the pairs that hold a diagonal.  A
 recursion step's claims are decided by those two checks alone:
 ``next_level`` and ``uniform._make_helper`` re-check none of them.
 
@@ -59,7 +59,7 @@ from typing import Iterator, Optional, Sequence
 from .errors import ConstructionError, fail_on
 from .geometry import IntBox, Rat, Rect, XYTransform
 from .graphs import Graph, is_triangle_free
-from .shapes import FamilyGrid, ShapeDef, TransformedCopy, family_bbox, meeting_pairs
+from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 
 # P-up takes the top 2/5 of a probe, P-down the bottom 2/5; the middle
 # fifth is the separating margin.
@@ -184,36 +184,56 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     return copy
 
 
+def _boxes_meet(a: IntBox, b: IntBox) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
+
+
+def level_pass(grid: FamilyGrid, n: int) -> tuple[
+        list[tuple[int, int]], list[list[int]], list[tuple[int, int]]]:
+    """A level check's one pass (``FamilyGrid.contacts``) over the family on
+    ``grid`` and the box around each probe's rectangle and root, the grid's
+    rectangles in turn: the sorted pairs of copies that share a point, each
+    probe's candidates (the first ``n`` copies whose boxes meet its box, so
+    a root moved off its rectangle still meets every copy it could) and the
+    sorted pairs of probes whose rectangles meet."""
+    m, rects = len(grid.boxes), grid.rect_boxes
+    contacts, near, meeting = [], [[] for _ in rects[::2]], []
+    for i, j in grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])]):
+        if j < m:
+            contacts.append((i, j))
+        elif i < n:
+            near[j - m].append(i)
+        elif i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * (j - m)]):
+            meeting.append((i - m, j - m))
+    return contacts, near, meeting
+
+
 def probe_conditions(probes: Sequence[Probe], grid: FamilyGrid, n: int,
-                     contacts: set[tuple[int, int]],
+                     near: Sequence[Sequence[int]], contacts: set[tuple[int, int]],
                      epsilon: Optional[Rat] = None) -> list[list[str]]:
     """The probe conditions of each probe, checked exactly: one list of
     messages per probe, empty when it is valid.
 
     ``grid`` holds the family, whose first ``n`` copies are the ones the
-    probes may pierce, and as rectangles the family box, then each probe's
-    rectangle and root in turn; ``contacts`` holds the pairs (i, j), i < j,
-    of its copies that share a point.  The copies a probe rectangle meets
-    must be exactly ``probe.pierced`` (the expected contact set while
-    building, the stored set when verifying), pairwise disjoint and
-    vertical stabbers, and the root left of the cut must be empty.  Passing
-    ``epsilon`` makes these eps-probe checks: the root must also be a
-    square and the width/height ratio exactly 1 + eps.  One sweep finds,
-    for every probe, the first ``n`` copies whose boxes meet the box around
-    its rectangle and its root, so a root moved off its rectangle is still
-    checked against every copy it could meet.
+    probes may pierce and whose box the probes must fit, and as rectangles
+    each probe's rectangle and root in turn; ``near`` and ``contacts`` are
+    the candidates and the contact pairs of its one pass (``level_pass``).
+    The copies a probe rectangle meets must be exactly ``probe.pierced``
+    (the expected contact set while building, the stored set when
+    verifying), pairwise disjoint and vertical stabbers, and the root left
+    of the cut must be empty.  Passing ``epsilon`` makes these eps-probe
+    checks: the root must also be a square and the width/height ratio
+    exactly 1 + eps.
 
-    One scan of each near copy's segments decides whether the copy is
+    One scan of each candidate's segments decides whether the copy is
     pierced, whether it meets the root and, through a segment spanning the
     rectangle, most stabs; a pierced copy without one is clipped and walked
     into components.  Whether two pierced copies meet is read from
     ``contacts``, not decided here.
     """
-    box, rects, roots = grid.rect_boxes[0], grid.rect_boxes[1::2], grid.rect_boxes[2::2]
-    hulls = [(min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
-             for a, b in zip(rects, roots)]
+    box, rects = box_hull(grid.boxes[:n]), grid.rect_boxes
     return [_probe_messages(p, grid, rect, root, ids, box, epsilon, contacts)
-            for p, rect, root, ids in zip(probes, rects, roots, grid.near(hulls, n))]
+            for p, rect, root, ids in zip(probes, rects[::2], rects[1::2], near)]
 
 
 def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
@@ -326,9 +346,9 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     homothet when the level carries an epsilon; the probe conditions of
     each probe; pairwise disjoint probes; the diagonal law of
     ``diagonals`` when given; and no triangle, ``diagonals`` included.
-    Every contact is decided by one ``contacts()`` pass on one
-    ``FamilyGrid``, which the probe conditions and the diagonal law read;
-    one graph of those contacts, made once the grid is released, serves the
+    All of it is read from one pass (``level_pass``) on one ``FamilyGrid``:
+    the contacts, the probes' candidates and the pairs of probes that meet.
+    One graph of the contacts, made once the grid is released, serves the
     triangle test.
     """
     out: list[str] = []
@@ -347,15 +367,14 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
                    for c in family if not c.transform.is_uniform)
-    grid = FamilyGrid(family, [level.bbox, *(r for p in level.probes for r in (p.rect, p.root))])
-    contacts = grid.contacts()
-    for i, bad in enumerate(probe_conditions(level.probes, grid, n, set(contacts),
+    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
+    contacts, near, meeting = level_pass(grid, n)
+    for i, bad in enumerate(probe_conditions(level.probes, grid, n, near, set(contacts),
                                              level.epsilon)):
         out.extend(f"probe {i}: {msg}" for msg in bad)
-    del grid  # freed before the graph is made, so the two never coexist
+    del grid, near  # freed before the graph is made, so they never coexist
     g = Graph.from_edges(len(family), contacts)
-    out.extend(f"probes {i} and {j} are not disjoint"
-               for i, j in meeting_pairs([p.rect for p in level.probes]))
+    out.extend(f"probes {i} and {j} are not disjoint" for i, j in meeting)
     if diagonals is not None:
         law = (diagonal_law(contacts, n, level.probes) if len(diagonals) == len(level.probes)
                else ["diagonal count differs from probe count"])

@@ -40,12 +40,12 @@ contacts, and skips the segments of one copy that miss the other's box.
 copies (or shapes) and the rectangles checked against them on the grid
 of their least common denominator, with each box and segment list scaled
 onto it once, and runs the kernels there.  A family check lifts its
-family once; the feature checks, and ``copies_intersect`` and
-``copy_meets_rect``, which only the feature checks, the benchmark and the
-tests call, each make a grid of one or two objects.  ``meeting_pairs`` and a
-grid's ``near`` and ``contacts`` find the closed boxes that meet with one
-sweep in y (``_sweep_pairs``; ``near`` keeps its pairs of one query box
-and one copy), so callers run the exact tests on those pairs alone.
+family once; the feature checks, through ``copy_meets_rect``, and
+``copies_intersect``, which only the benchmark and the tests call, each
+make a grid of one or two objects.  A grid's ``contacts`` finds the
+closed boxes that meet with one sweep in y (``_sweep_pairs``) over its
+copies and any query boxes, and runs the exact contact test on the pairs
+of copies alone; a level check reads everything from that one pass.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -60,7 +60,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     HORIZONTAL,
@@ -438,8 +438,11 @@ def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[l
 
 
 def _sweep_pairs(boxes: Sequence[IntBox]) -> Iterator[tuple[int, int]]:
-    """The pairs (i, j), i < j, of boxes on one grid that meet, in the
-    sweep's order (see ``meeting_pairs``)."""
+    """The pairs (i, j), i < j, of closed boxes on one grid that meet, in
+    the sweep's order.  One sweep in y: each box is paired with the boxes
+    after it in bottom-edge order whose bottom lies in its y range (found
+    by bisection), so each pair that overlaps in y is met once and only
+    those compare x ranges."""
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][2])
     bottoms = [boxes[i][2] for i in order]
     for pos, i in enumerate(order):
@@ -450,37 +453,16 @@ def _sweep_pairs(boxes: Sequence[IntBox]) -> Iterator[tuple[int, int]]:
                 yield (i, j) if i < j else (j, i)
 
 
-def _boxes_meeting(q_grid: Sequence[IntBox], b_grid: Sequence[IntBox]) -> list[list[int]]:
-    """For each query box, the ascending indices of the boxes of ``b_grid``
-    it meets, all on one grid: the pairs of one sweep over both lists
-    (``_sweep_pairs``) that hold one query and one box."""
-    n = len(q_grid)
-    out: list[list[int]] = [[] for _ in q_grid]
-    for i, j in _sweep_pairs([*q_grid, *b_grid]):
-        if i < n <= j:
-            out[i].append(j - n)
-    for near in out:
-        near.sort()
-    return out
-
-
-def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, int]]:
-    """The pairs (i, j), i < j, of closed boxes that meet, in sorted order.
-
-    A copy stands for its bounding box.  One sweep in y over the boxes on
-    one integer grid: each box is paired with the boxes after it in
-    bottom-edge order whose bottom lies in its y range (found by
-    bisection), so each pair that overlaps in y is met once and only those
-    compare x ranges.
-    """
-    return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
+def box_hull(boxes: Iterable[IntBox]) -> IntBox:
+    """The smallest box holding every box given, all on one grid."""
+    x0, x1, y0, y1 = zip(*boxes)
+    return min(x0), max(x1), min(y0), max(y1)
 
 
 def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
     """The smallest box holding every copy (and rectangle) given."""
     den, (grid,) = _on_one_grid(copies)
-    return _rect_of(den, (min(b[0] for b in grid), max(b[1] for b in grid),
-                          min(b[2] for b in grid), max(b[3] for b in grid)))
+    return _rect_of(den, box_hull(grid))
 
 
 def _scaled_segs(c: TransformedCopy, box: IntBox, m: int) -> Sequence[IntSeg]:
@@ -526,21 +508,19 @@ class FamilyGrid:
         segments spans the rectangle vertically, whether it meets the root."""
         return _pierce(rect, root, self.segs[i])
 
-    def near(self, queries: Sequence[IntBox], stop: int) -> list[list[int]]:
-        """For each query box on this grid, the ascending indices of the
-        copies before ``stop`` whose boxes meet it."""
-        return _boxes_meeting(queries, self.boxes[:stop])
-
-    def contacts(self, start: int = 0) -> list[tuple[int, int]]:
-        """The sorted pairs (i, j), i < j, of copies that share a point: the
-        one place two copies are decided to meet.  The sweep hands over the
-        pairs whose boxes meet one at a time, so only the pairs that do share
-        a point are kept.  With ``start``, only the pairs with j >= start are
-        decided and returned: those that hold a copy from index ``start`` on,
-        such as the diagonals that follow a checked base family."""
-        boxes, segs = self.boxes, self.segs
-        return sorted((i, j) for i, j in _sweep_pairs(boxes)
-                      if j >= start and _curves_meet(segs[i], segs[j], boxes[j]))
+    def contacts(self, start: int = 0,
+                 queries: Sequence[IntBox] = ()) -> list[tuple[int, int]]:
+        """The sorted pairs (i, j), i < j, of one sweep over the copies'
+        boxes followed by ``queries``, boxes on this grid numbered on from
+        the copies.  A pair of copies is kept when the two share a point, the
+        one place two copies are decided to meet; a pair that holds a query
+        is kept as the sweep found it, its boxes meeting.  With ``start``,
+        only the pairs with j >= start are decided and returned: those that
+        hold a copy from index ``start`` on, such as the diagonals that
+        follow a checked base family."""
+        boxes, segs, n = self.boxes, self.segs, len(self.boxes)
+        return sorted((i, j) for i, j in _sweep_pairs([*boxes, *queries]) if j >= start
+                      and (j >= n or _curves_meet(segs[i], segs[j], boxes[j])))
 
 
 def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, list[IntSeg]]:

@@ -16,14 +16,14 @@ contact laws are enforced at construction time.
 
 No check tests all pairs or all copies: each takes its candidates from
 one y-sweep over bounding boxes, which the exact predicates then decide.
-``level_law`` lifts the family, its diagonals and the rectangles it
-queries onto one integer grid (``shapes.FamilyGrid``) and decides every
-contact in one pass on it: the probe conditions read those contacts,
-and the diagonal law and the triangle test one graph built from them.
-An encoded family's frame law and triangle test read one intersection
-graph.  All the stored probes are checked against one sweep, each with
-the box around its rectangle and its root, so a root stored away from
-its rectangle still meets every copy it could.
+``level_law`` lifts the family, its diagonals and its probes onto one
+integer grid (``shapes.FamilyGrid``) and runs one sweep on it, over the
+copies and the box around each stored probe's rectangle and root, so a
+root stored away from its rectangle still meets every copy it could.
+That pass decides every contact, which the probe conditions and the
+diagonal law read as pairs and the triangle test as one graph, and gives
+the probes their candidates and the pairs of probes that may meet.  An
+encoded family's frame law and triangle test read one intersection graph.
 """
 
 from __future__ import annotations

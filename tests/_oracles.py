@@ -17,14 +17,14 @@ one its body with one recursive call per clique vertex, the interval
 predicates' references compare the Fraction ends, and the game-tree
 reference replays every history from the root through a fresh
 ``PresenterSession``.  The helpers below them (whether two rectangles
-meet and the box of many, whether an interval holds another, on their
-ints, whether a copy stabs a rectangle, on the two's ``FamilyGrid``, or
-one segment alone spans it, on exact rationals, random shapes drawn
-against a rectangle for the stabbing test's slow paths, the colors of
-an interval's overlap neighbors and a transcript's chain at a point,
-clique number, first-fit coloring, DIMACS parsing, probe color audits
-and the encoded family's certificate) have no caller in the
-package.
+meet and the box of many, the sorted pairs of one sweep over boxes,
+whether an interval holds another, on their ints, whether a copy stabs
+a rectangle, on the two's ``FamilyGrid``, or one segment alone spans
+it, on exact rationals, random shapes drawn against a rectangle for the
+stabbing test's slow paths, the colors of an interval's overlap
+neighbors and a transcript's chain at a point, clique number, first-fit
+coloring, DIMACS parsing, probe color audits and the encoded family's
+certificate) have no caller in the package.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ from trifree.shapes import (
     RectilinearShape,
     ShapeDef,
     TransformedCopy,
+    _on_one_grid,
+    _sweep_pairs,
     copies_intersect,
     copy_meets_rect,
     family_bbox,
@@ -402,6 +404,13 @@ def meeting_pairs_bruteforce(boxes: Sequence[Rect],
                 if rects_meet(boxes[i], boxes[j])]
     return [(i, j) for i, a in enumerate(boxes) for j, b in enumerate(others)
             if rects_meet(a, b)]
+
+
+def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of closed boxes that meet, in sorted order,
+    from one ``_sweep_pairs`` over the boxes lifted onto one grid.  A copy
+    stands for its bounding box."""
+    return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
 
 
 def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:

@@ -20,6 +20,7 @@ from trifree.independent import (
     base_level,
     build,
     diagonal_law,
+    level_pass,
     make_diagonal,
     next_level,
     probe_conditions,
@@ -32,7 +33,6 @@ from trifree.shapes import (
     copies_intersect,
     copy_meets_rect,
     family_bbox,
-    meeting_pairs,
 )
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
@@ -46,6 +46,8 @@ from _oracles import (
     diagonal_law_ref,
     intersection_graph_bruteforce,
     make_diagonal_ref,
+    meeting_pairs,
+    meeting_pairs_bruteforce,
     probe_coloring_audit,
     probe_conditions_ref,
     proper_colorings,
@@ -346,7 +348,7 @@ def test_grid_checks_match_fraction_references_on_unrelated_grids():
             copies, probes, diags = _rebased(rng, level, diagonals)
             bbox = family_bbox(copies)
             assert len({c.den for c in copies} | {p.rect.den for p in probes}) > 4
-            got = _probe_conditions(probes, copies, bbox, level.epsilon, diags)
+            got = _probe_conditions(probes, copies, level.epsilon, diags)
             assert got == probe_conditions_ref(probes, copies, bbox, level.epsilon)
             seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
             seen.add("valid" if [] in got else "all invalid")
@@ -376,7 +378,7 @@ def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_l
     copies = list(level.family)
     copies[b] = replace(copies[a], lineage="tampered")
     bbox = family_bbox(copies)
-    got = _probe_conditions(level.probes, copies, bbox)
+    got = _probe_conditions(level.probes, copies)
     assert got == probe_conditions_ref(level.probes, copies, bbox)
     message = f"pierced copies {a} and {b} intersect"
     assert all(message in got[i] for i in sharing)
@@ -414,7 +416,7 @@ def test_probe_scan_falls_back_as_the_fraction_reference_decides():
     for _ in range(60):
         copies, probes, _ = _rebased(rng, _drawn_level(rng), ())
         bbox = family_bbox(copies)
-        got = _probe_conditions(probes, copies, bbox)
+        got = _probe_conditions(probes, copies)
         assert got == probe_conditions_ref(probes, copies, bbox)
         seen.update(" ".join(msg.split()[:2]) for msgs in got for msg in msgs)
         for p in probes:
@@ -466,7 +468,7 @@ def test_level_law_scans_each_probe_and_near_copy_once(name, monkeypatch):
     assert seen["clips"] == seen["walks"] == []
     # copies drawn to be pierced without a spanning segment are clipped
     drawn = _drawn_level(random.Random(5150))
-    _probe_conditions(drawn.probes, drawn.family, drawn.bbox)
+    _probe_conditions(drawn.probes, drawn.family)
     assert seen["clips"] and seen["walks"]
 
 
@@ -481,9 +483,9 @@ def _count_contact_work(monkeypatch) -> dict[str, list]:
         seen["grids"].append(grid)
         init(grid, *args, **kwargs)
 
-    def counted_contacts(grid, start=0):
+    def counted_contacts(grid, start=0, queries=()):
         seen["passes"].append(grid)
-        return contacts(grid, start)
+        return contacts(grid, start, queries)
 
     def counted_kernel(segs_a, segs_b, box_b):
         seen["kernel"].append((id(segs_a), id(segs_b)))
@@ -529,6 +531,107 @@ def test_build_lifts_one_grid_per_seal_and_per_augment(name, monkeypatch):
     seen = _count_contact_work(monkeypatch)
     augment(build(4, shape), shape)
     assert len(seen["grids"]) == 1 + 2 * 3 + 1 == 8
+
+
+def _count_sweeps_and_lifts(monkeypatch) -> dict[str, int]:
+    """From now on: each sweep over boxes and each lift of boxes onto one grid."""
+    seen = {"sweeps": 0, "lifts": 0}
+    sweep, lift = shapes._sweep_pairs, shapes._on_one_grid
+
+    def counted_sweep(boxes):
+        seen["sweeps"] += 1
+        return sweep(boxes)
+
+    def counted_lift(*groups):
+        seen["lifts"] += 1
+        return lift(*groups)
+
+    monkeypatch.setattr(shapes, "_sweep_pairs", counted_sweep)
+    monkeypatch.setattr(shapes, "_on_one_grid", counted_lift)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["frame", "lshape", "cross"])
+def test_level_check_lifts_one_grid_and_runs_one_sweep(name, monkeypatch):
+    shape = catalog()[name]
+    level = build(4, shape)
+    family = augment(level, shape)
+    doc = serialize.level_to_doc(level, shape, family)
+    fam = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+    stored = Level(level.k, level.family, level.probes)  # no box kept, as verify makes it
+    seen = _count_sweeps_and_lifts(monkeypatch)
+    assert independent.level_law(stored, family[len(level.family):]) == []
+    assert seen == {"sweeps": 1, "lifts": 1}
+    seen.update(sweeps=0, lifts=0)
+    assert verify_family(fam) == []
+    assert seen == {"sweeps": 1, "lifts": 1}
+    # per seal the box its probes grow to and the level check's grid; per
+    # augment one grid and one pass; per step the helper's box
+    seen.update(sweeps=0, lifts=0)
+    augment(build(4, shape), shape)
+    assert seen == {"sweeps": 4 + 4, "lifts": 2 * 4 + 4 + 3}
+
+
+def _tampered(probes, i, j, tamper):
+    """``probes`` with probe i's root set to probe j's rectangle, its
+    rectangle set to probe j's root, or probe i repeated at the end."""
+    probes = list(probes)
+    if tamper == "root-on-another-rectangle":
+        probes[i] = replace(probes[i], root=probes[j].rect)
+    elif tamper == "rectangle-on-another-root":
+        probes[i] = replace(probes[i], rect=probes[j].root)
+    else:
+        probes.append(probes[i])
+    return probes
+
+
+@pytest.mark.parametrize("name", ["frame", "lshape", "cross"])
+def test_one_pass_judges_tampered_probes_as_the_references_do(name):
+    # the probe references test every copy on exact rationals, so beyond
+    # the tampered probe they run on a seeded sample: the other probes are
+    # untouched probes of a sealed level, and the law must find them valid
+    shape, rng, seen = catalog()[name], random.Random(2323), set()
+    for level in _levels_up_to(4, shape):
+        n, p = len(level.family), len(level.probes)
+        diagonals = augment(level, shape)[n:]
+        for tamper in ("root-on-another-rectangle", "rectangle-on-another-root",
+                       "probe-repeated"):
+            i = rng.randrange(p)
+            j = rng.choice([j for j in range(p) if j != i] or [i])
+            probes = _tampered(level.probes, i, j, tamper)
+            checked = sorted({i, len(probes) - 1, *rng.sample(range(p), min(p, 4))})
+            refs = probe_conditions_ref([probes[x] for x in checked], level.family, level.bbox)
+            want = [f"probe {x}: {msg}" for x, msgs in zip(checked, refs) for msg in msgs]
+            want += [f"probes {a} and {b} are not disjoint"
+                     for a, b in meeting_pairs_bruteforce([q.rect for q in probes])]
+            law = (diagonal_law_ref(level.family, diagonals, probes) if len(probes) == p
+                   else ["diagonal count differs from probe count"])
+            sizes = [f"size: {p + 1} probes, expected p_{level.k} = {p}"] * (len(probes) > p)
+            tampered = replace(level, probes=tuple(probes))
+            assert independent.level_law(tampered) == sizes + want
+            assert independent.level_law(tampered, diagonals) == sizes + want + [
+                f"augmented: {msg}" for msg in law]
+            seen.update(msg.split()[0] for msg in want)
+    assert seen == {"probe", "probes"}
+
+
+def test_probes_are_disjoint_unless_their_rectangles_meet(independent_levels):
+    level = independent_levels[2]
+    p0, p1 = level.probes
+    # probe 1's root moved onto probe 0's rectangle: the boxes around each
+    # probe's rectangle and root meet, the two rectangles do not
+    moved = replace(p1, root=p0.rect)
+    assert rects_meet(rect_union_all([moved.rect, moved.root]), p0.rect)
+    assert not rects_meet(moved.rect, p0.rect)
+    got = independent.level_law(replace(level, probes=(p0, moved)))
+    assert "probe 1: root meets copy 0" in got
+    assert not any(msg.endswith("are not disjoint") for msg in got)
+    # probe 1's rectangle sharing only one corner with probe 0's
+    r = p0.rect
+    corner = replace(p1, rect=Rect(r.x_hi, r.x_hi + 1, r.y_hi, r.y_hi + 1))
+    assert meeting_pairs_bruteforce([p0.rect, corner.rect]) == [(0, 1)]
+    got = independent.level_law(replace(level, probes=(p0, corner)))
+    assert "probes 0 and 1 are not disjoint" in got
 
 
 def test_next_level_refuses_a_diagonal_moved_off_a_pierced_copy(independent_levels, frame,
@@ -666,18 +769,19 @@ def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
     assert inner.bbox == family_box(level.family[1:]) != level.bbox
 
 
-def _probe_conditions(probes, copies, bbox, epsilon=None, diagonals=()):
+def _probe_conditions(probes, copies, epsilon=None, diagonals=()):
     """``probe_conditions`` as ``level_law`` runs it: the copies, then the
-    diagonals, on one grid with the family box and every probe's rectangle
-    and root, and that grid's contacts."""
+    diagonals, on one grid with every probe's rectangle and root, and that
+    grid's one pass."""
     grid = shapes.FamilyGrid([*copies, *diagonals],
-                             [bbox, *(r for p in probes for r in (p.rect, p.root))])
-    return probe_conditions(probes, grid, len(copies), set(grid.contacts()), epsilon)
+                             [r for p in probes for r in (p.rect, p.root)])
+    contacts, near, _ = level_pass(grid, len(copies))
+    return probe_conditions(probes, grid, len(copies), near, set(contacts), epsilon)
 
 
 def _grid_unit(level):
     """One unit of the grid that ``level_law`` puts the level on."""
-    rects = [level.bbox, *(r for p in level.probes for r in (p.rect, p.root))]
+    rects = [r for p in level.probes for r in (p.rect, p.root)]
     return Fraction(1, shapes.FamilyGrid(level.family, rects).den)
 
 
@@ -744,7 +848,7 @@ def test_tampered_probe_sides_are_judged_as_the_reference_judges_them(
         for i in range(0, len(level.probes), 3):
             probes = list(level.probes)
             probes[i] = tamper(probes[i], unit)
-            got = _probe_conditions(probes, level.family, level.bbox, level.epsilon)
+            got = _probe_conditions(probes, level.family, level.epsilon)
             assert got == probe_conditions_ref(probes, level.family, level.bbox, level.epsilon)
             assert message in got[i]
             assert all(got[j] == [] for j in range(len(probes)) if j != i)

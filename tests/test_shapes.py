@@ -8,18 +8,16 @@ from trifree.geometry import Rect, Seg, XYTransform, h_seg, seg_intersect, v_seg
 from trifree.independent import augment, build
 from trifree.shapes import (
     AnchoredFrame,
+    FamilyGrid,
     RectilinearShape,
     ShapeFeatures,
     TransformedCopy,
-    _boxes_meeting,
     _covers,
-    _on_one_grid,
     anchored_violations,
     catalog,
     copies_intersect,
     copy_meets_rect,
     family_bbox,
-    meeting_pairs,
     validate_features,
 )
 from trifree.uniform import augment_uniform, build_uniform
@@ -29,6 +27,7 @@ from _oracles import (
     copies_intersect_within,
     copy_meets_rect_ref,
     curve_stabs_ref,
+    meeting_pairs,
     meeting_pairs_bruteforce,
     rect_union_all,
     segment_covered,
@@ -367,9 +366,12 @@ def test_meeting_pairs_matches_all_pairs_oracle():
             assert meeting_pairs(boxes) == meeting_pairs_bruteforce(boxes)
 
 
-def _meeting(queries, boxes):
-    """``_boxes_meeting`` on the queries and boxes lifted onto one grid."""
-    return _boxes_meeting(*_on_one_grid(queries, boxes)[1])
+def _query_pairs(queries, boxes):
+    """The pairs (i, j) of queries[i] and boxes[j] that meet, from one
+    ``FamilyGrid.contacts`` pass over a grid of no copies with both lists
+    as its queries."""
+    grid, n = FamilyGrid([], [*queries, *boxes]), len(queries)
+    return [(i, j - n) for i, j in grid.contacts(queries=grid.rect_boxes) if i < n <= j]
 
 
 def test_boxes_meeting_matches_all_pairs_oracle():
@@ -377,8 +379,7 @@ def test_boxes_meeting_matches_all_pairs_oracle():
     for n, m in ((0, 5), (5, 0), (1, 1), (3, 7), (30, 30), (80, 20)):
         for _ in range(5):
             queries, boxes = _random_boxes(rng, n), _random_boxes(rng, m)
-            got = [(i, j) for i, ids in enumerate(_meeting(queries, boxes)) for j in ids]
-            assert got == meeting_pairs_bruteforce(queries, boxes)
+            assert _query_pairs(queries, boxes) == meeting_pairs_bruteforce(queries, boxes)
 
 
 def test_sweep_counts_touching_and_degenerate_boxes():
@@ -388,7 +389,7 @@ def test_sweep_counts_touching_and_degenerate_boxes():
     assert meeting_pairs(corner) == [(0, 1)]
     assert meeting_pairs(point_on_edge) == [(0, 1)]
     assert meeting_pairs(tied_apart) == []
-    assert _meeting([Rect(1, 1, 0, 5)], corner + tied_apart) == [[0, 1, 2]]
+    assert _query_pairs([Rect(1, 1, 0, 5)], corner + tied_apart) == [(0, 0), (0, 1), (0, 2)]
 
 
 # A Mersenne prime: copies scaled by 1/_BIG_PRIME have denominators of
@@ -541,5 +542,10 @@ def test_sweeps_take_copies_for_their_bounding_boxes():
         rects = [_random_rect(rng, unit) for _ in range(20)]
         boxes = [c.bbox for c in copies]
         assert meeting_pairs(copies) == meeting_pairs_bruteforce(boxes)
-        got = [(i, j) for i, ids in enumerate(_meeting(rects, copies)) for j in ids]
+        # one pass over the copies and the rectangles as queries
+        grid, n = FamilyGrid(copies, rects), len(copies)
+        pairs = grid.contacts(queries=grid.rect_boxes)
+        assert [(i, j) for i, j in pairs if j < n] == grid.contacts()
+        got = sorted((j - n, i) for i, j in pairs if i < n <= j)
         assert got == meeting_pairs_bruteforce(rects, boxes)
+        assert [(i - n, j - n) for i, j in pairs if i >= n] == meeting_pairs_bruteforce(rects)
