@@ -8,25 +8,24 @@ refused at construction time to keep the arithmetic honest.
 These are the types that constructions, files and tests speak in: every
 stored value, a Rect's sides and an XYTransform's fields, is a Fraction.
 ``shapes`` decides every contact on integer grids: ``lift`` puts
-rationals on the grid of their least common denominator, and a ``Rect``
-keeps its own lift, so a rectangle queried many times is lifted once.
+rationals on the grid of their least common denominator, and every
+``Rect`` is lifted once, when it is made, so no query lifts it again.
 ``shapes.FamilyGrid`` then puts a whole family and its query rectangles
 on one grid, once per check.
 
 Fractions are made, not computed with, where ints can do the work:
 ``XYTransform.apply`` maps a Rect from its lift through ``axis_map``, so
-each new side is one ratio of ints normalised once, and ``Rect`` and
-``XYTransform`` check reversed sides and positive scales on numerators
-and cross-multiplied ints, skipping ``as_rat`` when every field is a
-Fraction already.  A Rect made with its lift, as the shapes' boxes and
-the rectangles a family file stores are, checks its sides on those ints.
-``rect_map`` and a Point's or Seg's image still use Fraction operators.
+each new side is one ratio of ints normalised once.  ``Rect`` checks
+reversed sides on its lift and ``XYTransform`` positive scales on
+numerators, each skipping ``as_rat`` when every field is a Fraction
+already.  ``rect_map`` and a Point's or Seg's image still use Fraction
+operators.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -131,32 +130,24 @@ def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
 @dataclass(frozen=True)
 class Rect:
     """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
-    ``int_box`` are its sides' ``lift``, kept in the plain attribute
-    ``_lift``: made on first use, or given as ``lifted`` by a caller that
-    has it, with Fraction sides, and then checked on its ints."""
+    ``int_box`` are its sides' ``lift``, made once, when it is made."""
 
     x_lo: Rat
     x_hi: Rat
     y_lo: Rat
     y_hi: Rat
-    lifted: InitVar[Optional[tuple[int, IntBox]]] = None
+    den: int = field(init=False, compare=False, repr=False)
+    int_box: IntBox = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, lifted: Optional[tuple[int, IntBox]]):
-        if lifted is not None:
-            object.__setattr__(self, "_lift", lifted)
-            x_lo, x_hi, y_lo, y_hi = lifted[1]
-            reversed_sides = x_lo > x_hi or y_lo > y_hi
-        else:
-            x_lo, x_hi, y_lo, y_hi = self.x_lo, self.x_hi, self.y_lo, self.y_hi
-            if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
-                x_lo, x_hi, y_lo, y_hi = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
-            # on cross-multiplied ints: a generic Fraction comparison costs
-            # more than this whole check
-            reversed_sides = (
-                x_lo.numerator * x_hi.denominator > x_hi.numerator * x_lo.denominator
-                or y_lo.numerator * y_hi.denominator > y_hi.numerator * y_lo.denominator)
-        if reversed_sides:
+    def __post_init__(self):
+        sides = self.x_lo, self.x_hi, self.y_lo, self.y_hi
+        if not type(sides[0]) is type(sides[1]) is type(sides[2]) is type(sides[3]) is Fraction:
+            sides = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
+        den, box = lift(sides)
+        if box[0] > box[1] or box[2] > box[3]:
             raise ValueError(f"rectangle sides reversed: {self}")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_box", tuple(box))
 
     @property
     def width(self) -> Rat:
@@ -169,24 +160,6 @@ class Rect:
     @property
     def is_degenerate(self) -> bool:
         return self.width == 0 or self.height == 0
-
-    _lift = None  # (den, int_box) once _lifted makes it; unannotated, so not a field
-
-    def _lifted(self) -> tuple[int, IntBox]:
-        lifted = self._lift
-        if lifted is None:
-            den, box = lift((self.x_lo, self.x_hi, self.y_lo, self.y_hi))
-            lifted = den, tuple(box)
-            object.__setattr__(self, "_lift", lifted)
-        return lifted
-
-    @property
-    def den(self) -> int:
-        return self._lifted()[0]
-
-    @property
-    def int_box(self) -> IntBox:
-        return self._lifted()[1]
 
     def contains_rect(self, other: "Rect") -> bool:
         return (self.x_lo <= other.x_lo and other.x_hi <= self.x_hi
@@ -283,7 +256,7 @@ class XYTransform:
         """Apply to a Point, Seg, or Rect.  A Rect is mapped on its lift:
         each side is (a*v + b) / q for its int v, one normalisation each."""
         if isinstance(obj, Rect):
-            den, (x0, x1, y0, y1) = obj._lifted()
+            den, (x0, x1, y0, y1) = obj.den, obj.int_box
             ax, bx, qx = axis_map(self.sx, self.tx, den)
             ay, by, qy = axis_map(self.sy, self.ty, den)
             return Rect(Fraction(ax * x0 + bx, qx), Fraction(ax * x1 + bx, qx),

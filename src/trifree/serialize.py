@@ -14,9 +14,9 @@ common grid.
 A file repeats most of its rationals (every probe ends at the family's
 right side, sibling copies share scales), so the loader parses each
 distinct text once per file, by the strict grammar of ``as_rat``, and
-makes one Fraction for it.  Copies are lifted from those Fractions'
-ints, and each probe rectangle is made with its lift
-(``rect_from_json``), so no check lifts a stored value again.
+makes one Fraction for it.  Copies and probe rectangles are lifted from
+those Fractions when they are made, so no check lifts a stored value
+again.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .encoding import FrameFamily, StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
-from .geometry import Rat, Rect, Seg, XYTransform, as_rat, lift, rat_str
+from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
 from .independent import Level, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
 
@@ -44,10 +44,8 @@ def rect_to_json(r: Rect) -> dict:
 
 
 def rect_from_json(d: dict, rat: Callable[[Any], Rat]) -> Rect:
-    """The rectangle of ``d``, each side read by ``rat``, made with its lift."""
-    sides = [rat(d["x_lo"]), rat(d["x_hi"]), rat(d["y_lo"]), rat(d["y_hi"])]
-    den, box = lift(sides)
-    return Rect(*sides, (den, tuple(box)))
+    """The rectangle of ``d``, each side read by ``rat``."""
+    return Rect(rat(d["x_lo"]), rat(d["x_hi"]), rat(d["y_lo"]), rat(d["y_hi"]))
 
 
 def _rat_reader() -> Callable[[Any], Rat]:
@@ -242,6 +240,9 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         raise ValueError(f"shape does not match catalog entry {name!r}")
     base = shape.anchor.shape if anchored else shape.shape
     rat = _rat_reader()
+    epsilon = rat(doc["epsilon"]) if anchored else None
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0,1): {epsilon}")
     copies = tuple(
         TransformedCopy(name, base, XYTransform(rat(c["sx"]), rat(c["sy"]), rat(c["tx"]),
                                                 rat(c["ty"])),
@@ -271,7 +272,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
         base_size=base_size,
         copies=copies,
         probes=probes,
-        epsilon=rat(doc["epsilon"]) if mode == "uniform" else None,
+        epsilon=epsilon,
         tree_nodes=tree_nodes,
         color_budget=color_budget,
     )

@@ -19,22 +19,24 @@ multiples of 1/den, den the least common denominator of its coordinates:
 its segments are stored as integer tuples ``(orientation, fixed, lo,
 hi)`` and its bounding box as ``int_box``, ``(x_lo, x_hi, y_lo, y_hi)``,
 both in units of 1/den; a ``Rect`` carries its own ``den`` and
-``int_box``.  A copy is lifted from ints alone, its two integer axis maps
-over its base shape's grid (``geometry.axis_map``): each distinct x and
-y int of the base is mapped once, so the copy's segments hold its box's
-ints.  The maps come from the transform, from ``rebase``, which composes
-them with the next transform's on ints, or from ``make_diagonal``'s
-closed form.  Every contact, clip and stabbing decision compares Python
-ints, in one set of kernels that take boxes and segments already on one
-grid.  Whether a copy meets a box is one scan that allocates nothing
-(``_meets``), and a probe check scans each copy near it once
+``int_box``, made the same way.  A copy is lifted from its transform's
+two integer axis maps over its base shape's grid
+(``geometry.axis_map``): each distinct x and y int of the base is mapped
+once, so the copy's segments hold its box's ints.  ``rebase``, which
+composes the maps with the next transform's on ints, and
+``make_diagonal``'s closed form make the transform's Fractions from ints
+they already hold.  Every contact, clip and stabbing decision compares
+Python ints, in one set of kernels that take boxes and segments already
+on one grid.  Whether a copy meets a box is one scan that allocates
+nothing (``_meets``), and a probe check scans each copy near it once
 (``_pierce``): does the copy meet the probe rectangle, does one of its
 segments span the rectangle, does it meet the root.  A spanning segment
-(``_spans``) is a connected piece that touches both sides, so it decides a
-stab alone; only a copy with no such segment is clipped (``_clip``) and
-its pieces walked into components (``_crosses``, which tries ``_spans``
-on the pieces first).  The segment-pair test ``_curves_meet`` decides
-contacts, and skips the segments of one copy that miss the other's box.
+(``_spans``) is a connected piece that touches both sides, so it decides
+a stab alone; only a copy with no such segment is clipped (``_clip``)
+and its pieces walked into components (``_crosses``, which tries
+``_spans`` on the pieces first).  The segment-pair test ``_curves_meet``
+decides contacts, and skips the segments of one copy that miss the
+other's box.
 
 ``FamilyGrid`` is the one way segments reach a shared grid: it puts
 copies (or shapes) and the rectangles checked against them on the grid
@@ -56,7 +58,7 @@ rational eps in (0,1), an eps-empty square and matching stabbers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -265,10 +267,7 @@ def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> Int
 
 
 def _rect_of(den: int, box: IntBox) -> Rect:
-    g = gcd(den, *box)  # den over what it shares with every side is the least one
-    if g > 1:
-        den, box = den // g, tuple(v // g for v in box)
-    return Rect(*(Fraction(v, den) for v in box), (den, box))
+    return Rect(*(Fraction(v, den) for v in box))
 
 
 @dataclass(frozen=True)
@@ -365,9 +364,8 @@ class TransformedCopy:
     The copy's segments and bounding box are kept on its own grid: ``den``
     is the least common denominator of its coordinates, ``int_segs`` and
     ``int_box`` are in units of 1/den.  They are lifted from the copy's
-    two ``axis_map``s over the base grid, ``maps`` when the caller has
-    them, else the transform's: each of the base's ``axes`` is mapped
-    once, so the segments hold the box's ints.
+    transform's two ``axis_map``s over the base grid: each of the base's
+    ``axes`` is mapped once, so the segments hold the box's ints.
     """
 
     shape_id: str
@@ -377,13 +375,10 @@ class TransformedCopy:
     den: int = field(init=False, compare=False, repr=False)
     int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
     int_box: IntBox = field(init=False, compare=False, repr=False)
-    maps: InitVar[Optional[tuple[AxisMap, AxisMap]]] = None  # (x, y) over base.den
 
-    def __post_init__(self, maps: Optional[tuple[AxisMap, AxisMap]]):
+    def __post_init__(self):
         t, base = self.transform, self.base
-        if maps is None:
-            maps = axis_map(t.sx, t.tx, base.den), axis_map(t.sy, t.ty, base.den)
-        (ax, bx, qx), (ay, by, qy) = maps
+        (ax, bx, qx), (ay, by, qy) = axis_map(t.sx, t.tx, base.den), axis_map(t.sy, t.ty, base.den)
         g = gcd(qx, qy)  # both axes over one denominator, lcm(qx, qy)
         ux, uy = qy // g, qx // g
         ax, bx, ay, by = ax * ux, bx * ux, ay * uy, by * uy
@@ -409,11 +404,10 @@ class TransformedCopy:
     def from_axis_maps(cls, shape_id: str, base: RectilinearShape, x_map: AxisMap,
                        y_map: AxisMap, lineage: str) -> "TransformedCopy":
         """The copy of ``base`` with these axis maps: its transform's fields
-        are made from them, one Fraction each, and it is lifted from them."""
+        are made from them, one Fraction each."""
         (ax, bx, qx), (ay, by, qy), d = x_map, y_map, base.den
         return cls(shape_id, base, XYTransform(Fraction(ax * d, qx), Fraction(ay * d, qy),
-                                               Fraction(bx, qx), Fraction(by, qy)),
-                   lineage, (x_map, y_map))
+                                               Fraction(bx, qx), Fraction(by, qy)), lineage)
 
     def rebase(self, after: XYTransform, lineage: Optional[str] = None) -> "TransformedCopy":
         """The same copy pushed through one more transform, on its axis maps."""

@@ -13,10 +13,13 @@ from trifree.geometry import (
     XYTransform,
     as_rat,
     h_seg,
+    lift,
     rat_str,
     seg_intersect,
     v_seg,
 )
+from trifree.serialize import rect_from_json
+from trifree.shapes import TransformedCopy, catalog, family_bbox
 
 from _oracles import (
     RectRelation,
@@ -153,15 +156,69 @@ def test_floats_are_refused_also_next_to_fractions():
         Rect(Fraction(0), 1.0, 0, 1)
 
 
-def test_rect_keeps_its_lift_in_one_plain_attribute():
+def test_rect_is_lifted_once_when_it_is_made():
     r = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
-    assert [f.name for f in fields(r)] == ["x_lo", "x_hi", "y_lo", "y_hi"]
-    assert "_lift" not in vars(r)
-    assert (r.den, r.int_box) == (12, (2, 6, 0, 9))
-    assert vars(r)["_lift"] == (12, (2, 6, 0, 9))
-    assert r.int_box is r.int_box
+    assert vars(r)["den"] == 12 and vars(r)["int_box"] == (2, 6, 0, 9)
+    lifted = {f.name: f for f in fields(r)}
+    for name in ("den", "int_box"):
+        assert not (lifted[name].init or lifted[name].compare or lifted[name].repr)
     twin = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
-    assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+    assert r == twin and hash(r) == hash(twin)
+    assert repr(r) == repr(twin) == ("Rect(x_lo=Fraction(1, 6), x_hi=Fraction(1, 2), "
+                                     "y_lo=Fraction(0, 1), y_hi=Fraction(3, 4))")
+    assert r != Rect(Fraction(1, 6), Fraction(1, 2), 0, 1)
+
+
+def _copy_bbox():
+    frame = catalog()["frame"]
+    t = XYTransform(Fraction(1, 2), Fraction(3, 4), Fraction(1, 4), Fraction(5, 6))
+    return TransformedCopy("frame", frame.shape, t).bbox
+
+
+def _family_bbox():
+    frame = catalog()["frame"]
+    t = XYTransform(Fraction(2, 3), Fraction(2), Fraction(-1, 6), Fraction(1, 10))
+    return family_bbox([TransformedCopy("frame", frame.shape, t),
+                        Rect(Fraction(-1, 3), 0, Fraction(7, 2), Fraction(15, 4))])
+
+
+_RECT_MAKERS = {
+    "ints": lambda: Rect(-3, 4, 0, 7),
+    "strings": lambda: Rect("1/6", "2/4", "-5/9", "3"),
+    "fractions": lambda: Rect(Fraction(1, 6), Fraction(1, 2), Fraction(-5, 9), Fraction(3)),
+    "apply": lambda: XYTransform(Fraction(3, 4), Fraction(2, 5), Fraction(1, 3),
+                                 Fraction(-1, 2)).apply(Rect("1/6", "1/2", "-5/9", "3")),
+    "concentric": lambda: Rect(0, Fraction(2, 3), Fraction(1, 5), 1).concentric("1/2", "3/7"),
+    "copy-bbox": _copy_bbox,
+    "family-bbox": _family_bbox,
+    "loader": lambda: rect_from_json({"x_lo": "1/6", "x_hi": "1/2", "y_lo": "-5/9",
+                                      "y_hi": "3"}, as_rat),
+}
+
+
+@pytest.mark.parametrize("make", list(_RECT_MAKERS.values()), ids=list(_RECT_MAKERS))
+def test_every_way_a_rect_is_made_lifts_it_once_on_its_least_grid(make):
+    r = make()
+    sides = (r.x_lo, r.x_hi, r.y_lo, r.y_hi)
+    assert all(type(v) is Fraction for v in sides)
+    den, box = lift(sides)
+    assert (vars(r)["den"], vars(r)["int_box"]) == (den, tuple(box))
+
+
+@pytest.mark.parametrize("x, y", [
+    ((Fraction(1, 3), Fraction(2, 7)), (0, 1)),
+    ((0, 1), (Fraction(1, 3), Fraction(2, 7))),
+    (("1/3", "2/7"), ("0", "1")),
+], ids=["x", "y", "strings"])
+def test_sides_reversed_across_denominators_are_refused(x, y):
+    with pytest.raises(ValueError, match="rectangle sides reversed"):
+        Rect(x[0], x[1], y[0], y[1])
+
+
+def test_a_degenerate_rect_on_unreduced_sides_is_accepted():
+    for r, box in ((Rect(Fraction(2, 4), Fraction(1, 2), 0, 1), (1, 1, 0, 2)),
+                   (Rect("0", "1", "2/4", "1/2"), (0, 2, 1, 1))):
+        assert r.is_degenerate and (r.den, r.int_box) == (2, box)
 
 
 def test_rat_string_round_trip():

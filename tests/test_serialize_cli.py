@@ -15,11 +15,11 @@ from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, run_game
-from trifree.geometry import as_rat, lift
+from trifree.geometry import XYTransform, as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
-from trifree.independent import augment, build, level_law
+from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
-from trifree.shapes import catalog
+from trifree.shapes import TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
@@ -216,7 +216,7 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
             sides = [as_rat(rd[f]) for f in _SIDES]
             assert [getattr(r, f) for f in _SIDES] == sides
             den, box = lift(sides)
-            assert vars(r)["_lift"] == (den, tuple(box))  # made by the loader
+            assert (r.den, r.int_box) == (den, tuple(box))
         assert p.root_cut_x == as_rat(d["root_cut_x"])
     if fam.probes:  # one text, one Fraction: every probe reaches the family's right side
         assert len({id(p.rect.x_hi) for p in fam.probes}) == 1
@@ -349,6 +349,33 @@ def test_render_is_deterministic_and_scales(frame):
     assert a == b
     assert a.startswith("<?xml") and a.rstrip().endswith("</svg>")
     assert 'viewBox="0 0 1024 1024"' in a
+
+
+# SHA-256 of ``render`` of each family: every copy, probe and root is
+# drawn through ``XYTransform.apply``, so a change to a mapped side shows.
+_RENDER_GOLDEN = {
+    "independent-k2-bare": (
+        ("build", "--k", "2", "--no-augment"),
+        "12d5f849b73115135f8e707e01400997e00ec6ace0d810ba80a4b1691a7c9d48"),
+    "independent-k3-cross": (
+        ("build", "--k", "3", "--shape", "cross"),
+        "8fcee3812e1f5e7769da129447618ca73792d8744bcc29e692ef50b63b721e8a"),
+    "uniform-k2-half": (
+        ("build", "--mode", "uniform", "--k", "2", "--epsilon", "1/2"),
+        "6ba793c1a6dacb764415ca7d9c772643e75bb3a9f11195c71bb8932b23445224"),
+    "encoded-k2": (
+        ("encode", "--k", "2"),
+        "74b0440dadad2532a670fc73dbd7059e2170db43899d876a034186c63b03c983"),
+}
+
+
+@pytest.mark.parametrize("name", _RENDER_GOLDEN)
+def test_render_output_is_byte_identical(tmp_path, name):
+    command, digest = _RENDER_GOLDEN[name]
+    fam, svg = tmp_path / "family.json", tmp_path / "family.svg"
+    assert _run_cli(*command, "--out", str(fam)).returncode == 0
+    assert _run_cli("render", "--family", str(fam), "--out", str(svg)).returncode == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 def test_cli_build_verify_chi(tmp_path):
@@ -505,6 +532,23 @@ def _encoded_doc():
         serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])))
 
 
+def _uniform_doc(epsilon):
+    frame = catalog()["frame"]
+    level = build_uniform(2, Fraction(1, 2), frame)
+    doc = json.loads(serialize.dumps(serialize.level_to_doc(level, frame)))
+    doc["epsilon"] = epsilon
+    return doc
+
+
+def _sealed_at_wide_epsilon(doc):
+    # one valid 3/2-probe: only the range of epsilon is wrong with the file
+    frame = catalog()["frame"]
+    copy = TransformedCopy(frame.name, frame.anchor.shape, XYTransform.identity(), "outer")
+    level = seal(1, [copy], [(frame.anchor.empty_square(Fraction(1, 2)), frozenset({0}))],
+                 Fraction(3, 2))
+    return json.loads(serialize.dumps(serialize.level_to_doc(level, frame)))
+
+
 def _unrelated_grids(doc):
     # each copy on a grid of its own, about 133 bits, that no other shares
     for i, c in enumerate(doc["copies"]):
@@ -532,11 +576,17 @@ def _unrelated_grids(doc):
     (_set("copies", 0, "tx", " 0 "), "error:"),
     (lambda doc: "[" * 200_000, "error:"),
     (_unrelated_grids, "error: copies and probes share no grid"),
+    (lambda doc: _uniform_doc("0"), "error: epsilon must lie in (0,1): 0\n"),
+    (lambda doc: _uniform_doc("1"), "error: epsilon must lie in (0,1): 1\n"),
+    (lambda doc: _uniform_doc("3/2"), "error: epsilon must lie in (0,1): 3/2\n"),
+    (lambda doc: _uniform_doc("-1/2"), "error: epsilon must lie in (0,1): -1/2\n"),
+    (_sealed_at_wide_epsilon, "error: epsilon must lie in (0,1): 3/2\n"),
 ], ids=["float-coordinate", "string-k", "k40", "list-document", "bool-k", "zero-k",
         "string-pierced", "string-base-size", "string-augmented", "int-lineage",
         "empty-copies", "negative-base-size", "pierced-out-of-range", "encoded-huge-k",
         "zero-denominator", "exponent", "decimal-point", "padded", "deep-nesting",
-        "unrelated-grids"])
+        "unrelated-grids", "epsilon-zero", "epsilon-one", "epsilon-three-halves",
+        "epsilon-negative", "sealed-at-epsilon-three-halves"])
 def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
     doc = json.loads(family_file.read_text())
     doc = tamper(doc) or doc
@@ -544,7 +594,7 @@ def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
     # a tamper that returns a string gives the file's text itself
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     # a document the loader rejects fails every command that reads it
-    for command in ("verify", "chi") if marker == "error:" else ("verify",):
+    for command in ("verify", "chi") if marker.startswith("error:") else ("verify",):
         r = _run_cli(command, "--family", str(path), timeout=10)
         assert r.returncode == 3
         assert marker in r.stderr
