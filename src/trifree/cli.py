@@ -106,9 +106,8 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     g = intersection_graph(fam.copies)
     result = chromatic_number(g, args.timeout)
     if args.coloring_out:
-        import json
         coloring = {str(i): c for i, c in enumerate(result.coloring)}
-        _write(args.coloring_out, json.dumps(coloring, indent=2) + "\n")
+        _write(args.coloring_out, serialize.dumps(coloring))
     if not result.exact:
         print(f"chi in [{result.lower}, {result.upper}]; {result.certificate()}")
         return EXIT_TIMEOUT

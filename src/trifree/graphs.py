@@ -69,7 +69,7 @@ class Graph:
 def intersection_graph(copies: Sequence[TransformedCopy]) -> Graph:
     """Edges are the exactly-intersecting pairs; vertex order = family order.
     The family is lifted onto one grid once, and every pair decided on it."""
-    return Graph.from_edges(len(copies), FamilyGrid(copies).contacts())
+    return Graph.from_edges(len(copies), FamilyGrid(copies).contacts()[0])
 
 
 def _masks(g: Graph) -> list[int]:

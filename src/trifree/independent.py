@@ -50,6 +50,7 @@ rectangles, roots and cuts), and ``grow_probe``, ``split_probe`` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -197,15 +198,11 @@ def level_pass(grid: FamilyGrid, n: int) -> tuple[
     a root moved off its rectangle still meets every copy it could) and the
     sorted pairs of probes whose rectangles meet."""
     m, rects = len(grid.boxes), grid.rect_boxes
-    contacts, near, meeting = [], [[] for _ in rects[::2]], []
-    for i, j in grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])]):
-        if j < m:
-            contacts.append((i, j))
-        elif i < n:
-            near[j - m].append(i)
-        elif i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * (j - m)]):
-            meeting.append((i - m, j - m))
-    return contacts, near, meeting
+    contacts, hits = grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])])
+    meeting = sorted((i - m, q) for q, h in enumerate(hits) for i in h
+                     if i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * q]))
+    # each list is ascending, so its base copies come first
+    return contacts, [h[:bisect_left(h, n)] for h in hits], meeting
 
 
 def probe_conditions(probes: Sequence[Probe], grid: FamilyGrid, n: int,
@@ -307,7 +304,7 @@ def check_diagonals(grid: FamilyGrid, n: int, probes: Sequence[Probe]) -> None:
     """Raise ConstructionError unless the diagonal law holds on ``grid``, n
     base copies and then one diagonal per probe.  Only the pairs that hold
     a diagonal are decided: the base's were decided when it was sealed."""
-    fail_on(diagonal_law(grid.contacts(n), n, probes))
+    fail_on(diagonal_law(grid.contacts(n)[0], n, probes))
 
 
 def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
@@ -369,7 +366,9 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
                    for c in family if not c.transform.is_uniform)
     grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
     contacts, near, meeting = level_pass(grid, n)
-    for i, bad in enumerate(probe_conditions(level.probes, grid, n, near, set(contacts),
+    # the probes pierce base copies only, so only their contacts are looked up
+    base_contacts = {(i, j) for i, j in contacts if j < n}
+    for i, bad in enumerate(probe_conditions(level.probes, grid, n, near, base_contacts,
                                              level.epsilon)):
         out.extend(f"probe {i}: {msg}" for msg in bad)
     del grid, near  # freed before the graph is made, so they never coexist

@@ -11,6 +11,12 @@ family whose copies and probes share no grid near their finest
 denominator, because the predicates and sweeps decide everything on one
 common grid.
 
+``dumps`` writes every file as compact JSON, one record per line: each
+top-level field on a line of its own, and each element of a top-level
+list (copies, probes, a transcript's moves) on one line.  It runs json's
+C encoder, which ``indent`` would turn off.  Only whitespace differs from
+the indented layout of earlier files, and the loader reads any layout.
+
 A file repeats most of its rationals (every probe ends at the family's
 right side, sibling copies share scales), so the loader parses each
 distinct text once per file, by the strict grammar of ``as_rat``, and
@@ -278,8 +284,25 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     )
 
 
+# indent=None keeps json on its C encoder; indent=2 runs the pure-Python one
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as compact JSON, one record per line: ``{``, then each
+    top-level field as ``"key":value`` on its own line, a non-empty list
+    as ``"key":[``, one element per line and ``]``.  Lines end in a comma
+    but the last of each list and of the document, and the text ends with
+    ``}`` and a newline.  Only whitespace differs from
+    ``json.dumps(doc, indent=2)``; the loader reads either."""
+    fields = []
+    for key, value in doc.items():
+        head = _encode(key) + ":"
+        if isinstance(value, list) and value:
+            fields.append(head + "[\n" + ",\n".join(map(_encode, value)) + "\n]")
+        else:
+            fields.append(head + _encode(value))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def loads(text: str) -> Any:

@@ -502,19 +502,28 @@ class FamilyGrid:
         segments spans the rectangle vertically, whether it meets the root."""
         return _pierce(rect, root, self.segs[i])
 
-    def contacts(self, start: int = 0,
-                 queries: Sequence[IntBox] = ()) -> list[tuple[int, int]]:
-        """The sorted pairs (i, j), i < j, of one sweep over the copies'
-        boxes followed by ``queries``, boxes on this grid numbered on from
-        the copies.  A pair of copies is kept when the two share a point, the
-        one place two copies are decided to meet; a pair that holds a query
-        is kept as the sweep found it, its boxes meeting.  With ``start``,
-        only the pairs with j >= start are decided and returned: those that
-        hold a copy from index ``start`` on, such as the diagonals that
-        follow a checked base family."""
+    def contacts(self, start: int = 0, queries: Sequence[IntBox] = ()
+                 ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+        """One sweep over the copies' boxes followed by ``queries``, boxes on
+        this grid numbered on from the copies.  Returns the sorted pairs
+        (i, j), i < j, of copies that share a point, the one place two
+        copies are decided to meet, and for each query the ascending
+        indices of the copies and earlier queries whose boxes meet its box.
+        With ``start``, only the copy pairs with j >= start are decided and
+        returned: those that hold a copy from index ``start`` on, such as
+        the diagonals that follow a checked base family."""
         boxes, segs, n = self.boxes, self.segs, len(self.boxes)
-        return sorted((i, j) for i, j in _sweep_pairs([*boxes, *queries]) if j >= start
-                      and (j >= n or _curves_meet(segs[i], segs[j], boxes[j])))
+        pairs: list[tuple[int, int]] = []
+        hits: list[list[int]] = [[] for _ in queries]
+        for i, j in _sweep_pairs([*boxes, *queries]):
+            if j >= n:
+                hits[j - n].append(i)
+            elif j >= start and _curves_meet(segs[i], segs[j], boxes[j]):
+                pairs.append((i, j))
+        pairs.sort()
+        for h in hits:
+            h.sort()
+        return pairs, hits
 
 
 def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, list[IntSeg]]:
@@ -527,7 +536,7 @@ def _inside(c: TransformedCopy | RectilinearShape, r: Rect) -> tuple[IntBox, lis
 
 def copies_intersect(a: TransformedCopy, b: TransformedCopy) -> bool:
     """True iff the two closed copies share a point (exact)."""
-    return bool(FamilyGrid([a, b]).contacts())
+    return bool(FamilyGrid([a, b]).contacts()[0])
 
 
 def copy_meets_rect(c: TransformedCopy | RectilinearShape, r: Rect) -> bool:

@@ -23,12 +23,15 @@ a rectangle, on the two's ``FamilyGrid``, or one segment alone spans
 it, on exact rationals, random shapes drawn against a rectangle for the
 stabbing test's slow paths, the colors of an interval's overlap
 neighbors and a transcript's chain at a point, clique number, first-fit
-coloring, DIMACS parsing, probe color audits and the encoded family's
-certificate) have no caller in the package.
+coloring, DIMACS parsing, probe color audits, the encoded family's
+certificate and the digest of a JSON text in the ``indent=2`` layout)
+have no caller in the package.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -779,6 +782,15 @@ def greedy_coloring(g: Graph, order: Optional[Sequence[int]] = None) -> list[int
         colors[v] = c
     assert verify_coloring(g, colors)
     return colors
+
+
+def canonical_sha256(text: str) -> str:
+    """The SHA-256 of the JSON document in ``text`` written as
+    ``json.dumps(doc, indent=2)`` plus a newline: a digest of the document,
+    whatever its whitespace, equal to that of a file in the indented
+    layout."""
+    canonical = json.dumps(json.loads(text), indent=2) + "\n"
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def parse_dimacs(text: str) -> Graph:

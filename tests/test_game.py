@@ -27,6 +27,7 @@ from trifree.game import (
 from trifree.shapes import catalog
 
 from _oracles import (
+    canonical_sha256,
     chain_at,
     contains,
     contains_ref,
@@ -417,7 +418,7 @@ def _sha256(text: str) -> str:
 def test_encoded_output_is_byte_identical(k, budget, digest):
     tree = expand_tree(k, budget)
     doc = serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])
-    assert _sha256(serialize.dumps(doc)) == digest
+    assert canonical_sha256(serialize.dumps(doc)) == digest
 
 
 @pytest.mark.parametrize("painter, k, digest", _TRANSCRIPT_GOLDEN,
@@ -425,7 +426,7 @@ def test_encoded_output_is_byte_identical(k, budget, digest):
 def test_game_transcript_is_byte_identical(painter, k, digest):
     policy = make_minimax_painter(k) if painter == "minimax" else first_fit
     doc = serialize.transcript_to_doc(run_game(k, policy), painter)
-    assert _sha256(serialize.dumps(doc)) == digest
+    assert canonical_sha256(serialize.dumps(doc)) == digest
 
 
 @pytest.mark.parametrize("k, budget, digest", _TREE_GOLDEN,

@@ -23,7 +23,7 @@ from trifree.shapes import TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
-from _oracles import rects_meet
+from _oracles import canonical_sha256, rects_meet
 
 
 # The CLI child imports trifree from wherever this process found it, so the
@@ -169,7 +169,112 @@ def test_build_output_is_byte_identical(mode, shape_name, k, epsilon, augmented,
         level = build_uniform(k, Fraction(epsilon), shape)
         extra = augment_uniform(level, shape) if augmented else None
     doc = serialize.level_to_doc(level, shape, extra)
-    assert hashlib.sha256(serialize.dumps(doc).encode()).hexdigest() == digest
+    assert canonical_sha256(serialize.dumps(doc)) == digest
+
+
+# The frame's shape block as ``dumps`` writes it: one line, no spaces.
+_FRAME_SHAPE_LINE = (
+    '"shape":{"name":"frame","segments":[{"o":"H","fixed":"0","lo":"0","hi":"1"},'
+    '{"o":"H","fixed":"1","lo":"0","hi":"1"},{"o":"V","fixed":"0","lo":"0","hi":"1"},'
+    '{"o":"V","fixed":"1","lo":"0","hi":"1"}],"features":{"bbox":{"x_lo":"0","x_hi":"1",'
+    '"y_lo":"0","y_hi":"1"},"empty_rect":{"x_lo":"1/4","x_hi":"3/4","y_lo":"1/4",'
+    '"y_hi":"3/4"},"left_stabber":[{"o":"H","fixed":"0","lo":"0","hi":"1/4"}],'
+    '"right_stabber":[{"o":"V","fixed":"1","lo":"1/4","hi":"3/4"}],"w1":"1/4","w2":"1"},'
+    '"anchor":null},')
+
+_LAYOUT = {
+    "build-k1-bare": (("build", "--k", "1", "--no-augment"), [
+        "{",
+        _FRAME_SHAPE_LINE,
+        '"mode":"independent",',
+        '"k":1,',
+        '"augmented":false,',
+        '"base_size":1,',
+        '"copies":[',
+        '{"sx":"1","sy":"1","tx":"0","ty":"0","lineage":"outer"}',
+        '],',
+        '"probes":[',
+        '{"rect":{"x_lo":"1/4","x_hi":"1","y_lo":"1/4","y_hi":"3/4"},'
+        '"root":{"x_lo":"1/4","x_hi":"3/4","y_lo":"1/4","y_hi":"3/4"},'
+        '"root_cut_x":"3/4","pierced":[0]}',
+        ']',
+        "}"]),
+    "game-k2-firstfit": (("game", "--k", "2"), [
+        "{",
+        '"k":2,',
+        '"painter":"firstfit",',
+        '"moves":[',
+        '{"lo":"1/3","hi":"2/3","color":1},',
+        '{"lo":"41/72","hi":"43/72","color":1},',
+        '{"lo":"85/144","hi":"91/144","color":2},',
+        '{"lo":"359/576","hi":"389/576","color":3}',
+        '],',
+        '"intervals":4,',
+        '"colors_used":3,',
+        '"certified_point":"59/96"',
+        "}"]),
+    "encode-k1": (("encode", "--k", "1"), [
+        "{",
+        _FRAME_SHAPE_LINE,
+        '"mode":"encoded-frames",',
+        '"k":1,',
+        '"augmented":false,',
+        '"copies":[',
+        '{"sx":"1/3","sy":"1","tx":"1/3","ty":"0","lineage":"frame(node0)"},',
+        '{"sx":"1/6","sy":"1/3","tx":"7/12","ty":"1/3","lineage":"frame(node1)"}',
+        '],',
+        '"probes":[],',
+        '"tree":{"color_budget":2,"root":{"lo":"1/3","hi":"2/3","slot_lo":"0","slot_hi":"1",'
+        '"children":[{"lo":"7/12","hi":"3/4","slot_lo":"1/3","slot_hi":"2/3","children":[]}]},'
+        '"branch_colorings":[[1,2]]}',
+        "}"]),
+}
+
+
+@pytest.mark.parametrize("name", _LAYOUT)
+def test_written_files_have_one_record_per_line(tmp_path, capsys, name):
+    command, lines = _LAYOUT[name]
+    path = tmp_path / "out.json"
+    assert cli.main([*command, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _as_read(value):
+    """``value`` as JSON reads it back: every tuple a list."""
+    if isinstance(value, dict):
+        return {k: _as_read(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_read(v) for v in value]
+    return value
+
+
+def _one_doc_of_each_kind(frame):
+    level = build(2, frame)
+    tree = expand_tree(2)
+    return {"level": serialize.level_to_doc(level, frame, augment(level, frame)),
+            "encoded": serialize.encoded_to_doc(tree, encode(tree), frame),
+            "transcript": serialize.transcript_to_doc(run_game(3, first_fit), "firstfit")}
+
+
+def test_written_text_reads_back_as_the_document(frame):
+    for doc in _one_doc_of_each_kind(frame).values():
+        assert json.loads(serialize.dumps(doc)) == _as_read(doc)
+
+
+def test_indented_files_load_and_verify_as_written_ones(tmp_path, capsys, frame):
+    docs = _one_doc_of_each_kind(frame)
+    for kind in ("level", "encoded"):
+        doc = docs[kind]
+        old_text = json.dumps(doc, indent=2) + "\n"
+        new = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+        old = serialize.doc_to_family(serialize.loads(old_text))
+        assert (new.copies, new.probes, new.tree_nodes) == (old.copies, old.probes,
+                                                            old.tree_nodes)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(old_text)
+        assert cli.main(["verify", "--family", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: {doc['mode']} family, k=2, ")
 
 
 _SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
@@ -490,7 +595,7 @@ def test_cli_encode_k4_is_b4_and_verifies(tmp_path):
     r = _run_cli("encode", "--k", "4", "--out", str(path), timeout=120)
     assert r.returncode == 0, r.stderr
     # pinned on the Fraction implementation of the game, its search cap raised to 4
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+    assert canonical_sha256(path.read_text()) == \
         "eee352465e2d2de5c5179a7461d270e3b80a066a457121a59b6721d51c4069bd"
     fam = serialize.doc_to_family(serialize.loads(path.read_text()))
     g = intersection_graph(fam.copies)

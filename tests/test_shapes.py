@@ -371,7 +371,8 @@ def _query_pairs(queries, boxes):
     ``FamilyGrid.contacts`` pass over a grid of no copies with both lists
     as its queries."""
     grid, n = FamilyGrid([], [*queries, *boxes]), len(queries)
-    return [(i, j - n) for i, j in grid.contacts(queries=grid.rect_boxes) if i < n <= j]
+    _, hits = grid.contacts(queries=grid.rect_boxes)
+    return sorted((i, j) for j, h in enumerate(hits[n:]) for i in h if i < n)
 
 
 def test_boxes_meeting_matches_all_pairs_oracle():
@@ -544,8 +545,10 @@ def test_sweeps_take_copies_for_their_bounding_boxes():
         assert meeting_pairs(copies) == meeting_pairs_bruteforce(boxes)
         # one pass over the copies and the rectangles as queries
         grid, n = FamilyGrid(copies, rects), len(copies)
-        pairs = grid.contacts(queries=grid.rect_boxes)
-        assert [(i, j) for i, j in pairs if j < n] == grid.contacts()
-        got = sorted((j - n, i) for i, j in pairs if i < n <= j)
+        pairs, hits = grid.contacts(queries=grid.rect_boxes)
+        assert (pairs, []) == grid.contacts()
+        assert all(h == sorted(h) for h in hits)
+        got = sorted((q, i) for q, h in enumerate(hits) for i in h if i < n)
         assert got == meeting_pairs_bruteforce(rects, boxes)
-        assert [(i - n, j - n) for i, j in pairs if i >= n] == meeting_pairs_bruteforce(rects)
+        got = sorted((i - n, q) for q, h in enumerate(hits) for i in h if i >= n)
+        assert got == meeting_pairs_bruteforce(rects)
