@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad flags (argparse), 3 invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -17,7 +18,7 @@ from .encoding import encode, expand_tree
 from .errors import ConstructionError
 from .game import MAX_K, SEARCH_LIMIT, first_fit, make_minimax_painter, make_repl_painter, run_game
 from .geometry import as_rat
-from .graphs import intersection_graph, to_dimacs
+from .graphs import chromatic_number, intersection_graph, to_dimacs
 from .independent import augment, build
 from .render import render_family
 from .shapes import catalog
@@ -100,8 +101,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
-    from .graphs import chromatic_number
-
     fam = _load_family(args.family)
     g = intersection_graph(fam.copies)
     result = chromatic_number(g, args.timeout)
@@ -156,7 +155,12 @@ def _cmd_export_dimacs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every
+    ``main`` call.  It holds only what is fixed for the process: anything
+    that reads the environment or depends on one call's arguments belongs
+    in ``main``."""
     parser = argparse.ArgumentParser(
         prog="trifree",
         description="Build and certify triangle-free families of axis-aligned "

@@ -536,6 +536,38 @@ def test_cli_uniform_build_refuses_a_shape_without_anchor(shape, tmp_path, capsy
     assert json.loads(fam.read_text())["shape"]["name"] == "frame"
 
 
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    parser = cli._parser()
+    assert cli._parser() is parser
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    fam = tmp_path / "f.json"
+    assert cli.main(["build", "--k", "1", "--out", str(fam)]) == 0
+    assert cli.main(["verify", "--family", str(fam)]) == 0
+    assert made == []
+
+
+def test_cli_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    # the uniform reject-then-accept pair is in the anchor test above
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    assert cli.main(["build", "--k", "2", "--no-augment", "--out", str(bare)]) == 0
+    assert cli.main(["build", "--k", "2", "--out", str(full)]) == 0
+    assert [len(json.loads(p.read_text())["copies"]) for p in (bare, full)] == [3, 5]
+    chi = ["chi", "--family", str(full)]
+    monkeypatch.setenv(cli.TIMEOUT_ENV, "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(chi)
+    assert exit_info.value.code == 2
+    monkeypatch.delenv(cli.TIMEOUT_ENV)
+    assert cli.main(chi) == 0
+
+
 def test_cli_verify_flags_mutation(tmp_path, family_file):
     doc = json.loads(family_file.read_text())
     doc["copies"][2]["tx"] = "1/7"
