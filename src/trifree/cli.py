@@ -135,8 +135,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     tree = expand_tree(args.k, args.budget)
-    family = encode(tree)
-    doc = serialize.encoded_to_doc(tree, family, catalog()["frame"])
+    doc = serialize.encoded_to_doc(tree, encode(tree), catalog()["frame"])
     _write(args.out, serialize.dumps(doc))
     return EXIT_OK
 

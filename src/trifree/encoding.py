@@ -11,6 +11,12 @@ Two frames then intersect exactly when their intervals overlap and one
 node is an ancestor of the other, so cliques of the frame family are
 cliques of a single branch's overlap graph: the family stays
 triangle-free while inheriting the game's forced color count.
+
+``encoded_law`` states everything an encoded family claims: the bounds
+on its k and color budget, one frame per node, nested and interleaved
+slots, the intersection law and triangle-freeness.  ``encode`` ends with
+it and ``verify`` runs it on a loaded file, as ``independent.level_law``
+serves both the seal of a level and ``verify``.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import fail_on
-from .game import Interval, game_tree, overlaps
+from .game import SEARCH_LIMIT, Interval, game_tree, overlaps
 from .geometry import Rat, XYTransform
-from .graphs import Graph, intersection_graph
+from .graphs import intersection_graph, is_triangle_free
 from .shapes import TransformedCopy, catalog
 
 
@@ -36,7 +43,7 @@ class TreeNode:
     ancestors: frozenset[int]
     children: tuple["TreeNode", ...]
 
-    @property
+    @cached_property  # encode places the frame with it, and encoded_law compares it
     def transform(self) -> XYTransform:
         """Carries the unit frame onto the node's interval times its slot."""
         (lo, hi), iv = self.slot, self.interval
@@ -66,7 +73,6 @@ class StrategyTree:
     k: int
     color_budget: int
     _nodes: tuple[TreeNode, ...]  # preorder
-    histories: tuple[tuple[int, ...], ...]  # one complete color sequence per leaf path
 
     @property
     def root(self) -> TreeNode:
@@ -101,36 +107,62 @@ def expand_tree(k: int, color_budget: Optional[int] = None) -> StrategyTree:
             (kid, lo + (2 * i - 1) * step, lo + 2 * i * step)
             for i, kid in enumerate(kids[node], start=1)]
 
-    branches = tuple(colors for colors, pos in walk.items() if not pos.legal)
-    return StrategyTree(k, budget, _preorder(((), Fraction(0), Fraction(1)), read), branches)
+    return StrategyTree(k, budget, _preorder(((), Fraction(0), Fraction(1)), read))
 
 
-@dataclass(frozen=True)
-class FrameFamily:
-    copies: tuple[TransformedCopy, ...]
-    nodes: tuple[TreeNode, ...]
-
-
-def frame_law(nodes: Sequence[TreeNode], g: Graph) -> list[str]:
-    """The intersection law, checked on every pair: frames meet iff their
-    intervals overlap and the nodes lie on a common branch.  Empty list =
-    it holds.  The pairs that break it are the symmetric difference of the
-    pairs expected to meet and the edges of the frames' intersection graph
-    ``g``, one message each in sorted order."""
+def encoded_law(k: int, color_budget: int, nodes: Sequence[TreeNode],
+                copies: Sequence[TransformedCopy]) -> list[str]:
+    """Everything an encoded family claims, one ``encoded:`` message per
+    broken claim; an empty list means it holds.  ``nodes`` are the tree's
+    in preorder and ``copies`` their frames, in the same order.  The
+    intersection law is checked on every pair: frames meet iff their
+    intervals overlap and the nodes lie on a common branch.  The pairs
+    that break it are the symmetric difference of the pairs expected to
+    meet and the edges of the frames' intersection graph, one message
+    each in sorted order; the triangle test reads that same graph."""
+    out: list[str] = []
+    # No tree fixes k (at budget 1, k=2 and k=3 give the same tree), but no
+    # encode run writes k above the search cap or a branch longer than 2^k.
+    if k > SEARCH_LIMIT:
+        out.append(f"encoded: k={k} is above the search cap {SEARCH_LIMIT}")
+    depth = max(len(node.ancestors) for node in nodes)
+    if depth.bit_length() > k:  # depth + 1 > 2^k
+        out.append(f"encoded: a branch of {depth + 1} intervals is longer than 2^k")
+    if color_budget < 1:
+        out.append(f"encoded: color budget {color_budget} is below 1")
+    if len(nodes) != len(copies):
+        out.append(f"encoded: {len(nodes)} tree nodes but {len(copies)} frames")
+        return out
+    last_child_hi: dict[int, Rat] = {}
+    for node, stored in zip(nodes, copies):
+        if node.transform != stored.transform:
+            out.append(f"encoded: frame {node.index} does not match its tree node")
+        if node.parent is None:
+            continue
+        (plo, phi), (lo, hi) = nodes[node.parent].slot, node.slot
+        if not (plo < lo and hi < phi):
+            out.append(f"encoded: slot of node {node.index} leaves its parent's slot")
+        if not last_child_hi.get(node.parent, plo) < lo:
+            out.append(f"encoded: child slots of node {node.parent} fail to interleave")
+        last_child_hi[node.parent] = hi
+    g = intersection_graph(copies)
     expected_meet = {(a, node.index) for node in nodes for a in node.ancestors
                      if overlaps(nodes[a].interval, node.interval)}
     broken = expected_meet.symmetric_difference(g.edges())
-    return [f"intersection law fails at nodes {i}, {j}: "
-            f"expected {'meet' if (i, j) in expected_meet else 'disjoint'}"
-            for i, j in sorted(broken)]
+    out.extend(f"encoded: intersection law fails at nodes {i}, {j}: "
+               f"expected {'meet' if (i, j) in expected_meet else 'disjoint'}"
+               for i, j in sorted(broken))
+    if not is_triangle_free(g):
+        out.append("encoded: family is not triangle-free")
+    return out
 
 
-def encode(tree: StrategyTree) -> FrameFamily:
-    """One rectangular frame per tree node, with the intersection law
-    verified exhaustively."""
+def encode(tree: StrategyTree) -> tuple[TransformedCopy, ...]:
+    """One rectangular frame per tree node, in preorder, with every claim
+    of ``encoded_law`` re-checked."""
     frame = catalog()["frame"]
     nodes = tree.nodes()
     copies = tuple(TransformedCopy(frame.name, frame.shape, n.transform,
                                    f"frame(node{n.index})") for n in nodes)
-    fail_on(frame_law(nodes, intersection_graph(copies)))
-    return FrameFamily(copies, nodes)
+    fail_on(encoded_law(tree.k, tree.color_budget, nodes, copies))
+    return copies

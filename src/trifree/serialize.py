@@ -4,8 +4,11 @@ Rationals travel as 'p/q' strings (integers may omit '/1'), so a parse
 of a serialize reproduces every coordinate bit for bit.  One writer,
 ``level_to_doc``, serves both constructions: a level's ``epsilon`` makes
 its document a uniform one, with the anchored shape and the ``epsilon``
-field.  ``encoded_to_doc`` writes strategy-tree families, and
-``doc_to_family`` reads all three modes back.  It refuses a shape block
+field.  ``encoded_to_doc`` writes strategy-tree families: the frames and
+the tree, each node's interval, slot and children, with the color
+budget.  Files from earlier versions also carry the tree's
+``branch_colorings``, which the loader ignores.  ``doc_to_family``
+reads all three modes back.  It refuses a shape block
 that is not its catalog entry's, as ``shape_to_json`` writes it, and a
 family whose copies and probes share no grid near their finest
 denominator, because the predicates and sweeps decide everything on one
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Any, Callable, Optional, Sequence
 
-from .encoding import FrameFamily, StrategyTree, TreeNode, _preorder
+from .encoding import StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
 from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
 from .independent import Level, Probe
@@ -174,17 +177,19 @@ def level_to_doc(level: Level, shape: ShapeDef,
     return doc
 
 
-def encoded_to_doc(tree: StrategyTree, family: FrameFamily, shape: ShapeDef) -> dict:
+def encoded_to_doc(tree: StrategyTree, copies: Sequence[TransformedCopy],
+                   shape: ShapeDef) -> dict:
+    """The document of ``tree`` and its frames ``copies``, as ``encode``
+    gives them."""
     return {
         "shape": shape_to_json(shape, anchored=False),
         "mode": "encoded-frames",
         "k": tree.k,
         "augmented": False,
-        "copies": [copy_to_json(c) for c in family.copies],
+        "copies": [copy_to_json(c) for c in copies],
         "probes": [],
         "tree": {"color_budget": tree.color_budget,
-                 "root": _tree_node_to_json(tree.root),
-                 "branch_colorings": [list(h) for h in tree.histories]},
+                 "root": _tree_node_to_json(tree.root)},
     }
 
 

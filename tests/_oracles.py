@@ -40,7 +40,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from trifree.encoding import FrameFamily
 from trifree.game import Chain, GameTranscript, Interval, Position, PresenterSession
 from trifree.errors import ConstructionError
 from trifree.geometry import (
@@ -846,8 +845,9 @@ class CertifyReport:
         return self.triangle_free and bound >= self.k + 1
 
 
-def certify(family: FrameFamily, k: int,
+def certify(copies: Sequence[TransformedCopy], k: int,
             timeout: Optional[float] = None) -> CertifyReport:
-    """Triangle-freeness and the exact chromatic number of the encoded family."""
-    g = intersection_graph(family.copies)
+    """Triangle-freeness and the exact chromatic number of the encoded
+    family's frames ``copies``."""
+    g = intersection_graph(copies)
     return CertifyReport(k, g.n, is_triangle_free(g), chromatic_number(g, timeout))

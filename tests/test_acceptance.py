@@ -80,8 +80,7 @@ def test_criterion_3_triangle_freeness():
         aug = augment_uniform(level, frame)
         assert is_triangle_free(intersection_graph(aug)), f"uniform augmented k={k}"
     for k in (1, 2, 3):
-        fam = encode(expand_tree(k))
-        assert is_triangle_free(intersection_graph(fam.copies)), f"encoded k={k}"
+        assert is_triangle_free(intersection_graph(encode(expand_tree(k)))), f"encoded k={k}"
     elapsed = time.time() - t0
     assert elapsed < 300, f"took {elapsed:.1f}s"
     _report(3, t0, "omega <= 2: independent k<=4 (309 copies), uniform k<=3, encoded k<=3")
@@ -178,12 +177,12 @@ def test_criterion_8_encoding_law():
     from trifree.shapes import copies_intersect
 
     for k in (1, 2, 3):
-        fam = encode(expand_tree(k))
-        for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-            same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
-            expected = same_branch and overlaps(fam.nodes[i].interval,
-                                                fam.nodes[j].interval)
-            assert copies_intersect(fam.copies[i], fam.copies[j]) == expected
+        tree = expand_tree(k)
+        nodes, copies = tree.nodes(), encode(tree)
+        for i, j in itertools.combinations(range(len(nodes)), 2):
+            same_branch = j in nodes[i].ancestors or i in nodes[j].ancestors
+            expected = same_branch and overlaps(nodes[i].interval, nodes[j].interval)
+            assert copies_intersect(copies[i], copies[j]) == expected
     rep = certify(encode(expand_tree(2)), 2)
     assert rep.chi.exact and rep.chi.chi == 3
     elapsed = time.time() - t0

@@ -1,9 +1,12 @@
 import itertools
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from trifree.encoding import encode, expand_tree
-from trifree.game import SEARCH_LIMIT, GameTranscript, overlaps
+from trifree.errors import ConstructionError
+from trifree.game import SEARCH_LIMIT, GameTranscript, game_tree, overlaps
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.shapes import copies_intersect
 
@@ -46,8 +49,10 @@ def test_tree_node_count_matches_enumeration_oracle():
 
 
 def test_every_branch_is_a_legal_transcript():
-    tree = expand_tree(2)
-    for colors in tree.histories:
+    # the terminal histories of expand_tree(2)'s walk: no legal color remains
+    branches = [colors for colors, pos in game_tree(2, 3).items() if not pos.legal]
+    assert branches
+    for colors in branches:
         replayed = GameTranscript()
         session_colors = []
         for c in colors:
@@ -75,46 +80,66 @@ def test_slots_interleave_strictly():
 
 def test_intersection_law_exhaustive():
     for k in (1, 2, 3):
-        fam = encode(expand_tree(k))
-        for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-            same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
-            expected = same_branch and overlaps(fam.nodes[i].interval,
-                                                fam.nodes[j].interval)
-            assert copies_intersect(fam.copies[i], fam.copies[j]) == expected
+        tree = expand_tree(k)
+        nodes, copies = tree.nodes(), encode(tree)
+        for i, j in itertools.combinations(range(len(nodes)), 2):
+            same_branch = j in nodes[i].ancestors or i in nodes[j].ancestors
+            expected = same_branch and overlaps(nodes[i].interval, nodes[j].interval)
+            assert copies_intersect(copies[i], copies[j]) == expected
 
 
 def test_nested_same_branch_frames_do_not_meet():
-    fam = encode(expand_tree(2))
+    tree = expand_tree(2)
+    nodes, copies = tree.nodes(), encode(tree)
     found = False
-    for i in range(len(fam.nodes)):
-        for j in fam.nodes[i].ancestors:
-            a, b = fam.nodes[i].interval, fam.nodes[j].interval
+    for i in range(len(nodes)):
+        for j in nodes[i].ancestors:
+            a, b = nodes[i].interval, nodes[j].interval
             if not overlaps(a, b):
                 found = True
-                assert not copies_intersect(fam.copies[i], fam.copies[j])
+                assert not copies_intersect(copies[i], copies[j])
     assert found
 
 
 def test_overlapping_same_branch_frames_cross():
-    fam = encode(expand_tree(2))
+    tree = expand_tree(2)
+    nodes, copies = tree.nodes(), encode(tree)
     found = False
-    for i in range(len(fam.nodes)):
-        for j in fam.nodes[i].ancestors:
-            if overlaps(fam.nodes[i].interval, fam.nodes[j].interval):
+    for i in range(len(nodes)):
+        for j in nodes[i].ancestors:
+            if overlaps(nodes[i].interval, nodes[j].interval):
                 found = True
-                assert copies_intersect(fam.copies[i], fam.copies[j])
+                assert copies_intersect(copies[i], copies[j])
     assert found
 
 
 def test_divergent_branches_stay_disjoint_even_when_intervals_overlap():
-    fam = encode(expand_tree(3))
+    tree = expand_tree(3)
+    nodes, copies = tree.nodes(), encode(tree)
     checked = 0
-    for i, j in itertools.combinations(range(len(fam.nodes)), 2):
-        same_branch = j in fam.nodes[i].ancestors or i in fam.nodes[j].ancestors
-        if not same_branch and overlaps(fam.nodes[i].interval, fam.nodes[j].interval):
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        same_branch = j in nodes[i].ancestors or i in nodes[j].ancestors
+        if not same_branch and overlaps(nodes[i].interval, nodes[j].interval):
             checked += 1
-            assert not copies_intersect(fam.copies[i], fam.copies[j])
+            assert not copies_intersect(copies[i], copies[j])
     assert checked > 0
+
+
+def test_encode_rechecks_the_whole_encoded_law():
+    tree = expand_tree(2)
+    with pytest.raises(ConstructionError) as exc:
+        encode(replace(tree, color_budget=0))
+    assert str(exc.value) == "encoded: color budget 0 is below 1"
+    # node 4, a leaf, and its sibling node 2 are the children of node 1;
+    # node 4's slot, moved below node 2's, still keeps its frame on the
+    # intersection law
+    nodes = tree.nodes()
+    assert [c.index for c in nodes[1].children] == [2, 4] and not nodes[4].children
+    assert (nodes[1].slot[0], nodes[2].slot[0]) == (Fraction(15, 45), Fraction(18, 45))
+    moved = nodes[:4] + (replace(nodes[4], slot=(Fraction(16, 45), Fraction(17, 45))),)
+    with pytest.raises(ConstructionError) as exc:
+        encode(replace(tree, _nodes=moved))
+    assert str(exc.value) == "encoded: child slots of node 1 fail to interleave"
 
 
 def test_certify_small_ks():
@@ -128,11 +153,12 @@ def test_certify_small_ks():
 
 def test_clique_transfer():
     # every edge of the frame family joins two nodes of a common branch
-    fam = encode(expand_tree(3))
-    g = intersection_graph(fam.copies)
+    tree = expand_tree(3)
+    nodes = tree.nodes()
+    g = intersection_graph(encode(tree))
     assert is_triangle_free(g)
     for u, v in g.edges():
-        assert u in fam.nodes[v].ancestors or v in fam.nodes[u].ancestors
+        assert u in nodes[v].ancestors or v in nodes[u].ancestors
 
 
 def test_encoding_matches_recursive_frame_construction():

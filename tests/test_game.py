@@ -378,10 +378,10 @@ def test_repl_replay_equals_batch_replay():
 
 # SHA-256 of each output, pinned on the Fraction implementation of the game.
 _ENCODED_GOLDEN = [
-    (1, None, "167f7b99755a18550642406654ec10585bc126a54c259b221caa5e0bdcaf2109"),
-    (2, None, "870987e00bea23ce5b56336ecf747e42a94331f43e6ebec7d92d6b6b06eff678"),
-    (3, None, "05495cccefc8f2178e504153cb5c9cd2bb48ca1d46a33508266bfccfb7c16c8b"),
-    (2, 2, "77bfe672339badee88f08736c25d79d1104aeb33b8343dc7428d9a1d413c1466"),
+    (1, None, "baeaf85f2df9231a8815302a6e04b9f187153db79ab84b7132eb879b83113855"),
+    (2, None, "5bf3517330179a914e1b5dc9fa26b40c544261b089ba8fe9fe53875fb9f2259f"),
+    (3, None, "4b11c97f50905ca4c5cf8e908d998a08e681b91019ec176045100f4aa0970192"),
+    (2, 2, "ab523d4d05ec3af2e1d98bea36c6ac079bcb826bfec5314866ce3d326aa2bde7"),
 ]
 _TRANSCRIPT_GOLDEN = [
     ("minimax", 1, "957e821c415c10f9d28187f9a41b43947b2232abf60e9d9dd54613f89f5b3936"),

@@ -244,7 +244,7 @@ def _families():
     for eps in (Fraction(1, 2), Fraction(1, 7)):
         for k in (2, 3):
             yield f"uniform eps={eps} k={k}", augment_uniform(build_uniform(k, eps, frame), frame)
-    yield "encoded k=3", encode(expand_tree(3)).copies
+    yield "encoded k=3", encode(expand_tree(3))
 
 
 def test_intersection_graph_matches_all_pairs_oracle():

@@ -14,7 +14,7 @@ import trifree
 from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
-from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, run_game
+from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, game_tree, run_game
 from trifree.geometry import XYTransform, as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
@@ -225,8 +225,7 @@ _LAYOUT = {
         '],',
         '"probes":[],',
         '"tree":{"color_budget":2,"root":{"lo":"1/3","hi":"2/3","slot_lo":"0","slot_hi":"1",'
-        '"children":[{"lo":"7/12","hi":"3/4","slot_lo":"1/3","slot_hi":"2/3","children":[]}]},'
-        '"branch_colorings":[[1,2]]}',
+        '"children":[{"lo":"7/12","hi":"3/4","slot_lo":"1/3","slot_hi":"2/3","children":[]}]}}',
         "}"]),
 }
 
@@ -275,6 +274,29 @@ def test_indented_files_load_and_verify_as_written_ones(tmp_path, capsys, frame)
         path.write_text(old_text)
         assert cli.main(["verify", "--family", str(path)]) == 0
         assert capsys.readouterr().out.startswith(f"ok: {doc['mode']} family, k=2, ")
+
+
+def test_encoded_files_with_branch_colorings_still_load(tmp_path, capsys, frame):
+    tree = expand_tree(2)
+    doc = serialize.encoded_to_doc(tree, encode(tree), frame)
+    new = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+    # earlier files also listed the terminal histories of the tree's walk
+    old_doc = json.loads(serialize.dumps(doc))
+    old_doc["tree"]["branch_colorings"] = [
+        list(colors) for colors, pos in game_tree(2, 3).items() if not pos.legal]
+    compact = serialize.dumps(old_doc)
+    # the encoded k=2 file as it was written before the field was dropped
+    assert canonical_sha256(compact) == \
+        "870987e00bea23ce5b56336ecf747e42a94331f43e6ebec7d92d6b6b06eff678"
+    for name, text in (("compact", compact), ("indented", json.dumps(old_doc, indent=2) + "\n")):
+        old = serialize.doc_to_family(serialize.loads(text))
+        assert (old.tree_nodes, old.copies, old.color_budget) == (
+            new.tree_nodes, new.copies, new.color_budget)
+        assert verify_family(old) == []
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert cli.main(["verify", "--family", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: encoded-frames family, k=2, ")
 
 
 _SIDES = ("x_lo", "x_hi", "y_lo", "y_hi")
@@ -335,11 +357,11 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
 def test_encoded_round_trip_and_verify(frame):
     for k, budget in ((1, None), (2, None), (3, None), (2, 2)):
         tree = expand_tree(k, budget)
-        fam = encode(tree)
-        doc = serialize.encoded_to_doc(tree, fam, frame)
+        copies = encode(tree)
+        doc = serialize.encoded_to_doc(tree, copies, frame)
         loaded = serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
         assert loaded.mode == "encoded-frames"
-        assert loaded.copies == fam.copies
+        assert loaded.copies == copies
         assert loaded.tree_nodes == tree.nodes()
         assert verify_family(loaded) == []
 
@@ -628,7 +650,7 @@ def test_cli_encode_k4_is_b4_and_verifies(tmp_path):
     assert r.returncode == 0, r.stderr
     # pinned on the Fraction implementation of the game, its search cap raised to 4
     assert canonical_sha256(path.read_text()) == \
-        "eee352465e2d2de5c5179a7461d270e3b80a066a457121a59b6721d51c4069bd"
+        "4c9faadc140ffae194eca2e197c634d744568bb03c04f218e8ec72e7dc2fe64a"
     fam = serialize.doc_to_family(serialize.loads(path.read_text()))
     g = intersection_graph(fam.copies)
     assert len(fam.copies) == 309
