@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .errors import fail_on
 from .game import SEARCH_LIMIT, Interval, game_tree, overlaps
-from .geometry import Rat, XYTransform
+from .geometry import AxisMap, Rat, lowest
 from .graphs import intersection_graph, is_triangle_free
 from .shapes import TransformedCopy, catalog
 
@@ -43,11 +43,19 @@ class TreeNode:
     ancestors: frozenset[int]
     children: tuple["TreeNode", ...]
 
-    @cached_property  # encode places the frame with it, and encoded_law compares it
-    def transform(self) -> XYTransform:
-        """Carries the unit frame onto the node's interval times its slot."""
+    @cached_property  # encode places the frame with them, and encoded_law compares them
+    def maps(self) -> tuple[AxisMap, AxisMap]:
+        """The axis maps, in lowest terms, that carry the unit frame onto
+        the node's interval times its slot."""
         (lo, hi), iv = self.slot, self.interval
-        return XYTransform(iv.hi - iv.lo, hi - lo, iv.lo, lo)
+        return _onto(iv.lo, iv.hi), _onto(lo, hi)
+
+
+def _onto(lo: Rat, hi: Rat) -> AxisMap:
+    """The axis map u -> lo + (hi - lo)*u, in lowest terms, on ints:
+    with lo = a/b and hi = c/d it is ((c*b - a*d)*u + a*d) / (b*d)."""
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return lowest((c * b - a * d, a * d, b * d))
 
 
 def _preorder(root: Any, read: Callable[[Any], tuple]) -> tuple[TreeNode, ...]:
@@ -135,7 +143,7 @@ def encoded_law(k: int, color_budget: int, nodes: Sequence[TreeNode],
         return out
     last_child_hi: dict[int, Rat] = {}
     for node, stored in zip(nodes, copies):
-        if node.transform != stored.transform:
+        if node.maps != (stored.x_map, stored.y_map):
             out.append(f"encoded: frame {node.index} does not match its tree node")
         if node.parent is None:
             continue
@@ -162,7 +170,7 @@ def encode(tree: StrategyTree) -> tuple[TransformedCopy, ...]:
     of ``encoded_law`` re-checked."""
     frame = catalog()["frame"]
     nodes = tree.nodes()
-    copies = tuple(TransformedCopy(frame.name, frame.shape, n.transform,
-                                   f"frame(node{n.index})") for n in nodes)
+    copies = tuple(TransformedCopy(frame.name, frame.shape, *n.maps, f"frame(node{n.index})")
+                   for n in nodes)
     fail_on(encoded_law(tree.k, tree.color_budget, nodes, copies))
     return copies

@@ -5,21 +5,22 @@ every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
 
-These are the types that constructions, files and tests speak in: every
-stored value, a Rect's sides and an XYTransform's fields, is a Fraction.
+A Rect's sides and an XYTransform's fields are Fractions.  A placed copy
+(``shapes.TransformedCopy``) holds ints only: its two axis maps, each
+(a, b, q) for u -> (a*u + b)/q (``axis_map``, ``lowest``), and its lift.
 ``shapes`` decides every contact on integer grids: ``lift`` puts
 rationals on the grid of their least common denominator, and every
 ``Rect`` is lifted once, when it is made, so no query lifts it again.
 ``shapes.FamilyGrid`` then puts a whole family and its query rectangles
 on one grid, once per check.
 
-Fractions are made, not computed with, where ints can do the work:
-``XYTransform.apply`` maps a Rect from its lift through ``axis_map``, so
-each new side is one ratio of ints normalised once.  ``Rect`` checks
-reversed sides on its lift and ``XYTransform`` positive scales on
-numerators, each skipping ``as_rat`` when every field is a Fraction
-already.  ``rect_map`` and a Point's or Seg's image still use Fraction
-operators.
+Fractions are made, not computed with, where ints can do the work: a
+Rect is mapped from its lift through two axis maps (``map_rect``), so
+each new side is one ratio of ints normalised once.  Files spell each
+rational as 'p' or 'p/q' (``rat_pair``).  ``Rect`` checks reversed sides
+on its lift and ``XYTransform`` positive scales on numerators, each
+skipping ``as_rat`` when every field is a Fraction already.
+``rect_map`` and a Point's or Seg's image still use Fraction operators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 Rat = Fraction
@@ -38,26 +39,36 @@ VERTICAL = "V"
 RatLike = Union[int, str, Fraction]
 
 IntBox = tuple[int, int, int, int]  # (x_lo, x_hi, y_lo, y_hi) in units of 1/den
-AxisMap = tuple[int, int, int]  # (a, b, q): the int v in units of 1/den goes to (a*v + b)/q
+AxisMap = tuple[int, int, int]  # (a, b, q), q > 0: the rational u goes to (a*u + b)/q
 
 
 _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def rat_pair(text: str) -> tuple[int, int]:
+    """The ints (p, q) of a 'p' or 'p/q' string as ``rat_str`` writes it,
+    q > 0 and not reduced; any other string raises ValueError."""
+    match = _RAT_TEXT.fullmatch(text)
+    if match is not None:
+        p, q = match.groups()
+        q = int(q) if q is not None else 1
+        if q:
+            return int(p), q
+    raise ValueError(f"not a rational 'p' or 'p/q' with q > 0: {text!r}")
+
+
 def as_rat(value: RatLike) -> Rat:
-    """Coerce an int, a Fraction, or a 'p' or 'p/q' string as ``rat_str``
-    writes it to an exact rational; any other string raises ValueError.
-    A value whose type is exactly Fraction is returned as it is."""
+    """Coerce an int, a Fraction, or a 'p' or 'p/q' string (``rat_pair``)
+    to an exact rational; a bool, a float or any other value raises
+    TypeError.  A value whose type is exactly Fraction is returned as it is."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, str):
-        match = _RAT_TEXT.fullmatch(value)
-        if match is None or match[2] is not None and int(match[2]) == 0:
-            raise ValueError(f"not a rational 'p' or 'p/q' with q > 0: {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
-    raise TypeError(f"not an exact rational: {value!r} (floats are refused)")
+        return Fraction(*rat_pair(value))
+    refused = " (floats are refused)" if isinstance(value, float) else ""
+    raise TypeError(f"not an exact rational: {value!r}{refused}")
 
 
 def rat_str(value: Rat) -> str:
@@ -67,8 +78,9 @@ def rat_str(value: Rat) -> str:
 
 def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
     """The least common denominator of ``values`` and each value in its units."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
 
 
 def _coerce(obj, names: tuple[str, ...]) -> tuple[Rat, ...]:
@@ -201,11 +213,28 @@ def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     return None
 
 
-def axis_map(scale: Rat, shift: Rat, den: int) -> AxisMap:
-    """(a, b, q) with scale * (v / den) + shift == (a * v + b) / q for every int v."""
+def axis_map(scale: Rat, shift: Rat) -> AxisMap:
+    """(a, b, q) with scale * u + shift == (a * u + b) / q for every rational u."""
     p, q = scale.numerator, scale.denominator
     r, s = shift.numerator, shift.denominator
-    return p * s, r * q * den, q * s * den
+    return p * s, r * q, q * s
+
+
+def lowest(m: AxisMap) -> AxisMap:
+    """The axis map ``m``, q > 0, in lowest terms: the one (a, b, q) with
+    gcd 1 for its map, so two maps are equal iff their lowest forms are."""
+    g = gcd(*m)
+    return m if g == 1 else (m[0] // g, m[1] // g, m[2] // g)
+
+
+def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect) -> Rect:
+    """The image of ``r`` under the two axis maps, made from r's lift: the
+    int v goes to (a*v + b*den) / (q*den), one ratio normalised once."""
+    den, (x0, x1, y0, y1) = r.den, r.int_box
+    (ax, bx, qx), (ay, by, qy) = x_map, y_map
+    bx, qx, by, qy = bx * den, qx * den, by * den, qy * den
+    return Rect(Fraction(ax * x0 + bx, qx), Fraction(ax * x1 + bx, qx),
+                Fraction(ay * y0 + by, qy), Fraction(ay * y1 + by, qy))
 
 
 @dataclass(frozen=True)
@@ -252,15 +281,15 @@ class XYTransform:
     def is_uniform(self) -> bool:
         return self.sx == self.sy
 
+    def axis_maps(self) -> tuple[AxisMap, AxisMap]:
+        """The x and y maps (``axis_map``)."""
+        return axis_map(self.sx, self.tx), axis_map(self.sy, self.ty)
+
     def apply(self, obj):
-        """Apply to a Point, Seg, or Rect.  A Rect is mapped on its lift:
-        each side is (a*v + b) / q for its int v, one normalisation each."""
+        """Apply to a Point, Seg, or Rect.  A Rect is mapped on its lift
+        (``map_rect``)."""
         if isinstance(obj, Rect):
-            den, (x0, x1, y0, y1) = obj.den, obj.int_box
-            ax, bx, qx = axis_map(self.sx, self.tx, den)
-            ay, by, qy = axis_map(self.sy, self.ty, den)
-            return Rect(Fraction(ax * x0 + bx, qx), Fraction(ax * x1 + bx, qx),
-                        Fraction(ay * y0 + by, qy), Fraction(ay * y1 + by, qy))
+            return map_rect(*self.axis_maps(), obj)
         if isinstance(obj, Point):
             return Point(self.x(obj.x), self.y(obj.y))
         if isinstance(obj, Seg):

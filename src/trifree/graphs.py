@@ -236,11 +236,14 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     """Exact chromatic number by DSATUR branch and bound.
 
     Deterministic: identical graphs produce identical witnesses.  With a
-    timeout, an interval result is returned instead of raising.
+    timeout, an interval result is returned instead of raising.  The clique
+    bound comes from ``max_clique`` only on a graph with a triangle; on a
+    triangle-free one it is the least edge (u, v), u < v.
     """
     if g.n == 0:
         return ChromaticResult(0, 0, True, (), ())
-    clique = max_clique(g)
+    # a triangle-free graph's largest clique is its least edge, or a vertex
+    clique = max_clique(g) if not is_triangle_free(g) else min(g.edges(), default=(0,))
     lb = len(clique)
     best = dsatur_order_coloring(g)
     best_num = max(best)

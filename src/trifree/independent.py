@@ -34,7 +34,7 @@ recursion step's claims are decided by those two checks alone:
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
-claimed roots are mapped by ``XYTransform.apply`` on their lifts; and
+claimed roots are mapped on their lifts (``geometry.map_rect``); and
 ``_probe_messages`` decides every side condition of a probe on its grid
 boxes, the cut by cross-multiplication.  It scans each copy near a probe
 once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
@@ -42,9 +42,9 @@ of its segments spans the probe from bottom to top and whether it meets
 the root; only a pierced copy with no spanning segment is clipped and
 walked into components, and on every level the constructions build each
 pierced copy has one.  Each helper copy is embedded by
-``TransformedCopy.rebase``, which composes its axis maps on ints.
-Fractions are still made for what a level stores (transforms, probe
-rectangles, roots and cuts), and ``grow_probe``, ``split_probe`` and
+``TransformedCopy.rebase``, which composes its axis maps on ints: a copy
+holds ints only.  Fractions are still made for what a probe stores (its
+rectangle, root and cut), and ``grow_probe``, ``split_probe`` and
 ``next_level``'s embeddings still compute with them.
 """
 
@@ -153,7 +153,7 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     tx = (a*fd*(u1-u0) - fn*(b-a)*u0) / q with q = fd*den*(u1-u0);
     sy = m*(d-c)*ud / r and ty = (((n-m)*d + m*c)*(u3-u2) - m*(d-c)*u2) / r
     with r = n*den*(u3-u2).  The copy is made from those ints as its axis
-    maps (``TransformedCopy.from_axis_maps``).
+    maps (sx_num, tx_num, q) and (sy_num, ty_num, r).
 
     The stretch factor guarantees the copy's empty rectangle E clears the
     family's bounding box on the right.  That is re-verified here on the
@@ -170,11 +170,9 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     m, n = _SPLIT.numerator, _SPLIT.denominator
     q, r = fd * den * (u1 - u0), n * den * (u3 - u2)
     sx_num, tx_num = fn * (b - a) * ud, a * fd * (u1 - u0) - fn * (b - a) * u0
-    sd = shape.shape.den  # the axis maps run over the shape's grid
-    copy = TransformedCopy.from_axis_maps(
-        shape.name, shape.shape, (sx_num, tx_num * sd, q * sd),
-        (m * (d - c) * ud, (((n - m) * d + m * c) * (u3 - u2) - m * (d - c) * u2) * sd, r * sd),
-        lineage)
+    copy = TransformedCopy(
+        shape.name, shape.shape, (sx_num, tx_num, q),
+        (m * (d - c) * ud, ((n - m) * d + m * c) * (u3 - u2) - m * (d - c) * u2, r), lineage)
     # E.x_lo = e/ed maps to (sx_num*e + tx_num*ed) / (q*ed)
     ed, e = feats.empty_rect.den, feats.empty_rect.int_box[0]
     empty_num, empty_den = sx_num * e + tx_num * ed, q * ed
@@ -363,7 +361,7 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
             out.append(f"size: {len(level.probes)} probes, expected p_{k} = {p_k}")
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
-                   for c in family if not c.transform.is_uniform)
+                   for c in family if not c.is_uniform)
     grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
     contacts, near, meeting = level_pass(grid, n)
     # the probes pierce base copies only, so only their contacts are looked up
@@ -399,7 +397,7 @@ def seal(k: int, copies: Sequence[TransformedCopy],
 
 def base_level(shape: ShapeDef) -> Level:
     """Level 1: the shape itself; the probe extends E to the right edge."""
-    copy = TransformedCopy(shape.name, shape.shape, XYTransform.identity(), "outer")
+    copy = TransformedCopy(shape.name, shape.shape, lineage="outer")
     return seal(1, [copy], [(shape.features.empty_rect, frozenset({0}))])
 
 
@@ -454,7 +452,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     half = Fraction(1, 2)
     embeds = [XYTransform.rect_map(helper_bbox, p.root.concentric(half, half))
               for p in prev.probes]
-    uppers = [d.transform.apply(shape.features.empty_rect) for d in helper[n:]]
+    uppers = [d.apply(shape.features.empty_rect) for d in helper[n:]]
     lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
               for p, (_, lower) in zip(prev.probes, splits)]
     return embed_helpers(prev.k + 1, prev, helper, prev.probes, embeds, uppers, lowers)

@@ -22,22 +22,27 @@ the indented layout of earlier files, and the loader reads any layout.
 
 A file repeats most of its rationals (every probe ends at the family's
 right side, sibling copies share scales), so the loader parses each
-distinct text once per file, by the strict grammar of ``as_rat``, and
-makes one Fraction for it.  Copies and probe rectangles are lifted from
-those Fractions when they are made, so no check lifts a stored value
-again.
+distinct text once per file, by the strict grammar of ``as_rat``, into an
+int pair (``geometry.rat_pair``).  Each copy is made straight from its
+pairs: sx = a/b and tx = e/f are the axis map (a*f, e*b, b*f), and the
+copy holds ints only.  A probe's rectangles and cut are Fractions, each
+made once per distinct text, and lifted when they are made; its pierced
+indices are checked for type and range in one pass.  The writer formats
+every copy field from the copy's ints.  An encoded family carries no
+probes, is not augmented, and has no ``base_size`` but its frame count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Callable, Optional, Sequence
 
 from .encoding import StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
-from .geometry import Rat, Rect, Seg, XYTransform, as_rat, rat_str
+from .geometry import Rat, Rect, Seg, as_rat, rat_pair, rat_str
 from .independent import Level, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
 
@@ -57,19 +62,38 @@ def rect_from_json(d: dict, rat: Callable[[Any], Rat]) -> Rect:
     return Rect(rat(d["x_lo"]), rat(d["x_hi"]), rat(d["y_lo"]), rat(d["y_hi"]))
 
 
-def _rat_reader() -> Callable[[Any], Rat]:
-    """``as_rat`` with a memo of the texts it has read; any other value
-    goes to ``as_rat`` every time."""
-    memo: dict[str, Rat] = {}
+def _rat_readers() -> tuple[Callable[[Any], tuple[int, int]], Callable[[Any], Rat]]:
+    """Two readers of one file's rationals, by the grammar of ``as_rat``:
+    ``pair`` gives (p, q), q > 0, for the copies, and ``rat`` a Fraction
+    for everything else.  Each reader parses each distinct text once
+    (``rat_pair``), and keeps only what it gives; any other value goes to
+    ``as_rat`` every time."""
+    pairs: dict[str, tuple[int, int]] = {}
+    rats: dict[str, Rat] = {}
+
+    def pair(value: Any) -> tuple[int, int]:
+        if type(value) is str:
+            p = pairs.get(value)
+            if p is None:
+                p = pairs[value] = rat_pair(value)
+            return p
+        r = as_rat(value)
+        return r.numerator, r.denominator
 
     def rat(value: Any) -> Rat:
         if type(value) is not str:
             return as_rat(value)
-        r = memo.get(value)
+        r = rats.get(value)
         if r is None:
-            r = memo[value] = as_rat(value)
+            r = rats[value] = Fraction(*rat_pair(value))
         return r
-    return rat
+    return pair, rat
+
+
+def _ratio(n: int, d: int) -> str:
+    """``rat_str`` of n/d, d > 0, from the ints."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
@@ -93,9 +117,10 @@ def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
 
 
 def copy_to_json(c: TransformedCopy) -> dict:
-    t = c.transform
-    return {"sx": rat_str(t.sx), "sy": rat_str(t.sy),
-            "tx": rat_str(t.tx), "ty": rat_str(t.ty), "lineage": c.lineage}
+    """The copy's fields, each formatted from its axis maps' ints."""
+    (ax, bx, qx), (ay, by, qy) = c.x_map, c.y_map
+    return {"sx": _ratio(ax, qx), "sy": _ratio(ay, qy),
+            "tx": _ratio(bx, qx), "ty": _ratio(by, qy), "lineage": c.lineage}
 
 
 def _probe_to_json(p: Probe) -> dict:
@@ -107,12 +132,6 @@ def _typed(value: Any, kind: type, field: str) -> Any:
     if type(value) is not kind:
         raise TypeError(f"{field} must be of type {kind.__name__}, got {value!r}")
     return value
-
-
-def _probe_from_json(d: dict, rat: Callable[[Any], Rat]) -> Probe:
-    return Probe(rect_from_json(d["rect"], rat), rect_from_json(d["root"], rat),
-                 rat(d["root_cut_x"]),
-                 tuple(_typed(i, int, "pierced index") for i in d["pierced"]))
 
 
 # Families that trifree builds lie on a grid at most a few bits finer than
@@ -250,39 +269,58 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     if doc["shape"] != shape_to_json(shape, anchored=anchored):
         raise ValueError(f"shape does not match catalog entry {name!r}")
     base = shape.anchor.shape if anchored else shape.shape
-    rat = _rat_reader()
+    pair, rat = _rat_readers()
     epsilon = rat(doc["epsilon"]) if anchored else None
     if epsilon is not None and not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0,1): {epsilon}")
-    copies = tuple(
-        TransformedCopy(name, base, XYTransform(rat(c["sx"]), rat(c["sy"]), rat(c["tx"]),
-                                                rat(c["ty"])),
-                        _typed(c["lineage"], str, "lineage"))
-        for c in doc["copies"])
+    copies = []
+    for item in doc["copies"]:
+        # sx = a/b and tx = e/f give the x map (a*f, e*b, b*f), sy and ty the y map
+        (a, b), (c, d), (e, f), (g, h) = (pair(item["sx"]), pair(item["sy"]),
+                                          pair(item["tx"]), pair(item["ty"]))
+        copies.append(TransformedCopy(name, base, (a * f, e * b, b * f), (c * h, g * d, d * h),
+                                      _typed(item["lineage"], str, "lineage")))
     if not copies:
         raise ValueError("family document has no copies")
     base_size = _typed(doc.get("base_size", len(copies)), int, "base_size")
     if not 1 <= base_size <= len(copies):
         raise ValueError(f"base_size {base_size} is outside 1..{len(copies)}")
-    probes: tuple[Probe, ...] = ()
+    probes: list[Probe] = []
     tree_nodes = color_budget = None
     if mode == "encoded-frames":
         tree_nodes = _preorder(doc["tree"]["root"], lambda d: _tree_node_from_json(d, rat))
         color_budget = _typed(doc["tree"]["color_budget"], int, "color_budget")
     else:
-        probes = tuple(_probe_from_json(p, rat) for p in doc["probes"])
-        for p in probes:
-            if not all(0 <= i < base_size for i in p.pierced):
-                raise ValueError(f"pierced index outside 0..{base_size - 1}")
+        in_range = True
+        for p in doc["probes"]:
+            probe = Probe(rect_from_json(p["rect"], rat), rect_from_json(p["root"], rat),
+                          rat(p["root_cut_x"]), tuple(p["pierced"]))
+            # one pass checks the type and the range of every index
+            if not all(type(i) is int and 0 <= i < base_size for i in probe.pierced):
+                for i in probe.pierced:
+                    _typed(i, int, "pierced index")
+                in_range = False
+            probes.append(probe)
+        if not in_range:
+            raise ValueError(f"pierced index outside 0..{base_size - 1}")
     _check_grid(copies, probes)
+    augmented = _typed(doc.get("augmented", False), bool, "augmented")
+    if mode == "encoded-frames":
+        if doc.get("probes", []) != []:
+            raise ValueError("an encoded family must have no probes")
+        if augmented:
+            raise ValueError("an encoded family cannot be augmented")
+        if base_size != len(copies):
+            raise ValueError(f"base_size {base_size} is not the frame count {len(copies)} "
+                             f"of an encoded family")
     return LoadedFamily(
         mode=mode,
         k=k,
         shape=shape,
-        augmented=_typed(doc.get("augmented", False), bool, "augmented"),
+        augmented=augmented,
         base_size=base_size,
-        copies=copies,
-        probes=probes,
+        copies=tuple(copies),
+        probes=tuple(probes),
         epsilon=epsilon,
         tree_nodes=tree_nodes,
         color_budget=color_budget,

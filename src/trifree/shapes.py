@@ -15,17 +15,18 @@ recursive constructions consume:
 not exceptions.
 
 Every shape and copy is lifted once, when it is made, onto the grid of
-multiples of 1/den, den the least common denominator of its coordinates:
-its segments are stored as integer tuples ``(orientation, fixed, lo,
-hi)`` and its bounding box as ``int_box``, ``(x_lo, x_hi, y_lo, y_hi)``,
-both in units of 1/den; a ``Rect`` carries its own ``den`` and
-``int_box``, made the same way.  A copy is lifted from its transform's
-two integer axis maps over its base shape's grid
-(``geometry.axis_map``): each distinct x and y int of the base is mapped
-once, so the copy's segments hold its box's ints.  ``rebase``, which
-composes the maps with the next transform's on ints, and
-``make_diagonal``'s closed form make the transform's Fractions from ints
-they already hold.  Every contact, clip and stabbing decision compares
+multiples of 1/den, den the least common denominator of its coordinates.
+A shape keeps its segments there as integer tuples ``(orientation,
+fixed, lo, hi)`` (``int_segs``), its bounding box as ``int_box``,
+``(x_lo, x_hi, y_lo, y_hi)``, both in units of 1/den, and its distinct x
+and y ints as ``axes``, with each segment as positions in them
+(``slots``); a ``Rect`` carries its own ``den`` and ``int_box``, made
+the same way.  A copy holds ints only: its transform as two axis maps in
+lowest terms (``geometry.axis_map``, ``geometry.lowest``) and its
+``axes``, each of the base's x and y ints mapped once; its box is their
+ends.  ``rebase`` and ``make_diagonal``'s closed form compose and lift
+on ints, and a copy's Fractions (``transform``, ``segments``) are made
+only on request.  Every contact, clip and stabbing decision compares
 Python ints, in one set of kernels that take boxes and segments already
 on one grid.  Whether a copy meets a box is one scan that allocates
 nothing (``_meets``), and a probe check scans each copy near it once
@@ -38,16 +39,17 @@ and its pieces walked into components (``_crosses``, which tries
 decides contacts, and skips the segments of one copy that miss the
 other's box.
 
-``FamilyGrid`` is the one way segments reach a shared grid: it puts
-copies (or shapes) and the rectangles checked against them on the grid
-of their least common denominator, with each box and segment list scaled
-onto it once, and runs the kernels there.  A family check lifts its
-family once; the feature checks, through ``copy_meets_rect``, and
-``copies_intersect``, which only the benchmark and the tests call, each
-make a grid of one or two objects.  A grid's ``contacts`` finds the
-closed boxes that meet with one sweep in y (``_sweep_pairs``) over its
-copies and any query boxes, and runs the exact contact test on the pairs
-of copies alone; a level check reads everything from that one pass.
+``FamilyGrid`` is the one way a copy's segments are made for a
+decision: it puts copies (or shapes) and the rectangles checked against
+them on the grid of their least common denominator, scales each copy's
+axes onto it once and reads the base's slots on them, and runs the
+kernels there.  A family check lifts its family once; the feature checks,
+through ``copy_meets_rect``, and ``copies_intersect``, which only the
+benchmark and the tests call, each make a grid of one or two objects.  A
+grid's ``contacts`` finds the closed boxes that meet with one sweep in y
+(``_sweep_pairs``) over its copies and any query boxes, and runs the
+exact contact test on the pairs of copies alone; a level check reads
+everything from that one pass.
 
 The frame entry additionally carries an *anchored* variant used by the
 uniform-scaling construction: a copy of the shape inside the open-ended
@@ -73,9 +75,10 @@ from .geometry import (
     Rect,
     Seg,
     XYTransform,
-    axis_map,
     h_seg,
     lift,
+    lowest,
+    map_rect,
     v_seg,
 )
 
@@ -357,39 +360,76 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TransformedCopy:
-    """A placed copy of a base shape: transform plus provenance tag.
+    """A placed copy of a base shape, in ints: two axis maps plus a
+    provenance tag, held in slots (a copy has no instance dict).
 
-    The copy's segments and bounding box are kept on its own grid: ``den``
-    is the least common denominator of its coordinates, ``int_segs`` and
-    ``int_box`` are in units of 1/den.  They are lifted from the copy's
-    transform's two ``axis_map``s over the base grid: each of the base's
-    ``axes`` is mapped once, so the segments hold the box's ints.
+    ``x_map`` and ``y_map`` are the copy's transform, each an axis map
+    (a, b, q) for u -> (a*u + b)/q, a > 0 and q > 0, kept in lowest terms
+    (``geometry.lowest``): two copies are equal iff they have the same
+    shape, transform and lineage.  The copy is lifted once, when it is
+    made, onto the grid of 1/den, den the least common denominator of its
+    coordinates: ``axes`` are the images of its base's distinct x and y
+    ints, each mapped once, and its box is their ends.  Its segments on
+    that grid (``int_segs``, the base's ``slots`` read on ``axes``) and its
+    ``transform`` are made on each call, never on a build, load or check
+    path: ``FamilyGrid`` reads the slots on the axes scaled to its grid.
     """
 
     shape_id: str
     base: RectilinearShape = field(compare=False)
-    transform: XYTransform = XYTransform.identity()
-    lineage: str = "outer"
+    x_map: AxisMap
+    y_map: AxisMap
+    lineage: str
     den: int = field(init=False, compare=False, repr=False)
-    int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
-    int_box: IntBox = field(init=False, compare=False, repr=False)
+    axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        t, base = self.transform, self.base
-        (ax, bx, qx), (ay, by, qy) = axis_map(t.sx, t.tx, base.den), axis_map(t.sy, t.ty, base.den)
-        g = gcd(qx, qy)  # both axes over one denominator, lcm(qx, qy)
+    def __init__(self, shape_id: str, base: RectilinearShape, x_map: AxisMap = (1, 0, 1),
+                 y_map: AxisMap = (1, 0, 1), lineage: str = "outer"):
+        (ax, bx, qx), (ay, by, qy) = x_map, y_map = lowest(x_map), lowest(y_map)
+        if ax <= 0 or ay <= 0:
+            raise ValueError(f"scale factors must be positive: "
+                             f"sx={Fraction(ax, qx)}, sy={Fraction(ay, qy)}")
+        # the base int v is v/d, which goes to (a*v + b*d)/(q*d); both axes
+        # over one denominator, lcm(qx, qy)*d
+        (bxs, bys), d = base.axes, base.den
+        g = gcd(qx, qy)
         ux, uy = qy // g, qx // g
-        ax, bx, ay, by = ax * ux, bx * ux, ay * uy, by * uy
-        xs, ys = [ax * v + bx for v in base.axes[0]], [ay * v + by for v in base.axes[1]]
-        den = qx * ux
+        ax, bx, ay, by = ax * ux, bx * ux * d, ay * uy, by * uy * d
+        xs, ys = [ax * v + bx for v in bxs], [ay * v + by for v in bys]
+        den = qx * ux * d
         g = gcd(den, *xs, *ys)  # den over what it shares with every int is the least one
         if g > 1:
             den, xs, ys = den // g, [v // g for v in xs], [v // g for v in ys]
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_segs", tuple(_on_axes(s, xs, ys) for s in base.slots))
-        object.__setattr__(self, "int_box", (xs[0], xs[-1], ys[0], ys[-1]))
+        for name, value in (("shape_id", shape_id), ("base", base), ("x_map", x_map),
+                            ("y_map", y_map), ("lineage", lineage), ("den", den),
+                            ("axes", (tuple(xs), tuple(ys)))):
+            object.__setattr__(self, name, value)  # frozen: each field is written once, here
+
+    @property
+    def int_box(self) -> IntBox:
+        xs, ys = self.axes
+        return xs[0], xs[-1], ys[0], ys[-1]
+
+    @property
+    def slots(self) -> tuple[IntSeg, ...]:
+        return self.base.slots
+
+    @property
+    def int_segs(self) -> tuple[IntSeg, ...]:
+        xs, ys = self.axes
+        return tuple(_on_axes(s, xs, ys) for s in self.base.slots)
+
+    @property
+    def transform(self) -> XYTransform:
+        (ax, bx, qx), (ay, by, qy) = self.x_map, self.y_map
+        return XYTransform(Fraction(ax, qx), Fraction(ay, qy), Fraction(bx, qx), Fraction(by, qy))
+
+    @property
+    def is_uniform(self) -> bool:
+        """True iff the copy is a homothet: its x and y scales are equal."""
+        return self.x_map[0] * self.y_map[2] == self.y_map[0] * self.x_map[2]
 
     @property
     def segments(self) -> tuple[Seg, ...]:
@@ -400,28 +440,18 @@ class TransformedCopy:
     def bbox(self) -> Rect:
         return _rect_of(self.den, self.int_box)
 
-    @classmethod
-    def from_axis_maps(cls, shape_id: str, base: RectilinearShape, x_map: AxisMap,
-                       y_map: AxisMap, lineage: str) -> "TransformedCopy":
-        """The copy of ``base`` with these axis maps: its transform's fields
-        are made from them, one Fraction each."""
-        (ax, bx, qx), (ay, by, qy), d = x_map, y_map, base.den
-        return cls(shape_id, base, XYTransform(Fraction(ax * d, qx), Fraction(ay * d, qy),
-                                               Fraction(bx, qx), Fraction(by, qy)), lineage)
+    def apply(self, r: Rect) -> Rect:
+        """The image of ``r``, a rectangle in the base's coordinates."""
+        return map_rect(self.x_map, self.y_map, r)
 
     def rebase(self, after: XYTransform, lineage: Optional[str] = None) -> "TransformedCopy":
-        """The same copy pushed through one more transform, on its axis maps."""
-        t, den = self.transform, self.base.den
-        return TransformedCopy.from_axis_maps(
-            self.shape_id, self.base, _then(axis_map(t.sx, t.tx, den), after.sx, after.tx),
-            _then(axis_map(t.sy, t.ty, den), after.sy, after.ty),
-            lineage if lineage is not None else self.lineage)
-
-
-def _then(m: AxisMap, scale: Rat, shift: Rat) -> AxisMap:
-    """(a*v + b)/q followed by u -> scale*u + shift = (A*u + B)/Q."""
-    (a, b, q), (A, B, Q) = m, axis_map(scale, shift, 1)
-    return A * a, A * b + B * q, Q * q
+        """The same copy pushed through one more transform: each axis map
+        (a, b, q) followed by (A, B, Q) is (A*a, A*b + B*q, Q*q)."""
+        (ax, bx, qx), (ay, by, qy) = self.x_map, self.y_map
+        (Ax, Bx, Qx), (Ay, By, Qy) = after.axis_maps()
+        return TransformedCopy(self.shape_id, self.base, (Ax * ax, Ax * bx + Bx * qx, Qx * qx),
+                               (Ay * ay, Ay * by + By * qy, Qy * qy),
+                               lineage if lineage is not None else self.lineage)
 
 
 def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:
@@ -459,32 +489,30 @@ def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
     return _rect_of(den, box_hull(grid))
 
 
-def _scaled_segs(c: TransformedCopy, box: IntBox, m: int) -> Sequence[IntSeg]:
-    """``c``'s segments scaled by m, given ``box``, c's box scaled by m.  A
-    coordinate on a side of the box reuses the box's int, which keeps a grid
-    of many copies small: a frame's segments hold no int of their own."""
-    if m == 1:
-        return c.int_segs
-    same = dict(zip(c.int_box, box))
-    return tuple([(o, same.get(f) or f * m, same.get(lo) or lo * m, same.get(hi) or hi * m)
-                  for o, f, lo, hi in c.int_segs])
-
-
 class FamilyGrid:
     """A family's copies and the rectangles checked against them, on one
     integer grid: multiples of 1/den, den the least common denominator of
-    all of them.  Each copy's box and segments are scaled onto it once, when
-    the grid is made (``boxes[i]``, ``segs[i]``; a copy whose own grid is
-    this one keeps its tuples), and so is each rectangle's box
-    (``rect_boxes``, in the order given).  Every decision below compares
-    ints on this grid.  A ``RectilinearShape`` goes on it as a copy does.
+    all of them.  Each copy's box and segments are put on it once, when the
+    grid is made (``boxes[i]``, ``segs[i]``): its ``axes`` are scaled onto
+    the grid and its base's ``slots`` read on them, so a segment's ints are
+    its box's, and a frame's segments hold no int of their own.  Each
+    rectangle's box is scaled onto it too (``rect_boxes``, in the order
+    given).  Every decision below compares ints on this grid.  A
+    ``RectilinearShape`` goes on it as a copy does.
     """
 
     def __init__(self, copies: Sequence[TransformedCopy | RectilinearShape],
                  rects: Sequence[Rect] = ()):
-        self.den, (self.boxes, self.rect_boxes) = _on_one_grid(copies, rects)
-        self.segs = [_scaled_segs(c, box, self.den // c.den)
-                     for c, box in zip(copies, self.boxes)]
+        self.den = den = lcm(*{c.den for c in copies}, *{r.den for r in rects})
+        self.boxes: list[IntBox] = []
+        self.segs: list[tuple[IntSeg, ...]] = []
+        for c in copies:
+            (xs, ys), m = c.axes, den // c.den
+            if m != 1:
+                xs, ys = [v * m for v in xs], [v * m for v in ys]
+            self.boxes.append((xs[0], xs[-1], ys[0], ys[-1]))
+            self.segs.append(tuple([_on_axes(s, xs, ys) for s in c.slots]))
+        self.rect_boxes = [_scaled_box(r.int_box, den // r.den) for r in rects]
 
     def meets(self, i: int, box: IntBox) -> bool:
         """True iff copy i meets ``box``, a box on this grid."""

@@ -55,7 +55,8 @@ def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
     if square.width != square.height:
         raise ConstructionError("homothet target is not a square")
     return TransformedCopy(shape.name, anchor.shape,
-                           XYTransform.rect_map(anchor.bounding_square, square), lineage)
+                           *XYTransform.rect_map(anchor.bounding_square, square).axis_maps(),
+                           lineage)
 
 
 def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
@@ -91,7 +92,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         x_mid, y_mid, shift = r.x_lo + r.width / 2, r.y_lo + r.height / 2, delta * r.width + m
         square = Rect(x_mid + shift, r.x_hi + shift, y_mid, r.y_hi)
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
-        uppers.append(diagonals[-1].transform.apply(anchor.empty_square(eps1)))
+        uppers.append(diagonals[-1].apply(anchor.empty_square(eps1)))
         lowers.append(Rect(x_mid, r.x_hi, r.y_lo, y_mid))
 
     helper = list(inner.family) + diagonals
@@ -122,7 +123,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
         raise ValueError("k must be at least 1")
 
     if k == 1:
-        copy = TransformedCopy(shape.name, anchor.shape, XYTransform.identity(), "outer")
+        copy = TransformedCopy(shape.name, anchor.shape, lineage="outer")
         return seal(1, [copy], [(anchor.empty_square(epsilon), frozenset({0}))], epsilon)
 
     inner = build_uniform(k - 1, epsilon / 8, shape)

@@ -200,7 +200,8 @@ def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
     onto_upper = XYTransform.rect_map(feats.bbox, upper)
     factor = 2 * feats.w2 / feats.w1
     stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
-    copy = TransformedCopy(shape.name, shape.shape, then(onto_upper, stretch), lineage)
+    copy = TransformedCopy(shape.name, shape.shape, *then(onto_upper, stretch).axis_maps(),
+                           lineage)
     empty = apply_ref(copy.transform, feats.empty_rect)
     if not empty.x_lo > bbox.x_hi:
         raise ConstructionError(
@@ -634,7 +635,8 @@ class _DeadlineRef(Exception):
 def chromatic_number_ref(g: Graph, timeout: Optional[float] = None) -> ChromaticResult:
     if g.n == 0:
         return ChromaticResult(0, 0, True, (), ())
-    clique = max_clique_ref(g)
+    clique = (min(((u, v) for u in range(g.n) for v in g.adj[u] if u < v), default=(0,))
+              if is_triangle_free_bruteforce(g) else max_clique_ref(g))
     lb = len(clique)
     best = dsatur_order_coloring_ref(g)
     best_num = max(best)

@@ -126,6 +126,17 @@ def test_floats_are_refused():
         Rect(0.0, 1, 0, 1)
 
 
+def test_booleans_are_refused_and_only_floats_are_named_floats():
+    for value in (True, False):
+        with pytest.raises(TypeError, match=r"^not an exact rational: (True|False)$"):
+            as_rat(value)
+    for value in (None, [1, 2], {"p": 1}):
+        with pytest.raises(TypeError, match=r"^not an exact rational: .*[^)]$"):
+            as_rat(value)
+    with pytest.raises(TypeError, match=r"\(floats are refused\)$"):
+        as_rat(0.5)
+
+
 def test_an_exact_fraction_is_returned_as_it_is():
     value = Fraction(22, 7)
     assert as_rat(value) is value
@@ -172,13 +183,13 @@ def test_rect_is_lifted_once_when_it_is_made():
 def _copy_bbox():
     frame = catalog()["frame"]
     t = XYTransform(Fraction(1, 2), Fraction(3, 4), Fraction(1, 4), Fraction(5, 6))
-    return TransformedCopy("frame", frame.shape, t).bbox
+    return TransformedCopy("frame", frame.shape, *t.axis_maps()).bbox
 
 
 def _family_bbox():
     frame = catalog()["frame"]
     t = XYTransform(Fraction(2, 3), Fraction(2), Fraction(-1, 6), Fraction(1, 10))
-    return family_bbox([TransformedCopy("frame", frame.shape, t),
+    return family_bbox([TransformedCopy("frame", frame.shape, *t.axis_maps()),
                         Rect(Fraction(-1, 3), 0, Fraction(7, 2), Fraction(15, 4))])
 
 

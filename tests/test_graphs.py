@@ -222,10 +222,41 @@ def test_intersection_graph_of_disjoint_copies_is_empty(frame):
 
     def copy_at(x0):
         t = XYTransform.rect_map(frame.features.bbox, Rect(x0, x0 + 1, 0, 1))
-        return TransformedCopy("frame", frame.shape, t, "t")
+        return TransformedCopy("frame", frame.shape, *t.axis_maps(), "t")
 
     g = intersection_graph([copy_at(0), copy_at(5)])
     assert g.n == 2 and g.m == 0
+
+
+def test_triangle_free_graphs_never_run_the_clique_search(monkeypatch):
+    """On a triangle-free graph the clique bound is its least edge, or
+    vertex 0 if it has none; ``max_clique`` runs only on a graph with a
+    triangle, and the result is what the clique search gave."""
+    from trifree import graphs
+    from trifree.independent import build
+    from trifree.shapes import catalog
+
+    rng = random.Random(20261020)
+    cases = [cycle(5), cycle(8), Graph.from_edges(4, []), Graph.from_edges(6, [(4, 5), (2, 5)])]
+    cases += [g for g in (random_graph(rng, rng.randint(1, 14), 0.2) for _ in range(60))
+              if is_triangle_free_bruteforce(g)]
+    cases += [intersection_graph(build(3, catalog()[name]).family)
+              for name in ("frame", "lshape", "cross")]
+    cliques = [max_clique(g) for g in cases]
+
+    def refused(g):
+        raise AssertionError("max_clique ran on a triangle-free graph")
+
+    monkeypatch.setattr(graphs, "max_clique", refused)
+    for g, clique in zip(cases, cliques):
+        res = chromatic_number(g)
+        assert res.clique == min(g.edges(), default=(0,))
+        assert len(res.clique) == len(clique)
+        assert res.exact and res.chi == chromatic_number_bruteforce(g)
+        assert verify_coloring(g, res.coloring)
+    assert chromatic_number(Graph.from_edges(0, [])).clique == ()
+    with pytest.raises(AssertionError, match="max_clique ran"):
+        chromatic_number(complete(3))
 
 
 def _families():

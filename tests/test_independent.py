@@ -273,7 +273,7 @@ def test_augment_rejects_tampered_probe(independent_levels, frame):
     (2, frozenset({0}), "size: k=2 needs more than 1 base copies"),
 ], ids=["wrong-pierced-set", "wrong-k"])
 def test_seal_refuses_a_level_that_breaks_its_law(frame, k, pierced, message):
-    copy = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    copy = shapes.TransformedCopy(frame.name, frame.shape, lineage="outer")
     with pytest.raises(ConstructionError) as err:
         seal(k, [copy], [(frame.features.empty_rect, pierced)])
     assert str(err.value) == message
@@ -534,9 +534,10 @@ def test_build_lifts_one_grid_per_seal_and_per_augment(name, monkeypatch):
 
 
 def _count_sweeps_and_lifts(monkeypatch) -> dict[str, int]:
-    """From now on: each sweep over boxes and each lift of boxes onto one grid."""
+    """From now on: each sweep over boxes and each lift of boxes onto one
+    grid, by a ``FamilyGrid`` or by ``family_bbox``."""
     seen = {"sweeps": 0, "lifts": 0}
-    sweep, lift = shapes._sweep_pairs, shapes._on_one_grid
+    sweep, lift, grid = shapes._sweep_pairs, shapes._on_one_grid, shapes.FamilyGrid.__init__
 
     def counted_sweep(boxes):
         seen["sweeps"] += 1
@@ -546,8 +547,13 @@ def _count_sweeps_and_lifts(monkeypatch) -> dict[str, int]:
         seen["lifts"] += 1
         return lift(*groups)
 
+    def counted_grid(self, *args):
+        seen["lifts"] += 1
+        grid(self, *args)
+
     monkeypatch.setattr(shapes, "_sweep_pairs", counted_sweep)
     monkeypatch.setattr(shapes, "_on_one_grid", counted_lift)
+    monkeypatch.setattr(shapes.FamilyGrid, "__init__", counted_grid)
     return seen
 
 
@@ -758,7 +764,7 @@ def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
         return boxes[-1]
 
     monkeypatch.setattr(independent, "family_bbox", counted)
-    copy = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    copy = shapes.TransformedCopy(frame.name, frame.shape, lineage="outer")
     level = seal(1, [copy], [(frame.features.empty_rect, frozenset({0}))])
     # one box per seal: the one the probe grew to, which the level law read
     assert len(boxes) == 1 and level.bbox is boxes[0]
@@ -883,10 +889,11 @@ def test_meet_counts_a_touch_on_each_side_of_the_box(frame, seg, dx, dy):
     # the unit frame is its box's boundary, so every contact lies on a side
     # of that box, where the box filter must keep the segment; moved out
     # by (dx, dy)/7, the segment meets nothing
-    unit = shapes.TransformedCopy(frame.name, frame.shape, XYTransform.identity(), "outer")
+    unit = shapes.TransformedCopy(frame.name, frame.shape, lineage="outer")
     for step, touches in ((0, True), (Fraction(1, 7), False)):
         moved = XYTransform(Fraction(1), Fraction(1), dx * step, dy * step)
-        stick = shapes.TransformedCopy("stick", shapes.RectilinearShape((seg,)), moved, "stick")
+        stick = shapes.TransformedCopy("stick", shapes.RectilinearShape((seg,)),
+                                       *moved.axis_maps(), "stick")
         assert copies_intersect(unit, stick) == copies_intersect(stick, unit) == touches
         assert shapes.FamilyGrid([unit, stick]).contacts()[0] == ([(0, 1)] if touches else [])
         assert copies_intersect_ref(unit, stick) == touches

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from trifree.geometry import XYTransform, as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
-from trifree.shapes import TransformedCopy, catalog
+from trifree.shapes import RectilinearShape, TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
@@ -352,6 +353,107 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
         for node, d in zip(fam.tree_nodes, _preorder_docs(doc["tree"]["root"]), strict=True):
             assert (node.interval.lo, node.interval.hi, *node.slot) == tuple(
                 as_rat(d[f]) for f in ("lo", "hi", "slot_lo", "slot_hi"))
+
+
+def _built_families():
+    """(label, document, built copies, built probes) for bare and augmented
+    levels k=1..3 of each catalog shape, uniform levels k=1..3 at two
+    epsilons, bare and augmented, and encoded trees k=1..3."""
+    for name in ("frame", "lshape", "cross"):
+        shape = catalog()[name]
+        for k in (1, 2, 3):
+            level = build(k, shape)
+            family = augment(level, shape)
+            yield f"{name} k={k}", serialize.level_to_doc(level, shape), level.family, level.probes
+            yield (f"{name} k={k} augmented", serialize.level_to_doc(level, shape, family),
+                   family, level.probes)
+    frame = catalog()["frame"]
+    for eps in (Fraction(1, 2), Fraction(2, 7)):
+        for k in (1, 2, 3):
+            level = build_uniform(k, eps, frame)
+            family = augment_uniform(level, frame)
+            yield (f"uniform eps={eps} k={k}", serialize.level_to_doc(level, frame),
+                   level.family, level.probes)
+            yield (f"uniform eps={eps} k={k} augmented",
+                   serialize.level_to_doc(level, frame, family), family, level.probes)
+    for k in (1, 2, 3):
+        tree = expand_tree(k)
+        copies = encode(tree)
+        yield f"encoded k={k}", serialize.encoded_to_doc(tree, copies, frame), copies, ()
+
+
+@pytest.fixture(scope="module")
+def built_families():
+    return list(_built_families())
+
+
+def _loaded(doc):
+    return serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))
+
+
+def test_loaded_copies_and_probes_equal_the_built_ones(built_families):
+    for label, doc, copies, probes in built_families:
+        fam = _loaded(doc)
+        assert len(fam.copies) == len(copies), label
+        for got, want in zip(fam.copies, copies):
+            assert got == want, label
+            assert (got.den, got.int_box, got.int_segs, got.transform) == (
+                want.den, want.int_box, want.int_segs, want.transform), label
+        assert len(fam.probes) == len(probes), label
+        for got, want in zip(fam.probes, probes):
+            assert (got.rect, got.root, got.root_cut_x, got.pierced) == (
+                want.rect, want.root, want.root_cut_x, want.pierced), label
+            assert [(r.den, r.int_box) for r in (got.rect, got.root)] == [
+                (r.den, r.int_box) for r in (want.rect, want.root)], label
+
+
+def _ints_only(value):
+    if isinstance(value, tuple):
+        return all(_ints_only(v) for v in value)
+    return type(value) in (int, str) or isinstance(value, RectilinearShape)
+
+
+def test_copies_hold_no_fraction_or_transform(built_families):
+    """Every copy that ``build``, ``augment``, ``build_uniform``, ``encode``
+    and the loader make holds ints (and its lineage and base) only: it has
+    no instance dict, and none of its fields is a Fraction or a transform."""
+    for label, doc, copies, _ in built_families:
+        for c in (*copies, *_loaded(doc).copies):
+            assert not hasattr(c, "__dict__"), label
+            for f in dataclasses.fields(c):
+                value = getattr(c, f.name)
+                assert not isinstance(value, (Fraction, XYTransform)), label
+                assert _ints_only(value), (label, f.name, value)
+
+
+def _times_three(text):
+    p, _, q = text.partition("/")
+    return f"{3 * int(p)}/{3 * int(q or 1)}"
+
+
+@pytest.mark.parametrize("mode", ["independent", "uniform"])
+def test_unreduced_copy_fields_load_to_equal_copies(tmp_path, capsys, mode):
+    """A file whose every copy field is written unreduced, numerator and
+    denominator times 3, loads to the same copies and verifies."""
+    shape = catalog()["cross" if mode == "independent" else "frame"]
+    if mode == "independent":
+        level = build(3, shape)
+        family = augment(level, shape)
+    else:
+        level = build_uniform(2, Fraction(2, 7), shape)
+        family = augment_uniform(level, shape)
+    doc = json.loads(serialize.dumps(serialize.level_to_doc(level, shape, family)))
+    for c in doc["copies"]:
+        for f in ("sx", "sy", "tx", "ty"):
+            c[f] = _times_three(c[f])
+    fam = serialize.doc_to_family(doc)
+    assert fam.copies == family
+    assert [(c.den, c.axes) for c in fam.copies] == [(c.den, c.axes) for c in family]
+    assert verify_family(fam) == []
+    path = tmp_path / "unreduced.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--family", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"ok: {mode} family, ")
 
 
 def test_encoded_round_trip_and_verify(frame):
@@ -702,7 +804,7 @@ def _uniform_doc(epsilon):
 def _sealed_at_wide_epsilon(doc):
     # one valid 3/2-probe: only the range of epsilon is wrong with the file
     frame = catalog()["frame"]
-    copy = TransformedCopy(frame.name, frame.anchor.shape, XYTransform.identity(), "outer")
+    copy = TransformedCopy(frame.name, frame.anchor.shape, lineage="outer")
     level = seal(1, [copy], [(frame.anchor.empty_square(Fraction(1, 2)), frozenset({0}))],
                  Fraction(3, 2))
     return json.loads(serialize.dumps(serialize.level_to_doc(level, frame)))
@@ -758,6 +860,50 @@ def test_cli_malformed_family_fails_fast(tmp_path, family_file, tamper, marker):
         assert r.returncode == 3
         assert marker in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"probes": [{"junk": 1}]}, "error: an encoded family must have no probes"),
+    ({"augmented": True}, "error: an encoded family cannot be augmented"),
+    ({"base_size": 2}, "error: base_size 2 is not the frame count 5 of an encoded family"),
+    ({"probes": [{"junk": 1}], "augmented": True, "base_size": 2},
+     "error: an encoded family must have no probes"),
+], ids=["probes", "augmented", "base-size", "all-three"])
+def test_cli_refuses_an_encoded_family_with_probes_or_a_base(tmp_path, capsys, fields, message):
+    doc = {**_encoded_doc(), **fields}
+    path = tmp_path / "encoded.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "chi"):
+        assert cli.main([command, "--family", str(path)]) == EXIT_VIOLATION
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_every_encoded_layout_still_loads(tmp_path, capsys):
+    """What ``encode`` writes, with ``base_size`` equal to the frame count
+    or without ``probes`` and ``augmented``, loads and verifies."""
+    doc = _encoded_doc()
+    without = {key: value for key, value in doc.items() if key not in ("probes", "augmented")}
+    for variant in (doc, {**doc, "base_size": 5}, without):
+        path = tmp_path / "encoded.json"
+        path.write_text(json.dumps(variant))
+        assert cli.main(["verify", "--family", str(path)]) == 0
+        assert capsys.readouterr().out == "ok: encoded-frames family, k=2, 5 copies\n"
+
+
+@pytest.mark.parametrize("tamper", [
+    _set("copies", 0, "sx", True), _set("copies", 1, "ty", False),
+    _set("probes", 0, "rect", "x_lo", True), _set("probes", 0, "root_cut_x", True),
+], ids=["copy-sx", "copy-ty", "probe-rect", "probe-cut"])
+def test_cli_refuses_a_boolean_rational(tmp_path, capsys, family_file, tamper):
+    doc = json.loads(family_file.read_text())
+    tamper(doc)
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--family", str(path)]) == EXIT_VIOLATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: family document has a malformed field: not an exact rational: ")
+    assert "float" not in err[0]
 
 
 def _last_repeat(doc, where):

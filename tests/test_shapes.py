@@ -42,7 +42,7 @@ from _oracles import (
 def _frame_copy(x0, x1, y0, y1, lineage="t"):
     frame = catalog()["frame"]
     t = XYTransform.rect_map(frame.features.bbox, Rect(x0, x1, y0, y1))
-    return TransformedCopy("frame", frame.shape, t, lineage)
+    return TransformedCopy("frame", frame.shape, *t.axis_maps(), lineage)
 
 
 def test_catalog_shapes_all_validate():
@@ -275,7 +275,8 @@ def test_rebase_is_then_followed_by_a_fresh_copy():
                 after = XYTransform(rat(1, den), rat(1, rng.choice(primes)),
                                     rat(-60, den), rat(-60, rng.choice(primes) * c.den))
                 got = c.rebase(after, f"{name}/r")
-                want = TransformedCopy(c.shape_id, c.base, then(c.transform, after), f"{name}/r")
+                want = TransformedCopy(c.shape_id, c.base, *then(c.transform, after).axis_maps(),
+                                       f"{name}/r")
                 assert _lifted(got) == _lifted(want) and got == want
                 assert c.rebase(after).lineage == c.lineage
                 c = got
@@ -295,7 +296,7 @@ def test_interior_rect_sees_no_material():
 
 def test_single_horizontal_piece_does_not_stab_vertically():
     lshape = catalog()["lshape"]
-    copy = TransformedCopy("lshape", lshape.shape, XYTransform.identity(), "t")
+    copy = TransformedCopy("lshape", lshape.shape, lineage="t")
     # only the bottom edge enters this query band
     assert not stabs_vertically(copy, Rect(Fraction(1, 4), Fraction(3, 4),
                                            0, Fraction(1, 2)))
@@ -417,7 +418,7 @@ def _random_copy(rng, unit=1):
         return Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))) * unit
 
     t = XYTransform(rng.choice(_SCALES) * unit, rng.choice(_SCALES) * unit, shift(), shift())
-    return TransformedCopy("random", _random_shape(rng), t, "t")
+    return TransformedCopy("random", _random_shape(rng), *t.axis_maps(), "t")
 
 
 def _random_rect(rng, unit=1):
@@ -461,7 +462,7 @@ def test_integer_kernel_matches_fraction_references_on_drawn_stab_cases():
         r = Rect(x0, x0 + w, y0, y0 + h)
         t = XYTransform(rng.choice(_SCALES), rng.choice(_SCALES),
                         Fraction(rng.randint(-6, 6), rng.choice((5, 7))), Fraction(1, 3))
-        a, b = (TransformedCopy("drawn", stab_case(rng, r, vertical=vertical), t, "t")
+        a, b = (TransformedCopy("drawn", stab_case(rng, r, vertical=vertical), *t.axis_maps(), "t")
                 for vertical in (True, rng.random() < 0.5))
         r = t.apply(r)
         _kernel_vs_references(a, b, r, seen)
