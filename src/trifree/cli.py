@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import sys
+import time
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import serialize
@@ -101,9 +102,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
+    start = time.monotonic()  # the timeout counts from here, the load included
     fam = _load_family(args.family)
     g = intersection_graph(fam.copies)
-    result = chromatic_number(g, args.timeout)
+    timeout = args.timeout
+    if timeout is not None:
+        timeout = max(0, timeout - (time.monotonic() - start))
+    result = chromatic_number(g, timeout)
     if args.coloring_out:
         coloring = {str(i): c for i, c in enumerate(result.coloring)}
         _write(args.coloring_out, serialize.dumps(coloring))

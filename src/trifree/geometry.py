@@ -5,22 +5,21 @@ every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
 
-A Rect's sides and an XYTransform's fields are Fractions.  A placed copy
-(``shapes.TransformedCopy``) holds ints only: its two axis maps, each
-(a, b, q) for u -> (a*u + b)/q (``axis_map``, ``lowest``), and its lift.
+A Rect's sides are Fractions.  A placement is two axis maps, each
+(a, b, q) for u -> (a*u + b)/q (``axis_map``, ``lowest``): a placed copy
+(``shapes.TransformedCopy``) holds its two maps and its lift, ints only.
 ``shapes`` decides every contact on integer grids: ``lift`` puts
 rationals on the grid of their least common denominator, and every
 ``Rect`` is lifted once, when it is made, so no query lifts it again.
 ``shapes.FamilyGrid`` then puts a whole family and its query rectangles
 on one grid, once per check.
 
-Fractions are made, not computed with, where ints can do the work: a
-Rect is mapped from its lift through two axis maps (``map_rect``), so
+Fractions are made, not computed with, where ints can do the work: the
+maps carrying one Rect onto another are read off the two lifts
+(``rect_map``), and a Rect is mapped from its lift (``map_rect``), so
 each new side is one ratio of ints normalised once.  Files spell each
 rational as 'p' or 'p/q' (``rat_pair``).  ``Rect`` checks reversed sides
-on its lift and ``XYTransform`` positive scales on numerators, each
-skipping ``as_rat`` when every field is a Fraction already.
-``rect_map`` and a Point's or Seg's image still use Fraction operators.
+on its lift, skipping ``as_rat`` when every side is a Fraction already.
 """
 
 from __future__ import annotations
@@ -81,14 +80,6 @@ def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
     dens = [v.denominator for v in values]
     den = lcm(*dens)
     return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
-
-
-def _coerce(obj, names: tuple[str, ...]) -> tuple[Rat, ...]:
-    """The fields ``names`` of the frozen dataclass ``obj``, each coerced
-    by ``as_rat`` and stored back."""
-    for name in names:
-        object.__setattr__(obj, name, as_rat(getattr(obj, name)))
-    return tuple(getattr(obj, name) for name in names)
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,9 @@ class Rect:
     def __post_init__(self):
         sides = self.x_lo, self.x_hi, self.y_lo, self.y_hi
         if not type(sides[0]) is type(sides[1]) is type(sides[2]) is type(sides[3]) is Fraction:
-            sides = _coerce(self, ("x_lo", "x_hi", "y_lo", "y_hi"))
+            sides = tuple(map(as_rat, sides))
+            for name, value in zip(("x_lo", "x_hi", "y_lo", "y_hi"), sides):
+                object.__setattr__(self, name, value)
         den, box = lift(sides)
         if box[0] > box[1] or box[2] > box[3]:
             raise ValueError(f"rectangle sides reversed: {self}")
@@ -237,63 +230,14 @@ def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect) -> Rect:
                 Fraction(ay * y0 + by, qy), Fraction(ay * y1 + by, qy))
 
 
-@dataclass(frozen=True)
-class XYTransform:
-    """Axis-independent positive scaling followed by translation.
-
-    Maps (x, y) to (sx*x + tx, sy*y + ty).  Only positive scale factors
-    are admitted, so orientation and axis alignment are preserved and no
-    reflections can sneak in.
-    """
-
-    sx: Rat
-    sy: Rat
-    tx: Rat
-    ty: Rat
-
-    def __post_init__(self):
-        sx, sy, tx, ty = self.sx, self.sy, self.tx, self.ty
-        if not type(sx) is type(sy) is type(tx) is type(ty) is Fraction:
-            sx, sy, tx, ty = _coerce(self, ("sx", "sy", "tx", "ty"))
-        if sx.numerator <= 0 or sy.numerator <= 0:
-            raise ValueError(f"scale factors must be positive: sx={self.sx}, sy={self.sy}")
-
-    @classmethod
-    def identity(cls) -> "XYTransform":
-        return cls(Fraction(1), Fraction(1), Fraction(0), Fraction(0))
-
-    @classmethod
-    def rect_map(cls, src: Rect, dst: Rect) -> "XYTransform":
-        """The transform carrying src onto dst exactly.  src must be fat."""
-        if src.width == 0 or src.height == 0:
-            raise ValueError("source rectangle is degenerate")
-        sx = dst.width / src.width
-        sy = dst.height / src.height
-        return cls(sx, sy, dst.x_lo - sx * src.x_lo, dst.y_lo - sy * src.y_lo)
-
-    def x(self, v: Rat) -> Rat:
-        return self.sx * v + self.tx
-
-    def y(self, v: Rat) -> Rat:
-        return self.sy * v + self.ty
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.sx == self.sy
-
-    def axis_maps(self) -> tuple[AxisMap, AxisMap]:
-        """The x and y maps (``axis_map``)."""
-        return axis_map(self.sx, self.tx), axis_map(self.sy, self.ty)
-
-    def apply(self, obj):
-        """Apply to a Point, Seg, or Rect.  A Rect is mapped on its lift
-        (``map_rect``)."""
-        if isinstance(obj, Rect):
-            return map_rect(*self.axis_maps(), obj)
-        if isinstance(obj, Point):
-            return Point(self.x(obj.x), self.y(obj.y))
-        if isinstance(obj, Seg):
-            if obj.orientation == HORIZONTAL:
-                return Seg(HORIZONTAL, self.y(obj.fixed), self.x(obj.lo), self.x(obj.hi))
-            return Seg(VERTICAL, self.x(obj.fixed), self.y(obj.lo), self.y(obj.hi))
-        raise TypeError(f"cannot transform {type(obj).__name__}")
+def rect_map(src: Rect, dst: Rect) -> tuple[AxisMap, AxisMap]:
+    """The axis maps carrying ``src`` onto ``dst`` exactly, made from the
+    two lifts: on each axis the side (s0, s1) over sd goes to (d0, d1) over
+    dd by a = (d1-d0)*sd, b = d0*(s1-s0) - (d1-d0)*s0, q = dd*(s1-s0).
+    ``src`` must be fat."""
+    sd, (sx0, sx1, sy0, sy1) = src.den, src.int_box
+    dd, (dx0, dx1, dy0, dy1) = dst.den, dst.int_box
+    if sx0 == sx1 or sy0 == sy1:
+        raise ValueError("source rectangle is degenerate")
+    return tuple(lowest(((d1 - d0) * sd, d0 * (s1 - s0) - (d1 - d0) * s0, dd * (s1 - s0)))
+                 for s0, s1, d0, d1 in ((sx0, sx1, dx0, dx1), (sy0, sy1, dy0, dy1)))

@@ -236,10 +236,12 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     """Exact chromatic number by DSATUR branch and bound.
 
     Deterministic: identical graphs produce identical witnesses.  With a
-    timeout, an interval result is returned instead of raising.  The clique
-    bound comes from ``max_clique`` only on a graph with a triangle; on a
-    triangle-free one it is the least edge (u, v), u < v.
+    timeout, counted from entry (the triangle test, the clique bound and
+    DSATUR included), an interval result is returned instead of raising.
+    The clique bound comes from ``max_clique`` only on a graph with a
+    triangle; on a triangle-free one it is the least edge (u, v), u < v.
     """
+    deadline = time.monotonic() + timeout if timeout is not None else None
     if g.n == 0:
         return ChromaticResult(0, 0, True, (), ())
     # a triangle-free graph's largest clique is its least edge, or a vertex
@@ -250,7 +252,6 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     if best_num == lb:
         return ChromaticResult(lb, best_num, True, tuple(best), clique)
 
-    deadline = time.monotonic() + timeout if timeout is not None else None
     sat = _Saturation(g)
     colors, neigh_colors = sat.colors, sat.neigh_colors
     # Seed the clique: its vertices must all receive distinct colors, and

@@ -41,11 +41,12 @@ once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
 of its segments spans the probe from bottom to top and whether it meets
 the root; only a pierced copy with no spanning segment is clipped and
 walked into components, and on every level the constructions build each
-pierced copy has one.  Each helper copy is embedded by
-``TransformedCopy.rebase``, which composes its axis maps on ints: a copy
-holds ints only.  Fractions are still made for what a probe stores (its
-rectangle, root and cut), and ``grow_probe``, ``split_probe`` and
-``next_level``'s embeddings still compute with them.
+pierced copy has one.  An embedding is two axis maps, read off the lifts
+of the helper's box and its target (``geometry.rect_map``): each helper
+copy is embedded by ``TransformedCopy.rebase``, which composes its axis
+maps on ints, and each claimed root is mapped on its lift.  Fractions are
+still made for what a probe stores (its rectangle, root and cut), and
+``grow_probe`` and ``split_probe`` still compute with them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from itertools import combinations, islice, takewhile
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
-from .geometry import IntBox, Rat, Rect, XYTransform
+from .geometry import AxisMap, IntBox, Rat, Rect, map_rect, rect_map
 from .graphs import Graph, is_triangle_free
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 
@@ -402,19 +403,21 @@ def base_level(shape: ShapeDef) -> Level:
 
 
 def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
-                  base_probes: Sequence[Probe], embeds: Sequence[XYTransform],
+                  base_probes: Sequence[Probe],
+                  embeds: Sequence[tuple[AxisMap, AxisMap]],
                   uppers: Sequence[Rect], lowers: Sequence[Rect],
                   epsilon: Optional[Rat] = None) -> Level:
     """The recursion step both constructions share: level k, sealed.
 
     The helper is a base family followed by one diagonal per base probe.
-    ``embeds[i]`` places a copy of it in the empty root of outer probe i,
-    and ``uppers[j]``, ``lowers[j]`` are the upper and lower roots of base
-    probe j in helper coordinates.  Each pair (outer P, base Q) claims an
-    upper probe, then a lower probe, by the one contact law: the upper
-    probe pierces P's copies and the embedded diagonal of Q, the lower one
-    P's copies and the embedded copies Q pierces.  ``seal`` checks the
-    level, and its box must be the outer level's.
+    ``embeds[i]``, a pair of axis maps, places a copy of it in the empty
+    root of outer probe i, and ``uppers[j]``, ``lowers[j]`` are the upper
+    and lower roots of base probe j in helper coordinates.  Each pair
+    (outer P, base Q) claims an upper probe, then a lower probe, by the one
+    contact law: the upper probe pierces P's copies and the embedded
+    diagonal of Q, the lower one P's copies and the embedded copies Q
+    pierces.  ``seal`` checks the level, and its box must be the outer
+    level's.
     """
     n_base = len(helper) - len(base_probes)
     copies = list(outer.family)
@@ -424,8 +427,8 @@ def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
         copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
         outer_pierced = frozenset(p.pierced)
         for qi, q in enumerate(base_probes):
-            claims.append((embed.apply(uppers[qi]), outer_pierced | {offset + n_base + qi}))
-            claims.append((embed.apply(lowers[qi]),
+            claims.append((map_rect(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
+            claims.append((map_rect(*embed, lowers[qi]),
                            outer_pierced | frozenset(offset + j for j in q.pierced)))
 
     level = seal(k, copies, claims, epsilon)
@@ -450,8 +453,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     splits = [split_probe(p) for p in prev.probes]
     helper_bbox = family_bbox(helper)
     half = Fraction(1, 2)
-    embeds = [XYTransform.rect_map(helper_bbox, p.root.concentric(half, half))
-              for p in prev.probes]
+    embeds = [rect_map(helper_bbox, p.root.concentric(half, half)) for p in prev.probes]
     uppers = [d.apply(shape.features.empty_rect) for d in helper[n:]]
     lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
               for p, (_, lower) in zip(prev.probes, splits)]

@@ -1,15 +1,16 @@
 """Deterministic SVG rendering of families for visual debugging.
 
-The scene is mapped into a fixed 1024-unit viewbox with the exact
-rational affine map applied first; decimal conversion (12 significant
-digits) happens only at emission time, so rendering never feeds back
-into any geometric check.
+The scene is mapped into a fixed 1024-unit viewbox by two exact axis
+maps, applied first: probes and roots through ``geometry.map_rect``, and
+each copy rebased onto them (``TransformedCopy.rebase``).  Decimal
+conversion (12 significant digits) happens only at emission time, so
+rendering never feeds back into any geometric check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from .geometry import HORIZONTAL, Rect, Seg, XYTransform
+from .geometry import HORIZONTAL, AxisMap, Rect, Seg, axis_map, map_rect
 from .serialize import LoadedFamily
 from .shapes import family_bbox
 
@@ -26,42 +27,40 @@ def _num(value: Fraction) -> str:
     return format(float(value), ".12g")
 
 
-def _scene_transform(scene: Rect) -> XYTransform:
+def _scene_maps(scene: Rect) -> tuple[AxisMap, AxisMap]:
     side = max(scene.width, scene.height)
     if side == 0:
         side = Fraction(1)
     scale = (VIEW - 2 * MARGIN) / side
-    return XYTransform(scale, scale,
-                       MARGIN - scale * scene.x_lo, MARGIN - scale * scene.y_lo)
+    return (axis_map(scale, MARGIN - scale * scene.x_lo),
+            axis_map(scale, MARGIN - scale * scene.y_lo))
 
 
 def _flip_y(v: Fraction) -> Fraction:
     return VIEW - v
 
 
-def _line(s: Seg, t: XYTransform, stroke: str, width: str) -> str:
-    m = t.apply(s)
-    if m.orientation == HORIZONTAL:
-        x1, x2 = m.lo, m.hi
-        y1 = y2 = _flip_y(m.fixed)
+def _line(s: Seg, stroke: str, width: str) -> str:
+    if s.orientation == HORIZONTAL:
+        x1, x2 = s.lo, s.hi
+        y1 = y2 = _flip_y(s.fixed)
     else:
-        x1 = x2 = m.fixed
-        y1, y2 = _flip_y(m.lo), _flip_y(m.hi)
+        x1 = x2 = s.fixed
+        y1, y2 = _flip_y(s.lo), _flip_y(s.hi)
     return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
             f'stroke="{stroke}" stroke-width="{width}" stroke-linecap="round"/>')
 
 
-def _rect(r: Rect, t: XYTransform, fill: str, opacity: str) -> str:
-    m = t.apply(r)
-    return (f'<rect x="{_num(m.x_lo)}" y="{_num(_flip_y(m.y_hi))}" '
-            f'width="{_num(m.width)}" height="{_num(m.height)}" '
+def _rect(r: Rect, fill: str, opacity: str) -> str:
+    return (f'<rect x="{_num(r.x_lo)}" y="{_num(_flip_y(r.y_hi))}" '
+            f'width="{_num(r.width)}" height="{_num(r.height)}" '
             f'fill="{fill}" fill-opacity="{opacity}"/>')
 
 
 def render_family(fam: LoadedFamily) -> str:
     """A standalone SVG document; byte-identical across runs on equal input."""
     scene = family_bbox([*fam.copies, *(p.rect for p in fam.probes)])
-    t = _scene_transform(scene)
+    scene_maps = _scene_maps(scene)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -69,14 +68,14 @@ def render_family(fam: LoadedFamily) -> str:
         f'<rect x="0" y="0" width="{int(VIEW)}" height="{int(VIEW)}" fill="#ffffff"/>',
     ]
     for p in fam.probes:
-        parts.append(_rect(p.rect, t, _PROBE_FILL, "0.15"))
+        parts.append(_rect(map_rect(*scene_maps, p.rect), _PROBE_FILL, "0.15"))
     for p in fam.probes:
-        parts.append(_rect(p.root, t, _ROOT_FILL, "0.25"))
+        parts.append(_rect(map_rect(*scene_maps, p.root), _ROOT_FILL, "0.25"))
     for c in fam.copies:
         diagonal = "diagonal" in c.lineage
         stroke = _DIAGONAL_STROKE if diagonal else _COPY_STROKE
         width = "2.5" if diagonal else "1.5"
-        for s in c.segments:
-            parts.append(_line(s, t, stroke, width))
+        for s in c.rebase(scene_maps).segments:
+            parts.append(_line(s, stroke, width))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

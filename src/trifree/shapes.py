@@ -21,15 +21,15 @@ fixed, lo, hi)`` (``int_segs``), its bounding box as ``int_box``,
 ``(x_lo, x_hi, y_lo, y_hi)``, both in units of 1/den, and its distinct x
 and y ints as ``axes``, with each segment as positions in them
 (``slots``); a ``Rect`` carries its own ``den`` and ``int_box``, made
-the same way.  A copy holds ints only: its transform as two axis maps in
+the same way.  A copy holds ints only: its placement as two axis maps in
 lowest terms (``geometry.axis_map``, ``geometry.lowest``) and its
 ``axes``, each of the base's x and y ints mapped once; its box is their
 ends.  ``rebase`` and ``make_diagonal``'s closed form compose and lift
-on ints, and a copy's Fractions (``transform``, ``segments``) are made
-only on request.  Every contact, clip and stabbing decision compares
-Python ints, in one set of kernels that take boxes and segments already
-on one grid.  Whether a copy meets a box is one scan that allocates
-nothing (``_meets``), and a probe check scans each copy near it once
+on ints, and a copy's Fractions (its ``segments``) are made only on
+request.  Every contact, clip and stabbing decision compares Python ints,
+in one set of kernels that take boxes and segments already on one grid.
+Whether a copy meets a box is one scan that allocates nothing
+(``_meets``), and a probe check scans each copy near it once
 (``_pierce``): does the copy meet the probe rectangle, does one of its
 segments span the rectangle, does it meet the root.  A spanning segment
 (``_spans``) is a connected piece that touches both sides, so it decides
@@ -74,7 +74,6 @@ from .geometry import (
     Rat,
     Rect,
     Seg,
-    XYTransform,
     h_seg,
     lift,
     lowest,
@@ -365,16 +364,17 @@ class TransformedCopy:
     """A placed copy of a base shape, in ints: two axis maps plus a
     provenance tag, held in slots (a copy has no instance dict).
 
-    ``x_map`` and ``y_map`` are the copy's transform, each an axis map
+    ``x_map`` and ``y_map`` are the copy's placement, each an axis map
     (a, b, q) for u -> (a*u + b)/q, a > 0 and q > 0, kept in lowest terms
     (``geometry.lowest``): two copies are equal iff they have the same
-    shape, transform and lineage.  The copy is lifted once, when it is
+    shape, axis maps and lineage.  The copy is lifted once, when it is
     made, onto the grid of 1/den, den the least common denominator of its
     coordinates: ``axes`` are the images of its base's distinct x and y
     ints, each mapped once, and its box is their ends.  Its segments on
-    that grid (``int_segs``, the base's ``slots`` read on ``axes``) and its
-    ``transform`` are made on each call, never on a build, load or check
-    path: ``FamilyGrid`` reads the slots on the axes scaled to its grid.
+    that grid (``int_segs``, the base's ``slots`` read on ``axes``) and as
+    Fractions (``segments``) are made on each call, never on a build, load
+    or check path: ``FamilyGrid`` reads the slots on the axes scaled to its
+    grid.
     """
 
     shape_id: str
@@ -422,19 +422,17 @@ class TransformedCopy:
         return tuple(_on_axes(s, xs, ys) for s in self.base.slots)
 
     @property
-    def transform(self) -> XYTransform:
-        (ax, bx, qx), (ay, by, qy) = self.x_map, self.y_map
-        return XYTransform(Fraction(ax, qx), Fraction(ay, qy), Fraction(bx, qx), Fraction(by, qy))
-
-    @property
     def is_uniform(self) -> bool:
         """True iff the copy is a homothet: its x and y scales are equal."""
         return self.x_map[0] * self.y_map[2] == self.y_map[0] * self.x_map[2]
 
     @property
     def segments(self) -> tuple[Seg, ...]:
-        """The copy's segments as exact rationals, made on each call."""
-        return tuple(self.transform.apply(s) for s in self.base.segments)
+        """The copy's segments as exact rationals, ``int_segs`` over ``den``,
+        made on each call."""
+        den = self.den
+        return tuple(Seg(o, Fraction(f, den), Fraction(lo, den), Fraction(hi, den))
+                     for o, f, lo, hi in self.int_segs)
 
     @property
     def bbox(self) -> Rect:
@@ -444,11 +442,13 @@ class TransformedCopy:
         """The image of ``r``, a rectangle in the base's coordinates."""
         return map_rect(self.x_map, self.y_map, r)
 
-    def rebase(self, after: XYTransform, lineage: Optional[str] = None) -> "TransformedCopy":
-        """The same copy pushed through one more transform: each axis map
-        (a, b, q) followed by (A, B, Q) is (A*a, A*b + B*q, Q*q)."""
+    def rebase(self, maps: tuple[AxisMap, AxisMap],
+               lineage: Optional[str] = None) -> "TransformedCopy":
+        """The same copy pushed through one more placement, the axis maps
+        ``maps``: each axis map (a, b, q) followed by (A, B, Q) is
+        (A*a, A*b + B*q, Q*q)."""
         (ax, bx, qx), (ay, by, qy) = self.x_map, self.y_map
-        (Ax, Bx, Qx), (Ay, By, Qy) = after.axis_maps()
+        (Ax, Bx, Qx), (Ay, By, Qy) = maps
         return TransformedCopy(self.shape_id, self.base, (Ax * ax, Ax * bx + Bx * qx, Qx * qx),
                                (Ay * ay, Ay * by + By * qy, Qy * qy),
                                lineage if lineage is not None else self.lineage)

@@ -38,7 +38,7 @@ All quantitative claims along the way are asserted, never assumed.
 from __future__ import annotations
 
 from .errors import ConstructionError, fail_on
-from .geometry import Rat, Rect, XYTransform
+from .geometry import Rat, Rect, axis_map, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
 from .independent import Level, check_diagonals, embed_helpers, seal
 
@@ -55,8 +55,7 @@ def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
     if square.width != square.height:
         raise ConstructionError("homothet target is not a square")
     return TransformedCopy(shape.name, anchor.shape,
-                           *XYTransform.rect_map(anchor.bounding_square, square).axis_maps(),
-                           lineage)
+                           *rect_map(anchor.bounding_square, square), lineage)
 
 
 def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
@@ -135,11 +134,10 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
     embeds = []
     for p in outer.probes:
         factor = p.root.width / side
-        embeds.append(XYTransform(
-            factor, factor,
-            p.root.x_hi - factor * helper_bbox.x_hi,
-            p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
-            - factor * helper_bbox.y_lo))
+        ty = (p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
+              - factor * helper_bbox.y_lo)
+        embeds.append((axis_map(factor, p.root.x_hi - factor * helper_bbox.x_hi),
+                       axis_map(factor, ty)))
     return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
 
 

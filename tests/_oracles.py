@@ -6,7 +6,8 @@ inputs), the references of the integer predicates test every segment on
 exact rationals, the probe-condition and diagonal-law references test
 every copy through those, on no shared grid, the diagonal,
 rectangle-map and composition references are the chains of Fraction
-operators that the closed-form, lifted paths replaced, the coloring
+operators, on a transform of four Fractions (``XYTransform``), that the
+closed-form, lifted paths on integer axis maps replaced, the coloring
 oracle is a static-order backtracking over all colorings up to color
 renaming, with no saturation ordering, no clique bounds, and no
 branch-and-bound pruning, and the box and graph
@@ -45,10 +46,12 @@ from trifree.errors import ConstructionError
 from trifree.geometry import (
     HORIZONTAL,
     VERTICAL,
+    AxisMap,
     Rat,
     Rect,
     Seg,
-    XYTransform,
+    as_rat,
+    axis_map,
     h_seg,
     seg_intersect,
     v_seg,
@@ -175,6 +178,52 @@ def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
     return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
 
 
+@dataclass(frozen=True)
+class XYTransform:
+    """(x, y) -> (sx*x + tx, sy*y + ty) by Fraction operators: the
+    reference for the two integer axis maps (``geometry.axis_map``) that
+    place every copy and map every rectangle."""
+
+    sx: Rat
+    sy: Rat
+    tx: Rat
+    ty: Rat
+
+    def __post_init__(self):
+        for name in ("sx", "sy", "tx", "ty"):
+            object.__setattr__(self, name, as_rat(getattr(self, name)))
+
+    @classmethod
+    def rect_map(cls, src: Rect, dst: Rect) -> "XYTransform":
+        """The transform carrying the fat ``src`` onto ``dst``, on the sides:
+        the reference for ``geometry.rect_map``, which reads the lifts."""
+        sx, sy = dst.width / src.width, dst.height / src.height
+        return cls(sx, sy, dst.x_lo - sx * src.x_lo, dst.y_lo - sy * src.y_lo)
+
+    def x(self, v: Rat) -> Rat:
+        return self.sx * v + self.tx
+
+    def y(self, v: Rat) -> Rat:
+        return self.sy * v + self.ty
+
+    def axis_maps(self) -> tuple[AxisMap, AxisMap]:
+        return axis_map(self.sx, self.tx), axis_map(self.sy, self.ty)
+
+    def apply(self, obj):
+        """The image of a Seg or a Rect (``apply_ref``)."""
+        if isinstance(obj, Rect):
+            return apply_ref(self, obj)
+        if obj.orientation == HORIZONTAL:
+            return Seg(HORIZONTAL, self.y(obj.fixed), self.x(obj.lo), self.x(obj.hi))
+        return Seg(VERTICAL, self.x(obj.fixed), self.y(obj.lo), self.y(obj.hi))
+
+
+def from_maps(x_map: AxisMap, y_map: AxisMap) -> XYTransform:
+    """The transform of two axis maps (a, b, q): scale a/q, shift b/q."""
+    (ax, bx, qx), (ay, by, qy) = x_map, y_map
+    return XYTransform(Fraction(ax, qx), Fraction(ay, qy), Fraction(bx, qx), Fraction(by, qy))
+
+
 def then(first: XYTransform, after: XYTransform) -> XYTransform:
     """The composite transform, ``first`` then ``after``, by Fraction
     operators: the reference for ``TransformedCopy.rebase``, which composes
@@ -184,8 +233,8 @@ def then(first: XYTransform, after: XYTransform) -> XYTransform:
 
 
 def apply_ref(t: XYTransform, r: Rect) -> Rect:
-    """``XYTransform.apply`` on a Rect as Fraction operators: each side
-    through ``t.x`` or ``t.y``, with no lift."""
+    """A Rect's image as Fraction operators, each side through ``t.x`` or
+    ``t.y``, with no lift: the reference for ``geometry.map_rect``."""
     return Rect(t.x(r.x_lo), t.x(r.x_hi), t.y(r.y_lo), t.y(r.y_hi))
 
 
@@ -197,12 +246,11 @@ def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
     the whole empty rectangle mapped to check that it clears ``bbox``."""
     feats = shape.features
     upper, _ = split_probe(probe)
-    onto_upper = XYTransform.rect_map(feats.bbox, upper)
     factor = 2 * feats.w2 / feats.w1
     stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
-    copy = TransformedCopy(shape.name, shape.shape, *then(onto_upper, stretch).axis_maps(),
-                           lineage)
-    empty = apply_ref(copy.transform, feats.empty_rect)
+    t = then(XYTransform.rect_map(feats.bbox, upper), stretch)
+    copy = TransformedCopy(shape.name, shape.shape, *t.axis_maps(), lineage)
+    empty = apply_ref(t, feats.empty_rect)
     if not empty.x_lo > bbox.x_hi:
         raise ConstructionError(
             f"diagonal empty rectangle does not clear the family box: "

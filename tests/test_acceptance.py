@@ -25,6 +25,7 @@ from trifree.uniform import augment_uniform, build_uniform
 from _oracles import (
     certify,
     chromatic_number_bruteforce,
+    from_maps,
     probe_coloring_audit,
     proper_colorings,
     rect_relation_grid,
@@ -123,12 +124,14 @@ def test_criterion_5_uniform_scaling():
     for k in (1, 2, 3):
         level = build_uniform(k, HALF, frame)
         for c in level.family:
-            assert c.transform.sx == c.transform.sy, "copy is not a homothet"
+            t = from_maps(c.x_map, c.y_map)
+            assert t.sx == t.sy, "copy is not a homothet"
         for p in level.probes:
             assert p.rect.width == (1 + HALF) * p.rect.height, "ratio not exactly 1+eps"
         aug = augment_uniform(level, frame)
         for c in aug:
-            assert c.transform.sx == c.transform.sy
+            t = from_maps(c.x_map, c.y_map)
+            assert t.sx == t.sy
         res = chromatic_number(intersection_graph(aug))
         assert res.exact and res.chi >= k + 1
         assert res.chi == expected[k]

@@ -10,19 +10,23 @@ from trifree.geometry import (
     Point,
     Rect,
     Seg,
-    XYTransform,
     as_rat,
+    axis_map,
     h_seg,
     lift,
+    lowest,
+    map_rect,
     rat_str,
+    rect_map,
     seg_intersect,
     v_seg,
 )
 from trifree.serialize import rect_from_json
-from trifree.shapes import TransformedCopy, catalog, family_bbox
+from trifree.shapes import RectilinearShape, TransformedCopy, catalog, family_bbox
 
 from _oracles import (
     RectRelation,
+    XYTransform,
     apply_ref,
     clip_seg_to_rect,
     rect_relation_grid,
@@ -78,16 +82,17 @@ def test_shared_boundary_counts_as_overlap():
 
 
 def test_transform_identity_and_shift():
-    t = XYTransform(2, 1, 3, 0)
-    assert XYTransform.identity().apply(h_seg(1, 0, 1)) == h_seg(1, 0, 1)
-    assert t.apply(h_seg(1, 0, 1)) == h_seg(1, 3, 5)
+    stick = RectilinearShape((h_seg(1, 0, 1),))
+    assert TransformedCopy("stick", stick).segments == (h_seg(1, 0, 1),)
+    assert TransformedCopy("stick", stick, (2, 3, 1)).segments == (h_seg(1, 3, 5),)
 
 
 def test_transform_rejects_nonpositive_scale():
+    frame = catalog()["frame"].shape
     with pytest.raises(ValueError):
-        XYTransform(0, 1, 0, 0)
+        TransformedCopy("frame", frame, (0, 0, 1), (1, 0, 1))
     with pytest.raises(ValueError):
-        XYTransform(1, Fraction(-1, 2), 0, 0)
+        TransformedCopy("frame", frame, (1, 0, 1), (-1, 0, 2))
 
 
 @pytest.mark.parametrize("make, message", [
@@ -95,13 +100,14 @@ def test_transform_rejects_nonpositive_scale():
      "rectangle sides reversed"),
     (lambda: Rect(Fraction(0), Fraction(1), Fraction(-1, 5), Fraction(-2, 9)),
      "rectangle sides reversed"),
-    (lambda: XYTransform(Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
+    (lambda: TransformedCopy("frame", catalog()["frame"].shape, (0, 0, 1), (1, 0, 1)),
      "scale factors must be positive: sx=0, sy=1"),
-    (lambda: XYTransform(Fraction(3, 4), Fraction(-1, 3), Fraction(0), Fraction(0)),
+    (lambda: TransformedCopy("frame", catalog()["frame"].shape, (3, 0, 4), (-1, 0, 3)),
      "scale factors must be positive: sx=3/4, sy=-1/3"),
 ], ids=["x-reversed", "y-reversed", "zero-scale", "negative-scale"])
 def test_all_fraction_fields_are_still_checked(make, message):
-    # four Fraction fields skip the coercion, not the checks
+    # four Fraction sides skip the coercion, not the checks, and a copy's
+    # scales are checked on its int axis maps
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -116,7 +122,36 @@ def test_rect_apply_on_the_lift_matches_fraction_sides():
         t = XYTransform(abs(rat()) + Fraction(1, 9), abs(rat()) + Fraction(1, 11), rat(), rat())
         x, y = sorted((rat(), rat())), sorted((rat(), rat()))
         r = Rect(x[0], x[1], y[0], y[1])
-        assert t.apply(r) == apply_ref(t, r)
+        assert map_rect(*t.axis_maps(), r) == apply_ref(t, r)
+
+
+def _fat_rect(rng):
+    def rat():
+        return Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 6, 7, 12, 35, 1024)))
+
+    x, y = sorted({rat(), rat()}), sorted({rat(), rat()})
+    return Rect(x[0], x[-1], y[0], y[-1]) if len(x) == len(y) == 2 else _fat_rect(rng)
+
+
+def test_rect_map_carries_the_source_box_onto_the_target_exactly():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        src, dst = _fat_rect(rng), _fat_rect(rng)
+        maps = rect_map(src, dst)
+        boundary = RectilinearShape((h_seg(src.y_lo, src.x_lo, src.x_hi),
+                                     h_seg(src.y_hi, src.x_lo, src.x_hi),
+                                     v_seg(src.x_lo, src.y_lo, src.y_hi),
+                                     v_seg(src.x_hi, src.y_lo, src.y_hi)))
+        assert TransformedCopy("box", boundary, *maps).bbox == dst
+        ref = XYTransform.rect_map(src, dst).axis_maps()
+        assert maps == (lowest(ref[0]), lowest(ref[1]))
+
+
+@pytest.mark.parametrize("src", [Rect(0, 0, 0, 1), Rect(0, 1, Fraction(1, 3), Fraction(1, 3))],
+                         ids=["zero-width", "zero-height"])
+def test_rect_map_refuses_a_degenerate_source(src):
+    with pytest.raises(ValueError, match="^source rectangle is degenerate$"):
+        rect_map(src, Rect(0, 1, 0, 1))
 
 
 def test_floats_are_refused():
@@ -182,14 +217,15 @@ def test_rect_is_lifted_once_when_it_is_made():
 
 def _copy_bbox():
     frame = catalog()["frame"]
-    t = XYTransform(Fraction(1, 2), Fraction(3, 4), Fraction(1, 4), Fraction(5, 6))
-    return TransformedCopy("frame", frame.shape, *t.axis_maps()).bbox
+    return TransformedCopy("frame", frame.shape, axis_map(Fraction(1, 2), Fraction(1, 4)),
+                           axis_map(Fraction(3, 4), Fraction(5, 6))).bbox
 
 
 def _family_bbox():
     frame = catalog()["frame"]
-    t = XYTransform(Fraction(2, 3), Fraction(2), Fraction(-1, 6), Fraction(1, 10))
-    return family_bbox([TransformedCopy("frame", frame.shape, *t.axis_maps()),
+    return family_bbox([TransformedCopy("frame", frame.shape,
+                                        axis_map(Fraction(2, 3), Fraction(-1, 6)),
+                                        axis_map(Fraction(2), Fraction(1, 10))),
                         Rect(Fraction(-1, 3), 0, Fraction(7, 2), Fraction(15, 4))])
 
 
@@ -197,8 +233,9 @@ _RECT_MAKERS = {
     "ints": lambda: Rect(-3, 4, 0, 7),
     "strings": lambda: Rect("1/6", "2/4", "-5/9", "3"),
     "fractions": lambda: Rect(Fraction(1, 6), Fraction(1, 2), Fraction(-5, 9), Fraction(3)),
-    "apply": lambda: XYTransform(Fraction(3, 4), Fraction(2, 5), Fraction(1, 3),
-                                 Fraction(-1, 2)).apply(Rect("1/6", "1/2", "-5/9", "3")),
+    "apply": lambda: map_rect(axis_map(Fraction(3, 4), Fraction(1, 3)),
+                              axis_map(Fraction(2, 5), Fraction(-1, 2)),
+                              Rect("1/6", "1/2", "-5/9", "3")),
     "concentric": lambda: Rect(0, Fraction(2, 3), Fraction(1, 5), 1).concentric("1/2", "3/7"),
     "copy-bbox": _copy_bbox,
     "family-bbox": _family_bbox,
@@ -313,8 +350,13 @@ def test_intersection_commutes_with_positive_transforms():
 
 
 def test_transform_composition_is_the_group_law():
+    # rebase composes on int axis maps as ``then`` composes the Fractions
     rng = random.Random(5)
     for _ in range(100):
         t1, t2 = _random_transform(rng), _random_transform(rng)
         s = _random_seg(rng)
         assert then(t1, t2).apply(s) == t2.apply(t1.apply(s))
+        c = TransformedCopy("stick", RectilinearShape((s,)))
+        composed = c.rebase(t1.axis_maps()).rebase(t2.axis_maps())
+        assert composed == c.rebase(then(t1, t2).axis_maps())
+        assert composed.segments == (t2.apply(t1.apply(s)),)

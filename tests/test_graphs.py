@@ -217,12 +217,12 @@ def test_proper_colorings_enumeration_count():
 
 
 def test_intersection_graph_of_disjoint_copies_is_empty(frame):
-    from trifree.geometry import Rect, XYTransform
+    from trifree.geometry import Rect, rect_map
     from trifree.shapes import TransformedCopy
 
     def copy_at(x0):
-        t = XYTransform.rect_map(frame.features.bbox, Rect(x0, x0 + 1, 0, 1))
-        return TransformedCopy("frame", frame.shape, *t.axis_maps(), "t")
+        maps = rect_map(frame.features.bbox, Rect(x0, x0 + 1, 0, 1))
+        return TransformedCopy("frame", frame.shape, *maps, "t")
 
     g = intersection_graph([copy_at(0), copy_at(5)])
     assert g.n == 2 and g.m == 0

@@ -7,7 +7,7 @@ import pytest
 
 from trifree import independent, serialize, shapes
 from trifree.errors import ConstructionError
-from trifree.geometry import Rect, XYTransform, h_seg, v_seg
+from trifree.geometry import Rect, axis_map, h_seg, v_seg
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
@@ -39,11 +39,13 @@ from trifree.verify import verify_family
 
 from _oracles import (
     RectRelation,
+    XYTransform,
     apply_ref,
     copies_intersect_ref,
     copy_meets_rect_ref,
     curve_stabs_ref,
     diagonal_law_ref,
+    from_maps,
     intersection_graph_bruteforce,
     make_diagonal_ref,
     meeting_pairs,
@@ -118,7 +120,7 @@ def test_diagonal_frame_scale_factor_is_eight(frame):
 def test_diagonal_empty_rect_clears_family_box(frame):
     level = base_level(frame)
     diag = make_diagonal(level.probes[0], frame, family_bbox(level.family))
-    empty = diag.transform.apply(frame.features.empty_rect)
+    empty = diag.apply(frame.features.empty_rect)
     assert empty.x_lo > family_bbox(level.family).x_hi
 
 
@@ -316,8 +318,8 @@ def _rebased(rng, level, diagonals):
     outer = _random_transform(rng)
 
     def copy(c):
-        c = c.rebase(outer)
-        return c.rebase(_nudged(rng, c.bbox)) if rng.random() < 0.5 else c
+        c = c.rebase(outer.axis_maps())
+        return c.rebase(_nudged(rng, c.bbox).axis_maps()) if rng.random() < 0.5 else c
 
     def probe(p):
         rect, root, cut = (outer.apply(p.rect), outer.apply(p.root), outer.x(p.root_cut_x))
@@ -648,7 +650,7 @@ def test_next_level_refuses_a_diagonal_moved_off_a_pierced_copy(independent_leve
     def moved(probe, shape, bbox, lineage="diagonal"):
         diagonal = make(probe, shape, bbox, lineage)
         if probe == prev.probes[0]:  # lifted clear above the family
-            diagonal = diagonal.rebase(XYTransform(1, 1, 0, 2 * bbox.height), lineage)
+            diagonal = diagonal.rebase(((1, 0, 1), axis_map(1, 2 * bbox.height)), lineage)
         return diagonal
 
     monkeypatch.setattr(independent, "make_diagonal", moved)
@@ -712,7 +714,8 @@ def test_closed_form_diagonal_equals_the_fraction_chain(shape_name):
         for i, p in enumerate(level.probes):
             got = make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
             want = make_diagonal_ref(p, shape, level.bbox, f"diagonal(P{i})")
-            assert got.transform == want.transform and got == want
+            assert from_maps(got.x_map, got.y_map) == from_maps(want.x_map, want.y_map)
+            assert got == want
             count += 1
     assert count == 1 + 2 + 8 + 128
 
@@ -735,16 +738,16 @@ def test_diagonal_clearance_is_decided_as_the_fraction_chain_decides_it(frame, x
 
 
 def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
+    # every claimed root that embed_helpers maps, under both constructions
     mapped = []
-    apply = XYTransform.apply
+    map_rect = independent.map_rect
 
-    def recorded(t, obj):
-        out = apply(t, obj)
-        if isinstance(obj, Rect):
-            mapped.append((out, apply_ref(t, obj)))
+    def recorded(x_map, y_map, r):
+        out = map_rect(x_map, y_map, r)
+        mapped.append((out, apply_ref(from_maps(x_map, y_map), r)))
         return out
 
-    monkeypatch.setattr(XYTransform, "apply", recorded)
+    monkeypatch.setattr(independent, "map_rect", recorded)
     for k in (1, 2, 3):
         for eps in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 7)):
             build_uniform(k, eps, frame)
@@ -891,9 +894,8 @@ def test_meet_counts_a_touch_on_each_side_of_the_box(frame, seg, dx, dy):
     # by (dx, dy)/7, the segment meets nothing
     unit = shapes.TransformedCopy(frame.name, frame.shape, lineage="outer")
     for step, touches in ((0, True), (Fraction(1, 7), False)):
-        moved = XYTransform(Fraction(1), Fraction(1), dx * step, dy * step)
         stick = shapes.TransformedCopy("stick", shapes.RectilinearShape((seg,)),
-                                       *moved.axis_maps(), "stick")
+                                       axis_map(1, dx * step), axis_map(1, dy * step), "stick")
         assert copies_intersect(unit, stick) == copies_intersect(stick, unit) == touches
         assert shapes.FamilyGrid([unit, stick]).contacts()[0] == ([(0, 1)] if touches else [])
         assert copies_intersect_ref(unit, stick) == touches

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, game_tree, run_game
-from trifree.geometry import XYTransform, as_rat, lift
+from trifree.geometry import as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
@@ -24,7 +25,7 @@ from trifree.shapes import RectilinearShape, TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
-from _oracles import canonical_sha256, rects_meet
+from _oracles import canonical_sha256, from_maps, rects_meet
 
 
 # The CLI child imports trifree from wherever this process found it, so the
@@ -331,9 +332,9 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
     doc = json.loads(serialize.dumps(doc))
     fam = serialize.doc_to_family(doc)
     for c, d in zip(fam.copies, doc["copies"], strict=True):
-        t = c.transform
+        t = from_maps(c.x_map, c.y_map)
         assert [t.sx, t.sy, t.tx, t.ty] == [as_rat(d[f]) for f in ("sx", "sy", "tx", "ty")]
-        segs = c.segments
+        segs = [t.apply(s) for s in c.base.segments]
         den, ints = lift([v for s in segs for v in (s.fixed, s.lo, s.hi)])
         want = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segs))
         xs = [v for o, f, lo, hi in want for v in ((lo, hi) if o == "H" else (f,))]
@@ -397,8 +398,8 @@ def test_loaded_copies_and_probes_equal_the_built_ones(built_families):
         assert len(fam.copies) == len(copies), label
         for got, want in zip(fam.copies, copies):
             assert got == want, label
-            assert (got.den, got.int_box, got.int_segs, got.transform) == (
-                want.den, want.int_box, want.int_segs, want.transform), label
+            assert (got.den, got.int_box, got.int_segs, got.segments) == (
+                want.den, want.int_box, want.int_segs, want.segments), label
         assert len(fam.probes) == len(probes), label
         for got, want in zip(fam.probes, probes):
             assert (got.rect, got.root, got.root_cut_x, got.pierced) == (
@@ -416,13 +417,13 @@ def _ints_only(value):
 def test_copies_hold_no_fraction_or_transform(built_families):
     """Every copy that ``build``, ``augment``, ``build_uniform``, ``encode``
     and the loader make holds ints (and its lineage and base) only: it has
-    no instance dict, and none of its fields is a Fraction or a transform."""
+    no instance dict, and none of its fields is a Fraction."""
     for label, doc, copies, _ in built_families:
         for c in (*copies, *_loaded(doc).copies):
             assert not hasattr(c, "__dict__"), label
             for f in dataclasses.fields(c):
                 value = getattr(c, f.name)
-                assert not isinstance(value, (Fraction, XYTransform)), label
+                assert not isinstance(value, Fraction), label
                 assert _ints_only(value), (label, f.name, value)
 
 
@@ -580,8 +581,9 @@ def test_render_is_deterministic_and_scales(frame):
     assert 'viewBox="0 0 1024 1024"' in a
 
 
-# SHA-256 of ``render`` of each family: every copy, probe and root is
-# drawn through ``XYTransform.apply``, so a change to a mapped side shows.
+# SHA-256 of ``render`` of each family: every probe and root is drawn
+# through ``map_rect`` on the scene's two axis maps and every copy through
+# ``rebase`` onto them, so a change to a mapped side shows.
 _RENDER_GOLDEN = {
     "independent-k2-bare": (
         ("build", "--k", "2", "--no-augment"),
@@ -1095,6 +1097,26 @@ def test_cli_chi_timeout_exits_four(tmp_path, monkeypatch):
     r = _run_cli("chi", "--family", str(fam), timeout=60)
     assert r.returncode == 4
     assert "chi in [" in r.stdout and "timed out" in r.stdout
+
+
+def test_cli_chi_timeout_counts_from_the_start_of_the_command(tmp_path, monkeypatch):
+    fam = tmp_path / "f4.json"
+    assert cli.main(["build", "--k", "4", "--out", str(fam)]) == 0
+    load, solve, timeouts = cli._load_family, cli.chromatic_number, []
+
+    def slow_load(path):
+        time.sleep(0.2)
+        return load(path)
+
+    def recorded(g, timeout=None):
+        timeouts.append(timeout)
+        return solve(g, timeout)
+
+    monkeypatch.setattr(cli, "_load_family", slow_load)
+    monkeypatch.setattr(cli, "chromatic_number", recorded)
+    # the load alone outlasts the timeout, so the solver is left no time
+    assert cli.main(["chi", "--family", str(fam), "--timeout", "0.1"]) == 4
+    assert timeouts == [0]
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "1e400"])

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from trifree.geometry import Rect, Seg, XYTransform, h_seg, seg_intersect, v_seg
+from trifree.geometry import Rect, Seg, axis_map, h_seg, map_rect, rect_map, seg_intersect, v_seg
 from trifree.independent import augment, build
 from trifree.shapes import (
     AnchoredFrame,
@@ -23,6 +23,7 @@ from trifree.shapes import (
 from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
+    XYTransform,
     copies_intersect_ref,
     copies_intersect_within,
     copy_meets_rect_ref,
@@ -35,14 +36,15 @@ from _oracles import (
     stab_case,
     stabs_horizontally,
     stabs_vertically,
+    from_maps,
     then,
 )
 
 
 def _frame_copy(x0, x1, y0, y1, lineage="t"):
     frame = catalog()["frame"]
-    t = XYTransform.rect_map(frame.features.bbox, Rect(x0, x1, y0, y1))
-    return TransformedCopy("frame", frame.shape, *t.axis_maps(), lineage)
+    return TransformedCopy("frame", frame.shape,
+                           *rect_map(frame.features.bbox, Rect(x0, x1, y0, y1)), lineage)
 
 
 def test_catalog_shapes_all_validate():
@@ -239,16 +241,15 @@ def test_copies_intersect_symmetric_and_transform_invariant():
             return Rect(x[0], x[1], y[0], y[1])
 
         a, b = _frame_copy(*_rect_args(rect())), _frame_copy(*_rect_args(rect()))
-        t = XYTransform(Fraction(rng.randint(1, 5), rng.randint(1, 5)),
-                        Fraction(rng.randint(1, 5), rng.randint(1, 5)),
-                        rng.randint(-4, 4), rng.randint(-4, 4))
+        sx, sy = (Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(2))
+        t = axis_map(sx, rng.randint(-4, 4)), axis_map(sy, rng.randint(-4, 4))
         base = copies_intersect(a, b)
         assert base == copies_intersect(b, a)
         assert base == copies_intersect(a.rebase(t), b.rebase(t))
 
 
 def _lifted(c):
-    return c.transform, c.den, c.int_box, c.int_segs
+    return c.x_map, c.y_map, c.den, c.int_box, c.int_segs
 
 
 def test_rebase_is_then_followed_by_a_fresh_copy():
@@ -274,11 +275,12 @@ def test_rebase_is_then_followed_by_a_fresh_copy():
                 den = rng.choice([*primes, c.den, 2 * c.den, 1])
                 after = XYTransform(rat(1, den), rat(1, rng.choice(primes)),
                                     rat(-60, den), rat(-60, rng.choice(primes) * c.den))
-                got = c.rebase(after, f"{name}/r")
-                want = TransformedCopy(c.shape_id, c.base, *then(c.transform, after).axis_maps(),
+                got = c.rebase(after.axis_maps(), f"{name}/r")
+                want = TransformedCopy(c.shape_id, c.base,
+                                       *then(from_maps(c.x_map, c.y_map), after).axis_maps(),
                                        f"{name}/r")
                 assert _lifted(got) == _lifted(want) and got == want
-                assert c.rebase(after).lineage == c.lineage
+                assert c.rebase(after.axis_maps()).lineage == c.lineage
                 c = got
 
 
@@ -417,8 +419,8 @@ def _random_copy(rng, unit=1):
     def shift():
         return Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))) * unit
 
-    t = XYTransform(rng.choice(_SCALES) * unit, rng.choice(_SCALES) * unit, shift(), shift())
-    return TransformedCopy("random", _random_shape(rng), *t.axis_maps(), "t")
+    sx, sy, tx, ty = rng.choice(_SCALES) * unit, rng.choice(_SCALES) * unit, shift(), shift()
+    return TransformedCopy("random", _random_shape(rng), axis_map(sx, tx), axis_map(sy, ty), "t")
 
 
 def _random_rect(rng, unit=1):
@@ -460,11 +462,12 @@ def test_integer_kernel_matches_fraction_references_on_drawn_stab_cases():
         x0, y0 = Fraction(rng.randint(0, 18), 6), Fraction(rng.randint(0, 18), 6)
         w, h = (Fraction(rng.choice((1, 3, 6, 9)), rng.choice((2, 3, 6))) for _ in range(2))
         r = Rect(x0, x0 + w, y0, y0 + h)
-        t = XYTransform(rng.choice(_SCALES), rng.choice(_SCALES),
-                        Fraction(rng.randint(-6, 6), rng.choice((5, 7))), Fraction(1, 3))
-        a, b = (TransformedCopy("drawn", stab_case(rng, r, vertical=vertical), *t.axis_maps(), "t")
+        sx, sy = rng.choice(_SCALES), rng.choice(_SCALES)
+        tx = Fraction(rng.randint(-6, 6), rng.choice((5, 7)))
+        t = axis_map(sx, tx), axis_map(sy, Fraction(1, 3))
+        a, b = (TransformedCopy("drawn", stab_case(rng, r, vertical=vertical), *t, "t")
                 for vertical in (True, rng.random() < 0.5))
-        r = t.apply(r)
+        r = map_rect(*t, r)
         _kernel_vs_references(a, b, r, seen)
         for c in (a, b):
             for vertical in (True, False):
@@ -529,11 +532,15 @@ def test_copies_are_lifted_onto_their_least_common_denominator():
     copies = [_random_copy(rng, unit) for unit in (1, Fraction(1, _BIG_PRIME)) for _ in range(50)]
     copies += list(build(3, frame).family) + list(build_uniform(3, Fraction(5, 8), frame).family)
     for c in copies:
-        coords = [v for s in c.segments for v in (s.fixed, s.lo, s.hi)]
+        # the base's segments through the Fraction transform of the copy's maps
+        t = from_maps(c.x_map, c.y_map)
+        segs = tuple(t.apply(s) for s in c.base.segments)
+        assert c.segments == segs
+        coords = [v for s in segs for v in (s.fixed, s.lo, s.hi)]
         assert c.den == lcm(*(v.denominator for v in coords))
         assert c.int_segs == tuple((s.orientation, *(v * c.den for v in (s.fixed, s.lo, s.hi)))
-                                   for s in c.segments)
-        assert c.bbox == rect_union_all(s.bbox() for s in c.segments)
+                                   for s in segs)
+        assert c.bbox == rect_union_all(s.bbox() for s in segs)
     assert family_bbox(copies) == rect_union_all(c.bbox for c in copies)
 
 

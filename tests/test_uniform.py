@@ -12,7 +12,13 @@ from trifree.independent import Level, grow_probe, size_formulas
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
 from trifree.uniform import _make_helper, augment_uniform, build_uniform
 
-from _oracles import RectRelation, probe_coloring_audit, proper_colorings, rect_relations
+from _oracles import (
+    RectRelation,
+    from_maps,
+    probe_coloring_audit,
+    proper_colorings,
+    rect_relations,
+)
 
 HALF = Fraction(1, 2)
 
@@ -70,10 +76,9 @@ def test_uniform_sizes_and_probe_counts(uniform_levels):
 
 def test_every_copy_is_a_homothet(uniform_levels, frame):
     for level in uniform_levels.values():
-        for c in level.family:
-            assert c.transform.sx == c.transform.sy
-        for c in augment_uniform(level, frame):
-            assert c.transform.sx == c.transform.sy
+        for c in (*level.family, *augment_uniform(level, frame)):
+            t = from_maps(c.x_map, c.y_map)
+            assert t.sx == t.sy
 
 
 def test_aspect_ratio_law_exact(uniform_levels):
@@ -168,7 +173,7 @@ def test_seal_refuses_a_lower_root_that_meets_a_copy(frame, monkeypatch):
     def tampered(inner, eps, shape):
         helper, uppers, lowers = make_helper(inner, eps, shape)
         # lower root 0 moved onto its diagonal's bounding square
-        square = helper[len(inner.family)].transform.apply(shape.anchor.bounding_square)
+        square = helper[len(inner.family)].apply(shape.anchor.bounding_square)
         return helper, uppers, [square, *lowers[1:]]
 
     monkeypatch.setattr(uniform, "_make_helper", tampered)
