@@ -105,15 +105,17 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     start = time.monotonic()  # the timeout counts from here, the load included
     fam = _load_family(args.family)
     g = intersection_graph(fam.copies)
-    timeout = args.timeout
+    timeout, setup_s = args.timeout, time.monotonic() - start
     if timeout is not None:
-        timeout = max(0, timeout - (time.monotonic() - start))
+        timeout = max(0, timeout - setup_s)
     result = chromatic_number(g, timeout)
     if args.coloring_out:
         coloring = {str(i): c for i, c in enumerate(result.coloring)}
         _write(args.coloring_out, serialize.dumps(coloring))
     if not result.exact:
         print(f"chi in [{result.lower}, {result.upper}]; {result.certificate()}")
+        print(f"search explored {result.nodes} nodes after "
+              f"{setup_s + result.bounds_s:.3f} s of load, graph and bounds")
         return EXIT_TIMEOUT
     print(f"chi = {result.chi} ({result.certificate()})")
     return EXIT_OK

@@ -16,10 +16,13 @@ on one grid, once per check.
 
 Fractions are made, not computed with, where ints can do the work: the
 maps carrying one Rect onto another are read off the two lifts
-(``rect_map``), and a Rect is mapped from its lift (``map_rect``), so
-each new side is one ratio of ints normalised once.  Files spell each
-rational as 'p' or 'p/q' (``rat_pair``).  ``Rect`` checks reversed sides
-on its lift, skipping ``as_rat`` when every side is a Fraction already.
+(``rect_map``).  A ``Lift`` is a rectangle's lift alone; it stands in for
+the Rect wherever only the lift is read, and ``lift_pairs`` makes one
+from four int pairs (p, q), reduced or not, with no Fraction: a rectangle
+read from a file, whose rationals are spelt 'p' or 'p/q' (``rat_pair``),
+and the image of a rectangle under two axis maps (``map_lift``, and
+``map_rect`` for its Rect).  ``Rect`` checks reversed sides on its lift,
+skipping ``as_rat`` when every side is a Fraction already.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 Rat = Fraction
 
@@ -182,6 +185,45 @@ class Rect:
         return Rect(self.x_lo + dx, self.x_hi - dx, self.y_lo + dy, self.y_hi - dy)
 
 
+class Lift(NamedTuple):
+    """A rectangle as its lift alone: its sides are ``int_box`` over ``den``,
+    den least, exactly a ``Rect``'s ``den`` and ``int_box``.  It stands in
+    for the Rect wherever only those two are read (``map_lift``,
+    ``shapes.FamilyGrid``, ``shapes.family_bbox``); ``rect`` makes the Rect."""
+
+    den: int
+    int_box: IntBox
+
+    @property
+    def rect(self) -> Rect:
+        den = self.den
+        return Rect(*(Fraction(v, den) for v in self.int_box))
+
+    def contains(self, other: Rect | Lift) -> bool:
+        """``Rect.contains_rect`` on the two lifts, by cross-multiplication."""
+        (d, (x0, x1, y0, y1)), e = self, other.den
+        u0, u1, v0, v1 = other.int_box
+        return x0 * e <= u0 * d and u1 * d <= x1 * e and y0 * e <= v0 * d and v1 * d <= y1 * e
+
+
+def lift_pairs(x_lo: tuple[int, int], x_hi: tuple[int, int],
+               y_lo: tuple[int, int], y_hi: tuple[int, int]) -> Lift:
+    """The lift of the rectangle whose sides are the pairs (p, q), q > 0,
+    reduced or not, equal to ``Rect``'s: over D, the lcm of the q's, each
+    side is p*(D/q), and one gcd takes D down to the least denominator.
+    Reversed sides raise ``Rect``'s ValueError."""
+    (a, qa), (b, qb), (c, qc), (d, qd) = x_lo, x_hi, y_lo, y_hi
+    den = lcm(qa, qb, qc, qd)
+    a, b, c, d = a * (den // qa), b * (den // qb), c * (den // qc), d * (den // qd)
+    g = gcd(den, a, b, c, d)
+    if g > 1:
+        den, a, b, c, d = den // g, a // g, b // g, c // g, d // g
+    lifted = Lift(den, (a, b, c, d))
+    if a > b or c > d:
+        _ = lifted.rect  # Rect refuses the reversed sides with its own message
+    return lifted
+
+
 def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     """Exact intersection of two closed axis-aligned segments.
 
@@ -220,14 +262,21 @@ def lowest(m: AxisMap) -> AxisMap:
     return m if g == 1 else (m[0] // g, m[1] // g, m[2] // g)
 
 
-def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect) -> Rect:
-    """The image of ``r`` under the two axis maps, made from r's lift: the
-    int v goes to (a*v + b*den) / (q*den), one ratio normalised once."""
+def map_lift(x_map: AxisMap, y_map: AxisMap, r: Rect | Lift) -> Lift:
+    """The lift of the image of ``r`` under the two axis maps, made from r's
+    lift: the int v goes to (a*v + b*den) / (q*den), and ``lift_pairs``
+    puts the four sides on their least grid."""
     den, (x0, x1, y0, y1) = r.den, r.int_box
     (ax, bx, qx), (ay, by, qy) = x_map, y_map
     bx, qx, by, qy = bx * den, qx * den, by * den, qy * den
-    return Rect(Fraction(ax * x0 + bx, qx), Fraction(ax * x1 + bx, qx),
-                Fraction(ay * y0 + by, qy), Fraction(ay * y1 + by, qy))
+    return lift_pairs((ax * x0 + bx, qx), (ax * x1 + bx, qx),
+                      (ay * y0 + by, qy), (ay * y1 + by, qy))
+
+
+def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect | Lift) -> Rect:
+    """The image of ``r`` under the two axis maps, made from its lift
+    (``map_lift``)."""
+    return map_lift(x_map, y_map, r).rect
 
 
 def rect_map(src: Rect, dst: Rect) -> tuple[AxisMap, AxisMap]:

@@ -23,7 +23,7 @@ and the triangle test intersects the two neighbourhoods of each edge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .shapes import FamilyGrid, TransformedCopy
@@ -219,6 +219,10 @@ class ChromaticResult:
     exact: bool
     coloring: tuple[int, ...]
     clique: tuple[int, ...]
+    # the colorings the branch and bound tried, and the seconds spent
+    # before it: the triangle test, the clique bound and DSATUR
+    nodes: int = field(default=0, compare=False)
+    bounds_s: float = field(default=0.0, compare=False)
 
     @property
     def chi(self) -> Optional[int]:
@@ -240,8 +244,11 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     DSATUR included), an interval result is returned instead of raising.
     The clique bound comes from ``max_clique`` only on a graph with a
     triangle; on a triangle-free one it is the least edge (u, v), u < v.
+    The result also counts the colorings the search tried and the seconds
+    spent before it.
     """
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    start = time.monotonic()
+    deadline = start + timeout if timeout is not None else None
     if g.n == 0:
         return ChromaticResult(0, 0, True, (), ())
     # a triangle-free graph's largest clique is its least edge, or a vertex
@@ -252,6 +259,7 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
     if best_num == lb:
         return ChromaticResult(lb, best_num, True, tuple(best), clique)
 
+    bounds_s = time.monotonic() - start
     sat = _Saturation(g)
     colors, neigh_colors = sat.colors, sat.neigh_colors
     # Seed the clique: its vertices must all receive distinct colors, and
@@ -289,9 +297,9 @@ def chromatic_number(g: Graph, timeout: Optional[float] = None) -> ChromaticResu
         if not stack:
             break
     assert verify_coloring(g, witness)
-    if exact:
-        return ChromaticResult(best_num, best_num, True, witness, clique)
-    return ChromaticResult(lb, best_num, False, witness, clique)
+    # every pass but the last colored one vertex
+    lower = best_num if exact else lb
+    return ChromaticResult(lower, best_num, exact, witness, clique, ticks - 1, bounds_s)
 
 
 def to_dimacs(g: Graph, comment: str = "") -> str:

@@ -34,7 +34,7 @@ recursion step's claims are decided by those two checks alone:
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
-claimed roots are mapped on their lifts (``geometry.map_rect``); and
+claimed roots are mapped to lifts (``geometry.map_lift``); and
 ``_probe_messages`` decides every side condition of a probe on its grid
 boxes, the cut by cross-multiplication.  It scans each copy near a probe
 once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
@@ -44,9 +44,12 @@ walked into components, and on every level the constructions build each
 pierced copy has one.  An embedding is two axis maps, read off the lifts
 of the helper's box and its target (``geometry.rect_map``): each helper
 copy is embedded by ``TransformedCopy.rebase``, which composes its axis
-maps on ints, and each claimed root is mapped on its lift.  Fractions are
-still made for what a probe stores (its rectangle, root and cut), and
-``grow_probe`` and ``split_probe`` still compute with them.
+maps on ints, and each claimed root is mapped on its lift.  A probe
+stores ints only (``Probe``): its rectangle and root as their lifts and
+its cut as a pair, which the checks read as they are.  ``grow_probe``
+makes each probe, an eps-probe too, on the lifts of its claimed root
+and the family box; only the build steps (``split_probe``,
+``next_level`` and ``uniform``) make a probe's Rects and cut.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, takewhile
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
-from .geometry import AxisMap, IntBox, Rat, Rect, map_rect, rect_map
+from .geometry import AxisMap, IntBox, Lift, Rat, Rect, lift_pairs, map_lift, rect_map
 from .graphs import Graph, is_triangle_free
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 
@@ -68,15 +72,32 @@ from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 _SPLIT = Fraction(2, 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
-    rect: Rect
-    root: Rect
-    root_cut_x: Rat
+    """A probe in ints, held in slots (a probe has no instance dict): its
+    rectangle and its root, each as its lift (``geometry.Lift``), the x of
+    its root's cut as a lowest-terms pair (p, q), q > 0, and the indices of
+    the copies it is claimed to pierce.  The checks, the loader and the
+    writer read the ints; ``rect``, ``root`` and ``root_cut_x`` are made on
+    each call, for the build steps and ``uniform``, so a loop binds them
+    once."""
+
+    rect_lift: Lift
+    root_lift: Lift
+    cut: tuple[int, int]
     pierced: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pierced", tuple(self.pierced))
+    @property
+    def rect(self) -> Rect:
+        return self.rect_lift.rect
+
+    @property
+    def root(self) -> Rect:
+        return self.root_lift.rect
+
+    @property
+    def root_cut_x(self) -> Rat:
+        return Fraction(*self.cut)
 
 
 @dataclass(frozen=True)
@@ -165,7 +186,7 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     ud, (u0, u1, u2, u3) = feats.bbox.den, feats.bbox.int_box
     if u0 == u1 or u2 == u3:
         raise ValueError("source rectangle is degenerate")
-    den, (a, b, c, d) = probe.rect.den, probe.rect.int_box
+    den, (a, b, c, d) = probe.rect_lift
     fn = 2 * feats.w2.numerator * feats.w1.denominator
     fd = feats.w2.denominator * feats.w1.numerator
     m, n = _SPLIT.numerator, _SPLIT.denominator
@@ -242,8 +263,8 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     out: list[str] = []
     x0, x1, y0, y1 = rect_box
     r0, r1, r2, r3 = root_box
-    cut_d = probe.root_cut_x.denominator
-    cut = probe.root_cut_x.numerator * grid.den  # the cut times den*cut_d
+    cut, cut_d = probe.cut
+    cut *= grid.den  # the cut times den*cut_d
     if x0 == x1 or y0 == y1:
         out.append("probe rectangle is degenerate")
     if not (box[0] <= x0 and x1 <= box[1] and box[2] <= y0 and y1 <= box[3]):
@@ -306,10 +327,11 @@ def check_diagonals(grid: FamilyGrid, n: int, probes: Sequence[Probe]) -> None:
     fail_on(diagonal_law(grid.contacts(n)[0], n, probes))
 
 
-def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
+def grow_probe(root: Rect | Lift, bbox: Rect, epsilon: Optional[Rat] = None,
                pierced: Sequence[int] = ()) -> Probe:
     """The probe grown from an empty root to the family's right side,
-    claimed to pierce ``pierced``.
+    claimed to pierce ``pierced``, made from the lifts of the root and
+    ``bbox``.
 
     Without ``epsilon`` the probe is the root extended to the right side,
     cut at the root's right side.  With ``epsilon`` the root must be an
@@ -317,22 +339,31 @@ def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
     left and bottom in it: the square's distance d to the right side must
     be at most eps times its side, and the probe height
     h = (side + d) / (1 + eps) then makes the ratio exact while keeping the
-    root inside the square.
+    root inside the square.  With eps = e/f, side + d is the probe's width,
+    and every side is an int over one denominator, rd*bd*(e + f) for the
+    root's and the box's rd and bd, lifted once (``lift_pairs``).
     """
+    rd, (r0, r1, r2, r3) = root.den, root.int_box
+    bd, b1 = bbox.den, bbox.int_box[1]
     if epsilon is None:
-        return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_hi), root, root.x_hi, pierced)
-    if root.width != root.height:
+        g = gcd(r1, rd)
+        return Probe(lift_pairs((r0, rd), (b1, bd), (r2, rd), (r3, rd)), Lift(rd, root.int_box),
+                     (r1 // g, rd // g), tuple(pierced))
+    if r1 - r0 != r3 - r2:
         raise ValueError("an eps-probe needs a square root")
-    side = root.width
-    d = bbox.x_hi - root.x_hi
+    side, d = (r1 - r0) * bd, b1 * rd - r1 * bd  # over rd*bd
     if d < 0:
         raise ValueError("square lies beyond the family's right side")
-    if d > epsilon * side:
-        raise ValueError(f"square too far from the right side: {d} > {epsilon * side}")
-    h = (side + d) / (1 + epsilon)
-    carved = Rect(root.x_lo, root.x_lo + h, root.y_lo, root.y_lo + h)
-    return Probe(Rect(root.x_lo, bbox.x_hi, root.y_lo, root.y_lo + h), carved, carved.x_hi,
-                 pierced)
+    e, f = epsilon.numerator, epsilon.denominator
+    if d * f > e * side:
+        raise ValueError(f"square too far from the right side: {Fraction(d, rd * bd)} > "
+                         f"{epsilon * Fraction(side, rd * bd)}")
+    den, h = rd * bd * (e + f), (side + d) * f
+    x0, y0 = r0 * bd * (e + f), r2 * bd * (e + f)
+    g = gcd(x0 + h, den)
+    return Probe(lift_pairs((x0, den), (b1 * rd * (e + f), den), (y0, den), (y0 + h, den)),
+                 lift_pairs((x0, den), (x0 + h, den), (y0, den), (y0 + h, den)),
+                 ((x0 + h) // g, den // g), tuple(pierced))
 
 
 def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = None) -> list[str]:
@@ -363,7 +394,7 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
                    for c in family if not c.is_uniform)
-    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
+    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect_lift, p.root_lift)])
     contacts, near, meeting = level_pass(grid, n)
     # the probes pierce base copies only, so only their contacts are looked up
     base_contacts = {(i, j) for i, j in contacts if j < n}
@@ -383,7 +414,8 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
 
 
 def seal(k: int, copies: Sequence[TransformedCopy],
-         claims: Sequence[tuple[Rect, frozenset[int]]], epsilon: Optional[Rat] = None) -> Level:
+         claims: Sequence[tuple[Rect | Lift, frozenset[int]]], epsilon: Optional[Rat] = None
+         ) -> Level:
     """Level k of ``copies``, with one probe per claim (root, expected):
     the probe ``grow_probe`` grows from ``root``, claimed to pierce exactly
     ``expected``.  The family box the probes grow to is the level's
@@ -421,14 +453,14 @@ def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
     """
     n_base = len(helper) - len(base_probes)
     copies = list(outer.family)
-    claims: list[tuple[Rect, frozenset[int]]] = []
+    claims: list[tuple[Lift, frozenset[int]]] = []
     for p, embed in zip(outer.probes, embeds):
         offset = len(copies)
         copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
         outer_pierced = frozenset(p.pierced)
         for qi, q in enumerate(base_probes):
-            claims.append((map_rect(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
-            claims.append((map_rect(*embed, lowers[qi]),
+            claims.append((map_lift(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
+            claims.append((map_lift(*embed, lowers[qi]),
                            outer_pierced | frozenset(offset + j for j in q.pierced)))
 
     level = seal(k, copies, claims, epsilon)

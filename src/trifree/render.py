@@ -59,7 +59,7 @@ def _rect(r: Rect, fill: str, opacity: str) -> str:
 
 def render_family(fam: LoadedFamily) -> str:
     """A standalone SVG document; byte-identical across runs on equal input."""
-    scene = family_bbox([*fam.copies, *(p.rect for p in fam.probes)])
+    scene = family_bbox([*fam.copies, *(p.rect_lift for p in fam.probes)])
     scene_maps = _scene_maps(scene)
 
     parts = [
@@ -68,9 +68,9 @@ def render_family(fam: LoadedFamily) -> str:
         f'<rect x="0" y="0" width="{int(VIEW)}" height="{int(VIEW)}" fill="#ffffff"/>',
     ]
     for p in fam.probes:
-        parts.append(_rect(map_rect(*scene_maps, p.rect), _PROBE_FILL, "0.15"))
+        parts.append(_rect(map_rect(*scene_maps, p.rect_lift), _PROBE_FILL, "0.15"))
     for p in fam.probes:
-        parts.append(_rect(map_rect(*scene_maps, p.root), _ROOT_FILL, "0.25"))
+        parts.append(_rect(map_rect(*scene_maps, p.root_lift), _ROOT_FILL, "0.25"))
     for c in fam.copies:
         diagonal = "diagonal" in c.lineage
         stroke = _DIAGONAL_STROKE if diagonal else _COPY_STROKE

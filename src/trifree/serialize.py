@@ -25,11 +25,13 @@ right side, sibling copies share scales), so the loader parses each
 distinct text once per file, by the strict grammar of ``as_rat``, into an
 int pair (``geometry.rat_pair``).  Each copy is made straight from its
 pairs: sx = a/b and tx = e/f are the axis map (a*f, e*b, b*f), and the
-copy holds ints only.  A probe's rectangles and cut are Fractions, each
-made once per distinct text, and lifted when they are made; its pierced
-indices are checked for type and range in one pass.  The writer formats
-every copy field from the copy's ints.  An encoded family carries no
-probes, is not augmented, and has no ``base_size`` but its frame count.
+copy holds ints only.  So does each probe: each of its rectangles is
+lifted straight from its four pairs (``geometry.lift_pairs``), its cut is
+its pair in lowest terms, and its pierced indices are checked for type
+and range in one pass.  Only the epsilon and the tree nodes become
+Fractions, read through the same memo.  The writer formats every copy and
+probe field from the ints.  An encoded family carries no probes, is not
+augmented, and has no ``base_size`` but its frame count.
 """
 
 from __future__ import annotations
@@ -42,9 +44,15 @@ from typing import Any, Callable, Optional, Sequence
 
 from .encoding import StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
-from .geometry import Rat, Rect, Seg, as_rat, rat_pair, rat_str
+from .geometry import Lift, Rat, Rect, Seg, as_rat, lift_pairs, rat_pair, rat_str
 from .independent import Level, Probe
 from .shapes import ShapeDef, TransformedCopy, catalog
+
+
+def _ratio(n: int, d: int) -> str:
+    """``rat_str`` of n/d, d > 0, from the ints."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def seg_to_json(s: Seg) -> dict:
@@ -52,24 +60,25 @@ def seg_to_json(s: Seg) -> dict:
             "lo": rat_str(s.lo), "hi": rat_str(s.hi)}
 
 
-def rect_to_json(r: Rect) -> dict:
-    return {"x_lo": rat_str(r.x_lo), "x_hi": rat_str(r.x_hi),
-            "y_lo": rat_str(r.y_lo), "y_hi": rat_str(r.y_hi)}
+def rect_to_json(r: Rect | Lift) -> dict:
+    """The rectangle's sides, each formatted from its lift's ints."""
+    den, (x0, x1, y0, y1) = r.den, r.int_box
+    return {"x_lo": _ratio(x0, den), "x_hi": _ratio(x1, den),
+            "y_lo": _ratio(y0, den), "y_hi": _ratio(y1, den)}
 
 
-def rect_from_json(d: dict, rat: Callable[[Any], Rat]) -> Rect:
-    """The rectangle of ``d``, each side read by ``rat``."""
-    return Rect(rat(d["x_lo"]), rat(d["x_hi"]), rat(d["y_lo"]), rat(d["y_hi"]))
+def _lift_from_json(d: dict, pair: Callable[[Any], tuple[int, int]]) -> Lift:
+    """The lift of the rectangle ``d``, each side read by ``pair``."""
+    return lift_pairs(pair(d["x_lo"]), pair(d["x_hi"]), pair(d["y_lo"]), pair(d["y_hi"]))
 
 
 def _rat_readers() -> tuple[Callable[[Any], tuple[int, int]], Callable[[Any], Rat]]:
-    """Two readers of one file's rationals, by the grammar of ``as_rat``:
-    ``pair`` gives (p, q), q > 0, for the copies, and ``rat`` a Fraction
-    for everything else.  Each reader parses each distinct text once
-    (``rat_pair``), and keeps only what it gives; any other value goes to
+    """Two readers of one file's rationals, by the grammar of ``as_rat``,
+    through one memo: ``pair`` gives (p, q), q > 0, for the copies and the
+    probes, and ``rat`` a Fraction for the epsilon and the tree nodes.  Each
+    distinct text is parsed once (``rat_pair``); any other value goes to
     ``as_rat`` every time."""
     pairs: dict[str, tuple[int, int]] = {}
-    rats: dict[str, Rat] = {}
 
     def pair(value: Any) -> tuple[int, int]:
         if type(value) is str:
@@ -81,19 +90,8 @@ def _rat_readers() -> tuple[Callable[[Any], tuple[int, int]], Callable[[Any], Ra
         return r.numerator, r.denominator
 
     def rat(value: Any) -> Rat:
-        if type(value) is not str:
-            return as_rat(value)
-        r = rats.get(value)
-        if r is None:
-            r = rats[value] = Fraction(*rat_pair(value))
-        return r
+        return Fraction(*pair(value)) if type(value) is str else as_rat(value)
     return pair, rat
-
-
-def _ratio(n: int, d: int) -> str:
-    """``rat_str`` of n/d, d > 0, from the ints."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
@@ -124,8 +122,9 @@ def copy_to_json(c: TransformedCopy) -> dict:
 
 
 def _probe_to_json(p: Probe) -> dict:
-    return {"rect": rect_to_json(p.rect), "root": rect_to_json(p.root),
-            "root_cut_x": rat_str(p.root_cut_x), "pierced": list(p.pierced)}
+    """The probe's fields, each formatted from its ints."""
+    return {"rect": rect_to_json(p.rect_lift), "root": rect_to_json(p.root_lift),
+            "root_cut_x": _ratio(*p.cut), "pierced": list(p.pierced)}
 
 
 def _typed(value: Any, kind: type, field: str) -> Any:
@@ -148,7 +147,7 @@ def _check_grid(copies: Sequence[TransformedCopy], probes: Sequence[Probe]) -> N
     all work on it, grow with the square of the file's size.
     """
     dens = {c.den for c in copies}
-    dens.update(r.den for p in probes for r in (p.rect, p.root))
+    dens.update(r.den for p in probes for r in (p.rect_lift, p.root_lift))
     limit = max(dens).bit_length() + GRID_SLACK_BITS
     grid = 1
     for d in dens:
@@ -293,8 +292,10 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     else:
         in_range = True
         for p in doc["probes"]:
-            probe = Probe(rect_from_json(p["rect"], rat), rect_from_json(p["root"], rat),
-                          rat(p["root_cut_x"]), tuple(p["pierced"]))
+            rect, root = _lift_from_json(p["rect"], pair), _lift_from_json(p["root"], pair)
+            n, d = pair(p["root_cut_x"])
+            g = gcd(n, d)
+            probe = Probe(rect, root, (n // g, d // g), tuple(p["pierced"]))
             # one pass checks the type and the range of every index
             if not all(type(i) is int and 0 <= i < base_size for i in probe.pierced):
                 for i in probe.pierced:

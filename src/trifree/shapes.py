@@ -71,6 +71,7 @@ from .geometry import (
     AxisMap,
     VERTICAL,
     IntBox,
+    Lift,
     Rat,
     Rect,
     Seg,
@@ -256,7 +257,7 @@ class RectilinearShape:
         object.__setattr__(self, "slots", tuple(_on_axes(s, x, y) for s in segs))
 
     def bbox(self) -> Rect:
-        return _rect_of(self.den, self.int_box)
+        return Lift(self.den, self.int_box).rect
 
     def is_connected(self) -> bool:
         return len(_components(self.int_segs)) == 1
@@ -266,10 +267,6 @@ def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> Int
     """``s`` with each x int v read as x[v] and each y int as y[v]."""
     o, f, lo, hi = s
     return (o, y[f], x[lo], x[hi]) if o == HORIZONTAL else (o, x[f], y[lo], y[hi])
-
-
-def _rect_of(den: int, box: IntBox) -> Rect:
-    return Rect(*(Fraction(v, den) for v in box))
 
 
 @dataclass(frozen=True)
@@ -436,7 +433,7 @@ class TransformedCopy:
 
     @property
     def bbox(self) -> Rect:
-        return _rect_of(self.den, self.int_box)
+        return Lift(self.den, self.int_box).rect
 
     def apply(self, r: Rect) -> Rect:
         """The image of ``r``, a rectangle in the base's coordinates."""
@@ -454,7 +451,8 @@ class TransformedCopy:
                                lineage if lineage is not None else self.lineage)
 
 
-def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]) -> tuple[int, list[list[IntBox]]]:
+def _on_one_grid(*groups: Sequence[Rect | Lift | TransformedCopy]
+                 ) -> tuple[int, list[list[IntBox]]]:
     """The boxes of each group (a copy stands for its bounding box) in
     units of 1/den, den the least common denominator of all of them."""
     den = lcm(*{b.den for group in groups for b in group})
@@ -483,10 +481,10 @@ def box_hull(boxes: Iterable[IntBox]) -> IntBox:
     return min(x0), max(x1), min(y0), max(y1)
 
 
-def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
+def family_bbox(copies: Sequence[Rect | Lift | TransformedCopy]) -> Rect:
     """The smallest box holding every copy (and rectangle) given."""
     den, (grid,) = _on_one_grid(copies)
-    return _rect_of(den, box_hull(grid))
+    return Lift(den, box_hull(grid)).rect
 
 
 class FamilyGrid:
@@ -502,7 +500,7 @@ class FamilyGrid:
     """
 
     def __init__(self, copies: Sequence[TransformedCopy | RectilinearShape],
-                 rects: Sequence[Rect] = ()):
+                 rects: Sequence[Rect | Lift] = ()):
         self.den = den = lcm(*{c.den for c in copies}, *{r.den for r in rects})
         self.boxes: list[IntBox] = []
         self.segs: list[tuple[IntSeg, ...]] = []

@@ -37,8 +37,10 @@ All quantitative claims along the way are asserted, never assumed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ConstructionError, fail_on
-from .geometry import Rat, Rect, axis_map, rect_map
+from .geometry import Lift, Rat, Rect, axis_map, lift_pairs, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
 from .independent import Level, check_diagonals, embed_helpers, seal
 
@@ -49,10 +51,12 @@ def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
     return shape.anchor
 
 
-def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
+def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect | Lift,
                      lineage: str) -> TransformedCopy:
-    """A homothet whose bounding square fills the given square."""
-    if square.width != square.height:
+    """A homothet whose bounding square fills the given square, read from
+    its lift."""
+    x0, x1, y0, y1 = square.int_box
+    if x1 - x0 != y1 - y0:
         raise ConstructionError("homothet target is not a square")
     return TransformedCopy(shape.name, anchor.shape,
                            *rect_map(anchor.bounding_square, square), lineage)
@@ -132,11 +136,11 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
     min_root = min(r.width for r in uppers + lowers)
     outer = build_uniform(k - 1, epsilon * min_root / (2 * side), shape)
     embeds = []
-    for p in outer.probes:
-        factor = p.root.width / side
-        ty = (p.root.y_lo + (p.root.width - factor * helper_bbox.height) / 2
+    for root in (p.root for p in outer.probes):
+        factor = root.width / side
+        ty = (root.y_lo + (root.width - factor * helper_bbox.height) / 2
               - factor * helper_bbox.y_lo)
-        embeds.append((axis_map(factor, p.root.x_hi - factor * helper_bbox.x_hi),
+        embeds.append((axis_map(factor, root.x_hi - factor * helper_bbox.x_hi),
                        axis_map(factor, ty)))
     return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
 
@@ -151,13 +155,17 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
     by the probe and nothing else; both facts are verified exactly.
     """
     anchor = _require_anchor(shape)
-    eps, bbox = level.epsilon, level.bbox
+    # the square's side is m*s, m = max(1/2, eps) = mp/mq
+    m = max(Fraction(1, 2), level.epsilon)
+    mp, mq = m.numerator, m.denominator
+    bd, b1 = level.bbox.den, level.bbox.int_box[1]
     diagonals: list[TransformedCopy] = []
     for i, p in enumerate(level.probes):
-        s = p.root.width
-        side = max(s / 2, eps * s)
-        square = Rect(bbox.x_hi - side, bbox.x_hi, p.root.y_hi - side, p.root.y_hi)
-        if not p.rect.contains_rect(square):
+        rd, (r0, r1, _, r3) = p.root_lift
+        # the square [x_hi - side, x_hi] x [y_hi - side, y_hi] over rd*bd*mq
+        den, side, x_hi, y_hi = rd * bd * mq, (r1 - r0) * mp * bd, b1 * rd * mq, r3 * bd * mq
+        square = lift_pairs((x_hi - side, den), (x_hi, den), (y_hi - side, den), (y_hi, den))
+        if not p.rect_lift.contains(square):
             raise ConstructionError(f"augmenting square escapes probe {i}")
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
     family = level.family + tuple(diagonals)

@@ -47,6 +47,7 @@ from trifree.geometry import (
     HORIZONTAL,
     VERTICAL,
     AxisMap,
+    Lift,
     Rat,
     Rect,
     Seg,
@@ -386,6 +387,20 @@ def stab_case(rng: random.Random, rect: Rect, *, vertical: bool) -> RectilinearS
             segs.append(rng.choice((along(at, -3, -short), along(at, 6 + short, 9),
                                     across(at, -3, -short), across(at, 6 + short, 9))))
     return RectilinearShape(tuple(segs))
+
+
+def probe_of(rect: Rect, root: Rect, root_cut_x: Rat, pierced: Sequence[int]) -> Probe:
+    """The probe with these Rects, cut and pierced set, held as ints."""
+    return Probe(Lift(rect.den, rect.int_box), Lift(root.den, root.int_box),
+                 (root_cut_x.numerator, root_cut_x.denominator), tuple(pierced))
+
+
+def replace_probe(p: Probe, **changes) -> Probe:
+    """``p`` with some of its ``rect``, ``root``, ``root_cut_x`` and
+    ``pierced`` replaced: ``dataclasses.replace`` on the probe's Rects and
+    cut, which a probe keeps as ints."""
+    fields = dict(rect=p.rect, root=p.root, root_cut_x=p.root_cut_x, pierced=p.pierced)
+    return probe_of(**{**fields, **changes})
 
 
 def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,

@@ -7,6 +7,7 @@ import pytest
 from trifree.geometry import (
     HORIZONTAL,
     VERTICAL,
+    Lift,
     Point,
     Rect,
     Seg,
@@ -21,7 +22,7 @@ from trifree.geometry import (
     seg_intersect,
     v_seg,
 )
-from trifree.serialize import rect_from_json
+from trifree.serialize import _lift_from_json, _rat_readers
 from trifree.shapes import RectilinearShape, TransformedCopy, catalog, family_bbox
 
 from _oracles import (
@@ -239,8 +240,8 @@ _RECT_MAKERS = {
     "concentric": lambda: Rect(0, Fraction(2, 3), Fraction(1, 5), 1).concentric("1/2", "3/7"),
     "copy-bbox": _copy_bbox,
     "family-bbox": _family_bbox,
-    "loader": lambda: rect_from_json({"x_lo": "1/6", "x_hi": "1/2", "y_lo": "-5/9",
-                                      "y_hi": "3"}, as_rat),
+    "loader": lambda: _lift_from_json({"x_lo": "1/6", "x_hi": "2/4", "y_lo": "-5/9",
+                                       "y_hi": "3"}, _rat_readers()[0]).rect,
 }
 
 
@@ -261,6 +262,27 @@ def test_every_way_a_rect_is_made_lifts_it_once_on_its_least_grid(make):
 def test_sides_reversed_across_denominators_are_refused(x, y):
     with pytest.raises(ValueError, match="rectangle sides reversed"):
         Rect(x[0], x[1], y[0], y[1])
+
+
+def test_lift_contains_as_contains_rect_decides():
+    rng = random.Random(3131)
+
+    def drawn(near=()):
+        """A rectangle whose sides are drawn, or taken from ``near``."""
+        d = rng.choice((1, 3, 8, 2 ** 61 - 1))
+        sides = [rng.choice(near) if near and rng.random() < 0.5
+                 else Fraction(rng.randint(-40, 40), d) for _ in range(4)]
+        return Rect(*sorted(sides[:2]), *sorted(sides[2:]))
+
+    seen = set()
+    for _ in range(1000):
+        a = drawn()
+        b = drawn([a.x_lo, a.x_hi, a.y_lo, a.y_hi])
+        want = a.contains_rect(b)
+        assert Lift(a.den, a.int_box).contains(b) == want
+        assert Lift(a.den, a.int_box).contains(Lift(b.den, b.int_box)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_a_degenerate_rect_on_unreduced_sides_is_accepted():

@@ -59,6 +59,16 @@ def test_k3_has_omega_three_chi_three():
     assert len(res.clique) == 3
 
 
+def test_the_result_counts_the_search_nodes():
+    # C5: the clique (0, 1) gets colors 1 and 2, and ruling out a
+    # 2-coloring tries one color on each of two more vertices
+    res = chromatic_number(cycle(5))
+    assert res.chi == 3 and res.nodes == 2 and res.bounds_s >= 0
+    # a path: DSATUR meets the clique bound, and no search runs
+    res = chromatic_number(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    assert res.chi == 2 and (res.nodes, res.bounds_s) == (0, 0.0)
+
+
 def test_empty_and_edgeless_graphs():
     res = chromatic_number(Graph.from_edges(0, []))
     assert res.exact and res.chi == 0

@@ -15,7 +15,6 @@ from trifree.graphs import (
 )
 from trifree.independent import (
     Level,
-    Probe,
     augment,
     base_level,
     build,
@@ -52,10 +51,12 @@ from _oracles import (
     meeting_pairs_bruteforce,
     probe_coloring_audit,
     probe_conditions_ref,
+    probe_of,
     proper_colorings,
     rect_relations,
     rect_union_all,
     rects_meet,
+    replace_probe,
     spans_ref,
     stab_case,
     stabs_horizontally,
@@ -80,7 +81,7 @@ def test_size_formulas_closed_bounds_up_to_six():
 
 
 def test_split_probe_two_fifths_rule():
-    probe = Probe(Rect(0, 10, 0, 5), Rect(0, 3, 0, 5), 3, ())
+    probe = probe_of(Rect(0, 10, 0, 5), Rect(0, 3, 0, 5), 3, ())
     upper, lower = split_probe(probe)
     assert upper == Rect(0, 10, 3, 5)
     assert lower == Rect(0, 10, 0, 2)
@@ -263,7 +264,7 @@ def test_probe_roots_avoid_every_copy(independent_levels):
 
 def test_augment_rejects_tampered_probe(independent_levels, frame):
     level = independent_levels[2]
-    bad_probe = Probe(level.probes[0].rect, level.probes[0].root,
+    bad_probe = probe_of(level.probes[0].rect, level.probes[0].root,
                       level.probes[0].root_cut_x, (0,))  # wrong pierced set
     tampered = type(level)(level.k, level.family, (bad_probe,) + level.probes[1:])
     with pytest.raises(ConstructionError):
@@ -325,7 +326,7 @@ def _rebased(rng, level, diagonals):
         rect, root, cut = (outer.apply(p.rect), outer.apply(p.root), outer.x(p.root_cut_x))
         if rng.random() < 1 / 3:
             rect = _nudged(rng, rect).apply(rect)
-        return Probe(rect, root, cut, p.pierced)
+        return probe_of(rect, root, cut, p.pierced)
 
     copies = [copy(c) for c in level.family]
     return copies, [probe(p) for p in level.probes], [copy(d) for d in diagonals]
@@ -408,7 +409,7 @@ def _drawn_level(rng):
         pierced = {i for i, c in enumerate(copies) if copy_meets_rect_ref(c, rect)}
         if rng.random() < 0.2:
             pierced ^= {rng.randrange(len(copies))}
-        probes.append(Probe(rect, Rect(x_lo, cut, y_lo, y_hi), cut, sorted(pierced)))
+        probes.append(probe_of(rect, Rect(x_lo, cut, y_lo, y_hi), cut, sorted(pierced)))
     return Level(1, tuple(copies), tuple(probes))
 
 
@@ -585,9 +586,9 @@ def _tampered(probes, i, j, tamper):
     rectangle set to probe j's root, or probe i repeated at the end."""
     probes = list(probes)
     if tamper == "root-on-another-rectangle":
-        probes[i] = replace(probes[i], root=probes[j].rect)
+        probes[i] = replace_probe(probes[i], root=probes[j].rect)
     elif tamper == "rectangle-on-another-root":
-        probes[i] = replace(probes[i], rect=probes[j].root)
+        probes[i] = replace_probe(probes[i], rect=probes[j].root)
     else:
         probes.append(probes[i])
     return probes
@@ -628,7 +629,7 @@ def test_probes_are_disjoint_unless_their_rectangles_meet(independent_levels):
     p0, p1 = level.probes
     # probe 1's root moved onto probe 0's rectangle: the boxes around each
     # probe's rectangle and root meet, the two rectangles do not
-    moved = replace(p1, root=p0.rect)
+    moved = replace_probe(p1, root=p0.rect)
     assert rects_meet(rect_union_all([moved.rect, moved.root]), p0.rect)
     assert not rects_meet(moved.rect, p0.rect)
     got = independent.level_law(replace(level, probes=(p0, moved)))
@@ -636,7 +637,7 @@ def test_probes_are_disjoint_unless_their_rectangles_meet(independent_levels):
     assert not any(msg.endswith("are not disjoint") for msg in got)
     # probe 1's rectangle sharing only one corner with probe 0's
     r = p0.rect
-    corner = replace(p1, rect=Rect(r.x_hi, r.x_hi + 1, r.y_hi, r.y_hi + 1))
+    corner = replace_probe(p1, rect=Rect(r.x_hi, r.x_hi + 1, r.y_hi, r.y_hi + 1))
     assert meeting_pairs_bruteforce([p0.rect, corner.rect]) == [(0, 1)]
     got = independent.level_law(replace(level, probes=(p0, corner)))
     assert "probes 0 and 1 are not disjoint" in got
@@ -740,14 +741,14 @@ def test_diagonal_clearance_is_decided_as_the_fraction_chain_decides_it(frame, x
 def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
     # every claimed root that embed_helpers maps, under both constructions
     mapped = []
-    map_rect = independent.map_rect
+    map_lift = independent.map_lift
 
     def recorded(x_map, y_map, r):
-        out = map_rect(x_map, y_map, r)
+        out = map_lift(x_map, y_map, r)
         mapped.append((out, apply_ref(from_maps(x_map, y_map), r)))
         return out
 
-    monkeypatch.setattr(independent, "map_rect", recorded)
+    monkeypatch.setattr(independent, "map_lift", recorded)
     for k in (1, 2, 3):
         for eps in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 7)):
             build_uniform(k, eps, frame)
@@ -755,7 +756,8 @@ def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
     for shape in catalog().values():
         build(3, shape)
     assert 0 < uniform < len(mapped)
-    assert all(got == want for got, want in mapped)
+    # each is the least lift of the Fraction image
+    assert all(got == (want.den, want.int_box) for got, want in mapped)
 
 
 def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
@@ -802,43 +804,44 @@ def _moved(rect, unit, side):
 
 # each tamper of one probe, given the grid unit, and a message it must raise
 _TAMPERS = {
-    "cut-off-the-grid": (lambda p, u: replace(p, root_cut_x=p.root_cut_x + u / 7919),
+    "cut-off-the-grid": (lambda p, u: replace_probe(p, root_cut_x=p.root_cut_x + u / 7919),
                          "root is not the left part of the probe at the cut line"),
-    "cut-at-x-lo": (lambda p, u: replace(p, root_cut_x=p.rect.x_lo),
+    "cut-at-x-lo": (lambda p, u: replace_probe(p, root_cut_x=p.rect.x_lo),
                     "root cut line is not interior to the probe"),
-    "cut-at-x-hi": (lambda p, u: replace(p, root_cut_x=p.rect.x_hi),
+    "cut-at-x-hi": (lambda p, u: replace_probe(p, root_cut_x=p.rect.x_hi),
                     "root cut line is not interior to the probe"),
-    "flat-rectangle": (lambda p, u: replace(p, rect=Rect(p.rect.x_lo, p.rect.x_hi,
-                                                          p.rect.y_lo, p.rect.y_lo)),
+    "flat-rectangle": (lambda p, u: replace_probe(p, rect=Rect(p.rect.x_lo, p.rect.x_hi,
+                                                                p.rect.y_lo, p.rect.y_lo)),
                        "probe rectangle is degenerate"),
-    "thin-rectangle": (lambda p, u: replace(p, rect=Rect(p.rect.x_hi, p.rect.x_hi,
-                                                          p.rect.y_lo, p.rect.y_hi)),
+    "thin-rectangle": (lambda p, u: replace_probe(p, rect=Rect(p.rect.x_hi, p.rect.x_hi,
+                                                                p.rect.y_lo, p.rect.y_hi)),
                        "probe rectangle is degenerate"),
-    "rectangle-past-the-right-side": (lambda p, u: replace(p, rect=_moved(p.rect, u, "x_hi")),
-                                      "probe leaves the family bounding box"),
+    "rectangle-past-the-right-side": (
+        lambda p, u: replace_probe(p, rect=_moved(p.rect, u, "x_hi")),
+        "probe leaves the family bounding box"),
     "rectangle-short-of-the-right-side": (
-        lambda p, u: replace(p, rect=_moved(p.rect, -u, "x_hi")),
+        lambda p, u: replace_probe(p, rect=_moved(p.rect, -u, "x_hi")),
         "probe does not touch the family's right side"),
     **{f"root-{side}-off-by-one-unit": (
-        lambda p, u, side=side: replace(p, root=_moved(p.root, u, side)),
+        lambda p, u, side=side: replace_probe(p, root=_moved(p.root, u, side)),
         "root is not the left part of the probe at the cut line")
        for side in ("x_lo", "x_hi", "y_lo", "y_hi")},
 }
 _EPS_TAMPERS = {
-    "height-off-by-one-unit": (lambda p, u: replace(p, rect=_moved(p.rect, u, "y_lo"),
-                                                    root=_moved(p.root, u, "y_lo")),
+    "height-off-by-one-unit": (lambda p, u: replace_probe(p, rect=_moved(p.rect, u, "y_lo"),
+                                                          root=_moved(p.root, u, "y_lo")),
                                "width/height ratio is not exactly 1+eps"),
-    "width-off-by-one-unit": (lambda p, u: replace(p, rect=_moved(p.rect, u, "x_lo"),
-                                                   root=_moved(p.root, u, "x_lo")),
+    "width-off-by-one-unit": (lambda p, u: replace_probe(p, rect=_moved(p.rect, u, "x_lo"),
+                                                         root=_moved(p.root, u, "x_lo")),
                               "width/height ratio is not exactly 1+eps"),
     # on the first probe of uniform level 2 at eps 1/2 this leaves
     # width*q and (p+q)*height one apart, 62 against 63 grid units
     "width-two-and-height-one-unit-off": (
-        lambda p, u: replace(p, rect=_moved(_moved(p.rect, 2 * u, "x_lo"), u, "y_lo"),
-                             root=_moved(_moved(p.root, 2 * u, "x_lo"), u, "y_lo")),
+        lambda p, u: replace_probe(p, rect=_moved(_moved(p.rect, 2 * u, "x_lo"), u, "y_lo"),
+                                   root=_moved(_moved(p.root, 2 * u, "x_lo"), u, "y_lo")),
         "width/height ratio is not exactly 1+eps"),
-    "root-not-square": (lambda p, u: replace(p, root=_moved(p.root, -u, "y_hi"),
-                                             rect=_moved(p.rect, -u, "y_hi")),
+    "root-not-square": (lambda p, u: replace_probe(p, root=_moved(p.root, -u, "y_hi"),
+                                                   rect=_moved(p.rect, -u, "y_hi")),
                         "root is not a square"),
 }
 

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from trifree import cli, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, game_tree, run_game
-from trifree.geometry import as_rat, lift
+from trifree.geometry import Rect, as_rat, lift
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
@@ -315,9 +317,10 @@ def _preorder_docs(d):
     [g[:5] for g in _GOLDEN if g[2] <= 3] + [("encoded-frames", "frame", 3, None, False)],
     ids=str)
 def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augmented):
-    """The loader builds copies and probe rectangles from the parsed ints;
-    each lift must equal ``lift`` over the loaded Fractions, and each
-    stored Fraction ``as_rat`` of its text."""
+    """The loader builds copies and probes from the parsed ints; each lift
+    must equal ``lift`` over the Fractions of its texts, a probe's cut must
+    be its text's in lowest terms, and each stored Fraction ``as_rat`` of
+    its text."""
     shape = catalog()[shape_name]
     if mode == "encoded-frames":
         tree = expand_tree(k)
@@ -341,14 +344,13 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
         ys = [v for o, f, lo, hi in want for v in ((f,) if o == "H" else (lo, hi))]
         assert (c.den, c.int_segs, c.int_box) == (den, want, (min(xs), max(xs), min(ys), max(ys)))
     for p, d in zip(fam.probes, doc["probes"], strict=True):
-        for r, rd in ((p.rect, d["rect"]), (p.root, d["root"])):
+        for r, rd in ((p.rect_lift, d["rect"]), (p.root_lift, d["root"])):
             sides = [as_rat(rd[f]) for f in _SIDES]
-            assert [getattr(r, f) for f in _SIDES] == sides
             den, box = lift(sides)
             assert (r.den, r.int_box) == (den, tuple(box))
-        assert p.root_cut_x == as_rat(d["root_cut_x"])
-    if fam.probes:  # one text, one Fraction: every probe reaches the family's right side
-        assert len({id(p.rect.x_hi) for p in fam.probes}) == 1
+            assert [getattr(r.rect, f) for f in _SIDES] == sides
+        cut = as_rat(d["root_cut_x"])
+        assert p.cut == (cut.numerator, cut.denominator) and p.root_cut_x == cut
     assert fam.epsilon == (as_rat(doc["epsilon"]) if mode == "uniform" else None)
     if mode == "encoded-frames":
         for node, d in zip(fam.tree_nodes, _preorder_docs(doc["tree"]["root"]), strict=True):
@@ -427,9 +429,74 @@ def test_copies_hold_no_fraction_or_transform(built_families):
                 assert _ints_only(value), (label, f.name, value)
 
 
-def _times_three(text):
+def test_probes_hold_ints_only(built_families):
+    """Every probe that ``build``, ``build_uniform`` and the loader make
+    holds ints only: it has no instance dict, and none of its fields is or
+    holds a Fraction or a ``Rect``."""
+    for label, doc, _, probes in built_families:
+        for p in (*probes, *_loaded(doc).probes):
+            assert not hasattr(p, "__dict__"), label
+            for f in dataclasses.fields(p):
+                value = getattr(p, f.name)
+                assert not isinstance(value, (Fraction, Rect)), label
+                assert _ints_only(value), (label, f.name, value)
+
+
+def _side_text(rng, v):
+    """``v`` written as 'p', or as 'p/q' times a drawn factor, unreduced."""
+    if v.denominator == 1 and rng.random() < 0.5:
+        return str(v.numerator)
+    m = rng.choice((1, 2, 3, 7, 2 ** 70))
+    return f"{m * v.numerator}/{m * v.denominator}"
+
+
+def test_probe_rectangles_load_to_the_fraction_lift():
+    """A rectangle whose sides are written unreduced, negative or as
+    integers loads to the ``lift`` of its Fractions; reversed sides are
+    refused with ``Rect``'s own message."""
+    rng = random.Random(3030)
+    pair = serialize._rat_readers()[0]
+    for _ in range(400):
+        dens = [rng.choice((1, 2, 3, 6, 35, 2 ** 64 + 13)) for _ in range(4)]
+        sides = [Fraction(rng.randint(-10 ** 6, 10 ** 6), d) for d in dens]
+        if rng.random() < 0.75:
+            sides = [*sorted(sides[:2]), *sorted(sides[2:])]
+        texts = dict(zip(_SIDES, (_side_text(rng, v) for v in sides)))
+        if sides[0] <= sides[1] and sides[2] <= sides[3]:
+            den, box = lift(sides)
+            assert serialize._lift_from_json(texts, pair) == (den, tuple(box)), texts
+            continue
+        with pytest.raises(ValueError) as want:
+            Rect(*sides)
+        with pytest.raises(ValueError) as got:
+            serialize._lift_from_json(texts, pair)
+        assert str(got.value) == str(want.value)
+
+
+def _times(m, text):
+    """The rational ``text`` with numerator and denominator times ``m``."""
     p, _, q = text.partition("/")
-    return f"{3 * int(p)}/{3 * int(q or 1)}"
+    return f"{m * int(p)}/{m * int(q or 1)}"
+
+
+def test_unreduced_probe_fields_load_to_equal_probes_and_verify(tmp_path, capsys):
+    """A ``build --k 3`` file whose every probe rational is written
+    unreduced, numerator and denominator times 2, loads to the same probes
+    and verifies with exit 0."""
+    path = tmp_path / "family.json"
+    assert cli.main(["build", "--k", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    for p in doc["probes"]:
+        for rect in (p["rect"], p["root"]):
+            rect.update((f, _times(2, rect[f])) for f in _SIDES)
+        p["root_cut_x"] = _times(2, p["root_cut_x"])
+    assert all("/" in p["root_cut_x"] for p in doc["probes"])
+    unreduced = tmp_path / "unreduced.json"
+    unreduced.write_text(json.dumps(doc))
+    assert serialize.doc_to_family(doc).probes == _loaded(json.loads(path.read_text())).probes
+    assert cli.main(["verify", "--family", str(unreduced)]) == 0
+    assert capsys.readouterr().out.startswith("ok: independent family, k=3, ")
 
 
 @pytest.mark.parametrize("mode", ["independent", "uniform"])
@@ -446,7 +513,7 @@ def test_unreduced_copy_fields_load_to_equal_copies(tmp_path, capsys, mode):
     doc = json.loads(serialize.dumps(serialize.level_to_doc(level, shape, family)))
     for c in doc["copies"]:
         for f in ("sx", "sy", "tx", "ty"):
-            c[f] = _times_three(c[f])
+            c[f] = _times(3, c[f])
     fam = serialize.doc_to_family(doc)
     assert fam.copies == family
     assert [(c.den, c.axes) for c in fam.copies] == [(c.den, c.axes) for c in family]
@@ -1093,10 +1160,21 @@ def test_cli_chi_timeout_exits_four(tmp_path, monkeypatch):
     r = _run_cli("chi", "--family", str(fam), "--timeout", "0.1")
     assert r.returncode == 4
     assert "chi in [" in r.stdout and "timed out" in r.stdout
+    _assert_search_figures(r.stdout)
     monkeypatch.setenv("TRIFREE_TIMEOUT", "0.1")
     r = _run_cli("chi", "--family", str(fam), timeout=60)
     assert r.returncode == 4
     assert "chi in [" in r.stdout and "timed out" in r.stdout
+    _assert_search_figures(r.stdout)
+
+
+def _assert_search_figures(out):
+    """A timed-out ``chi`` names the nodes its search explored and the
+    seconds spent before the search: the load, the graph and the bounds."""
+    match = re.search(r"^search explored (\d+) nodes after (\d+\.\d{3}) s of load, "
+                      r"graph and bounds$", out, re.MULTILINE)
+    assert match, out
+    assert int(match.group(1)) > 0 and float(match.group(2)) > 0
 
 
 def test_cli_chi_timeout_counts_from_the_start_of_the_command(tmp_path, monkeypatch):

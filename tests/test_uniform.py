@@ -18,6 +18,7 @@ from _oracles import (
     probe_coloring_audit,
     proper_colorings,
     rect_relations,
+    replace_probe,
 )
 
 HALF = Fraction(1, 2)
@@ -264,3 +265,25 @@ def test_uniform_build_is_deterministic(frame):
     b = build_uniform(3, HALF, frame)
     assert a.family == b.family
     assert a.probes == b.probes
+
+
+def test_augment_uniform_refuses_a_square_that_escapes_its_probe(uniform_levels, frame):
+    """A probe rectangle lowered by one grid unit of its own no longer holds
+    the augmenting square, which is top-aligned with its root."""
+    level = uniform_levels[2]
+    p = level.probes[1]
+    r = p.rect
+    lowered = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - Fraction(1, p.rect_lift.den))
+    s = p.root.width
+    side = max(s / 2, level.epsilon * s)
+    square = Rect(level.bbox.x_hi - side, level.bbox.x_hi, p.root.y_hi - side, p.root.y_hi)
+    assert r.contains_rect(square) and not lowered.contains_rect(square)
+    tampered = replace(level, probes=(level.probes[0], replace_probe(p, rect=lowered),
+                                      *level.probes[2:]))
+    with pytest.raises(ConstructionError, match="augmenting square escapes probe 1"):
+        augment_uniform(tampered, frame)
+
+
+def test_square_homothet_refuses_a_target_that_is_not_a_square(frame):
+    with pytest.raises(ConstructionError, match="homothet target is not a square"):
+        uniform._square_homothet(frame, frame.anchor, Rect(0, 1, 0, Fraction(3, 2)), "x")
