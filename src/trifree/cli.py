@@ -21,7 +21,6 @@ from .game import MAX_K, SEARCH_LIMIT, first_fit, make_minimax_painter, make_rep
 from .geometry import as_rat
 from .graphs import chromatic_number, intersection_graph, to_dimacs
 from .independent import augment, build
-from .render import render_family
 from .shapes import catalog
 from .uniform import augment_uniform, build_uniform
 from .verify import verify_family
@@ -148,6 +147,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_family  # only this command draws, so no other start loads it
+
     fam = _load_family(args.family)
     _write(args.out, render_family(fam))
     return EXIT_OK

@@ -22,7 +22,6 @@ serves both the seal of a level and ``verify``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
@@ -31,17 +30,23 @@ from .errors import fail_on
 from .game import SEARCH_LIMIT, Interval, game_tree, overlaps
 from .geometry import AxisMap, Rat, lowest
 from .graphs import intersection_graph, is_triangle_free
+from .record import Record, Value, set_field
 from .shapes import TransformedCopy, catalog
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    index: int  # in preorder
-    parent: Optional[int]
-    interval: Interval
-    slot: tuple[Rat, Rat]
-    ancestors: frozenset[int]
-    children: tuple["TreeNode", ...]
+class TreeNode(Value):
+    def __init__(self, index: int, parent: Optional[int], interval: Interval,
+                 slot: tuple[Rat, Rat], ancestors: frozenset[int],
+                 children: tuple[TreeNode, ...]) -> None:
+        set_field(self, "index", index)  # in preorder
+        set_field(self, "parent", parent)
+        set_field(self, "interval", interval)
+        set_field(self, "slot", slot)
+        set_field(self, "ancestors", ancestors)
+        set_field(self, "children", children)
+
+    def _key(self) -> tuple:
+        return self.index, self.parent, self.interval, self.slot, self.ancestors, self.children
 
     @cached_property  # encode places the frame with them, and encoded_law compares them
     def maps(self) -> tuple[AxisMap, AxisMap]:
@@ -76,11 +81,11 @@ def _preorder(root: Any, read: Callable[[Any], tuple]) -> tuple[TreeNode, ...]:
     return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class StrategyTree:
-    k: int
-    color_budget: int
-    _nodes: tuple[TreeNode, ...]  # preorder
+class StrategyTree(Record):
+    def __init__(self, k: int, color_budget: int, _nodes: tuple[TreeNode, ...]) -> None:
+        set_field(self, "k", k)
+        set_field(self, "color_budget", color_budget)
+        set_field(self, "_nodes", _nodes)  # preorder
 
     @property
     def root(self) -> TreeNode:

@@ -40,19 +40,19 @@ that scans nothing.  ``minimax_verify``, the minimax Painter and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import IllegalColorError, IllegalIntervalError
 from .geometry import Rat, as_rat
+from .record import Record, set_field
 
 Chain = tuple[tuple["Interval", int], ...]
 Outcome = tuple[int, Chain]  # a finished strategy's certified point (grid units) and chain
 
 
-class Interval:
+class Interval(Record):
     """A closed interval [lo, hi], lo < hi, held as its lift onto the grid
     of multiples of 1/den: lo = ilo/den and hi = ihi/den.  ``Interval(lo,
     hi)`` takes any two rationals and lifts them onto their own least
@@ -75,12 +75,9 @@ class Interval:
     def _set(self, ilo: int, ihi: int, den: int) -> None:
         if ilo >= ihi:
             raise ValueError(f"empty interval [{Fraction(ilo, den)}, {Fraction(ihi, den)}]")
-        object.__setattr__(self, "ilo", ilo)
-        object.__setattr__(self, "ihi", ihi)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Interval is immutable: cannot set {name!r}")
+        set_field(self, "ilo", ilo)
+        set_field(self, "ihi", ihi)
+        set_field(self, "den", den)
 
     def __reduce__(self) -> tuple:
         return Interval.on_grid, (self.ilo, self.ihi, self.den)
@@ -188,12 +185,13 @@ def _assert_certificate(chain: Chain, k: int, lo: int, hi: int) -> None:
             raise AssertionError("chain interval leaves the interior of its region")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One Presenter move, shared by every history that reaches it: the
     interval shown, and ``respond(color)`` giving the next step or the Outcome."""
-    interval: Interval
-    respond: Callable[[int], Step | Outcome]
+
+    def __init__(self, interval: Interval, respond: Callable[[int], Step | Outcome]) -> None:
+        set_field(self, "interval", interval)
+        set_field(self, "respond", respond)
 
 
 def grid(k: int) -> int:
@@ -337,14 +335,15 @@ def make_repl_painter(input_fn=input, output_fn=print) -> Painter:
     return painter
 
 
-@dataclass(frozen=True)
-class GameResult:
-    k: int
-    transcript: GameTranscript = field(compare=False)
-    colors_used: int
-    intervals: int
-    certified_point: Rat
-    certified_chain: Chain
+class GameResult(Record):
+    def __init__(self, k: int, transcript: GameTranscript, colors_used: int, intervals: int,
+                 certified_point: Rat, certified_chain: Chain) -> None:
+        set_field(self, "k", k)
+        set_field(self, "transcript", transcript)
+        set_field(self, "colors_used", colors_used)
+        set_field(self, "intervals", intervals)
+        set_field(self, "certified_point", certified_point)
+        set_field(self, "certified_chain", certified_chain)
 
 
 def run_game(k: int, painter: Painter) -> GameResult:

@@ -28,10 +28,12 @@ skipping ``as_rat`` when every side is a Fraction already.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence, Union
+
+from .record import Value, set_field
 
 Rat = Fraction
 
@@ -49,14 +51,27 @@ _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def rat_pair(text: str) -> tuple[int, int]:
     """The ints (p, q) of a 'p' or 'p/q' string as ``rat_str`` writes it,
-    q > 0 and not reduced; any other string raises ValueError."""
+    q > 0 and not reduced; any other string, or one with more digits than
+    Python converts (``digit_limit_error``), raises ValueError."""
     match = _RAT_TEXT.fullmatch(text)
     if match is not None:
         p, q = match.groups()
-        q = int(q) if q is not None else 1
+        try:
+            p, q = int(p), int(q) if q is not None else 1
+        except ValueError:
+            shown = f"{text[:20]}...{text[-20:]}"
+            raise digit_limit_error(max(len(p.lstrip("-")), len(q or "")), shown) from None
         if q:
-            return int(p), q
+            return p, q
     raise ValueError(f"not a rational 'p' or 'p/q' with q > 0: {text!r}")
+
+
+def digit_limit_error(digits: int, shown: str) -> ValueError:
+    """The ValueError for a rational, ``shown`` by the ends of its text,
+    whose longest int has ``digits`` decimal digits: more than Python
+    converts to or from text (``sys.get_int_max_str_digits``)."""
+    return ValueError(f"rational {shown} has {digits:,} decimal digits, more than the "
+                      f"{sys.get_int_max_str_digits():,} that Python converts")
 
 
 def as_rat(value: RatLike) -> Rat:
@@ -85,18 +100,16 @@ def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // d) for v, d in zip(values, dens)]
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Rat
-    y: Rat
+class Point(Value):
+    def __init__(self, x: RatLike, y: RatLike) -> None:
+        set_field(self, "x", as_rat(x))
+        set_field(self, "y", as_rat(y))
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rat(self.x))
-        object.__setattr__(self, "y", as_rat(self.y))
+    def _key(self) -> tuple:
+        return self.x, self.y
 
 
-@dataclass(frozen=True)
-class Seg:
+class Seg(Value):
     """A closed axis-aligned segment.
 
     ``fixed`` is the constant coordinate (y for horizontal, x for vertical)
@@ -105,19 +118,19 @@ class Seg:
     defined.
     """
 
-    orientation: str
-    fixed: Rat
-    lo: Rat
-    hi: Rat
+    def __init__(self, orientation: str, fixed: RatLike, lo: RatLike, hi: RatLike) -> None:
+        if orientation not in (HORIZONTAL, VERTICAL):
+            raise ValueError(f"bad orientation: {orientation!r}")
+        fixed, lo, hi = as_rat(fixed), as_rat(lo), as_rat(hi)
+        if lo > hi:
+            raise ValueError(f"segment range reversed: {lo} > {hi}")
+        set_field(self, "orientation", orientation)
+        set_field(self, "fixed", fixed)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
-    def __post_init__(self):
-        if self.orientation not in (HORIZONTAL, VERTICAL):
-            raise ValueError(f"bad orientation: {self.orientation!r}")
-        object.__setattr__(self, "fixed", as_rat(self.fixed))
-        object.__setattr__(self, "lo", as_rat(self.lo))
-        object.__setattr__(self, "hi", as_rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"segment range reversed: {self.lo} > {self.hi}")
+    def _key(self) -> tuple:
+        return self.orientation, self.fixed, self.lo, self.hi
 
     def bbox(self) -> "Rect":
         if self.orientation == HORIZONTAL:
@@ -133,29 +146,30 @@ def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
     return Seg(VERTICAL, as_rat(x), as_rat(y0), as_rat(y1))
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Value):
     """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
-    ``int_box`` are its sides' ``lift``, made once, when it is made."""
+    ``int_box`` are its sides' ``lift``, made once, when it is made; a
+    Rect is compared on, and shown by, its four sides only."""
 
-    x_lo: Rat
-    x_hi: Rat
-    y_lo: Rat
-    y_hi: Rat
-    den: int = field(init=False, compare=False, repr=False)
-    int_box: IntBox = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        sides = self.x_lo, self.x_hi, self.y_lo, self.y_hi
-        if not type(sides[0]) is type(sides[1]) is type(sides[2]) is type(sides[3]) is Fraction:
-            sides = tuple(map(as_rat, sides))
-            for name, value in zip(("x_lo", "x_hi", "y_lo", "y_hi"), sides):
-                object.__setattr__(self, name, value)
-        den, box = lift(sides)
+    def __init__(self, x_lo: RatLike, x_hi: RatLike, y_lo: RatLike, y_hi: RatLike) -> None:
+        if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
+            x_lo, x_hi, y_lo, y_hi = as_rat(x_lo), as_rat(x_hi), as_rat(y_lo), as_rat(y_hi)
+        set_field(self, "x_lo", x_lo)
+        set_field(self, "x_hi", x_hi)
+        set_field(self, "y_lo", y_lo)
+        set_field(self, "y_hi", y_hi)
+        den, box = lift((x_lo, x_hi, y_lo, y_hi))
         if box[0] > box[1] or box[2] > box[3]:
-            raise ValueError(f"rectangle sides reversed: {self}")
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_box", tuple(box))
+            raise ValueError(f"rectangle sides reversed: {self!r}")
+        set_field(self, "den", den)
+        set_field(self, "int_box", tuple(box))
+
+    def _key(self) -> tuple:
+        return self.x_lo, self.x_hi, self.y_lo, self.y_hi
+
+    def __repr__(self) -> str:
+        return (f"Rect(x_lo={self.x_lo!r}, x_hi={self.x_hi!r}, "
+                f"y_lo={self.y_lo!r}, y_hi={self.y_hi!r})")
 
     @property
     def width(self) -> Rat:

@@ -23,26 +23,27 @@ and the triangle test intersects the two neighbourhoods of each edge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from .record import Value, set_field
 from .shapes import FamilyGrid, TransformedCopy
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if len(self.adj) != self.n:
+class Graph(Value):
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+        if len(adj) != n:
             raise ValueError("adjacency size mismatch")
-        for u, nbrs in enumerate(self.adj):
+        for u, nbrs in enumerate(adj):
             if u in nbrs:
                 raise ValueError(f"self loop at {u}")
             for v in nbrs:
-                if u not in self.adj[v]:
+                if u not in adj[v]:
                     raise ValueError(f"asymmetric edge {u}-{v}")
+        set_field(self, "n", n)
+        set_field(self, "adj", adj)
+
+    def _key(self) -> tuple:
+        return self.n, self.adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -205,8 +206,7 @@ def dsatur_order_coloring(g: Graph) -> list[int]:
     return sat.colors
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(Value):
     """Outcome of the exact solver.
 
     When ``exact`` is true, lower == upper == chromatic number and
@@ -214,15 +214,20 @@ class ChromaticResult:
     the true value and ``coloring`` witnesses the upper bound.
     """
 
-    lower: int
-    upper: int
-    exact: bool
-    coloring: tuple[int, ...]
-    clique: tuple[int, ...]
-    # the colorings the branch and bound tried, and the seconds spent
-    # before it: the triangle test, the clique bound and DSATUR
-    nodes: int = field(default=0, compare=False)
-    bounds_s: float = field(default=0.0, compare=False)
+    def __init__(self, lower: int, upper: int, exact: bool, coloring: tuple[int, ...],
+                 clique: tuple[int, ...], nodes: int = 0, bounds_s: float = 0.0) -> None:
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "exact", exact)
+        set_field(self, "coloring", coloring)
+        set_field(self, "clique", clique)
+        # the colorings the branch and bound tried, and the seconds spent
+        # before it: the triangle test, the clique bound and DSATUR
+        set_field(self, "nodes", nodes)
+        set_field(self, "bounds_s", bounds_s)
+
+    def _key(self) -> tuple:
+        return self.lower, self.upper, self.exact, self.coloring, self.clique
 
     @property
     def chi(self) -> Optional[int]:

@@ -55,7 +55,6 @@ and the family box; only the build steps (``split_probe``,
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, takewhile
@@ -65,6 +64,7 @@ from typing import Iterator, Optional, Sequence
 from .errors import ConstructionError, fail_on
 from .geometry import AxisMap, IntBox, Lift, Rat, Rect, lift_pairs, map_lift, rect_map
 from .graphs import Graph, is_triangle_free
+from .record import Record, Value, set_field
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 
 # P-up takes the top 2/5 of a probe, P-down the bottom 2/5; the middle
@@ -72,8 +72,7 @@ from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 _SPLIT = Fraction(2, 5)
 
 
-@dataclass(frozen=True, slots=True)
-class Probe:
+class Probe(Value):
     """A probe in ints, held in slots (a probe has no instance dict): its
     rectangle and its root, each as its lift (``geometry.Lift``), the x of
     its root's cut as a lowest-terms pair (p, q), q > 0, and the indices of
@@ -82,10 +81,17 @@ class Probe:
     each call, for the build steps and ``uniform``, so a loop binds them
     once."""
 
-    rect_lift: Lift
-    root_lift: Lift
-    cut: tuple[int, int]
-    pierced: tuple[int, ...]
+    __slots__ = ("rect_lift", "root_lift", "cut", "pierced")
+
+    def __init__(self, rect_lift: Lift, root_lift: Lift, cut: tuple[int, int],
+                 pierced: tuple[int, ...]) -> None:
+        set_field(self, "rect_lift", rect_lift)
+        set_field(self, "root_lift", root_lift)
+        set_field(self, "cut", cut)
+        set_field(self, "pierced", pierced)
+
+    def _key(self) -> tuple:
+        return self.rect_lift, self.root_lift, self.cut, self.pierced
 
     @property
     def rect(self) -> Rect:
@@ -100,21 +106,20 @@ class Probe:
         return Fraction(*self.cut)
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """Level k of either construction: s_k copies and p_k probes.  A level
     of the homothet construction carries its probe parameter ``epsilon``;
-    one built under independent scaling has None."""
+    one built under independent scaling has None.  ``box`` is the
+    family's box, when the caller has it."""
 
-    k: int
-    family: tuple[TransformedCopy, ...]
-    probes: tuple[Probe, ...]
-    epsilon: Optional[Rat] = None
-    box: InitVar[Optional[Rect]] = None  # the family's box, when the caller has it
-
-    def __post_init__(self, box: Optional[Rect]):
+    def __init__(self, k: int, family: tuple[TransformedCopy, ...], probes: tuple[Probe, ...],
+                 epsilon: Optional[Rat] = None, box: Optional[Rect] = None) -> None:
+        set_field(self, "k", k)
+        set_field(self, "family", family)
+        set_field(self, "probes", probes)
+        set_field(self, "epsilon", epsilon)
         if box is not None:
-            object.__setattr__(self, "bbox", box)  # fills bbox's cache
+            set_field(self, "bbox", box)  # fills bbox's cache
 
     @cached_property
     def bbox(self) -> Rect:

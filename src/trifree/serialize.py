@@ -37,22 +37,51 @@ augmented, and has no ``base_size`` but its frame count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Callable, Optional, Sequence
 
 from .encoding import StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
-from .geometry import Lift, Rat, Rect, Seg, as_rat, lift_pairs, rat_pair, rat_str
+from .geometry import (
+    Lift,
+    Rat,
+    Rect,
+    Seg,
+    as_rat,
+    digit_limit_error,
+    lift_pairs,
+    rat_pair,
+    rat_str,
+)
 from .independent import Level, Probe
+from .record import Record, set_field
 from .shapes import ShapeDef, TransformedCopy, catalog
 
 
 def _ratio(n: int, d: int) -> str:
-    """``rat_str`` of n/d, d > 0, from the ints."""
+    """``rat_str`` of n/d, d > 0, from the ints; one with more digits than
+    Python writes raises ``geometry.digit_limit_error``."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        raise _digit_limit_error(n, d) from None
+
+
+def _digit_limit_error(n: int, d: int) -> ValueError:
+    """``digit_limit_error`` for n/d, made from the ints: each is counted,
+    and only its first and last 20 digits are written."""
+    counts, texts = [], []
+    for m in (n, d):
+        a = abs(m)
+        digits = int(a.bit_length() * 0.30102999566398120)  # log10(2): one short, or exact
+        digits += a >= 10 ** digits
+        counts.append(digits)
+        texts.append(str(m) if digits <= 40
+                     else f"{'-' * (m < 0)}{a // 10 ** (digits - 20)}...{a % 10 ** 20:020d}")
+    return digit_limit_error(max(counts), texts[0] if d == 1 else "/".join(texts))
 
 
 def seg_to_json(s: Seg) -> dict:
@@ -223,20 +252,23 @@ def transcript_to_doc(result: GameResult, painter: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class LoadedFamily:
+class LoadedFamily(Record):
     """A family document parsed back into exact objects."""
 
-    mode: str
-    k: int
-    shape: ShapeDef
-    augmented: bool
-    base_size: int
-    copies: tuple[TransformedCopy, ...]
-    probes: tuple[Probe, ...]
-    epsilon: Optional[Rat]
-    tree_nodes: Optional[tuple[TreeNode, ...]]  # preorder
-    color_budget: Optional[int]
+    def __init__(self, mode: str, k: int, shape: ShapeDef, augmented: bool, base_size: int,
+                 copies: tuple[TransformedCopy, ...], probes: tuple[Probe, ...],
+                 epsilon: Optional[Rat], tree_nodes: Optional[tuple[TreeNode, ...]],
+                 color_budget: Optional[int]) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "k", k)
+        set_field(self, "shape", shape)
+        set_field(self, "augmented", augmented)
+        set_field(self, "base_size", base_size)
+        set_field(self, "copies", copies)
+        set_field(self, "probes", probes)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "tree_nodes", tree_nodes)  # preorder
+        set_field(self, "color_budget", color_budget)
 
 
 def doc_to_family(doc: Any) -> LoadedFamily:

@@ -60,7 +60,6 @@ rational eps in (0,1), an eps-empty square and matching stabbers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -81,6 +80,7 @@ from .geometry import (
     map_rect,
     v_seg,
 )
+from .record import Record, Value, set_field
 
 IntSeg = tuple[str, int, int, int]  # (orientation, fixed, lo, hi) in units of 1/den
 
@@ -227,34 +227,27 @@ def _curves_meet(segs_a: Sequence[IntSeg], segs_b: Sequence[IntSeg], box_b: IntB
     return False
 
 
-@dataclass(frozen=True)
-class RectilinearShape:
+class RectilinearShape(Record):
     """A nonempty, connected union of closed axis-aligned segments, with
     its segments and bounding box also kept on the grid of 1/den: ``axes``
     are its distinct x and y ints, ascending, and ``slots`` its segments
     as positions in them."""
 
-    segments: tuple[Seg, ...]
-    den: int = field(init=False, compare=False, repr=False)
-    int_segs: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
-    int_box: IntBox = field(init=False, compare=False, repr=False)
-    axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
-    slots: tuple[IntSeg, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+    def __init__(self, segments: Iterable[Seg]) -> None:
+        segments = tuple(segments)
+        if not segments:
             raise ValueError("a shape needs at least one segment")
-        den, ints = lift([v for s in self.segments for v in (s.fixed, s.lo, s.hi)])
-        segs = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(self.segments))
+        den, ints = lift([v for s in segments for v in (s.fixed, s.lo, s.hi)])
+        segs = tuple((s.orientation, *ints[3 * i:3 * i + 3]) for i, s in enumerate(segments))
         xs = sorted({v for o, f, lo, hi in segs for v in ((lo, hi) if o == HORIZONTAL else (f,))})
         ys = sorted({v for o, f, lo, hi in segs for v in ((f,) if o == HORIZONTAL else (lo, hi))})
         x, y = ({v: i for i, v in enumerate(vs)} for vs in (xs, ys))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_segs", segs)
-        object.__setattr__(self, "int_box", (xs[0], xs[-1], ys[0], ys[-1]))
-        object.__setattr__(self, "axes", (tuple(xs), tuple(ys)))
-        object.__setattr__(self, "slots", tuple(_on_axes(s, x, y) for s in segs))
+        set_field(self, "segments", segments)
+        set_field(self, "den", den)
+        set_field(self, "int_segs", segs)
+        set_field(self, "int_box", (xs[0], xs[-1], ys[0], ys[-1]))
+        set_field(self, "axes", (tuple(xs), tuple(ys)))
+        set_field(self, "slots", tuple(_on_axes(s, x, y) for s in segs))
 
     def bbox(self) -> Rect:
         return Lift(self.den, self.int_box).rect
@@ -269,18 +262,15 @@ def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> Int
     return (o, y[f], x[lo], x[hi]) if o == HORIZONTAL else (o, x[f], y[lo], y[hi])
 
 
-@dataclass(frozen=True)
-class ShapeFeatures:
-    bbox: Rect
-    empty_rect: Rect
-    left_stabber: tuple[Seg, ...]
-    right_stabber: tuple[Seg, ...]
-    w1: Rat
-    w2: Rat
-
-    def __post_init__(self):
-        object.__setattr__(self, "left_stabber", tuple(self.left_stabber))
-        object.__setattr__(self, "right_stabber", tuple(self.right_stabber))
+class ShapeFeatures(Record):
+    def __init__(self, bbox: Rect, empty_rect: Rect, left_stabber: Iterable[Seg],
+                 right_stabber: Iterable[Seg], w1: Rat, w2: Rat) -> None:
+        set_field(self, "bbox", bbox)
+        set_field(self, "empty_rect", empty_rect)
+        set_field(self, "left_stabber", tuple(left_stabber))
+        set_field(self, "right_stabber", tuple(right_stabber))
+        set_field(self, "w1", w1)
+        set_field(self, "w2", w2)
 
     def left_strip(self) -> Rect:
         """V_L: from U's left edge to the line through E's left edge."""
@@ -356,8 +346,7 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
     return out
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class TransformedCopy:
+class TransformedCopy(Value):
     """A placed copy of a base shape, in ints: two axis maps plus a
     provenance tag, held in slots (a copy has no instance dict).
 
@@ -374,13 +363,7 @@ class TransformedCopy:
     grid.
     """
 
-    shape_id: str
-    base: RectilinearShape = field(compare=False)
-    x_map: AxisMap
-    y_map: AxisMap
-    lineage: str
-    den: int = field(init=False, compare=False, repr=False)
-    axes: tuple[tuple[int, ...], tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    __slots__ = ("shape_id", "base", "x_map", "y_map", "lineage", "den", "axes")
 
     def __init__(self, shape_id: str, base: RectilinearShape, x_map: AxisMap = (1, 0, 1),
                  y_map: AxisMap = (1, 0, 1), lineage: str = "outer"):
@@ -399,10 +382,16 @@ class TransformedCopy:
         g = gcd(den, *xs, *ys)  # den over what it shares with every int is the least one
         if g > 1:
             den, xs, ys = den // g, [v // g for v in xs], [v // g for v in ys]
-        for name, value in (("shape_id", shape_id), ("base", base), ("x_map", x_map),
-                            ("y_map", y_map), ("lineage", lineage), ("den", den),
-                            ("axes", (tuple(xs), tuple(ys)))):
-            object.__setattr__(self, name, value)  # frozen: each field is written once, here
+        set_field(self, "shape_id", shape_id)
+        set_field(self, "base", base)
+        set_field(self, "x_map", x_map)
+        set_field(self, "y_map", y_map)
+        set_field(self, "lineage", lineage)
+        set_field(self, "den", den)
+        set_field(self, "axes", (tuple(xs), tuple(ys)))
+
+    def _key(self) -> tuple:
+        return self.shape_id, self.x_map, self.y_map, self.lineage
 
     @property
     def int_box(self) -> IntBox:
@@ -645,12 +634,13 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ShapeDef:
-    name: str
-    shape: RectilinearShape
-    features: ShapeFeatures
-    anchor: Optional[AnchoredFrame] = field(default=None, compare=False)
+class ShapeDef(Record):
+    def __init__(self, name: str, shape: RectilinearShape, features: ShapeFeatures,
+                 anchor: Optional[AnchoredFrame] = None) -> None:
+        set_field(self, "name", name)
+        set_field(self, "shape", shape)
+        set_field(self, "features", features)
+        set_field(self, "anchor", anchor)
 
 
 def _frame_def() -> ShapeDef:

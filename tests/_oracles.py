@@ -25,13 +25,14 @@ it, on exact rationals, random shapes drawn against a rectangle for the
 stabbing test's slow paths, the colors of an interval's overlap
 neighbors and a transcript's chain at a point, clique number, first-fit
 coloring, DIMACS parsing, probe color audits, the encoded family's
-certificate and the digest of a JSON text in the ``indent=2`` layout)
-have no caller in the package.
+certificate, the digest of a JSON text in the ``indent=2`` layout and a
+record with some of its fields changed) have no caller in the package.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -395,10 +396,20 @@ def probe_of(rect: Rect, root: Rect, root_cut_x: Rat, pierced: Sequence[int]) ->
                  (root_cut_x.numerator, root_cut_x.denominator), tuple(pierced))
 
 
+def replace(obj, **changes):
+    """A record like ``obj`` with some of its fields changed: its class is
+    called again, each other argument of its ``__init__`` read off ``obj``
+    by name.  An argument that is no attribute (``Level``'s ``box``) keeps
+    its default."""
+    params = inspect.signature(type(obj)).parameters
+    kept = {name: getattr(obj, name) for name in params if hasattr(obj, name)}
+    return type(obj)(**{**kept, **changes})
+
+
 def replace_probe(p: Probe, **changes) -> Probe:
     """``p`` with some of its ``rect``, ``root``, ``root_cut_x`` and
-    ``pierced`` replaced: ``dataclasses.replace`` on the probe's Rects and
-    cut, which a probe keeps as ints."""
+    ``pierced`` replaced: ``replace`` on the probe's Rects and cut, which a
+    probe keeps as ints."""
     fields = dict(rect=p.rect, root=p.root, root_cut_x=p.root_cut_x, pierced=p.pierced)
     return probe_of(**{**fields, **changes})
 

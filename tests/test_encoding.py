@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from trifree.game import SEARCH_LIMIT, GameTranscript, game_tree, overlaps
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.shapes import copies_intersect
 
-from _oracles import certify, neighbor_colors, replay
+from _oracles import certify, neighbor_colors, replace, replay
 
 
 def _enumerate_branch_count(k: int, budget: int) -> int:

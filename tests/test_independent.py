@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -56,6 +55,7 @@ from _oracles import (
     rect_relations,
     rect_union_all,
     rects_meet,
+    replace,
     replace_probe,
     spans_ref,
     stab_case,

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from trifree.shapes import RectilinearShape, TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
-from _oracles import canonical_sha256, from_maps, rects_meet
+from _oracles import canonical_sha256, from_maps, rects_meet, replace
 
 
 # The CLI child imports trifree from wherever this process found it, so the
@@ -423,10 +421,10 @@ def test_copies_hold_no_fraction_or_transform(built_families):
     for label, doc, copies, _ in built_families:
         for c in (*copies, *_loaded(doc).copies):
             assert not hasattr(c, "__dict__"), label
-            for f in dataclasses.fields(c):
-                value = getattr(c, f.name)
+            for name in type(c).__slots__:
+                value = getattr(c, name)
                 assert not isinstance(value, Fraction), label
-                assert _ints_only(value), (label, f.name, value)
+                assert _ints_only(value), (label, name, value)
 
 
 def test_probes_hold_ints_only(built_families):
@@ -436,10 +434,10 @@ def test_probes_hold_ints_only(built_families):
     for label, doc, _, probes in built_families:
         for p in (*probes, *_loaded(doc).probes):
             assert not hasattr(p, "__dict__"), label
-            for f in dataclasses.fields(p):
-                value = getattr(p, f.name)
+            for name in type(p).__slots__:
+                value = getattr(p, name)
                 assert not isinstance(value, (Fraction, Rect)), label
-                assert _ints_only(value), (label, f.name, value)
+                assert _ints_only(value), (label, name, value)
 
 
 def _side_text(rng, v):
@@ -1025,6 +1023,39 @@ def test_cli_reads_every_occurrence_of_a_repeated_text(tmp_path, frame, where, v
     assert r.returncode == 3
     assert marker in r.stderr.splitlines()
     assert "Traceback" not in r.stderr
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on the decimal digits of an int read or
+    written as text, 4,300, whatever the environment set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_loader_refuses_a_decimal_past_the_digit_limit_with_its_own_message(
+        tmp_path, capsys, frame, digit_limit):
+    doc = serialize.level_to_doc(build(4, frame), frame)
+    doc["copies"][0]["sx"] = "1" + "0" * 4999
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "chi"):
+        assert cli.main([command, "--family", str(path)]) == EXIT_VIOLATION
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rational 10000000000000000000...00000000000000000000 has 5,000 decimal "
+            "digits, more than the 4,300 that Python converts"]
+
+
+def test_writer_refuses_a_decimal_past_the_digit_limit_with_its_own_message(digit_limit):
+    big = 2 ** 15000  # 4,516 digits
+    for ratio, shown in (((big, 1), "28179608796313976374...69151381708001509376"),
+                         ((-3, big + 1), "-3/28179608796313976374...69151381708001509377")):
+        with pytest.raises(ValueError) as err:
+            serialize._ratio(*ratio)
+        assert str(err.value) == (f"rational {shown} has 4,516 decimal digits, "
+                                  "more than the 4,300 that Python converts")
 
 
 @pytest.fixture(scope="module")

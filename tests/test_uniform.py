@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from _oracles import (
     probe_coloring_audit,
     proper_colorings,
     rect_relations,
+    replace,
     replace_probe,
 )
 
