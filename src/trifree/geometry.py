@@ -5,24 +5,23 @@ every predicate in this module is decidable and exact.  All sets are
 closed: a shared boundary point counts as an intersection.  Floats are
 refused at construction time to keep the arithmetic honest.
 
-A Rect's sides are Fractions.  A placement is two axis maps, each
-(a, b, q) for u -> (a*u + b)/q (``axis_map``, ``lowest``): a placed copy
-(``shapes.TransformedCopy``) holds its two maps and its lift, ints only.
-``shapes`` decides every contact on integer grids: ``lift`` puts
-rationals on the grid of their least common denominator, and every
-``Rect`` is lifted once, when it is made, so no query lifts it again.
-``shapes.FamilyGrid`` then puts a whole family and its query rectangles
-on one grid, once per check.
+A Rect is its lift alone: ``den``, the least common denominator of its
+sides, and ``int_box``, each side in units of 1/den, so equal Rects have
+equal lifts; its sides are Fractions made on request.  A placement is two
+axis maps, each (a, b, q) for u -> (a*u + b)/q (``axis_map``,
+``lowest``): a placed copy (``shapes.TransformedCopy``) holds its two maps
+and its lift, ints only.  ``shapes`` decides every contact on integer
+grids: ``lift`` puts rationals on the grid of their least common
+denominator, and ``shapes.FamilyGrid`` puts a whole family and its query
+rectangles on one grid, once per check.
 
-Fractions are made, not computed with, where ints can do the work: the
-maps carrying one Rect onto another are read off the two lifts
-(``rect_map``).  A ``Lift`` is a rectangle's lift alone; it stands in for
-the Rect wherever only the lift is read, and ``lift_pairs`` makes one
-from four int pairs (p, q), reduced or not, with no Fraction: a rectangle
-read from a file, whose rationals are spelt 'p' or 'p/q' (``rat_pair``),
-and the image of a rectangle under two axis maps (``map_lift``, and
-``map_rect`` for its Rect).  ``Rect`` checks reversed sides on its lift,
-skipping ``as_rat`` when every side is a Fraction already.
+Fractions are made, not computed with, where ints can do the work.
+``grid_rect`` and ``lift_pairs`` make a Rect from ints with no Fraction:
+from a box over one denominator, or from four int pairs (p, q), reduced
+or not, such as a rectangle read from a file, whose rationals are spelt
+'p' or 'p/q' (``rat_pair``).  The image of a Rect under two axis maps
+(``map_rect``), the maps carrying one Rect onto another (``rect_map``)
+and containment are all decided on the lifts.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .record import Value, set_field
 
@@ -139,33 +138,49 @@ class Seg(Value):
 
 
 def h_seg(y: RatLike, x0: RatLike, x1: RatLike) -> Seg:
-    return Seg(HORIZONTAL, as_rat(y), as_rat(x0), as_rat(x1))
+    return Seg(HORIZONTAL, y, x0, x1)
 
 
 def v_seg(x: RatLike, y0: RatLike, y1: RatLike) -> Seg:
-    return Seg(VERTICAL, as_rat(x), as_rat(y0), as_rat(y1))
+    return Seg(VERTICAL, x, y0, y1)
+
+
+def _side(i: int) -> property:
+    return property(lambda r: Fraction(r.int_box[i], r.den))
 
 
 class Rect(Value):
-    """A closed axis-aligned rectangle, possibly degenerate.  ``den`` and
-    ``int_box`` are its sides' ``lift``, made once, when it is made; a
-    Rect is compared on, and shown by, its four sides only."""
+    """A closed axis-aligned rectangle, possibly degenerate, held as its
+    lift alone, in slots: its sides are ``int_box`` over ``den``, den least,
+    so two Rects are equal iff their lifts are.  The sides, width and
+    height are Fractions made on each call."""
+
+    __slots__ = ("den", "int_box")
 
     def __init__(self, x_lo: RatLike, x_hi: RatLike, y_lo: RatLike, y_hi: RatLike) -> None:
-        if not type(x_lo) is type(x_hi) is type(y_lo) is type(y_hi) is Fraction:
-            x_lo, x_hi, y_lo, y_hi = as_rat(x_lo), as_rat(x_hi), as_rat(y_lo), as_rat(y_hi)
-        set_field(self, "x_lo", x_lo)
-        set_field(self, "x_hi", x_hi)
-        set_field(self, "y_lo", y_lo)
-        set_field(self, "y_hi", y_hi)
-        den, box = lift((x_lo, x_hi, y_lo, y_hi))
-        if box[0] > box[1] or box[2] > box[3]:
-            raise ValueError(f"rectangle sides reversed: {self!r}")
+        self._fill(*lift([as_rat(x_lo), as_rat(x_hi), as_rat(y_lo), as_rat(y_hi)]))
+
+    def _fill(self, den: int, box: Sequence[int]) -> Rect:
+        """Hold ``box`` over ``den``, both divided by what they share;
+        reversed sides raise ValueError."""
+        g = gcd(den, *box)
+        if g > 1:
+            den, box = den // g, [v // g for v in box]
         set_field(self, "den", den)
         set_field(self, "int_box", tuple(box))
+        if box[0] > box[1] or box[2] > box[3]:
+            raise ValueError(f"rectangle sides reversed: {self!r}")
+        return self
+
+    x_lo, x_hi, y_lo, y_hi = map(_side, range(4))
 
     def _key(self) -> tuple:
-        return self.x_lo, self.x_hi, self.y_lo, self.y_hi
+        return self.den, self.int_box
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild the Rect from its lift: by default they
+        # would set each slot, which __setattr__ refuses
+        return grid_rect, (self.den, self.int_box)
 
     def __repr__(self) -> str:
         return (f"Rect(x_lo={self.x_lo!r}, x_hi={self.x_hi!r}, "
@@ -173,69 +188,43 @@ class Rect(Value):
 
     @property
     def width(self) -> Rat:
-        return self.x_hi - self.x_lo
+        return Fraction(self.int_box[1] - self.int_box[0], self.den)
 
     @property
     def height(self) -> Rat:
-        return self.y_hi - self.y_lo
+        return Fraction(self.int_box[3] - self.int_box[2], self.den)
 
     @property
     def is_degenerate(self) -> bool:
-        return self.width == 0 or self.height == 0
+        x0, x1, y0, y1 = self.int_box
+        return x0 == x1 or y0 == y1
 
-    def contains_rect(self, other: "Rect") -> bool:
-        return (self.x_lo <= other.x_lo and other.x_hi <= self.x_hi
-                and self.y_lo <= other.y_lo and other.y_hi <= self.y_hi)
-
-    def interior_contains_rect(self, other: "Rect") -> bool:
-        return (self.x_lo < other.x_lo and other.x_hi < self.x_hi
-                and self.y_lo < other.y_lo and other.y_hi < self.y_hi)
-
-    def concentric(self, fx: RatLike, fy: RatLike) -> "Rect":
-        """The rectangle with the same center and side fractions fx, fy."""
-        fx, fy = as_rat(fx), as_rat(fy)
-        dx = self.width * (1 - fx) / 2
-        dy = self.height * (1 - fy) / 2
-        return Rect(self.x_lo + dx, self.x_hi - dx, self.y_lo + dy, self.y_hi - dy)
-
-
-class Lift(NamedTuple):
-    """A rectangle as its lift alone: its sides are ``int_box`` over ``den``,
-    den least, exactly a ``Rect``'s ``den`` and ``int_box``.  It stands in
-    for the Rect wherever only those two are read (``map_lift``,
-    ``shapes.FamilyGrid``, ``shapes.family_bbox``); ``rect`` makes the Rect."""
-
-    den: int
-    int_box: IntBox
-
-    @property
-    def rect(self) -> Rect:
-        den = self.den
-        return Rect(*(Fraction(v, den) for v in self.int_box))
-
-    def contains(self, other: Rect | Lift) -> bool:
-        """``Rect.contains_rect`` on the two lifts, by cross-multiplication."""
-        (d, (x0, x1, y0, y1)), e = self, other.den
-        u0, u1, v0, v1 = other.int_box
+    def contains_rect(self, other: Rect) -> bool:
+        """True iff ``other`` lies in this rectangle, decided on the two
+        lifts by cross-multiplication."""
+        (x0, x1, y0, y1), d = self.int_box, self.den
+        (u0, u1, v0, v1), e = other.int_box, other.den
         return x0 * e <= u0 * d and u1 * d <= x1 * e and y0 * e <= v0 * d and v1 * d <= y1 * e
+
+    def interior_contains_rect(self, other: Rect) -> bool:
+        (x0, x1, y0, y1), d = self.int_box, self.den
+        (u0, u1, v0, v1), e = other.int_box, other.den
+        return x0 * e < u0 * d and u1 * d < x1 * e and y0 * e < v0 * d and v1 * d < y1 * e
+
+
+def grid_rect(den: int, box: Sequence[int]) -> Rect:
+    """The Rect whose sides are ``box`` over ``den``, den > 0, made from the
+    ints: one gcd takes den down to the least denominator."""
+    return object.__new__(Rect)._fill(den, box)
 
 
 def lift_pairs(x_lo: tuple[int, int], x_hi: tuple[int, int],
-               y_lo: tuple[int, int], y_hi: tuple[int, int]) -> Lift:
-    """The lift of the rectangle whose sides are the pairs (p, q), q > 0,
-    reduced or not, equal to ``Rect``'s: over D, the lcm of the q's, each
-    side is p*(D/q), and one gcd takes D down to the least denominator.
-    Reversed sides raise ``Rect``'s ValueError."""
+               y_lo: tuple[int, int], y_hi: tuple[int, int]) -> Rect:
+    """The Rect whose sides are the pairs (p, q), q > 0, reduced or not:
+    over D, the lcm of the q's, each side is p*(D/q) (``grid_rect``)."""
     (a, qa), (b, qb), (c, qc), (d, qd) = x_lo, x_hi, y_lo, y_hi
     den = lcm(qa, qb, qc, qd)
-    a, b, c, d = a * (den // qa), b * (den // qb), c * (den // qc), d * (den // qd)
-    g = gcd(den, a, b, c, d)
-    if g > 1:
-        den, a, b, c, d = den // g, a // g, b // g, c // g, d // g
-    lifted = Lift(den, (a, b, c, d))
-    if a > b or c > d:
-        _ = lifted.rect  # Rect refuses the reversed sides with its own message
-    return lifted
+    return grid_rect(den, (a * (den // qa), b * (den // qb), c * (den // qc), d * (den // qd)))
 
 
 def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
@@ -276,21 +265,15 @@ def lowest(m: AxisMap) -> AxisMap:
     return m if g == 1 else (m[0] // g, m[1] // g, m[2] // g)
 
 
-def map_lift(x_map: AxisMap, y_map: AxisMap, r: Rect | Lift) -> Lift:
-    """The lift of the image of ``r`` under the two axis maps, made from r's
-    lift: the int v goes to (a*v + b*den) / (q*den), and ``lift_pairs``
-    puts the four sides on their least grid."""
+def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect) -> Rect:
+    """The image of ``r`` under the two axis maps, made from its lift: the
+    int v goes to (a*v + b*den) / (q*den), and ``lift_pairs`` puts the four
+    sides on their least grid."""
     den, (x0, x1, y0, y1) = r.den, r.int_box
     (ax, bx, qx), (ay, by, qy) = x_map, y_map
     bx, qx, by, qy = bx * den, qx * den, by * den, qy * den
     return lift_pairs((ax * x0 + bx, qx), (ax * x1 + bx, qx),
                       (ay * y0 + by, qy), (ay * y1 + by, qy))
-
-
-def map_rect(x_map: AxisMap, y_map: AxisMap, r: Rect | Lift) -> Rect:
-    """The image of ``r`` under the two axis maps, made from its lift
-    (``map_lift``)."""
-    return map_lift(x_map, y_map, r).rect
 
 
 def rect_map(src: Rect, dst: Rect) -> tuple[AxisMap, AxisMap]:

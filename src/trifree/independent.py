@@ -34,7 +34,7 @@ recursion step's claims are decided by those two checks alone:
 The per-probe work runs on ints that are already lifted.  ``make_diagonal``
 computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
-claimed roots are mapped to lifts (``geometry.map_lift``); and
+claimed roots are mapped on their lifts (``geometry.map_rect``); and
 ``_probe_messages`` decides every side condition of a probe on its grid
 boxes, the cut by cross-multiplication.  It scans each copy near a probe
 once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
@@ -45,11 +45,13 @@ pierced copy has one.  An embedding is two axis maps, read off the lifts
 of the helper's box and its target (``geometry.rect_map``): each helper
 copy is embedded by ``TransformedCopy.rebase``, which composes its axis
 maps on ints, and each claimed root is mapped on its lift.  A probe
-stores ints only (``Probe``): its rectangle and root as their lifts and
-its cut as a pair, which the checks read as they are.  ``grow_probe``
-makes each probe, an eps-probe too, on the lifts of its claimed root
-and the family box; only the build steps (``split_probe``,
-``next_level`` and ``uniform``) make a probe's Rects and cut.
+holds ints only (``Probe``): its rectangle and root as Rects, each its
+lift alone, and its cut as a pair, which the checks read as they are.
+``grow_probe`` makes each probe, an eps-probe too, on the lifts of its
+claimed root and the family box, and the build step cuts a probe into
+its split parts and shrinks its root (``split_probe``, ``next_level``)
+on the same ints; only ``uniform`` reads a root's Fraction sides, where
+it computes with them.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
-from .geometry import AxisMap, IntBox, Lift, Rat, Rect, lift_pairs, map_lift, rect_map
+from .geometry import AxisMap, IntBox, Rat, Rect, grid_rect, lift_pairs, map_rect, rect_map
 from .graphs import Graph, is_triangle_free
 from .record import Record, Value, set_field
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
@@ -74,36 +76,21 @@ _SPLIT = Fraction(2, 5)
 
 class Probe(Value):
     """A probe in ints, held in slots (a probe has no instance dict): its
-    rectangle and its root, each as its lift (``geometry.Lift``), the x of
-    its root's cut as a lowest-terms pair (p, q), q > 0, and the indices of
-    the copies it is claimed to pierce.  The checks, the loader and the
-    writer read the ints; ``rect``, ``root`` and ``root_cut_x`` are made on
-    each call, for the build steps and ``uniform``, so a loop binds them
-    once."""
+    rectangle and its root, each a ``Rect`` (its lift alone), the x of its
+    root's cut as a lowest-terms pair (p, q), q > 0, and the indices of the
+    copies it is claimed to pierce."""
 
-    __slots__ = ("rect_lift", "root_lift", "cut", "pierced")
+    __slots__ = ("rect", "root", "cut", "pierced")
 
-    def __init__(self, rect_lift: Lift, root_lift: Lift, cut: tuple[int, int],
+    def __init__(self, rect: Rect, root: Rect, cut: tuple[int, int],
                  pierced: tuple[int, ...]) -> None:
-        set_field(self, "rect_lift", rect_lift)
-        set_field(self, "root_lift", root_lift)
+        set_field(self, "rect", rect)
+        set_field(self, "root", root)
         set_field(self, "cut", cut)
         set_field(self, "pierced", pierced)
 
     def _key(self) -> tuple:
-        return self.rect_lift, self.root_lift, self.cut, self.pierced
-
-    @property
-    def rect(self) -> Rect:
-        return self.rect_lift.rect
-
-    @property
-    def root(self) -> Rect:
-        return self.root_lift.rect
-
-    @property
-    def root_cut_x(self) -> Rat:
-        return Fraction(*self.cut)
+        return self.rect, self.root, self.cut, self.pierced
 
 
 class Level(Record):
@@ -152,12 +139,27 @@ def max_level(copies: int) -> int:
 
 
 def split_probe(p: Probe) -> tuple[Rect, Rect]:
-    """(upper, lower) parts of the probe rectangle with a margin between."""
-    r = p.rect
-    h = r.height * _SPLIT
-    upper = Rect(r.x_lo, r.x_hi, r.y_hi - h, r.y_hi)
-    lower = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_lo + h)
-    return upper, lower
+    """(upper, lower) parts of the probe rectangle with a margin between,
+    made from its lift: with 2/5 = m/n, the rectangle (a, b, c, d) over den
+    has height h = m*(d-c) over n*den, so the upper part starts at
+    (n-m)*d + m*c and the lower part ends at (n-m)*c + m*d."""
+    (a, b, c, d), den = p.rect.int_box, p.rect.den * _SPLIT.denominator
+    m, n = _SPLIT.numerator, _SPLIT.denominator
+    return (grid_rect(den, (n * a, n * b, (n - m) * d + m * c, n * d)),
+            grid_rect(den, (n * a, n * b, n * c, (n - m) * c + m * d)))
+
+
+def step_roots(p: Probe) -> tuple[Rect, Rect]:
+    """What ``next_level`` reads off probe ``p``, made from its ints: its
+    root shrunk to half size about its center, where the helper goes, and
+    its lower root, the lower split part left of the cut line.  The root
+    (r0, r1, r2, r3) over rd shrinks to (3*r0 + r1, r0 + 3*r1, 3*r2 + r3,
+    r2 + 3*r3) over 4*rd."""
+    rd, (r0, r1, r2, r3) = p.root.den, p.root.int_box
+    lower = split_probe(p)[1]
+    ld, (x0, _, y0, y1) = lower.den, lower.int_box
+    return (grid_rect(4 * rd, (3 * r0 + r1, r0 + 3 * r1, 3 * r2 + r3, r2 + 3 * r3)),
+            lift_pairs((x0, ld), p.cut, (y0, ld), (y1, ld)))
 
 
 def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
@@ -191,7 +193,7 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     ud, (u0, u1, u2, u3) = feats.bbox.den, feats.bbox.int_box
     if u0 == u1 or u2 == u3:
         raise ValueError("source rectangle is degenerate")
-    den, (a, b, c, d) = probe.rect_lift
+    den, (a, b, c, d) = probe.rect.den, probe.rect.int_box
     fn = 2 * feats.w2.numerator * feats.w1.denominator
     fd = feats.w2.denominator * feats.w1.numerator
     m, n = _SPLIT.numerator, _SPLIT.denominator
@@ -203,7 +205,7 @@ def make_diagonal(probe: Probe, shape: ShapeDef, bbox: Rect,
     # E.x_lo = e/ed maps to (sx_num*e + tx_num*ed) / (q*ed)
     ed, e = feats.empty_rect.den, feats.empty_rect.int_box[0]
     empty_num, empty_den = sx_num * e + tx_num * ed, q * ed
-    if not empty_num * bbox.x_hi.denominator > bbox.x_hi.numerator * empty_den:
+    if not empty_num * bbox.den > bbox.int_box[1] * empty_den:
         raise ConstructionError(
             f"diagonal empty rectangle does not clear the family box: "
             f"{Fraction(empty_num, empty_den)} <= {bbox.x_hi}")
@@ -332,7 +334,7 @@ def check_diagonals(grid: FamilyGrid, n: int, probes: Sequence[Probe]) -> None:
     fail_on(diagonal_law(grid.contacts(n)[0], n, probes))
 
 
-def grow_probe(root: Rect | Lift, bbox: Rect, epsilon: Optional[Rat] = None,
+def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
                pierced: Sequence[int] = ()) -> Probe:
     """The probe grown from an empty root to the family's right side,
     claimed to pierce ``pierced``, made from the lifts of the root and
@@ -352,7 +354,7 @@ def grow_probe(root: Rect | Lift, bbox: Rect, epsilon: Optional[Rat] = None,
     bd, b1 = bbox.den, bbox.int_box[1]
     if epsilon is None:
         g = gcd(r1, rd)
-        return Probe(lift_pairs((r0, rd), (b1, bd), (r2, rd), (r3, rd)), Lift(rd, root.int_box),
+        return Probe(lift_pairs((r0, rd), (b1, bd), (r2, rd), (r3, rd)), root,
                      (r1 // g, rd // g), tuple(pierced))
     if r1 - r0 != r3 - r2:
         raise ValueError("an eps-probe needs a square root")
@@ -399,7 +401,7 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
                    for c in family if not c.is_uniform)
-    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect_lift, p.root_lift)])
+    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
     contacts, near, meeting = level_pass(grid, n)
     # the probes pierce base copies only, so only their contacts are looked up
     base_contacts = {(i, j) for i, j in contacts if j < n}
@@ -419,7 +421,7 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
 
 
 def seal(k: int, copies: Sequence[TransformedCopy],
-         claims: Sequence[tuple[Rect | Lift, frozenset[int]]], epsilon: Optional[Rat] = None
+         claims: Sequence[tuple[Rect, frozenset[int]]], epsilon: Optional[Rat] = None
          ) -> Level:
     """Level k of ``copies``, with one probe per claim (root, expected):
     the probe ``grow_probe`` grows from ``root``, claimed to pierce exactly
@@ -458,14 +460,14 @@ def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
     """
     n_base = len(helper) - len(base_probes)
     copies = list(outer.family)
-    claims: list[tuple[Lift, frozenset[int]]] = []
+    claims: list[tuple[Rect, frozenset[int]]] = []
     for p, embed in zip(outer.probes, embeds):
         offset = len(copies)
         copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
         outer_pierced = frozenset(p.pierced)
         for qi, q in enumerate(base_probes):
-            claims.append((map_lift(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
-            claims.append((map_lift(*embed, lowers[qi]),
+            claims.append((map_rect(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
+            claims.append((map_rect(*embed, lowers[qi]),
                            outer_pierced | frozenset(offset + j for j in q.pierced)))
 
     level = seal(k, copies, claims, epsilon)
@@ -479,21 +481,17 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     a copy shrunk to half size goes in the middle of every probe's root.
 
     The upper root of a probe is its diagonal's empty rectangle, the lower
-    root the lower split part left of the cut line.
+    root the lower split part left of the cut line (``step_roots``).
 
     Each pierced copy stabs both split parts, as it stabs the sealed
     probe: a split part is a band of the probe over its full x range.
     ``augment`` checks the diagonals, and ``seal`` every new probe.
     """
     helper = augment(prev, shape)
-    n = len(prev.family)
-    splits = [split_probe(p) for p in prev.probes]
     helper_bbox = family_bbox(helper)
-    half = Fraction(1, 2)
-    embeds = [rect_map(helper_bbox, p.root.concentric(half, half)) for p in prev.probes]
-    uppers = [d.apply(shape.features.empty_rect) for d in helper[n:]]
-    lowers = [Rect(lower.x_lo, p.root_cut_x, lower.y_lo, lower.y_hi)
-              for p, (_, lower) in zip(prev.probes, splits)]
+    halves, lowers = zip(*map(step_roots, prev.probes))
+    embeds = [rect_map(helper_bbox, half) for half in halves]
+    uppers = [d.apply(shape.features.empty_rect) for d in helper[len(prev.family):]]
     return embed_helpers(prev.k + 1, prev, helper, prev.probes, embeds, uppers, lowers)
 
 

@@ -1,8 +1,10 @@
 """Deterministic SVG rendering of families for visual debugging.
 
-The scene is mapped into a fixed 1024-unit viewbox by two exact axis
-maps, applied first: probes and roots through ``geometry.map_rect``, and
-each copy rebased onto them (``TransformedCopy.rebase``).  Decimal
+The scene, the box of the copies and the probes made from their lifts
+(``shapes.family_bbox``), is mapped into a fixed 1024-unit viewbox by
+two exact axis maps, applied first: probes and roots on their lifts
+through ``geometry.map_rect``, and each copy rebased onto them
+(``TransformedCopy.rebase``).  Decimal
 conversion (12 significant digits) happens only at emission time, so
 rendering never feeds back into any geometric check.
 """
@@ -59,7 +61,7 @@ def _rect(r: Rect, fill: str, opacity: str) -> str:
 
 def render_family(fam: LoadedFamily) -> str:
     """A standalone SVG document; byte-identical across runs on equal input."""
-    scene = family_bbox([*fam.copies, *(p.rect_lift for p in fam.probes)])
+    scene = family_bbox([*fam.copies, *(p.rect for p in fam.probes)])
     scene_maps = _scene_maps(scene)
 
     parts = [
@@ -68,9 +70,9 @@ def render_family(fam: LoadedFamily) -> str:
         f'<rect x="0" y="0" width="{int(VIEW)}" height="{int(VIEW)}" fill="#ffffff"/>',
     ]
     for p in fam.probes:
-        parts.append(_rect(map_rect(*scene_maps, p.rect_lift), _PROBE_FILL, "0.15"))
+        parts.append(_rect(map_rect(*scene_maps, p.rect), _PROBE_FILL, "0.15"))
     for p in fam.probes:
-        parts.append(_rect(map_rect(*scene_maps, p.root_lift), _ROOT_FILL, "0.25"))
+        parts.append(_rect(map_rect(*scene_maps, p.root), _ROOT_FILL, "0.25"))
     for c in fam.copies:
         diagonal = "diagonal" in c.lineage
         stroke = _DIAGONAL_STROKE if diagonal else _COPY_STROKE

@@ -25,13 +25,14 @@ right side, sibling copies share scales), so the loader parses each
 distinct text once per file, by the strict grammar of ``as_rat``, into an
 int pair (``geometry.rat_pair``).  Each copy is made straight from its
 pairs: sx = a/b and tx = e/f are the axis map (a*f, e*b, b*f), and the
-copy holds ints only.  So does each probe: each of its rectangles is
-lifted straight from its four pairs (``geometry.lift_pairs``), its cut is
-its pair in lowest terms, and its pierced indices are checked for type
-and range in one pass.  Only the epsilon and the tree nodes become
-Fractions, read through the same memo.  The writer formats every copy and
-probe field from the ints.  An encoded family carries no probes, is not
-augmented, and has no ``base_size`` but its frame count.
+copy holds ints only.  So does each probe: each of its rectangles is a
+``Rect`` made straight from its four pairs (``geometry.lift_pairs``),
+which holds their lift alone, its cut is its pair in lowest terms, and
+its pierced indices are checked for type and range in one pass.  Only
+the epsilon and the tree nodes become Fractions, read through the same
+memo.  The writer formats every copy and probe field from the ints.  An
+encoded family carries no probes, is not augmented, and has no
+``base_size`` but its frame count.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Any, Callable, Optional, Sequence
 from .encoding import StrategyTree, TreeNode, _preorder
 from .game import GameResult, Interval
 from .geometry import (
-    Lift,
     Rat,
     Rect,
     Seg,
@@ -89,15 +89,15 @@ def seg_to_json(s: Seg) -> dict:
             "lo": rat_str(s.lo), "hi": rat_str(s.hi)}
 
 
-def rect_to_json(r: Rect | Lift) -> dict:
+def rect_to_json(r: Rect) -> dict:
     """The rectangle's sides, each formatted from its lift's ints."""
     den, (x0, x1, y0, y1) = r.den, r.int_box
     return {"x_lo": _ratio(x0, den), "x_hi": _ratio(x1, den),
             "y_lo": _ratio(y0, den), "y_hi": _ratio(y1, den)}
 
 
-def _lift_from_json(d: dict, pair: Callable[[Any], tuple[int, int]]) -> Lift:
-    """The lift of the rectangle ``d``, each side read by ``pair``."""
+def _rect_from_json(d: dict, pair: Callable[[Any], tuple[int, int]]) -> Rect:
+    """The rectangle ``d``, made from its sides' pairs, each read by ``pair``."""
     return lift_pairs(pair(d["x_lo"]), pair(d["x_hi"]), pair(d["y_lo"]), pair(d["y_hi"]))
 
 
@@ -152,7 +152,7 @@ def copy_to_json(c: TransformedCopy) -> dict:
 
 def _probe_to_json(p: Probe) -> dict:
     """The probe's fields, each formatted from its ints."""
-    return {"rect": rect_to_json(p.rect_lift), "root": rect_to_json(p.root_lift),
+    return {"rect": rect_to_json(p.rect), "root": rect_to_json(p.root),
             "root_cut_x": _ratio(*p.cut), "pierced": list(p.pierced)}
 
 
@@ -176,7 +176,7 @@ def _check_grid(copies: Sequence[TransformedCopy], probes: Sequence[Probe]) -> N
     all work on it, grow with the square of the file's size.
     """
     dens = {c.den for c in copies}
-    dens.update(r.den for p in probes for r in (p.rect_lift, p.root_lift))
+    dens.update(r.den for p in probes for r in (p.rect, p.root))
     limit = max(dens).bit_length() + GRID_SLACK_BITS
     grid = 1
     for d in dens:
@@ -324,7 +324,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     else:
         in_range = True
         for p in doc["probes"]:
-            rect, root = _lift_from_json(p["rect"], pair), _lift_from_json(p["root"], pair)
+            rect, root = _rect_from_json(p["rect"], pair), _rect_from_json(p["root"], pair)
             n, d = pair(p["root_cut_x"])
             g = gcd(n, d)
             probe = Probe(rect, root, (n // g, d // g), tuple(p["pierced"]))

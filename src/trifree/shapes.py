@@ -20,14 +20,15 @@ A shape keeps its segments there as integer tuples ``(orientation,
 fixed, lo, hi)`` (``int_segs``), its bounding box as ``int_box``,
 ``(x_lo, x_hi, y_lo, y_hi)``, both in units of 1/den, and its distinct x
 and y ints as ``axes``, with each segment as positions in them
-(``slots``); a ``Rect`` carries its own ``den`` and ``int_box``, made
-the same way.  A copy holds ints only: its placement as two axis maps in
-lowest terms (``geometry.axis_map``, ``geometry.lowest``) and its
-``axes``, each of the base's x and y ints mapped once; its box is their
-ends.  ``rebase`` and ``make_diagonal``'s closed form compose and lift
-on ints, and a copy's Fractions (its ``segments``) are made only on
-request.  Every contact, clip and stabbing decision compares Python ints,
-in one set of kernels that take boxes and segments already on one grid.
+(``slots``); a ``Rect`` is its own ``den`` and ``int_box`` alone, and
+every box below is made from ints (``geometry.grid_rect``).  A copy holds
+ints only: its placement as two axis maps in lowest terms
+(``geometry.axis_map``, ``geometry.lowest``) and its ``axes``, each of
+the base's x and y ints mapped once; its box is their ends.  ``rebase``
+and ``make_diagonal``'s closed form compose and lift on ints, and a
+copy's Fractions (its ``segments``) are made only on request.  Every
+contact, clip and stabbing decision compares Python ints, in one set of
+kernels that take boxes and segments already on one grid.
 Whether a copy meets a box is one scan that allocates nothing
 (``_meets``), and a probe check scans each copy near it once
 (``_pierce``): does the copy meet the probe rectangle, does one of its
@@ -70,10 +71,10 @@ from .geometry import (
     AxisMap,
     VERTICAL,
     IntBox,
-    Lift,
     Rat,
     Rect,
     Seg,
+    grid_rect,
     h_seg,
     lift,
     lowest,
@@ -250,7 +251,7 @@ class RectilinearShape(Record):
         set_field(self, "slots", tuple(_on_axes(s, x, y) for s in segs))
 
     def bbox(self) -> Rect:
-        return Lift(self.den, self.int_box).rect
+        return grid_rect(self.den, self.int_box)
 
     def is_connected(self) -> bool:
         return len(_components(self.int_segs)) == 1
@@ -422,7 +423,7 @@ class TransformedCopy(Value):
 
     @property
     def bbox(self) -> Rect:
-        return Lift(self.den, self.int_box).rect
+        return grid_rect(self.den, self.int_box)
 
     def apply(self, r: Rect) -> Rect:
         """The image of ``r``, a rectangle in the base's coordinates."""
@@ -440,7 +441,7 @@ class TransformedCopy(Value):
                                lineage if lineage is not None else self.lineage)
 
 
-def _on_one_grid(*groups: Sequence[Rect | Lift | TransformedCopy]
+def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]
                  ) -> tuple[int, list[list[IntBox]]]:
     """The boxes of each group (a copy stands for its bounding box) in
     units of 1/den, den the least common denominator of all of them."""
@@ -470,10 +471,10 @@ def box_hull(boxes: Iterable[IntBox]) -> IntBox:
     return min(x0), max(x1), min(y0), max(y1)
 
 
-def family_bbox(copies: Sequence[Rect | Lift | TransformedCopy]) -> Rect:
+def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
     """The smallest box holding every copy (and rectangle) given."""
     den, (grid,) = _on_one_grid(copies)
-    return Lift(den, box_hull(grid)).rect
+    return grid_rect(den, box_hull(grid))
 
 
 class FamilyGrid:
@@ -489,7 +490,7 @@ class FamilyGrid:
     """
 
     def __init__(self, copies: Sequence[TransformedCopy | RectilinearShape],
-                 rects: Sequence[Rect | Lift] = ()):
+                 rects: Sequence[Rect] = ()):
         self.den = den = lcm(*{c.den for c in copies}, *{r.den for r in rects})
         self.boxes: list[IntBox] = []
         self.segs: list[tuple[IntSeg, ...]] = []

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, fail_on
-from .geometry import Lift, Rat, Rect, axis_map, lift_pairs, rect_map
+from .geometry import Rat, Rect, axis_map, lift_pairs, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
 from .independent import Level, check_diagonals, embed_helpers, seal
 
@@ -51,7 +51,7 @@ def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
     return shape.anchor
 
 
-def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect | Lift,
+def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
                      lineage: str) -> TransformedCopy:
     """A homothet whose bounding square fills the given square, read from
     its lift."""
@@ -161,11 +161,11 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
     bd, b1 = level.bbox.den, level.bbox.int_box[1]
     diagonals: list[TransformedCopy] = []
     for i, p in enumerate(level.probes):
-        rd, (r0, r1, _, r3) = p.root_lift
+        rd, (r0, r1, _, r3) = p.root.den, p.root.int_box
         # the square [x_hi - side, x_hi] x [y_hi - side, y_hi] over rd*bd*mq
         den, side, x_hi, y_hi = rd * bd * mq, (r1 - r0) * mp * bd, b1 * rd * mq, r3 * bd * mq
         square = lift_pairs((x_hi - side, den), (x_hi, den), (y_hi - side, den), (y_hi, den))
-        if not p.rect_lift.contains(square):
+        if not p.rect.contains_rect(square):
             raise ConstructionError(f"augmenting square escapes probe {i}")
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
     family = level.family + tuple(diagonals)

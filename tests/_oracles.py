@@ -7,7 +7,9 @@ exact rationals, the probe-condition and diagonal-law references test
 every copy through those, on no shared grid, the diagonal,
 rectangle-map and composition references are the chains of Fraction
 operators, on a transform of four Fractions (``XYTransform``), that the
-closed-form, lifted paths on integer axis maps replaced, the coloring
+closed-form, lifted paths on integer axis maps replaced, the references
+of a probe's split parts, half-size root and lower root compute on its
+Fraction sides, not on its ints, the coloring
 oracle is a static-order backtracking over all colorings up to color
 renaming, with no saturation ordering, no clique bounds, and no
 branch-and-bound pruning, and the box and graph
@@ -48,7 +50,6 @@ from trifree.geometry import (
     HORIZONTAL,
     VERTICAL,
     AxisMap,
-    Lift,
     Rat,
     Rect,
     Seg,
@@ -67,7 +68,7 @@ from trifree.graphs import (
     max_clique,
     verify_coloring,
 )
-from trifree.independent import Level, Probe, split_probe
+from trifree.independent import Level, Probe
 from trifree.shapes import (
     FamilyGrid,
     RectilinearShape,
@@ -240,14 +241,42 @@ def apply_ref(t: XYTransform, r: Rect) -> Rect:
     return Rect(t.x(r.x_lo), t.x(r.x_hi), t.y(r.y_lo), t.y(r.y_hi))
 
 
+def root_cut_x(p: Probe) -> Rat:
+    """The x of the probe's root cut, its int pair ``cut`` as a Fraction."""
+    return Fraction(*p.cut)
+
+
+def split_probe_ref(p: Probe) -> tuple[Rect, Rect]:
+    """``independent.split_probe`` on the Fraction sides: the top and the
+    bottom 2/5 of the probe rectangle."""
+    r = p.rect
+    h = r.height * Fraction(2, 5)
+    return Rect(r.x_lo, r.x_hi, r.y_hi - h, r.y_hi), Rect(r.x_lo, r.x_hi, r.y_lo, r.y_lo + h)
+
+
+def concentric_ref(r: Rect, fx: Rat, fy: Rat) -> Rect:
+    """The rectangle with the same center as ``r`` and side fractions fx,
+    fy, on the Fraction sides: the reference for the half-size root that
+    ``independent.step_roots`` makes from the root's ints."""
+    dx, dy = r.width * (1 - fx) / 2, r.height * (1 - fy) / 2
+    return Rect(r.x_lo + dx, r.x_hi - dx, r.y_lo + dy, r.y_hi - dy)
+
+
+def lower_root_ref(p: Probe) -> Rect:
+    """The lower root of ``p`` (``independent.step_roots``) on the Fraction
+    sides: the lower split part left of the cut line."""
+    lower = split_probe_ref(p)[1]
+    return Rect(lower.x_lo, root_cut_x(p), lower.y_lo, lower.y_hi)
+
+
 def make_diagonal_ref(probe: Probe, shape: ShapeDef, bbox: Rect,
                       lineage: str = "diagonal") -> TransformedCopy:
     """``independent.make_diagonal`` as a chain of Fraction operators: the
-    map of the shape's box onto the probe's upper part (``split_probe``),
+    map of the shape's box onto the probe's upper part (``split_probe_ref``),
     then the horizontal stretch by 2*w2/w1 about the part's left edge, and
     the whole empty rectangle mapped to check that it clears ``bbox``."""
     feats = shape.features
-    upper, _ = split_probe(probe)
+    upper, _ = split_probe_ref(probe)
     factor = 2 * feats.w2 / feats.w1
     stretch = XYTransform(factor, Fraction(1), (1 - factor) * upper.x_lo, Fraction(0))
     t = then(XYTransform.rect_map(feats.bbox, upper), stretch)
@@ -391,9 +420,8 @@ def stab_case(rng: random.Random, rect: Rect, *, vertical: bool) -> RectilinearS
 
 
 def probe_of(rect: Rect, root: Rect, root_cut_x: Rat, pierced: Sequence[int]) -> Probe:
-    """The probe with these Rects, cut and pierced set, held as ints."""
-    return Probe(Lift(rect.den, rect.int_box), Lift(root.den, root.int_box),
-                 (root_cut_x.numerator, root_cut_x.denominator), tuple(pierced))
+    """The probe with these Rects, cut and pierced set, its cut held as ints."""
+    return Probe(rect, root, (root_cut_x.numerator, root_cut_x.denominator), tuple(pierced))
 
 
 def replace(obj, **changes):
@@ -408,9 +436,9 @@ def replace(obj, **changes):
 
 def replace_probe(p: Probe, **changes) -> Probe:
     """``p`` with some of its ``rect``, ``root``, ``root_cut_x`` and
-    ``pierced`` replaced: ``replace`` on the probe's Rects and cut, which a
-    probe keeps as ints."""
-    fields = dict(rect=p.rect, root=p.root, root_cut_x=p.root_cut_x, pierced=p.pierced)
+    ``pierced`` replaced: ``replace`` on the probe's Rects and its cut as a
+    Fraction, which a probe keeps as an int pair."""
+    fields = dict(rect=p.rect, root=p.root, root_cut_x=root_cut_x(p), pierced=p.pierced)
     return probe_of(**{**fields, **changes})
 
 
@@ -423,7 +451,7 @@ def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCo
     out: list[list[str]] = []
     for probe in probes:
         msgs: list[str] = []
-        rect, root, cut = probe.rect, probe.root, probe.root_cut_x
+        rect, root, cut = probe.rect, probe.root, root_cut_x(probe)
         if rect.is_degenerate:
             msgs.append("probe rectangle is degenerate")
         if not bbox.contains_rect(rect):
@@ -536,7 +564,7 @@ def step_contact_law_violations(prev: Level, level: Level,
     for i, p in enumerate(prev.probes):
         diag = make_diagonal_ref(p, shape, bbox)
         neighbors = [j for j, c in enumerate(prev.family) if copies_intersect(diag, c)]
-        upper_pierced = pierced_bruteforce(prev.family, split_probe(p)[0])
+        upper_pierced = pierced_bruteforce(prev.family, split_probe_ref(p)[0])
         if not neighbors == upper_pierced == sorted(p.pierced):
             out.append(f"diagonal {i}: pierced {sorted(p.pierced)}, "
                        f"neighbors {neighbors}, upper part {upper_pierced}")

@@ -1,20 +1,24 @@
+import copy
 import inspect
+import pickle
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from trifree.geometry import (
     HORIZONTAL,
     VERTICAL,
-    Lift,
     Point,
     Rect,
     Seg,
     as_rat,
     axis_map,
+    grid_rect,
     h_seg,
     lift,
+    lift_pairs,
     lowest,
     map_rect,
     rat_str,
@@ -22,17 +26,24 @@ from trifree.geometry import (
     seg_intersect,
     v_seg,
 )
-from trifree.serialize import _lift_from_json, _rat_readers
+from trifree.independent import build, split_probe, step_roots
+from trifree.serialize import _rat_readers, _rect_from_json
 from trifree.shapes import RectilinearShape, TransformedCopy, catalog, family_bbox
+from trifree.uniform import build_uniform
 
 from _oracles import (
     RectRelation,
     XYTransform,
     apply_ref,
     clip_seg_to_rect,
+    concentric_ref,
+    lower_root_ref,
+    probe_of,
     rect_relation_grid,
     rect_relations,
+    root_cut_x,
     segs_intersect_grid,
+    split_probe_ref,
     then,
 )
 
@@ -176,7 +187,7 @@ def test_booleans_are_refused_and_only_floats_are_named_floats():
 def test_an_exact_fraction_is_returned_as_it_is():
     value = Fraction(22, 7)
     assert as_rat(value) is value
-    assert Rect(value, 4, 0, 1).x_lo is value
+    assert Rect(value, 4, 0, 1).x_lo == value
 
 
 def test_ints_and_strings_become_fractions():
@@ -205,17 +216,27 @@ def test_floats_are_refused_also_next_to_fractions():
 
 def test_rect_is_lifted_once_when_it_is_made():
     r = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
-    assert vars(r)["den"] == 12 and vars(r)["int_box"] == (2, 6, 0, 9)
-    # the lift is no argument, is not compared and is not shown
+    assert not hasattr(r, "__dict__") and (r.den, r.int_box) == (12, (2, 6, 0, 9))
+    # the lift is no argument and is not shown
     assert list(inspect.signature(Rect).parameters) == ["x_lo", "x_hi", "y_lo", "y_hi"]
-    twin = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
-    assert r == twin and hash(r) == hash(twin)
-    object.__setattr__(twin, "den", 24)
-    object.__setattr__(twin, "int_box", (4, 12, 0, 18))
-    assert r == twin and hash(r) == hash(twin)
-    assert repr(r) == repr(twin) == ("Rect(x_lo=Fraction(1, 6), x_hi=Fraction(1, 2), "
-                                     "y_lo=Fraction(0, 1), y_hi=Fraction(3, 4))")
+    # equal sides made by different paths: equal, hashed alike, shown alike
+    twins = [Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4)),
+             Rect("2/12", "3/6", "0", "6/8"),
+             grid_rect(24, (4, 12, 0, 18)),
+             lift_pairs((3, 18), (5, 10), (0, 7), (9, 12)),
+             map_rect((1, 0, 1), (1, 0, 1), r),
+             map_rect((2, 0, 1), (3, 0, 1),
+                      Rect(Fraction(1, 12), Fraction(1, 4), 0, Fraction(1, 4))),
+             TransformedCopy("frame", catalog()["frame"].shape, (2, 1, 6), (3, 0, 4)).bbox,
+             family_bbox([grid_rect(12, (2, 3, 0, 9)),
+                          Rect(Fraction(1, 4), Fraction(1, 2), 0, 0)])]
+    for twin in twins:
+        assert (twin.den, twin.int_box) == (12, (2, 6, 0, 9))
+        assert r == twin and hash(r) == hash(twin)
+        assert repr(twin) == ("Rect(x_lo=Fraction(1, 6), x_hi=Fraction(1, 2), "
+                              "y_lo=Fraction(0, 1), y_hi=Fraction(3, 4))")
     assert r != Rect(Fraction(1, 6), Fraction(1, 2), 0, 1)
+    assert pickle.loads(pickle.dumps(r)) == copy.copy(r) == copy.deepcopy(r) == r
 
 
 def _copy_bbox():
@@ -232,28 +253,82 @@ def _family_bbox():
                         Rect(Fraction(-1, 3), 0, Fraction(7, 2), Fraction(15, 4))])
 
 
+@cache
+def _seeded_probes():
+    """The probes of levels k=1..3 of each catalog shape and of uniform
+    levels k=1..3 at two epsilons, each also pushed through a seeded
+    transform onto grids of primes that no construction uses."""
+    probes = []
+    for shape in catalog().values():
+        probes.extend(p for k in (1, 2, 3) for p in build(k, shape).probes)
+    for eps in (Fraction(1, 2), Fraction(2, 7)):
+        probes.extend(p for k in (1, 2, 3)
+                      for p in build_uniform(k, eps, catalog()["frame"]).probes)
+    rng = random.Random(3232)
+    primes = (7, 11, 13, 17, 19, 23)
+
+    def moved(p):
+        t = XYTransform(*(Fraction(rng.randint(1, 9), rng.choice(primes)) for _ in range(2)),
+                        *(Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(2)))
+        return probe_of(apply_ref(t, p.rect), apply_ref(t, p.root), t.x(root_cut_x(p)), p.pierced)
+
+    return probes + [moved(p) for p in probes]
+
+
+def _against(make, reference):
+    """A maker of (Rect, its Fraction reference) for every seeded probe."""
+    return lambda: [(make(p), reference(p)) for p in _seeded_probes()]
+
+
+def _unreduced_pairs():
+    """``lift_pairs`` on seeded pairs (p, q) that share factors, against
+    the Rect of their Fractions."""
+    rng = random.Random(4141)
+    out = []
+    for _ in range(200):
+        x, y = (sorted((Fraction(rng.randint(-60, 60), rng.randint(1, 24)) for _ in range(2)))
+                for _ in range(2))
+        pairs = [(v.numerator * m, v.denominator * m)
+                 for v, m in zip((*x, *y), (rng.choice((1, 2, 3, 6, 35)) for _ in range(4)))]
+        out.append((lift_pairs(*pairs), Rect(*x, *y)))
+    return out
+
+
+# each maker returns (Rect, reference) pairs, the reference None where the
+# Rect's sides alone are checked
 _RECT_MAKERS = {
-    "ints": lambda: Rect(-3, 4, 0, 7),
-    "strings": lambda: Rect("1/6", "2/4", "-5/9", "3"),
-    "fractions": lambda: Rect(Fraction(1, 6), Fraction(1, 2), Fraction(-5, 9), Fraction(3)),
-    "apply": lambda: map_rect(axis_map(Fraction(3, 4), Fraction(1, 3)),
-                              axis_map(Fraction(2, 5), Fraction(-1, 2)),
-                              Rect("1/6", "1/2", "-5/9", "3")),
-    "concentric": lambda: Rect(0, Fraction(2, 3), Fraction(1, 5), 1).concentric("1/2", "3/7"),
-    "copy-bbox": _copy_bbox,
-    "family-bbox": _family_bbox,
-    "loader": lambda: _lift_from_json({"x_lo": "1/6", "x_hi": "2/4", "y_lo": "-5/9",
-                                       "y_hi": "3"}, _rat_readers()[0]).rect,
+    "ints": lambda: [(Rect(-3, 4, 0, 7), None)],
+    "strings": lambda: [(Rect("1/6", "2/4", "-5/9", "3"), None)],
+    "fractions": lambda: [(Rect(Fraction(1, 6), Fraction(1, 2), Fraction(-5, 9), Fraction(3)),
+                           None)],
+    "apply": lambda: [(map_rect(axis_map(Fraction(3, 4), Fraction(1, 3)),
+                                axis_map(Fraction(2, 5), Fraction(-1, 2)),
+                                Rect("1/6", "1/2", "-5/9", "3")), None)],
+    "copy-bbox": lambda: [(_copy_bbox(), None)],
+    "family-bbox": lambda: [(_family_bbox(), None)],
+    "loader": lambda: [(_rect_from_json({"x_lo": "1/6", "x_hi": "2/4", "y_lo": "-5/9",
+                                         "y_hi": "3"}, _rat_readers()[0]), None)],
+    "split-upper": _against(lambda p: split_probe(p)[0], lambda p: split_probe_ref(p)[0]),
+    "split-lower": _against(lambda p: split_probe(p)[1], lambda p: split_probe_ref(p)[1]),
+    # next_level's half-size root, concentric with the probe's root
+    "concentric": _against(lambda p: step_roots(p)[0],
+                           lambda p: concentric_ref(p.root, Fraction(1, 2), Fraction(1, 2))),
+    "lower-root": _against(lambda p: step_roots(p)[1], lower_root_ref),
+    "lift-pairs-unreduced": _unreduced_pairs,
 }
 
 
 @pytest.mark.parametrize("make", list(_RECT_MAKERS.values()), ids=list(_RECT_MAKERS))
 def test_every_way_a_rect_is_made_lifts_it_once_on_its_least_grid(make):
-    r = make()
-    sides = (r.x_lo, r.x_hi, r.y_lo, r.y_hi)
-    assert all(type(v) is Fraction for v in sides)
-    den, box = lift(sides)
-    assert (vars(r)["den"], vars(r)["int_box"]) == (den, tuple(box))
+    for r, reference in make():
+        assert not hasattr(r, "__dict__")
+        sides = (r.x_lo, r.x_hi, r.y_lo, r.y_hi)
+        assert all(type(v) is Fraction for v in sides)
+        den, box = lift(sides)
+        assert (r.den, r.int_box) == (den, tuple(box))
+        if reference is not None:
+            assert sides == (reference.x_lo, reference.x_hi, reference.y_lo, reference.y_hi)
+            assert (r.den, r.int_box) == (reference.den, reference.int_box)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -280,9 +355,10 @@ def test_lift_contains_as_contains_rect_decides():
     for _ in range(1000):
         a = drawn()
         b = drawn([a.x_lo, a.x_hi, a.y_lo, a.y_hi])
-        want = a.contains_rect(b)
-        assert Lift(a.den, a.int_box).contains(b) == want
-        assert Lift(a.den, a.int_box).contains(Lift(b.den, b.int_box)) == want
+        want = (a.x_lo <= b.x_lo and b.x_hi <= a.x_hi and a.y_lo <= b.y_lo and b.y_hi <= a.y_hi)
+        assert a.contains_rect(b) == want
+        inside = (a.x_lo < b.x_lo and b.x_hi < a.x_hi and a.y_lo < b.y_lo and b.y_hi < a.y_hi)
+        assert a.interior_contains_rect(b) == inside
         seen.add(want)
     assert seen == {True, False}
 

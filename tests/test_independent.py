@@ -57,6 +57,7 @@ from _oracles import (
     rects_meet,
     replace,
     replace_probe,
+    root_cut_x,
     spans_ref,
     stab_case,
     stabs_horizontally,
@@ -265,7 +266,7 @@ def test_probe_roots_avoid_every_copy(independent_levels):
 def test_augment_rejects_tampered_probe(independent_levels, frame):
     level = independent_levels[2]
     bad_probe = probe_of(level.probes[0].rect, level.probes[0].root,
-                      level.probes[0].root_cut_x, (0,))  # wrong pierced set
+                      root_cut_x(level.probes[0]), (0,))  # wrong pierced set
     tampered = type(level)(level.k, level.family, (bad_probe,) + level.probes[1:])
     with pytest.raises(ConstructionError):
         augment(tampered, frame)
@@ -323,7 +324,7 @@ def _rebased(rng, level, diagonals):
         return c.rebase(_nudged(rng, c.bbox).axis_maps()) if rng.random() < 0.5 else c
 
     def probe(p):
-        rect, root, cut = (outer.apply(p.rect), outer.apply(p.root), outer.x(p.root_cut_x))
+        rect, root, cut = (outer.apply(p.rect), outer.apply(p.root), outer.x(root_cut_x(p)))
         if rng.random() < 1 / 3:
             rect = _nudged(rng, rect).apply(rect)
         return probe_of(rect, root, cut, p.pierced)
@@ -741,14 +742,14 @@ def test_diagonal_clearance_is_decided_as_the_fraction_chain_decides_it(frame, x
 def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
     # every claimed root that embed_helpers maps, under both constructions
     mapped = []
-    map_lift = independent.map_lift
+    map_rect = independent.map_rect
 
     def recorded(x_map, y_map, r):
-        out = map_lift(x_map, y_map, r)
+        out = map_rect(x_map, y_map, r)
         mapped.append((out, apply_ref(from_maps(x_map, y_map), r)))
         return out
 
-    monkeypatch.setattr(independent, "map_lift", recorded)
+    monkeypatch.setattr(independent, "map_rect", recorded)
     for k in (1, 2, 3):
         for eps in (Fraction(1, 2), Fraction(5, 8), Fraction(2, 7)):
             build_uniform(k, eps, frame)
@@ -757,7 +758,7 @@ def test_mapped_roots_equal_their_fraction_sides(frame, monkeypatch):
         build(3, shape)
     assert 0 < uniform < len(mapped)
     # each is the least lift of the Fraction image
-    assert all(got == (want.den, want.int_box) for got, want in mapped)
+    assert all((got.den, got.int_box) == (want.den, want.int_box) for got, want in mapped)
 
 
 def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
@@ -804,7 +805,7 @@ def _moved(rect, unit, side):
 
 # each tamper of one probe, given the grid unit, and a message it must raise
 _TAMPERS = {
-    "cut-off-the-grid": (lambda p, u: replace_probe(p, root_cut_x=p.root_cut_x + u / 7919),
+    "cut-off-the-grid": (lambda p, u: replace_probe(p, root_cut_x=root_cut_x(p) + u / 7919),
                          "root is not the left part of the probe at the cut line"),
     "cut-at-x-lo": (lambda p, u: replace_probe(p, root_cut_x=p.rect.x_lo),
                     "root cut line is not interior to the probe"),

@@ -7,17 +7,10 @@ import pytest
 
 from trifree.encoding import TreeNode
 from trifree.game import Interval
-from trifree.geometry import Lift, Point, Rect, h_seg
+from trifree.geometry import Point, Rect, h_seg
 from trifree.graphs import ChromaticResult, Graph
 from trifree.independent import Probe
 from trifree.shapes import TransformedCopy, catalog
-
-
-def _rect_with_another_lift():
-    r = Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4))
-    object.__setattr__(r, "den", 24)
-    object.__setattr__(r, "int_box", (4, 12, 0, 18))
-    return r
 
 
 def _node():
@@ -31,13 +24,13 @@ def _node():
 _CASES = {
     "Point": (lambda: Point(Fraction(1, 2), 3), None),
     "Seg": (lambda: h_seg(0, Fraction(1, 3), 1), None),
-    "Rect": (lambda: Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4)),
-             _rect_with_another_lift),
+    "Rect": (lambda: Rect(Fraction(1, 6), Fraction(1, 2), 0, Fraction(3, 4)), None),
     "TransformedCopy": (
         lambda: TransformedCopy("frame", catalog()["frame"].shape, (1, 1, 2), (1, 0, 3)),
         # another base: base, den and axes all differ
         lambda: TransformedCopy("frame", catalog()["cross"].shape, (1, 1, 2), (1, 0, 3))),
-    "Probe": (lambda: Probe(Lift(4, (1, 4, 0, 2)), Lift(2, (0, 2, 0, 1)), (1, 4), (0, 2)), None),
+    "Probe": (lambda: Probe(Rect(Fraction(1, 4), 1, 0, Fraction(1, 2)),
+                            Rect(0, 1, 0, Fraction(1, 2)), (1, 4), (0, 2)), None),
     "Graph": (lambda: Graph.from_edges(3, [(0, 1), (1, 2)]), None),
     "ChromaticResult": (lambda: ChromaticResult(2, 2, True, (1, 2, 1), (0, 1)),
                         lambda: ChromaticResult(2, 2, True, (1, 2, 1), (0, 1), 9, 0.5)),

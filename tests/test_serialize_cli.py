@@ -25,7 +25,7 @@ from trifree.shapes import RectilinearShape, TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
-from _oracles import canonical_sha256, from_maps, rects_meet, replace
+from _oracles import canonical_sha256, from_maps, rects_meet, replace, root_cut_x
 
 
 # The CLI child imports trifree from wherever this process found it, so the
@@ -342,13 +342,13 @@ def test_loader_agrees_with_the_fraction_lift(mode, shape_name, k, epsilon, augm
         ys = [v for o, f, lo, hi in want for v in ((f,) if o == "H" else (lo, hi))]
         assert (c.den, c.int_segs, c.int_box) == (den, want, (min(xs), max(xs), min(ys), max(ys)))
     for p, d in zip(fam.probes, doc["probes"], strict=True):
-        for r, rd in ((p.rect_lift, d["rect"]), (p.root_lift, d["root"])):
+        for r, rd in ((p.rect, d["rect"]), (p.root, d["root"])):
             sides = [as_rat(rd[f]) for f in _SIDES]
             den, box = lift(sides)
             assert (r.den, r.int_box) == (den, tuple(box))
-            assert [getattr(r.rect, f) for f in _SIDES] == sides
+            assert [getattr(r, f) for f in _SIDES] == sides
         cut = as_rat(d["root_cut_x"])
-        assert p.cut == (cut.numerator, cut.denominator) and p.root_cut_x == cut
+        assert p.cut == (cut.numerator, cut.denominator) and root_cut_x(p) == cut
     assert fam.epsilon == (as_rat(doc["epsilon"]) if mode == "uniform" else None)
     if mode == "encoded-frames":
         for node, d in zip(fam.tree_nodes, _preorder_docs(doc["tree"]["root"]), strict=True):
@@ -402,8 +402,8 @@ def test_loaded_copies_and_probes_equal_the_built_ones(built_families):
                 want.den, want.int_box, want.int_segs, want.segments), label
         assert len(fam.probes) == len(probes), label
         for got, want in zip(fam.probes, probes):
-            assert (got.rect, got.root, got.root_cut_x, got.pierced) == (
-                want.rect, want.root, want.root_cut_x, want.pierced), label
+            assert (got.rect, got.root, got.cut, got.pierced) == (
+                want.rect, want.root, want.cut, want.pierced), label
             assert [(r.den, r.int_box) for r in (got.rect, got.root)] == [
                 (r.den, r.int_box) for r in (want.rect, want.root)], label
 
@@ -411,6 +411,8 @@ def test_loaded_copies_and_probes_equal_the_built_ones(built_families):
 def _ints_only(value):
     if isinstance(value, tuple):
         return all(_ints_only(v) for v in value)
+    if type(value) is Rect:
+        return not hasattr(value, "__dict__") and _ints_only((value.den, value.int_box))
     return type(value) in (int, str) or isinstance(value, RectilinearShape)
 
 
@@ -429,14 +431,16 @@ def test_copies_hold_no_fraction_or_transform(built_families):
 
 def test_probes_hold_ints_only(built_families):
     """Every probe that ``build``, ``build_uniform`` and the loader make
-    holds ints only: it has no instance dict, and none of its fields is or
-    holds a Fraction or a ``Rect``."""
+    holds ints only: it has no instance dict, none of its fields is or
+    holds a Fraction, and its rectangle and root are ``Rect``s whose slots
+    hold ints."""
     for label, doc, _, probes in built_families:
         for p in (*probes, *_loaded(doc).probes):
             assert not hasattr(p, "__dict__"), label
+            assert type(p.rect) is type(p.root) is Rect, label
             for name in type(p).__slots__:
                 value = getattr(p, name)
-                assert not isinstance(value, (Fraction, Rect)), label
+                assert not isinstance(value, Fraction), label
                 assert _ints_only(value), (label, name, value)
 
 
@@ -462,12 +466,13 @@ def test_probe_rectangles_load_to_the_fraction_lift():
         texts = dict(zip(_SIDES, (_side_text(rng, v) for v in sides)))
         if sides[0] <= sides[1] and sides[2] <= sides[3]:
             den, box = lift(sides)
-            assert serialize._lift_from_json(texts, pair) == (den, tuple(box)), texts
+            r = serialize._rect_from_json(texts, pair)
+            assert (r.den, r.int_box) == (den, tuple(box)), texts
             continue
         with pytest.raises(ValueError) as want:
             Rect(*sides)
         with pytest.raises(ValueError) as got:
-            serialize._lift_from_json(texts, pair)
+            serialize._rect_from_json(texts, pair)
         assert str(got.value) == str(want.value)
 
 

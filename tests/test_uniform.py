@@ -273,7 +273,7 @@ def test_augment_uniform_refuses_a_square_that_escapes_its_probe(uniform_levels,
     level = uniform_levels[2]
     p = level.probes[1]
     r = p.rect
-    lowered = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - Fraction(1, p.rect_lift.den))
+    lowered = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - Fraction(1, p.rect.den))
     s = p.root.width
     side = max(s / 2, level.epsilon * s)
     square = Rect(level.bbox.x_hi - side, level.bbox.x_hi, p.root.y_hi - side, p.root.y_hi)
