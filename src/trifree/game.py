@@ -79,9 +79,6 @@ class Interval(Record):
         set_field(self, "ihi", ihi)
         set_field(self, "den", den)
 
-    def __reduce__(self) -> tuple:
-        return Interval.on_grid, (self.ilo, self.ihi, self.den)
-
     @property
     def lo(self) -> Rat:
         return Fraction(self.ilo, self.den)

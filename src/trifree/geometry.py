@@ -8,12 +8,12 @@ refused at construction time to keep the arithmetic honest.
 A Rect is its lift alone: ``den``, the least common denominator of its
 sides, and ``int_box``, each side in units of 1/den, so equal Rects have
 equal lifts; its sides are Fractions made on request.  A placement is two
-axis maps, each (a, b, q) for u -> (a*u + b)/q (``axis_map``,
-``lowest``): a placed copy (``shapes.TransformedCopy``) holds its two maps
-and its lift, ints only.  ``shapes`` decides every contact on integer
-grids: ``lift`` puts rationals on the grid of their least common
-denominator, and ``shapes.FamilyGrid`` puts a whole family and its query
-rectangles on one grid, once per check.
+axis maps, each (a, b, q) for u -> (a*u + b)/q, made on ints and kept in
+lowest terms (``lowest``): a placed copy (``shapes.TransformedCopy``)
+holds its two maps and its lift, ints only.  ``shapes`` decides every
+contact on integer grids: ``lift`` puts rationals on the grid of their
+least common denominator, and ``shapes.FamilyGrid`` puts a whole family
+and its query rectangles on one grid, once per check.
 
 Fractions are made, not computed with, where ints can do the work.
 ``grid_rect`` and ``lift_pairs`` make a Rect from ints with no Fraction:
@@ -177,11 +177,6 @@ class Rect(Value):
     def _key(self) -> tuple:
         return self.den, self.int_box
 
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild the Rect from its lift: by default they
-        # would set each slot, which __setattr__ refuses
-        return grid_rect, (self.den, self.int_box)
-
     def __repr__(self) -> str:
         return (f"Rect(x_lo={self.x_lo!r}, x_hi={self.x_hi!r}, "
                 f"y_lo={self.y_lo!r}, y_hi={self.y_hi!r})")
@@ -249,13 +244,6 @@ def seg_intersect(a: Seg, b: Seg) -> Optional[Union[Point, Seg]]:
     if h.lo <= v.fixed <= h.hi and v.lo <= h.fixed <= v.hi:
         return Point(v.fixed, h.fixed)
     return None
-
-
-def axis_map(scale: Rat, shift: Rat) -> AxisMap:
-    """(a, b, q) with scale * u + shift == (a * u + b) / q for every rational u."""
-    p, q = scale.numerator, scale.denominator
-    r, s = shift.numerator, shift.denominator
-    return p * s, r * q, q * s
 
 
 def lowest(m: AxisMap) -> AxisMap:

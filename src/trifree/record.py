@@ -2,7 +2,8 @@
 
 A record's ``__init__`` writes each field once, with ``set_field``
 (``object.__setattr__``, looked up once); assigning or deleting an
-attribute afterwards raises AttributeError.  A ``Value`` is also
+attribute afterwards raises AttributeError, and ``pickle`` and ``copy``
+restore a record's fields through ``__setstate__``.  A ``Value`` is also
 compared by value: two are equal iff they are of one class and their
 ``_key`` tuples, the fields they are compared on, are equal, and equal
 values hash alike.  The other records compare by identity, as no caller
@@ -20,6 +21,12 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state: dict | tuple) -> None:
+        # the state is the instance dict, or (dict or None, slot values)
+        for fields in state if isinstance(state, tuple) else (state,):
+            for name, value in (fields or {}).items():
+                set_field(self, name, value)
 
 
 class Value(Record):

@@ -2,7 +2,8 @@
 
 The scene, the box of the copies and the probes made from their lifts
 (``shapes.family_bbox``), is mapped into a fixed 1024-unit viewbox by
-two exact axis maps, applied first: probes and roots on their lifts
+the two exact axis maps that carry the scene's square onto the viewport
+(``geometry.rect_map``), applied first: probes and roots on their lifts
 through ``geometry.map_rect``, and each copy rebased onto them
 (``TransformedCopy.rebase``).  Decimal
 conversion (12 significant digits) happens only at emission time, so
@@ -12,12 +13,13 @@ rendering never feeds back into any geometric check.
 from __future__ import annotations
 
 from fractions import Fraction
-from .geometry import HORIZONTAL, AxisMap, Rect, Seg, axis_map, map_rect
+from .geometry import HORIZONTAL, AxisMap, Rect, Seg, grid_rect, map_rect, rect_map
 from .serialize import LoadedFamily
 from .shapes import family_bbox
 
 VIEW = Fraction(1024)
 MARGIN = Fraction(24)
+_VIEWPORT = Rect(MARGIN, VIEW - MARGIN, MARGIN, VIEW - MARGIN)
 
 _COPY_STROKE = "#1b2631"
 _DIAGONAL_STROKE = "#c0392b"
@@ -30,12 +32,11 @@ def _num(value: Fraction) -> str:
 
 
 def _scene_maps(scene: Rect) -> tuple[AxisMap, AxisMap]:
-    side = max(scene.width, scene.height)
-    if side == 0:
-        side = Fraction(1)
-    scale = (VIEW - 2 * MARGIN) / side
-    return (axis_map(scale, MARGIN - scale * scene.x_lo),
-            axis_map(scale, MARGIN - scale * scene.y_lo))
+    """The maps carrying the scene's square, its lower-left corner and side
+    max(width, height), or 1 for a scene of one point, onto the viewport."""
+    den, (x0, x1, y0, y1) = scene.den, scene.int_box
+    side = max(x1 - x0, y1 - y0) or den
+    return rect_map(grid_rect(den, (x0, x0 + side, y0, y0 + side)), _VIEWPORT)
 
 
 def _flip_y(v: Fraction) -> Fraction:

@@ -1,18 +1,20 @@
 """Shape catalog and exact stabbing predicates on integer grids.
 
 A base shape is a connected union of closed axis-aligned segments.  Each
-catalog entry declares, rather than derives, the structure that the
-recursive constructions consume:
+catalog entry declares the structure that the recursive constructions
+consume and that cannot be read off the segments (``ShapeFeatures``):
 
-* ``bbox``       the bounding box U of the material,
-* ``empty_rect`` a rectangle E interior to U and disjoint from the shape,
+* ``empty_rect`` a rectangle E interior to the shape's bounding box U and
+  disjoint from the shape,
 * a *left stabber*, a curve of the shape crossing the strip left of E
   from the left side of U to the line through E's left edge,
 * a *right stabber*, a curve crossing the band right of E from the line
   through E's top edge to the line through its bottom edge.
 
-``validate_features`` checks all of that exactly; violations are data,
-not exceptions.
+U, and the widths w1 (E's left gap in U) and w2 (U's width) that the
+independent recursion scales by, are derived from the shape and E when
+the features are made.  ``validate_features`` checks the declarations
+exactly; violations are data, not exceptions.
 
 Every shape and copy is lifted once, when it is made, onto the grid of
 multiples of 1/den, den the least common denominator of its coordinates.
@@ -22,9 +24,9 @@ fixed, lo, hi)`` (``int_segs``), its bounding box as ``int_box``,
 and y ints as ``axes``, with each segment as positions in them
 (``slots``); a ``Rect`` is its own ``den`` and ``int_box`` alone, and
 every box below is made from ints (``geometry.grid_rect``).  A copy holds
-ints only: its placement as two axis maps in lowest terms
-(``geometry.axis_map``, ``geometry.lowest``) and its ``axes``, each of
-the base's x and y ints mapped once; its box is their ends.  ``rebase``
+ints only: its placement as two axis maps (a, b, q) in lowest terms
+(``geometry.lowest``) and its ``axes``, each of the base's x and y ints
+mapped once; its box is their ends.  ``rebase``
 and ``make_diagonal``'s closed form compose and lift on ints, and a
 copy's Fractions (its ``segments``) are made only on request.  Every
 contact, clip and stabbing decision compares Python ints, in one set of
@@ -264,14 +266,20 @@ def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> Int
 
 
 class ShapeFeatures(Record):
-    def __init__(self, bbox: Rect, empty_rect: Rect, left_stabber: Iterable[Seg],
-                 right_stabber: Iterable[Seg], w1: Rat, w2: Rat) -> None:
+    """The empty rectangle E and the two stabbers declared for ``shape``,
+    with what they imply worked out once, when the features are made: the
+    box U of the shape, w1 = E.x_lo - U.x_lo and w2 = U.width."""
+
+    def __init__(self, shape: RectilinearShape, empty_rect: Rect,
+                 left_stabber: Iterable[Seg], right_stabber: Iterable[Seg]) -> None:
+        bbox = shape.bbox()
+        set_field(self, "shape", shape)
         set_field(self, "bbox", bbox)
         set_field(self, "empty_rect", empty_rect)
         set_field(self, "left_stabber", tuple(left_stabber))
         set_field(self, "right_stabber", tuple(right_stabber))
-        set_field(self, "w1", w1)
-        set_field(self, "w2", w2)
+        set_field(self, "w1", empty_rect.x_lo - bbox.x_lo)
+        set_field(self, "w2", bbox.width)
 
     def left_strip(self) -> Rect:
         """V_L: from U's left edge to the line through E's left edge."""
@@ -314,24 +322,22 @@ def _stabber_faults(shape: RectilinearShape, stabber: Sequence[Seg], region: Rec
     return out
 
 
-def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str]:
-    """Check the declared features exactly; an empty list means valid.
+def validate_features(feats: ShapeFeatures) -> list[str]:
+    """Check the features against their shape exactly; an empty list
+    means valid.
 
     The empty-rectangle condition (ii) and the two stabbing conditions
     (iii)/(iv) are checked on the declared data.  Bookkeeping checks on
-    the bounding box, connectivity, and the derived widths w1/w2 are
-    reported with their own prefixes.
+    the bounding box and connectivity are reported with their own
+    prefixes.
     """
+    shape, u, e = feats.shape, feats.bbox, feats.empty_rect
     out: list[str] = []
-    u = feats.bbox
-    if shape.bbox() != u:
-        out.append("bbox: declared bounding box differs from the segments' bounds")
     if u.is_degenerate:
         out.append("bbox: bounding box is degenerate")
     if not shape.is_connected():
         out.append("connected: segment union is not connected")
 
-    e = feats.empty_rect
     if not u.interior_contains_rect(e):
         out.append("ii: empty rectangle is not in the interior of the bounding box")
     if copy_meets_rect(shape, e):
@@ -339,11 +345,6 @@ def validate_features(shape: RectilinearShape, feats: ShapeFeatures) -> list[str
 
     out.extend(_stabber_faults(shape, feats.left_stabber, feats.left_strip(), vertical=False))
     out.extend(_stabber_faults(shape, feats.right_stabber, feats.right_band(), vertical=True))
-
-    if feats.w1 != e.x_lo - u.x_lo:
-        out.append("w1: does not equal the E-to-U left gap")
-    if feats.w2 != u.width:
-        out.append("w2: does not equal the bounding box width")
     return out
 
 
@@ -636,57 +637,40 @@ def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
 
 
 class ShapeDef(Record):
-    def __init__(self, name: str, shape: RectilinearShape, features: ShapeFeatures,
+    def __init__(self, name: str, features: ShapeFeatures,
                  anchor: Optional[AnchoredFrame] = None) -> None:
         set_field(self, "name", name)
-        set_field(self, "shape", shape)
+        set_field(self, "shape", features.shape)
         set_field(self, "features", features)
         set_field(self, "anchor", anchor)
 
 
-def _frame_def() -> ShapeDef:
+def _corner_features(shape: RectilinearShape) -> ShapeFeatures:
+    """E = [1/4, 3/4]^2, stabbed by the bottom edge on its left and the
+    right edge on its right: the features of the frame and the L-shape."""
     q = Fraction(1, 4)
+    return ShapeFeatures(shape, Rect(q, 3 * q, q, 3 * q), (h_seg(0, 0, q),),
+                         (v_seg(1, q, 3 * q),))
+
+
+def _frame_def() -> ShapeDef:
     shape = RectilinearShape((h_seg(0, 0, 1), h_seg(1, 0, 1), v_seg(0, 0, 1), v_seg(1, 0, 1)))
-    feats = ShapeFeatures(
-        bbox=Rect(0, 1, 0, 1),
-        empty_rect=Rect(q, 3 * q, q, 3 * q),
-        left_stabber=(h_seg(0, 0, q),),
-        right_stabber=(v_seg(1, q, 3 * q),),
-        w1=q,
-        w2=Fraction(1),
-    )
-    return ShapeDef("frame", shape, feats, anchor=AnchoredFrame())
+    return ShapeDef("frame", _corner_features(shape), anchor=AnchoredFrame())
 
 
 def _lshape_def() -> ShapeDef:
     # Stored pre-mirrored: bottom plus right edge, so the right band of E
     # actually contains a vertical stabber.
-    q = Fraction(1, 4)
     shape = RectilinearShape((h_seg(0, 0, 1), v_seg(1, 0, 1)))
-    feats = ShapeFeatures(
-        bbox=Rect(0, 1, 0, 1),
-        empty_rect=Rect(q, 3 * q, q, 3 * q),
-        left_stabber=(h_seg(0, 0, q),),
-        right_stabber=(v_seg(1, q, 3 * q),),
-        w1=q,
-        w2=Fraction(1),
-    )
-    return ShapeDef("lshape", shape, feats)
+    return ShapeDef("lshape", _corner_features(shape))
 
 
 def _cross_def() -> ShapeDef:
     half = Fraction(1, 2)
     e = Fraction(1, 8)
     shape = RectilinearShape((h_seg(half, 0, 1), v_seg(half, 0, 1)))
-    feats = ShapeFeatures(
-        bbox=Rect(0, 1, 0, 1),
-        empty_rect=Rect(e, 3 * e, e, 3 * e),
-        left_stabber=(h_seg(half, 0, e),),
-        right_stabber=(v_seg(half, e, 3 * e),),
-        w1=e,
-        w2=Fraction(1),
-    )
-    return ShapeDef("cross", shape, feats)
+    return ShapeDef("cross", ShapeFeatures(shape, Rect(e, 3 * e, e, 3 * e),
+                                           (h_seg(half, 0, e),), (v_seg(half, e, 3 * e),)))
 
 
 @cache
@@ -694,7 +678,7 @@ def catalog() -> dict[str, ShapeDef]:
     """Named base shapes with validated features."""
     defs = [_frame_def(), _lshape_def(), _cross_def()]
     for d in defs:
-        bad = validate_features(d.shape, d.features)
+        bad = validate_features(d.features)
         if bad:
             raise AssertionError(f"catalog shape {d.name!r} invalid: {bad}")
     return {d.name: d for d in defs}

@@ -28,9 +28,10 @@ One recursion step, for the target parameter eps:
   to the right edge;
 * build the outer family at parameter eps*t/(2s), where s is the side
   of the smallest square containing the helper and t the smallest root;
-  embed a helper homothet flush against the right side of each outer
-  root, and carve one exact eps-probe out of every embedded upper and
-  lower root.
+  embed a helper homothet in each outer root by ``geometry.rect_map``
+  from that square, flush with the helper's right side and centred on it
+  in y, onto the root, and carve one exact eps-probe out of every
+  embedded upper and lower root.
 
 All quantitative claims along the way are asserted, never assumed.
 """
@@ -40,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, fail_on
-from .geometry import Rat, Rect, axis_map, lift_pairs, rect_map
+from .geometry import Rat, Rect, grid_rect, lift_pairs, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
 from .independent import Level, check_diagonals, embed_helpers, seal
 
@@ -85,6 +86,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     if eps1 > eps / 2:
         raise ConstructionError(f"eps1 = {eps1} exceeds eps/2 = {eps / 2}")
     bbox0 = inner.bbox
+    empty = anchor.empty_square(eps1)
 
     diagonals: list[TransformedCopy] = []
     uppers: list[Rect] = []
@@ -95,7 +97,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         x_mid, y_mid, shift = r.x_lo + r.width / 2, r.y_lo + r.height / 2, delta * r.width + m
         square = Rect(x_mid + shift, r.x_hi + shift, y_mid, r.y_hi)
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
-        uppers.append(diagonals[-1].apply(anchor.empty_square(eps1)))
+        uppers.append(diagonals[-1].apply(empty))
         lowers.append(Rect(x_mid, r.x_hi, r.y_lo, y_mid))
 
     helper = list(inner.family) + diagonals
@@ -131,17 +133,15 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers = _make_helper(inner, epsilon, shape)
-    helper_bbox = family_bbox(helper)
-    side = max(helper_bbox.width, helper_bbox.height)
+    # the helper's square: side s = max(width, height) of its box, flush
+    # with the box's right side and centred on it in y, over 2*den
+    box = family_bbox(helper)
+    bd, (b0, b1, b2, b3) = box.den, box.int_box
+    s = max(b1 - b0, b3 - b2)
+    square = grid_rect(2 * bd, (2 * (b1 - s), 2 * b1, b2 + b3 - s, b2 + b3 + s))
     min_root = min(r.width for r in uppers + lowers)
-    outer = build_uniform(k - 1, epsilon * min_root / (2 * side), shape)
-    embeds = []
-    for root in (p.root for p in outer.probes):
-        factor = root.width / side
-        ty = (root.y_lo + (root.width - factor * helper_bbox.height) / 2
-              - factor * helper_bbox.y_lo)
-        embeds.append((axis_map(factor, root.x_hi - factor * helper_bbox.x_hi),
-                       axis_map(factor, ty)))
+    outer = build_uniform(k - 1, epsilon * min_root / (2 * Fraction(s, bd)), shape)
+    embeds = [rect_map(square, p.root) for p in outer.probes]
     return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
 
 

@@ -7,7 +7,8 @@ exact rationals, the probe-condition and diagonal-law references test
 every copy through those, on no shared grid, the diagonal,
 rectangle-map and composition references are the chains of Fraction
 operators, on a transform of four Fractions (``XYTransform``), that the
-closed-form, lifted paths on integer axis maps replaced, the references
+closed-form, lifted paths on integer axis maps replaced, the render
+scene maps' reference works them out from the scene's sides, the references
 of a probe's split parts, half-size root and lower root compute on its
 Fraction sides, not on its ints, the coloring
 oracle is a static-order backtracking over all colorings up to color
@@ -54,7 +55,6 @@ from trifree.geometry import (
     Rect,
     Seg,
     as_rat,
-    axis_map,
     h_seg,
     seg_intersect,
     v_seg,
@@ -181,11 +181,18 @@ def segment_covered(shape_segments: Sequence[Seg], s: Seg) -> bool:
     return len(merged) == 1 and merged[0][0] <= s.lo and merged[0][1] >= s.hi
 
 
+def axis_map(scale: Rat, shift: Rat) -> AxisMap:
+    """(a, b, q) with scale * u + shift == (a * u + b) / q for every rational u."""
+    p, q = scale.numerator, scale.denominator
+    r, s = shift.numerator, shift.denominator
+    return p * s, r * q, q * s
+
+
 @dataclass(frozen=True)
 class XYTransform:
     """(x, y) -> (sx*x + tx, sy*y + ty) by Fraction operators: the
-    reference for the two integer axis maps (``geometry.axis_map``) that
-    place every copy and map every rectangle."""
+    reference for the two integer axis maps (``axis_map``) that place every
+    copy and map every rectangle."""
 
     sx: Rat
     sy: Rat
@@ -239,6 +246,16 @@ def apply_ref(t: XYTransform, r: Rect) -> Rect:
     """A Rect's image as Fraction operators, each side through ``t.x`` or
     ``t.y``, with no lift: the reference for ``geometry.map_rect``."""
     return Rect(t.x(r.x_lo), t.x(r.x_hi), t.y(r.y_lo), t.y(r.y_hi))
+
+
+def scene_maps_ref(scene: Rect) -> tuple[AxisMap, AxisMap]:
+    """The axis maps carrying the scene into the 1024-unit viewbox, 24 units
+    in from each side, worked out from its Fraction sides: the reference
+    for ``render._scene_maps``, which maps the scene's square by
+    ``geometry.rect_map``."""
+    side = max(scene.width, scene.height) or Fraction(1)
+    scale = Fraction(1024 - 2 * 24) / side
+    return axis_map(scale, 24 - scale * scene.x_lo), axis_map(scale, 24 - scale * scene.y_lo)
 
 
 def root_cut_x(p: Probe) -> Rat:

@@ -14,7 +14,6 @@ from trifree.geometry import (
     Rect,
     Seg,
     as_rat,
-    axis_map,
     grid_rect,
     h_seg,
     lift,
@@ -35,6 +34,7 @@ from _oracles import (
     RectRelation,
     XYTransform,
     apply_ref,
+    axis_map,
     clip_seg_to_rect,
     concentric_ref,
     lower_root_ref,

@@ -6,7 +6,7 @@ import pytest
 
 from trifree import independent, serialize, shapes
 from trifree.errors import ConstructionError
-from trifree.geometry import Rect, axis_map, h_seg, v_seg
+from trifree.geometry import Rect, h_seg, v_seg
 from trifree.graphs import (
     chromatic_number,
     intersection_graph,
@@ -39,6 +39,7 @@ from _oracles import (
     RectRelation,
     XYTransform,
     apply_ref,
+    axis_map,
     copies_intersect_ref,
     copy_meets_rect_ref,
     curve_stabs_ref,

@@ -1,6 +1,8 @@
 """The package's records are immutable, and those compared by value
 compare on their fields, leaving out what they are not compared on."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ from trifree.encoding import TreeNode
 from trifree.game import Interval
 from trifree.geometry import Point, Rect, h_seg
 from trifree.graphs import ChromaticResult, Graph
-from trifree.independent import Probe
+from trifree.independent import Probe, build
+from trifree.record import Record
 from trifree.shapes import TransformedCopy, catalog
+from trifree.uniform import build_uniform
 
 
 def _node():
@@ -58,3 +62,48 @@ def test_records_compare_by_value_and_are_immutable(make, other):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record == twin
+
+
+_ROUND_TRIPS = {
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _restorable():
+    frame = catalog()["frame"]
+    level = build(2, frame)
+    return {
+        "independent-probe": level.probes[-1],
+        "uniform-probe": build_uniform(2, Fraction(1, 2), frame).probes[-1],
+        "TransformedCopy": level.family[-1],
+        "Rect": level.probes[-1].rect,
+        "Interval": Interval(Fraction(1, 3), Fraction(5, 6)),
+        "TreeNode": _node(),
+    }
+
+
+def _same(a, b) -> bool:
+    """Equal, or, for records compared by identity (a copy's base shape),
+    of one class with equal fields."""
+    if isinstance(a, Record) and type(a).__eq__ is object.__eq__:
+        return type(a) is type(b) and all(getattr(a, f) == getattr(b, f) for f in _fields(a))
+    return a == b
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+def test_records_survive_pickle_and_copy(how):
+    # restoring a record writes its fields past __setattr__ (Record.__setstate__)
+    restore = _ROUND_TRIPS[how]
+    for name, record in _restorable().items():
+        restored = restore(record)
+        assert type(restored) is type(record), name
+        assert restored == record and hash(restored) == hash(record), name
+        assert all(_same(getattr(restored, f), getattr(record, f)) for f in _fields(record)), name
+        with pytest.raises(AttributeError):
+            setattr(restored, _fields(record)[0], 0)
+    level = build(2, catalog()["frame"])
+    restored = restore(level)
+    assert (restored.k, restored.family, restored.probes, restored.epsilon, restored.bbox) == \
+        (level.k, level.family, level.probes, level.epsilon, level.bbox)

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import trifree
-from trifree import cli, serialize
+from trifree import cli, render, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, game_tree, run_game
-from trifree.geometry import Rect, as_rat, lift
+from trifree.geometry import Rect, as_rat, lift, lowest
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
@@ -25,7 +25,14 @@ from trifree.shapes import RectilinearShape, TransformedCopy, catalog
 from trifree.uniform import augment_uniform, build_uniform
 from trifree.verify import verify_family
 
-from _oracles import canonical_sha256, from_maps, rects_meet, replace, root_cut_x
+from _oracles import (
+    canonical_sha256,
+    from_maps,
+    rects_meet,
+    replace,
+    root_cut_x,
+    scene_maps_ref,
+)
 
 
 # The CLI child imports trifree from wherever this process found it, so the
@@ -158,6 +165,15 @@ _GOLDEN = [
      "162433e815107be34e726e31fd115cf474f23dda3529b2776043ad148d1ec628"),
     ("uniform", "frame", 3, "5/8", False,
      "099d4ccb342728fcc464d87c141ff685337f222142ac7ea0907914328e9a37b2"),
+    # the outer embeds of these run on denominators of several hundred bits
+    ("uniform", "frame", 3, "3/16", True,
+     "f5cde1ba6c78fd5a23dc0157780f4f41a4270a94e0da842bf0298d2aa2e2a41c"),
+    ("uniform", "frame", 3, "2/7", True,
+     "afe93669781dfc3e2a93d11a15571be6c3fd64b39592f365d080088d4b5bdc57"),
+    ("uniform", "frame", 3, "11/13", True,
+     "fed68311a179377e89451682e603a6caf9107667425e1257fed086534e59ba64"),
+    ("uniform", "frame", 3, "15/16", True,
+     "c7df0c2bf96f12c5e3fd52a9aab95521ff7812490be453467e3713fd8d85e3ee"),
 ]
 
 
@@ -651,6 +667,17 @@ def test_render_is_deterministic_and_scales(frame):
     assert 'viewBox="0 0 1024 1024"' in a
 
 
+def test_scene_maps_equal_the_hand_formula():
+    rng = random.Random(20261021)
+    scenes = [Rect(3, 3, -2, -2), Rect(0, 5, 1, 1), Rect(Fraction(1, 3), Fraction(1, 3), 0, 2)]
+    for _ in range(200):
+        x0, y0 = (Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(2))
+        w, h = (Fraction(rng.randint(0, 60), rng.randint(1, 40)) for _ in range(2))
+        scenes.append(Rect(x0, x0 + w, y0, y0 + h))
+    for scene in scenes:
+        assert render._scene_maps(scene) == tuple(map(lowest, scene_maps_ref(scene))), scene
+
+
 # SHA-256 of ``render`` of each family: every probe and root is drawn
 # through ``map_rect`` on the scene's two axis maps and every copy through
 # ``rebase`` onto them, so a change to a mapped side shows.
@@ -664,6 +691,9 @@ _RENDER_GOLDEN = {
     "uniform-k2-half": (
         ("build", "--mode", "uniform", "--k", "2", "--epsilon", "1/2"),
         "6ba793c1a6dacb764415ca7d9c772643e75bb3a9f11195c71bb8932b23445224"),
+    "uniform-k3-3/16": (
+        ("build", "--mode", "uniform", "--k", "3", "--epsilon", "3/16"),
+        "d2d064ec0a70a96a6b6f7182f65de83eaa74f1f73a8b35edc73e57d416389a35"),
     "encoded-k2": (
         ("encode", "--k", "2"),
         "74b0440dadad2532a670fc73dbd7059e2170db43899d876a034186c63b03c983"),

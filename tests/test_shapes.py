@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from trifree.geometry import Rect, Seg, axis_map, h_seg, map_rect, rect_map, seg_intersect, v_seg
+from trifree.geometry import Rect, Seg, h_seg, map_rect, rect_map, seg_intersect, v_seg
 from trifree.independent import augment, build
 from trifree.shapes import (
     AnchoredFrame,
@@ -24,6 +24,7 @@ from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
     XYTransform,
+    axis_map,
     copies_intersect_ref,
     copies_intersect_within,
     copy_meets_rect_ref,
@@ -49,7 +50,17 @@ def _frame_copy(x0, x1, y0, y1, lineage="t"):
 
 def test_catalog_shapes_all_validate():
     for name, d in catalog().items():
-        assert validate_features(d.shape, d.features) == [], name
+        assert d.features.shape is d.shape, name
+        assert validate_features(d.features) == [], name
+
+
+@pytest.mark.parametrize("name, w1", [("frame", Fraction(1, 4)), ("lshape", Fraction(1, 4)),
+                                      ("cross", Fraction(1, 8))])
+def test_catalog_features_derive_box_and_widths(name, w1):
+    # the values each catalog entry once declared: U = [0, 1]^2, w2 = 1
+    feats = catalog()[name].features
+    assert feats.bbox == feats.shape.bbox() == Rect(0, 1, 0, 1)
+    assert (feats.w1, feats.w2) == (w1, 1)
 
 
 def test_catalog_has_required_entries():
@@ -63,14 +74,12 @@ def test_catalog_has_required_entries():
 def test_empty_rect_touching_boundary_violates_ii():
     frame = catalog()["frame"]
     feats = ShapeFeatures(
-        bbox=frame.features.bbox,
+        frame.shape,
         empty_rect=Rect(Fraction(1, 4), Fraction(3, 4), 0, Fraction(1, 2)),
         left_stabber=frame.features.left_stabber,
         right_stabber=frame.features.right_stabber,
-        w1=frame.features.w1,
-        w2=frame.features.w2,
     )
-    bad = validate_features(frame.shape, feats)
+    bad = validate_features(feats)
     assert any(v.startswith("ii") for v in bad)
 
 
@@ -80,18 +89,16 @@ def test_unmirrored_lshape_fails_iv_and_mirror_passes():
     q = Fraction(1, 4)
     raw = RectilinearShape((v_seg(0, 0, 1), h_seg(0, 0, 1)))
     feats = ShapeFeatures(
-        bbox=Rect(0, 1, 0, 1),
+        raw,
         empty_rect=Rect(q, 3 * q, q, 3 * q),
         left_stabber=(h_seg(0, 0, q),),
         right_stabber=(h_seg(0, 3 * q, 1),),  # best available piece; still fails
-        w1=q,
-        w2=Fraction(1),
     )
-    bad = validate_features(raw, feats)
+    bad = validate_features(feats)
     assert any(v.startswith("iv") for v in bad)
 
     mirrored = catalog()["lshape"]
-    assert validate_features(mirrored.shape, mirrored.features) == []
+    assert validate_features(mirrored.features) == []
 
 
 _Q, _E = Fraction(1, 4), Fraction(1, 8)
@@ -120,11 +127,11 @@ _III, _IV = "iii: left stabber", "iv: right stabber"
     "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")])
 def test_validate_features_reports_each_stabber_fault(vertical, segments, stabber, faults):
     frame = catalog()["frame"].features
-    feats = ShapeFeatures(frame.bbox, frame.empty_rect,
+    feats = ShapeFeatures(RectilinearShape(segments), frame.empty_rect,
                           frame.left_stabber if vertical else stabber,
-                          stabber if vertical else frame.right_stabber,
-                          frame.w1, frame.w2)
-    assert validate_features(RectilinearShape(segments), feats) == faults
+                          stabber if vertical else frame.right_stabber)
+    assert feats.bbox == frame.bbox
+    assert validate_features(feats) == faults
 
 
 class _AnchoredWith(AnchoredFrame):
