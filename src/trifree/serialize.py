@@ -124,7 +124,7 @@ def _rat_readers() -> tuple[Callable[[Any], tuple[int, int]], Callable[[Any], Ra
 
 
 def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
-    base = shape.anchor.shape if anchored else shape.shape
+    base = shape.anchored().shape if anchored else shape.shape
     doc: dict[str, Any] = {
         "name": shape.name,
         "segments": [seg_to_json(s) for s in base.segments],
@@ -299,7 +299,7 @@ def _doc_to_family(doc: dict) -> LoadedFamily:
     # the whole block, features and anchor included, is the catalog entry's
     if doc["shape"] != shape_to_json(shape, anchored=anchored):
         raise ValueError(f"shape does not match catalog entry {name!r}")
-    base = shape.anchor.shape if anchored else shape.shape
+    base = shape.anchored().shape if anchored else shape.shape
     pair, rat = _rat_readers()
     epsilon = rat(doc["epsilon"]) if anchored else None
     if epsilon is not None and not 0 < epsilon < 1:

@@ -54,10 +54,10 @@ grid's ``contacts`` finds the closed boxes that meet with one sweep in y
 exact contact test on the pairs of copies alone; a level check reads
 everything from that one pass.
 
-The frame entry additionally carries an *anchored* variant used by the
-uniform-scaling construction: a copy of the shape inside the open-ended
-unit square together with closed-form rules producing, for every
-rational eps in (0,1), an eps-empty square and matching stabbers.
+The frame entry also carries an *anchored* variant for the uniform-scaling
+construction: the shape inside the open-ended unit square, whose features
+at each rational eps in (0,1), with that square as U, go through
+``validate_features`` as a catalog entry's do (``anchored_violations``).
 """
 
 from __future__ import annotations
@@ -268,11 +268,12 @@ def _on_axes(s: IntSeg, x: Sequence[int] | dict, y: Sequence[int] | dict) -> Int
 class ShapeFeatures(Record):
     """The empty rectangle E and the two stabbers declared for ``shape``,
     with what they imply worked out once, when the features are made: the
-    box U of the shape, w1 = E.x_lo - U.x_lo and w2 = U.width."""
+    box U, w1 = E.x_lo - U.x_lo and w2 = U.width.  U is the shape's box
+    unless ``box`` is given, as an anchored shape gives its bounding square."""
 
-    def __init__(self, shape: RectilinearShape, empty_rect: Rect,
-                 left_stabber: Iterable[Seg], right_stabber: Iterable[Seg]) -> None:
-        bbox = shape.bbox()
+    def __init__(self, shape: RectilinearShape, empty_rect: Rect, left_stabber: Iterable[Seg],
+                 right_stabber: Iterable[Seg], box: Optional[Rect] = None) -> None:
+        bbox = shape.bbox() if box is None else box
         set_field(self, "shape", shape)
         set_field(self, "bbox", bbox)
         set_field(self, "empty_rect", empty_rect)
@@ -566,10 +567,10 @@ class AnchoredFrame:
     """The anchored representative of the rectangular frame.
 
     The material is the boundary of [0,1] x [1/4,3/4], held inside the
-    bounding square [0,1] x (0,1).  The eps-empty square uses the width
-    rule xi(eps) = eps / (2*(1+eps)), which keeps (1+eps)*xi(eps) =
-    eps/2 < eps for every eps in (0,1), and sits at horizontal distance
-    eps*xi(eps) from the square's right side.
+    bounding square [0,1] x (0,1).  The eps-empty square has the width
+    xi(eps) = eps / (2*(1+eps)), which keeps (1+eps)*xi(eps) = eps/2 < eps
+    for every eps in (0,1), and sits at horizontal distance eps*xi(eps)
+    from the square's right side; the bottom and right edges stab it.
     """
 
     def __init__(self):
@@ -582,58 +583,39 @@ class AnchoredFrame:
         ))
         self.bounding_square = Rect(0, 1, 0, 1)
 
-    @staticmethod
-    def _check_eps(eps: Rat) -> None:
+    def empty_square(self, eps: Rat) -> Rect:
         if not (0 < eps < 1):
             raise ValueError(f"eps must lie in (0,1): {eps}")
-
-    def xi(self, eps: Rat) -> Rat:
-        self._check_eps(eps)
-        return eps / (2 * (1 + eps))
-
-    def empty_square(self, eps: Rat) -> Rect:
-        xi = self.xi(eps)
+        xi = eps / (2 * (1 + eps))
         x_hi = 1 - eps * xi
         half = Fraction(1, 2)
         return Rect(x_hi - xi, x_hi, half - xi / 2, half + xi / 2)
 
-    def left_stabber(self, eps: Rat) -> tuple[Seg, ...]:
+    def features(self, eps: Rat) -> ShapeFeatures:
+        """The anchor's features at eps, with the bounding square as U."""
         e = self.empty_square(eps)
-        return (h_seg(Fraction(1, 4), 0, e.x_lo),)
-
-    def right_stabber(self, eps: Rat) -> tuple[Seg, ...]:
-        e = self.empty_square(eps)
-        return (v_seg(1, e.y_lo, e.y_hi),)
+        return ShapeFeatures(self.shape, e, (h_seg(Fraction(1, 4), 0, e.x_lo),),
+                             (v_seg(1, e.y_lo, e.y_hi),), box=self.bounding_square)
 
 
 def anchored_violations(anchor: AnchoredFrame, eps: Rat) -> list[str]:
-    """Check the anchoring conditions for one eps value exactly."""
+    """Check the anchoring conditions for one eps value exactly: the
+    material lies in the open-ended square (i), E is a square of width xi
+    with (1+eps)*xi < eps at distance eps*xi from the square's right side,
+    and the features at eps pass ``validate_features``."""
+    feats = anchor.features(eps)
+    u, e, mat = feats.bbox, feats.empty_rect, anchor.shape.bbox()
     out: list[str] = []
-    u = anchor.bounding_square
-    mat = anchor.shape.bbox()
     if not (u.contains_rect(mat) and u.y_lo < mat.y_lo and mat.y_hi < u.y_hi):
         out.append("i: shape leaves the open-ended bounding square")
-
-    e = anchor.empty_square(eps)
-    xi = anchor.xi(eps)
-    if e.width != xi or e.height != xi:
-        out.append("ii: empty square is not a square of width xi")
-    if not u.contains_rect(e):
-        out.append("ii: empty square leaves the bounding square")
+    xi = e.width
+    if e.height != xi:
+        out.append("ii: empty square is not a square")
     if (1 + eps) * xi >= eps:
         out.append("ii: (1+eps)*xi(eps) is not below eps")
     if u.x_hi - e.x_hi != eps * xi:
         out.append("ii: right-side gap is not eps*xi(eps)")
-    if copy_meets_rect(anchor.shape, e):
-        out.append("ii: empty square meets the shape")
-
-    if _stabber_faults(anchor.shape, anchor.left_stabber(eps),
-                       Rect(u.x_lo, e.x_lo, u.y_lo, u.y_hi), vertical=False):
-        out.append("iii: left eps-stabber invalid")
-    if _stabber_faults(anchor.shape, anchor.right_stabber(eps),
-                       Rect(e.x_hi, u.x_hi, e.y_lo, e.y_hi), vertical=True):
-        out.append("iv: right eps-stabber invalid")
-    return out
+    return out + validate_features(feats)
 
 
 class ShapeDef(Record):
@@ -643,6 +625,12 @@ class ShapeDef(Record):
         set_field(self, "shape", features.shape)
         set_field(self, "features", features)
         set_field(self, "anchor", anchor)
+
+    def anchored(self) -> AnchoredFrame:
+        """The anchored representative, which every homothet family needs."""
+        if self.anchor is None:
+            raise ValueError(f"shape {self.name!r} has no anchored representative")
+        return self.anchor
 
 
 def _corner_features(shape: RectilinearShape) -> ShapeFeatures:

@@ -33,7 +33,10 @@ One recursion step, for the target parameter eps:
   in y, onto the root, and carve one exact eps-probe out of every
   embedded upper and lower root.
 
-All quantitative claims along the way are asserted, never assumed.
+Each entry point takes the shape's anchor from ``ShapeDef.anchored``, which
+refuses a shape with none, and reads its eps-empty squares; the tests check
+``shapes.anchored_violations`` at every eps a build hands the anchor.
+All other quantitative claims along the way are asserted, never assumed.
 """
 
 from __future__ import annotations
@@ -44,12 +47,6 @@ from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, grid_rect, lift_pairs, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
 from .independent import Level, check_diagonals, embed_helpers, seal
-
-
-def _require_anchor(shape: ShapeDef) -> AnchoredFrame:
-    if shape.anchor is None:
-        raise ValueError(f"shape {shape.name!r} has no anchored representative")
-    return shape.anchor
 
 
 def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
@@ -75,7 +72,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     roots are squares by construction (``grow_probe`` refuses others), and
     ``seal`` checks the root carved from each for emptiness.
     """
-    anchor = _require_anchor(shape)
+    anchor = shape.anchored()
     delta = inner.epsilon
     roots = [p.root for p in inner.probes]
     s_min, s_max = min(r.width for r in roots), max(r.width for r in roots)
@@ -121,7 +118,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
 
 def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
     """Level (k, eps) of the homothet construction."""
-    anchor = _require_anchor(shape)
+    anchor = shape.anchored()
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon must lie in (0,1): {epsilon}")
     if k < 1:
@@ -154,7 +151,7 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
     between the root and the right edge, so it meets every copy pierced
     by the probe and nothing else; both facts are verified exactly.
     """
-    anchor = _require_anchor(shape)
+    anchor = shape.anchored()
     # the square's side is m*s, m = max(1/2, eps) = mp/mq
     m = max(Fraction(1, 2), level.epsilon)
     mp, mq = m.numerator, m.denominator

@@ -7,7 +7,9 @@ exact rationals, the probe-condition and diagonal-law references test
 every copy through those, on no shared grid, the diagonal,
 rectangle-map and composition references are the chains of Fraction
 operators, on a transform of four Fractions (``XYTransform``), that the
-closed-form, lifted paths on integer axis maps replaced, the render
+closed-form, lifted paths on integer axis maps replaced, the anchored
+frame's reference states its width rule, empty square and stabbers at an
+eps directly, not as ``ShapeFeatures``, the render
 scene maps' reference works them out from the scene's sides, the references
 of a probe's split parts, half-size root and lower root compute on its
 Fraction sides, not on its ints, the coloring
@@ -246,6 +248,17 @@ def apply_ref(t: XYTransform, r: Rect) -> Rect:
     """A Rect's image as Fraction operators, each side through ``t.x`` or
     ``t.y``, with no lift: the reference for ``geometry.map_rect``."""
     return Rect(t.x(r.x_lo), t.x(r.x_hi), t.y(r.y_lo), t.y(r.y_hi))
+
+
+def anchored_features_ref(eps: Rat) -> tuple[Rat, Rect, tuple[Seg, ...], tuple[Seg, ...]]:
+    """The anchored frame's closed form at eps, from the width rule: xi(eps)
+    = eps/(2*(1+eps)), the square E of width xi at eps*xi from the unit
+    square's right side and centred at y = 1/2, the bottom edge up to E and
+    the right edge over E's y range."""
+    xi = eps / (2 * (1 + eps))
+    x_hi, half = 1 - eps * xi, Fraction(1, 2)
+    e = Rect(x_hi - xi, x_hi, half - xi / 2, half + xi / 2)
+    return xi, e, (h_seg(Fraction(1, 4), 0, e.x_lo),), (v_seg(1, e.y_lo, e.y_hi),)
 
 
 def scene_maps_ref(scene: Rect) -> tuple[AxisMap, AxisMap]:

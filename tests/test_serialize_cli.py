@@ -762,6 +762,22 @@ def test_cli_uniform_build_refuses_a_shape_without_anchor(shape, tmp_path, capsy
     assert json.loads(fam.read_text())["shape"]["name"] == "frame"
 
 
+@pytest.mark.parametrize("command", ["verify", "chi", "render", "export-dimacs"])
+@pytest.mark.parametrize("shape", ["lshape", "cross"])
+def test_cli_refuses_a_uniform_file_naming_a_shape_without_anchor(shape, command, tmp_path,
+                                                                 capsys):
+    fam = tmp_path / "u.json"
+    assert cli.main(["build", "--mode", "uniform", "--k", "1", "--epsilon", "1/2",
+                     "--out", str(fam)]) == 0
+    doc = json.loads(fam.read_text())
+    doc["shape"]["name"] = shape
+    fam.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main([command, "--family", str(fam)]) == EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: shape {shape!r} has no anchored representative\n")
+
+
 def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
     parser = cli._parser()
     assert cli._parser() is parser

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
@@ -24,6 +25,7 @@ from trifree.uniform import augment_uniform, build_uniform
 
 from _oracles import (
     XYTransform,
+    anchored_features_ref,
     axis_map,
     copies_intersect_ref,
     copies_intersect_within,
@@ -108,23 +110,36 @@ _FRAME_GAP_LEFT = (h_seg(0, 0, _E), h_seg(0, 3 * _E / 2, 1)) + _FRAME[1:]
 _FRAME_GAP_RIGHT = _FRAME[:3] + (v_seg(1, 0, 3 * _E), v_seg(1, 4 * _E, 1))
 
 _III, _IV = "iii: left stabber", "iv: right stabber"
+_STABBER_FAULT_IDS = [f"{side}-{fault}" for side in ("iii", "iv") for fault in (
+    "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")]
+# what validate_features reports for each case, a catalog shape's or the anchor's
+_STABBER_FAULTS = [
+    ["iii: no left stabber declared"],
+    [f"{_III} leaves the left strip"],
+    [f"{_III} is not part of the shape"],
+    [f"{_III} is not part of the shape", f"{_III} does not cross the left strip"],
+    [f"{_III} does not cross the left strip"],
+    ["iv: no right stabber declared"],
+    [f"{_IV} leaves the right band"],
+    [f"{_IV} is not part of the shape"],
+    [f"{_IV} is not part of the shape", f"{_IV} does not cross the right band"],
+    [f"{_IV} does not cross the right band"],
+]
 
 
 @pytest.mark.parametrize("vertical, segments, stabber, faults", [
-    (False, _FRAME, (), ["iii: no left stabber declared"]),
-    (False, _FRAME, (h_seg(0, 0, 2 * _Q),), [f"{_III} leaves the left strip"]),
-    (False, _FRAME_GAP_LEFT, (h_seg(0, 0, _Q),), [f"{_III} is not part of the shape"]),
-    (False, _FRAME, (h_seg(_E, _E, _E),), [f"{_III} is not part of the shape",
-                                           f"{_III} does not cross the left strip"]),
-    (False, _FRAME, (h_seg(0, 0, _E),), [f"{_III} does not cross the left strip"]),
-    (True, _FRAME, (), ["iv: no right stabber declared"]),
-    (True, _FRAME, (v_seg(1, 0, 3 * _Q),), [f"{_IV} leaves the right band"]),
-    (True, _FRAME_GAP_RIGHT, (v_seg(1, _Q, 3 * _Q),), [f"{_IV} is not part of the shape"]),
-    (True, _FRAME, (v_seg(7 * _E, 4 * _E, 4 * _E),), [f"{_IV} is not part of the shape",
-                                                      f"{_IV} does not cross the right band"]),
-    (True, _FRAME, (v_seg(1, _Q, 2 * _Q),), [f"{_IV} does not cross the right band"]),
-], ids=[f"{side}-{fault}" for side in ("iii", "iv") for fault in (
-    "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")])
+    (*case, faults) for case, faults in zip([
+        (False, _FRAME, ()),
+        (False, _FRAME, (h_seg(0, 0, 2 * _Q),)),
+        (False, _FRAME_GAP_LEFT, (h_seg(0, 0, _Q),)),
+        (False, _FRAME, (h_seg(_E, _E, _E),)),
+        (False, _FRAME, (h_seg(0, 0, _E),)),
+        (True, _FRAME, ()),
+        (True, _FRAME, (v_seg(1, 0, 3 * _Q),)),
+        (True, _FRAME_GAP_RIGHT, (v_seg(1, _Q, 3 * _Q),)),
+        (True, _FRAME, (v_seg(7 * _E, 4 * _E, 4 * _E),)),
+        (True, _FRAME, (v_seg(1, _Q, 2 * _Q),)),
+    ], _STABBER_FAULTS, strict=True)], ids=_STABBER_FAULT_IDS)
 def test_validate_features_reports_each_stabber_fault(vertical, segments, stabber, faults):
     frame = catalog()["frame"].features
     feats = ShapeFeatures(RectilinearShape(segments), frame.empty_rect,
@@ -132,6 +147,18 @@ def test_validate_features_reports_each_stabber_fault(vertical, segments, stabbe
                           stabber if vertical else frame.right_stabber)
     assert feats.bbox == frame.bbox
     assert validate_features(feats) == faults
+
+
+def test_shape_features_derive_widths_from_a_given_box():
+    frame = catalog()["frame"].features
+    feats = ShapeFeatures(frame.shape, frame.empty_rect, frame.left_stabber,
+                          frame.right_stabber, box=Rect(-1, 1, -1, 1))
+    assert feats.bbox == Rect(-1, 1, -1, 1) != frame.shape.bbox()
+    assert (feats.w1, feats.w2) == (Fraction(5, 4), 2)
+    # the anchor's U is its bounding square, not its material's box
+    anchored = catalog()["frame"].anchored().features(Fraction(1, 2))
+    assert anchored.bbox == Rect(0, 1, 0, 1) != anchored.shape.bbox()
+    assert (anchored.w1, anchored.w2) == (Fraction(3, 4), 1)
 
 
 class _AnchoredWith(AnchoredFrame):
@@ -142,11 +169,11 @@ class _AnchoredWith(AnchoredFrame):
         self.shape = RectilinearShape(segments)
         self.left, self.right = left, right
 
-    def left_stabber(self, eps):
-        return super().left_stabber(eps) if self.left is None else self.left
-
-    def right_stabber(self, eps):
-        return super().right_stabber(eps) if self.right is None else self.right
+    def features(self, eps):
+        f = super().features(eps)
+        return ShapeFeatures(f.shape, f.empty_rect,
+                             f.left_stabber if self.left is None else self.left,
+                             f.right_stabber if self.right is None else self.right, box=f.bbox)
 
 
 # At eps = 1/2 the empty square is [3/4, 11/12] x [5/12, 7/12]: the left
@@ -156,26 +183,27 @@ _ANCHORED_GAP_LEFT = (h_seg(_Q, 0, _E), h_seg(_Q, 3 * _E / 2, 1)) + _ANCHORED[1:
 _ANCHORED_GAP_RIGHT = _ANCHORED[:3] + (v_seg(1, _Q, 2 * _Q), v_seg(1, 9 * _Q / 4, 3 * _Q))
 
 
-@pytest.mark.parametrize("vertical, segments, stabber", [
-    (False, _ANCHORED, ()),
-    (False, _ANCHORED, (h_seg(_Q, 0, 1),)),
-    (False, _ANCHORED_GAP_LEFT, None),
-    (False, _ANCHORED, (h_seg(2 * _Q, 2 * _Q, 2 * _Q),)),
-    (False, _ANCHORED, (h_seg(_Q, 0, 2 * _Q),)),
-    (True, _ANCHORED, ()),
-    (True, _ANCHORED, (v_seg(1, _Q, Fraction(7, 12)),)),
-    (True, _ANCHORED_GAP_RIGHT, None),
-    (True, _ANCHORED, (v_seg(Fraction(23, 24), 2 * _Q, 2 * _Q),)),
-    (True, _ANCHORED, (v_seg(1, Fraction(5, 12), 2 * _Q),)),
-], ids=[f"{side}-{fault}" for side in ("iii", "iv") for fault in (
-    "no-stabber", "leaves-region", "spans-gap", "point-off-shape", "short")])
-def test_anchored_violations_reports_each_stabber_fault(vertical, segments, stabber):
+@pytest.mark.parametrize("vertical, segments, stabber, faults", [
+    (*case, faults) for case, faults in zip([
+        (False, _ANCHORED, ()),
+        (False, _ANCHORED, (h_seg(_Q, 0, 1),)),
+        (False, _ANCHORED_GAP_LEFT, None),
+        (False, _ANCHORED, (h_seg(2 * _Q, 2 * _Q, 2 * _Q),)),
+        (False, _ANCHORED, (h_seg(_Q, 0, 2 * _Q),)),
+        (True, _ANCHORED, ()),
+        (True, _ANCHORED, (v_seg(1, _Q, Fraction(7, 12)),)),
+        (True, _ANCHORED_GAP_RIGHT, None),
+        (True, _ANCHORED, (v_seg(Fraction(23, 24), 2 * _Q, 2 * _Q),)),
+        (True, _ANCHORED, (v_seg(1, Fraction(5, 12), 2 * _Q),)),
+    ], _STABBER_FAULTS, strict=True)], ids=_STABBER_FAULT_IDS)
+def test_anchored_violations_reports_each_stabber_fault(vertical, segments, stabber, faults):
+    # the anchor's stabbers go through validate_features, so each case
+    # reports what the catalog case of the same id reports
     half = Fraction(1, 2)
     assert anchored_violations(_AnchoredWith(_ANCHORED), half) == []
     anchor = (_AnchoredWith(segments, right=stabber) if vertical
               else _AnchoredWith(segments, left=stabber))
-    expected = "iv: right eps-stabber invalid" if vertical else "iii: left eps-stabber invalid"
-    assert anchored_violations(anchor, half) == [expected]
+    assert anchored_violations(anchor, half) == faults
 
 
 def test_cover_test_matches_the_fraction_reference():
@@ -331,24 +359,66 @@ def test_crossing_stabbers_must_meet():
 def test_anchored_frame_frozen_values_at_half():
     anchor = catalog()["frame"].anchor
     half = Fraction(1, 2)
-    assert anchor.xi(half) == Fraction(1, 6)
+    xi = anchor.features(half).empty_rect.width
+    assert xi == Fraction(1, 6)
     e = anchor.empty_square(half)
     assert e == Rect(Fraction(3, 4), Fraction(11, 12), Fraction(5, 12), Fraction(7, 12))
-    assert (1 + half) * anchor.xi(half) == Fraction(1, 4) < half
+    assert (1 + half) * xi == Fraction(1, 4) < half
     # gap from E's right side to the square's right side is eps*xi
-    assert 1 - e.x_hi == half * anchor.xi(half) == Fraction(1, 12)
+    assert 1 - e.x_hi == half * xi == Fraction(1, 12)
 
 
-def test_anchored_conditions_over_random_rationals():
-    anchor = catalog()["frame"].anchor
+def _seeded_eps():
     rng = random.Random(1234)
     seen = set()
     while len(seen) < 40:
         eps = Fraction(rng.randint(1, 199), rng.randint(2, 200))
         if 0 < eps < 1:
             seen.add(eps)
-    for eps in sorted(seen):
+    return sorted(seen)
+
+
+@cache
+def _construction_eps():
+    """Every eps the anchor's empty square is asked for while uniform k=3
+    is built and augmented at eps 1/2 and 3/16."""
+    frame, seen = catalog()["frame"], set()
+    real = AnchoredFrame.empty_square
+
+    def recorded(self, eps):
+        seen.add(eps)
+        return real(self, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnchoredFrame, "empty_square", recorded)
+        for eps in (Fraction(1, 2), Fraction(3, 16)):
+            augment_uniform(build_uniform(3, eps, frame), frame)
+    return sorted(seen)
+
+
+def test_anchored_conditions_over_random_rationals():
+    anchor = catalog()["frame"].anchor
+    for eps in _seeded_eps():
         assert anchored_violations(anchor, eps) == [], eps
+
+
+def test_anchored_conditions_at_every_eps_the_construction_uses():
+    anchor = catalog()["frame"].anchor
+    used = _construction_eps()
+    assert len(used) == 14
+    assert max(eps.denominator.bit_length() for eps in used) > 256
+    for eps in used:
+        assert anchored_violations(anchor, eps) == [], eps
+
+
+def test_anchored_features_match_the_closed_form():
+    anchor = catalog()["frame"].anchor
+    for eps in _seeded_eps() + _construction_eps():
+        feats = anchor.features(eps)
+        xi, e, left, right = anchored_features_ref(eps)
+        assert (feats.empty_rect.width, feats.empty_rect) == (xi, e), eps
+        assert (feats.left_stabber, feats.right_stabber) == (left, right), eps
+        assert feats.bbox == anchor.bounding_square and feats.shape is anchor.shape
 
 
 def test_anchored_frame_standalone_instance():
