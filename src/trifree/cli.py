@@ -33,6 +33,11 @@ EXIT_BAD_STREAM = 5
 
 TIMEOUT_ENV = "TRIFREE_TIMEOUT"
 
+# The largest build --k per mode, past which a build runs until memory is
+# gone: independent k=6 has s_6 = 2,375,752,501 copies, and uniform k=4's
+# rationals already stop it at the file write.
+BUILD_MAX_K = {"independent": 5, "uniform": 4}
+
 T = TypeVar("T")
 
 
@@ -233,6 +238,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         anchored = sorted(name for name, d in catalog().items() if d.anchor is not None)
         if args.mode == "uniform" and args.shape not in anchored:
             parser.error(f"uniform mode needs a shape with an anchor: {', '.join(anchored)}")
+        if args.k > BUILD_MAX_K[args.mode]:
+            parser.error(f"--k must be at most {BUILD_MAX_K[args.mode]} in {args.mode} mode")
     if args.command == "game" and args.painter == "minimax" and args.k > SEARCH_LIMIT:
         parser.error(f"--k must be at most {SEARCH_LIMIT} with --painter minimax")
     if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):

@@ -18,10 +18,11 @@ and its query rectangles on one grid, once per check.
 Fractions are made, not computed with, where ints can do the work.
 ``grid_rect`` and ``lift_pairs`` make a Rect from ints with no Fraction:
 from a box over one denominator, or from four int pairs (p, q), reduced
-or not, such as a rectangle read from a file, whose rationals are spelt
-'p' or 'p/q' (``rat_pair``).  The image of a Rect under two axis maps
-(``map_rect``), the maps carrying one Rect onto another (``rect_map``)
-and containment are all decided on the lifts.
+or not, such as a rectangle read from a file.  A rational's text, 'p' or
+'p/q', is read here (``rat_pair``) and written here (``rat_text``), for
+every file.  The image of a Rect under two axis maps (``map_rect``), the
+maps carrying one Rect onto another (``rect_map``) and containment are
+all decided on the lifts.
 """
 
 from __future__ import annotations
@@ -89,7 +90,28 @@ def as_rat(value: RatLike) -> Rat:
 
 def rat_str(value: Rat) -> str:
     """Serialize a rational as 'p/q', with '/1' omitted for integers."""
-    return str(value)
+    return rat_text(value.numerator, value.denominator)
+
+
+def rat_text(n: int, d: int) -> str:
+    """n/d, d > 0, written from the ints as 'p/q' in lowest terms, '/1'
+    omitted: the one writer of what ``rat_pair`` reads.  Past Python's digit
+    limit it raises ``digit_limit_error``, showing 20 digits at each end."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        pass
+    counts, texts = [], []
+    for m in (n, d):
+        a = abs(m)
+        digits = int(a.bit_length() * 0.30102999566398120)  # log10(2): one short, or exact
+        digits += a >= 10 ** digits
+        counts.append(digits)
+        texts.append(str(m) if digits <= 40
+                     else f"{'-' * (m < 0)}{a // 10 ** (digits - 20)}...{a % 10 ** 20:020d}")
+    raise digit_limit_error(max(counts), texts[0] if d == 1 else "/".join(texts))
 
 
 def lift(values: Sequence[Rat]) -> tuple[int, list[int]]:

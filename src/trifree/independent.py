@@ -23,9 +23,10 @@ probes from their claimed roots and raises ConstructionError unless
 ``level_law``, the one statement of what a level claims, holds; ``verify``
 runs the same law on a stored family.  The law lifts the copies, the
 diagonals and the probes onto one integer grid (``shapes.FamilyGrid``)
-and reads all it needs from one y-sweep over bounding boxes on it: each
-contact, decided once, for the probe conditions, the diagonal law and
-the triangle test, each probe's candidates and the probes that may meet.
+and itself runs one y-sweep over bounding boxes on it: each contact,
+decided once, for the probe conditions, the diagonal law and the triangle
+test, each probe's candidates, which ``_probe_messages`` judges, and the
+probes that may meet.
 ``augment`` adds to a sealed level only what the diagonals claim, so
 ``check_diagonals`` decides only the pairs that hold a diagonal.  A
 recursion step's claims are decided by those two checks alone:
@@ -36,22 +37,19 @@ computes each diagonal's transform in closed form from the probe
 rectangle's lift and decides its clearance on cross-multiplied ints; the
 claimed roots are mapped on their lifts (``geometry.map_rect``); and
 ``_probe_messages`` decides every side condition of a probe on its grid
-boxes, the cut by cross-multiplication.  It scans each copy near a probe
-once (``FamilyGrid.pierce``) for whether the copy is pierced, whether one
-of its segments spans the probe from bottom to top and whether it meets
-the root; only a pierced copy with no spanning segment is clipped and
-walked into components, and on every level the constructions build each
-pierced copy has one.  An embedding is two axis maps, read off the lifts
-of the helper's box and its target (``geometry.rect_map``): each helper
-copy is embedded by ``TransformedCopy.rebase``, which composes its axis
-maps on ints, and each claimed root is mapped on its lift.  A probe
-holds ints only (``Probe``): its rectangle and root as Rects, each its
-lift alone, and its cut as a pair, which the checks read as they are.
-``grow_probe`` makes each probe, an eps-probe too, on the lifts of its
-claimed root and the family box, and the build step cuts a probe into
-its split parts and shrinks its root (``split_probe``, ``next_level``)
-on the same ints; only ``uniform`` reads a root's Fraction sides, where
-it computes with them.
+boxes, the cut by cross-multiplication.  On every level the constructions
+build, each pierced copy has a segment spanning its probe from bottom to
+top, so one scan of the copy decides it and none is clipped or walked.
+An embedding is two axis maps, read off the lifts of the helper's box and
+its target (``geometry.rect_map``): each helper copy is embedded by
+``TransformedCopy.rebase``, which composes its axis maps on ints, and each
+claimed root is mapped on its lift.  A probe holds ints only (``Probe``):
+its rectangle and root as Rects, each its lift alone, and its cut as a
+pair, which the checks read as they are.  ``grow_probe`` makes each probe,
+an eps-probe too, on the lifts of its claimed root and the family box, and
+the build step cuts a probe into its split parts and shrinks its root
+(``split_probe``, ``next_level``) on the same ints; only ``uniform`` reads
+a root's Fraction sides, where it computes with them.
 """
 
 from __future__ import annotations
@@ -216,57 +214,26 @@ def _boxes_meet(a: IntBox, b: IntBox) -> bool:
     return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
-def level_pass(grid: FamilyGrid, n: int) -> tuple[
-        list[tuple[int, int]], list[list[int]], list[tuple[int, int]]]:
-    """A level check's one pass (``FamilyGrid.contacts``) over the family on
-    ``grid`` and the box around each probe's rectangle and root, the grid's
-    rectangles in turn: the sorted pairs of copies that share a point, each
-    probe's candidates (the first ``n`` copies whose boxes meet its box, so
-    a root moved off its rectangle still meets every copy it could) and the
-    sorted pairs of probes whose rectangles meet."""
-    m, rects = len(grid.boxes), grid.rect_boxes
-    contacts, hits = grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])])
-    meeting = sorted((i - m, q) for q, h in enumerate(hits) for i in h
-                     if i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * q]))
-    # each list is ascending, so its base copies come first
-    return contacts, [h[:bisect_left(h, n)] for h in hits], meeting
-
-
-def probe_conditions(probes: Sequence[Probe], grid: FamilyGrid, n: int,
-                     near: Sequence[Sequence[int]], contacts: set[tuple[int, int]],
-                     epsilon: Optional[Rat] = None) -> list[list[str]]:
-    """The probe conditions of each probe, checked exactly: one list of
-    messages per probe, empty when it is valid.
-
-    ``grid`` holds the family, whose first ``n`` copies are the ones the
-    probes may pierce and whose box the probes must fit, and as rectangles
-    each probe's rectangle and root in turn; ``near`` and ``contacts`` are
-    the candidates and the contact pairs of its one pass (``level_pass``).
-    The copies a probe rectangle meets must be exactly ``probe.pierced``
-    (the expected contact set while building, the stored set when
-    verifying), pairwise disjoint and vertical stabbers, and the root left
-    of the cut must be empty.  Passing ``epsilon`` makes these eps-probe
-    checks: the root must also be a square and the width/height ratio
-    exactly 1 + eps.
-
-    One scan of each candidate's segments decides whether the copy is
-    pierced, whether it meets the root and, through a segment spanning the
-    rectangle, most stabs; a pierced copy without one is clipped and walked
-    into components.  Whether two pierced copies meet is read from
-    ``contacts``, not decided here.
-    """
-    box, rects = box_hull(grid.boxes[:n]), grid.rect_boxes
-    return [_probe_messages(p, grid, rect, root, ids, box, epsilon, contacts)
-            for p, rect, root, ids in zip(probes, rects[::2], rects[1::2], near)]
-
-
 def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
                     near: Sequence[int], box: IntBox, epsilon: Optional[Rat],
                     contacts: set[tuple[int, int]]) -> list[str]:
-    """One probe's messages, every side condition decided on grid ints:
-    ``rect_box``, ``root_box`` and the family box ``box``.  The cut n/d
-    need not lie on the grid, so it is compared by cross-multiplication:
-    v/den < n/d iff v*d < n*den."""
+    """The probe conditions of ``probe``, decided on grid ints: its messages,
+    empty when it holds.  The copies its rectangle meets must be exactly
+    ``probe.pierced`` (expected while building, stored when verifying),
+    pairwise disjoint and vertical stabbers, and the root left of the cut
+    must be empty; with ``epsilon`` (an eps-probe) the root must also be a
+    square and the width/height ratio exactly 1 + eps.
+
+    ``rect_box``, ``root_box`` and the family box ``box`` are on ``grid``.
+    ``near`` holds the copies whose boxes meet the box around the rectangle
+    and root, so a root moved off its rectangle still meets every copy it
+    could.  One scan of each (``FamilyGrid.pierce``) decides whether the
+    copy is pierced, whether it meets the root and, through a segment
+    spanning the rectangle, most stabs; a pierced copy without one is
+    clipped and walked into components.  Whether two pierced copies meet
+    is read from ``contacts``.  The cut n/d need not lie on the grid, so
+    it is compared by cross-multiplication: v/den < n/d iff v*d < n*den.
+    """
     out: list[str] = []
     x0, x1, y0, y1 = rect_box
     r0, r1, r2, r3 = root_box
@@ -380,13 +347,16 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     homothet when the level carries an epsilon; the probe conditions of
     each probe; pairwise disjoint probes; the diagonal law of
     ``diagonals`` when given; and no triangle, ``diagonals`` included.
-    All of it is read from one pass (``level_pass``) on one ``FamilyGrid``:
-    the contacts, the probes' candidates and the pairs of probes that meet.
-    One graph of the contacts, made once the grid is released, serves the
-    triangle test.
+    The family, ``diagonals`` included, and each probe's rectangle and
+    root go on one ``FamilyGrid``, and all of it is read from one pass
+    (``FamilyGrid.contacts``) over the family and the box around each
+    probe: the contacts, each probe's candidates (the base copies whose
+    boxes meet its box), judged by ``_probe_messages``, and the pairs of
+    probes whose rectangles meet.  One graph of the
+    contacts, made once the grid is released, serves the triangle test.
     """
     out: list[str] = []
-    k, n = level.k, len(level.family)
+    k, n, probes = level.k, len(level.family), level.probes
     family = (*level.family, *(diagonals or ()))
     # Level k holds s_k copies at least: checking that first keeps a huge
     # claimed k from growing the recurrence's integers.
@@ -396,23 +366,28 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
         s_k, p_k = size_formulas(k)
         if n != s_k:
             out.append(f"size: {n} copies, expected s_{k} = {s_k}")
-        if len(level.probes) != p_k:
-            out.append(f"size: {len(level.probes)} probes, expected p_{k} = {p_k}")
+        if len(probes) != p_k:
+            out.append(f"size: {len(probes)} probes, expected p_{k} = {p_k}")
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
                    for c in family if not c.is_uniform)
-    grid = FamilyGrid(family, [r for p in level.probes for r in (p.rect, p.root)])
-    contacts, near, meeting = level_pass(grid, n)
+    grid = FamilyGrid(family, [r for p in probes for r in (p.rect, p.root)])
+    rects, m = grid.rect_boxes, len(family)
+    contacts, hits = grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])])
+    box = box_hull(grid.boxes[:n])
     # the probes pierce base copies only, so only their contacts are looked up
     base_contacts = {(i, j) for i, j in contacts if j < n}
-    for i, bad in enumerate(probe_conditions(level.probes, grid, n, near, base_contacts,
-                                             level.epsilon)):
-        out.extend(f"probe {i}: {msg}" for msg in bad)
-    del grid, near  # freed before the graph is made, so they never coexist
-    g = Graph.from_edges(len(family), contacts)
+    for i, (p, rect, root, h) in enumerate(zip(probes, rects[::2], rects[1::2], hits)):
+        # each hit list is ascending, so its base copies come first
+        out.extend(f"probe {i}: {msg}" for msg in _probe_messages(
+            p, grid, rect, root, h[:bisect_left(h, n)], box, level.epsilon, base_contacts))
+    meeting = sorted((i - m, q) for q, h in enumerate(hits) for i in h
+                     if i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * q]))
+    del grid, rects, hits  # freed before the graph is made, so they never coexist
+    g = Graph.from_edges(m, contacts)
     out.extend(f"probes {i} and {j} are not disjoint" for i, j in meeting)
     if diagonals is not None:
-        law = (diagonal_law(contacts, n, level.probes) if len(diagonals) == len(level.probes)
+        law = (diagonal_law(contacts, n, probes) if len(diagonals) == len(probes)
                else ["diagonal count differs from probe count"])
         out.extend(f"augmented: {msg}" for msg in law)
     if not is_triangle_free(g):

@@ -1,18 +1,18 @@
 """JSON persistence for families, strategy trees, and game transcripts.
 
-Rationals travel as 'p/q' strings (integers may omit '/1'), so a parse
-of a serialize reproduces every coordinate bit for bit.  One writer,
+Rationals travel as 'p/q' strings (integers may omit '/1'), written and
+read by ``geometry`` alone (``rat_text``, ``rat_pair``), so a parse of a
+serialize reproduces every coordinate bit for bit.  One writer,
 ``level_to_doc``, serves both constructions: a level's ``epsilon`` makes
 its document a uniform one, with the anchored shape and the ``epsilon``
 field.  ``encoded_to_doc`` writes strategy-tree families: the frames and
 the tree, each node's interval, slot and children, with the color
 budget.  Files from earlier versions also carry the tree's
-``branch_colorings``, which the loader ignores.  ``doc_to_family``
-reads all three modes back.  It refuses a shape block
-that is not its catalog entry's, as ``shape_to_json`` writes it, and a
-family whose copies and probes share no grid near their finest
-denominator, because the predicates and sweeps decide everything on one
-common grid.
+``branch_colorings``, which the loader ignores.  ``doc_to_family`` reads
+all three modes back.  It refuses a shape block that is not its catalog
+entry's, as ``shape_to_json`` writes it, and a family whose copies and
+probes share no grid near their finest denominator, because the
+predicates and sweeps decide everything on one common grid.
 
 ``dumps`` writes every file as compact JSON, one record per line: each
 top-level field on a line of its own, and each element of a top-level
@@ -30,9 +30,9 @@ copy holds ints only.  So does each probe: each of its rectangles is a
 which holds their lift alone, its cut is its pair in lowest terms, and
 its pierced indices are checked for type and range in one pass.  Only
 the epsilon and the tree nodes become Fractions, read through the same
-memo.  The writer formats every copy and probe field from the ints.  An
-encoded family carries no probes, is not augmented, and has no
-``base_size`` but its frame count.
+memo.  The writer formats every copy and probe field from the ints
+(``geometry.rat_text``).  An encoded family carries no probes, is not
+augmented, and has no ``base_size`` but its frame count.
 """
 
 from __future__ import annotations
@@ -49,39 +49,14 @@ from .geometry import (
     Rect,
     Seg,
     as_rat,
-    digit_limit_error,
     lift_pairs,
     rat_pair,
     rat_str,
+    rat_text,
 )
 from .independent import Level, Probe
 from .record import Record, set_field
 from .shapes import ShapeDef, TransformedCopy, catalog
-
-
-def _ratio(n: int, d: int) -> str:
-    """``rat_str`` of n/d, d > 0, from the ints; one with more digits than
-    Python writes raises ``geometry.digit_limit_error``."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:
-        raise _digit_limit_error(n, d) from None
-
-
-def _digit_limit_error(n: int, d: int) -> ValueError:
-    """``digit_limit_error`` for n/d, made from the ints: each is counted,
-    and only its first and last 20 digits are written."""
-    counts, texts = [], []
-    for m in (n, d):
-        a = abs(m)
-        digits = int(a.bit_length() * 0.30102999566398120)  # log10(2): one short, or exact
-        digits += a >= 10 ** digits
-        counts.append(digits)
-        texts.append(str(m) if digits <= 40
-                     else f"{'-' * (m < 0)}{a // 10 ** (digits - 20)}...{a % 10 ** 20:020d}")
-    return digit_limit_error(max(counts), texts[0] if d == 1 else "/".join(texts))
 
 
 def seg_to_json(s: Seg) -> dict:
@@ -92,8 +67,8 @@ def seg_to_json(s: Seg) -> dict:
 def rect_to_json(r: Rect) -> dict:
     """The rectangle's sides, each formatted from its lift's ints."""
     den, (x0, x1, y0, y1) = r.den, r.int_box
-    return {"x_lo": _ratio(x0, den), "x_hi": _ratio(x1, den),
-            "y_lo": _ratio(y0, den), "y_hi": _ratio(y1, den)}
+    return {"x_lo": rat_text(x0, den), "x_hi": rat_text(x1, den),
+            "y_lo": rat_text(y0, den), "y_hi": rat_text(y1, den)}
 
 
 def _rect_from_json(d: dict, pair: Callable[[Any], tuple[int, int]]) -> Rect:
@@ -146,14 +121,14 @@ def shape_to_json(shape: ShapeDef, *, anchored: bool) -> dict:
 def copy_to_json(c: TransformedCopy) -> dict:
     """The copy's fields, each formatted from its axis maps' ints."""
     (ax, bx, qx), (ay, by, qy) = c.x_map, c.y_map
-    return {"sx": _ratio(ax, qx), "sy": _ratio(ay, qy),
-            "tx": _ratio(bx, qx), "ty": _ratio(by, qy), "lineage": c.lineage}
+    return {"sx": rat_text(ax, qx), "sy": rat_text(ay, qy),
+            "tx": rat_text(bx, qx), "ty": rat_text(by, qy), "lineage": c.lineage}
 
 
 def _probe_to_json(p: Probe) -> dict:
     """The probe's fields, each formatted from its ints."""
     return {"rect": rect_to_json(p.rect), "root": rect_to_json(p.root),
-            "root_cut_x": _ratio(*p.cut), "pierced": list(p.pierced)}
+            "root_cut_x": rat_text(*p.cut), "pierced": list(p.pierced)}
 
 
 def _typed(value: Any, kind: type, field: str) -> Any:

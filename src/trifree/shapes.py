@@ -443,12 +443,11 @@ class TransformedCopy(Value):
                                lineage if lineage is not None else self.lineage)
 
 
-def _on_one_grid(*groups: Sequence[Rect | TransformedCopy]
-                 ) -> tuple[int, list[list[IntBox]]]:
-    """The boxes of each group (a copy stands for its bounding box) in
-    units of 1/den, den the least common denominator of all of them."""
-    den = lcm(*{b.den for group in groups for b in group})
-    return den, [[_scaled_box(b.int_box, den // b.den) for b in group] for group in groups]
+def _on_one_grid(boxes: Sequence[Rect | TransformedCopy]) -> tuple[int, list[IntBox]]:
+    """The boxes given (a copy stands for its bounding box) in units of
+    1/den, den the least common denominator of all of them."""
+    den = lcm(*{b.den for b in boxes})
+    return den, [_scaled_box(b.int_box, den // b.den) for b in boxes]
 
 
 def _sweep_pairs(boxes: Sequence[IntBox]) -> Iterator[tuple[int, int]]:
@@ -475,7 +474,7 @@ def box_hull(boxes: Iterable[IntBox]) -> IntBox:
 
 def family_bbox(copies: Sequence[Rect | TransformedCopy]) -> Rect:
     """The smallest box holding every copy (and rectangle) given."""
-    den, (grid,) = _on_one_grid(copies)
+    den, grid = _on_one_grid(copies)
     return grid_rect(den, box_hull(grid))
 
 

@@ -474,8 +474,8 @@ def replace_probe(p: Probe, **changes) -> Probe:
 
 def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCopy], bbox: Rect,
                          epsilon: Optional[Rat] = None) -> list[list[str]]:
-    """``independent.probe_conditions`` on exact rationals: every probe
-    against every copy through ``copy_meets_rect_ref``,
+    """``independent.level_law``'s per-probe messages on exact rationals:
+    every probe against every copy through ``copy_meets_rect_ref``,
     ``copies_intersect_ref`` and ``curve_stabs_ref``, with no sweep, no
     grid and no memo, giving the same messages in the same order."""
     out: list[list[str]] = []
@@ -545,7 +545,7 @@ def meeting_pairs(boxes: Sequence[Rect | TransformedCopy]) -> list[tuple[int, in
     """The pairs (i, j), i < j, of closed boxes that meet, in sorted order,
     from one ``_sweep_pairs`` over the boxes lifted onto one grid.  A copy
     stands for its bounding box."""
-    return sorted(_sweep_pairs(_on_one_grid(boxes)[1][0]))
+    return sorted(_sweep_pairs(_on_one_grid(boxes)[1]))
 
 
 def intersection_graph_bruteforce(copies: Sequence[TransformedCopy]) -> Graph:

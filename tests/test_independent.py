@@ -18,10 +18,8 @@ from trifree.independent import (
     base_level,
     build,
     diagonal_law,
-    level_pass,
     make_diagonal,
     next_level,
-    probe_conditions,
     seal,
     size_formulas,
     split_probe,
@@ -783,13 +781,15 @@ def test_seal_keeps_the_box_its_probes_grew_to(frame, monkeypatch):
 
 
 def _probe_conditions(probes, copies, epsilon=None, diagonals=()):
-    """``probe_conditions`` as ``level_law`` runs it: the copies, then the
-    diagonals, on one grid with every probe's rectangle and root, and that
-    grid's one pass."""
-    grid = shapes.FamilyGrid([*copies, *diagonals],
-                             [r for p in probes for r in (p.rect, p.root)])
-    contacts, near, _ = level_pass(grid, len(copies))
-    return probe_conditions(probes, grid, len(copies), near, set(contacts), epsilon)
+    """Each probe's messages from ``level_law``, the ``probe i: `` prefix
+    cut off, with the copies as a level's family and the diagonals, if
+    any, as its closing diagonals."""
+    out = [[] for _ in probes]
+    for msg in independent.level_law(Level(1, copies, probes, epsilon), diagonals or None):
+        if msg.startswith("probe "):
+            i, text = msg[len("probe "):].split(": ", 1)
+            out[int(i)].append(text)
+    return out
 
 
 def _grid_unit(level):

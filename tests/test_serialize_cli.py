@@ -17,7 +17,7 @@ from trifree import cli, render, serialize
 from trifree.cli import EXIT_VIOLATION
 from trifree.encoding import encode, expand_tree
 from trifree.game import MAX_K, SEARCH_LIMIT, first_fit, game_tree, run_game
-from trifree.geometry import Rect, as_rat, lift, lowest
+from trifree.geometry import Rect, as_rat, lift, lowest, rat_str, rat_text
 from trifree.graphs import intersection_graph, is_triangle_free
 from trifree.independent import augment, build, level_law, seal
 from trifree.render import render_family
@@ -863,6 +863,24 @@ def test_cli_k_above_the_search_cap_is_a_usage_error(args):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("build", "--k", "6"),
+    ("build", "--mode", "uniform", "--epsilon", "1/2", "--k", "5"),
+], ids=["independent", "uniform"])
+def test_cli_build_k_above_its_cap_is_a_usage_error(args, monkeypatch, capsys):
+    # independent k=6 asks for 2,375,752,501 copies: the build ran until
+    # memory was gone, so here any build that starts fails the test
+    def no_build(*_):
+        raise AssertionError("a build started")
+    monkeypatch.setattr(cli, "build", no_build)
+    monkeypatch.setattr(cli, "build_uniform", no_build)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--k" in err
+
+
 def test_cli_encode_k4_is_b4_and_verifies(tmp_path):
     # B_4 of ROADMAP: 309 vertices, 1,059 edges, no triangle
     path = tmp_path / "enc4.json"
@@ -1101,10 +1119,12 @@ def test_loader_refuses_a_decimal_past_the_digit_limit_with_its_own_message(
 
 def test_writer_refuses_a_decimal_past_the_digit_limit_with_its_own_message(digit_limit):
     big = 2 ** 15000  # 4,516 digits
-    for ratio, shown in (((big, 1), "28179608796313976374...69151381708001509376"),
-                         ((-3, big + 1), "-3/28179608796313976374...69151381708001509377")):
+    for write, ints, shown in (
+            (rat_text, (big, 1), "28179608796313976374...69151381708001509376"),
+            (rat_text, (-3, big + 1), "-3/28179608796313976374...69151381708001509377"),
+            (rat_str, (Fraction(big),), "28179608796313976374...69151381708001509376")):
         with pytest.raises(ValueError) as err:
-            serialize._ratio(*ratio)
+            write(*ints)
         assert str(err.value) == (f"rational {shown} has 4,516 decimal digits, "
                                   "more than the 4,300 that Python converts")
 
