@@ -168,11 +168,11 @@ def _cmd_export_dimacs(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by every
-    ``main`` call.  It holds only what is fixed for the process: anything
-    that reads the environment or depends on one call's arguments belongs
-    in ``main``."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommands' parsers by name, built
+    once per process and reused by every ``main`` call.  It holds only
+    what is fixed for the process: anything that reads the environment or
+    depends on one call's arguments belongs in ``main``."""
     parser = argparse.ArgumentParser(
         prog="trifree",
         description="Build and certify triangle-free families of axis-aligned "
@@ -224,29 +224,30 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_export_dimacs)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
+    parser, commands = _parser()
     args = parser.parse_args(argv)
+    error = commands[args.command].error  # shows the refused command's usage
     if args.command == "build":
         if args.mode == "uniform" and args.epsilon is None:
-            parser.error("uniform mode requires --epsilon")
+            error("uniform mode requires --epsilon")
         if args.mode == "independent" and args.epsilon is not None:
-            parser.error("--epsilon only applies to uniform mode")
+            error("--epsilon only applies to uniform mode")
         anchored = sorted(name for name, d in catalog().items() if d.anchor is not None)
         if args.mode == "uniform" and args.shape not in anchored:
-            parser.error(f"uniform mode needs a shape with an anchor: {', '.join(anchored)}")
+            error(f"uniform mode needs a shape with an anchor: {', '.join(anchored)}")
         if args.k > BUILD_MAX_K[args.mode]:
-            parser.error(f"--k must be at most {BUILD_MAX_K[args.mode]} in {args.mode} mode")
+            error(f"--k must be at most {BUILD_MAX_K[args.mode]} in {args.mode} mode")
     if args.command == "game" and args.painter == "minimax" and args.k > SEARCH_LIMIT:
-        parser.error(f"--k must be at most {SEARCH_LIMIT} with --painter minimax")
+        error(f"--k must be at most {SEARCH_LIMIT} with --painter minimax")
     if args.command == "chi" and args.timeout is None and os.environ.get(TIMEOUT_ENV):
         try:
             args.timeout = _seconds(os.environ[TIMEOUT_ENV])
         except argparse.ArgumentTypeError as exc:
-            parser.error(f"{TIMEOUT_ENV}: {exc}")
+            error(f"{TIMEOUT_ENV}: {exc}")
     try:
         return args.func(args)
     except OSError as exc:

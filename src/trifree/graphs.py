@@ -3,8 +3,8 @@
 ``intersection_graph`` lifts the family onto one integer grid
 (``shapes.FamilyGrid``) and takes its edges from the grid's ``contacts()``:
 the exact test on the pairs whose bounding boxes meet, found by one
-y-sweep.  ``independent.level_law`` makes its ``Graph`` from the
-contacts of the grid it already has.
+y-sweep.  A geometric family's level check makes no ``Graph``: it
+compares the contacts with B_k (``independent.claimed_graph``).
 
 The chromatic-number solver is a saturation-order branch and bound with
 a clique lower bound and first-use color symmetry pruning, run on an

@@ -11,12 +11,13 @@ copies are pairwise disjoint vertical stabbers, with an empty left part
 least k colors on the pierced set of some probe; attaching one final
 diagonal per probe then pushes the chromatic number past k.
 
-This construction and the homothet one in ``uniform`` share one
-recursion step, ``embed_helpers``: it embeds a helper family in every
-outer probe's root and claims the new probes by one contact law.  The two
-differ only in geometry: where the helper and the new roots go.  Both
-return the one ``Level`` record, whose ``epsilon`` is set for homothet
-levels alone, and ``serialize.level_to_doc`` writes either.
+Every level of either construction claims one graph, B_k, whose rule
+``claimed_graph`` states once.  The two constructions share one recursion
+step, ``embed_helpers``: it embeds a helper family in every outer probe's
+root and claims each new probe's pierced set from B_k.  The two differ
+only in geometry: where the helper and the new roots go.  Both return the
+one ``Level`` record, whose ``epsilon`` is set for homothet levels alone,
+and ``serialize.level_to_doc`` writes either.
 
 Nothing here is trusted.  ``seal`` ends every level: it grows the
 probes from their claimed roots and raises ConstructionError unless
@@ -24,46 +25,35 @@ probes from their claimed roots and raises ConstructionError unless
 runs the same law on a stored family.  The law lifts the copies, the
 diagonals and the probes onto one integer grid (``shapes.FamilyGrid``)
 and itself runs one y-sweep over bounding boxes on it: each contact,
-decided once, for the probe conditions, the diagonal law and the triangle
-test, each probe's candidates, which ``_probe_messages`` judges, and the
-probes that may meet.
-``augment`` adds to a sealed level only what the diagonals claim, so
-``check_diagonals`` decides only the pairs that hold a diagonal.  A
-recursion step's claims are decided by those two checks alone:
-``next_level`` and ``uniform._make_helper`` re-check none of them.
+decided once, each probe's candidates, which ``_probe_messages`` judges,
+and the probes that may meet; it then compares the pierced sets and the
+contacts with B_k.  ``augment`` adds to a sealed level only what the
+diagonals claim, so ``check_diagonals`` decides only the pairs that hold
+a diagonal, against B_k.  A recursion step's claims are decided by those
+two checks alone: ``next_level`` and ``uniform._make_helper`` re-check
+none of them.
 
-The per-probe work runs on ints that are already lifted.  ``make_diagonal``
-computes each diagonal's transform in closed form from the probe
-rectangle's lift and decides its clearance on cross-multiplied ints; the
-claimed roots are mapped on their lifts (``geometry.map_rect``); and
-``_probe_messages`` decides every side condition of a probe on its grid
-boxes, the cut by cross-multiplication.  On every level the constructions
-build, each pierced copy has a segment spanning its probe from bottom to
-top, so one scan of the copy decides it and none is clipped or walked.
-An embedding is two axis maps, read off the lifts of the helper's box and
-its target (``geometry.rect_map``): each helper copy is embedded by
-``TransformedCopy.rebase``, which composes its axis maps on ints, and each
-claimed root is mapped on its lift.  A probe holds ints only (``Probe``):
-its rectangle and root as Rects, each its lift alone, and its cut as a
-pair, which the checks read as they are.  ``grow_probe`` makes each probe,
-an eps-probe too, on the lifts of its claimed root and the family box, and
-the build step cuts a probe into its split parts and shrinks its root
-(``split_probe``, ``next_level``) on the same ints; only ``uniform`` reads
-a root's Fraction sides, where it computes with them.
+The per-probe work runs on lifted ints: ``make_diagonal`` computes each
+diagonal's transform in closed form, ``_probe_messages`` decides every
+side condition of a probe on its grid boxes, and an embedding is two
+axis maps (``geometry.rect_map``) that ``TransformedCopy.rebase`` and
+``geometry.map_rect`` apply.  A ``Probe`` holds ints only, and
+``grow_probe``, ``split_probe`` and ``step_roots`` work on them; only
+``uniform`` reads a root's Fraction sides, where it computes with them.
+On every level the constructions build, each pierced copy has a segment
+spanning its probe, so one scan of the copy decides it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, islice, takewhile
+from functools import cache, cached_property
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .errors import ConstructionError, fail_on
 from .geometry import AxisMap, IntBox, Rat, Rect, grid_rect, lift_pairs, map_rect, rect_map
-from .graphs import Graph, is_triangle_free
 from .record import Record, Value, set_field
 from .shapes import FamilyGrid, ShapeDef, TransformedCopy, box_hull, family_bbox
 
@@ -111,29 +101,79 @@ class Level(Record):
         return family_bbox(self.family)
 
 
-def _sizes() -> Iterator[tuple[int, int]]:
-    """(s_k, p_k) for k = 1, 2, 3, ... by the recurrence."""
-    s, p = 1, 1
-    while True:
-        yield s, p
-        s, p = (p + 1) * s + p * p, 2 * p * p
+class ClaimedGraph(NamedTuple):
+    """B_k: s_k vertices, the bare level's sorted edges (a, b), a < b, and
+    each probe's sorted pierced set, in claim order.  Augmented B_k adds
+    vertex s_k + i, the diagonal of probe i."""
+
+    size: int
+    edges: tuple[tuple[int, int], ...]
+    pierced: tuple[tuple[int, ...], ...]
+
+    def diagonal_edges(self) -> list[tuple[int, int]]:
+        """Augmented B_k's other edges, sorted: (j, s_k + i), j pierced by probe i."""
+        return sorted((j, d) for d, ps in enumerate(self.pierced, self.size) for j in ps)
 
 
-def size_formulas(k: int) -> tuple[int, int]:
-    """(s_k, p_k) by the recurrence, cross-checked against the closed bounds."""
+@cache
+def claimed_graph(k: int) -> ClaimedGraph:
+    """B_k, the graph every level k of either construction claims, its
+    copies and probes in construction order: the one statement of the rule
+    that ``embed_helpers`` builds by and ``level_law`` checks.
+
+    Bare B_1 is one vertex, pierced by its one probe.  Bare B_{k+1} is bare
+    B_k, then per probe P_i of B_k a copy H_i of augmented B_k from vertex
+    s_k + i*(s_k + p_k) on, with no edge between the parts.  Each pair
+    (P_i, Q), Q a probe of B_k, claims an upper probe, piercing P_i's set
+    and Q's diagonal in H_i, then a lower one, piercing P_i's set and Q's
+    copies in H_i.  Augmented B_k adds diagonal i, adjacent to exactly
+    probe i's pierced set.
+
+    By induction B_k has no triangle and its pierced sets are independent:
+    a triangle in augmented B_k needs two meeting diagonals or an edge in a
+    pierced set, bare B_{k+1} is a disjoint union of triangle-free parts, and
+    a new pierced set is the union of independent sets in two unjoined parts.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    s, p = next(islice(_sizes(), k - 1, None))
-    exponent = 2 ** (k - 1)
-    if p != 2 ** (exponent - 1) or not s <= 2 ** exponent - 1:
-        raise AssertionError(f"size recurrence left its proven bounds at k={k}")
-    return s, p
+    if k == 1:
+        return ClaimedGraph(1, (), ((0,),))
+    prev = claimed_graph(k - 1)
+    s, p = prev.size, len(prev.pierced)
+    size = s + p * (s + p)
+    helper = sorted([*prev.edges, *prev.diagonal_edges()])
+    # one int per vertex, held by every pair and set it is in (it halves
+    # B_5); each part's edges follow the last part's, so they stay sorted
+    v = list(range(size))
+    edges = list(prev.edges)
+    pierced: list[tuple[int, ...]] = []
+    for i, outer in enumerate(prev.pierced):
+        offset = s + i * (s + p)
+        h = v[offset:offset + s + p]  # H_i's vertices
+        edges.extend((h[a], h[b]) for a, b in helper)
+        for q, inner in enumerate(prev.pierced):
+            pierced.append((*outer, h[s + q]))
+            pierced.append((*outer, *map(h.__getitem__, inner)))
+    return ClaimedGraph(size, tuple(edges), tuple(pierced))
 
 
 def max_level(copies: int) -> int:
-    """The largest k with s_k <= copies, or 0.  Cheap for any ``copies``:
-    s_k grows doubly exponentially, so the recurrence stops early."""
-    return sum(1 for _ in takewhile(lambda sp: sp[0] <= copies, _sizes()))
+    """The largest k with s_k <= copies, or 0, by the sizes of B_k's rule,
+    with no graph built: cheap for any ``copies``, as s_k grows so fast."""
+    k, s, p = 0, 1, 1
+    while s <= copies:
+        k, s, p = k + 1, s + p * (s + p), 2 * p * p
+    return k
+
+
+def contact_law(contacts: list[tuple[int, int]], expected: list[tuple[int, int]]) -> list[str]:
+    """One message per pair, in sorted order, in just one of ``contacts``,
+    the sorted pairs of copies that meet, and ``expected``, B_k's."""
+    if contacts == expected:
+        return []
+    met, want = set(contacts), set(expected)
+    return [f"contact law fails at copies {i}, {j}: "
+            f"expected {'meet' if (i, j) in want else 'disjoint'}" for i, j in sorted(met ^ want)]
 
 
 def split_probe(p: Probe) -> tuple[Rect, Rect]:
@@ -215,14 +255,14 @@ def _boxes_meet(a: IntBox, b: IntBox) -> bool:
 
 
 def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: IntBox,
-                    near: Sequence[int], box: IntBox, epsilon: Optional[Rat],
-                    contacts: set[tuple[int, int]]) -> list[str]:
+                    near: Sequence[int], box: IntBox, epsilon: Optional[Rat]) -> list[str]:
     """The probe conditions of ``probe``, decided on grid ints: its messages,
     empty when it holds.  The copies its rectangle meets must be exactly
-    ``probe.pierced`` (expected while building, stored when verifying),
-    pairwise disjoint and vertical stabbers, and the root left of the cut
-    must be empty; with ``epsilon`` (an eps-probe) the root must also be a
-    square and the width/height ratio exactly 1 + eps.
+    ``probe.pierced`` (expected while building, stored when verifying) and
+    vertical stabbers, and the root left of the cut must be empty; with
+    ``epsilon`` (an eps-probe) the root must also be a square and the
+    width/height ratio exactly 1 + eps.  They are pairwise disjoint by
+    ``level_law``'s comparison with B_k, whose pierced sets are independent.
 
     ``rect_box``, ``root_box`` and the family box ``box`` are on ``grid``.
     ``near`` holds the copies whose boxes meet the box around the rectangle
@@ -230,9 +270,8 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
     could.  One scan of each (``FamilyGrid.pierce``) decides whether the
     copy is pierced, whether it meets the root and, through a segment
     spanning the rectangle, most stabs; a pierced copy without one is
-    clipped and walked into components.  Whether two pierced copies meet
-    is read from ``contacts``.  The cut n/d need not lie on the grid, so
-    it is compared by cross-multiplication: v/den < n/d iff v*d < n*den.
+    clipped and walked into components.  The cut n/d, maybe off the grid,
+    is compared by cross-multiplication: v/den < n/d iff v*d < n*den.
     """
     out: list[str] = []
     x0, x1, y0, y1 = rect_box
@@ -268,37 +307,16 @@ def _probe_messages(probe: Probe, grid: FamilyGrid, rect_box: IntBox, root_box: 
             rooted.append(i)
     if actual != sorted(probe.pierced):
         out.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
-    out.extend(f"pierced copies {a} and {b} intersect"
-               for a, b in combinations(actual, 2) if (a, b) in contacts)
     out.extend(f"pierced copy {i} does not stab the probe vertically" for i in unstabbed)
     out.extend(f"root meets copy {i}" for i in rooted)
     return out
 
 
-def diagonal_law(pairs: Sequence[tuple[int, int]], n: int, probes: Sequence[Probe]) -> list[str]:
-    """The closing diagonals' contact law, read from ``pairs``, the sorted
-    contact pairs (``FamilyGrid.contacts``) of n base copies followed by
-    one diagonal per probe.  Empty list = it holds.
-
-    Diagonal i, copy n + i, meets exactly the base copies pierced by
-    probe i, and no two diagonals meet.  Only pairs that hold a diagonal
-    are read, so ``contacts(n)`` is enough.
-    """
-    met: list[list[int]] = [[] for _ in probes]
-    for a, b in pairs:
-        if a < n <= b:
-            met[b - n].append(a)
-    out = [f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}"
-           for i, (neighbors, probe) in enumerate(zip(met, probes))
-           if frozenset(neighbors) != frozenset(probe.pierced)]
-    return out + [f"diagonals {a - n} and {b - n} intersect" for a, b in pairs if a >= n]
-
-
-def check_diagonals(grid: FamilyGrid, n: int, probes: Sequence[Probe]) -> None:
-    """Raise ConstructionError unless the diagonal law holds on ``grid``, n
-    base copies and then one diagonal per probe.  Only the pairs that hold
-    a diagonal are decided: the base's were decided when it was sealed."""
-    fail_on(diagonal_law(grid.contacts(n)[0], n, probes))
+def check_diagonals(grid: FamilyGrid, k: int, n: int) -> None:
+    """Raise ConstructionError unless the contacts that hold a diagonal on
+    ``grid``, n base copies and then one diagonal per probe, are B_k's
+    diagonal edges: the base's were decided when it was sealed."""
+    fail_on(contact_law(grid.contacts(n)[0], claimed_graph(k).diagonal_edges()))
 
 
 def grow_probe(root: Rect, bbox: Rect, epsilon: Optional[Rat] = None,
@@ -345,29 +363,29 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
 
     s_k copies and p_k probes; every copy, ``diagonals`` included, a
     homothet when the level carries an epsilon; the probe conditions of
-    each probe; pairwise disjoint probes; the diagonal law of
-    ``diagonals`` when given; and no triangle, ``diagonals`` included.
-    The family, ``diagonals`` included, and each probe's rectangle and
-    root go on one ``FamilyGrid``, and all of it is read from one pass
+    each probe; pairwise disjoint probes; and B_k (``claimed_graph``), in
+    construction order: its pierced sets, and its edges as the contacts,
+    with its diagonal edges when ``diagonals`` are given.  The family,
+    ``diagonals`` included, and each probe's rectangle and root go on one
+    ``FamilyGrid``, and all of it is read from one pass
     (``FamilyGrid.contacts``) over the family and the box around each
     probe: the contacts, each probe's candidates (the base copies whose
     boxes meet its box), judged by ``_probe_messages``, and the pairs of
-    probes whose rectangles meet.  One graph of the
-    contacts, made once the grid is released, serves the triangle test.
+    probes whose rectangles meet.
     """
     out: list[str] = []
     k, n, probes = level.k, len(level.family), level.probes
     family = (*level.family, *(diagonals or ()))
-    # Level k holds s_k copies at least: checking that first keeps a huge
-    # claimed k from growing the recurrence's integers.
+    # checked first, so that a huge claimed k never grows B_k
+    claimed = None
     if k > max_level(n):
         out.append(f"size: k={k} needs more than {n} base copies")
     else:
-        s_k, p_k = size_formulas(k)
-        if n != s_k:
-            out.append(f"size: {n} copies, expected s_{k} = {s_k}")
-        if len(probes) != p_k:
-            out.append(f"size: {len(probes)} probes, expected p_{k} = {p_k}")
+        claimed = claimed_graph(k)
+        if n != claimed.size:
+            out.append(f"size: {n} copies, expected s_{k} = {claimed.size}")
+        if len(probes) != len(claimed.pierced):
+            out.append(f"size: {len(probes)} probes, expected p_{k} = {len(claimed.pierced)}")
     if level.epsilon is not None:
         out.extend(f"uniform: copy with lineage {c.lineage!r} is not a homothet"
                    for c in family if not c.is_uniform)
@@ -375,28 +393,25 @@ def level_law(level: Level, diagonals: Optional[Sequence[TransformedCopy]] = Non
     rects, m = grid.rect_boxes, len(family)
     contacts, hits = grid.contacts(queries=[box_hull(r) for r in zip(rects[::2], rects[1::2])])
     box = box_hull(grid.boxes[:n])
-    # the probes pierce base copies only, so only their contacts are looked up
-    base_contacts = {(i, j) for i, j in contacts if j < n}
     for i, (p, rect, root, h) in enumerate(zip(probes, rects[::2], rects[1::2], hits)):
         # each hit list is ascending, so its base copies come first
         out.extend(f"probe {i}: {msg}" for msg in _probe_messages(
-            p, grid, rect, root, h[:bisect_left(h, n)], box, level.epsilon, base_contacts))
-    meeting = sorted((i - m, q) for q, h in enumerate(hits) for i in h
-                     if i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * q]))
-    del grid, rects, hits  # freed before the graph is made, so they never coexist
-    g = Graph.from_edges(m, contacts)
-    out.extend(f"probes {i} and {j} are not disjoint" for i, j in meeting)
-    if diagonals is not None:
-        law = (diagonal_law(contacts, n, probes) if len(diagonals) == len(probes)
-               else ["diagonal count differs from probe count"])
-        out.extend(f"augmented: {msg}" for msg in law)
-    if not is_triangle_free(g):
-        out.append("family is not triangle-free")
+            p, grid, rect, root, h[:bisect_left(h, n)], box, level.epsilon))
+    out.extend(f"probes {i - m} and {q} are not disjoint"
+               for i, q in sorted((i, q) for q, h in enumerate(hits) for i in h
+                                  if i >= m and _boxes_meet(rects[2 * (i - m)], rects[2 * q])))
+    del grid, rects, hits  # freed before the contact law's sets are made
+    if claimed is not None:
+        out.extend(f"pierced law fails at probe {i}: stored {sorted(p.pierced)}, expected "
+                   f"{list(want)}" for i, (p, want) in enumerate(zip(probes, claimed.pierced))
+                   if sorted(p.pierced) != list(want))
+        out.extend(contact_law(contacts, list(claimed.edges) if diagonals is None
+                               else sorted([*claimed.edges, *claimed.diagonal_edges()])))
     return out
 
 
 def seal(k: int, copies: Sequence[TransformedCopy],
-         claims: Sequence[tuple[Rect, frozenset[int]]], epsilon: Optional[Rat] = None
+         claims: Sequence[tuple[Rect, Collection[int]]], epsilon: Optional[Rat] = None
          ) -> Level:
     """Level k of ``copies``, with one probe per claim (root, expected):
     the probe ``grow_probe`` grows from ``root``, claimed to pierce exactly
@@ -413,11 +428,10 @@ def seal(k: int, copies: Sequence[TransformedCopy],
 def base_level(shape: ShapeDef) -> Level:
     """Level 1: the shape itself; the probe extends E to the right edge."""
     copy = TransformedCopy(shape.name, shape.shape, lineage="outer")
-    return seal(1, [copy], [(shape.features.empty_rect, frozenset({0}))])
+    return seal(1, [copy], [(shape.features.empty_rect, claimed_graph(1).pierced[0])])
 
 
 def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
-                  base_probes: Sequence[Probe],
                   embeds: Sequence[tuple[AxisMap, AxisMap]],
                   uppers: Sequence[Rect], lowers: Sequence[Rect],
                   epsilon: Optional[Rat] = None) -> Level:
@@ -427,25 +441,16 @@ def embed_helpers(k: int, outer: Level, helper: Sequence[TransformedCopy],
     ``embeds[i]``, a pair of axis maps, places a copy of it in the empty
     root of outer probe i, and ``uppers[j]``, ``lowers[j]`` are the upper
     and lower roots of base probe j in helper coordinates.  Each pair
-    (outer P, base Q) claims an upper probe, then a lower probe, by the one
-    contact law: the upper probe pierces P's copies and the embedded
-    diagonal of Q, the lower one P's copies and the embedded copies Q
-    pierces.  ``seal`` checks the level, and its box must be the outer
-    level's.
+    (outer P, base Q) claims an upper probe, then a lower probe, each
+    claimed to pierce its set in B_k (``claimed_graph``).  ``seal`` checks
+    the level, and its box must be the outer level's.
     """
-    n_base = len(helper) - len(base_probes)
     copies = list(outer.family)
-    claims: list[tuple[Rect, frozenset[int]]] = []
-    for p, embed in zip(outer.probes, embeds):
-        offset = len(copies)
+    roots: list[Rect] = []
+    for embed in embeds:
         copies.extend(c.rebase(embed, f"inner({k})/{c.lineage}") for c in helper)
-        outer_pierced = frozenset(p.pierced)
-        for qi, q in enumerate(base_probes):
-            claims.append((map_rect(*embed, uppers[qi]), outer_pierced | {offset + n_base + qi}))
-            claims.append((map_rect(*embed, lowers[qi]),
-                           outer_pierced | frozenset(offset + j for j in q.pierced)))
-
-    level = seal(k, copies, claims, epsilon)
+        roots.extend(map_rect(*embed, r) for pair in zip(uppers, lowers) for r in pair)
+    level = seal(k, copies, list(zip(roots, claimed_graph(k).pierced, strict=True)), epsilon)
     if level.bbox != outer.bbox:
         raise ConstructionError("embedded helpers escaped the outer bounding box")
     return level
@@ -467,7 +472,7 @@ def next_level(prev: Level, shape: ShapeDef) -> Level:
     halves, lowers = zip(*map(step_roots, prev.probes))
     embeds = [rect_map(helper_bbox, half) for half in halves]
     uppers = [d.apply(shape.features.empty_rect) for d in helper[len(prev.family):]]
-    return embed_helpers(prev.k + 1, prev, helper, prev.probes, embeds, uppers, lowers)
+    return embed_helpers(prev.k + 1, prev, helper, embeds, uppers, lowers)
 
 
 def build(k: int, shape: ShapeDef) -> Level:
@@ -489,5 +494,5 @@ def augment(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
     diagonals = tuple(make_diagonal(p, shape, level.bbox, f"diagonal(P{i})")
                       for i, p in enumerate(level.probes))
     family = level.family + diagonals
-    check_diagonals(FamilyGrid(family), len(level.family), level.probes)
+    check_diagonals(FamilyGrid(family), level.k, len(level.family))
     return family

@@ -8,12 +8,12 @@ an ``independent.Level`` that carries its eps, and the recursion step is
 the one ``independent.embed_helpers`` that both constructions share.
 Every level, the first included, is sealed by ``independent.seal``: with
 ``epsilon`` set, ``grow_probe`` carves each probe as an eps-probe and
-``level_law`` checks that every copy is a homothet and every probe an
-eps-probe, as ``verify`` does on the stored family.
-``independent.check_diagonals`` checks the closing diagonals on the
-pairs that hold one, and ``_make_helper`` each helper's diagonals on a
-grid of the helper and its roots; the helper's upper and lower roots
-are left to the ``seal`` of the level that embeds them.
+``level_law`` checks that every copy is a homothet, every probe an
+eps-probe and the level B_k, as ``verify`` does on the stored family.
+``independent.check_diagonals`` checks the diagonals against B_k, the
+closing ones and, on a grid of the helper and its roots, each helper's;
+the helper's upper and lower roots are left to the ``seal`` of the level
+that embeds them.
 
 One recursion step, for the target parameter eps:
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from .errors import ConstructionError, fail_on
 from .geometry import Rat, Rect, grid_rect, lift_pairs, rect_map
 from .shapes import AnchoredFrame, FamilyGrid, ShapeDef, TransformedCopy, family_bbox
-from .independent import Level, check_diagonals, embed_helpers, seal
+from .independent import Level, check_diagonals, claimed_graph, embed_helpers, seal
 
 
 def _square_homothet(shape: ShapeDef, anchor: AnchoredFrame, square: Rect,
@@ -67,8 +67,8 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
     Each diagonal's claims are checked on the helper's grid, one message
     per failed claim per diagonal: it sticks out of the template box by
     exactly m, its eps1-empty square clears that box, it meets its root,
-    and its shift obeys delta*s + m <= (eps/2)*(s/2).  The diagonal law
-    (``check_diagonals``) follows on the same grid.  The upper and lower
+    and its shift obeys delta*s + m <= (eps/2)*(s/2).  Their contacts
+    follow on the same grid (``check_diagonals``).  The upper and lower
     roots are squares by construction (``grow_probe`` refuses others), and
     ``seal`` checks the root carved from each for emptiness.
     """
@@ -112,7 +112,7 @@ def _make_helper(inner: Level, eps: Rat, shape: ShapeDef) -> tuple[
         if not delta * root.width + m <= (eps / 2) * (root.width / 2):
             faults.append(f"diagonal {i} breaks the shift bound")
     fail_on(faults)
-    check_diagonals(grid, n_base, inner.probes)
+    check_diagonals(grid, inner.k, n_base)
     return helper, uppers, lowers
 
 
@@ -126,7 +126,8 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
 
     if k == 1:
         copy = TransformedCopy(shape.name, anchor.shape, lineage="outer")
-        return seal(1, [copy], [(anchor.empty_square(epsilon), frozenset({0}))], epsilon)
+        return seal(1, [copy], [(anchor.empty_square(epsilon), claimed_graph(1).pierced[0])],
+                    epsilon)
 
     inner = build_uniform(k - 1, epsilon / 8, shape)
     helper, uppers, lowers = _make_helper(inner, epsilon, shape)
@@ -139,7 +140,7 @@ def build_uniform(k: int, epsilon: Rat, shape: ShapeDef) -> Level:
     min_root = min(r.width for r in uppers + lowers)
     outer = build_uniform(k - 1, epsilon * min_root / (2 * Fraction(s, bd)), shape)
     embeds = [rect_map(square, p.root) for p in outer.probes]
-    return embed_helpers(k, outer, helper, inner.probes, embeds, uppers, lowers, epsilon)
+    return embed_helpers(k, outer, helper, embeds, uppers, lowers, epsilon)
 
 
 def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...]:
@@ -166,5 +167,5 @@ def augment_uniform(level: Level, shape: ShapeDef) -> tuple[TransformedCopy, ...
             raise ConstructionError(f"augmenting square escapes probe {i}")
         diagonals.append(_square_homothet(shape, anchor, square, f"diagonal(P{i})"))
     family = level.family + tuple(diagonals)
-    check_diagonals(FamilyGrid(family), len(level.family), level.probes)
+    check_diagonals(FamilyGrid(family), level.k, len(level.family))
     return family

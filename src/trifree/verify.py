@@ -1,28 +1,20 @@
 """Invariant suite over persisted families.
 
-Re-checks, from the flat artifact alone, everything that does not need
-the recursion's internal bookkeeping.  A family of either construction
-is checked by ``independent.level_law``, the law every level is sealed
-with as it is built: s_k copies and p_k probes, the probe conditions of
-every stored probe (with the eps-probe extras and homothety in uniform
-mode), pairwise disjoint probes, in an augmented family the diagonal
-law, and triangle-freeness.  On top of it comes the base size of a bare
-family.  An encoded family is checked by ``encoding.encoded_law``, the
-law every ``encode`` run ends with, over the stored tree's nodes, which
-the loader reads in preorder, and the stored frames.  The deeper
-step-by-step contact laws are enforced at construction time.
-
-No check tests all pairs or all copies: each takes its candidates from
-one y-sweep over bounding boxes, which the exact predicates then decide.
-``level_law`` lifts the family, its diagonals and its probes onto one
-integer grid (``shapes.FamilyGrid``) and runs one sweep on it, over the
-copies and the box around each stored probe's rectangle and root, so a
-root stored away from its rectangle still meets every copy it could.
-That pass decides every contact, which the probe conditions and the
-diagonal law read as pairs and the triangle test as one graph, and gives
-the probes their candidates and the pairs of probes that may meet.  An
-encoded family's intersection law and triangle test read one
-intersection graph.
+Re-checks, from the flat artifact alone, what a family claims, with the
+law its construction ends with.  A family of either geometric
+construction goes through ``independent.level_law``, which ``seal`` runs
+on every level: its sizes, homothety in uniform mode, every stored
+probe's conditions, pairwise disjoint probes, and equality with B_k
+(``independent.claimed_graph``) of its pierced sets and its contacts,
+diagonals included in an augmented family.  B_k numbers the copies and
+probes in construction order, so a file must list them in that order.
+A bare family's base size is checked here.  An encoded family goes
+through ``encoding.encoded_law``, which ``encode`` ends with, over the
+stored tree's nodes in preorder and the stored frames.  Each law takes
+its candidate pairs from one y-sweep on one integer grid
+(``shapes.FamilyGrid``), never from all pairs.  On success the command
+prints one ``ok:`` line with the mode, k and copy count, and no word of
+B_k: the benchmark compares that line byte for byte.
 """
 
 from __future__ import annotations

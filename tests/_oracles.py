@@ -3,8 +3,9 @@
 These deliberately avoid the implementation's code paths: the geometry
 oracle rasterizes over the integer grid (exact for integer-coordinate
 inputs), the references of the integer predicates test every segment on
-exact rationals, the probe-condition and diagonal-law references test
-every copy through those, on no shared grid, the diagonal,
+exact rationals, the probe-condition and contact-law references test
+every copy through those, on no shared grid, B_k's reference builds it on
+sets by its rule and the sizes' by their recurrence, the diagonal,
 rectangle-map and composition references are the chains of Fraction
 operators, on a transform of four Fractions (``XYTransform``), that the
 closed-form, lifted paths on integer axis maps replaced, the anchored
@@ -500,8 +501,6 @@ def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCo
         actual = [i for i, c in enumerate(copies) if copy_meets_rect_ref(c, rect)]
         if actual != sorted(probe.pierced):
             msgs.append(f"pierced set mismatch: claimed {sorted(probe.pierced)}, actual {actual}")
-        msgs.extend(f"pierced copies {a} and {b} intersect" for a, b in combinations(actual, 2)
-                    if copies_intersect_ref(copies[a], copies[b]))
         msgs.extend(f"pierced copy {i} does not stab the probe vertically" for i in actual
                     if not curve_stabs_ref(copies[i].segments, rect, vertical=True))
         msgs.extend(f"root meets copy {i}" for i, c in enumerate(copies)
@@ -510,17 +509,55 @@ def probe_conditions_ref(probes: Sequence[Probe], copies: Sequence[TransformedCo
     return out
 
 
-def diagonal_law_ref(base: Sequence[TransformedCopy], diagonals: Sequence[TransformedCopy],
-                     probes: Sequence[Probe]) -> list[str]:
-    """``independent.diagonal_law`` through ``copies_intersect_ref`` on every pair."""
-    out = []
-    for i, (diag, probe) in enumerate(zip(diagonals, probes, strict=True)):
-        neighbors = [j for j, c in enumerate(base) if copies_intersect_ref(diag, c)]
-        if set(neighbors) != set(probe.pierced):
-            out.append(f"diagonal {i} meets {neighbors}, expected {sorted(probe.pierced)}")
-    return out + [f"diagonals {i} and {j} intersect"
-                  for i, j in combinations(range(len(diagonals)), 2)
-                  if copies_intersect_ref(diagonals[i], diagonals[j])]
+def size_formulas(k: int) -> tuple[int, int]:
+    """(s_k, p_k) by the recurrence s_1 = p_1 = 1, s_{k+1} = (p_k + 1)*s_k +
+    p_k^2, p_{k+1} = 2*p_k^2, cross-checked against the closed bounds
+    p_k = 2^(2^(k-1) - 1) and s_k <= 2^(2^(k-1)) - 1: the oracle for the
+    sizes of ``independent.claimed_graph``."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    s, p = 1, 1
+    for _ in range(k - 1):
+        s, p = (p + 1) * s + p * p, 2 * p * p
+    exponent = 2 ** (k - 1)
+    if p != 2 ** (exponent - 1) or not s <= 2 ** exponent - 1:
+        raise AssertionError(f"size recurrence left its proven bounds at k={k}")
+    return s, p
+
+
+def claimed_graph_ref(k: int) -> tuple[int, set[tuple[int, int]], list[list[int]]]:
+    """Augmented B_k by its rule on sets, from the top: (s_k, its edge set,
+    diagonals included, each probe's pierced set).  Level k+1 lays out the
+    outer level and then one helper per outer probe, each helper augmented
+    level k, and claims the probes of every (outer P, helper Q) pair, upper
+    then lower."""
+    if k == 1:
+        return 1, {(0, 1)}, [[0]]
+    s, aug, pierced = claimed_graph_ref(k - 1)
+    p = len(pierced)
+    size = s + p * (s + p)
+    edges = {(a, b) for a, b in aug if b < s}
+    new: list[list[int]] = []
+    for i, outer in enumerate(pierced):
+        offset = s + i * (s + p)
+        edges |= {(a + offset, b + offset) for a, b in aug}
+        for q, inner in enumerate(pierced):
+            new.append(sorted(outer) + [offset + s + q])
+            new.append(sorted(outer) + [offset + j for j in inner])
+    edges |= {(j, size + t) for t, ps in enumerate(new) for j in ps}
+    return size, edges, new
+
+
+def contact_law_ref(family: Sequence[TransformedCopy], k: int, start: int = 0) -> list[str]:
+    """``independent.contact_law`` of ``family``, a level k and its
+    diagonals, through ``copies_intersect_ref`` on every pair (i, j),
+    i < j, with j >= start, against the pairs of ``claimed_graph_ref``."""
+    want = claimed_graph_ref(k)[1]
+    pairs = [(i, j) for i, j in combinations(range(len(family)), 2) if j >= start]
+    met = {(i, j) for i, j in pairs if copies_intersect_ref(family[i], family[j])}
+    return [f"contact law fails at copies {i}, {j}: "
+            f"expected {'meet' if (i, j) in want else 'disjoint'}"
+            for i, j in pairs if ((i, j) in met) != ((i, j) in want)]
 
 
 def copies_intersect_within(a: TransformedCopy, b: TransformedCopy, r: Rect) -> bool:

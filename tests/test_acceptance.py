@@ -18,7 +18,7 @@ from trifree.graphs import (
     is_triangle_free,
     verify_coloring,
 )
-from trifree.independent import augment, base_level, build, next_level, size_formulas
+from trifree.independent import augment, base_level, build, next_level
 from trifree.shapes import catalog
 from trifree.uniform import augment_uniform, build_uniform
 
@@ -31,6 +31,7 @@ from _oracles import (
     rect_relation_grid,
     rect_relations,
     segs_intersect_grid,
+    size_formulas,
     step_contact_law_violations,
 )
 

@@ -1,13 +1,15 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from trifree import independent, serialize, shapes
+from trifree import graphs, independent, serialize, shapes
 from trifree.errors import ConstructionError
 from trifree.geometry import Rect, h_seg, v_seg
 from trifree.graphs import (
+    Graph,
     chromatic_number,
     intersection_graph,
     is_triangle_free,
@@ -17,11 +19,11 @@ from trifree.independent import (
     augment,
     base_level,
     build,
-    diagonal_law,
+    claimed_graph,
+    contact_law,
     make_diagonal,
     next_level,
     seal,
-    size_formulas,
     split_probe,
 )
 from trifree.shapes import (
@@ -38,10 +40,11 @@ from _oracles import (
     XYTransform,
     apply_ref,
     axis_map,
+    claimed_graph_ref,
+    contact_law_ref,
     copies_intersect_ref,
     copy_meets_rect_ref,
     curve_stabs_ref,
-    diagonal_law_ref,
     from_maps,
     intersection_graph_bruteforce,
     make_diagonal_ref,
@@ -57,12 +60,61 @@ from _oracles import (
     replace,
     replace_probe,
     root_cut_x,
+    size_formulas,
     spans_ref,
     stab_case,
     stabs_horizontally,
     stabs_vertically,
     step_contact_law_violations,
 )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_claimed_graph_is_its_rule_on_sets(k):
+    claimed = claimed_graph(k)
+    size, edges, pierced = claimed_graph_ref(k)
+    assert claimed.size == size
+    assert list(claimed.edges) == sorted(e for e in edges if e[1] < size)
+    assert claimed.diagonal_edges() == sorted(e for e in edges if e[1] >= size)
+    assert [list(ps) for ps in claimed.pierced] == pierced
+    assert claimed_graph(k) is claimed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_claimed_graph_has_the_recurrence_sizes_and_no_triangle(k):
+    claimed = claimed_graph(k)
+    s, p = size_formulas(k)
+    assert (claimed.size, len(claimed.pierced)) == (s, p)
+    assert independent.max_level(s) == k and independent.max_level(s - 1) == k - 1
+    bare = Graph.from_edges(s, claimed.edges)
+    assert is_triangle_free(bare)
+    assert is_triangle_free(Graph.from_edges(s + p, [*claimed.edges, *claimed.diagonal_edges()]))
+    for ps in claimed.pierced:
+        assert not any(b in bare.adj[a] for a, b in itertools.combinations(ps, 2))
+
+
+def _built_levels():
+    for name in ("frame", "lshape", "cross"):
+        shape = catalog()[name]
+        for level in _levels_up_to(4, shape):
+            yield f"{name} k={level.k}", level, augment(level, shape)
+    frame = catalog()["frame"]
+    for eps in (Fraction(1, 2), Fraction(2, 7)):
+        for k in (1, 2, 3):
+            level = build_uniform(k, eps, frame)
+            yield f"uniform eps={eps} k={k}", level, augment_uniform(level, frame)
+
+
+def test_built_families_realize_claimed_graph():
+    seen = []
+    for name, level, family in _built_levels():
+        claimed = claimed_graph(level.k)
+        assert [p.pierced for p in level.probes] == list(claimed.pierced), name
+        assert shapes.FamilyGrid(level.family).contacts()[0] == list(claimed.edges), name
+        assert shapes.FamilyGrid(family).contacts()[0] == sorted(
+            [*claimed.edges, *claimed.diagonal_edges()]), name
+        seen.append(name)
+    assert len(seen) == 3 * 4 + 2 * 3
 
 
 def test_size_formulas_frozen_values():
@@ -264,15 +316,18 @@ def test_probe_roots_avoid_every_copy(independent_levels):
 
 def test_augment_rejects_tampered_probe(independent_levels, frame):
     level = independent_levels[2]
-    bad_probe = probe_of(level.probes[0].rect, level.probes[0].root,
-                      root_cut_x(level.probes[0]), (0,))  # wrong pierced set
+    # probe 0 moved onto probe 1: its diagonal lands on probe 1's copies,
+    # which B_2 does not let it meet
+    bad_probe = replace_probe(level.probes[0], rect=level.probes[1].rect)
     tampered = type(level)(level.k, level.family, (bad_probe,) + level.probes[1:])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as err:
         augment(tampered, frame)
+    assert "contact law fails at copies 3, 4: expected disjoint" in str(err.value).split("; ")
 
 
 @pytest.mark.parametrize("k, pierced, message", [
-    (1, frozenset(), "probe 0: pierced set mismatch: claimed [], actual [0]"),
+    (1, frozenset(), "probe 0: pierced set mismatch: claimed [], actual [0]; "
+                     "pierced law fails at probe 0: stored [], expected [0]"),
     (2, frozenset({0}), "size: k=2 needs more than 1 base copies"),
 ], ids=["wrong-pierced-set", "wrong-k"])
 def test_seal_refuses_a_level_that_breaks_its_law(frame, k, pierced, message):
@@ -359,17 +414,17 @@ def test_grid_checks_match_fraction_references_on_unrelated_grids():
             grid = shapes.FamilyGrid(family)
             contacts, diagonal_pairs = grid.contacts()[0], grid.contacts(n)[0]
             assert diagonal_pairs == [(i, j) for i, j in contacts if j >= n]
-            law = diagonal_law(diagonal_pairs, n, probes)
-            assert law == diagonal_law_ref(copies, diags, probes)
-            seen.add("diagonal law " + ("holds" if not law else "fails"))
+            law = contact_law(diagonal_pairs, claimed_graph(level.k).diagonal_edges())
+            assert law == contact_law_ref(family, level.k, start=n)
+            seen.add("contact law " + ("holds" if not law else "fails"))
             assert set(contacts) == set(intersection_graph_bruteforce(family).edges()) == {
                 (i, j) for i, j in itertools.combinations(range(len(family)), 2)
                 if copies_intersect_ref(family[i], family[j])}
-    assert {"valid", "pierced set", "pierced copies", "pierced copy", "root meets",
-            "diagonal law holds", "diagonal law fails"} <= seen
+    assert {"valid", "pierced set", "pierced copy", "root meets",
+            "contact law holds", "contact law fails"} <= seen
 
 
-def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_levels):
+def test_an_intersecting_pair_of_pierced_copies_is_reported_once(independent_levels):
     level = independent_levels[3]
     occurrences: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(level.probes):
@@ -383,8 +438,8 @@ def test_an_intersecting_pair_is_reported_by_every_probe_it_shares(independent_l
     bbox = family_bbox(copies)
     got = _probe_conditions(level.probes, copies)
     assert got == probe_conditions_ref(level.probes, copies, bbox)
-    message = f"pierced copies {a} and {b} intersect"
-    assert all(message in got[i] for i in sharing)
+    message = f"contact law fails at copies {a}, {b}: expected disjoint"
+    assert independent.level_law(replace(level, family=tuple(copies))).count(message) == 1
 
 
 def _drawn_level(rng):
@@ -428,8 +483,7 @@ def test_probe_scan_falls_back_as_the_fraction_reference_decides():
                                                                      vertical=True):
                     stabs = curve_stabs_ref(c.segments, p.rect, vertical=True)
                     seen.add(f"walk {stabs}")
-    assert {"pierced set", "pierced copies", "pierced copy", "root meets", "walk True",
-            "walk False"} <= seen
+    assert {"pierced set", "pierced copy", "root meets", "walk True", "walk False"} <= seen
 
 
 def _count_probe_scans(monkeypatch) -> dict[str, list]:
@@ -581,6 +635,30 @@ def test_level_check_lifts_one_grid_and_runs_one_sweep(name, monkeypatch):
     assert seen == {"sweeps": 4 + 4, "lifts": 2 * 4 + 4 + 3}
 
 
+def test_level_checks_make_no_graph_and_no_triangle_test(frame, monkeypatch):
+    # B_k has no triangle, so the contact law leaves nothing for a graph to decide
+    made = []
+    init, triangle_free = graphs.Graph.__init__, graphs.is_triangle_free
+
+    def counted_init(g, *args):
+        made.append("Graph")
+        init(g, *args)
+
+    def counted_triangle_free(g):
+        made.append("is_triangle_free")
+        return triangle_free(g)
+
+    monkeypatch.setattr(graphs.Graph, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trifree") and getattr(module, "is_triangle_free", None):
+            monkeypatch.setattr(module, "is_triangle_free", counted_triangle_free)
+    level = build(4, frame)
+    family = augment(level, frame)
+    doc = serialize.level_to_doc(level, frame, family)
+    assert verify_family(serialize.doc_to_family(serialize.loads(serialize.dumps(doc)))) == []
+    assert made == []
+
+
 def _tampered(probes, i, j, tamper):
     """``probes`` with probe i's root set to probe j's rectangle, its
     rectangle set to probe j's root, or probe i repeated at the end."""
@@ -603,6 +681,7 @@ def test_one_pass_judges_tampered_probes_as_the_references_do(name):
     for level in _levels_up_to(4, shape):
         n, p = len(level.family), len(level.probes)
         diagonals = augment(level, shape)[n:]
+        law = contact_law_ref((*level.family, *diagonals), level.k, start=n)
         for tamper in ("root-on-another-rectangle", "rectangle-on-another-root",
                        "probe-repeated"):
             i = rng.randrange(p)
@@ -613,13 +692,10 @@ def test_one_pass_judges_tampered_probes_as_the_references_do(name):
             want = [f"probe {x}: {msg}" for x, msgs in zip(checked, refs) for msg in msgs]
             want += [f"probes {a} and {b} are not disjoint"
                      for a, b in meeting_pairs_bruteforce([q.rect for q in probes])]
-            law = (diagonal_law_ref(level.family, diagonals, probes) if len(probes) == p
-                   else ["diagonal count differs from probe count"])
             sizes = [f"size: {p + 1} probes, expected p_{level.k} = {p}"] * (len(probes) > p)
             tampered = replace(level, probes=tuple(probes))
             assert independent.level_law(tampered) == sizes + want
-            assert independent.level_law(tampered, diagonals) == sizes + want + [
-                f"augmented: {msg}" for msg in law]
+            assert independent.level_law(tampered, diagonals) == sizes + want + law
             seen.update(msg.split()[0] for msg in want)
     assert seen == {"probe", "probes"}
 
@@ -657,7 +733,8 @@ def test_next_level_refuses_a_diagonal_moved_off_a_pierced_copy(independent_leve
     monkeypatch.setattr(independent, "make_diagonal", moved)
     with pytest.raises(ConstructionError) as err:
         next_level(prev, frame)
-    assert str(err.value) == "diagonal 0 meets [], expected [0, 2]"
+    assert str(err.value) == ("contact law fails at copies 0, 3: expected meet; "
+                              "contact law fails at copies 2, 3: expected meet")
 
 
 def test_next_level_refuses_a_lower_part_grown_into_its_diagonal(frame, monkeypatch):
@@ -673,7 +750,6 @@ def test_next_level_refuses_a_lower_part_grown_into_its_diagonal(frame, monkeypa
     # copy 2 is the embedded diagonal, and probe 1 the lower probe
     assert str(err.value) == (
         "probe 1: pierced set mismatch: claimed [0, 1], actual [0, 1, 2]; "
-        "probe 1: pierced copies 1 and 2 intersect; "
         "probe 1: pierced copy 2 does not stab the probe vertically; "
         "probe 1: root meets copy 2")
 
@@ -696,7 +772,7 @@ def test_seal_refuses_a_level_whose_copies_form_a_triangle(frame):
     copies = [replace(level.family[0], lineage=f"moved({i})") for i in range(3)]
     with pytest.raises(ConstructionError) as exc:
         seal(2, copies, claims)
-    assert "family is not triangle-free" in str(exc.value).split("; ")
+    assert "contact law fails at copies 0, 1: expected disjoint" in str(exc.value).split("; ")
 
 
 def _levels_up_to(k, shape):

@@ -829,7 +829,8 @@ def test_cli_verify_reports_a_triangle(tmp_path, family_file):
     tampered.write_text(json.dumps(doc))
     r = _run_cli("verify", "--family", str(tampered))
     assert r.returncode == EXIT_VIOLATION
-    assert "VIOLATION: family is not triangle-free" in r.stderr.splitlines()
+    assert ("VIOLATION: contact law fails at copies 0, 1: expected disjoint"
+            in r.stderr.splitlines())
 
 
 def test_cli_invalid_flags_exit_two():
@@ -879,6 +880,27 @@ def test_cli_build_k_above_its_cap_is_a_usage_error(args, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--k" in err
+
+
+@pytest.mark.parametrize("args, env, usage, message", [
+    (("build", "--k", "6"), None, "usage: trifree build",
+     "trifree build: error: --k must be at most 5 in independent mode"),
+    (("chi", "--family", "unread.json"), "x", "usage: trifree chi",
+     f"trifree chi: error: {cli.TIMEOUT_ENV}: not a finite number of seconds >= 0: 'x'"),
+], ids=["build-k", "chi-timeout-env"])
+def test_cli_refusals_after_parsing_show_the_commands_usage(args, env, usage, message,
+                                                            monkeypatch, capsys):
+    def no_run(*_):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, "build", no_run)
+    monkeypatch.setattr(cli, "_load_family", no_run)
+    if env is not None:
+        monkeypatch.setenv(cli.TIMEOUT_ENV, env)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(usage + " [-h]") and err[-1] == message
 
 
 def test_cli_encode_k4_is_b4_and_verifies(tmp_path):
@@ -1077,7 +1099,7 @@ def _not_rational(text):
     (_copy_scales, "+1", _not_rational("+1")),
     (_copy_scales, "0", "error: scale factors must be positive: sx=0, sy=1/800"),
     (_copy_scales, "2/25",
-     "VIOLATION: augmented: diagonal 4 meets [0, 1, 10, 11], expected [0, 1, 11]"),
+     "VIOLATION: contact law fails at copies 10, 17: expected disjoint"),
 ], ids=["x-hi-zero-denominator", "x-hi-decimal-point", "x-hi-plus-sign", "x-hi-reversed",
         "x-hi-moved", "scale-zero-denominator", "scale-decimal-point", "scale-plus-sign",
         "scale-zero", "scale-changed"])
@@ -1152,8 +1174,23 @@ def _cut_diagonals(doc):
     del doc["copies"][doc["base_size"]:]
 
 
+def _diagonal_onto_diagonal(doc):
+    doc["copies"][4].update({key: doc["copies"][3][key] for key in ("sx", "sy", "tx", "ty")})
+
+
+def _swap_base_copies(doc):
+    copies = doc["copies"]
+    copies[0], copies[1] = copies[1], copies[0]
+    for p in doc["probes"]:
+        p["pierced"] = sorted({0: 1, 1: 0}.get(i, i) for i in p["pierced"])
+
+
 # A base_size one less is refused by the loader, since the last base copy
-# is pierced; one more puts the first diagonal in the base.
+# is pierced; one more puts the first diagonal in the base.  The augmented
+# family is the 5-cycle 0-3-2-1-4-0 of B_2: copies 0-2 the level, 3 and 4
+# the diagonals of probes 0 and 1, which pierce [0, 2] and [0, 1].  With
+# copies 0 and 1 swapped and every pierced index with them, each probe
+# still pierces what it claims, but B_2's numbering is broken.
 @pytest.mark.parametrize("source, tamper, marker", [
     ("bare", _drop_last_copy, "size: k=2 needs more than 2 base copies"),
     ("bare", _shrink_base, "size: base size 2, expected 3 in a bare family"),
@@ -1161,11 +1198,17 @@ def _cut_diagonals(doc):
     ("augmented", lambda doc: doc["probes"].append(doc["probes"][0]),
      "probes 0 and 2 are not disjoint"),
     ("augmented", _set("base_size", 4), "size: 4 copies, expected s_2 = 3"),
-    ("augmented", _cut_diagonals, "augmented: diagonal count differs from probe count"),
+    ("augmented", _cut_diagonals, "contact law fails at copies 0, 3: expected meet"),
     ("uniform", _set("copies", 0, "sy", "2"),
      "uniform: copy with lineage 'outer' is not a homothet"),
+    ("augmented", _diagonal_onto_diagonal, "contact law fails at copies 3, 4: expected disjoint"),
+    ("augmented", _set("copies", 4, "ty", "5"), "contact law fails at copies 0, 4: expected meet"),
+    ("augmented", _set("probes", 1, "pierced", [0, 2]),
+     "pierced law fails at probe 1: stored [0, 2], expected [0, 1]"),
+    ("augmented", _swap_base_copies, "contact law fails at copies 0, 2: expected disjoint"),
 ], ids=["copy-dropped", "bare-base-size", "probe-dropped", "probe-repeated", "base-size-up",
-        "diagonals-cut", "uniform-sy"])
+        "diagonals-cut", "uniform-sy", "extra-contact", "missing-contact", "pierced-set-changed",
+        "base-copies-swapped"])
 def test_cli_verify_reports_a_broken_level(tmp_path, bare_file, family_file, uniform_file,
                                            source, tamper, marker):
     built = {"bare": bare_file, "augmented": family_file, "uniform": uniform_file}[source]

@@ -7,7 +7,7 @@ from trifree import shapes, uniform
 from trifree.errors import ConstructionError
 from trifree.geometry import Rect
 from trifree.graphs import chromatic_number, intersection_graph, is_triangle_free
-from trifree.independent import Level, grow_probe, size_formulas
+from trifree.independent import Level, grow_probe
 from trifree.shapes import catalog, copy_meets_rect, family_bbox
 from trifree.uniform import _make_helper, augment_uniform, build_uniform
 
@@ -19,6 +19,7 @@ from _oracles import (
     rect_relations,
     replace,
     replace_probe,
+    size_formulas,
 )
 
 HALF = Fraction(1, 2)
@@ -144,13 +145,17 @@ def test_helper_reports_tampered_diagonals(templates, frame, monkeypatch):
 
 
 def test_helper_checks_its_diagonals_against_the_pierced_sets(templates, frame):
+    # B_2's probes pierce [0, 2] and [0, 1]; with the two swapped, the
+    # diagonals 3 and 4 land in each other's roots
     template = templates[3]
-    probe = template.probes[0]
-    tampered = Level(template.k, template.family,
-                     (replace(probe, pierced=()), *template.probes[1:]), template.epsilon)
+    first, second = template.probes
+    tampered = Level(template.k, template.family, (second, first), template.epsilon)
     with pytest.raises(ConstructionError) as err:
         _make_helper(tampered, HALF, frame)
-    assert str(err.value) == f"diagonal 0 meets {sorted(probe.pierced)}, expected []"
+    assert str(err.value) == ("contact law fails at copies 1, 3: expected disjoint; "
+                              "contact law fails at copies 1, 4: expected meet; "
+                              "contact law fails at copies 2, 3: expected meet; "
+                              "contact law fails at copies 2, 4: expected disjoint")
 
 
 def test_helper_lifts_one_grid_of_its_roots(templates, frame, monkeypatch):
@@ -183,7 +188,6 @@ def test_seal_refuses_a_lower_root_that_meets_a_copy(frame, monkeypatch):
     # copy 2 is the embedded diagonal, and probe 1 the lower probe
     assert str(err.value) == (
         "probe 1: pierced set mismatch: claimed [0, 1], actual [0, 1, 2]; "
-        "probe 1: pierced copies 1 and 2 intersect; "
         "probe 1: pierced copy 2 does not stab the probe vertically; "
         "probe 1: root meets copy 2; probes 0 and 1 are not disjoint")
 
